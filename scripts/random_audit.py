@@ -7,7 +7,7 @@ two properties that everything else leans on:
   * every Ritt reduction certificate re-expands exactly to its identity
     m * f = sum Q_i(A_i) + r, with the remainder reduced;
   * the assignment-backed Jacobi solver agrees with brute-force permutation
-    enumeration, witness included.
+    enumeration, witness included, and finds planted optima at n = 10..40.
 
     python3 scripts/random_audit.py --cases 500 --seed 7
 
@@ -27,6 +27,7 @@ from diffalg import (
     Convention,
     DerVar,
     DiffPoly,
+    JacobiResult,
     Monomial,
     NEG_INF,
     OrderMatrix,
@@ -86,25 +87,35 @@ def audit_reductions(rng: random.Random, cases: int, max_vars: int) -> tuple[int
 
 
 def audit_jacobi(rng: random.Random, cases: int) -> int:
-    for _ in range(cases):
-        n = rng.randint(1, 7)
+    """Checks jacobi_assign, witness included, against brute force on random
+    (entries 0-6) and tie-heavy (entries 0-1) matrices with n <= 7, and
+    against a planted unique optimum on matrices with n = 10..40, where brute
+    force cannot go."""
+    for k in range(cases):
+        kind = ("random", "ties", "planted")[k % 3]
+        n = rng.randint(10, 40) if kind == "planted" else rng.randint(1, 7)
+        top = {"random": 6, "ties": 1, "planted": 2}[kind]
         minusinf = rng.random() < 0.5
-        rows = tuple(
-            tuple(
-                NEG_INF if (minusinf and rng.random() < 0.25) else rng.randint(0, 6)
-                for _ in range(n)
-            )
+        rows = [
+            [NEG_INF if (minusinf and rng.random() < 0.25) else rng.randint(0, top) for _ in range(n)]
             for _ in range(n)
-        )
+        ]
+        if kind == "planted":
+            # entries on sigma beat every other entry, so sigma is the unique optimum
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            for j in range(n):
+                rows[sigma[j]][j] = rng.randint(top + 1, top + 2)
+            expected = JacobiResult(sum(rows[sigma[j]][j] for j in range(n)), tuple(sigma))
         conv = Convention.MINUS_INFINITY if minusinf else Convention.MAX_PLUS
-        m = OrderMatrix(rows, conv)
+        m = OrderMatrix(tuple(map(tuple, rows)), conv)
         a = jacobi_assign(m)
-        b = jacobi_brute(m)
+        b = expected if kind == "planted" else jacobi_brute(m)
         if a.value != b.value or a.witness != b.witness:
-            print("solver disagreement on matrix:", file=sys.stderr)
+            print(f"solver disagreement on a {kind} matrix:", file=sys.stderr)
             print(m.to_text(), file=sys.stderr)
-            print(f"  assign: {a}", file=sys.stderr)
-            print(f"  brute:  {b}", file=sys.stderr)
+            print(f"  assign:   {a}", file=sys.stderr)
+            print(f"  expected: {b}", file=sys.stderr)
             sys.exit(1)
     return cases
 
@@ -125,7 +136,7 @@ def main() -> None:
         f"({skipped} draws skipped: constant divisor or step cap)  [{t1 - t0:.2f}s]"
     )
     compared = audit_jacobi(rng, args.cases)
-    print(f"jacobi: {compared} assignment-vs-brute comparisons agreed  [{time.monotonic() - t1:.2f}s]")
+    print(f"jacobi: {compared} assignment solves agreed with brute force or a planted optimum  [{time.monotonic() - t1:.2f}s]")
     print("all audits passed")
 
 

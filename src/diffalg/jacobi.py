@@ -6,9 +6,9 @@ permutations sigma of sum_i a[sigma(i)][i] -- a maximum-weight assignment of
 equations to variables scored by orders.  Two conventions differ on absent
 variables: MaxPlus scores them 0, MinusInfinity makes them forbidden edges.
 
-Absent entries are a genuine sentinel (never a large negative stand-in), so
-the assignment solve cannot produce overflow artifacts; the solver's value is
-re-summed from the exact integer entries.
+Absent entries are a genuine sentinel (never a large negative stand-in), a
+forbidden pair for the assignment solve, which runs once on exact integers
+(see jacobi_assign); the value is re-summed from the exact entries.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .diffpoly import Convention, DiffPoly, NEG_INF, _NegInf
 
@@ -128,58 +125,60 @@ def jacobi_brute(m: OrderMatrix) -> JacobiResult:
     return JacobiResult(best, best_sigma)
 
 
-def _assign_max(m: OrderMatrix, cols: Sequence[int], rows: Sequence[int]):
-    """Maximum assignment value of the submatrix on the given variable
-    columns and equation rows, or the -inf sentinel when infeasible."""
-    if not cols:
-        return 0
-    c = np.zeros((len(cols), len(rows)))
-    for a, i in enumerate(cols):
-        for b, j in enumerate(rows):
-            e = m.entries[j][i]
-            c[a, b] = -np.inf if isinstance(e, _NegInf) else float(e)
-    try:
-        r_ind, c_ind = linear_sum_assignment(c, maximize=True)
-    except ValueError:
-        return NEG_INF
-    total = 0
-    for a, b in zip(r_ind, c_ind):
-        e = m.entries[rows[b]][cols[a]]
-        if isinstance(e, _NegInf):
-            return NEG_INF
-        total += e
-    return total
+def _min_cost_matching(cost: Sequence[Sequence[Optional[int]]]) -> Optional[list]:
+    """Kuhn-Munkres by shortest augmenting paths with integer potentials.
+    cost[r][c] is an int, or None for a forbidden pair.  Returns the row
+    matched to each column at minimum total cost, or None when no perfect
+    matching exists."""
+    n = len(cost)
+    u, v = [0] * n, [0] * n
+    row_of: list = [None] * (n + 1)  # column n is a virtual root holding the row being inserted
+    for r in range(n):
+        row_of[n], col = r, n
+        dist: list = [None] * n  # reduced length of the shortest path from r to each column
+        prev, done = [n] * n, [False] * n
+        while row_of[col] is not None:
+            row, ui = cost[row_of[col]], u[row_of[col]]
+            for c in range(n):
+                if not done[c] and row[c] is not None:
+                    w = row[c] - ui - v[c]
+                    if dist[c] is None or w < dist[c]:
+                        dist[c], prev[c] = w, col
+            reached = [c for c in range(n) if not done[c] and dist[c] is not None]
+            if not reached:
+                return None  # Hall's condition fails on the rows reached so far
+            col = min(reached, key=dist.__getitem__)
+            step = dist[col]
+            u[r] += step
+            for c in range(n):
+                if done[c]:
+                    u[row_of[c]] += step
+                    v[c] -= step
+                elif dist[c] is not None:
+                    dist[c] -= step
+            done[col] = True
+        while col != n:
+            back = prev[col]
+            row_of[col] = row_of[back]
+            col = back
+    return row_of[:n]
 
 
 def jacobi_assign(m: OrderMatrix) -> JacobiResult:
-    """Same contract as jacobi_brute via a linear assignment solve.  The
-    witness is made lexicographically smallest by fixing one column at a
-    time and re-solving the remainder."""
-    n = m.n
-    value = _assign_max(m, tuple(range(n)), tuple(range(n)))
-    if isinstance(value, _NegInf):
+    """Same contract as jacobi_brute, by one exact assignment solve.  Variable
+    i takes equation j at cost -a[j][i]*B^n + j*B^(n-1-i) with B = n + 1.  The
+    tie-break terms of a permutation sigma spell the base-B number
+    sigma(0)...sigma(n-1) < B^n, so the minimum cost first maximises the order
+    sum and then picks the lexicographically smallest sigma among the maxima."""
+    n, a = m.n, m.entries
+    scale, tie = (n + 1) ** n, [(n + 1) ** (n - 1 - i) for i in range(n)]
+    cost = [[None if isinstance(a[j][i], _NegInf) else j * tie[i] - a[j][i] * scale for j in range(n)]
+            for i in range(n)]
+    row_of = _min_cost_matching(cost)
+    if row_of is None:
         return JacobiResult(NEG_INF, None)
-    sigma = []
-    used: set[int] = set()
-    prefix = 0
-    for i in range(n):
-        rest_cols = tuple(range(i + 1, n))
-        for j in range(n):
-            if j in used:
-                continue
-            e = m.entries[j][i]
-            if isinstance(e, _NegInf):
-                continue
-            rest_rows = tuple(r for r in range(n) if r not in used and r != j)
-            tail = _assign_max(m, rest_cols, rest_rows)
-            if not isinstance(tail, _NegInf) and prefix + e + tail == value:
-                sigma.append(j)
-                used.add(j)
-                prefix += e
-                break
-        else:
-            raise AssertionError("assignment witness reconstruction failed")
-    return JacobiResult(value, tuple(sigma))
+    sigma = tuple(sorted(range(n), key=row_of.__getitem__))  # the inverse of row_of
+    return JacobiResult(_score(m, sigma), sigma)
 
 
 def ritt_bound(m: OrderMatrix) -> int:

@@ -1,9 +1,13 @@
 """The command-line front end: output shapes, exit codes, determinism."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import diffalg
 from diffalg.cli import main
 
 FLAGSHIP = """\
@@ -30,6 +34,15 @@ vars: x, y
 ranking: elim x > y
 eq f = x' + y'''
 eq g = x^2 + y''*x' + t
+"""
+
+# orders 2^60 and 2^60 + 3 are equal as doubles
+HUGE_ORDERS = """\
+field: Q
+vars: x, y
+ranking: elim x > y
+eq u1 = x^(1152921504606846976) + y^(1152921504606846979)
+eq u2 = x^(1152921504606846979) + y^(1152921504606846976)
 """
 
 
@@ -60,6 +73,14 @@ class TestOrderAndJacobi:
         assert "jacobi number: 2" in out
         assert "witness: x <- u1, y <- u2" in out
         assert "ritt bound: 2" in out
+
+    def test_jacobi_orders_beyond_double_precision(self, tmp_path, capsys):
+        p = tmp_path / "huge.sys"
+        p.write_text(HUGE_ORDERS)
+        assert main(["jacobi", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "jacobi number: 2305843009213693958" in out
+        assert "witness: x <- u2, y <- u1" in out
 
     def test_jacobi_minusinf_skips_ritt_bound(self, flagship, capsys):
         assert main(["jacobi", flagship, "--convention", "minusinf"]) == 0
@@ -198,3 +219,16 @@ class TestDeterminism:
         main(["jbc-check", flagship])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestImport:
+    def test_loads_no_numpy_or_scipy(self):
+        src = str(Path(diffalg.__file__).resolve().parents[1])
+        code = (
+            "import json, sys; sys.path.insert(0, sys.argv[1]); import diffalg.cli; "
+            "print(json.dumps(list(sys.modules)))"
+        )
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, check=True).stdout
+        loaded = {name.split(".")[0] for name in json.loads(out)}
+        assert "diffalg" in loaded
+        assert not loaded & {"numpy", "scipy"}

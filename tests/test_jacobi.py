@@ -1,6 +1,8 @@
 """Assignment maxima of order matrices, two independent solvers, and the
 column-sum bound."""
 
+import random
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
@@ -47,6 +49,19 @@ def minusinf_matrices(draw, max_n=4, max_order=4):
     entry = st.one_of(st.just(NEG_INF), st.integers(min_value=0, max_value=max_order))
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
     return M(rows, Convention.MINUS_INFINITY)
+
+
+def planted(n, seed, density=0.3):
+    """An n x n order matrix whose entries on a random permutation sigma are
+    3 or 4 and whose others are at most 2, so sigma is the unique optimum.
+    Returns the matrix, its value and sigma."""
+    rng = random.Random(seed)
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    rows = [[rng.randint(1, 2) if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        rows[sigma[j]][j] = rng.randint(3, 4)
+    return M(rows), sum(rows[sigma[j]][j] for j in range(n)), tuple(sigma)
 
 
 class TestOrderMatrix:
@@ -107,6 +122,45 @@ class TestSolvers:
         b = jacobi_brute(m)
         assert a.value == b.value
         assert a.witness == b.witness
+
+    @given(st.one_of(maxplus_matrices(max_n=7, max_order=1), minusinf_matrices(max_n=7, max_order=1)))
+    @settings(max_examples=150, deadline=None)
+    def test_assign_matches_brute_on_ties(self, m):
+        a = jacobi_assign(m)
+        b = jacobi_brute(m)
+        assert a.value == b.value
+        assert a.witness == b.witness
+
+    def test_orders_beyond_double_precision(self):
+        # B and B + 3 round to the same double: the optimum is exact only in integers
+        B = 2**60
+        m = M([[B, B + 3], [B + 3, B]])
+        a = jacobi_assign(m)
+        assert a.value == 2 * B + 6
+        assert a.witness == (1, 0)
+        assert jacobi_brute(m) == a
+
+    @pytest.mark.parametrize("n", range(BRUTE_LIMIT + 1, 41))
+    def test_planted_optimum_above_brute_limit(self, n):
+        for density in (0.3, 1.0):
+            m, value, sigma = planted(n, seed=n, density=density)
+            r = jacobi_assign(m)
+            assert r.value == value
+            assert r.witness == sigma
+
+    def test_all_ties_give_identity_at_n40(self):
+        r = jacobi_assign(M([[1] * 40 for _ in range(40)]))
+        assert r.value == 40
+        assert r.witness == tuple(range(40))
+
+    def test_forbidden_column_is_infeasible_at_n40(self):
+        rng = random.Random(40)
+        rows = [[NEG_INF if rng.random() < 0.2 else rng.randint(0, 5) for _ in range(40)] for _ in range(40)]
+        for row in rows:
+            row[17] = NEG_INF
+        r = jacobi_assign(M(rows, Convention.MINUS_INFINITY))
+        assert r.value is NEG_INF
+        assert r.witness is None
 
     def test_witness_is_lex_smallest_among_ties(self):
         # every assignment scores 2: the witness must be the identity
