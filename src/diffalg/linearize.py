@@ -173,10 +173,13 @@ def linearized_order(
         raise ValueError(f"variable index {var_index} outside context")
     if require_zero:
         _require_zero_at(u, pt)
-    orders = sorted(
-        {v.order for v in u.dervars() if v.var == var_index}, reverse=True
-    )
-    for r in orders:
+    orders = [v.order for v in u.dervars() if v.var == var_index]
+    return _tangent_order(u, pt, var_index, orders, convention)
+
+
+def _tangent_order(u: DiffPoly, pt, var_index: int, orders, convention: Convention):
+    """linearized_order over the orders (ascending) at which x_j occurs in u."""
+    for r in reversed(orders):
         val = u.partial(DerVar(var_index, r)).eval_at(pt)
         nonzero = bool(val) if isinstance(pt, ConcretePoint) else not val.is_zero
         if nonzero:
@@ -200,14 +203,18 @@ def linearized_order_matrix(
         raise ValueError(
             f"need a square system: {len(us)} equations over {ctx.n} variables"
         )
-    rows = tuple(
-        tuple(
-            linearized_order(u, pt, j, convention, require_zero=False)
-            for j in range(ctx.n)
+    rows = []
+    for u in us:
+        orders: dict = {}  # variable -> ascending orders that occur in u
+        for v in u.dervars():
+            orders.setdefault(v.var, []).append(v.order)
+        rows.append(
+            tuple(
+                _tangent_order(u, pt, j, orders.get(j, ()), convention)
+                for j in range(ctx.n)
+            )
         )
-        for u in us
-    )
-    return OrderMatrix(entries=rows, convention=convention)
+    return OrderMatrix(entries=tuple(rows), convention=convention)
 
 
 def jacobi_after_linearization(

@@ -15,19 +15,32 @@ Multipliers only ever need jet variables that occur in f or in a kept
 prolonged generator: substituting zero for any other jet maps a witness to a
 witness, so restricting to that universe loses nothing.
 
+All linear algebra is one routine: a row-echelon basis (`_Echelon`) that
+takes candidates one at a time and is asked whether f lies in their span,
+the incremental Macaulay-matrix elimination of Lazard (1983) and of
+Faugere's F4 (1999).
+
 When the coefficient field has zero derivation and every generator is
 homogeneous in (total degree, total derivative weight), differentiation
 shifts the weight by exactly one and preserves the degree, so the membership
-question splits into small independent blocks -- this makes the high-power
-examples instant.  Otherwise the search deepens iteratively through
-(degree, prolongation) stages, skipping any stage whose candidate count
-exceeds the matrix cap (reported in the diagnostic).
+question splits into small independent blocks, one echelon each -- this
+makes the high-power examples instant.  Otherwise the search walks the
+(degree, prolongation) stages, degree-major, into a single growing echelon:
+a candidate m * d^k(g_i) is built and eliminated the first time a stage
+admits it, and f is reduced again only when the echelon has grown.  A stage
+whose own candidate count exceeds the matrix cap is skipped and counted in
+the diagnostic.  Stages are nested in both bounds, so the echelon spans the
+union of the admitted stages; when no stage is skipped that union is the top
+stage, the whole truncation.  radical_member hands the search on from f^e to
+f^(e+1): the powers have the jets of f, so once e = 1 has swept the stages,
+every further power is a single reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import comb
 from typing import Optional, Sequence
 
 from .diffpoly import Context, DiffPoly, Monomial
@@ -138,28 +151,31 @@ def _bigrade(p: DiffPoly) -> Optional[tuple]:
     return grades.pop() if len(grades) == 1 else None
 
 
-def _kept_prolongations(gens, max_k: int, max_deg: int):
-    """Nonzero d^k(g_i) with k <= max_k and degree <= max_deg."""
+def _kept_prolongations(derived, max_k: int, max_deg: int) -> list:
+    """Nonzero d^k(g_i) with k <= max_k and degree <= max_deg, as (i, k,
+    d^k(g_i)).  derived[i] is the tower [g_i, d(g_i), ...], extended here
+    as far as max_k."""
     kept = []
-    for gi, g in enumerate(gens):
-        h = g
+    for gi, hs in enumerate(derived):
+        while len(hs) <= max_k:
+            hs.append(hs[-1].derive())
         for k in range(max_k + 1):
-            if k:
-                h = h.derive()
+            h = hs[k]
             if not h.is_zero() and h.total_degree() <= max_deg:
                 kept.append((gi, k, h))
     return kept
 
 
-def _jet_universe(f: DiffPoly, kept) -> list:
-    jets = set(f.dervars())
+def _jet_universe(jets, kept) -> tuple:
+    universe = set(jets)
     for _, _, h in kept:
-        jets.update(h.dervars())
-    return sorted(jets)
+        universe.update(h.dervars())
+    return tuple(sorted(universe))
 
 
-def _monomials_upto(jets, max_deg: int, cap: int) -> list:
-    """All monomials of total degree <= max_deg over the given jets."""
+def _monomials_upto(jets, max_deg: int) -> list:
+    """All monomials of total degree <= max_deg over the given jets,
+    C(len(jets) + max_deg, max_deg) of them."""
     out = [Monomial.make(())]
     stack = [(0, (), max_deg)]
     while stack:
@@ -168,8 +184,6 @@ def _monomials_upto(jets, max_deg: int, cap: int) -> list:
             for e in range(1, left + 1):
                 mono = acc + ((jets[j], e),)
                 out.append(Monomial.make(mono))
-                if len(out) > cap:
-                    raise _CapHit
                 if left - e > 0:
                     stack.append((j + 1, mono, left - e))
     return out
@@ -202,54 +216,63 @@ def _monomials_exact(jets, deg: int, weight: int, cap: int) -> list:
     return out
 
 
-def _solve_span(f: DiffPoly, candidates) -> Optional[dict]:
-    """Exact Gaussian elimination over the coefficient field: is f a linear
-    combination of the candidate polynomials?  Returns {candidate key:
-    coefficient} or None.  Vectors are sparse monomial -> coefficient maps;
-    rows are normalized on their leading monomial as they enter the basis,
-    and the combination is carried through every row operation."""
-    basis = {}  # pivot monomial -> (vector, combo)
+class _Echelon:
+    """Exact row-echelon basis of candidate polynomials over the coefficient
+    field.  Each row sits under its pivot (leading monomial) as (vector,
+    combination): a sparse monomial -> coefficient map that is 1 at the
+    pivot, and the {candidate key: coefficient} map that makes it.  The
+    pivots are distinct, so a polynomial lies in the span of the candidates
+    exactly when reducing its leading monomials on the rows ends at zero."""
 
-    def reduce(vec: dict, combo: dict):
+    def __init__(self):
+        self.rows = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec: dict, combo: dict):
+        """Reduce vec in place, carrying combo through every row operation;
+        the leading monomial left over, or None when vec reduced to zero."""
+        rows = self.rows
         while vec:
             pivot = max(vec, key=Monomial.sort_key)
-            row = basis.get(pivot)
+            row = rows.get(pivot)
             if row is None:
-                return vec, combo, pivot
+                return pivot
             rvec, rcombo = row
             c = vec[pivot]
-            for m, x in rvec.items():
-                cur = vec.get(m)
-                nxt = (cur - c * x) if cur is not None else -c * x
-                if nxt:
-                    vec[m] = nxt
-                else:
-                    vec.pop(m, None)
-            for k, x in rcombo.items():
-                cur = combo.get(k)
-                nxt = (cur - c * x) if cur is not None else -c * x
-                if nxt:
-                    combo[k] = nxt
-                else:
-                    combo.pop(k, None)
-        return vec, combo, None
-
-    for key, poly in candidates:
-        vec = {m: c for m, c in poly.items()}
-        vec, combo, pivot = reduce(vec, {key: poly.context.field.one})
-        if pivot is None:
-            continue
-        lead = vec[pivot]
-        vec = {m: c / lead for m, c in vec.items()}
-        combo = {k: c / lead for k, c in combo.items()}
-        basis[pivot] = (vec, combo)
-
-    fvec = {m: c for m, c in f.items()}
-    fvec, fcombo, pivot = reduce(fvec, {})
-    if pivot is not None:
+            for target, source in ((vec, rvec), (combo, rcombo)):
+                for m, x in source.items():
+                    cur = target.get(m)
+                    nxt = (cur - c * x) if cur is not None else -c * x
+                    if nxt:
+                        target[m] = nxt
+                    else:
+                        target.pop(m, None)
         return None
-    # f reduced to zero: f = sum over basis contributions with OPPOSITE sign
-    return {k: -c for k, c in fcombo.items()}
+
+    def add(self, key, poly: DiffPoly) -> None:
+        """Eliminate the candidate; it becomes a row unless it is already in
+        the span."""
+        vec = dict(poly.items())
+        combo = {key: poly.context.field.one}
+        pivot = self._reduce(vec, combo)
+        if pivot is None:
+            return
+        lead = vec[pivot]
+        self.rows[pivot] = (
+            {m: c / lead for m, c in vec.items()},
+            {k: c / lead for k, c in combo.items()},
+        )
+
+    def solve(self, f: DiffPoly) -> Optional[dict]:
+        """{candidate key: coefficient} with f = sum of coefficient *
+        candidate, or None when f is outside the span."""
+        combo: dict = {}
+        if self._reduce(dict(f.items()), combo) is not None:
+            return None
+        # f reduced to zero: f = sum over basis contributions with OPPOSITE sign
+        return {k: -c for k, c in combo.items()}
 
 
 def _assemble(f: DiffPoly, gens, combo: dict, bounds, power: int) -> MembershipWitness:
@@ -275,24 +298,27 @@ def _member_homogeneous(f, gens, bounds, grades) -> Optional[MembershipWitness]:
     """Blockwise solve when all generators are bigrade-homogeneous over a
     field with zero derivation.  Returns None on a cap hit (caller reports);
     an empty or unsolvable block is a definite miss at these bounds."""
-    kept = _kept_prolongations(gens, bounds.prolongation_order, bounds.degree_bound)
-    universe = _jet_universe(f, kept)
+    kept = _kept_prolongations(
+        [[g] for g in gens], bounds.prolongation_order, bounds.degree_bound
+    )
+    universe = _jet_universe(f.dervars(), kept)
     blocks: dict[tuple, list] = {}
     for m, c in f.items():
         blocks.setdefault((m.degree(), m.weight()), []).append((m, c))
     combo_all: dict = {}
     for (deg, weight), terms in sorted(blocks.items()):
-        cands = []
+        echelon = _Echelon()
+        count = 0
         for gi, k, h in kept:
             hd, hw = grades[gi][0], grades[gi][1] + k
             if hd > deg or hw > weight:
                 continue
             for m in _monomials_exact(universe, deg - hd, weight - hw, MAX_CANDIDATES):
-                cands.append(((gi, k, m), h * DiffPoly.from_terms(f.context, [(m, f.context.field.one)])))
-                if len(cands) > MAX_CANDIDATES:
+                count += 1
+                if count > MAX_CANDIDATES:
                     raise _CapHit
-        fblock = DiffPoly.from_terms(f.context, terms)
-        combo = _solve_span(fblock, cands)
+                echelon.add((gi, k, m), h * DiffPoly.from_terms(f.context, [(m, f.context.field.one)]))
+        combo = echelon.solve(DiffPoly.from_terms(f.context, terms))
         if combo is None:
             return None
         for k, c in combo.items():
@@ -300,53 +326,76 @@ def _member_homogeneous(f, gens, bounds, grades) -> Optional[MembershipWitness]:
     return _assemble(f, gens, {k: c for k, c in combo_all.items() if c}, bounds, 1)
 
 
-def _member_staged(f, gens, bounds) -> tuple:
-    """Iterative deepening through (degree, prolongation) stages; returns
-    (witness or None, number of stages skipped by the cap)."""
-    skipped = 0
-    fdeg = f.total_degree()
-    for dd in range(fdeg, bounds.degree_bound + 1):
-        for pp in range(bounds.prolongation_order + 1):
-            kept = _kept_prolongations(gens, pp, dd)
-            if not kept:
-                continue
-            universe = _jet_universe(f, kept)
-            # candidate count is sum over kept h of C(|U| + dcap, dcap)
-            try:
-                upto_memo: dict[int, list] = {}
-                cands = []
-                for gi, k, h in kept:
-                    dcap = dd - h.total_degree()
-                    mons = upto_memo.get(dcap)
-                    if mons is None:
-                        mons = _monomials_upto(universe, dcap, MAX_CANDIDATES)
-                        upto_memo[dcap] = mons
-                    for m in mons:
-                        cands.append(
-                            (
-                                (gi, k, m),
-                                h * DiffPoly.from_terms(f.context, [(m, f.context.field.one)]),
-                            )
-                        )
-                        if len(cands) > MAX_CANDIDATES:
-                            raise _CapHit
-            except _CapHit:
-                skipped += 1
-                continue
-            combo = _solve_span(f, cands)
-            if combo is not None:
-                return _assemble(f, gens, combo, bounds, 1), skipped
-    return None, skipped
+class _StagedSearch:
+    """The (degree, prolongation) stages over fixed generators, eliminated
+    into one growing echelon.  Every query must have the jets it was made
+    with: radical_member asks for the powers of one polynomial."""
+
+    def __init__(self, gens, jets, bounds: TruncationBounds):
+        self.derived = [[g] for g in gens]  # d^k(g_i) for k = 0, 1, ...
+        self.jets = jets
+        self.bounds = bounds
+        self.echelon = _Echelon()
+        self.built: set = set()  # candidate keys (gi, k, m) in the echelon
+        self.stages: dict = {}  # (dd, pp) -> admitted, skipped (False) or empty (None)
+        self.monomials: dict = {}  # (universe, degree cap) -> monomials
+
+    def _visit(self, dd: int, pp: int) -> Optional[bool]:
+        """Eliminate the candidates of stage (dd, pp) that no earlier stage
+        admitted.  None when no generator is kept; False, building nothing,
+        when the stage has more than MAX_CANDIDATES candidates."""
+        kept = _kept_prolongations(self.derived, pp, dd)
+        if not kept:
+            return None
+        universe = _jet_universe(self.jets, kept)
+        caps = [dd - h.total_degree() for _, _, h in kept]
+        if sum(comb(len(universe) + c, c) for c in caps) > MAX_CANDIDATES:
+            return False
+        for (gi, k, h), dcap in zip(kept, caps):
+            mons = self.monomials.get((universe, dcap))
+            if mons is None:
+                mons = self.monomials[(universe, dcap)] = _monomials_upto(universe, dcap)
+            for m in mons:
+                key = (gi, k, m)
+                if key not in self.built:
+                    self.built.add(key)
+                    self.echelon.add(key, h * DiffPoly.from_terms(h.context, [(m, h.context.field.one)]))
+        return True
+
+    def find(self, f: DiffPoly) -> tuple:
+        """Walk the stages from f's degree up until f lies in the echelon's
+        span; returns (combination or None, number of stages on the way
+        skipped by the cap)."""
+        skipped = 0
+        tried_at = None
+        for dd in range(f.total_degree(), self.bounds.degree_bound + 1):
+            for pp in range(self.bounds.prolongation_order + 1):
+                if (dd, pp) not in self.stages:
+                    self.stages[(dd, pp)] = self._visit(dd, pp)
+                admitted = self.stages[(dd, pp)]
+                if admitted is False:
+                    skipped += 1
+                elif admitted and len(self.echelon) != tried_at:
+                    tried_at = len(self.echelon)
+                    combo = self.echelon.solve(f)
+                    if combo is not None:
+                        return combo, skipped
+        return None, skipped
 
 
 def truncated_member(
-    f: DiffPoly, gens: Sequence[DiffPoly], bounds: TruncationBounds = TruncationBounds()
+    f: DiffPoly,
+    gens: Sequence[DiffPoly],
+    bounds: TruncationBounds = TruncationBounds(),
+    *,
+    _search: Optional[_StagedSearch] = None,
 ) -> MembershipWitness:
     """Is f in the truncated span of the prolonged generators?
 
     Member answers come with an explicit, re-verified combination; anything
     else is Inconclusive (in particular a cap skip or a degree overflow,
-    both named in the diagnostic).
+    both named in the diagnostic).  ``_search`` is the staged search that
+    radical_member shares between the powers of one polynomial.
     """
     gens = [g for g in gens]
     if not gens:
@@ -397,9 +446,10 @@ def truncated_member(
             diagnostic="no combination exists at these bounds (graded search exhausted)",
         )
 
-    w, skipped = _member_staged(f, gens, bounds)
-    if w is not None:
-        return w
+    search = _search if _search is not None else _StagedSearch(gens, f.dervars(), bounds)
+    combo, skipped = search.find(f)
+    if combo is not None:
+        return _assemble(f, gens, combo, bounds, 1)
     note = "search exhausted"
     if skipped:
         note += f"; {skipped} stage(s) skipped by the candidate cap {MAX_CANDIDATES}"
@@ -414,13 +464,22 @@ def truncated_member(
 def radical_member(
     f: DiffPoly, gens: Sequence[DiffPoly], bounds: TruncationBounds = TruncationBounds()
 ) -> MembershipWitness:
-    """First power e <= power_bound with f^e in the truncated span."""
+    """First power e <= power_bound with f^e in the truncated span.  The
+    powers share one staged search, so no stage is swept twice."""
+    gens = list(gens)
+    search = _StagedSearch(gens, f.dervars(), bounds)
     last = None
+    diag = f"no power up to {bounds.power_bound} found"
     for e in range(1, bounds.power_bound + 1):
         fe = f ** e
         if fe.total_degree() > bounds.degree_bound:
+            tried = f"no power up to {e - 1} found" if e > 1 else "no power tried"
+            diag = (
+                f"{tried}: the degree bound {bounds.degree_bound} stops the search "
+                f"at f^{e} (degree {fe.total_degree()})"
+            )
             break
-        w = truncated_member(fe, gens, bounds)
+        w = truncated_member(fe, gens, bounds, _search=search)
         if w.is_member():
             return MembershipWitness(
                 verdict=OracleVerdict.MEMBER,
@@ -430,7 +489,6 @@ def radical_member(
                 combination=w.combination,
             )
         last = w
-    diag = f"no power up to {bounds.power_bound} found"
     if last is not None and last.diagnostic:
         diag += f" (last: {last.diagnostic})"
     return MembershipWitness(

@@ -36,12 +36,18 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Optional, Sequence
 
 from .decompose import CharSetComponent
 from .diffpoly import ConcretePoint, Context, DerVar, DiffPoly
 from .fields import Field, FieldTag, QQ, QT
 from .ranking import Ranking, RankKind
+
+
+# Largest term count a ``p ^ e`` may be expanded to: a polynomial with n
+# terms has at most C(n + e - 1, e) terms in its e-th power.
+MAX_POWER_TERMS = 10_000
 
 
 class ParseError(ValueError):
@@ -190,7 +196,15 @@ class _ExprParser:
         save = self.i
         if self._accept_op("^"):
             if self._peek().kind == "number":
+                at = self._peek().pos
                 e = self._expect_int()
+                n = p.term_count()
+                if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
+                    raise ParseError(
+                        f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+                        f"{MAX_POWER_TERMS} terms",
+                        at,
+                    )
                 return p ** e
             self.i = save  # not a power; let the caller's context complain
         return p

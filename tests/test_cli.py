@@ -9,6 +9,7 @@ import pytest
 
 import diffalg
 from diffalg.cli import main
+from diffalg.sysfile import MAX_POWER_TERMS
 
 FLAGSHIP = """\
 field: Q
@@ -194,6 +195,14 @@ class TestMembership:
     def test_bad_expression_is_format_error(self, cusp, capsys):
         assert main(["member", cusp, "y +"]) == 2
 
+    def test_radical_names_the_degree_bound_stop(self, cusp, capsys):
+        assert main(["radical-member", cusp, "--bounds", "1,1,4,6", "--", "x*y + 1"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "Inconclusive (no power up to 2 found: the degree bound 4 stops the search "
+            "at f^3 (degree 6) (last: search exhausted); bounds:"
+        )
+
 
 class TestErrorChannel:
     def test_missing_file(self, capsys):
@@ -203,6 +212,18 @@ class TestErrorChannel:
     def test_malformed_file(self, tmp_path, capsys):
         p = tmp_path / "bad.sys"
         p.write_text("field: Q\nvars: x\nranking: elim x\neq u = x +\n")
+        assert main(["jacobi", str(p)]) == 2
+        assert "line 4" in capsys.readouterr().err
+
+    def test_power_over_the_expansion_cap(self, cusp, capsys):
+        assert main(["member", cusp, "(x + y + 1)^100000"]) == 2
+        err = capsys.readouterr().err
+        assert "power ^100000 of a 3-term polynomial" in err
+        assert f"cap of {MAX_POWER_TERMS} terms" in err
+
+    def test_power_over_the_expansion_cap_in_a_system_file(self, tmp_path, capsys):
+        p = tmp_path / "big.sys"
+        p.write_text("field: Q\nvars: x\nranking: elim x\neq u = (x' + x + 1)^100000\n")
         assert main(["jacobi", str(p)]) == 2
         assert "line 4" in capsys.readouterr().err
 

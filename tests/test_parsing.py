@@ -16,6 +16,7 @@ from diffalg import (
     Ranking,
 )
 from diffalg.sysfile import (
+    MAX_POWER_TERMS,
     ParseError,
     SysFileError,
     format_components,
@@ -47,6 +48,14 @@ class TestExpressions:
         assert P("x'^2") == P("x'*x'")
         assert P("(x + y)^2") == P("x^2 + 2*x*y + y^2")
         assert P("x^(4)^2") == P("x^(4)*x^(4)")
+
+    def test_power_expansion_cap(self):
+        # a monomial or constant power has one term, however high
+        assert parse_poly("x^1000", XY).term_count() == 1
+        assert parse_poly("(2*x*y')^50", XY).term_count() == 1
+        # (x + 1)^e has C(e + 1, e) = e + 1 terms
+        with pytest.raises(ParseError, match=f"cap of {MAX_POWER_TERMS} terms"):
+            parse_poly(f"(x + 1)^{MAX_POWER_TERMS}", XY)
 
     def test_precedence(self):
         assert P("2*y*x' - y'") == P("(2*y*x') - (y')")
