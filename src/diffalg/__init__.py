@@ -16,7 +16,6 @@ from .diffpoly import (
     ConcretePoint,
     GenericPoint,
     Monomial,
-    ZeroTest,
 )
 from .ranking import (
     ConstantPolyError,
@@ -35,8 +34,6 @@ from .reduction import (
     ReductionCertificate,
     StepLimitExceeded,
     Verdict,
-    apply_operator,
-    member_saturated,
     ritt_reduce_one,
     ritt_reduce_seq,
     verify_certificate,

@@ -54,7 +54,7 @@ class CharSetComponent:
         if len(self.sequence) == 1:
             analyze(self.sequence[0], self.ranking)  # rejects constants
         for q in self.inequations:
-            if ritt_reduce_seq(q, self.sequence, self.ranking).remainder.is_zero():
+            if self.membership(q).member:
                 raise ValueError(
                     f"inequation {q.to_text()} reduces to zero modulo the sequence"
                 )
@@ -69,9 +69,14 @@ class CharSetComponent:
 
     def membership(self, f: DiffPoly) -> Verdict:
         """Zero remainder modulo the sequence; heuristic unless verified
-        prime."""
+        prime.  The one place a component reduces: the verdict carries the
+        certificate it was read from."""
         cert = ritt_reduce_seq(f, self.sequence, self.ranking)
-        return Verdict(member=cert.remainder.is_zero(), heuristic=not self.prime_verified)
+        return Verdict(
+            member=cert.remainder.is_zero(),
+            heuristic=not self.prime_verified,
+            certificate=cert,
+        )
 
     def generic_point(self) -> GenericPoint:
         return GenericPoint(self)
@@ -102,13 +107,9 @@ def component_dimension(c: CharSetComponent) -> Optional[int]:
 def verify_component(c: CharSetComponent, us: Sequence[DiffPoly]) -> bool:
     """Every input reduces to zero modulo the sequence and every inequation
     reduces to nonzero (the latter holds by construction; re-checked)."""
-    for u in us:
-        if not ritt_reduce_seq(u, c.sequence, c.ranking).remainder.is_zero():
-            return False
-    for q in c.inequations:
-        if ritt_reduce_seq(q, c.sequence, c.ranking).remainder.is_zero():
-            return False
-    return True
+    return all(c.membership(u).member for u in us) and not any(
+        c.membership(q).member for q in c.inequations
+    )
 
 
 @dataclass(frozen=True)
@@ -194,12 +195,6 @@ def _pure_power_fork(node: frozenset, ranking: Ranking):
     return None
 
 
-def _var_poly(ctx, v) -> DiffPoly:
-    from .diffpoly import Monomial
-
-    return DiffPoly.from_terms(ctx, [(Monomial.of(v), ctx.field.one)])
-
-
 def split_decompose(
     us: Sequence[DiffPoly],
     ranking: Ranking,
@@ -214,8 +209,9 @@ def split_decompose(
     ideal by its certificate, joins the node), or emitted (everything
     reduces to zero: the basic set becomes a component whose inequations are
     its separants and initials, and one vanishing branch is queued per
-    inequation).  Every emitted component passes verify_component against
-    the inputs; the completeness flag reports whether the whole tree was
+    inequation).  Emitted components are not re-checked here: jbc_check
+    re-verifies each one against the inputs, and verify_component does so
+    on demand.  The completeness flag reports whether the whole tree was
     explored within bounds.
     """
     if not us:
@@ -258,7 +254,7 @@ def split_decompose(
         if fork is not None:
             p, dervars = fork
             for v in dervars:
-                child = frozenset((node - {p}) | {_var_poly(ctx, v)})
+                child = frozenset((node - {p}) | {DiffPoly.var(ctx, v.var, v.order)})
                 queue.append(child)
             continue
 
@@ -266,7 +262,7 @@ def split_decompose(
         if fork is not None:
             p, rp = fork
             rest = node - {p}
-            queue.append(frozenset(rest | {_var_poly(ctx, rp.leader)}))
+            queue.append(frozenset(rest | {DiffPoly.var(ctx, rp.leader.var, rp.leader.order)}))
             if not rp.initial.is_constant():
                 queue.append(frozenset(rest | {_norm(rp.initial)}))
             continue
@@ -348,7 +344,6 @@ class ComponentRecord:
     component: CharSetComponent
     dimension: Optional[int]  # None = infinite
     memberships: tuple  # tuple[Verdict, ...], one per input equation
-    certificates: tuple  # tuple[ReductionCertificate, ...], same order
     verified: bool  # all inputs reduce to zero, all inequations nonzero
     dim_le_jacobi: Optional[bool]
     equality: Optional[bool]  # dimension == weak Jacobi value
@@ -394,7 +389,8 @@ class JbcReport:
                 + ("infinite" if rec.dimension is None else str(rec.dimension))
             )
             mems = []
-            for i, (v, cert) in enumerate(zip(rec.memberships, rec.certificates), start=1):
+            for i, v in enumerate(rec.memberships, start=1):
+                cert = v.certificate
                 cert_id += 1
                 tag = "member" if v.member else "NOT member"
                 if v.heuristic:
@@ -497,15 +493,8 @@ def jbc_check(
 
     records = []
     for c in comps:
-        certs = tuple(ritt_reduce_seq(u, c.sequence, c.ranking) for u in us)
-        mems = tuple(
-            Verdict(member=cert.remainder.is_zero(), heuristic=not c.prime_verified)
-            for cert in certs
-        )
-        ineqs_ok = all(
-            not ritt_reduce_seq(q, c.sequence, c.ranking).remainder.is_zero()
-            for q in c.inequations
-        )
+        mems = tuple(c.membership(u) for u in us)
+        ineqs_ok = not any(c.membership(q).member for q in c.inequations)
         verified = ineqs_ok and all(v.member for v in mems)
         dim = component_dimension(c)
         dim_le = None if dim is None else dim <= weak.value
@@ -515,7 +504,6 @@ def jbc_check(
                 component=c,
                 dimension=dim,
                 memberships=mems,
-                certificates=certs,
                 verified=verified,
                 dim_le_jacobi=dim_le,
                 equality=eq,

@@ -291,9 +291,6 @@ class DiffPoly:
             seen.update(m.dervars())
         return tuple(sorted(seen))
 
-    def base_vars(self) -> tuple:
-        return tuple(sorted({v.var for v in self.dervars()}))
-
     def max_order(self) -> int:
         return max((m.max_order() for m in self._terms), default=0)
 
@@ -466,9 +463,9 @@ class DiffPoly:
     def eval_at(self, point):
         """Evaluate at a differential point.
 
-        Concrete points give a field element; generic points give a
-        ZeroTest verdict (zero/nonzero modulo the point's component, with a
-        heuristic flag when the component is not verified prime).
+        Concrete points give a field element; generic points give the
+        component's membership Verdict (member = zero at the generic point,
+        heuristic when the component is not verified prime).
         """
         if isinstance(point, ConcretePoint):
             if point.context != self.context:
@@ -486,8 +483,7 @@ class DiffPoly:
                 total = total + val
             return total
         if isinstance(point, GenericPoint):
-            verdict = point.component.membership(self)
-            return ZeroTest(is_zero=verdict.member, heuristic=verdict.heuristic)
+            return point.component.membership(self)
         raise TypeError(f"not a differential point: {type(point).__name__}")
 
     # -- structure transport ---------------------------------------------------
@@ -594,14 +590,6 @@ def _coeff_term_text(fld: Field, c, m: Monomial, names) -> tuple:
 # ---------------------------------------------------------------------------
 # differential points
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ZeroTest:
-    """Zero/nonzero verdict from evaluation at a generic point."""
-
-    is_zero: bool
-    heuristic: bool
 
 
 class ConcretePoint:

@@ -272,36 +272,6 @@ class Field:
             raise TypeError(f"expected {want.__name__} element of {self.tag.value}, got {type(a).__name__}")
         return a
 
-    # -- arithmetic -----------------------------------------------------------
-
-    def add(self, a, b):
-        return self.check(a) + self.check(b)
-
-    def sub(self, a, b):
-        return self.check(a) - self.check(b)
-
-    def mul(self, a, b):
-        return self.check(a) * self.check(b)
-
-    def div(self, a, b):
-        self.check(a), self.check(b)
-        if not b:
-            raise ZeroDivisionError("field division by zero")
-        return a / b
-
-    def neg(self, a):
-        return -self.check(a)
-
-    def arith(self, a, b, op: str):
-        try:
-            f = {"add": self.add, "sub": self.sub, "mul": self.mul, "div": self.div}[op]
-        except KeyError:
-            raise ValueError(f"unknown field operation {op!r}") from None
-        return f(a, b)
-
-    def is_zero(self, a) -> bool:
-        return not self.check(a)
-
     # -- derivation -----------------------------------------------------------
 
     def derive(self, a) -> FieldElement:

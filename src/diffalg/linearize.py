@@ -111,7 +111,7 @@ def _require_zero_at(u: DiffPoly, pt) -> bool:
                 f"point is not a zero: value {u.context.field.text(val)}"
             )
         return False
-    if not val.is_zero:
+    if not val.member:
         raise PointNotOnZeroSetError("polynomial has nonzero remainder at the generic point")
     return val.heuristic
 
@@ -141,7 +141,7 @@ def linearize_at(u: DiffPoly, pt, require_zero: bool = True) -> LinearizedPoly:
         for v in u.dervars():
             zt = u.partial(v).eval_at(pt)
             heuristic = heuristic or zt.heuristic
-            if not zt.is_zero:
+            if not zt.member:
                 acc = acc + _tangent_term(ext, ctx.n, v)
         return LinearizedPoly(poly=acc, base_n=ctx.n, specialized=True, heuristic=heuristic)
     raise TypeError(f"not a differential point: {type(pt).__name__}")
@@ -181,7 +181,7 @@ def _tangent_order(u: DiffPoly, pt, var_index: int, orders, convention: Conventi
     """linearized_order over the orders (ascending) at which x_j occurs in u."""
     for r in reversed(orders):
         val = u.partial(DerVar(var_index, r)).eval_at(pt)
-        nonzero = bool(val) if isinstance(pt, ConcretePoint) else not val.is_zero
+        nonzero = bool(val) if isinstance(pt, ConcretePoint) else not val.member
         if nonzero:
             return r
     return 0 if convention is Convention.MAX_PLUS else NEG_INF

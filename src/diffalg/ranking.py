@@ -59,10 +59,6 @@ class Ranking:
             return (self.priority[v.var], v.order)
         return (v.order, self.priority[v.var])
 
-    def compare_vars(self, a: DerVar, b: DerVar) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return -1 if ka < kb else (1 if ka > kb else 0)
-
     def max_var(self, vs):
         return max(vs, key=self.key)
 
@@ -90,10 +86,6 @@ class RankedPoly:
     degree: int
     separant: DiffPoly
     initial: DiffPoly
-
-    @property
-    def leading_var(self) -> int:
-        return self.leader.var
 
     def rank_key(self):
         """Rank = leader^degree, compared leader first then degree."""

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .diffpoly import DiffPoly, Monomial, DerVar
-from .ranking import ConstantPolyError, RankedPoly, Ranking, analyze, is_autoreduced, is_reduced
+from .diffpoly import DiffPoly, Monomial
+from .ranking import RankedPoly, Ranking, analyze, is_autoreduced, is_reduced
 
 DEFAULT_STEP_CAP = 100_000
 
@@ -115,10 +115,6 @@ class DiffOperator:
 
     def __repr__(self):
         return f"DiffOperator({self.to_text()})"
-
-
-def apply_operator(op: DiffOperator, p: DiffPoly) -> DiffPoly:
-    return op.apply(p)
 
 
 @dataclass(frozen=True)
@@ -259,19 +255,13 @@ def verify_certificate(
 
 @dataclass(frozen=True)
 class Verdict:
-    """A boolean answer that may depend on an unverified primality
-    assumption."""
+    """Membership in a saturated ideal, read off a Ritt division: member iff
+    the certificate's remainder is zero.  The answer is heuristic when it
+    rests on an unverified primality assumption."""
 
     member: bool
     heuristic: bool
+    certificate: ReductionCertificate
 
     def __bool__(self) -> bool:
         return self.member
-
-
-def member_saturated(f: DiffPoly, comp) -> Verdict:
-    """Does f lie in the saturated ideal presented by a characteristic-set
-    component?  True iff the Ritt remainder modulo the component's sequence
-    is zero; flagged heuristic when the component is not verified prime."""
-    cert = ritt_reduce_seq(f, comp.sequence, comp.ranking)
-    return Verdict(member=cert.remainder.is_zero(), heuristic=not comp.prime_verified)

@@ -181,9 +181,9 @@ class _ExprParser:
                 if not q.is_constant():
                     raise ParseError("division is only allowed by constants", at)
                 c = q.constant_value()
-                if self.ctx.field.is_zero(c):
+                if not c:
                     raise ParseError("division by zero", at)
-                p = p.scale(self.ctx.field.div(self.ctx.field.one, c))
+                p = p.scale(self.ctx.field.one / c)
 
     def _factor(self) -> DiffPoly:
         if self._accept_op("-"):

@@ -1,8 +1,11 @@
 """Characteristic-set components, the splitting decomposition, and the
 dimension-vs-Jacobi check."""
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
+import diffalg.decompose
 from diffalg import (
     CharSetComponent,
     Context,
@@ -13,9 +16,12 @@ from diffalg import (
     component_dimension,
     jbc_check,
     split_decompose,
+    verify_certificate,
     verify_component,
 )
 from diffalg.sysfile import parse_poly
+
+from conftest import diffpolys
 
 XY = Context(("x", "y"), QQ)
 ELIM_XY = Ranking.elimination(2, [0, 1])  # x > y
@@ -51,6 +57,16 @@ class TestCharSetComponent:
     def test_prime_verified_drops_heuristic_flag(self):
         comp = CharSetComponent(ELIM_XY, (P("y"), P("x'")), prime_verified=True)
         assert not comp.membership(P("y")).heuristic
+
+    def test_generic_point_evaluation_is_the_membership_verdict(self):
+        comp = CharSetComponent(ELIM_XY, (P("y'^2 + 4*y^3"), P("2*y*x' - y'")), (P("y"),))
+        gp = comp.generic_point()
+        for src in ("x'' + y", "x'^2 + y", "y", "x*y' + y''"):
+            u = P(src)
+            v = u.eval_at(gp)
+            assert v == comp.membership(u)
+            assert verify_certificate(v.certificate, u, comp.sequence, comp.ranking)
+            assert v.member == v.certificate.remainder.is_zero()
 
 
 class TestDimension:
@@ -121,6 +137,19 @@ class TestSplitDecompose:
         with pytest.raises(ValueError):
             split_decompose([P("x"), P("0")], ELIM_XY)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            diffpolys(XY, max_order=1, max_degree=2, max_terms=2).filter(bool),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_every_component_verifies_against_the_inputs(self, us):
+        dec = split_decompose(us, ELIM_XY, SplitBounds(max_components=8, max_steps=20))
+        for c in dec.components:
+            assert verify_component(c, us)
+
     def test_output_is_deterministic(self):
         us = [P("x'' + y"), P("x'^2 + y")]
         a = split_decompose(us, ELIM_XY)
@@ -169,6 +198,22 @@ class TestJbcCheck:
     def test_requires_square_system(self):
         with pytest.raises(ValueError):
             jbc_check([P("x + y")], ELIM_XY)
+
+    def test_flagship_reduction_count(self, monkeypatch):
+        # 44 reductions inside split_decompose (node remainders, live
+        # conditions, component construction) and 6 for the two records:
+        # two inputs per component plus the big component's inequations.
+        calls = []
+        real = diffalg.decompose.ritt_reduce_seq
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", counted)
+        rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
+        assert rep.verdict is JbcVerdict.HOLDS
+        assert len(calls) <= 50
 
     def test_report_text_is_stable(self):
         us = [P("x'' + y"), P("x'^2 + y")]

@@ -14,7 +14,6 @@ from diffalg import (
     QT,
     Ranking,
     analyze,
-    apply_operator,
     is_reduced,
     ritt_reduce_one,
     ritt_reduce_seq,
@@ -126,7 +125,7 @@ class TestCertificates:
         lhs = cert.multiplier * b
         rhs = cert.remainder
         for q, a in zip(cert.quotients, seq):
-            rhs = rhs + apply_operator(q, a)
+            rhs = rhs + q.apply(a)
         assert lhs == rhs
 
     def test_tampered_certificate_rejected(self):
