@@ -31,8 +31,10 @@ from .ranking import (
 from .reduction import (
     DiffOperator,
     NotAutoreducedError,
+    PreparedSeq,
     ReductionCertificate,
     StepLimitExceeded,
+    TermLimitExceeded,
     Verdict,
     ritt_reduce_one,
     ritt_reduce_seq,

@@ -17,14 +17,18 @@ against the same maximum for the input system.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
 from .diffpoly import Convention, DiffPoly, GenericPoint, _NegInf
 from .jacobi import JacobiResult, jacobi_assign, order_matrix
-from .ranking import Ranking, analyze, is_autoreduced, is_reduced
-from .reduction import StepLimitExceeded, Verdict, ritt_reduce_seq
+from .ranking import Ranking, analyze, is_reduced
+from .reduction import PreparedSeq, StepLimitExceeded, Verdict, ritt_reduce_seq
+
+
+class VanishingInequationError(ValueError):
+    """A component's inequation reduces to zero modulo its sequence."""
 
 
 @dataclass(frozen=True)
@@ -35,27 +39,35 @@ class CharSetComponent:
     the ranking (hence leading variables are pairwise distinct), and every
     inequation has nonzero Ritt remainder modulo the sequence.  Components
     are not certified prime unless an external source declared them so.
+
+    The sequence may be given as a PreparedSeq, whose construction was the
+    autoreducedness check; either way the component keeps one PreparedSeq,
+    and every membership test reduces against it.
     """
 
     ranking: Ranking
     sequence: tuple  # tuple[DiffPoly, ...], ascending rank
     inequations: tuple = ()
     prime_verified: bool = False
+    prepared: PreparedSeq = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.sequence:
-            raise ValueError("component needs a nonempty sequence")
+        prep = self.sequence
+        if not isinstance(prep, PreparedSeq):
+            if not prep:
+                raise ValueError("component needs a nonempty sequence")
+            prep = PreparedSeq(prep, self.ranking)
+        elif prep.ranking != self.ranking:
+            raise ValueError("component sequence was prepared under another ranking")
+        object.__setattr__(self, "sequence", prep.sequence)
+        object.__setattr__(self, "prepared", prep)
         ctx = self.sequence[0].context
         for p in self.sequence + self.inequations:
             if p.context != ctx:
                 raise ValueError("mixed ring contexts in component")
-        if len(self.sequence) > 1 and not is_autoreduced(self.sequence, self.ranking):
-            raise ValueError("component sequence is not autoreduced")
-        if len(self.sequence) == 1:
-            analyze(self.sequence[0], self.ranking)  # rejects constants
         for q in self.inequations:
             if self.membership(q).member:
-                raise ValueError(
+                raise VanishingInequationError(
                     f"inequation {q.to_text()} reduces to zero modulo the sequence"
                 )
 
@@ -71,7 +83,7 @@ class CharSetComponent:
         """Zero remainder modulo the sequence; heuristic unless verified
         prime.  The one place a component reduces: the verdict carries the
         certificate it was read from."""
-        cert = ritt_reduce_seq(f, self.sequence, self.ranking)
+        cert = ritt_reduce_seq(f, self.prepared, self.ranking)
         return Verdict(
             member=cert.remainder.is_zero(),
             heuristic=not self.prime_verified,
@@ -135,13 +147,14 @@ def _node_key(node: frozenset) -> tuple:
     return tuple(sorted(p.to_text() for p in node))
 
 
-def _basic_set(node: Sequence[DiffPoly], ranking: Ranking) -> list:
+def _basic_set(node: Sequence[DiffPoly], rank) -> list:
     """Greedy minimal autoreduced subset: scan by ascending rank (text as
     the final tie-break) and keep whatever stays reduced against everything
     already kept.  This realizes the minimal-sequence choice: any competing
-    autoreduced subset compares greater or equal."""
+    autoreduced subset compares greater or equal.  rank(p) gives p's
+    RankedPoly."""
     ranked = sorted(
-        (analyze(p, ranking) for p in node),
+        (rank(p) for p in node),
         key=lambda rp: (rp.rank_key(), rp.poly.to_text()),
     )
     chosen = []
@@ -151,7 +164,7 @@ def _basic_set(node: Sequence[DiffPoly], ranking: Ranking) -> list:
     return chosen
 
 
-def _sep_init_conditions(chosen, ranking: Ranking) -> list:
+def _sep_init_conditions(chosen) -> list:
     """Distinct monic nonconstant separants and initials of a basic set, in
     canonical text order."""
     seen = {}
@@ -179,14 +192,14 @@ def _monomial_fork(node: frozenset):
     return None
 
 
-def _pure_power_fork(node: frozenset, ranking: Ranking):
+def _pure_power_fork(node: frozenset, rank):
     """First equation of the shape (initial) * leader^d with no tail: split
     into the leader branch and, if the initial is nonconstant, the initial
-    branch."""
+    branch.  rank(p) gives p's RankedPoly."""
     for p in sorted(node, key=lambda q: q.to_text()):
         if p.is_constant() or p.term_count() == 1:
             continue  # monomial rule owns single terms
-        rp = analyze(p, ranking)
+        rp = rank(p)
         parts = p.by_powers_of(rp.leader)
         if set(parts) != {rp.degree}:
             continue
@@ -209,10 +222,12 @@ def split_decompose(
     ideal by its certificate, joins the node), or emitted (everything
     reduces to zero: the basic set becomes a component whose inequations are
     its separants and initials, and one vanishing branch is queued per
-    inequation).  Emitted components are not re-checked here: jbc_check
-    re-verifies each one against the inputs, and verify_component does so
-    on demand.  The completeness flag reports whether the whole tree was
-    explored within bounds.
+    inequation).  Each polynomial is analyzed once per run, and each node's
+    basic set is prepared once for all of that node's reductions.  Emitted
+    components are not re-checked here: jbc_check re-verifies each one
+    against the inputs, and verify_component does so on demand.  The
+    completeness flag reports whether the whole tree was explored within
+    bounds; a reduction that hits a step or term cap clears it.
     """
     if not us:
         raise ValueError("empty system")
@@ -229,6 +244,14 @@ def split_decompose(
         # a nonzero constant equation has no solutions at all
         return DecompositionResult(components=(), complete=True)
     start = frozenset(_norm(u) for u in us)
+
+    analyzed: dict = {}
+
+    def rank(p: DiffPoly):
+        rp = analyzed.get(p)
+        if rp is None:
+            rp = analyzed[p] = analyze(p, ranking)
+        return rp
 
     queue = [start]
     seen = set()
@@ -258,7 +281,7 @@ def split_decompose(
                 queue.append(child)
             continue
 
-        fork = _pure_power_fork(node, ranking)
+        fork = _pure_power_fork(node, rank)
         if fork is not None:
             p, rp = fork
             rest = node - {p}
@@ -267,12 +290,12 @@ def split_decompose(
                 queue.append(frozenset(rest | {_norm(rp.initial)}))
             continue
 
-        chosen = _basic_set(node, ranking)
-        seq = tuple(rp.poly for rp in chosen)
-        others = [p for p in node if p not in set(seq)]
+        chosen = _basic_set(node, rank)
+        prep = PreparedSeq(chosen, ranking)
+        others = [p for p in node if p not in prep.sequence]
         try:
             remainders = [
-                ritt_reduce_seq(p, seq, ranking).remainder for p in others
+                ritt_reduce_seq(p, prep, ranking).remainder for p in others
             ]
         except StepLimitExceeded:
             complete = False
@@ -289,19 +312,22 @@ def split_decompose(
                 complete = False
             continue
 
-        conditions = _sep_init_conditions(chosen, ranking)
-        live = [
-            h
-            for h in conditions
-            if not ritt_reduce_seq(h, seq, ranking).remainder.is_zero()
-        ]
-        if len(live) == len(conditions):
+        conditions = _sep_init_conditions(chosen)
+        try:
+            # building the component checks that every condition stays
+            # nonzero modulo the basic set
             comp = CharSetComponent(
                 ranking=ranking,
-                sequence=seq,
-                inequations=tuple(live),
+                sequence=prep,
+                inequations=tuple(conditions),
                 prime_verified=False,
             )
+        except VanishingInequationError:
+            comp = None
+        except StepLimitExceeded:
+            complete = False
+            comp = None
+        if comp is not None:
             ckey = (
                 tuple(p.to_text() for p in comp.sequence),
                 tuple(q.to_text() for q in comp.inequations),

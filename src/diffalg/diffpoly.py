@@ -205,12 +205,13 @@ def _check_same_context(a: "DiffPoly", b: "DiffPoly"):
 class DiffPoly:
     """A differential polynomial; immutable by convention."""
 
-    __slots__ = ("context", "_terms", "_hash")
+    __slots__ = ("context", "_terms", "_hash", "_text")
 
     def __init__(self, context: Context, terms: dict):
         self.context = context
         self._terms = terms
         self._hash = None
+        # _text stays unset until to_text first renders the polynomial
 
     # -- constructors --------------------------------------------------------
 
@@ -525,6 +526,13 @@ class DiffPoly:
     # -- text ------------------------------------------------------------------
 
     def to_text(self) -> str:
+        try:
+            return self._text
+        except AttributeError:
+            self._text = self._render()
+            return self._text
+
+    def _render(self) -> str:
         if not self._terms:
             return "0"
         names = self.context.names

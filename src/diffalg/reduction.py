@@ -14,21 +14,41 @@ Elimination strategy: repeatedly pick the highest-ranked offending jet
 variable -- either a proper derivative of some leader, or a leader whose
 degree bound is violated -- and clear it with a single separant or initial
 multiplication, so multiplier exponents stay minimal for the run.
+
+A divisor sequence is checked and analyzed once, as a PreparedSeq, and can
+then serve any number of reductions.  A reduction logs its steps; the
+certificate's multiplier and quotients are assembled from that log, in one
+backward pass, the first time either is read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Union
 
 from .diffpoly import DiffPoly, Monomial
-from .ranking import RankedPoly, Ranking, analyze, is_autoreduced, is_reduced
+from .ranking import (
+    ConstantPolyError,
+    RankedPoly,
+    Ranking,
+    _autoreduced_defect,
+    analyze,
+    is_reduced,
+)
 
 DEFAULT_STEP_CAP = 100_000
+# Most terms any polynomial a reduction step builds may have: the scaled
+# working polynomial, the multiple of a divisor it subtracts, and the result.
+MAX_REDUCTION_TERMS = 10_000
 
 
 class StepLimitExceeded(Exception):
-    """The reduction loop hit its step cap (distinct from nontermination)."""
+    """The reduction loop hit one of its caps (distinct from nontermination)."""
+
+
+class TermLimitExceeded(StepLimitExceeded):
+    """A reduction step built a polynomial with more than
+    MAX_REDUCTION_TERMS terms."""
 
 
 class NotAutoreducedError(ValueError):
@@ -117,26 +137,117 @@ class DiffOperator:
         return f"DiffOperator({self.to_text()})"
 
 
-@dataclass(frozen=True)
+class PreparedSeq:
+    """An autoreduced divisor sequence under a ranking, checked and analyzed
+    once so that any number of reductions can share it.  Elements may be
+    polynomials or RankedPolys already analyzed under the ranking; anything
+    ritt_reduce_seq refuses (empty, a constant, not autoreduced) is refused
+    here."""
+
+    __slots__ = ("ranking", "ranked", "sequence")
+
+    def __init__(self, seq: Sequence[Union[DiffPoly, RankedPoly]], ranking: Ranking):
+        if not seq:
+            raise ValueError("empty divisor sequence")
+        try:
+            ranked = tuple(a if isinstance(a, RankedPoly) else analyze(a, ranking) for a in seq)
+        except ConstantPolyError:
+            raise NotAutoreducedError(
+                "divisor sequence is not autoreduced under this ranking: it contains a constant"
+            ) from None
+        if any(rp.ranking != ranking for rp in ranked):
+            raise ValueError("divisor analyzed under another ranking")
+        defect = _autoreduced_defect(ranked)
+        if defect is not None:
+            raise NotAutoreducedError(
+                f"divisor sequence is not autoreduced under this ranking: {defect}"
+            )
+        self.ranking = ranking
+        self.ranked = ranked
+        self.sequence = tuple(rp.poly for rp in ranked)
+
+
 class ReductionCertificate:
     """All parts of the division identity, with the multiplier kept as an
-    audited factor list (each factor is a separant or initial of a divisor)."""
+    audited factor list (each factor is a separant or initial of a divisor).
 
-    multiplier: DiffPoly
-    factors: tuple  # tuple[DiffPoly, ...]
-    quotients: tuple  # tuple[DiffOperator, ...], one per divisor
-    remainder: DiffPoly
+    A reduction hands over its step log instead of the multiplier and
+    quotients; they are built from it the first time either is read, so a
+    caller that needs only the remainder or the step count pays for
+    neither."""
+
+    __slots__ = ("factors", "remainder", "_multiplier", "_quotients", "_log")
+
+    def __init__(self, multiplier: DiffPoly, factors: tuple, quotients: tuple, remainder: DiffPoly):
+        self.factors = tuple(factors)  # tuple[DiffPoly, ...]
+        self.remainder = remainder
+        self._multiplier = multiplier
+        self._quotients = tuple(quotients)  # tuple[DiffOperator, ...], one per divisor
+        self._log = None
+
+    @classmethod
+    def _from_log(cls, log: list, divisors: int, remainder: DiffPoly) -> "ReductionCertificate":
+        """log holds (factor, divisor index, cofactor, derivation power) per
+        step: the step multiplied the working polynomial by the factor and
+        subtracted cofactor * d^power(divisor)."""
+        cert = cls.__new__(cls)
+        cert.factors = tuple(step[0] for step in log)
+        cert.remainder = remainder
+        cert._multiplier = cert._quotients = None
+        cert._log = (tuple(log), divisors)
+        return cert
+
+    def _assemble(self) -> None:
+        # A step's cofactor ends up multiplied by the factors of every later
+        # step, so one backward pass with the running suffix product builds
+        # each quotient coefficient and, at the end, the whole multiplier.
+        log, divisors = self._log
+        ctx = self.remainder.context
+        quotients = [DiffOperator.zero(ctx) for _ in range(divisors)]
+        suffix = None  # product of the later steps' factors; None while empty
+        for mult, i, cofactor, j in reversed(log):
+            coeff = cofactor if suffix is None else cofactor * suffix
+            quotients[i] = quotients[i] + DiffOperator.of(coeff, j)
+            suffix = mult if suffix is None else mult * suffix
+        self._multiplier = DiffPoly.one(ctx) if suffix is None else suffix
+        self._quotients = tuple(quotients)
+        self._log = None
+
+    @property
+    def multiplier(self) -> DiffPoly:
+        if self._log is not None:
+            self._assemble()
+        return self._multiplier
+
+    @property
+    def quotients(self) -> tuple:
+        if self._log is not None:
+            self._assemble()
+        return self._quotients
 
     @property
     def steps(self) -> int:
         return len(self.factors)
 
+    def _parts(self) -> tuple:
+        return (self.multiplier, self.factors, self.quotients, self.remainder)
 
-def _offense(c: DiffPoly, ranked: Sequence[RankedPoly], ranking: Ranking):
-    """The highest-ranked violation of reducedness of c against the divisors:
-    (jet variable, divisor index, kind) with kind 'd' (proper derivative of a
-    leader occurs) or 'a' (leader degree too high)."""
-    by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ReductionCertificate) and self._parts() == other._parts()
+
+    def __hash__(self):
+        return hash(self._parts())
+
+    def __repr__(self) -> str:
+        m, f, q, r = self._parts()
+        return f"ReductionCertificate(multiplier={m!r}, factors={f!r}, quotients={q!r}, remainder={r!r})"
+
+
+def _offense(c: DiffPoly, by_var: dict, ranking: Ranking):
+    """The highest-ranked violation of reducedness of c against the divisors
+    (by_var maps a leader's variable to (divisor index, RankedPoly)):
+    (jet variable, divisor index, kind) with kind 'd' (proper derivative of
+    a leader occurs) or 'a' (leader degree too high)."""
     best = None
     for v in c.dervars():
         hit = by_var.get(v.var)
@@ -158,46 +269,37 @@ def _offense(c: DiffPoly, ranked: Sequence[RankedPoly], ranking: Ranking):
 
 def _reduce(b: DiffPoly, ranked: Sequence[RankedPoly], ranking: Ranking, step_cap: int) -> ReductionCertificate:
     ctx = b.context
-    one = DiffPoly.one(ctx)
+    by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
     c = b
-    multiplier = one
-    factors: list[DiffPoly] = []
-    quotients = [DiffOperator.zero(ctx) for _ in ranked]
-    steps = 0
+    log = []
     while True:
-        off = _offense(c, ranked, ranking)
+        off = _offense(c, by_var, ranking)
         if off is None:
             break
-        steps += 1
-        if steps > step_cap:
+        if len(log) >= step_cap:
             raise StepLimitExceeded(f"reduction exceeded {step_cap} elimination steps")
         v, i, kind = off
         rp = ranked[i]
         if kind == "d":
             j = v.order - rp.leader.order
-            prolonged = rp.poly.derive(j)  # leader v, degree 1, initial = separant
-            mult = rp.separant
-            d = c.degree_in(v)
-            lead = c.coeff_of_power(v, d)
-            cofactor = lead * DiffPoly.from_terms(ctx, [(Monomial.of(v, d - 1), ctx.field.one)])
-            c = mult * c - cofactor * prolonged
+            # the prolongation has leader v, degree 1 and initial = separant
+            divisor, mult, degree = rp.poly.derive(j), rp.separant, 1
         else:
             j = 0
-            mult = rp.initial
-            d = c.degree_in(v)
-            lead = c.coeff_of_power(v, d)
-            cofactor = lead * DiffPoly.from_terms(ctx, [(Monomial.of(v, d - rp.degree), ctx.field.one)])
-            c = mult * c - cofactor * rp.poly
-        multiplier = mult * multiplier
-        factors.append(mult)
-        quotients = [q.scale(mult) for q in quotients]
-        quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
-    return ReductionCertificate(
-        multiplier=multiplier,
-        factors=tuple(factors),
-        quotients=tuple(quotients),
-        remainder=c,
-    )
+            divisor, mult, degree = rp.poly, rp.initial, rp.degree
+        d = c.degree_in(v)
+        lead = c.coeff_of_power(v, d)
+        cofactor = lead * DiffPoly.from_terms(ctx, [(Monomial.of(v, d - degree), ctx.field.one)])
+        scaled, subtracted = mult * c, cofactor * divisor
+        c = scaled - subtracted
+        log.append((mult, i, cofactor, j))
+        terms = max(scaled.term_count(), subtracted.term_count(), c.term_count())
+        if terms > MAX_REDUCTION_TERMS:
+            raise TermLimitExceeded(
+                f"reduction stopped at step {len(log)}: it built a polynomial with {terms} "
+                f"terms, over the cap MAX_REDUCTION_TERMS = {MAX_REDUCTION_TERMS}"
+            )
+    return ReductionCertificate._from_log(log, len(ranked), c)
 
 
 def ritt_reduce_one(b: DiffPoly, a: DiffPoly, ranking: Ranking, step_cap: int = DEFAULT_STEP_CAP) -> ReductionCertificate:
@@ -207,17 +309,17 @@ def ritt_reduce_one(b: DiffPoly, a: DiffPoly, ranking: Ranking, step_cap: int = 
 
 def ritt_reduce_seq(
     b: DiffPoly,
-    seq: Sequence[DiffPoly],
+    seq: Union[Sequence[DiffPoly], PreparedSeq],
     ranking: Ranking,
     step_cap: int = DEFAULT_STEP_CAP,
 ) -> ReductionCertificate:
-    """Divide b by an autoreduced sequence; raises NotAutoreducedError if the
+    """Divide b by an autoreduced sequence: a PreparedSeq, or polynomials,
+    which are prepared for this call; raises NotAutoreducedError if the
     sequence is not autoreduced under the ranking."""
-    if not seq:
-        raise ValueError("empty divisor sequence")
-    if not is_autoreduced(seq, ranking):
-        raise NotAutoreducedError("divisor sequence is not autoreduced under this ranking")
-    return _reduce(b, [analyze(a, ranking) for a in seq], ranking, step_cap)
+    prep = seq if isinstance(seq, PreparedSeq) else PreparedSeq(seq, ranking)
+    if prep.ranking != ranking:
+        raise ValueError("divisor sequence was prepared under another ranking")
+    return _reduce(b, prep.ranked, ranking, step_cap)
 
 
 def verify_certificate(

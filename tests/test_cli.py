@@ -102,6 +102,31 @@ class TestReduce:
     def test_missing_target_is_domain_error(self, flagship, capsys):
         assert main(["reduce", flagship, "--target", "nope"]) == 3
 
+    def test_out_of_order_divisors_are_named(self, tmp_path, capsys):
+        # autoreduced as y^2, x + y; refused in the file's order
+        p = tmp_path / "order.sys"
+        p.write_text(
+            "field: Q\nvars: x, y\nranking: elim x > y\n"
+            "eq f = x*y\neq a = x + y\neq b = y^2\n"
+        )
+        assert main(["reduce", str(p), "--target", "f"]) == 3
+        err = capsys.readouterr().err
+        assert "not in ascending rank order: y^2 comes after y + x" in err
+
+    def test_swelling_division_stops_at_the_term_cap(self, tmp_path, capsys):
+        # a draw of scripts/random_audit.py --seed 0 that used to run 31
+        # steps into a 10,877-term remainder
+        p = tmp_path / "swell.sys"
+        p.write_text(
+            "field: Q\nvars: x, y, z\nranking: elim z > y > x\n"
+            "eq f = -3*x''^2*x'''^3 + y'''*z'''^3 + 2/3*x'^2\n"
+            "eq g = 1/2*x'^3*z^2 + 4*x^3*y'''^2 - 2*y'\n"
+        )
+        assert main(["reduce", str(p), "--target", "f"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "over the cap MAX_REDUCTION_TERMS = 10000" in captured.err
+
 
 class TestLinearize:
     def test_symbolic(self, flagship, capsys):
@@ -162,6 +187,12 @@ class TestJbcCheck:
     def test_inconclusive_exits_one(self, flagship, capsys):
         assert main(["jbc-check", flagship, "--max-steps", "1"]) == 1
         assert "INCONCLUSIVE" in capsys.readouterr().out
+
+    def test_term_cap_in_the_decomposition_is_inconclusive(self, flagship, capsys, monkeypatch):
+        monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_TERMS", 2)
+        assert main(["jbc-check", flagship]) == 1
+        out = capsys.readouterr().out
+        assert "(INCOMPLETE)" in out and "verdict: INCONCLUSIVE" in out
 
     def test_non_square_is_domain_error(self, tmp_path, capsys):
         p = tmp_path / "rect.sys"

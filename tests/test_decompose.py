@@ -1,14 +1,19 @@
 """Characteristic-set components, the splitting decomposition, and the
 dimension-vs-Jacobi check."""
 
+import sys
+from collections import Counter
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import diffalg.decompose
+import diffalg.ranking
 from diffalg import (
     CharSetComponent,
     Context,
+    DiffPoly,
     JbcVerdict,
     QQ,
     Ranking,
@@ -19,6 +24,8 @@ from diffalg import (
     verify_certificate,
     verify_component,
 )
+from diffalg.decompose import VanishingInequationError
+from diffalg.reduction import PreparedSeq
 from diffalg.sysfile import parse_poly
 
 from conftest import diffpolys
@@ -41,8 +48,16 @@ class TestCharSetComponent:
             CharSetComponent(ELIM_XY, (P("x'"), P("x'' + y")))
 
     def test_rejects_vanishing_inequation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(VanishingInequationError):
             CharSetComponent(ELIM_XY, (P("y"), P("x'")), (P("y^2"),))
+
+    def test_takes_a_prepared_sequence(self):
+        prep = PreparedSeq((P("y'^2 + 4*y^3"), P("2*y*x' - y'")), ELIM_XY)
+        comp = CharSetComponent(ELIM_XY, prep, (P("y"),))
+        assert comp.prepared is prep
+        assert comp == CharSetComponent(ELIM_XY, prep.sequence, (P("y"),))
+        with pytest.raises(ValueError):
+            CharSetComponent(Ranking.orderly(2), prep)
 
     def test_rejects_constant_member(self):
         with pytest.raises(Exception):
@@ -88,6 +103,8 @@ class TestSplitDecompose:
             ("y", "x'"),
             ("y^3 + 1/4*y'^2", "x'*y - 1/2*y'"),
         ]
+        # the nonconstant separants and initials, monic, in text order
+        assert [c.inequations for c in dec.components] == [(), (P("y"), P("y'"))]
         dims = [component_dimension(c) for c in dec.components]
         assert dims == [1, 2]
         for c in dec.components:
@@ -200,9 +217,10 @@ class TestJbcCheck:
             jbc_check([P("x + y")], ELIM_XY)
 
     def test_flagship_reduction_count(self, monkeypatch):
-        # 44 reductions inside split_decompose (node remainders, live
-        # conditions, component construction) and 6 for the two records:
-        # two inputs per component plus the big component's inequations.
+        # 42 reductions inside split_decompose (node remainders and the
+        # inequation check of each component built) and 6 for the two
+        # records: two inputs per component plus the big component's
+        # inequations.
         calls = []
         real = diffalg.decompose.ritt_reduce_seq
 
@@ -213,7 +231,43 @@ class TestJbcCheck:
         monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", counted)
         rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert len(calls) <= 50
+        assert len(calls) <= 48
+
+    def test_flagship_work_counts(self, monkeypatch):
+        # Deterministic work counters, pinned: each polynomial is analyzed
+        # once per run, node reductions build no certificate products, and
+        # each polynomial is rendered to text at most once.
+        us = [P("x'' + y"), P("x'^2 + y")]
+        counts = Counter()
+        real_analyze = diffalg.ranking.analyze
+
+        def analyze(*args, **kwargs):
+            counts["analyze"] += 1
+            return real_analyze(*args, **kwargs)
+
+        for name, mod in list(sys.modules.items()):
+            if name.split(".")[0] == "diffalg":
+                for attr, obj in list(vars(mod).items()):
+                    if obj is real_analyze:
+                        monkeypatch.setattr(mod, attr, analyze)
+        real_mul = DiffPoly.__mul__
+
+        def mul(self, other):
+            counts["products"] += 1
+            return real_mul(self, other)
+
+        real_text = DiffPoly.to_text
+
+        def to_text(self):
+            if getattr(self, "_text", None) is None:
+                counts["renders"] += 1
+            return real_text(self)
+
+        monkeypatch.setattr(DiffPoly, "__mul__", mul)
+        monkeypatch.setattr(DiffPoly, "to_text", to_text)
+        rep = jbc_check(us, ELIM_XY)
+        assert rep.verdict is JbcVerdict.HOLDS
+        assert dict(counts) == {"analyze": 9, "products": 261, "renders": 19}
 
     def test_report_text_is_stable(self):
         us = [P("x'' + y"), P("x'^2 + y")]

@@ -3,23 +3,28 @@ multiplier audited as a product of separants and initials."""
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 
+import diffalg.reduction
 from diffalg import (
     Context,
+    DerVar,
     DiffOperator,
     DiffPoly,
+    Monomial,
     NotAutoreducedError,
     QQ,
     QT,
     Ranking,
+    ReductionCertificate,
     analyze,
+    is_autoreduced,
     is_reduced,
     ritt_reduce_one,
     ritt_reduce_seq,
     verify_certificate,
 )
-from diffalg.reduction import StepLimitExceeded
+from diffalg.reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded, _offense
 from diffalg.sysfile import parse_poly
 
 from conftest import contexts, diffpolys, rankings
@@ -172,3 +177,188 @@ class TestGuards:
     def test_step_cap_is_enforced(self):
         with pytest.raises(StepLimitExceeded):
             ritt_reduce_one(P("x^(3)"), P("x'^2 + y"), ELIM_XY, step_cap=1)
+
+
+def _forward_certificate(b, seq, ranking):
+    """Reference: the division with the multiplier and every quotient
+    rescaled eagerly at each step, as the certificate used to be built."""
+    ctx = b.context
+    ranked = [analyze(a, ranking) for a in seq]
+    by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
+    c = b
+    multiplier = DiffPoly.one(ctx)
+    factors = []
+    quotients = [DiffOperator.zero(ctx) for _ in ranked]
+    while True:
+        off = _offense(c, by_var, ranking)
+        if off is None:
+            break
+        v, i, kind = off
+        rp = ranked[i]
+        if kind == "d":
+            j = v.order - rp.leader.order
+            prolonged = rp.poly.derive(j)
+            mult = rp.separant
+            d = c.degree_in(v)
+            lead = c.coeff_of_power(v, d)
+            cofactor = lead * DiffPoly.from_terms(ctx, [(Monomial.of(v, d - 1), ctx.field.one)])
+            c = mult * c - cofactor * prolonged
+        else:
+            j = 0
+            mult = rp.initial
+            d = c.degree_in(v)
+            lead = c.coeff_of_power(v, d)
+            cofactor = lead * DiffPoly.from_terms(ctx, [(Monomial.of(v, d - rp.degree), ctx.field.one)])
+            c = mult * c - cofactor * rp.poly
+        multiplier = mult * multiplier
+        factors.append(mult)
+        quotients = [q.scale(mult) for q in quotients]
+        quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
+    return ReductionCertificate(
+        multiplier=multiplier, factors=tuple(factors), quotients=tuple(quotients), remainder=c
+    )
+
+
+@st.composite
+def qt_polys(draw, ctx, **kw):
+    """Over Q(t) some coefficients carry t, so the field derivation acts."""
+    p = draw(diffpolys(ctx, **kw))
+    if ctx.field != QT:
+        return p
+    return p + DiffPoly.const(ctx, ctx.field.t()) * draw(diffpolys(ctx, **kw))
+
+
+class TestCertificateOnRead:
+    @staticmethod
+    def _check_against_forward(b, seq, rk, step_cap):
+        try:
+            cert = ritt_reduce_seq(b, PreparedSeq(seq, rk), rk, step_cap=step_cap)
+        except StepLimitExceeded:
+            return
+        # reading the remainder and the step count builds nothing
+        cert.remainder, cert.steps
+        assert cert._log is not None
+        ref = _forward_certificate(b, seq, rk)
+        assert cert.remainder == ref.remainder
+        assert cert.factors == ref.factors
+        assert cert.multiplier == ref.multiplier
+        assert cert.quotients == ref.quotients
+        assert cert == ref
+        assert verify_certificate(cert, b, seq, rk)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_forward_assembly(self, data):
+        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
+        rk = data.draw(rankings(ctx))
+        divisor = data.draw(
+            qt_polys(ctx, max_order=2, max_degree=2, max_terms=2).filter(
+                lambda p: not p.is_constant()
+            )
+        )
+        b = data.draw(qt_polys(ctx, max_order=3, max_degree=2, max_terms=3))
+        self._check_against_forward(b, [divisor], rk, step_cap=60)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_forward_assembly_on_pairs(self, data):
+        # autoreduced by construction under an elimination ranking: a1 in the
+        # lower variable only, a2 reduced by a1 and still in the upper one
+        ctx = Context(("x", "y"), data.draw(st.sampled_from((QQ, QT))))
+        hi, lo = data.draw(st.permutations([0, 1]))
+        rk = Ranking.elimination(2, [hi, lo])
+        one_var = Context(("x",), ctx.field)
+        a1 = data.draw(
+            qt_polys(one_var, max_order=2, max_degree=2, max_terms=2).filter(
+                lambda p: not p.is_constant()
+            )
+        ).map_dervars(lambda v: DerVar(lo, v.order), ctx)
+        raw = data.draw(qt_polys(ctx, max_order=2, max_degree=2, max_terms=3))
+        try:
+            a2 = ritt_reduce_one(raw, a1, rk, step_cap=6).remainder
+        except StepLimitExceeded:
+            reject()
+        assume(a2.term_count() <= 4 and any(v.var == hi for v in a2.dervars()))
+        assert is_autoreduced([a1, a2], rk)
+        b = data.draw(qt_polys(ctx, max_order=2, max_degree=2, max_terms=3))
+        self._check_against_forward(b, [a1, a2], rk, step_cap=20)
+
+    def test_remainder_and_steps_do_not_build(self, monkeypatch):
+        built = []
+        real = ReductionCertificate._assemble
+        monkeypatch.setattr(
+            ReductionCertificate, "_assemble", lambda self: built.append(1) or real(self)
+        )
+        seq = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
+        cert = ritt_reduce_seq(P("x''*y' + x^2"), seq, ELIM_XY)
+        assert cert.steps > 0 and not cert.remainder.is_zero()
+        assert built == []
+        cert.quotients
+        cert.multiplier
+        assert built == [1]
+
+    def test_prepared_and_plain_sequences_agree(self):
+        seq = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
+        prep = PreparedSeq(seq, ELIM_XY)
+        for src in ("x''*y' + x^2", "x'' + y", "y''"):
+            assert ritt_reduce_seq(P(src), prep, ELIM_XY) == ritt_reduce_seq(P(src), seq, ELIM_XY)
+
+    def test_prepared_under_another_ranking_is_refused(self):
+        prep = PreparedSeq([P("x' + y")], ELIM_XY)
+        with pytest.raises(ValueError):
+            ritt_reduce_seq(P("x''"), prep, Ranking.elimination(2, [1, 0]))
+
+
+class TestPreparedSeq:
+    def test_analyzes_each_divisor(self):
+        prep = PreparedSeq([P("y'^2 + 4*y^3"), P("2*y*x' - y'")], ELIM_XY)
+        assert prep.sequence == (P("y'^2 + 4*y^3"), P("2*y*x' - y'"))
+        assert prep.ranked == tuple(analyze(p, ELIM_XY) for p in prep.sequence)
+
+    @pytest.mark.parametrize(
+        "seq, error",
+        [
+            ([], ValueError),
+            (["3"], NotAutoreducedError),
+            (["x'", "2"], NotAutoreducedError),
+            (["x'", "x'' + y"], NotAutoreducedError),
+            (["x'", "x' + y"], NotAutoreducedError),
+            (["x + y", "y^2"], NotAutoreducedError),
+        ],
+    )
+    def test_refuses_what_reduction_refuses(self, seq, error):
+        polys = [P(s) for s in seq]
+        with pytest.raises(error):
+            ritt_reduce_seq(P("y"), polys, ELIM_XY)
+        with pytest.raises(error):
+            PreparedSeq(polys, ELIM_XY)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_accepts_exactly_the_autoreduced_sequences(self, data):
+        ctx = data.draw(contexts(max_vars=2))
+        rk = data.draw(rankings(ctx))
+        seq = data.draw(st.lists(diffpolys(ctx, max_order=2, max_degree=2, max_terms=2), max_size=3))
+        try:
+            PreparedSeq(seq, rk)
+        except ValueError:
+            assert not seq or not is_autoreduced(seq, rk)
+        else:
+            assert seq and is_autoreduced(seq, rk)
+
+    def test_out_of_order_names_the_pair(self):
+        # x + y ranks above y^2 under x > y: the ascending order is accepted
+        PreparedSeq([P("y^2"), P("x + y")], ELIM_XY)
+        with pytest.raises(NotAutoreducedError) as err:
+            PreparedSeq([P("x + y"), P("y^2")], ELIM_XY)
+        msg = str(err.value)
+        assert "not in ascending rank order" in msg
+        assert "y^2 comes after y + x" in msg
+
+
+class TestTermCap:
+    def test_cap_is_a_named_step_limit(self, monkeypatch):
+        monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_TERMS", 3)
+        with pytest.raises(TermLimitExceeded, match="MAX_REDUCTION_TERMS = 3") as err:
+            ritt_reduce_one(P("x''*y + x'*y^2 + x"), P("x'^2 + y*x' + y"), ELIM_XY)
+        assert isinstance(err.value, StepLimitExceeded)
