@@ -11,7 +11,11 @@ properties that everything else leans on:
     enumeration, witness included, and finds planted optima at n = 10..40;
   * the membership oracle finds every planted member f = sum c * m * d^k(g_i)
     at bounds that contain its summands, with a witness that re-verifies,
-    unless a stage over the candidate cap is named (such answers are counted).
+    unless a stage over the candidate cap is named (such answers are counted);
+  * at random concrete zeros of random square systems, the linearized order
+    matrix read off the linearize_at tangents (partials evaluated at the
+    point) equals the orders of the first_order_expansion tangents (dual
+    numbers, no partials), under both conventions.
 
     python3 scripts/random_audit.py --cases 500 --seed 7
 
@@ -27,6 +31,7 @@ import time
 from fractions import Fraction
 
 from diffalg import (
+    ConcretePoint,
     Context,
     Convention,
     DerVar,
@@ -41,9 +46,12 @@ from diffalg import (
     TermLimitExceeded,
     TruncationBounds,
     analyze,
+    first_order_expansion,
     is_reduced,
     jacobi_assign,
     jacobi_brute,
+    linearize_at,
+    linearized_order_matrix,
     ritt_reduce_one,
     truncated_member,
     verify_certificate,
@@ -171,6 +179,49 @@ def audit_oracle(rng: random.Random, cases: int) -> tuple[int, int]:
     return members, capped
 
 
+def _dual_number_orders(us, pt: ConcretePoint, convention: Convention) -> tuple:
+    """Order matrix read straight off the dual-number tangents."""
+    n = pt.context.n
+    absent = 0 if convention is Convention.MAX_PLUS else NEG_INF
+    rows = []
+    for u in us:
+        _, tangent = first_order_expansion(u, pt)
+        top: dict = {}
+        for m in tangent.poly.monomials():
+            ((v, _),) = m.factors
+            top[v.var - n] = max(top.get(v.var - n, 0), v.order)
+        rows.append(tuple(top.get(j, absent) for j in range(n)))
+    return tuple(rows)
+
+
+def audit_linearize(rng: random.Random, cases: int, max_vars: int) -> int:
+    """Draws a square system shifted to vanish at a random concrete point and
+    compares the linearized order matrix of its linearize_at tangents with
+    the orders of its first_order_expansion tangents, under both
+    conventions."""
+    for _ in range(cases):
+        ctx = Context(NAMES[: rng.randint(1, max_vars)], QQ)
+        pt = ConcretePoint(
+            ctx, {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(ctx.n)}
+        )
+        us = []
+        for _ in range(ctx.n):
+            p = rand_poly(rng, ctx)
+            us.append(p - DiffPoly.const(ctx, p.eval_at(pt)))
+        tangents = [linearize_at(u, pt) for u in us]
+        for conv in Convention:
+            got = linearized_order_matrix(tangents, conv).entries
+            want = _dual_number_orders(us, pt, conv)
+            if got != want:
+                print(f"linearized orders disagree ({conv.name}) at {pt!r}:", file=sys.stderr)
+                for u in us:
+                    print(f"  u:    {u.to_text()}", file=sys.stderr)
+                print(f"  linearize_at:          {got}", file=sys.stderr)
+                print(f"  first_order_expansion: {want}", file=sys.stderr)
+                sys.exit(1)
+    return cases
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=500, help="cases per audit (default 500)")
@@ -194,6 +245,12 @@ def main() -> None:
     print(
         f"oracle: {members} planted members found with verified witnesses "
         f"({capped} inconclusive at the candidate cap)  [{time.monotonic() - t2:.2f}s]"
+    )
+    t3 = time.monotonic()
+    compared = audit_linearize(rng, args.cases, args.max_vars)
+    print(
+        f"linearize: {compared} linearized order matrices agreed with the dual-number "
+        f"tangents under both conventions  [{time.monotonic() - t3:.2f}s]"
     )
     print("all audits passed")
 

@@ -22,10 +22,11 @@ from diffalg import (
     QT,
     Ranking,
     TruncationBounds,
-    jacobi_after_linearization,
+    jacobi_assign,
     jacobi_number,
     jbc_check,
     linearize_at,
+    linearized_order_matrix,
     order_matrix,
     parse_poly,
     radical_member,
@@ -87,11 +88,10 @@ def main() -> None:
     banner("4. Linearization at a point on the cusp system")
     cusp = (parse_poly("y^2 - x^3", ctx), parse_poly("x'", ctx))
     origin = ConcretePoint.from_names(ctx, {"x": Fraction(0), "y": Fraction(0)})
-    for u in cusp:
-        lu = linearize_at(u, origin)
-        body = "0" if lu.is_zero() else lu.poly.to_text()
-        print(f"L[{u.to_text()}] at the origin = {body}")
-    strong = jacobi_after_linearization(cusp, origin, Convention.MINUS_INFINITY)
+    tangents = [linearize_at(u, origin) for u in cusp]
+    for u, lu in zip(cusp, tangents):
+        print(f"L[{u.to_text()}] at the origin = {lu.to_text()}")
+    strong = jacobi_assign(linearized_order_matrix(tangents, Convention.MINUS_INFINITY))
     shown = "-inf" if strong.value is NEG_INF else strong.value
     print(f"jacobi number after linearization (minusinf): {shown}")
     print(f"jacobi number of the original system (maxplus): {jacobi_number(cusp).value}")

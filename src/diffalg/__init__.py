@@ -46,12 +46,9 @@ from .linearize import (
     PointNotOnZeroSetError,
     extended_context,
     first_order_expansion,
-    jacobi_after_linearization,
     linearize_at,
     linearize_sym,
-    linearized_order,
     linearized_order_matrix,
-    linearized_system,
     tangent_rename_check,
 )
 from .decompose import (

@@ -35,7 +35,6 @@ from .diffpoly import Convention, OrderCapExceeded, _NegInf
 from .jacobi import jacobi_assign, order_matrix, ritt_bound
 from .linearize import (
     PointNotOnZeroSetError,
-    jacobi_after_linearization,
     linearize_at,
     linearize_sym,
     linearized_order_matrix,
@@ -189,7 +188,6 @@ def _cmd_linearize(args) -> int:
     sf = _load_system(args.system)
     conv = _convention(args.convention)
     us = list(sf.system)
-    eq_names = [nm for nm, _ in sf.equations]
 
     if args.at is None and args.generic is None:
         for nm, u in sf.equations:
@@ -206,20 +204,20 @@ def _cmd_linearize(args) -> int:
         pt = comps[0].generic_point()
         label = "generic"
 
-    heuristic = False
+    tangents = []
     for nm, u in sf.equations:
         lp = linearize_at(u, pt)
-        heuristic = heuristic or lp.heuristic
-        print(f"L[{nm}, {label}] = {lp.to_text() if not lp.is_zero() else '0'}")
+        tangents.append(lp)
+        print(f"L[{nm}, {label}] = {lp.to_text()}")
     if len(us) == sf.context.n:
-        m = linearized_order_matrix(us, pt, conv)
+        m = linearized_order_matrix(tangents, conv)
         print(f"linearized order matrix ({args.convention}):")
         print(m.to_text())
-        r = jacobi_after_linearization(us, pt, conv)
+        r = jacobi_assign(m)
         print(f"linearized jacobi number: {_value_text(r.value)}")
         orig = jacobi_assign(order_matrix(us, conv))
         print(f"original jacobi number: {_value_text(orig.value)}")
-    if heuristic:
+    if any(lp.heuristic for lp in tangents):
         print("note: support decided modulo an unverified-prime component")
     return EXIT_OK
 
@@ -324,7 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system")
     g = p.add_mutually_exclusive_group()
     g.add_argument("--at", metavar="POINT", help="a point named in the system file")
-    g.add_argument("--generic", metavar="FILE", help="component file; use its generic point")
+    g.add_argument(
+        "--generic",
+        metavar="FILE",
+        help="component file; use the generic point of its first component block",
+    )
     _add_convention(p)
     p.set_defaults(fn=_cmd_linearize)
 

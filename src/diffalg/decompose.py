@@ -200,8 +200,7 @@ def _pure_power_fork(node: frozenset, rank):
         if p.is_constant() or p.term_count() == 1:
             continue  # monomial rule owns single terms
         rp = rank(p)
-        parts = p.by_powers_of(rp.leader)
-        if set(parts) != {rp.degree}:
+        if any(m.degree_in(rp.leader) != rp.degree for m in p.monomials()):
             continue
         if rp.degree >= 2 or not rp.initial.is_constant():
             return p, rp
@@ -405,11 +404,7 @@ class JbcReport:
         for k, rec in enumerate(self.records, start=1):
             c = rec.component
             out.append(f"component {k}:")
-            out.append(f"  charset: {'; '.join(p.to_text() for p in c.sequence)}")
-            out.append(
-                "  ineqs: " + ("; ".join(q.to_text() for q in c.inequations) or "(none)")
-            )
-            out.append(f"  prime: {'yes' if c.prime_verified else 'no'}")
+            out.extend("  " + line for line in c.to_text().splitlines())
             out.append(
                 "  dimension: "
                 + ("infinite" if rec.dimension is None else str(rec.dimension))

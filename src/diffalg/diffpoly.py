@@ -443,15 +443,6 @@ class DiffPoly:
 
     # -- decomposition in one jet variable --------------------------------------
 
-    def by_powers_of(self, v: DerVar) -> dict:
-        """Write the polynomial as sum_k coeff_k * v^k; coefficients do not
-        involve v."""
-        out: dict[int, dict] = {}
-        for m, c in self._terms.items():
-            e = m.degree_in(v)
-            out.setdefault(e, {})[m.without(v)] = c
-        return {e: DiffPoly(self.context, d) for e, d in out.items()}
-
     def coeff_of_power(self, v: DerVar, k: int) -> "DiffPoly":
         acc = {}
         for m, c in self._terms.items():

@@ -7,12 +7,15 @@ with twice the variables (index offset n), so ordinary polynomial machinery
 applies to linearized objects unchanged, including the derivation: deriving
 and linearizing commute.
 
-Three evaluation modes:
-  * symbolic -- coefficients stay polynomials in the original jets;
-  * concrete point -- coefficients become field elements;
-  * generic point of a component -- only the support pattern survives
-    (coefficient kept iff the partial has nonzero remainder modulo the
-    component), which is exactly what order counting needs.
+`linearize_sym` keeps the coefficients as polynomials in the original jets.
+`linearize_at` is the one place where u and its partials are evaluated at a
+point: a concrete point gives field-element coefficients; the generic point
+of a component gives only the support pattern (coefficient 1 on y_v iff
+du/dv has nonzero remainder modulo the component), which is exactly what
+order counting needs.  The linearized order matrix is read off those
+tangents, and its Jacobi number is `jacobi_assign` of that matrix.
+`first_order_expansion` recomputes concrete tangents by dual numbers,
+without partials, as an independent check.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diffpoly import (
-    NEG_INF,
     ConcretePoint,
     Context,
     Convention,
@@ -29,7 +31,7 @@ from .diffpoly import (
     GenericPoint,
     Monomial,
 )
-from .jacobi import JacobiResult, OrderMatrix, jacobi_assign
+from .jacobi import OrderMatrix
 
 TANGENT_PREFIX = "d"
 
@@ -102,126 +104,68 @@ def linearize_sym(u: DiffPoly) -> LinearizedPoly:
     return LinearizedPoly(poly=acc, base_n=ctx.n)
 
 
-def _require_zero_at(u: DiffPoly, pt) -> bool:
-    """Enforce u(pt) = 0; returns True when the check was only heuristic."""
-    val = u.eval_at(pt)
-    if isinstance(pt, ConcretePoint):
-        if val:
-            raise PointNotOnZeroSetError(
-                f"point is not a zero: value {u.context.field.text(val)}"
-            )
-        return False
-    if not val.member:
-        raise PointNotOnZeroSetError("polynomial has nonzero remainder at the generic point")
-    return val.heuristic
-
-
 def linearize_at(u: DiffPoly, pt, require_zero: bool = True) -> LinearizedPoly:
     """Tangent at a point.
 
     Concrete points give field-element coefficients.  Generic points give
     the support pattern: coefficient 1 on y_v exactly when du/dv does not
-    vanish on the component (an indicator, not residue-field arithmetic).
-    The point must be a zero of u unless require_zero is dropped (useful for
-    identities that hold off the zero set).
+    vanish on the component (an indicator, not residue-field arithmetic),
+    and `heuristic` when any of these answers, or the zero test of u, was
+    read modulo a component not verified prime.  The point must be a zero
+    of u unless require_zero is dropped (useful for identities that hold
+    off the zero set).
     """
     ctx = u.context
+    fld = ctx.field
     ext = extended_context(ctx)
-    heuristic = _require_zero_at(u, pt) if require_zero else False
-    acc = DiffPoly.zero(ext)
+    # at(p) -> (coefficient of p at the point, heuristic)
     if isinstance(pt, ConcretePoint):
         if pt.context != ctx:
             raise ValueError("point context mismatch")
-        for v in u.dervars():
-            c = u.partial(v).eval_at(pt)
-            if c:
-                acc = acc + _tangent_term(ext, ctx.n, v).scale(c)
-        return LinearizedPoly(poly=acc, base_n=ctx.n, specialized=True, heuristic=heuristic)
-    if isinstance(pt, GenericPoint):
-        for v in u.dervars():
-            zt = u.partial(v).eval_at(pt)
-            heuristic = heuristic or zt.heuristic
-            if not zt.member:
-                acc = acc + _tangent_term(ext, ctx.n, v)
-        return LinearizedPoly(poly=acc, base_n=ctx.n, specialized=True, heuristic=heuristic)
-    raise TypeError(f"not a differential point: {type(pt).__name__}")
 
+        def at(p: DiffPoly):
+            return p.eval_at(pt), False
 
-def linearized_system(us, pt, require_zero: bool = True) -> list:
-    """Componentwise tangents at a common point (generators of the
-    linearized ideal)."""
-    if not us:
-        raise ValueError("empty system")
-    ctx = us[0].context
-    for u in us:
-        if u.context != ctx:
-            raise ValueError("mixed ring contexts")
-    return [linearize_at(u, pt, require_zero=require_zero) for u in us]
+        off_zero_set = "point is not a zero: value {}"
+    elif isinstance(pt, GenericPoint):
 
+        def at(p: DiffPoly):
+            v = p.eval_at(pt)
+            return (fld.zero if v.member else fld.one), v.heuristic
 
-def linearized_order(
-    u: DiffPoly,
-    pt,
-    var_index: int,
-    convention: Convention = Convention.MAX_PLUS,
-    require_zero: bool = True,
-):
-    """Largest r such that du/d(x_j^(r)) does not vanish at the point;
-    absent values follow the convention (0 under MaxPlus, -inf otherwise)."""
-    ctx = u.context
-    if not (0 <= var_index < ctx.n):
-        raise ValueError(f"variable index {var_index} outside context")
+        off_zero_set = "polynomial has nonzero remainder at the generic point"
+    else:
+        raise TypeError(f"not a differential point: {type(pt).__name__}")
+    heuristic = False
     if require_zero:
-        _require_zero_at(u, pt)
-    orders = [v.order for v in u.dervars() if v.var == var_index]
-    return _tangent_order(u, pt, var_index, orders, convention)
+        value, heuristic = at(u)
+        if value:
+            raise PointNotOnZeroSetError(off_zero_set.format(fld.text(value)))
+    terms = []
+    for v in u.dervars():
+        c, h = at(u.partial(v))
+        heuristic = heuristic or h
+        if c:
+            terms.append((Monomial.of(tangent_dervar(ctx.n, v)), c))
+    return LinearizedPoly(
+        poly=DiffPoly.from_terms(ext, terms), base_n=ctx.n, specialized=True, heuristic=heuristic
+    )
 
 
-def _tangent_order(u: DiffPoly, pt, var_index: int, orders, convention: Convention):
-    """linearized_order over the orders (ascending) at which x_j occurs in u."""
-    for r in reversed(orders):
-        val = u.partial(DerVar(var_index, r)).eval_at(pt)
-        nonzero = bool(val) if isinstance(pt, ConcretePoint) else not val.member
-        if nonzero:
-            return r
-    return 0 if convention is Convention.MAX_PLUS else NEG_INF
-
-
-def linearized_order_matrix(
-    us, pt, convention: Convention = Convention.MAX_PLUS, require_zero: bool = True
-) -> OrderMatrix:
-    """Order matrix of the linearized system (tangent orders at the point)."""
-    if not us:
+def linearized_order_matrix(tangents, convention: Convention = Convention.MAX_PLUS) -> OrderMatrix:
+    """Order matrix of a linearized system: entry (i, j) is the order of
+    tangent i in the tangent variable of x_j."""
+    if not tangents:
         raise ValueError("empty system")
-    ctx = us[0].context
-    for u in us:
-        if u.context != ctx:
+    ext = tangents[0].poly.context
+    for t in tangents:
+        if t.poly.context != ext:
             raise ValueError("mixed ring contexts")
-        if require_zero:
-            _require_zero_at(u, pt)
-    if len(us) != ctx.n:
-        raise ValueError(
-            f"need a square system: {len(us)} equations over {ctx.n} variables"
-        )
-    rows = []
-    for u in us:
-        orders: dict = {}  # variable -> ascending orders that occur in u
-        for v in u.dervars():
-            orders.setdefault(v.var, []).append(v.order)
-        rows.append(
-            tuple(
-                _tangent_order(u, pt, j, orders.get(j, ()), convention)
-                for j in range(ctx.n)
-            )
-        )
-    return OrderMatrix(entries=tuple(rows), convention=convention)
-
-
-def jacobi_after_linearization(
-    us, pt, convention: Convention = Convention.MAX_PLUS
-) -> JacobiResult:
-    """Jacobi number of the system linearized at a common zero."""
-    return jacobi_assign(linearized_order_matrix(us, pt, convention))
+    n = tangents[0].base_n
+    if len(tangents) != n:
+        raise ValueError(f"need a square system: {len(tangents)} equations over {n} variables")
+    rows = tuple(tuple(t.tangent_order(j, convention) for j in range(n)) for t in tangents)
+    return OrderMatrix(entries=rows, convention=convention)
 
 
 def tangent_rename_check(u: DiffPoly) -> bool:

@@ -590,11 +590,5 @@ def parse_components(
 
 
 def format_components(components: Sequence[CharSetComponent], ctx: Context) -> str:
-    blocks = []
-    for c in components:
-        lines = [f"ranking: {format_ranking(c.ranking, ctx)}"]
-        lines.append("charset: " + "; ".join(p.to_text() for p in c.sequence))
-        lines.append("ineqs: " + ("; ".join(q.to_text() for q in c.inequations) or "(none)"))
-        lines.append(f"prime: {'yes' if c.prime_verified else 'no'}")
-        blocks.append("\n".join(lines))
+    blocks = (f"ranking: {format_ranking(c.ranking, ctx)}\n{c.to_text()}" for c in components)
     return "\n\n".join(blocks) + "\n"

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for differential polynomials."""
+"""Shared hypothesis strategies for differential polynomials, and the
+flagship system files."""
 
 from fractions import Fraction
 
@@ -7,6 +8,24 @@ import hypothesis.strategies as st
 from diffalg import Context, DerVar, DiffPoly, Monomial, QQ, QT, Ranking
 
 NAMES = ("x", "y", "z")
+
+# The flagship pair, and the second of the two component blocks that
+# `diffalg decompose` prints for it (dimension 2).
+FLAGSHIP = """\
+field: Q
+vars: x, y
+ranking: elim x > y
+eq u1 = x'' + y
+eq u2 = x'^2 + y
+point p0: x = 0, y = 0
+"""
+
+FLAGSHIP_COMPONENT_2 = """\
+ranking: elim x > y
+charset: y^3 + 1/4*y'^2; x'*y - 1/2*y'
+ineqs: y; y'
+prime: no
+"""
 
 
 @st.composite

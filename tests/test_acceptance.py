@@ -37,12 +37,12 @@ from diffalg import (
     component_dimension,
     extended_context,
     is_reduced,
-    jacobi_after_linearization,
     jacobi_assign,
     jacobi_brute,
     jacobi_number,
     jbc_check,
     linearize_at,
+    linearized_order_matrix,
     order_matrix,
     parse_poly,
     radical_member,
@@ -227,7 +227,8 @@ def test_check_6_linearization_at_points():
         assert linearize_at(us[0], origin).is_zero()
         assert linearize_at(us[1], origin).poly == parse_poly("dx'", ext)
 
-        strong = jacobi_after_linearization(us, origin, Convention.MINUS_INFINITY)
+        tangents = [linearize_at(u, origin) for u in us]
+        strong = jacobi_assign(linearized_order_matrix(tangents, Convention.MINUS_INFINITY))
         assert strong.value is NEG_INF
         assert jacobi_number(us).value == 1
 
@@ -324,7 +325,7 @@ def _prop_linearized_jacobi_bound(cases: int) -> None:
             p = _rand_poly(rng, ctx)
             us.append(p - DiffPoly.const(ctx, p.eval_at(origin)))
         us = tuple(us)
-        lin = jacobi_after_linearization(us, origin)
+        lin = jacobi_assign(linearized_order_matrix([linearize_at(u, origin) for u in us]))
         assert _le(lin.value, jacobi_number(us).value), [u.to_text() for u in us]
 
 

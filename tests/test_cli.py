@@ -11,14 +11,7 @@ import diffalg
 from diffalg.cli import main
 from diffalg.sysfile import MAX_POWER_TERMS
 
-FLAGSHIP = """\
-field: Q
-vars: x, y
-ranking: elim x > y
-eq u1 = x'' + y
-eq u2 = x'^2 + y
-point p0: x = 0, y = 0
-"""
+from conftest import FLAGSHIP, FLAGSHIP_COMPONENT_2
 
 CUSP = """\
 field: Q
@@ -141,6 +134,21 @@ class TestLinearize:
         assert "L[g2, origin] = dx'" in out
         assert "linearized jacobi number: -inf" in out
         assert "original jacobi number: 1" in out
+
+    def test_generic_point_of_a_component(self, flagship, tmp_path, capsys):
+        comp = tmp_path / "component2.txt"
+        comp.write_text(FLAGSHIP_COMPONENT_2)
+        assert main(["linearize", flagship, "--generic", str(comp)]) == 0
+        assert capsys.readouterr().out == (
+            "L[u1, generic] = dy + dx''\n"
+            "L[u2, generic] = dy + dx'\n"
+            "linearized order matrix (maxplus):\n"
+            "[2  0]\n"
+            "[1  0]\n"
+            "linearized jacobi number: 2\n"
+            "original jacobi number: 2\n"
+            "note: support decided modulo an unverified-prime component\n"
+        )
 
     def test_point_off_zero_set(self, tmp_path, capsys):
         p = tmp_path / "off.sys"

@@ -154,16 +154,6 @@ class TestOrderOf:
 
 
 class TestStructure:
-    def test_by_powers_of_reassembles(self):
-        p = P("x'^2*y + x'*y' + y''")
-        v = DerVar(0, 1)
-        parts = p.by_powers_of(v)
-        rebuilt = DiffPoly.zero(XY)
-        for k, c in parts.items():
-            rebuilt = rebuilt + c * DiffPoly.from_terms(XY, [(Monomial.of(v, k), QQ.one)])
-        assert rebuilt == p
-        assert set(parts) == {0, 1, 2}
-
     @given(st.data())
     def test_partial_is_a_derivation_in_one_jet(self, data):
         ctx = data.draw(contexts(max_vars=2))

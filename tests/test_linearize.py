@@ -1,33 +1,36 @@
 """Linearization: formal tangents, tangents at points, and how the Jacobi
 number behaves under both."""
 
+from collections import Counter
 from fractions import Fraction
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import diffalg.decompose
 from diffalg import (
     ConcretePoint,
     Context,
     Convention,
+    DiffPoly,
     NEG_INF,
     PointNotOnZeroSetError,
     QQ,
     Ranking,
     first_order_expansion,
-    jacobi_after_linearization,
+    jacobi_assign,
     jacobi_number,
     linearize_at,
     linearize_sym,
-    linearized_order,
     linearized_order_matrix,
     tangent_rename_check,
 )
+from diffalg.cli import main
 from diffalg.linearize import extended_context
 from diffalg.sysfile import parse_poly
 
-from conftest import contexts, diffpolys, small_fractions
+from conftest import FLAGSHIP, FLAGSHIP_COMPONENT_2, contexts, diffpolys, small_fractions
 
 XY = Context(("x", "y"), QQ)
 EXT = extended_context(XY)
@@ -105,28 +108,34 @@ class TestAtConcretePoints:
         pt = ConcretePoint(
             ctx, {j: data.draw(small_fractions()) for j in range(ctx.n)}
         )
+        lu = linearize_at(u, pt, require_zero=False)
         for j in range(ctx.n):
-            got = linearized_order(u, pt, j, Convention.MINUS_INFINITY, require_zero=False)
+            got = lu.tangent_order(j, Convention.MINUS_INFINITY)
             orig = u.order_of(j, Convention.MINUS_INFINITY)
             assert got <= orig if orig is not NEG_INF else got is NEG_INF
+
+
+def tangents_at(us, pt):
+    return [linearize_at(u, pt) for u in us]
 
 
 class TestOrderMatrices:
     def test_cusp_matrix_minusinf(self):
         us = [P("y^2 - x^3"), P("x'")]
-        m = linearized_order_matrix(us, origin(XY), Convention.MINUS_INFINITY)
+        m = linearized_order_matrix(tangents_at(us, origin(XY)), Convention.MINUS_INFINITY)
         assert m.entries == ((NEG_INF, NEG_INF), (1, NEG_INF))
-        assert jacobi_after_linearization(us, origin(XY), Convention.MINUS_INFINITY).value is NEG_INF
+        assert jacobi_assign(m).value is NEG_INF
 
     def test_strict_drop_against_original(self):
         us = [P("y^2 - x^3"), P("x'")]
-        strong_lin = jacobi_after_linearization(us, origin(XY), Convention.MINUS_INFINITY).value
+        m = linearized_order_matrix(tangents_at(us, origin(XY)), Convention.MINUS_INFINITY)
+        strong_lin = jacobi_assign(m).value
         weak_orig = jacobi_number(us).value
         assert strong_lin is NEG_INF and weak_orig == 1
 
     def test_requires_square(self):
         with pytest.raises(ValueError):
-            linearized_order_matrix([P("x + y")], origin(XY))
+            linearized_order_matrix(tangents_at([P("x + y")], origin(XY)))
 
 
 class TestFirstOrderExpansion:
@@ -174,3 +183,36 @@ class TestGenericPoints:
         gp = comp.generic_point()
         with pytest.raises(PointNotOnZeroSetError):
             linearize_at(P("y + 1"), gp)
+
+
+class TestWorkCounts:
+    def test_flagship_work_counts(self, tmp_path, monkeypatch, capsys):
+        # Deterministic work counters, pinned: `linearize` evaluates each
+        # equation and each of its partials at the point once (three per
+        # equation here), and at a generic point each evaluation is one
+        # reduction modulo the component; the other two reductions are the
+        # component's inequation checks when its file is read.
+        system = tmp_path / "flagship.sys"
+        system.write_text(FLAGSHIP)
+        comp = tmp_path / "component2.txt"
+        comp.write_text(FLAGSHIP_COMPONENT_2)
+        counts = Counter()
+        real_eval = DiffPoly.eval_at
+        real_reduce = diffalg.decompose.ritt_reduce_seq
+
+        def eval_at(self, pt):
+            counts["evaluations"] += 1
+            return real_eval(self, pt)
+
+        def reduce(*args, **kwargs):
+            counts["reductions"] += 1
+            return real_reduce(*args, **kwargs)
+
+        monkeypatch.setattr(DiffPoly, "eval_at", eval_at)
+        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", reduce)
+        assert main(["linearize", str(system), "--at", "p0"]) == 0
+        assert dict(counts) == {"evaluations": 6}
+        counts.clear()
+        assert main(["linearize", str(system), "--generic", str(comp)]) == 0
+        assert dict(counts) == {"evaluations": 6, "reductions": 8}
+        capsys.readouterr()
