@@ -21,6 +21,7 @@ input always produces byte-identical output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from typing import Optional, Sequence
 
@@ -357,9 +358,15 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: parsing leaves it unchanged, and
+    building it costs about as much as a small query."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (ParseError, SysFileError) as exc:

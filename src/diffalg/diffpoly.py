@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Union
 
-from .fields import Field, FieldElement, FieldTag
+from .fields import _P_ONE, Field, FieldElement, FieldTag, RatFunc, _fraction_text
 
 # Safety cap on derivative orders created by derive(); prevents runaway
 # prolongation loops from allocating unbounded jet towers.
@@ -84,11 +83,26 @@ class DerVar(NamedTuple):
         return DerVar(self.var, self.order + 1)
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """A power product of jet variables; factors sorted by (var, order)."""
+    """A power product of jet variables; factors sorted by (var, order),
+    hashed once."""
 
-    factors: tuple  # tuple[tuple[DerVar, int], ...], exponents >= 1
+    __slots__ = ("factors", "_hash")
+
+    def __init__(self, factors: tuple):
+        self.factors = factors  # tuple[tuple[DerVar, int], ...], exponents >= 1
+        self._hash = hash(factors)
+
+    def __eq__(self, other) -> bool:
+        return self is other or (
+            isinstance(other, Monomial) and self._hash == other._hash and self.factors == other.factors
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"Monomial(factors={self.factors!r})"
 
     @staticmethod
     def make(items: Iterable) -> "Monomial":
@@ -125,11 +139,29 @@ class Monomial:
         return max((v.order for v, _ in self.factors), default=0)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        if not self.factors:
+        """Merge the two sorted factor tuples, adding exponents of a shared
+        jet variable."""
+        a, b = self.factors, other.factors
+        if not a:
             return other
-        if not other.factors:
+        if not b:
             return self
-        return Monomial.make(self.factors + other.factors)
+        out = []
+        i = j = 0
+        la, lb = len(a), len(b)
+        while i < la and j < lb:
+            fa, fb = a[i], b[j]
+            if fa[0] == fb[0]:
+                out.append((fa[0], fa[1] + fb[1]))
+                i += 1
+                j += 1
+            elif fa[0] < fb[0]:
+                out.append(fa)
+                i += 1
+            else:
+                out.append(fb)
+                j += 1
+        return Monomial((*out, *a[i:], *b[j:]))
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
@@ -198,19 +230,32 @@ class Context:
 
 
 def _check_same_context(a: "DiffPoly", b: "DiffPoly"):
-    if a.context != b.context:
+    if a.context is not b.context and a.context != b.context:
         raise ValueError("mixed ring contexts")
+
+
+def _accumulate(acc: dict, m: "Monomial", c) -> None:
+    """Add the term c*m into acc, dropping a coefficient that cancels."""
+    cur = acc.get(m)
+    c = c if cur is None else cur + c
+    if c:
+        acc[m] = c
+    elif cur is not None:
+        del acc[m]
 
 
 class DiffPoly:
     """A differential polynomial; immutable by convention."""
 
-    __slots__ = ("context", "_terms", "_hash", "_text")
+    __slots__ = ("context", "_terms", "_hash", "_text", "_prime")
 
     def __init__(self, context: Context, terms: dict):
+        """Trusted: terms maps monomials of the context to nonzero field
+        elements; from_terms checks and merges arbitrary input."""
         self.context = context
         self._terms = terms
         self._hash = None
+        self._prime = None  # (highest jet order present, first derivative)
         # _text stays unset until to_text first renders the polynomial
 
     # -- constructors --------------------------------------------------------
@@ -242,12 +287,7 @@ class DiffPoly:
             fld.check(c)
             for v in m.dervars():
                 ctx.check_dervar(v)
-            cur = acc.get(m)
-            c = c if cur is None else cur + c
-            if c:
-                acc[m] = c
-            elif cur is not None:
-                del acc[m]
+            _accumulate(acc, m, c)
         return DiffPoly(ctx, acc)
 
     # -- basic views -----------------------------------------------------------
@@ -315,19 +355,18 @@ class DiffPoly:
         _check_same_context(self, other)
         acc = dict(self._terms)
         for m, c in other._terms.items():
-            cur = acc.get(m)
-            c = c if cur is None else cur + c
-            if c:
-                acc[m] = c
-            elif cur is not None:
-                del acc[m]
+            _accumulate(acc, m, c)
         return DiffPoly(self.context, acc)
 
     def __neg__(self) -> "DiffPoly":
         return DiffPoly(self.context, {m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
-        return self + (-other)
+        _check_same_context(self, other)
+        acc = dict(self._terms)
+        for m, c in other._terms.items():
+            _accumulate(acc, m, -c)
+        return DiffPoly(self.context, acc)
 
     def __mul__(self, other: "DiffPoly") -> "DiffPoly":
         _check_same_context(self, other)
@@ -336,14 +375,7 @@ class DiffPoly:
         acc: dict[Monomial, FieldElement] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
-                m = m1 * m2
-                c = c1 * c2
-                cur = acc.get(m)
-                c = c if cur is None else cur + c
-                if c:
-                    acc[m] = c
-                elif cur is not None:
-                    del acc[m]
+                _accumulate(acc, m1 * m2, c1 * c2)
         return DiffPoly(self.context, acc)
 
     def __pow__(self, k: int) -> "DiffPoly":
@@ -354,10 +386,9 @@ class DiffPoly:
         while k:
             if k & 1:
                 out = out * base
-            base_needed = k >> 1
-            if base_needed:
+            k >>= 1
+            if k:
                 base = base * base
-            k = base_needed
         return out
 
     def scale(self, c: FieldElement) -> "DiffPoly":
@@ -370,40 +401,46 @@ class DiffPoly:
 
     def derive(self, times: int = 1, cap: int = DEFAULT_ORDER_CAP) -> "DiffPoly":
         """Apply the ring derivation `times` times (Leibniz on monomials,
-        field derivation on coefficients)."""
+        field derivation on coefficients).  Each polynomial keeps its first
+        derivative, so a chain of derivatives is built once."""
         if times < 0:
             raise ValueError("negative derivation count")
         p = self
         for _ in range(times):
-            p = p._derive_once(cap)
+            got = p._prime
+            # a kept derivative serves only a cap above every order of p;
+            # otherwise derive again, which raises as it always has
+            if got is None or got[0] >= cap:
+                got = p._prime = p._derive_once(cap)
+            p = got[1]
         return p
 
-    def _derive_once(self, cap: int) -> "DiffPoly":
+    def _derive_once(self, cap: int) -> tuple:
+        """(highest jet order present, or -1, and the first derivative);
+        raises OrderCapExceeded at the first jet whose derivative passes
+        the cap."""
         fld = self.context.field
+        derive_coeff = None if fld.tag is FieldTag.RATIONALS else RatFunc.derive
         acc: dict[Monomial, FieldElement] = {}
-
-        def put(m, c):
-            if not c:
-                return
-            cur = acc.get(m)
-            c = c if cur is None else cur + c
-            if c:
-                acc[m] = c
-            elif cur is not None:
-                del acc[m]
-
+        top = -1
         for m, c in self._terms.items():
-            dc = fld.derive(c)
-            if dc:
-                put(m, dc)
-            for v, e in m.factors:
-                if v.order + 1 > cap:
+            if derive_coeff is not None:
+                dc = derive_coeff(c)
+                if dc:
+                    _accumulate(acc, m, dc)
+            fs = m.factors
+            for k, (v, e) in enumerate(fs):
+                if v.order >= cap:
                     raise OrderCapExceeded(
                         f"derivation would create order {v.order + 1} > cap {cap}"
                     )
-                newm = Monomial.make(m.without(v).factors + ((v, e - 1), (v.derived(), 1)))
-                put(newm, c * fld.from_fraction(e))
-        return DiffPoly(self.context, acc)
+                top = max(top, v.order)
+                # e * v^(e-1) * v', where v' can only meet the factor after v
+                w, rest = v.derived(), fs[k + 1 :]
+                dv = ((w, rest[0][1] + 1),) + rest[1:] if rest and rest[0][0] == w else ((w, 1),) + rest
+                newm = Monomial(fs[:k] + (((v, e - 1),) if e > 1 else ()) + dv)
+                _accumulate(acc, newm, c if e == 1 else c * fld.from_fraction(e))
+        return top, DiffPoly(self.context, acc)
 
     def partial(self, v: DerVar) -> "DiffPoly":
         """Formal partial derivative with respect to one jet variable."""
@@ -411,17 +448,13 @@ class DiffPoly:
         fld = self.context.field
         acc: dict[Monomial, FieldElement] = {}
         for m, c in self._terms.items():
-            e = m.degree_in(v)
-            if not e:
-                continue
-            newm = Monomial.make(m.without(v).factors + ((v, e - 1),))
-            c2 = c * fld.from_fraction(e)
-            cur = acc.get(newm)
-            c2 = c2 if cur is None else cur + c2
-            if c2:
-                acc[newm] = c2
-            elif cur is not None:
-                del acc[newm]
+            fs = m.factors
+            for k, (w, e) in enumerate(fs):
+                if w == v:
+                    # m -> m / v is one-to-one, so no two terms meet
+                    newm = Monomial(fs[:k] + (((v, e - 1),) if e > 1 else ()) + fs[k + 1 :])
+                    acc[newm] = c if e == 1 else c * fld.from_fraction(e)
+                    break
         return DiffPoly(self.context, acc)
 
     def order_of(self, var: int, convention: Convention) -> OrderValue:
@@ -432,13 +465,9 @@ class DiffPoly:
         """
         if not (0 <= var < self.context.n):
             raise ValueError(f"variable index {var} outside context")
-        best: Optional[int] = None
-        for m in self._terms:
-            for v, _ in m.factors:
-                if v.var == var and (best is None or v.order > best):
-                    best = v.order
-        if best is not None:
-            return best
+        orders = [v.order for m in self._terms for v, _ in m.factors if v.var == var]
+        if orders:
+            return max(orders)
         return 0 if convention is Convention.MAX_PLUS else NEG_INF
 
     # -- decomposition in one jet variable --------------------------------------
@@ -471,7 +500,7 @@ class DiffPoly:
                     if not pv:
                         val = fld.zero
                         break
-                    val = val * pv ** e if isinstance(pv, Fraction) else val * _rf_pow(pv, e)
+                    val = val * pv**e
                 total = total + val
             return total
         if isinstance(point, GenericPoint):
@@ -527,11 +556,10 @@ class DiffPoly:
         if not self._terms:
             return "0"
         names = self.context.names
-        fld = self.context.field
         parts = []
         for m in sorted(self._terms, key=Monomial.sort_key, reverse=True):
             c = self._terms[m]
-            sign, body = _coeff_term_text(fld, c, m, names)
+            sign, body = _coeff_term_text(c, m, names)
             if not parts:
                 parts.append(body if sign >= 0 else "-" + body)
             else:
@@ -542,48 +570,19 @@ class DiffPoly:
         return f"DiffPoly({self.to_text()})"
 
 
-def _rf_pow(a, e: int):
-    out = a
-    for _ in range(e - 1):
-        out = out * a
-    return out
-
-
-def _coeff_term_text(fld: Field, c, m: Monomial, names) -> tuple:
-    """Return (sign, body) for one term; sign is +1/-1 and body has no sign."""
-    from .fields import RatFunc
-
-    mono = None if m is MON_ONE or not m.factors else m.text(names)
-    if isinstance(c, Fraction):
-        sign = 1 if c >= 0 else -1
-        c = abs(c)
-        ctext = fld.text(c)
-        if mono is None:
-            return sign, ctext
-        if c == 1:
-            return sign, mono
-        return sign, f"{ctext}*{mono}"
-    assert isinstance(c, RatFunc)
-    nterms = sum(1 for x in c.num if x)
-    if c.den == (Fraction(1),) and nterms == 1:
-        # single term a*t^k: extract sign, render inline
-        k = len(c.num) - 1
-        a = c.num[-1]
-        sign = 1 if a >= 0 else -1
-        a = abs(a)
-        if k == 0:
-            ctext = str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
-            if mono is None:
-                return sign, ctext
-            if a == 1:
-                return sign, mono
-            return sign, f"{ctext}*{mono}"
-        tpart = "t" if k == 1 else f"t^{k}"
-        if a != 1:
-            tpart = f"{a.numerator if a.denominator == 1 else f'{a.numerator}/{a.denominator}'}*{tpart}"
-        return sign, tpart if mono is None else f"{tpart}*{mono}"
-    body = f"({c.text()})"
-    return 1, body if mono is None else f"{body}*{mono}"
+def _coeff_term_text(c, m: Monomial, names) -> tuple:
+    """Return (sign, body) for one term; sign is +1/-1 and body has no sign.
+    A coefficient a*t^k of Q(t) is written inline like a rational one."""
+    mono = m.text(names) if m.factors else None
+    k = 0
+    if isinstance(c, RatFunc):
+        if c.den != _P_ONE or sum(1 for x in c.num if x) != 1:
+            body = f"({c.text()})"
+            return 1, body if mono is None else f"{body}*{mono}"
+        k, c = len(c.num) - 1, c.num[-1]
+    tpart = None if k == 0 else "t" if k == 1 else f"t^{k}"
+    ctext = None if abs(c) == 1 and (tpart or mono) else _fraction_text(abs(c))
+    return (1 if c >= 0 else -1), "*".join(x for x in (ctext, tpart, mono) if x)
 
 
 # ---------------------------------------------------------------------------

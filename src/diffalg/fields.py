@@ -56,12 +56,20 @@ def _pneg(a: Poly) -> Poly:
 def _pmul(a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return _P_ZERO
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _ptrim(out)
+    if len(a) < len(b):
+        a, b = b, a
+    # one row per coefficient of the shorter factor; the first row and each
+    # row's top entry are written, not added to a zero.  The top coefficient
+    # is a product of two nonzero ones, so nothing needs trimming.
+    out = [b[0] * x for x in a]
+    top = a[-1]
+    for j in range(1, len(b)):
+        bj = b[j]
+        out.append(bj * top)
+        if bj:
+            for i in range(len(a) - 1):
+                out[i + j] += a[i] * bj
+    return tuple(out)
 
 
 def _pscale(a: Poly, c: Fraction) -> Poly:
@@ -145,16 +153,18 @@ class RatFunc:
 
     @staticmethod
     def make(num, den) -> "RatFunc":
-        num = _ptrim(Fraction(c) for c in num)
-        den = _ptrim(Fraction(c) for c in den)
+        num = _ptrim(c if type(c) is Fraction else Fraction(c) for c in num)
+        den = _ptrim(c if type(c) is Fraction else Fraction(c) for c in den)
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
             return RF_ZERO
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num = _pdivmod(num, g)[0]
-            den = _pdivmod(den, g)[0]
+        # a constant numerator or denominator is coprime to the other
+        if len(num) > 1 and len(den) > 1:
+            g = _pgcd(num, den)
+            if len(g) > 1:
+                num = _pdivmod(num, g)[0]
+                den = _pdivmod(den, g)[0]
         lead = den[-1]
         if lead != 1:
             num = _pscale(num, 1 / lead)
@@ -175,7 +185,12 @@ class RatFunc:
     def __bool__(self) -> bool:
         return bool(self.num)
 
+    # A denominator is monic, so one of length 1 is exactly 1: sums and
+    # products of polynomials in t are canonical as they stand.
+
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if len(self.den) == 1 and len(other.den) == 1:
+            return RatFunc(_padd(self.num, other.num), _P_ONE)
         return RatFunc.make(
             _padd(_pmul(self.num, other.den), _pmul(other.num, self.den)),
             _pmul(self.den, other.den),
@@ -188,7 +203,17 @@ class RatFunc:
         return RatFunc(_pneg(self.num), self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if len(self.den) == 1 and len(other.den) == 1:
+            return RatFunc(_pmul(self.num, other.num), _P_ONE)
         return RatFunc.make(_pmul(self.num, other.num), _pmul(self.den, other.den))
+
+    def __pow__(self, e: int) -> "RatFunc":
+        if e < 0:
+            raise ValueError("negative power of a rational function")
+        out = RF_ONE
+        for _ in range(e):
+            out = out * self
+        return out
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if not other:
@@ -198,6 +223,8 @@ class RatFunc:
     def derive(self) -> "RatFunc":
         """d/dt by the quotient rule."""
         n, d = self.num, self.den
+        if len(d) == 1:
+            return RatFunc(_pderive(n), _P_ONE)
         return RatFunc.make(
             _padd(_pmul(_pderive(n), d), _pneg(_pmul(n, _pderive(d)))),
             _pmul(d, d),
@@ -217,6 +244,8 @@ class RatFunc:
 
 RF_ZERO = RatFunc(_P_ZERO, _P_ONE)
 RF_ONE = RatFunc(_P_ONE, _P_ONE)
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
 
 FieldElement = Union[Fraction, RatFunc]
 
@@ -233,10 +262,11 @@ class Field:
     equality is by tag.
     """
 
-    __slots__ = ("tag",)
+    __slots__ = ("tag", "zero", "one")
 
     def __init__(self, tag: FieldTag):
         self.tag = tag
+        self.zero, self.one = (_Q_ZERO, _Q_ONE) if tag is FieldTag.RATIONALS else (RF_ZERO, RF_ONE)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.tag is other.tag
@@ -248,14 +278,6 @@ class Field:
         return f"Field({self.tag.value})"
 
     # -- element construction ------------------------------------------------
-
-    @property
-    def zero(self) -> FieldElement:
-        return Fraction(0) if self.tag is FieldTag.RATIONALS else RF_ZERO
-
-    @property
-    def one(self) -> FieldElement:
-        return Fraction(1) if self.tag is FieldTag.RATIONALS else RF_ONE
 
     def from_fraction(self, q) -> FieldElement:
         q = Fraction(q)
@@ -278,7 +300,7 @@ class Field:
         """The field derivation: zero on Q, d/dt on Q(t)."""
         self.check(a)
         if self.tag is FieldTag.RATIONALS:
-            return Fraction(0)
+            return _Q_ZERO
         return a.derive()
 
     # -- text -----------------------------------------------------------------

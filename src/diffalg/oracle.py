@@ -317,7 +317,7 @@ def _member_homogeneous(f, gens, bounds, grades) -> Optional[MembershipWitness]:
                 count += 1
                 if count > MAX_CANDIDATES:
                     raise _CapHit
-                echelon.add((gi, k, m), h * DiffPoly.from_terms(f.context, [(m, f.context.field.one)]))
+                echelon.add((gi, k, m), h * DiffPoly(f.context, {m: f.context.field.one}))
         combo = echelon.solve(DiffPoly.from_terms(f.context, terms))
         if combo is None:
             return None
@@ -359,7 +359,7 @@ class _StagedSearch:
                 key = (gi, k, m)
                 if key not in self.built:
                     self.built.add(key)
-                    self.echelon.add(key, h * DiffPoly.from_terms(h.context, [(m, h.context.field.one)]))
+                    self.echelon.add(key, h * DiffPoly(h.context, {m: h.context.field.one}))
         return True
 
     def find(self, f: DiffPoly) -> tuple:

@@ -248,15 +248,20 @@ def _offense(c: DiffPoly, by_var: dict, ranking: Ranking):
     (by_var maps a leader's variable to (divisor index, RankedPoly)):
     (jet variable, divisor index, kind) with kind 'd' (proper derivative of
     a leader occurs) or 'a' (leader degree too high)."""
+    degree = {}  # jet variable -> degree of c in it, from one pass over c
+    for m in c.monomials():
+        for v, e in m.factors:
+            if e > degree.get(v, 0):
+                degree[v] = e
     best = None
-    for v in c.dervars():
+    for v, d in degree.items():
         hit = by_var.get(v.var)
         if hit is None:
             continue
         i, rp = hit
         if v.order > rp.leader.order:
             cand = (ranking.key(v), v, i, "d")
-        elif v.order == rp.leader.order and c.degree_in(v) >= rp.degree:
+        elif v.order == rp.leader.order and d >= rp.degree:
             cand = (ranking.key(v), v, i, "a")
         else:
             continue
@@ -289,7 +294,7 @@ def _reduce(b: DiffPoly, ranked: Sequence[RankedPoly], ranking: Ranking, step_ca
             divisor, mult, degree = rp.poly, rp.initial, rp.degree
         d = c.degree_in(v)
         lead = c.coeff_of_power(v, d)
-        cofactor = lead * DiffPoly.from_terms(ctx, [(Monomial.of(v, d - degree), ctx.field.one)])
+        cofactor = lead * DiffPoly(ctx, {Monomial.of(v, d - degree): ctx.field.one})
         scaled, subtracted = mult * c, cofactor * divisor
         c = scaled - subtracted
         log.append((mult, i, cofactor, j))

@@ -48,6 +48,12 @@ from .ranking import Ranking, RankKind
 # Largest term count a ``p ^ e`` may be expanded to: a polynomial with n
 # terms has at most C(n + e - 1, e) terms in its e-th power.
 MAX_POWER_TERMS = 10_000
+# Largest coefficient size, in bits of a numerator or denominator, and
+# largest degree in t that a ``p ^ e`` may be expanded to.  Both are
+# estimated from p without expanding (see _power_growth); the bit cap keeps
+# every coefficient well inside the 4,300 digits Python will print.
+MAX_POWER_COEFF_BITS = 10_000
+MAX_POWER_T_DEGREE = 1_000
 
 
 class ParseError(ValueError):
@@ -205,6 +211,19 @@ class _ExprParser:
                         f"{MAX_POWER_TERMS} terms",
                         at,
                     )
+                bits, tdeg = _power_growth(p)
+                if e * bits > MAX_POWER_COEFF_BITS:
+                    raise ParseError(
+                        f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
+                        f"coefficient bits (MAX_POWER_COEFF_BITS)",
+                        at,
+                    )
+                if e * tdeg > MAX_POWER_T_DEGREE:
+                    raise ParseError(
+                        f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} "
+                        f"in t-degree (MAX_POWER_T_DEGREE)",
+                        at,
+                    )
                 return p ** e
             self.i = save  # not a power; let the caller's context complain
         return p
@@ -254,6 +273,30 @@ class _ExprParser:
                 self.i = save
         p = DiffPoly.var(self.ctx, var, order)
         return self._power_suffix(p)
+
+
+def _power_growth(p: DiffPoly) -> tuple:
+    """(bits, t-degree) that each factor of a power of p adds to a
+    coefficient of the power, estimated from p without expanding anything.
+
+    Bits are those of p's largest numerator or denominator (0 when every
+    magnitude is 1), plus those of the number of products that can meet in
+    one coefficient: p's term count times its widest coefficient, counted in
+    nonzero coefficients of t."""
+    size = width = tdeg = 0
+    for _, c in p.items():
+        if isinstance(c, Fraction):
+            rationals, k = (c,), 1
+        else:
+            rationals = tuple(q for q in c.num + c.den if q)
+            k = max(sum(1 for q in c.num if q), sum(1 for q in c.den if q))
+            tdeg = max(tdeg, len(c.num) - 1, len(c.den) - 1)
+        width = max(width, k)
+        for q in rationals:
+            top = max(abs(q.numerator), q.denominator)
+            if top > 1:
+                size = max(size, top.bit_length())
+    return size + (max(p.term_count() * width, 1) - 1).bit_length(), tdeg
 
 
 def parse_poly(src: str, ctx: Context) -> DiffPoly:

@@ -9,7 +9,8 @@ import pytest
 
 import diffalg
 from diffalg.cli import main
-from diffalg.sysfile import MAX_POWER_TERMS
+import diffalg.cli
+from diffalg.sysfile import MAX_POWER_COEFF_BITS, MAX_POWER_T_DEGREE, MAX_POWER_TERMS
 
 from conftest import FLAGSHIP, FLAGSHIP_COMPONENT_2
 
@@ -266,6 +267,15 @@ class TestErrorChannel:
         assert main(["jacobi", str(p)]) == 2
         assert "line 4" in capsys.readouterr().err
 
+    def test_power_over_the_size_caps(self, cusp, tmp_path, capsys):
+        assert main(["member", cusp, "(2*x)^1000000000000000000"]) == 2
+        assert f"cap of {MAX_POWER_COEFF_BITS} coefficient bits" in capsys.readouterr().err
+        p = tmp_path / "tpow.sys"
+        p.write_text(QT_PAIR.replace("+ t\n", "+ t^1000000000000000000\n"))
+        assert main(["reduce", str(p), "--target", "f"]) == 2
+        err = capsys.readouterr().err
+        assert "line 5" in err and f"cap of {MAX_POWER_T_DEGREE} in t-degree" in err
+
     def test_usage_error_exits_two(self, flagship):
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command", flagship])
@@ -279,6 +289,34 @@ class TestDeterminism:
         main(["jbc-check", flagship])
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestParserReuse:
+    def test_consecutive_calls_match_fresh_ones(self, flagship, cusp, capsys):
+        # main keeps one parser per process; a call prints what it prints
+        # with a parser built just for it, and a usage error in between
+        # leaves nothing behind for the next call
+        calls = [
+            ["jacobi", flagship, "--convention", "minusinf"],
+            ["member", cusp, "x'"],
+            ["jbc-check", flagship, "--json"],
+            ["jacobi", flagship],
+        ]
+        fresh = []
+        for argv in calls:
+            diffalg.cli._parser.cache_clear()
+            fresh.append((main(argv), capsys.readouterr().out))
+        reused = []
+        for argv in calls[:2]:
+            reused.append((main(argv), capsys.readouterr().out))
+        with pytest.raises(SystemExit) as exc:
+            main(["jacobi", flagship, "--convention", "nonsense"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv in calls[2:]:
+            reused.append((main(argv), capsys.readouterr().out))
+        assert reused == fresh
+        assert diffalg.cli._parser.cache_info().currsize == 1
 
 
 class TestImport:

@@ -269,6 +269,29 @@ class TestJbcCheck:
         assert rep.verdict is JbcVerdict.HOLDS
         assert dict(counts) == {"analyze": 9, "products": 261, "renders": 19}
 
+    def test_flagship_prolongation_count(self, monkeypatch):
+        # Pinned: each polynomial keeps its first derivative, so the run
+        # computes 7 derivatives, not one per use (43 before they were kept).
+        # The product count is that of test_flagship_work_counts.
+        us = [P("x'' + y"), P("x'^2 + y")]
+        counts = Counter()
+        real_derive_once = DiffPoly._derive_once
+        real_mul = DiffPoly.__mul__
+
+        def derive_once(self, cap):
+            counts["derivatives"] += 1
+            return real_derive_once(self, cap)
+
+        def mul(self, other):
+            counts["products"] += 1
+            return real_mul(self, other)
+
+        monkeypatch.setattr(DiffPoly, "_derive_once", derive_once)
+        monkeypatch.setattr(DiffPoly, "__mul__", mul)
+        rep = jbc_check(us, ELIM_XY)
+        assert rep.verdict is JbcVerdict.HOLDS
+        assert dict(counts) == {"derivatives": 7, "products": 261}
+
     def test_report_text_is_stable(self):
         us = [P("x'' + y"), P("x'^2 + y")]
         a = jbc_check(us, ELIM_XY).to_text()

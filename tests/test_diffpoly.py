@@ -20,7 +20,7 @@ from diffalg import (
 )
 from diffalg.diffpoly import MON_ONE, OrderCapExceeded
 
-from conftest import contexts, diffpolys, small_fractions
+from conftest import contexts, diffpolys, monomials, small_fractions
 
 XY = Context(("x", "y"), QQ)
 
@@ -137,6 +137,106 @@ class TestDerivation:
                 assert after is NEG_INF
             else:
                 assert after == before + 1
+
+
+@st.composite
+def kernel_polys(draw, ctx):
+    """Polynomials whose coefficients over Q(t) carry t, so that the field
+    derivation acts too."""
+    p = draw(diffpolys(ctx, max_terms=3))
+    if ctx.field is QT:
+        p = p + DiffPoly.const(ctx, QT.t() * QT.t() + QT.one) * draw(diffpolys(ctx, max_terms=2))
+    return p
+
+
+def _reference_derive(p: DiffPoly) -> DiffPoly:
+    """One derivation built term by term through Monomial.make's dict and
+    sort: the reference for the sorted-tuple edits of _derive_once."""
+    fld = p.context.field
+    terms = []
+    for m, c in p.items():
+        terms.append((m, fld.derive(c)))
+        for v, e in m.factors:
+            rest = [f for f in m.factors if f[0] != v]
+            terms.append((Monomial.make(rest + [(v, e - 1), (v.derived(), 1)]), c * fld.from_fraction(e)))
+    return DiffPoly.from_terms(p.context, terms)
+
+
+def _reference_partial(p: DiffPoly, v: DerVar) -> DiffPoly:
+    fld = p.context.field
+    terms = []
+    for m, c in p.items():
+        e = m.degree_in(v)
+        if e:
+            rest = [f for f in m.factors if f[0] != v]
+            terms.append((Monomial.make(rest + [(v, e - 1)]), c * fld.from_fraction(e)))
+    return DiffPoly.from_terms(p.context, terms)
+
+
+def _outcome(p: DiffPoly, j: int, cap: int):
+    try:
+        return p.derive(j, cap=cap)
+    except OrderCapExceeded as exc:
+        return f"raised: {exc}"
+
+
+class TestKernelEquivalence:
+    """The kernel's fast paths against the plain constructions they replace."""
+
+    @given(st.data())
+    def test_merged_product_matches_make(self, data):
+        ctx = data.draw(contexts())
+        a, b, c = (data.draw(monomials(ctx, max_factors=3)) for _ in range(3))
+        ref = Monomial.make(a.factors + b.factors)
+        got = a * b
+        assert got.factors == ref.factors
+        assert got == ref and hash(got) == hash(ref)
+        assert {ref: 1}[got] == 1
+        assert b * a == got
+        assert (got == c) == (got.factors == c.factors)
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_derive_and_partial_match_make(self, data):
+        ctx = data.draw(contexts(fields=(QQ, QT)))
+        p = data.draw(kernel_polys(ctx))
+        assert p.derive() == _reference_derive(p)
+        v = data.draw(st.sampled_from(p.dervars() or (DerVar(0, 0),)))
+        assert p.partial(v) == _reference_partial(p, v)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_kept_derivatives_match_a_fresh_chain(self, data):
+        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
+        p = data.draw(kernel_polys(ctx))
+        j = data.draw(st.integers(min_value=0, max_value=3))
+        p.derive(data.draw(st.integers(min_value=0, max_value=3)))  # keeps a chain on p
+        fresh = DiffPoly.from_terms(ctx, p.items())
+        ref = p
+        for _ in range(j):
+            ref = _reference_derive(ref)
+        assert p.derive(j) == fresh.derive(j) == ref
+        assert p.derive(j) is p.derive(j)
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_kept_derivative_under_a_smaller_cap(self, data):
+        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
+        p = data.draw(kernel_polys(ctx))
+        j = data.draw(st.integers(min_value=1, max_value=3))
+        cap = data.draw(st.integers(min_value=0, max_value=6))
+        p.derive(j)  # kept under the default cap
+        fresh = DiffPoly.from_terms(ctx, p.items())
+        assert _outcome(p, j, cap) == _outcome(fresh, j, cap)
+
+    def test_kept_derivative_still_raises_at_the_cap(self):
+        p = P("x''*y + x")
+        assert p.derive(2) == P("x^(4)*y + 2*x'''*y' + x''*y'' + x''")
+        with pytest.raises(OrderCapExceeded, match="order 3 > cap 2"):
+            p.derive(1, cap=2)
+        with pytest.raises(OrderCapExceeded, match="order 4 > cap 3"):
+            p.derive(2, cap=3)
+        assert p.derive(2, cap=4) == p.derive(2)
 
 
 class TestOrderOf:

@@ -16,6 +16,8 @@ from diffalg import (
     Ranking,
 )
 from diffalg.sysfile import (
+    MAX_POWER_COEFF_BITS,
+    MAX_POWER_T_DEGREE,
     MAX_POWER_TERMS,
     ParseError,
     SysFileError,
@@ -56,6 +58,22 @@ class TestExpressions:
         # (x + 1)^e has C(e + 1, e) = e + 1 terms
         with pytest.raises(ParseError, match=f"cap of {MAX_POWER_TERMS} terms"):
             parse_poly(f"(x + 1)^{MAX_POWER_TERMS}", XY)
+
+    def test_power_size_caps(self):
+        # single-term powers are refused from p and e alone, before expansion
+        with pytest.raises(ParseError, match=f"cap of {MAX_POWER_COEFF_BITS} coefficient bits"):
+            parse_poly("(2)^1000000000000000000", XY)
+        with pytest.raises(ParseError, match="MAX_POWER_COEFF_BITS"):
+            parse_poly("(3/2*x)^1000000000000000000", XY)
+        with pytest.raises(ParseError, match=f"cap of {MAX_POWER_T_DEGREE} in t-degree"):
+            parse_poly("t^1000000000000000000", Context(("x",), QT))
+        with pytest.raises(ParseError, match="MAX_POWER_T_DEGREE"):
+            parse_poly(f"(t*x)^{MAX_POWER_T_DEGREE + 1}", Context(("x",), QT))
+        # magnitude 1 does not grow, and powers inside the caps expand
+        assert parse_poly("(-x)^100001", XY) == -parse_poly("x^100001", XY)
+        assert parse_poly("(2*x)^100", XY) == parse_poly(f"{2 ** 100}*x^100", XY)
+        t_top = parse_poly(f"t^{MAX_POWER_T_DEGREE}", Context(("x",), QT))
+        assert t_top.constant_value().num[-1] == 1
 
     def test_precedence(self):
         assert P("2*y*x' - y'") == P("(2*y*x') - (y')")

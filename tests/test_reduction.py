@@ -5,6 +5,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, reject, settings
 
+import diffalg.fields
 import diffalg.reduction
 from diffalg import (
     Context,
@@ -102,6 +103,26 @@ class TestWorkedDivisions:
         cert = ritt_reduce_seq(f, seq, ELIM_XY)
         assert cert.remainder.is_zero()
         assert verify_certificate(cert, f, seq, ELIM_XY)
+
+    def test_polynomial_coefficients_over_qt_need_no_gcd(self, monkeypatch):
+        # Pinned: with coefficients polynomial in t every denominator is 1,
+        # so reducing, reading the certificate and verifying it run no
+        # polynomial gcd (217 ran before constant denominators skipped it).
+        ctx = Context(("x", "y"), QT)
+        b = P("(t^2 + 1)*x''^2*y + t*x'*y' + y^3", ctx)
+        a = P("(t + 1)*x'^2 + t*x + y", ctx)
+        calls = []
+        real_pgcd = diffalg.fields._pgcd
+
+        def pgcd(u, v):
+            calls.append(1)
+            return real_pgcd(u, v)
+
+        monkeypatch.setattr(diffalg.fields, "_pgcd", pgcd)
+        cert = ritt_reduce_seq(b, [a], ELIM_XY)
+        assert cert.steps == 5
+        assert verify_certificate(cert, b, [a], ELIM_XY)
+        assert len(calls) == 0
 
 
 class TestCertificates:

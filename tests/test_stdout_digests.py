@@ -1,0 +1,36 @@
+"""The query-by-query comparison of scripts/stdout_digests.py."""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "stdout_digests.py"
+_spec = importlib.util.spec_from_file_location("stdout_digests", SCRIPT)
+stdout_digests = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(stdout_digests)
+compare = stdout_digests.compare
+
+
+def test_identical_runs_have_no_differences():
+    run = {"q1": [0, "ab", ""], "q2": [1, "cd", ""]}
+    assert compare(run, dict(run)) == {"differ": [], "over_limit": []}
+
+
+def test_exit_code_or_digest_change_is_a_difference():
+    a = {"q1": [0, "ab", ""], "q2": [1, "cd", ""], "q3": [0, "ef", ""]}
+    b = {"q1": [1, "ab", ""], "q2": [1, "cx", ""], "q3": [0, "ef", ""]}
+    assert compare(a, b)["differ"] == ["q1", "q2"]
+
+
+def test_over_the_limit_is_listed_apart_on_either_side():
+    a = {"q1": [None, "x", "over limit"], "q2": [0, "ab", ""], "q3": [None, "y", "over limit"]}
+    b = {"q1": [None, "x", "over limit"], "q2": [None, "z", "over limit"], "q3": [2, "ab", ""]}
+    res = compare(a, b)
+    assert res["over_limit"] == ["q1", "q2", "q3"]
+    assert res["differ"] == []
+
+
+def test_an_exception_is_compared_like_output():
+    a = {"q1": [None, "d1", "exception ValueError: boom"]}
+    b = {"q1": [0, "d2", ""]}
+    assert compare(a, b)["differ"] == ["q1"]
+
