@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .fields import _P_ONE, Field, FieldElement, FieldTag, RatFunc, _fraction_text
 
@@ -106,14 +106,24 @@ class Monomial:
 
     @staticmethod
     def make(items: Iterable) -> "Monomial":
-        acc: dict[DerVar, int] = {}
-        for v, e in items:
+        """The monomial of (jet variable, exponent) pairs in any order:
+        exponents of a repeated variable add up and zero exponents drop.
+        Products, derivatives and partials build their monomials here;
+        factors already sorted, distinct and positive are kept as given."""
+        fs = sorted(items)
+        distinct = dict(fs)
+        if len(distinct) == len(fs) and min(distinct.values(), default=1) > 0:
+            return Monomial(tuple(fs))
+        out: list = []
+        for v, e in fs:
+            if out and out[-1][0] == v:
+                e += out.pop()[1]
             if e:
-                acc[v] = acc.get(v, 0) + e
-        for v, e in acc.items():
+                out.append((v, e))
+        for v, e in out:
             if e < 0:
                 raise ValueError(f"negative exponent for {v}")
-        return Monomial(tuple(sorted((v, e) for v, e in acc.items() if e)))
+        return Monomial(tuple(out))
 
     @staticmethod
     def of(v: DerVar, e: int = 1) -> "Monomial":
@@ -139,29 +149,11 @@ class Monomial:
         return max((v.order for v, _ in self.factors), default=0)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        """Merge the two sorted factor tuples, adding exponents of a shared
-        jet variable."""
-        a, b = self.factors, other.factors
-        if not a:
+        if not self.factors:
             return other
-        if not b:
+        if not other.factors:
             return self
-        out = []
-        i = j = 0
-        la, lb = len(a), len(b)
-        while i < la and j < lb:
-            fa, fb = a[i], b[j]
-            if fa[0] == fb[0]:
-                out.append((fa[0], fa[1] + fb[1]))
-                i += 1
-                j += 1
-            elif fa[0] < fb[0]:
-                out.append(fa)
-                i += 1
-            else:
-                out.append(fb)
-                j += 1
-        return Monomial((*out, *a[i:], *b[j:]))
+        return Monomial.make(self.factors + other.factors)
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
@@ -386,9 +378,10 @@ class DiffPoly:
         while k:
             if k & 1:
                 out = out * base
-            k >>= 1
-            if k:
+            base_needed = k >> 1
+            if base_needed:
                 base = base * base
+            k = base_needed
         return out
 
     def scale(self, c: FieldElement) -> "DiffPoly":
@@ -438,7 +431,7 @@ class DiffPoly:
                 # e * v^(e-1) * v', where v' can only meet the factor after v
                 w, rest = v.derived(), fs[k + 1 :]
                 dv = ((w, rest[0][1] + 1),) + rest[1:] if rest and rest[0][0] == w else ((w, 1),) + rest
-                newm = Monomial(fs[:k] + (((v, e - 1),) if e > 1 else ()) + dv)
+                newm = Monomial.make(fs[:k] + (((v, e - 1),) if e > 1 else ()) + dv)
                 _accumulate(acc, newm, c if e == 1 else c * fld.from_fraction(e))
         return top, DiffPoly(self.context, acc)
 
@@ -452,7 +445,7 @@ class DiffPoly:
             for k, (w, e) in enumerate(fs):
                 if w == v:
                     # m -> m / v is one-to-one, so no two terms meet
-                    newm = Monomial(fs[:k] + (((v, e - 1),) if e > 1 else ()) + fs[k + 1 :])
+                    newm = Monomial.make(fs[:k] + (((v, e - 1),) if e > 1 else ()) + fs[k + 1 :])
                     acc[newm] = c if e == 1 else c * fld.from_fraction(e)
                     break
         return DiffPoly(self.context, acc)
@@ -465,9 +458,13 @@ class DiffPoly:
         """
         if not (0 <= var < self.context.n):
             raise ValueError(f"variable index {var} outside context")
-        orders = [v.order for m in self._terms for v, _ in m.factors if v.var == var]
-        if orders:
-            return max(orders)
+        best: Optional[int] = None
+        for m in self._terms:
+            for v, _ in m.factors:
+                if v.var == var and (best is None or v.order > best):
+                    best = v.order
+        if best is not None:
+            return best
         return 0 if convention is Convention.MAX_PLUS else NEG_INF
 
     # -- decomposition in one jet variable --------------------------------------

@@ -36,7 +36,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Optional, Sequence
 
 from .decompose import CharSetComponent
@@ -49,9 +49,10 @@ from .ranking import Ranking, RankKind
 # terms has at most C(n + e - 1, e) terms in its e-th power.
 MAX_POWER_TERMS = 10_000
 # Largest coefficient size, in bits of a numerator or denominator, and
-# largest degree in t that a ``p ^ e`` may be expanded to.  Both are
-# estimated from p without expanding (see _power_growth); the bit cap keeps
-# every coefficient well inside the 4,300 digits Python will print.
+# largest degree in t that a ``p ^ e`` may be expanded to.  Both are bounded
+# from p without expanding (see _power_growth).  When p's coefficients are
+# polynomials in t, the bit cap keeps every coefficient of the power inside
+# the 4,300 digits Python will print.
 MAX_POWER_COEFF_BITS = 10_000
 MAX_POWER_T_DEGREE = 1_000
 
@@ -276,27 +277,33 @@ class _ExprParser:
 
 
 def _power_growth(p: DiffPoly) -> tuple:
-    """(bits, t-degree) that each factor of a power of p adds to a
-    coefficient of the power, estimated from p without expanding anything.
+    """(bits, t-degree) that each factor of a power of p can add to a
+    coefficient of the power, read from p without expanding anything.
 
-    Bits are those of p's largest numerator or denominator (0 when every
-    magnitude is 1), plus those of the number of products that can meet in
-    one coefficient: p's term count times its widest coefficient, counted in
-    nonzero coefficients of t."""
-    size = width = tdeg = 0
+    Over the lcm L of the denominators of p's rational numbers, a rational
+    coefficient of p^e is a sum of at most (terms * width)^e products of e
+    numerators over L^e, where width counts the nonzero coefficients in t of
+    p's widest coefficient.  With A the largest |q * L|, its numerator is at
+    most 2^(e * (log A + log(terms * width))) and its denominator at most
+    L^e, logs rounded up.  The degree in t grows by at most p's top
+    numerator degree plus the degrees of its distinct denominators.  The
+    degree is a bound; the bits are one when every coefficient of p is a
+    polynomial in t, and only an estimate when one has a denominator in t,
+    since cancelling and scaling to monic can change the sizes."""
+    rationals, dens, width, tnum = [], set(), 1, 0
     for _, c in p.items():
         if isinstance(c, Fraction):
-            rationals, k = (c,), 1
-        else:
-            rationals = tuple(q for q in c.num + c.den if q)
-            k = max(sum(1 for q in c.num if q), sum(1 for q in c.den if q))
-            tdeg = max(tdeg, len(c.num) - 1, len(c.den) - 1)
-        width = max(width, k)
-        for q in rationals:
-            top = max(abs(q.numerator), q.denominator)
-            if top > 1:
-                size = max(size, top.bit_length())
-    return size + (max(p.term_count() * width, 1) - 1).bit_length(), tdeg
+            rationals.append(c)
+            continue
+        rationals.extend(q for q in c.num + c.den if q)
+        width = max(width, sum(1 for q in c.num if q), sum(1 for q in c.den if q))
+        tnum = max(tnum, len(c.num) - 1)
+        dens.add(c.den)
+    den_lcm = lcm(*(q.denominator for q in rationals))
+    top = max((abs(q.numerator) * (den_lcm // q.denominator) for q in rationals), default=1)
+    products = max(p.term_count() * width, 1)
+    bits = max((top - 1).bit_length() + (products - 1).bit_length(), (den_lcm - 1).bit_length())
+    return bits, tnum + sum(len(d) - 1 for d in dens)
 
 
 def parse_poly(src: str, ctx: Context) -> DiffPoly:

@@ -149,16 +149,26 @@ def kernel_polys(draw, ctx):
     return p
 
 
+def _reference_make(items) -> Monomial:
+    """A monomial by a dict and a sort: the reference for Monomial.make."""
+    acc = {}
+    for v, e in items:
+        acc[v] = acc.get(v, 0) + e
+    if any(e < 0 for e in acc.values()):
+        raise ValueError("negative exponent")
+    return Monomial(tuple(sorted((v, e) for v, e in acc.items() if e)))
+
+
 def _reference_derive(p: DiffPoly) -> DiffPoly:
-    """One derivation built term by term through Monomial.make's dict and
-    sort: the reference for the sorted-tuple edits of _derive_once."""
+    """One derivation built term by term through the reference monomial
+    construction: the reference for the sorted-tuple edits of _derive_once."""
     fld = p.context.field
     terms = []
     for m, c in p.items():
         terms.append((m, fld.derive(c)))
         for v, e in m.factors:
             rest = [f for f in m.factors if f[0] != v]
-            terms.append((Monomial.make(rest + [(v, e - 1), (v.derived(), 1)]), c * fld.from_fraction(e)))
+            terms.append((_reference_make(rest + [(v, e - 1), (v.derived(), 1)]), c * fld.from_fraction(e)))
     return DiffPoly.from_terms(p.context, terms)
 
 
@@ -169,7 +179,7 @@ def _reference_partial(p: DiffPoly, v: DerVar) -> DiffPoly:
         e = m.degree_in(v)
         if e:
             rest = [f for f in m.factors if f[0] != v]
-            terms.append((Monomial.make(rest + [(v, e - 1)]), c * fld.from_fraction(e)))
+            terms.append((_reference_make(rest + [(v, e - 1)]), c * fld.from_fraction(e)))
     return DiffPoly.from_terms(p.context, terms)
 
 
@@ -183,11 +193,32 @@ def _outcome(p: DiffPoly, j: int, cap: int):
 class TestKernelEquivalence:
     """The kernel's fast paths against the plain constructions they replace."""
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.builds(DerVar, st.integers(0, 2), st.integers(0, 3)), st.integers(-2, 3)
+            ),
+            max_size=6,
+        )
+    )
+    def test_make_matches_a_dict_and_a_sort(self, items):
+        try:
+            ref = _reference_make(items)
+        except ValueError:
+            with pytest.raises(ValueError, match="negative exponent"):
+                Monomial.make(items)
+            return
+        got = Monomial.make(items)
+        assert got.factors == ref.factors and hash(got) == hash(ref)
+        # factors already sorted, distinct and positive come back as they are
+        assert Monomial.make(ref.factors) == ref
+        assert Monomial.make(reversed(ref.factors)) == ref
+
     @given(st.data())
-    def test_merged_product_matches_make(self, data):
+    def test_product_matches_a_dict_and_a_sort(self, data):
         ctx = data.draw(contexts())
         a, b, c = (data.draw(monomials(ctx, max_factors=3)) for _ in range(3))
-        ref = Monomial.make(a.factors + b.factors)
+        ref = _reference_make(a.factors + b.factors)
         got = a * b
         assert got.factors == ref.factors
         assert got == ref and hash(got) == hash(ref)
@@ -197,7 +228,7 @@ class TestKernelEquivalence:
 
     @given(st.data())
     @settings(max_examples=80)
-    def test_derive_and_partial_match_make(self, data):
+    def test_derive_and_partial_match_a_dict_and_a_sort(self, data):
         ctx = data.draw(contexts(fields=(QQ, QT)))
         p = data.draw(kernel_polys(ctx))
         assert p.derive() == _reference_derive(p)

@@ -30,8 +30,10 @@ from diffalg.sysfile import (
     parse_ranking,
     parse_system,
 )
+from diffalg.diffpoly import DiffPoly
+from diffalg.sysfile import _power_growth
 
-from conftest import contexts, diffpolys
+from conftest import contexts, diffpolys, small_fractions
 
 XY = Context(("x", "y"), QQ)
 
@@ -74,6 +76,48 @@ class TestExpressions:
         assert parse_poly("(2*x)^100", XY) == parse_poly(f"{2 ** 100}*x^100", XY)
         t_top = parse_poly(f"t^{MAX_POWER_T_DEGREE}", Context(("x",), QT))
         assert t_top.constant_value().num[-1] == 1
+
+    def test_power_size_cap_counts_every_denominator(self):
+        # three coprime denominators of about 480 bits each: the coefficient
+        # of x^e*y^e in the e-th power has a denominator of about e * 1,430
+        # bits, far above e times the largest single denominator
+        p1, p2, p3 = 3**300, 5**206, 7**170
+        src = f"(x^2/{p1} + x*y/{p2} + y^2/{p3})^{{}}"
+        with pytest.raises(ParseError, match="MAX_POWER_COEFF_BITS"):
+            parse_poly(src.format(20), XY)
+        bits, _ = _power_growth(P(f"x^2/{p1} + x*y/{p2} + y^2/{p3}"))
+        assert 6 * bits <= MAX_POWER_COEFF_BITS < 7 * bits
+        sixth = parse_poly(src.format(6), XY)
+        top = max(c.denominator.bit_length() for _, c in sixth.items())
+        largest = max(p1, p2, p3).bit_length()
+        assert 6 * (largest + 2) < top <= 6 * bits
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_power_growth_bounds_the_expanded_power(self, data):
+        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
+        p = data.draw(diffpolys(ctx, max_terms=3))
+        t_den = False
+        if ctx.field is QT:
+            def t_poly():
+                cs = data.draw(st.lists(small_fractions(), min_size=1, max_size=3))
+                return sum((QT.from_fraction(a) * QT.t() ** i for i, a in enumerate(cs)), QT.zero)
+            p = p * DiffPoly.const(ctx, t_poly())
+            d = t_poly()
+            t_den = data.draw(st.booleans()) and bool(d)
+            if t_den:
+                p = p * DiffPoly.const(ctx, QT.one / d)
+        e = data.draw(st.integers(min_value=1, max_value=4))
+        bits, tdeg = _power_growth(p)
+        for _, c in (p**e).items():
+            if isinstance(c, Fraction):
+                rationals = (c,)
+            else:
+                assert max(len(c.num), len(c.den)) - 1 <= e * tdeg
+                rationals = c.num + c.den
+            if not t_den:  # with a denominator in t the bits are an estimate
+                for q in rationals:
+                    assert max(abs(q.numerator), q.denominator) <= 2 ** (e * bits)
 
     def test_precedence(self):
         assert P("2*y*x' - y'") == P("(2*y*x') - (y')")
