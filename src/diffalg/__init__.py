@@ -14,7 +14,6 @@ from .diffpoly import (
     DerVar,
     DiffPoly,
     ConcretePoint,
-    GenericPoint,
     Monomial,
 )
 from .ranking import (

@@ -6,8 +6,8 @@
     diffalg linearize SYSTEM [--at POINT | --generic FILE] [--convention ...]
     diffalg decompose SYSTEM [--max-components K] [--max-steps S]
     diffalg jbc-check SYSTEM [--components FILE] [--json] [--max-components K] [--max-steps S]
-    diffalg member SYSTEM EXPR [--bounds N,P,D,E] [--jets N] [--prolong P] [--deg D] [--power E]
-    diffalg radical-member SYSTEM EXPR [same bound flags]
+    diffalg member SYSTEM EXPR [--bounds N,P,D,E]
+    diffalg radical-member SYSTEM EXPR [--bounds N,P,D,E]
 
 SYSTEM is a system file (see `sysfile`).  Output is deterministic: the same
 input always produces byte-identical output.  Exit codes:
@@ -108,25 +108,6 @@ def _parse_bounds_flag(text: str) -> TruncationBounds:
     )
 
 
-def _bounds_from_args(args) -> TruncationBounds:
-    base = _parse_bounds_flag(args.bounds) if args.bounds else TruncationBounds()
-    fields = {
-        "jet_order": args.jets,
-        "prolongation_order": args.prolong,
-        "degree_bound": args.deg,
-        "power_bound": args.power,
-    }
-    overrides = {k: v for k, v in fields.items() if v is not None}
-    if overrides:
-        base = TruncationBounds(
-            jet_order=overrides.get("jet_order", base.jet_order),
-            prolongation_order=overrides.get("prolongation_order", base.prolongation_order),
-            degree_bound=overrides.get("degree_bound", base.degree_bound),
-            power_bound=overrides.get("power_bound", base.power_bound),
-        )
-    return base
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -202,7 +183,7 @@ def _cmd_linearize(args) -> int:
         comps = parse_components(_read_file(args.generic), sf.context, sf.ranking)
         if not comps:
             raise SysFileError(f"{args.generic}: no component blocks")
-        pt = comps[0].generic_point()
+        pt = comps[0]
         label = "generic"
 
     tangents = []
@@ -261,7 +242,7 @@ def _cmd_member(args, radical: bool) -> int:
         f = parse_poly(args.expr, sf.context)
     except ParseError as exc:
         raise SysFileError(f"expression: {exc}") from None
-    bounds = _bounds_from_args(args)
+    bounds = _parse_bounds_flag(args.bounds) if args.bounds else TruncationBounds()
     gens = list(sf.system)
     w = radical_member(f, gens, bounds) if radical else truncated_member(f, gens, bounds)
     print(w.to_text())
@@ -293,11 +274,13 @@ def _add_split_bounds(p: argparse.ArgumentParser):
 
 
 def _add_oracle_bounds(p: argparse.ArgumentParser):
-    p.add_argument("--bounds", metavar="N,P,D,E", help="all four truncation bounds at once")
-    p.add_argument("--jets", type=int, help="max derivative order in the query")
-    p.add_argument("--prolong", type=int, help="max prolongation order of the generators")
-    p.add_argument("--deg", type=int, help="max total degree of candidate products")
-    p.add_argument("--power", type=int, help="max exponent for radical membership")
+    p.add_argument(
+        "--bounds",
+        metavar="N,P,D,E",
+        help="truncation bounds: max jet order in the query, max prolongation order "
+        "of the generators, max total degree of candidate products, max exponent "
+        "for radical membership",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

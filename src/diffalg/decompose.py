@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .diffpoly import Convention, DiffPoly, GenericPoint, _NegInf
+from .diffpoly import Convention, DiffPoly, _NegInf
 from .jacobi import JacobiResult, jacobi_assign, order_matrix
-from .ranking import Ranking, analyze, is_reduced
+from .ranking import RankedPoly, Ranking, analyze, is_reduced
 from .reduction import PreparedSeq, StepLimitExceeded, Verdict, ritt_reduce_seq
 
 
@@ -40,9 +40,10 @@ class CharSetComponent:
     inequation has nonzero Ritt remainder modulo the sequence.  Components
     are not certified prime unless an external source declared them so.
 
-    The sequence may be given as a PreparedSeq, whose construction was the
-    autoreducedness check; either way the component keeps one PreparedSeq,
-    and every membership test reduces against it.
+    The sequence may be given in any order, and as a PreparedSeq, whose
+    construction was the autoreducedness check; either way the component
+    keeps one PreparedSeq in ascending rank order, and every membership test
+    reduces against it.
     """
 
     ranking: Ranking
@@ -59,6 +60,9 @@ class CharSetComponent:
             prep = PreparedSeq(prep, self.ranking)
         elif prep.ranking != self.ranking:
             raise ValueError("component sequence was prepared under another ranking")
+        ascending = tuple(sorted(prep.ranked, key=RankedPoly.rank_key))
+        if ascending != prep.ranked:
+            prep = PreparedSeq(ascending, self.ranking)
         object.__setattr__(self, "sequence", prep.sequence)
         object.__setattr__(self, "prepared", prep)
         ctx = self.sequence[0].context
@@ -89,9 +93,6 @@ class CharSetComponent:
             heuristic=not self.prime_verified,
             certificate=cert,
         )
-
-    def generic_point(self) -> GenericPoint:
-        return GenericPoint(self)
 
     def to_text(self) -> str:
         seq = "; ".join(p.to_text() for p in self.sequence)
@@ -139,14 +140,6 @@ class DecompositionResult:
     complete: bool
 
 
-def _norm(p: DiffPoly) -> DiffPoly:
-    return p.monic()
-
-
-def _node_key(node: frozenset) -> tuple:
-    return tuple(sorted(p.to_text() for p in node))
-
-
 def _basic_set(node: Sequence[DiffPoly], rank) -> list:
     """Greedy minimal autoreduced subset: scan by ascending rank (text as
     the final tie-break) and keep whatever stays reduced against everything
@@ -172,7 +165,7 @@ def _sep_init_conditions(chosen) -> list:
         for h in (rp.separant, rp.initial):
             if h.is_constant():
                 continue
-            hn = _norm(h)
+            hn = h.monic()
             seen[hn.to_text()] = hn
     return [seen[k] for k in sorted(seen)]
 
@@ -242,7 +235,7 @@ def split_decompose(
     if any(u.is_constant() for u in us):
         # a nonzero constant equation has no solutions at all
         return DecompositionResult(components=(), complete=True)
-    start = frozenset(_norm(u) for u in us)
+    start = frozenset(u.monic() for u in us)
 
     analyzed: dict = {}
 
@@ -253,17 +246,16 @@ def split_decompose(
         return rp
 
     queue = [start]
-    seen = set()
-    found: dict[tuple, CharSetComponent] = {}
+    seen: set = set()  # nodes already taken from the queue
+    found: dict[tuple, CharSetComponent] = {}  # (sequence, inequations) -> component
     steps = 0
     complete = True
 
     while queue:
         node = queue.pop(0)
-        key = _node_key(node)
-        if key in seen:
+        if node in seen:
             continue
-        seen.add(key)
+        seen.add(node)
         steps += 1
         if steps > bounds.max_steps:
             complete = False
@@ -286,7 +278,7 @@ def split_decompose(
             rest = node - {p}
             queue.append(frozenset(rest | {DiffPoly.var(ctx, rp.leader.var, rp.leader.order)}))
             if not rp.initial.is_constant():
-                queue.append(frozenset(rest | {_norm(rp.initial)}))
+                queue.append(frozenset(rest | {rp.initial.monic()}))
             continue
 
         chosen = _basic_set(node, rank)
@@ -299,9 +291,7 @@ def split_decompose(
         except StepLimitExceeded:
             complete = False
             continue
-        new = {
-            _norm(r) for r in remainders if not r.is_zero()
-        } - set(node)
+        new = {r.monic() for r in remainders if not r.is_zero()} - node
         if any(not r.is_zero() for r in remainders):
             if new:
                 queue.append(frozenset(node | new))
@@ -327,10 +317,7 @@ def split_decompose(
             complete = False
             comp = None
         if comp is not None:
-            ckey = (
-                tuple(p.to_text() for p in comp.sequence),
-                tuple(q.to_text() for q in comp.inequations),
-            )
+            ckey = (comp.sequence, comp.inequations)
             if ckey not in found:
                 if len(found) >= bounds.max_components:
                     complete = False

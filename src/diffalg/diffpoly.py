@@ -16,13 +16,13 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .fields import _P_ONE, Field, FieldElement, FieldTag, RatFunc, _fraction_text
 
-# Safety cap on derivative orders created by derive(); prevents runaway
+# Cap on the derivative orders derive() creates; prevents runaway
 # prolongation loops from allocating unbounded jet towers.
 DEFAULT_ORDER_CAP = 64
 
 
 class OrderCapExceeded(Exception):
-    """derive() would create a jet variable above the configured order cap."""
+    """derive() would create a jet variable above DEFAULT_ORDER_CAP."""
 
 
 class Convention(Enum):
@@ -247,7 +247,7 @@ class DiffPoly:
         self.context = context
         self._terms = terms
         self._hash = None
-        self._prime = None  # (highest jet order present, first derivative)
+        self._prime = None  # the first derivative, once computed
         # _text stays unset until to_text first renders the polynomial
 
     # -- constructors --------------------------------------------------------
@@ -289,9 +289,6 @@ class DiffPoly:
 
     def monomials(self):
         return self._terms.keys()
-
-    def coeff(self, m: Monomial) -> FieldElement:
-        return self._terms.get(m, self.context.field.zero)
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -392,7 +389,7 @@ class DiffPoly:
 
     # -- differential structure -----------------------------------------------
 
-    def derive(self, times: int = 1, cap: int = DEFAULT_ORDER_CAP) -> "DiffPoly":
+    def derive(self, times: int = 1) -> "DiffPoly":
         """Apply the ring derivation `times` times (Leibniz on monomials,
         field derivation on coefficients).  Each polynomial keeps its first
         derivative, so a chain of derivatives is built once."""
@@ -400,22 +397,17 @@ class DiffPoly:
             raise ValueError("negative derivation count")
         p = self
         for _ in range(times):
-            got = p._prime
-            # a kept derivative serves only a cap above every order of p;
-            # otherwise derive again, which raises as it always has
-            if got is None or got[0] >= cap:
-                got = p._prime = p._derive_once(cap)
-            p = got[1]
+            if p._prime is None:
+                p._prime = p._derive_once()
+            p = p._prime
         return p
 
-    def _derive_once(self, cap: int) -> tuple:
-        """(highest jet order present, or -1, and the first derivative);
-        raises OrderCapExceeded at the first jet whose derivative passes
-        the cap."""
+    def _derive_once(self) -> "DiffPoly":
+        """The first derivative; raises OrderCapExceeded at the first jet
+        whose derivative passes DEFAULT_ORDER_CAP."""
         fld = self.context.field
         derive_coeff = None if fld.tag is FieldTag.RATIONALS else RatFunc.derive
         acc: dict[Monomial, FieldElement] = {}
-        top = -1
         for m, c in self._terms.items():
             if derive_coeff is not None:
                 dc = derive_coeff(c)
@@ -423,17 +415,16 @@ class DiffPoly:
                     _accumulate(acc, m, dc)
             fs = m.factors
             for k, (v, e) in enumerate(fs):
-                if v.order >= cap:
+                if v.order >= DEFAULT_ORDER_CAP:
                     raise OrderCapExceeded(
-                        f"derivation would create order {v.order + 1} > cap {cap}"
+                        f"derivation would create order {v.order + 1} > cap {DEFAULT_ORDER_CAP}"
                     )
-                top = max(top, v.order)
                 # e * v^(e-1) * v', where v' can only meet the factor after v
                 w, rest = v.derived(), fs[k + 1 :]
                 dv = ((w, rest[0][1] + 1),) + rest[1:] if rest and rest[0][0] == w else ((w, 1),) + rest
                 newm = Monomial.make(fs[:k] + (((v, e - 1),) if e > 1 else ()) + dv)
                 _accumulate(acc, newm, c if e == 1 else c * fld.from_fraction(e))
-        return top, DiffPoly(self.context, acc)
+        return DiffPoly(self.context, acc)
 
     def partial(self, v: DerVar) -> "DiffPoly":
         """Formal partial derivative with respect to one jet variable."""
@@ -478,31 +469,22 @@ class DiffPoly:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def eval_at(self, point):
-        """Evaluate at a differential point.
-
-        Concrete points give a field element; generic points give the
-        component's membership Verdict (member = zero at the generic point,
-        heuristic when the component is not verified prime).
-        """
-        if isinstance(point, ConcretePoint):
-            if point.context != self.context:
-                raise ValueError("point context mismatch")
-            fld = self.context.field
-            total = fld.zero
-            for m, c in self._terms.items():
-                val = c
-                for v, e in m.factors:
-                    pv = point.value(v)
-                    if not pv:
-                        val = fld.zero
-                        break
-                    val = val * pv**e
-                total = total + val
-            return total
-        if isinstance(point, GenericPoint):
-            return point.component.membership(self)
-        raise TypeError(f"not a differential point: {type(point).__name__}")
+    def eval_at(self, point: "ConcretePoint") -> FieldElement:
+        """The value at a concrete point."""
+        if point.context != self.context:
+            raise ValueError("point context mismatch")
+        fld = self.context.field
+        total = fld.zero
+        for m, c in self._terms.items():
+            val = c
+            for v, e in m.factors:
+                pv = point.value(v)
+                if not pv:
+                    val = fld.zero
+                    break
+                val = val * pv**e
+            total = total + val
+        return total
 
     # -- structure transport ---------------------------------------------------
 
@@ -621,14 +603,3 @@ class ConcretePoint:
             f"{self.context.names[i]}={fld.text(self._values[i])}" for i in range(self.context.n)
         )
         return f"ConcretePoint({vals})"
-
-
-@dataclass(frozen=True)
-class GenericPoint:
-    """The generic point of a characteristic-set component: evaluation only
-    answers zero/nonzero, via Ritt reduction modulo the component."""
-
-    component: object  # CharSetComponent; duck-typed to avoid an import cycle
-
-    def __repr__(self) -> str:
-        return f"GenericPoint({self.component!r})"

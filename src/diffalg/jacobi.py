@@ -51,9 +51,6 @@ class OrderMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
-
     def to_text(self) -> str:
         cells = [[("-inf" if isinstance(e, _NegInf) else str(e)) for e in row] for row in self.entries]
         width = max(len(c) for row in cells for c in row)

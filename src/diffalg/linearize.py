@@ -9,11 +9,11 @@ and linearizing commute.
 
 `linearize_sym` keeps the coefficients as polynomials in the original jets.
 `linearize_at` is the one place where u and its partials are evaluated at a
-point: a concrete point gives field-element coefficients; the generic point
-of a component gives only the support pattern (coefficient 1 on y_v iff
-du/dv has nonzero remainder modulo the component), which is exactly what
-order counting needs.  The linearized order matrix is read off those
-tangents, and its Jacobi number is `jacobi_assign` of that matrix.
+point: a concrete point gives field-element coefficients; a component,
+standing for its generic point, gives only the support pattern (coefficient
+1 on y_v iff du/dv has nonzero remainder modulo the component), which is
+exactly what order counting needs.  The linearized order matrix is read off
+those tangents, and its Jacobi number is `jacobi_assign` of that matrix.
 `first_order_expansion` recomputes concrete tangents by dual numbers,
 without partials, as an independent check.
 """
@@ -22,13 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .decompose import CharSetComponent
 from .diffpoly import (
     ConcretePoint,
     Context,
     Convention,
     DerVar,
     DiffPoly,
-    GenericPoint,
     Monomial,
 )
 from .jacobi import OrderMatrix
@@ -58,13 +58,11 @@ def tangent_dervar(n: int, v: DerVar) -> DerVar:
 @dataclass(frozen=True)
 class LinearizedPoly:
     """A polynomial in the extended context, homogeneous of degree one in the
-    tangent block (or zero).  `specialized` marks coefficients already
-    evaluated at a point; `heuristic` marks support decided modulo a
+    tangent block (or zero).  `heuristic` marks support decided modulo a
     component that is not verified prime."""
 
     poly: DiffPoly
     base_n: int
-    specialized: bool = False
     heuristic: bool = False
 
     def __post_init__(self):
@@ -105,9 +103,10 @@ def linearize_sym(u: DiffPoly) -> LinearizedPoly:
 
 
 def linearize_at(u: DiffPoly, pt, require_zero: bool = True) -> LinearizedPoly:
-    """Tangent at a point.
+    """Tangent at a ConcretePoint, or at the generic point of a
+    CharSetComponent.
 
-    Concrete points give field-element coefficients.  Generic points give
+    Concrete points give field-element coefficients.  A component gives
     the support pattern: coefficient 1 on y_v exactly when du/dv does not
     vanish on the component (an indicator, not residue-field arithmetic),
     and `heuristic` when any of these answers, or the zero test of u, was
@@ -127,10 +126,10 @@ def linearize_at(u: DiffPoly, pt, require_zero: bool = True) -> LinearizedPoly:
             return p.eval_at(pt), False
 
         off_zero_set = "point is not a zero: value {}"
-    elif isinstance(pt, GenericPoint):
+    elif isinstance(pt, CharSetComponent):
 
         def at(p: DiffPoly):
-            v = p.eval_at(pt)
+            v = pt.membership(p)
             return (fld.zero if v.member else fld.one), v.heuristic
 
         off_zero_set = "polynomial has nonzero remainder at the generic point"
@@ -147,9 +146,7 @@ def linearize_at(u: DiffPoly, pt, require_zero: bool = True) -> LinearizedPoly:
         heuristic = heuristic or h
         if c:
             terms.append((Monomial.of(tangent_dervar(ctx.n, v)), c))
-    return LinearizedPoly(
-        poly=DiffPoly.from_terms(ext, terms), base_n=ctx.n, specialized=True, heuristic=heuristic
-    )
+    return LinearizedPoly(poly=DiffPoly.from_terms(ext, terms), base_n=ctx.n, heuristic=heuristic)
 
 
 def linearized_order_matrix(tangents, convention: Convention = Convention.MAX_PLUS) -> OrderMatrix:
@@ -246,4 +243,4 @@ def first_order_expansion(u: DiffPoly, pt: ConcretePoint):
     lin = DiffPoly.from_terms(
         ext, ((Monomial.of(yv), cv) for yv, cv in total.b.items())
     )
-    return total.a, LinearizedPoly(poly=lin, base_n=ctx.n, specialized=True)
+    return total.a, LinearizedPoly(poly=lin, base_n=ctx.n)

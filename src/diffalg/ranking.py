@@ -121,8 +121,7 @@ def is_reduced(b: DiffPoly, a: RankedPoly) -> bool:
 
 
 def is_autoreduced(seq: Sequence[DiffPoly], ranking: Ranking) -> bool:
-    """Pairwise reduced in both directions, and each element after the
-    first involves a jet variable absent from its predecessor."""
+    """Pairwise reduced in both directions, in any order."""
     try:
         ranked = [analyze(p, ranking) for p in seq]
     except ConstantPolyError:
@@ -132,20 +131,11 @@ def is_autoreduced(seq: Sequence[DiffPoly], ranking: Ranking) -> bool:
 
 def _autoreduced_defect(ranked: Sequence[RankedPoly]):
     """Why an analyzed sequence is not autoreduced (see is_autoreduced), or
-    None when it is.  Pairwise reduced elements have distinct leaders, so an
-    element that adds no jet variable to its predecessor ranks below it: the
-    sequence is then autoreduced in ascending rank order, and the reason
-    says so."""
+    None when it is."""
     for i, ri in enumerate(ranked):
         for j, rj in enumerate(ranked):
             if i != j and not is_reduced(ri.poly, rj):
                 return f"{ri.poly.to_text()} is not reduced with respect to {rj.poly.to_text()}"
-    for prev, cur in zip(ranked, ranked[1:]):
-        if not (set(cur.poly.dervars()) - set(prev.poly.dervars())):
-            return (
-                f"the divisors are not in ascending rank order: "
-                f"{cur.poly.to_text()} comes after {prev.poly.to_text()} but ranks below it"
-            )
     return None
 
 

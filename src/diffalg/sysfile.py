@@ -94,6 +94,13 @@ class _Tok:
     pos: int
 
 
+def _int_value(t: _Tok) -> int:
+    try:
+        return int(t.text)
+    except ValueError:  # past Python's limit on integer-string conversion
+        raise ParseError(f"integer literal of {len(t.text)} digits is too long", t.pos) from None
+
+
 def _tokenize(src: str) -> list:
     toks = []
     i = 0
@@ -154,7 +161,7 @@ class _ExprParser:
         t = self._next()
         if t.kind != "number":
             raise ParseError(f"expected an integer, found {t.text or 'end of input'!r}", t.pos)
-        return int(t.text)
+        return _int_value(t)
 
     # -- grammar --------------------------------------------------------------
 
@@ -232,7 +239,7 @@ class _ExprParser:
     def _atom(self) -> DiffPoly:
         t = self._next()
         if t.kind == "number":
-            return DiffPoly.const(self.ctx, self.ctx.field.from_fraction(Fraction(int(t.text))))
+            return DiffPoly.const(self.ctx, self.ctx.field.from_fraction(Fraction(_int_value(t))))
         if t.kind == "op" and t.text == "(":
             p = self._expr()
             self._expect_op(")")

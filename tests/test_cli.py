@@ -96,16 +96,17 @@ class TestReduce:
     def test_missing_target_is_domain_error(self, flagship, capsys):
         assert main(["reduce", flagship, "--target", "nope"]) == 3
 
-    def test_out_of_order_divisors_are_named(self, tmp_path, capsys):
-        # autoreduced as y^2, x + y; refused in the file's order
+    def test_divisors_in_any_order(self, tmp_path, capsys):
+        # x + y and y^2 are pairwise reduced: autoreduced in the file's order
         p = tmp_path / "order.sys"
         p.write_text(
             "field: Q\nvars: x, y\nranking: elim x > y\n"
             "eq f = x*y\neq a = x + y\neq b = y^2\n"
         )
-        assert main(["reduce", str(p), "--target", "f"]) == 3
-        err = capsys.readouterr().err
-        assert "not in ascending rank order: y^2 comes after y + x" in err
+        assert main(["reduce", str(p), "--target", "f"]) == 0
+        out = capsys.readouterr().out
+        assert "remainder: 0\n" in out
+        assert "verified: yes" in out
 
     def test_swelling_division_stops_at_the_term_cap(self, tmp_path, capsys):
         # a draw of scripts/random_audit.py --seed 0 that used to run 31
@@ -228,9 +229,16 @@ class TestMembership:
         assert "(e = 3)" in capsys.readouterr().out
 
     def test_individual_bound_flags(self, tmp_path, capsys):
+        # --bounds is the one way to set the truncation bounds
         p = tmp_path / "sq.sys"
         p.write_text("field: Q\nvars: x\nranking: elim x\neq g1 = x^2\n")
-        assert main(["member", str(p), "x'^3", "--jets", "2", "--prolong", "3", "--deg", "6"]) == 0
+        for flag in ("--jets", "--prolong", "--deg", "--power"):
+            with pytest.raises(SystemExit) as exc:
+                main(["member", str(p), "x'^3", flag, "2"])
+            assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["member", str(p), "x'^3", "--bounds", "2,3,6,6"]) == 0
+        assert capsys.readouterr().out.startswith("Member (e = 1)")
 
     def test_bad_expression_is_format_error(self, cusp, capsys):
         assert main(["member", cusp, "y +"]) == 2
@@ -275,6 +283,16 @@ class TestErrorChannel:
         assert main(["reduce", str(p), "--target", "f"]) == 2
         err = capsys.readouterr().err
         assert "line 5" in err and f"cap of {MAX_POWER_T_DEGREE} in t-degree" in err
+
+    def test_over_long_integer_literal(self, cusp, tmp_path, capsys):
+        long = "7" * 5000
+        assert main(["member", cusp, "x + " + long]) == 2
+        assert "integer literal of 5000 digits" in capsys.readouterr().err
+        p = tmp_path / "long.sys"
+        p.write_text("field: Q\nvars: x\nranking: elim x\neq u = x + " + long + "\n")
+        assert main(["jacobi", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "line 4" in err and "integer literal of 5000 digits" in err
 
     def test_usage_error_exits_two(self, flagship):
         with pytest.raises(SystemExit) as exc:

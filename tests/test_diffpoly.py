@@ -122,8 +122,12 @@ class TestDerivation:
         assert p.derive() == P("t*x' + x", ctx)
 
     def test_order_cap(self):
-        with pytest.raises(OrderCapExceeded):
-            P("x").derive(5, cap=4)
+        # DEFAULT_ORDER_CAP = 64 is the highest order derive() creates
+        assert P("x^(63)").derive() == P("x^(64)")
+        with pytest.raises(OrderCapExceeded, match="order 65 > cap 64"):
+            P("x^(64)").derive()
+        with pytest.raises(OrderCapExceeded, match="order 65 > cap 64"):
+            P("x").derive(65)
 
     @given(st.data())
     @settings(max_examples=60)
@@ -181,13 +185,6 @@ def _reference_partial(p: DiffPoly, v: DerVar) -> DiffPoly:
             rest = [f for f in m.factors if f[0] != v]
             terms.append((_reference_make(rest + [(v, e - 1)]), c * fld.from_fraction(e)))
     return DiffPoly.from_terms(p.context, terms)
-
-
-def _outcome(p: DiffPoly, j: int, cap: int):
-    try:
-        return p.derive(j, cap=cap)
-    except OrderCapExceeded as exc:
-        return f"raised: {exc}"
 
 
 class TestKernelEquivalence:
@@ -249,25 +246,14 @@ class TestKernelEquivalence:
         assert p.derive(j) == fresh.derive(j) == ref
         assert p.derive(j) is p.derive(j)
 
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_kept_derivative_under_a_smaller_cap(self, data):
-        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
-        p = data.draw(kernel_polys(ctx))
-        j = data.draw(st.integers(min_value=1, max_value=3))
-        cap = data.draw(st.integers(min_value=0, max_value=6))
-        p.derive(j)  # kept under the default cap
-        fresh = DiffPoly.from_terms(ctx, p.items())
-        assert _outcome(p, j, cap) == _outcome(fresh, j, cap)
-
     def test_kept_derivative_still_raises_at_the_cap(self):
-        p = P("x''*y + x")
-        assert p.derive(2) == P("x^(4)*y + 2*x'''*y' + x''*y'' + x''")
-        with pytest.raises(OrderCapExceeded, match="order 3 > cap 2"):
-            p.derive(1, cap=2)
-        with pytest.raises(OrderCapExceeded, match="order 4 > cap 3"):
-            p.derive(2, cap=3)
-        assert p.derive(2, cap=4) == p.derive(2)
+        p = P("x^(62)*y + x")
+        top = p.derive(2)
+        assert top == P("x^(64)*y + 2*x^(63)*y' + x^(62)*y'' + x''")
+        for _ in range(2):  # a step that raises keeps nothing, so it raises again
+            with pytest.raises(OrderCapExceeded, match="order 65 > cap 64"):
+                p.derive(3)
+        assert p.derive(2) is top
 
 
 class TestOrderOf:

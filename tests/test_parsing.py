@@ -61,6 +61,16 @@ class TestExpressions:
         with pytest.raises(ParseError, match=f"cap of {MAX_POWER_TERMS} terms"):
             parse_poly(f"(x + 1)^{MAX_POWER_TERMS}", XY)
 
+    def test_over_long_integer_literal(self):
+        # past Python's 4,300-digit conversion limit, named at the token
+        long = "7" * 5000
+        with pytest.raises(ParseError, match="integer literal of 5000 digits.*at position 4"):
+            P("x + " + long)
+        with pytest.raises(ParseError, match="integer literal of 5000 digits.*at position 2"):
+            P("x^" + long)
+        with pytest.raises(ParseError, match="integer literal of 5000 digits.*at position 3"):
+            P("x^(" + long + ")")
+
     def test_power_size_caps(self):
         # single-term powers are refused from p and e alone, before expansion
         with pytest.raises(ParseError, match=f"cap of {MAX_POWER_COEFF_BITS} coefficient bits"):
