@@ -21,11 +21,9 @@ from .ranking import (
     RankKind,
     Ranking,
     RankedPoly,
-    SeqRel,
     analyze,
     is_autoreduced,
     is_reduced,
-    seq_compare,
 )
 from .reduction import (
     DiffOperator,
@@ -48,14 +46,12 @@ from .linearize import (
     linearize_at,
     linearize_sym,
     linearized_order_matrix,
-    tangent_rename_check,
 )
 from .decompose import (
     CharSetComponent,
     DecompositionResult,
     JbcReport,
     JbcVerdict,
-    SplitBounds,
     component_dimension,
     jbc_check,
     split_decompose,
@@ -75,7 +71,6 @@ from .sysfile import (
     SystemFile,
     format_components,
     format_ranking,
-    format_system,
     parse_components,
     parse_constant,
     parse_poly,

@@ -4,13 +4,18 @@
     diffalg jacobi SYSTEM [--convention maxplus|minusinf]
     diffalg reduce SYSTEM --target NAME
     diffalg linearize SYSTEM [--at POINT | --generic FILE] [--convention ...]
-    diffalg decompose SYSTEM [--max-components K] [--max-steps S]
-    diffalg jbc-check SYSTEM [--components FILE] [--json] [--max-components K] [--max-steps S]
+    diffalg decompose SYSTEM
+    diffalg jbc-check SYSTEM [--components FILE] [--json]
     diffalg member SYSTEM EXPR [--bounds N,P,D,E]
     diffalg radical-member SYSTEM EXPR [--bounds N,P,D,E]
 
-SYSTEM is a system file (see `sysfile`).  Output is deterministic: the same
-input always produces byte-identical output.  Exit codes:
+SYSTEM is a system file (see `sysfile`).  Components reach jbc-check only
+through --components, a component file such as decompose prints; without it
+jbc-check decomposes the system itself.  The decomposition budget is fixed
+(decompose.MAX_COMPONENTS, decompose.MAX_SPLIT_STEPS).  Output is
+deterministic: the same input always produces byte-identical output.
+
+Exit codes:
 
     0   success (jbc-check HOLDS, membership Member, complete decomposition, ...)
     1   negative or inconclusive verdict
@@ -27,7 +32,6 @@ from typing import Optional, Sequence
 
 from .decompose import (
     JbcVerdict,
-    SplitBounds,
     component_dimension,
     jbc_check,
     split_decompose,
@@ -96,13 +100,14 @@ def _value_text(v) -> str:
 
 
 def _parse_bounds_flag(text: str) -> TruncationBounds:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise SysFileError("--bounds expects four comma-separated integers N,P,D,E")
     try:
-        n, p, d, e = (int(x) for x in parts)
+        n, p, d, e = (int(x) for x in text.split(","))  # unpacking checks the count
+        if min(n, p, d, e) < 0:
+            raise ValueError
     except ValueError:
-        raise SysFileError("--bounds expects four comma-separated integers N,P,D,E") from None
+        raise SysFileError(
+            "--bounds expects four comma-separated nonnegative integers N,P,D,E"
+        ) from None
     return TruncationBounds(
         jet_order=n, prolongation_order=p, degree_bound=d, power_bound=e
     )
@@ -206,8 +211,7 @@ def _cmd_linearize(args) -> int:
 
 def _cmd_decompose(args) -> int:
     sf = _load_system(args.system)
-    bounds = SplitBounds(max_components=args.max_components, max_steps=args.max_steps)
-    dec = split_decompose(list(sf.system), sf.ranking, bounds)
+    dec = split_decompose(list(sf.system), sf.ranking)
     if dec.components:
         print(format_components(dec.components, sf.context), end="")
     else:
@@ -228,10 +232,7 @@ def _cmd_jbc_check(args) -> int:
         )
         if not components:
             raise SysFileError(f"{args.components}: no component blocks")
-    elif sf.components:
-        components = sf.components
-    bounds = SplitBounds(max_components=args.max_components, max_steps=args.max_steps)
-    report = jbc_check(list(sf.system), sf.ranking, components=components, bounds=bounds)
+    report = jbc_check(list(sf.system), sf.ranking, components=components)
     print(report.to_json() if args.json else report.to_text())
     return EXIT_OK if report.verdict is JbcVerdict.HOLDS else EXIT_NEGATIVE
 
@@ -242,7 +243,7 @@ def _cmd_member(args, radical: bool) -> int:
         f = parse_poly(args.expr, sf.context)
     except ParseError as exc:
         raise SysFileError(f"expression: {exc}") from None
-    bounds = _parse_bounds_flag(args.bounds) if args.bounds else TruncationBounds()
+    bounds = TruncationBounds() if args.bounds is None else _parse_bounds_flag(args.bounds)
     gens = list(sf.system)
     w = radical_member(f, gens, bounds) if radical else truncated_member(f, gens, bounds)
     print(w.to_text())
@@ -266,11 +267,6 @@ def _add_convention(p: argparse.ArgumentParser):
         default="maxplus",
         help="order of an absent variable: 0 (maxplus) or -inf (minusinf)",
     )
-
-
-def _add_split_bounds(p: argparse.ArgumentParser):
-    p.add_argument("--max-components", type=int, default=SplitBounds().max_components)
-    p.add_argument("--max-steps", type=int, default=SplitBounds().max_steps)
 
 
 def _add_oracle_bounds(p: argparse.ArgumentParser):
@@ -316,14 +312,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", help="split into characteristic-set components")
     p.add_argument("system")
-    _add_split_bounds(p)
     p.set_defaults(fn=_cmd_decompose)
 
     p = sub.add_parser("jbc-check", help="dimension-vs-assignment-maximum check")
     p.add_argument("system")
     p.add_argument("--components", metavar="FILE", help="externally computed components")
     p.add_argument("--json", action="store_true")
-    _add_split_bounds(p)
     p.set_defaults(fn=_cmd_jbc_check)
 
     p = sub.add_parser("member", help="truncated ideal membership with certificate")

@@ -125,13 +125,11 @@ def verify_component(c: CharSetComponent, us: Sequence[DiffPoly]) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class SplitBounds:
-    """Budget for the splitting tree; exhaustion flips the completeness
-    flag instead of raising."""
-
-    max_components: int = 64
-    max_steps: int = 10_000
+# Budget for the splitting tree: the most distinct components kept and the
+# most nodes taken from the queue.  Exhaustion clears the completeness flag
+# instead of raising.
+MAX_COMPONENTS = 64
+MAX_SPLIT_STEPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -187,24 +185,20 @@ def _monomial_fork(node: frozenset):
 
 def _pure_power_fork(node: frozenset, rank):
     """First equation of the shape (initial) * leader^d with no tail: split
-    into the leader branch and, if the initial is nonconstant, the initial
-    branch.  rank(p) gives p's RankedPoly."""
+    into the leader branch and the initial branch.  The initial is never
+    constant: single terms go to the monomial rule, so the equation has two
+    or more terms, each of degree d in the leader, and its initial has as
+    many.  rank(p) gives p's RankedPoly."""
     for p in sorted(node, key=lambda q: q.to_text()):
         if p.is_constant() or p.term_count() == 1:
             continue  # monomial rule owns single terms
         rp = rank(p)
-        if any(m.degree_in(rp.leader) != rp.degree for m in p.monomials()):
-            continue
-        if rp.degree >= 2 or not rp.initial.is_constant():
+        if all(m.degree_in(rp.leader) == rp.degree for m in p.monomials()):
             return p, rp
     return None
 
 
-def split_decompose(
-    us: Sequence[DiffPoly],
-    ranking: Ranking,
-    bounds: SplitBounds = SplitBounds(),
-) -> DecompositionResult:
+def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionResult:
     """Bounded splitting decomposition.
 
     Breadth-first over nodes (finite sets of monic equations).  Each node is
@@ -219,7 +213,8 @@ def split_decompose(
     components are not re-checked here: jbc_check re-verifies each one
     against the inputs, and verify_component does so on demand.  The
     completeness flag reports whether the whole tree was explored within
-    bounds; a reduction that hits a step or term cap clears it.
+    MAX_SPLIT_STEPS nodes and MAX_COMPONENTS components; a reduction that
+    hits a step or term cap clears it.
     """
     if not us:
         raise ValueError("empty system")
@@ -257,7 +252,7 @@ def split_decompose(
             continue
         seen.add(node)
         steps += 1
-        if steps > bounds.max_steps:
+        if steps > MAX_SPLIT_STEPS:
             complete = False
             break
 
@@ -277,8 +272,7 @@ def split_decompose(
             p, rp = fork
             rest = node - {p}
             queue.append(frozenset(rest | {DiffPoly.var(ctx, rp.leader.var, rp.leader.order)}))
-            if not rp.initial.is_constant():
-                queue.append(frozenset(rest | {rp.initial.monic()}))
+            queue.append(frozenset(rest | {rp.initial.monic()}))
             continue
 
         chosen = _basic_set(node, rank)
@@ -319,7 +313,7 @@ def split_decompose(
         if comp is not None:
             ckey = (comp.sequence, comp.inequations)
             if ckey not in found:
-                if len(found) >= bounds.max_components:
+                if len(found) >= MAX_COMPONENTS:
                     complete = False
                     break
                 found[ckey] = comp
@@ -377,8 +371,8 @@ class JbcReport:
     def to_text(self) -> str:
         out = []
         out.append(
-            f"system: {len(self.records[0].memberships) if self.records else '?'} "
-            f"equations over {', '.join(self.names)}  [field {self.field_tag}]"
+            f"system: {len(self.names)} equations over {', '.join(self.names)}  "
+            f"[field {self.field_tag}]"
         )
         out.append(_jacobi_line("jacobi weak (maxplus)", self.weak))
         out.append(_jacobi_line("jacobi strong (minusinf)", self.strong))
@@ -470,7 +464,6 @@ def jbc_check(
     us: Sequence[DiffPoly],
     ranking: Ranking,
     components: Optional[Sequence[CharSetComponent]] = None,
-    bounds: SplitBounds = SplitBounds(),
 ) -> JbcReport:
     """Check that every finite-dimensional component of the system's zero
     set has dimension at most the system's assignment maximum (MaxPlus).
@@ -494,7 +487,7 @@ def jbc_check(
     assert isinstance(weak.value, int)
 
     if components is None:
-        dec = split_decompose(us, ranking, bounds)
+        dec = split_decompose(us, ranking)
         comps, complete = dec.components, dec.complete
     else:
         comps, complete = tuple(components), True

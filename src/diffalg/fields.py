@@ -314,7 +314,3 @@ class Field:
 
 QQ = Field(FieldTag.RATIONALS)
 QT = Field(FieldTag.RATIONAL_FUNCTIONS_T)
-
-
-def field_for(tag: FieldTag) -> Field:
-    return QQ if tag is FieldTag.RATIONALS else QT

@@ -165,14 +165,6 @@ def linearized_order_matrix(tangents, convention: Convention = Convention.MAX_PL
     return OrderMatrix(entries=rows, convention=convention)
 
 
-def tangent_rename_check(u: DiffPoly) -> bool:
-    """Does linearizing commute with the derivation on this input?  (It
-    always should; this is the executable form of the statement.)"""
-    lhs = linearize_sym(u.derive()).poly
-    rhs = linearize_sym(u).poly.derive()
-    return lhs == rhs
-
-
 class _Dual:
     """Coefficient pair (value, linear part) for evaluation modulo eps^2;
     the linear part maps tangent jets to field elements."""

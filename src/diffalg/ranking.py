@@ -26,13 +26,6 @@ class RankKind(Enum):
     ELIMINATION = "elim"
 
 
-class SeqRel(Enum):
-    LESS = "Less"
-    EQUAL = "Equal"
-    GREATER = "Greater"
-    INCOMPARABLE = "Incomparable"
-
-
 @dataclass(frozen=True)
 class Ranking:
     """kind plus a priority permutation: priority[i] is the rank weight of
@@ -138,25 +131,3 @@ def _autoreduced_defect(ranked: Sequence[RankedPoly]):
                 return f"{ri.poly.to_text()} is not reduced with respect to {rj.poly.to_text()}"
     return None
 
-
-def seq_compare(a: Sequence[DiffPoly], b: Sequence[DiffPoly], ranking: Ranking) -> SeqRel:
-    """Partial order on autoreduced sequences.
-
-    The first rank difference along the common prefix decides; with an
-    equal-rank common prefix the longer sequence is smaller; equal rank
-    profiles of equal length are Equal only for literally equal sequences,
-    otherwise Incomparable.
-    """
-    ra = [analyze(p, ranking).rank_key() for p in a]
-    rb = [analyze(p, ranking).rank_key() for p in b]
-    for ka, kb in zip(ra, rb):
-        if ka < kb:
-            return SeqRel.LESS
-        if ka > kb:
-            return SeqRel.GREATER
-    if len(a) != len(b):
-        # longer with equal rank prefix is lower
-        return SeqRel.LESS if len(a) > len(b) else SeqRel.GREATER
-    if list(a) == list(b):
-        return SeqRel.EQUAL
-    return SeqRel.INCOMPARABLE

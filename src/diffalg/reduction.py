@@ -57,8 +57,8 @@ class NotAutoreducedError(ValueError):
 
 class DiffOperator:
     """A left operator sum_k c_k * d^k with polynomial coefficients, merged
-    by power.  Only the module's certificate algebra is supported: addition,
-    left multiplication by a ring element, and application."""
+    by power.  Only the module's certificate algebra is supported: addition
+    and application."""
 
     __slots__ = ("context", "_terms")
 
@@ -95,12 +95,6 @@ class DiffOperator:
             elif cur is not None:
                 del acc[k]
         return DiffOperator(self.context, acc)
-
-    def scale(self, p: DiffPoly) -> "DiffOperator":
-        """Left multiplication by a ring element."""
-        if not p:
-            return DiffOperator.zero(self.context)
-        return DiffOperator(self.context, {k: p * c for k, c in self._terms.items()})
 
     def apply(self, p: DiffPoly) -> DiffPoly:
         out = DiffPoly.zero(self.context)

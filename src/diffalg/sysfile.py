@@ -11,7 +11,8 @@ The expression grammar covers differential polynomials as humans write them:
 * over Q(t) the name ``t`` denotes the field parameter, not a variable.
 
 A *system file* declares the field, the variables, a ranking, named
-equations, and optionally named points and component blocks:
+equations, and optionally named points.  It holds no component blocks:
+components come in a component file of their own.
 
     field: Q
     vars: x, y
@@ -27,8 +28,8 @@ A *component file* is a sequence of blank-line-separated blocks:
     ineqs: y; y'
     prime: no
 
-``format_system`` / ``format_components`` invert the parsers, so tool output
-can be fed back in unchanged.
+``format_components`` inverts ``parse_components``, so the components that
+``decompose`` prints can be fed back in unchanged.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .decompose import CharSetComponent
-from .diffpoly import ConcretePoint, Context, DerVar, DiffPoly
+from .diffpoly import ConcretePoint, Context, DiffPoly
 from .fields import Field, FieldTag, QQ, QT
 from .ranking import Ranking, RankKind
 
@@ -377,14 +378,13 @@ def format_ranking(ranking: Ranking, ctx: Context) -> str:
 
 @dataclass(frozen=True)
 class SystemFile:
-    """A parsed system file: context, ranking, named equations, named points,
-    and any component blocks that followed the declarations."""
+    """A parsed system file: context, ranking, named equations and named
+    points."""
 
     context: Context
     ranking: Ranking
     equations: tuple  # of (name, DiffPoly)
     points: tuple = ()  # of (name, ConcretePoint)
-    components: tuple = ()  # of CharSetComponent
 
     @property
     def system(self) -> tuple:
@@ -437,20 +437,15 @@ def _parse_assignments(text: str, ctx: Context, lineno: int) -> ConcretePoint:
 
 def parse_system(text: str) -> SystemFile:
     """Parse a system file.  ``field:`` and ``vars:`` must precede everything
-    that needs them; equations must appear before component blocks."""
+    that needs them."""
     field: Optional[Field] = None
     ctx: Optional[Context] = None
     ranking: Optional[Ranking] = None
     equations: list = []
     points: list = []
-    component_lines: list = []  # (lineno, line) tail, parsed afterwards
 
-    lines = text.splitlines()
-    i = 0
-    while i < len(lines):
-        lineno = i + 1
-        line = _strip_comment(lines[i]).strip()
-        i += 1
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
         if not line:
             continue
 
@@ -477,9 +472,6 @@ def parse_system(text: str) -> SystemFile:
             if ctx is None:
                 raise SysFileError(f"line {lineno}: 'vars:' must come before 'ranking:'")
             if ranking is not None:
-                if equations:  # a component block may open with its own ranking
-                    component_lines = lines[i - 1 :]
-                    break
                 raise SysFileError(f"line {lineno}: duplicate 'ranking:' line")
             try:
                 ranking = parse_ranking(rest.strip(), ctx)
@@ -519,11 +511,6 @@ def parse_system(text: str) -> SystemFile:
             points.append((name, _parse_assignments(rest2, ctx, lineno)))
             continue
 
-        if key_word in ("charset", "ineqs", "prime") and _ == ":":
-            # start of component blocks: hand the remaining lines over
-            component_lines = lines[i - 1 :]
-            break
-
         raise SysFileError(f"line {lineno}: cannot understand {line!r}")
 
     if field is None:
@@ -535,32 +522,7 @@ def parse_system(text: str) -> SystemFile:
     if not equations:
         raise SysFileError("a system file needs at least one 'eq' line")
 
-    components: tuple = ()
-    if component_lines:
-        components = parse_components("\n".join(component_lines), ctx, ranking)
-
-    return SystemFile(ctx, ranking, tuple(equations), tuple(points), components)
-
-
-def format_system(sf: SystemFile) -> str:
-    ctx = sf.context
-    out = [
-        f"field: {ctx.field.tag.value}",
-        f"vars: {', '.join(ctx.names)}",
-        f"ranking: {format_ranking(sf.ranking, ctx)}",
-    ]
-    for name, p in sf.equations:
-        out.append(f"eq {name} = {p.to_text()}")
-    fld = ctx.field
-    for name, pt in sf.points:
-        vals = ", ".join(
-            f"{ctx.names[j]} = {fld.text(pt.value(DerVar(j, 0)))}" for j in range(ctx.n)
-        )
-        out.append(f"point {name}: {vals}")
-    text = "\n".join(out) + "\n"
-    if sf.components:
-        text += "\n" + format_components(sf.components, ctx)
-    return text
+    return SystemFile(ctx, ranking, tuple(equations), tuple(points))
 
 
 # ---------------------------------------------------------------------------

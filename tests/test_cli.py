@@ -169,9 +169,30 @@ class TestDecompose:
         assert "charset: y^3 + 1/4*y'^2; x'*y - 1/2*y'" in out
         assert "# complete: yes" in out
 
-    def test_budget_exhaustion_exits_nonzero(self, flagship, capsys):
-        assert main(["decompose", flagship, "--max-steps", "1"]) == 1
+    def test_budget_exhaustion_exits_nonzero(self, flagship, capsys, monkeypatch):
+        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 1)
+        assert main(["decompose", flagship]) == 1
         assert "# complete: no" in capsys.readouterr().out
+
+    def test_budget_flags_are_usage_errors(self, flagship, capsys):
+        # the budget is a constant, not an option
+        for command in ("decompose", "jbc-check"):
+            for flag in ("--max-steps", "--max-components"):
+                with pytest.raises(SystemExit) as exc:
+                    main([command, flagship, flag, "1"])
+                assert exc.value.code == 2
+                assert flag in capsys.readouterr().err
+
+    def test_system_file_with_a_component_block_is_refused(self, tmp_path, capsys):
+        # components come only from a component file (jbc-check --components)
+        p = tmp_path / "with_block.sys"
+        p.write_text(FLAGSHIP + "\ncharset: y; x'\nineqs: (none)\nprime: no\n")
+        line = len(FLAGSHIP.splitlines()) + 2
+        for command in ("decompose", "jbc-check"):
+            assert main([command, str(p)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"line {line}: cannot understand \"charset: y; x'\"" in captured.err
 
     def test_output_feeds_jbc_check(self, flagship, tmp_path, capsys):
         main(["decompose", flagship])
@@ -194,9 +215,18 @@ class TestJbcCheck:
         assert data["verdict"] == "HOLDS"
         assert data["system"]["jacobi_weak"] == 2
 
-    def test_inconclusive_exits_one(self, flagship, capsys):
-        assert main(["jbc-check", flagship, "--max-steps", "1"]) == 1
+    def test_inconclusive_exits_one(self, flagship, capsys, monkeypatch):
+        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 1)
+        assert main(["jbc-check", flagship]) == 1
         assert "INCONCLUSIVE" in capsys.readouterr().out
+
+    def test_empty_decomposition_names_the_equation_count(self, tmp_path, capsys):
+        p = tmp_path / "empty.sys"
+        p.write_text("field: Q\nvars: x, y\nranking: elim x > y\neq u1 = x' + y\neq u2 = x' + y + 1\n")
+        assert main(["jbc-check", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("system: 2 equations over x, y  [field Q]\n")
+        assert "decomposition: 0 component(s) (complete)" in out
 
     def test_term_cap_in_the_decomposition_is_inconclusive(self, flagship, capsys, monkeypatch):
         monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_TERMS", 2)
@@ -239,6 +269,20 @@ class TestMembership:
         capsys.readouterr()
         assert main(["member", str(p), "x'^3", "--bounds", "2,3,6,6"]) == 0
         assert capsys.readouterr().out.startswith("Member (e = 1)")
+
+    def test_negative_bound_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "sq.sys"
+        p.write_text("field: Q\nvars: x\nranking: elim x\neq g1 = x^2\n")
+        assert main(["member", str(p), "x'^3", "--bounds=-1,3,6,6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--bounds" in captured.err
+
+    def test_empty_bounds_is_usage_error(self, tmp_path, capsys):
+        p = tmp_path / "sq.sys"
+        p.write_text("field: Q\nvars: x\nranking: elim x\neq g1 = x^2\n")
+        assert main(["member", str(p), "x'^3", "--bounds="]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--bounds" in captured.err
 
     def test_bad_expression_is_format_error(self, cusp, capsys):
         assert main(["member", cusp, "y +"]) == 2

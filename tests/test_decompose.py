@@ -19,7 +19,6 @@ from diffalg import (
     PointNotOnZeroSetError,
     QQ,
     Ranking,
-    SplitBounds,
     component_dimension,
     jbc_check,
     linearize_at,
@@ -171,10 +170,9 @@ class TestSplitDecompose:
         assert dec.complete
         assert dec.components == ()
 
-    def test_budget_exhaustion_is_reported(self):
-        dec = split_decompose(
-            [P("x'' + y"), P("x'^2 + y")], ELIM_XY, SplitBounds(max_steps=1)
-        )
+    def test_budget_exhaustion_is_reported(self, monkeypatch):
+        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 1)
+        dec = split_decompose([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert not dec.complete
 
     def test_rejects_zero_member(self):
@@ -190,7 +188,10 @@ class TestSplitDecompose:
         )
     )
     def test_every_component_verifies_against_the_inputs(self, us):
-        dec = split_decompose(us, ELIM_XY, SplitBounds(max_components=8, max_steps=20))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
+            mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 20)
+            dec = split_decompose(us, ELIM_XY)
         for c in dec.components:
             assert verify_component(c, us)
 
@@ -229,10 +230,9 @@ class TestJbcCheck:
         assert not rep.records[0].verified
         assert rep.verdict is JbcVerdict.INCONCLUSIVE
 
-    def test_incomplete_decomposition_is_inconclusive(self):
-        rep = jbc_check(
-            [P("x'' + y"), P("x'^2 + y")], ELIM_XY, bounds=SplitBounds(max_steps=1)
-        )
+    def test_incomplete_decomposition_is_inconclusive(self, monkeypatch):
+        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 1)
+        rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert rep.verdict is JbcVerdict.INCONCLUSIVE
 
     # A FAILS verdict needs a verified full-length component whose dimension

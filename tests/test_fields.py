@@ -9,7 +9,6 @@ from hypothesis import given
 
 from diffalg import QQ, QT, RatFunc
 from diffalg.fields import (
-    FieldTag,
     _padd,
     _pderive,
     _pdivmod,
@@ -18,7 +17,6 @@ from diffalg.fields import (
     _pneg,
     _pscale,
     _ptrim,
-    field_for,
 )
 
 from conftest import small_fractions
@@ -90,10 +88,6 @@ class TestRatFunc:
 
 
 class TestFieldWrapper:
-    def test_field_for_roundtrip(self):
-        assert field_for(FieldTag.RATIONALS) is QQ
-        assert field_for(FieldTag.RATIONAL_FUNCTIONS_T) is QT
-
     def test_check_rejects_mixed_elements(self):
         with pytest.raises(TypeError):
             QQ.check(RatFunc.from_fraction(Fraction(1)))

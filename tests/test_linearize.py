@@ -25,7 +25,6 @@ from diffalg import (
     linearize_at,
     linearize_sym,
     linearized_order_matrix,
-    tangent_rename_check,
 )
 from diffalg.cli import main
 from diffalg.linearize import extended_context
@@ -71,7 +70,7 @@ class TestSymbolic:
     def test_commutes_with_derivation(self, data):
         ctx = data.draw(contexts(max_vars=2))
         u = data.draw(diffpolys(ctx, max_terms=3))
-        assert tangent_rename_check(u)
+        assert linearize_sym(u.derive()).poly == linearize_sym(u).poly.derive()
 
     def test_tangent_degree_is_exactly_one(self):
         lp = linearize_sym(P("x'^3*y + x"))

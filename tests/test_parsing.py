@@ -23,7 +23,6 @@ from diffalg.sysfile import (
     SysFileError,
     format_components,
     format_ranking,
-    format_system,
     parse_components,
     parse_constant,
     parse_poly,
@@ -242,12 +241,6 @@ class TestSystemFiles:
         assert sf.equation("u1") == P("x'' + y")
         assert sf.point("p0").value(DerVar(0, 0)) == Fraction(0)
 
-    def test_format_round_trip(self):
-        sf = parse_system(SYSTEM)
-        again = parse_system(format_system(sf))
-        assert again.equations == sf.equations
-        assert again.ranking == sf.ranking
-
     def test_qt_field(self):
         sf = parse_system(
             "field: Q(t)\nvars: x, y\nranking: elim x > y\neq f = x' + t*y\n"
@@ -321,9 +314,10 @@ class TestComponentFiles:
         with pytest.raises(SysFileError):
             parse_components("ranking: elim x > y\ncharset: x'; x'' + y\n", XY)
 
-    def test_system_file_may_carry_components(self):
-        sf = parse_system(SYSTEM + "\n" + COMPONENTS)
-        assert len(sf.components) == 2
-        # and they survive a full format/parse cycle
-        again = parse_system(format_system(sf))
-        assert len(again.components) == 2
+    def test_system_file_with_component_blocks_is_refused(self):
+        # components live in component files only; line 9 opens the block
+        with pytest.raises(SysFileError, match="line 9: duplicate 'ranking:' line"):
+            parse_system(SYSTEM + "\n" + COMPONENTS)
+        without_ranking = COMPONENTS.replace("ranking: elim x > y\n", "")
+        with pytest.raises(SysFileError, match='line 9: cannot understand "charset: '):
+            parse_system(SYSTEM + "\n" + without_ranking)

@@ -12,11 +12,9 @@ from diffalg import (
     QQ,
     RankKind,
     Ranking,
-    SeqRel,
     analyze,
     is_autoreduced,
     is_reduced,
-    seq_compare,
 )
 from diffalg.sysfile import parse_poly
 
@@ -111,23 +109,3 @@ class TestReduced:
         # duplicated leaders are not autoreduced
         assert not is_autoreduced([P("x'"), P("x' + y")], ELIM_XY)
 
-
-class TestSeqCompare:
-    def test_longer_refinement_is_less(self):
-        a = [P("y"), P("x'")]
-        b = [P("y")]
-        # a extends b with one more element: a is lower (better)
-        assert seq_compare(a, b, ELIM_XY) is SeqRel.LESS
-
-    def test_equal_only_for_equal_sequences(self):
-        a = [P("y"), P("x'")]
-        assert seq_compare(a, list(a), ELIM_XY) is SeqRel.EQUAL
-        b = [P("y"), P("x' + y")]
-        # same rank profile, different polynomials
-        assert seq_compare(a, b, ELIM_XY) is SeqRel.INCOMPARABLE
-
-    def test_rank_beats_length(self):
-        a = [P("y'")]
-        b = [P("y"), P("x'")]
-        assert seq_compare(b, a, ELIM_XY) is SeqRel.LESS
-        assert seq_compare(a, b, ELIM_XY) is SeqRel.GREATER

@@ -58,12 +58,6 @@ class TestDiffOperator:
         op = DiffOperator.of(c, k)
         assert op.apply(a + b) == op.apply(a) + op.apply(b)
 
-    def test_scale_then_apply(self):
-        op = DiffOperator.of(P("y"), 1)
-        s = P("x")
-        g = P("x'")
-        assert op.scale(s).apply(g) == s * op.apply(g)
-
     def test_text(self):
         op = DiffOperator.of(P("-x"), 2) + DiffOperator.of(P("1"), 0)
         assert "d^2" in op.to_text()
@@ -233,7 +227,10 @@ def _forward_certificate(b, seq, ranking):
             c = mult * c - cofactor * rp.poly
         multiplier = mult * multiplier
         factors.append(mult)
-        quotients = [q.scale(mult) for q in quotients]
+        quotients = [
+            sum((DiffOperator.of(mult * coeff, k) for coeff, k in q.terms()), DiffOperator.zero(ctx))
+            for q in quotients
+        ]
         quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
     return ReductionCertificate(
         multiplier=multiplier, factors=tuple(factors), quotients=tuple(quotients), remainder=c
