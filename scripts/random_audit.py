@@ -38,7 +38,6 @@ from diffalg import (
     DiffPoly,
     JacobiResult,
     Monomial,
-    NEG_INF,
     OrderMatrix,
     QQ,
     Ranking,
@@ -119,7 +118,7 @@ def audit_jacobi(rng: random.Random, cases: int) -> int:
         top = {"random": 6, "ties": 1, "planted": 2}[kind]
         minusinf = rng.random() < 0.5
         rows = [
-            [NEG_INF if (minusinf and rng.random() < 0.25) else rng.randint(0, top) for _ in range(n)]
+            [None if (minusinf and rng.random() < 0.25) else rng.randint(0, top) for _ in range(n)]
             for _ in range(n)
         ]
         if kind == "planted":
@@ -182,7 +181,6 @@ def audit_oracle(rng: random.Random, cases: int) -> tuple[int, int]:
 def _dual_number_orders(us, pt: ConcretePoint, convention: Convention) -> tuple:
     """Order matrix read straight off the dual-number tangents."""
     n = pt.context.n
-    absent = 0 if convention is Convention.MAX_PLUS else NEG_INF
     rows = []
     for u in us:
         _, tangent = first_order_expansion(u, pt)
@@ -190,8 +188,8 @@ def _dual_number_orders(us, pt: ConcretePoint, convention: Convention) -> tuple:
         for m in tangent.poly.monomials():
             ((v, _),) = m.factors
             top[v.var - n] = max(top.get(v.var - n, 0), v.order)
-        rows.append(tuple(top.get(j, absent) for j in range(n)))
-    return tuple(rows)
+        rows.append(tuple(top.get(j) for j in range(n)))
+    return OrderMatrix.from_orders(rows, convention).entries
 
 
 def audit_linearize(rng: random.Random, cases: int, max_vars: int) -> int:

@@ -17,7 +17,6 @@ from diffalg import (
     ConcretePoint,
     Context,
     Convention,
-    NEG_INF,
     QQ,
     QT,
     Ranking,
@@ -37,6 +36,7 @@ from diffalg import (
     verify_certificate,
     format_components,
 )
+from diffalg.jacobi import order_text
 
 
 def banner(title: str) -> None:
@@ -92,8 +92,7 @@ def main() -> None:
     for u, lu in zip(cusp, tangents):
         print(f"L[{u.to_text()}] at the origin = {lu.to_text()}")
     strong = jacobi_assign(linearized_order_matrix(tangents, Convention.MINUS_INFINITY))
-    shown = "-inf" if strong.value is NEG_INF else strong.value
-    print(f"jacobi number after linearization (minusinf): {shown}")
+    print(f"jacobi number after linearization (minusinf): {order_text(strong.value)}")
     print(f"jacobi number of the original system (maxplus): {jacobi_number(cusp).value}")
 
     # ------------------------------------------------------------------

@@ -8,9 +8,7 @@ oracle.
 
 from .fields import Field, FieldTag, QQ, QT, RatFunc
 from .diffpoly import (
-    NEG_INF,
     Context,
-    Convention,
     DerVar,
     DiffPoly,
     ConcretePoint,
@@ -37,7 +35,7 @@ from .reduction import (
     ritt_reduce_seq,
     verify_certificate,
 )
-from .jacobi import JacobiResult, OrderMatrix, jacobi_assign, jacobi_brute, jacobi_number, order_matrix, ritt_bound
+from .jacobi import Convention, JacobiResult, OrderMatrix, jacobi_assign, jacobi_brute, jacobi_number, order_matrix, ritt_bound
 from .linearize import (
     LinearizedPoly,
     PointNotOnZeroSetError,

@@ -10,8 +10,9 @@
     diffalg radical-member SYSTEM EXPR [--bounds N,P,D,E]
 
 SYSTEM is a system file (see `sysfile`).  Components reach jbc-check only
-through --components, a component file such as decompose prints; without it
-jbc-check decomposes the system itself.  The decomposition budget is fixed
+through --components, a component file such as decompose prints, and then
+count as incomplete (never HOLDS); without it jbc-check decomposes the
+system itself.  The decomposition budget is fixed
 (decompose.MAX_COMPONENTS, decompose.MAX_SPLIT_STEPS).  Output is
 deterministic: the same input always produces byte-identical output.
 
@@ -36,8 +37,8 @@ from .decompose import (
     jbc_check,
     split_decompose,
 )
-from .diffpoly import Convention, OrderCapExceeded, _NegInf
-from .jacobi import jacobi_assign, order_matrix, ritt_bound
+from .diffpoly import OrderCapExceeded
+from .jacobi import Convention, jacobi_assign, order_matrix, order_text, ritt_bound
 from .linearize import (
     PointNotOnZeroSetError,
     linearize_at,
@@ -91,26 +92,14 @@ def _load_system(path: str) -> SystemFile:
     return parse_system(_read_file(path))
 
 
-def _convention(word: str) -> Convention:
-    return Convention.MAX_PLUS if word == "maxplus" else Convention.MINUS_INFINITY
-
-
-def _value_text(v) -> str:
-    return "-inf" if isinstance(v, _NegInf) else str(v)
-
-
 def _parse_bounds_flag(text: str) -> TruncationBounds:
     try:
         n, p, d, e = (int(x) for x in text.split(","))  # unpacking checks the count
-        if min(n, p, d, e) < 0:
-            raise ValueError
-    except ValueError:
+        return TruncationBounds(n, p, d, e)
+    except ValueError:  # TruncationBounds refuses a negative value
         raise SysFileError(
             "--bounds expects four comma-separated nonnegative integers N,P,D,E"
         ) from None
-    return TruncationBounds(
-        jet_order=n, prolongation_order=p, degree_bound=d, power_bound=e
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +109,7 @@ def _parse_bounds_flag(text: str) -> TruncationBounds:
 
 def _cmd_order(args) -> int:
     sf = _load_system(args.system)
-    conv = _convention(args.convention)
-    m = order_matrix(list(sf.system), conv)
+    m = order_matrix(list(sf.system), Convention(args.convention))
     print(f"order matrix ({args.convention}):")
     print(m.to_text())
     return EXIT_OK
@@ -129,12 +117,12 @@ def _cmd_order(args) -> int:
 
 def _cmd_jacobi(args) -> int:
     sf = _load_system(args.system)
-    conv = _convention(args.convention)
+    conv = Convention(args.convention)
     m = order_matrix(list(sf.system), conv)
     r = jacobi_assign(m)
     print(f"order matrix ({args.convention}):")
     print(m.to_text())
-    print(f"jacobi number: {_value_text(r.value)}")
+    print(f"jacobi number: {order_text(r.value)}")
     if r.witness is None:
         print("witness: (no admissible assignment)")
     else:
@@ -173,7 +161,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_linearize(args) -> int:
     sf = _load_system(args.system)
-    conv = _convention(args.convention)
+    conv = Convention(args.convention)
     us = list(sf.system)
 
     if args.at is None and args.generic is None:
@@ -201,9 +189,9 @@ def _cmd_linearize(args) -> int:
         print(f"linearized order matrix ({args.convention}):")
         print(m.to_text())
         r = jacobi_assign(m)
-        print(f"linearized jacobi number: {_value_text(r.value)}")
+        print(f"linearized jacobi number: {order_text(r.value)}")
         orig = jacobi_assign(order_matrix(us, conv))
-        print(f"original jacobi number: {_value_text(orig.value)}")
+        print(f"original jacobi number: {order_text(orig.value)}")
     if any(lp.heuristic for lp in tangents):
         print("note: support decided modulo an unverified-prime component")
     return EXIT_OK

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
 
-from .diffpoly import Convention, DiffPoly, _NegInf
-from .jacobi import JacobiResult, jacobi_assign, order_matrix
+from .diffpoly import DiffPoly
+from .jacobi import Convention, JacobiResult, jacobi_assign, order_matrix, order_text
 from .ranking import RankedPoly, Ranking, analyze, is_reduced
 from .reduction import PreparedSeq, StepLimitExceeded, Verdict, ritt_reduce_seq
 
@@ -417,16 +417,14 @@ class JbcReport:
         return "\n".join(out)
 
     def to_json(self) -> str:
-        def jv(x):
-            return "-inf" if isinstance(x, _NegInf) else x
-
+        strong = self.strong.value
         data = {
             "system": {
                 "variables": list(self.names),
                 "field": self.field_tag,
-                "jacobi_weak": jv(self.weak.value),
+                "jacobi_weak": self.weak.value,
                 "jacobi_weak_witness": list(self.weak.witness) if self.weak.witness else None,
-                "jacobi_strong": jv(self.strong.value),
+                "jacobi_strong": order_text(strong) if strong is None else strong,
                 "jacobi_strong_witness": list(self.strong.witness)
                 if self.strong.witness
                 else None,
@@ -455,9 +453,8 @@ class JbcReport:
 
 
 def _jacobi_line(label: str, r: JacobiResult) -> str:
-    if isinstance(r.value, _NegInf):
-        return f"{label}: -inf  (no admissible assignment)"
-    return f"{label}: {r.value}  witness sigma = {r.witness}"
+    tail = "(no admissible assignment)" if r.witness is None else f"witness sigma = {r.witness}"
+    return f"{label}: {order_text(r.value)}  {tail}"
 
 
 def jbc_check(
@@ -469,8 +466,9 @@ def jbc_check(
     set has dimension at most the system's assignment maximum (MaxPlus).
 
     Components come from split_decompose unless an externally computed
-    decomposition is supplied (then its completeness is taken as declared,
-    but each component is still re-verified against the inputs).  The
+    decomposition is supplied.  Nothing shows that supplied components cover
+    the zero set, so they count as incomplete: each is still re-verified
+    against the inputs, and the verdict can be FAILS but never HOLDS.  The
     overall verdict is the conjunction over finite-dimensional components;
     an unverified component or an incomplete decomposition downgrades a
     passing verdict to INCONCLUSIVE.
@@ -490,7 +488,7 @@ def jbc_check(
         dec = split_decompose(us, ranking)
         comps, complete = dec.components, dec.complete
     else:
-        comps, complete = tuple(components), True
+        comps, complete = tuple(components), False
 
     records = []
     for c in comps:

@@ -11,8 +11,7 @@ order), so equality and hashing are structural.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Iterable, NamedTuple, Optional, Union
+from typing import Iterable, NamedTuple, Optional
 
 from .fields import _P_ONE, Field, FieldElement, FieldTag, RatFunc, _fraction_text
 
@@ -23,54 +22,6 @@ DEFAULT_ORDER_CAP = 64
 
 class OrderCapExceeded(Exception):
     """derive() would create a jet variable above DEFAULT_ORDER_CAP."""
-
-
-class Convention(Enum):
-    """Order convention for variables that do not occur.
-
-    MAX_PLUS: ord is max over occurring derivative orders, with max of the
-    empty set defined as 0.  MINUS_INFINITY: absent variables (and the zero
-    polynomial) get -infinity.
-    """
-
-    MAX_PLUS = "maxplus"
-    MINUS_INFINITY = "minusinf"
-
-
-class _NegInf:
-    """The -infinity sentinel: absorbing for +, smaller than every int."""
-
-    __slots__ = ()
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return not isinstance(other, _NegInf)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _NegInf)
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _NegInf()
-OrderValue = Union[int, _NegInf]
 
 
 class DerVar(NamedTuple):
@@ -441,12 +392,9 @@ class DiffPoly:
                     break
         return DiffPoly(self.context, acc)
 
-    def order_of(self, var: int, convention: Convention) -> OrderValue:
-        """Order of this polynomial with respect to variable `var`.
-
-        MAX_PLUS: max derivative order of occurrences, 0 if absent (and 0
-        for the zero polynomial).  MINUS_INFINITY: -inf when absent.
-        """
+    def order_of(self, var: int) -> Optional[int]:
+        """Highest derivative order at which variable `var` occurs, or None
+        when it does not occur (so also for the zero polynomial)."""
         if not (0 <= var < self.context.n):
             raise ValueError(f"variable index {var} outside context")
         best: Optional[int] = None
@@ -454,9 +402,7 @@ class DiffPoly:
             for v, _ in m.factors:
                 if v.var == var and (best is None or v.order > best):
                     best = v.order
-        if best is not None:
-            return best
-        return 0 if convention is Convention.MAX_PLUS else NEG_INF
+        return best
 
     # -- decomposition in one jet variable --------------------------------------
 

@@ -6,28 +6,48 @@ permutations sigma of sum_i a[sigma(i)][i] -- a maximum-weight assignment of
 equations to variables scored by orders.  Two conventions differ on absent
 variables: MaxPlus scores them 0, MinusInfinity makes them forbidden edges.
 
-Absent entries are a genuine sentinel (never a large negative stand-in), a
-forbidden pair for the assignment solve, which runs once on exact integers
-(see jacobi_assign); the value is re-summed from the exact entries.
+An absent order is None from DiffPoly.order_of to the assignment solve,
+and only OrderMatrix.from_orders applies a convention to it.  Under
+MinusInfinity None is a forbidden pair for the solve, which runs once on
+exact integers (see jacobi_assign); the value is re-summed from the entries.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from enum import Enum
+from typing import Iterable, Optional, Sequence
 
-from .diffpoly import Convention, DiffPoly, NEG_INF, _NegInf
+from .diffpoly import DiffPoly
 
 BRUTE_LIMIT = 9
+
+
+class Convention(Enum):
+    """Order of a variable that does not occur.
+
+    MAX_PLUS: the max over occurring derivative orders, with the max of the
+    empty set defined as 0.  MINUS_INFINITY: absent (None, written -inf), a
+    pair the assignment may not use.
+    """
+
+    MAX_PLUS = "maxplus"
+    MINUS_INFINITY = "minusinf"
+
+
+def order_text(value: Optional[int]) -> str:
+    """An order or a Jacobi value as printed: None is -inf."""
+    return "-inf" if value is None else str(value)
 
 
 @dataclass(frozen=True)
 class OrderMatrix:
     """Square matrix of orders, rows indexed by equations and columns by
-    variables, tagged with the convention that produced it."""
+    variables, tagged with the convention that produced it.  An entry is an
+    int, or None for an absent variable under MinusInfinity."""
 
-    entries: tuple  # tuple[tuple[int | NEG_INF, ...], ...]
+    entries: tuple  # tuple[tuple[Optional[int], ...], ...]
     convention: Convention
 
     def __post_init__(self):
@@ -38,7 +58,7 @@ class OrderMatrix:
             if len(row) != n:
                 raise ValueError("order matrix must be square")
             for e in row:
-                if isinstance(e, _NegInf):
+                if e is None:
                     if self.convention is Convention.MAX_PLUS:
                         raise ValueError("MaxPlus entries must be nonnegative integers")
                 elif isinstance(e, int):
@@ -47,12 +67,20 @@ class OrderMatrix:
                 else:
                     raise ValueError(f"bad order entry {e!r}")
 
+    @classmethod
+    def from_orders(cls, rows: Iterable[Iterable[Optional[int]]], convention: Convention) -> "OrderMatrix":
+        """The matrix of rows of orders, None where a variable is absent;
+        the one place the convention applies: MaxPlus reads None as 0."""
+        if convention is Convention.MAX_PLUS:
+            rows = ((0 if e is None else e for e in row) for row in rows)
+        return cls(tuple(map(tuple, rows)), convention)
+
     @property
     def n(self) -> int:
         return len(self.entries)
 
     def to_text(self) -> str:
-        cells = [[("-inf" if isinstance(e, _NegInf) else str(e)) for e in row] for row in self.entries]
+        cells = [[order_text(e) for e in row] for row in self.entries]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[" + "  ".join(c.rjust(width) for c in row) + "]" for row in cells)
 
@@ -70,34 +98,31 @@ def order_matrix(us: Sequence[DiffPoly], convention: Convention = Convention.MAX
         raise ValueError(
             f"need a square system: {len(us)} equations over {len(ctx.names)} variables"
         )
-    rows = tuple(
-        tuple(u.order_of(j, convention) for j in range(ctx.n)) for u in us
+    return OrderMatrix.from_orders(
+        ((u.order_of(j) for j in range(ctx.n)) for u in us), convention
     )
-    return OrderMatrix(entries=rows, convention=convention)
 
 
 @dataclass(frozen=True)
 class JacobiResult:
     """Value of the assignment maximum and one witness permutation sigma
-    (variable index -> equation index); no witness when the value is -inf."""
+    (variable index -> equation index); the value is None (-inf), with no
+    witness, when every permutation meets an absent entry."""
 
-    value: object  # int | NEG_INF
+    value: Optional[int]
     witness: Optional[tuple] = None
 
     def __post_init__(self):
-        if isinstance(self.value, _NegInf):
-            if self.witness is not None:
-                raise ValueError("no witness exists for value -inf")
-        elif self.witness is None:
-            raise ValueError("finite value requires a witness")
+        if (self.value is None) != (self.witness is None):
+            raise ValueError("a witness exists exactly when the value is finite")
 
 
-def _score(m: OrderMatrix, sigma: Sequence[int]):
+def _score(m: OrderMatrix, sigma: Sequence[int]) -> Optional[int]:
     total = 0
     for i, row in enumerate(sigma):
         e = m.entries[row][i]
-        if isinstance(e, _NegInf):
-            return NEG_INF
+        if e is None:
+            return None
         total += e
     return total
 
@@ -108,17 +133,11 @@ def jacobi_brute(m: OrderMatrix) -> JacobiResult:
     n = m.n
     if n > BRUTE_LIMIT:
         raise ValueError(f"n={n} exceeds brute-force limit {BRUTE_LIMIT}; use jacobi_assign")
-    best = NEG_INF
-    best_sigma = None
+    best, best_sigma = None, None
     for sigma in itertools.permutations(range(n)):
         s = _score(m, sigma)
-        if isinstance(s, _NegInf):
-            continue
-        if best_sigma is None or s > best:
-            best = s
-            best_sigma = sigma
-    if best_sigma is None:
-        return JacobiResult(NEG_INF, None)
+        if s is not None and (best is None or s > best):
+            best, best_sigma = s, sigma
     return JacobiResult(best, best_sigma)
 
 
@@ -169,11 +188,11 @@ def jacobi_assign(m: OrderMatrix) -> JacobiResult:
     sum and then picks the lexicographically smallest sigma among the maxima."""
     n, a = m.n, m.entries
     scale, tie = (n + 1) ** n, [(n + 1) ** (n - 1 - i) for i in range(n)]
-    cost = [[None if isinstance(a[j][i], _NegInf) else j * tie[i] - a[j][i] * scale for j in range(n)]
+    cost = [[None if a[j][i] is None else j * tie[i] - a[j][i] * scale for j in range(n)]
             for i in range(n)]
     row_of = _min_cost_matching(cost)
     if row_of is None:
-        return JacobiResult(NEG_INF, None)
+        return JacobiResult(None, None)
     sigma = tuple(sorted(range(n), key=row_of.__getitem__))  # the inverse of row_of
     return JacobiResult(_score(m, sigma), sigma)
 

@@ -21,17 +21,17 @@ without partials, as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .decompose import CharSetComponent
 from .diffpoly import (
     ConcretePoint,
     Context,
-    Convention,
     DerVar,
     DiffPoly,
     Monomial,
 )
-from .jacobi import OrderMatrix
+from .jacobi import Convention, OrderMatrix
 
 TANGENT_PREFIX = "d"
 
@@ -75,11 +75,12 @@ class LinearizedPoly:
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
-    def tangent_order(self, var_index: int, convention: Convention):
-        """Order in the tangent variable of one original variable."""
+    def tangent_order(self, var_index: int) -> Optional[int]:
+        """Order in the tangent variable of one original variable, or None
+        when that tangent variable does not occur."""
         if not (0 <= var_index < self.base_n):
             raise ValueError(f"variable index {var_index} outside base context")
-        return self.poly.order_of(self.base_n + var_index, convention)
+        return self.poly.order_of(self.base_n + var_index)
 
     def to_text(self) -> str:
         return self.poly.to_text()
@@ -161,8 +162,7 @@ def linearized_order_matrix(tangents, convention: Convention = Convention.MAX_PL
     n = tangents[0].base_n
     if len(tangents) != n:
         raise ValueError(f"need a square system: {len(tangents)} equations over {n} variables")
-    rows = tuple(tuple(t.tangent_order(j, convention) for j in range(n)) for t in tangents)
-    return OrderMatrix(entries=rows, convention=convention)
+    return OrderMatrix.from_orders(((t.tangent_order(j) for j in range(n)) for t in tangents), convention)
 
 
 class _Dual:

@@ -49,6 +49,9 @@ from .ranking import Ranking, RankKind
 # Largest term count a ``p ^ e`` may be expanded to: a polynomial with n
 # terms has at most C(n + e - 1, e) terms in its e-th power.
 MAX_POWER_TERMS = 10_000
+# Largest number of term products the expansion of a ``p ^ e`` may make (see
+# _power_products): (x + y)^9999 passes the term cap but would make 38 million.
+MAX_POWER_PRODUCTS = 100_000
 # Largest coefficient size, in bits of a numerator or denominator, and
 # largest degree in t that a ``p ^ e`` may be expanded to.  Both are bounded
 # from p without expanding (see _power_growth).  When p's coefficients are
@@ -220,6 +223,12 @@ class _ExprParser:
                         f"{MAX_POWER_TERMS} terms",
                         at,
                     )
+                if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
+                    raise ParseError(
+                        f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+                        f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
+                        at,
+                    )
                 bits, tdeg = _power_growth(p)
                 if e * bits > MAX_POWER_COEFF_BITS:
                     raise ParseError(
@@ -282,6 +291,22 @@ class _ExprParser:
                 self.i = save
         p = DiffPoly.var(self.ctx, var, order)
         return self._power_suffix(p)
+
+
+def _power_products(n: int, e: int) -> int:
+    """Term products that DiffPoly.__pow__ makes for the e-th power of an
+    n-term polynomial, each k-th power counted at its largest size, the
+    C(n + k - 1, k) monomials of degree k in n terms."""
+    total, out, base = 0, 0, 1  # exponents of the running product and the square
+    while e:
+        if e & 1:
+            total += comb(n + out - 1, out) * comb(n + base - 1, base)
+            out += base
+        e >>= 1
+        if e:
+            total += comb(n + base - 1, base) ** 2
+            base *= 2
+    return total
 
 
 def _power_growth(p: DiffPoly) -> tuple:

@@ -26,7 +26,6 @@ from diffalg import (
     DiffPoly,
     JbcVerdict,
     Monomial,
-    NEG_INF,
     OrderMatrix,
     QQ,
     QT,
@@ -79,10 +78,10 @@ def _check(num: int, label: str, budget_s: float):
 
 
 def _le(a, b) -> bool:
-    """a <= b where either side may be the -inf sentinel."""
-    if a is NEG_INF:
+    """a <= b where either side may be None, an absent order (-inf)."""
+    if a is None:
         return True
-    if b is NEG_INF:
+    if b is None:
         return False
     return a <= b
 
@@ -229,7 +228,7 @@ def test_check_6_linearization_at_points():
 
         tangents = [linearize_at(u, origin) for u in us]
         strong = jacobi_assign(linearized_order_matrix(tangents, Convention.MINUS_INFINITY))
-        assert strong.value is NEG_INF
+        assert strong.value is None
         assert jacobi_number(us).value == 1
 
 
@@ -254,9 +253,9 @@ def _prop_order_increment(cases: int) -> None:
         p = _rand_poly(rng, ctx)
         dp = p.derive()
         for j in range(ctx.n):
-            o = p.order_of(j, Convention.MINUS_INFINITY)
-            want = NEG_INF if o is NEG_INF else o + 1
-            assert dp.order_of(j, Convention.MINUS_INFINITY) == want, p.to_text()
+            o = p.order_of(j)
+            want = None if o is None else o + 1
+            assert dp.order_of(j) == want, p.to_text()
 
 
 def _prop_reduction_certificates(cases: int) -> None:
@@ -309,10 +308,7 @@ def _prop_tangent_order_bound(cases: int) -> None:
         u = _rand_poly(rng, ctx)
         lu = linearize_at(u, pt, require_zero=False)
         for j in range(ctx.n):
-            assert _le(
-                lu.tangent_order(j, Convention.MINUS_INFINITY),
-                u.order_of(j, Convention.MINUS_INFINITY),
-            ), u.to_text()
+            assert _le(lu.tangent_order(j), u.order_of(j)), u.to_text()
 
 
 def _prop_linearized_jacobi_bound(cases: int) -> None:
@@ -336,7 +332,7 @@ def _prop_assign_matches_brute(cases: int) -> None:
         minusinf = rng.random() < 0.5
         rows = tuple(
             tuple(
-                NEG_INF if (minusinf and rng.random() < 0.25) else rng.randint(0, 6)
+                None if (minusinf and rng.random() < 0.25) else rng.randint(0, 6)
                 for _ in range(n)
             )
             for _ in range(n)

@@ -41,6 +41,16 @@ eq u2 = x^(1152921504606846979) + y^(1152921504606846976)
 """
 
 
+# structurally singular: y occurs nowhere, so the strong Jacobi number is -inf
+SINGULAR = """\
+field: Q
+vars: x, y
+ranking: elim x > y
+eq u1 = x' + x
+eq u2 = x'^2 + x
+"""
+
+
 @pytest.fixture
 def flagship(tmp_path):
     p = tmp_path / "flagship.sys"
@@ -52,6 +62,13 @@ def flagship(tmp_path):
 def cusp(tmp_path):
     p = tmp_path / "cusp.sys"
     p.write_text(CUSP)
+    return str(p)
+
+
+@pytest.fixture
+def singular(tmp_path):
+    p = tmp_path / "singular.sys"
+    p.write_text(SINGULAR)
     return str(p)
 
 
@@ -81,6 +98,16 @@ class TestOrderAndJacobi:
         assert main(["jacobi", flagship, "--convention", "minusinf"]) == 0
         out = capsys.readouterr().out
         assert "ritt bound" not in out
+
+    def test_jacobi_minusinf_without_admissible_assignment(self, singular, capsys):
+        assert main(["jacobi", singular, "--convention", "minusinf"]) == 0
+        assert capsys.readouterr().out == (
+            "order matrix (minusinf):\n"
+            "[   1  -inf]\n"
+            "[   1  -inf]\n"
+            "jacobi number: -inf\n"
+            "witness: (no admissible assignment)\n"
+        )
 
 
 class TestReduce:
@@ -198,8 +225,22 @@ class TestDecompose:
         main(["decompose", flagship])
         comp_file = tmp_path / "comps.txt"
         comp_file.write_text(capsys.readouterr().out)
-        assert main(["jbc-check", flagship, "--components", str(comp_file)]) == 0
-        assert "verdict: HOLDS" in capsys.readouterr().out
+        # supplied components are re-verified, but nothing shows they cover the zero set
+        assert main(["jbc-check", flagship, "--components", str(comp_file)]) == 1
+        out = capsys.readouterr().out
+        assert "decomposition: 2 component(s) (INCOMPLETE)" in out
+        assert "verdict: INCONCLUSIVE" in out
+
+    def test_partial_component_file_never_holds(self, flagship, tmp_path, capsys):
+        # the first of the two blocks decompose prints
+        comp_file = tmp_path / "one.txt"
+        comp_file.write_text("ranking: elim x > y\ncharset: y; x'\nineqs: (none)\nprime: no\n")
+        for extra in ([], ["--json"]):
+            assert main(["jbc-check", flagship, "--components", str(comp_file)] + extra) == 1
+            out = capsys.readouterr().out
+            assert "HOLDS" not in out
+        assert json.loads(out)["complete"] is False
+        assert json.loads(out)["verdict"] == "INCONCLUSIVE"
 
 
 class TestJbcCheck:
@@ -239,6 +280,37 @@ class TestJbcCheck:
         p.write_text("field: Q\nvars: x, y\nranking: elim x > y\neq u = x\n")
         assert main(["jbc-check", str(p)]) == 3
 
+    def test_strong_number_minus_infinity(self, singular, capsys):
+        assert main(["jbc-check", singular]) == 0
+        assert capsys.readouterr().out == (
+            "system: 2 equations over x, y  [field Q]\n"
+            "jacobi weak (maxplus): 1  witness sigma = (0, 1)\n"
+            "jacobi strong (minusinf): -inf  (no admissible assignment)\n"
+            "decomposition: 1 component(s) (complete)\n"
+            "component 1:\n"
+            "  charset: x\n"
+            "  ineqs: (none)\n"
+            "  prime: no\n"
+            "  dimension: infinite\n"
+            "  membership: eq1 -> member (heuristic) [cert-1]; eq2 -> member (heuristic) [cert-2]\n"
+            "  dim <= J: not applicable (infinite dimension)\n"
+            "verdict: HOLDS (heuristic)\n"
+            "certificates:\n"
+            "  cert-1: multiplier = 1; remainder = 0\n"
+            "  cert-2: multiplier = 1; remainder = 0\n"
+        )
+        assert main(["jbc-check", singular, "--json"]) == 0
+        out = capsys.readouterr().out
+        assert '"jacobi_strong": "-inf",\n' in out
+        assert json.loads(out)["system"] == {
+            "field": "Q",
+            "jacobi_strong": "-inf",
+            "jacobi_strong_witness": None,
+            "jacobi_weak": 1,
+            "jacobi_weak_witness": [0, 1],
+            "variables": ["x", "y"],
+        }
+
 
 class TestMembership:
     def test_member(self, tmp_path, capsys):
@@ -273,9 +345,10 @@ class TestMembership:
     def test_negative_bound_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "sq.sys"
         p.write_text("field: Q\nvars: x\nranking: elim x\neq g1 = x^2\n")
-        assert main(["member", str(p), "x'^3", "--bounds=-1,3,6,6"]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "--bounds" in captured.err
+        for flag in ("--bounds=-1,3,6,6", "--bounds=2,3,6,-1"):
+            assert main(["member", str(p), "x'^3", flag]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--bounds" in captured.err
 
     def test_empty_bounds_is_usage_error(self, tmp_path, capsys):
         p = tmp_path / "sq.sys"

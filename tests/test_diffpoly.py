@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from diffalg import (
-    NEG_INF,
     ConcretePoint,
     Context,
     Convention,
@@ -17,6 +16,7 @@ from diffalg import (
     Monomial,
     QQ,
     QT,
+    order_matrix,
 )
 from diffalg.diffpoly import MON_ONE, OrderCapExceeded
 
@@ -135,10 +135,10 @@ class TestDerivation:
         ctx = data.draw(contexts())
         p = data.draw(diffpolys(ctx).filter(lambda q: not q.is_zero()))
         for j in range(ctx.n):
-            before = p.order_of(j, Convention.MINUS_INFINITY)
-            after = p.derive().order_of(j, Convention.MINUS_INFINITY)
-            if before is NEG_INF:
-                assert after is NEG_INF
+            before = p.order_of(j)
+            after = p.derive().order_of(j)
+            if before is None:
+                assert after is None
             else:
                 assert after == before + 1
 
@@ -259,15 +259,20 @@ class TestKernelEquivalence:
 class TestOrderOf:
     def test_conventions_differ_only_when_absent(self):
         p = P("x''*y + x")
-        assert p.order_of(0, Convention.MAX_PLUS) == 2
-        assert p.order_of(0, Convention.MINUS_INFINITY) == 2
+        assert p.order_of(0) == 2
         q = P("x'")
-        assert q.order_of(1, Convention.MAX_PLUS) == 0
-        assert q.order_of(1, Convention.MINUS_INFINITY) is NEG_INF
+        assert q.order_of(1) is None
+        assert order_matrix([p, q], Convention.MAX_PLUS).entries == ((2, 0), (1, 0))
+        assert order_matrix([p, q], Convention.MINUS_INFINITY).entries == ((2, 0), (1, None))
 
-    def test_neg_inf_is_absorbing(self):
-        assert NEG_INF + 5 is NEG_INF
-        assert NEG_INF < -(10 ** 9)
+    def test_absent_variable_and_zero_polynomial_give_none(self):
+        assert P("y'^2 + 1").order_of(0) is None
+        assert P("y'^2 + 1").order_of(1) == 1
+        assert P("3").order_of(0) is None
+        assert DiffPoly.zero(XY).order_of(0) is None
+        assert DiffPoly.zero(XY).order_of(1) is None
+        with pytest.raises(ValueError, match="outside context"):
+            P("x").order_of(2)
 
 
 class TestStructure:

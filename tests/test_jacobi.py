@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from diffalg import (
     Context,
     Convention,
-    NEG_INF,
     OrderMatrix,
     QQ,
     jacobi_assign,
@@ -46,7 +45,7 @@ def maxplus_matrices(draw, max_n=5, max_order=4):
 @st.composite
 def minusinf_matrices(draw, max_n=4, max_order=4):
     n = draw(st.integers(min_value=1, max_value=max_n))
-    entry = st.one_of(st.just(NEG_INF), st.integers(min_value=0, max_value=max_order))
+    entry = st.one_of(st.none(), st.integers(min_value=0, max_value=max_order))
     rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
     return M(rows, Convention.MINUS_INFINITY)
 
@@ -71,8 +70,16 @@ class TestOrderMatrix:
 
     def test_minus_infinity_records_absence(self):
         m = order_matrix([P("x''"), P("x'*y")], Convention.MINUS_INFINITY)
-        assert m.entries[0][1] is NEG_INF
+        assert m.entries[0][1] is None
         assert m.entries[1][0] == 1
+
+    def test_maxplus_reads_none_as_zero(self):
+        rows = [[2, None], [None, 1]]
+        m = OrderMatrix.from_orders(rows, Convention.MAX_PLUS)
+        assert m.entries == ((2, 0), (0, 1))
+        assert OrderMatrix.from_orders(rows, Convention.MINUS_INFINITY).entries == ((2, None), (None, 1))
+        with pytest.raises(ValueError, match="MaxPlus entries"):
+            M(rows)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -97,14 +104,14 @@ class TestSolvers:
         assert jacobi_brute(M([[3]])).value == 3
 
     def test_infeasible_is_minus_infinity(self):
-        m = M([[NEG_INF, NEG_INF], [1, NEG_INF]], Convention.MINUS_INFINITY)
+        m = M([[None, None], [1, None]], Convention.MINUS_INFINITY)
         r = jacobi_assign(m)
-        assert r.value is NEG_INF
+        assert r.value is None
         assert r.witness is None
-        assert jacobi_brute(m).value is NEG_INF
+        assert jacobi_brute(m).value is None
 
     def test_partial_infeasibility_is_fine(self):
-        m = M([[NEG_INF, 2], [1, NEG_INF]], Convention.MINUS_INFINITY)
+        m = M([[None, 2], [1, None]], Convention.MINUS_INFINITY)
         assert jacobi_assign(m).value == 3
 
     @given(maxplus_matrices())
@@ -155,11 +162,11 @@ class TestSolvers:
 
     def test_forbidden_column_is_infeasible_at_n40(self):
         rng = random.Random(40)
-        rows = [[NEG_INF if rng.random() < 0.2 else rng.randint(0, 5) for _ in range(40)] for _ in range(40)]
+        rows = [[None if rng.random() < 0.2 else rng.randint(0, 5) for _ in range(40)] for _ in range(40)]
         for row in rows:
-            row[17] = NEG_INF
+            row[17] = None
         r = jacobi_assign(M(rows, Convention.MINUS_INFINITY))
-        assert r.value is NEG_INF
+        assert r.value is None
         assert r.witness is None
 
     def test_witness_is_lex_smallest_among_ties(self):
@@ -189,6 +196,6 @@ class TestRittBound:
         assert jacobi_assign(m).value <= ritt_bound(m)
 
     def test_only_defined_for_maxplus(self):
-        m = M([[NEG_INF]], Convention.MINUS_INFINITY)
+        m = M([[None]], Convention.MINUS_INFINITY)
         with pytest.raises(ValueError):
             ritt_bound(m)

@@ -1,5 +1,6 @@
 """The expression grammar and the system/component file formats."""
 
+import time
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -8,7 +9,6 @@ from hypothesis import given, settings
 
 from diffalg import (
     Context,
-    Convention,
     DerVar,
     QQ,
     QT,
@@ -17,6 +17,7 @@ from diffalg import (
 )
 from diffalg.sysfile import (
     MAX_POWER_COEFF_BITS,
+    MAX_POWER_PRODUCTS,
     MAX_POWER_T_DEGREE,
     MAX_POWER_TERMS,
     ParseError,
@@ -30,7 +31,7 @@ from diffalg.sysfile import (
     parse_system,
 )
 from diffalg.diffpoly import DiffPoly
-from diffalg.sysfile import _power_growth
+from diffalg.sysfile import _power_growth, _power_products
 
 from conftest import contexts, diffpolys, small_fractions
 
@@ -59,6 +60,20 @@ class TestExpressions:
         # (x + 1)^e has C(e + 1, e) = e + 1 terms
         with pytest.raises(ParseError, match=f"cap of {MAX_POWER_TERMS} terms"):
             parse_poly(f"(x + 1)^{MAX_POWER_TERMS}", XY)
+
+    def test_power_product_cap(self):
+        # (x + y)^9999 has 10,000 terms, inside the term cap, but binary
+        # powering would make about 38 million term products
+        for e in (9999, 2000):
+            start = time.perf_counter()
+            with pytest.raises(ParseError, match=f"cap of {MAX_POWER_PRODUCTS} term products"):
+                parse_poly(f"(x + y)^{e}", XY)
+            assert time.perf_counter() - start < 1.0
+        assert _power_products(2, 9999) > MAX_POWER_PRODUCTS
+        # the count is exact for binary powering: one square, then 1 x 6
+        assert _power_products(3, 2) == 3 * 3 + 1 * 6
+        assert parse_poly("(x + y)^400", XY).term_count() == 401
+        assert parse_poly("(x - x)^100000", XY).is_zero()
 
     def test_over_long_integer_literal(self):
         # past Python's 4,300-digit conversion limit, named at the token
@@ -162,7 +177,7 @@ class TestExpressions:
     def test_t_is_a_scalar_over_qt(self):
         ctx = Context(("x",), QT)
         p = parse_poly("t^2*x' - t", ctx)
-        assert p.order_of(0, Convention.MAX_PLUS) == 1
+        assert p.order_of(0) == 1
         assert parse_poly("t*x - x*t", ctx).is_zero()
 
     def test_t_takes_no_primes_over_qt(self):
@@ -173,7 +188,7 @@ class TestExpressions:
     def test_t_is_an_ordinary_variable_over_q(self):
         ctx = Context(("s", "t", "u"), QQ)
         p = parse_poly("t'^2 + s", ctx)
-        assert p.order_of(1, Convention.MAX_PLUS) == 1
+        assert p.order_of(1) == 1
 
     @given(st.data())
     @settings(max_examples=100)
