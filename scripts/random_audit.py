@@ -15,7 +15,12 @@ properties that everything else leans on:
   * at random concrete zeros of random square systems, the linearized order
     matrix read off the linearize_at tangents (partials evaluated at the
     point) equals the orders of the first_order_expansion tangents (dual
-    numbers, no partials), under both conventions.
+    numbers, no partials), under both conventions;
+  * random rational functions of t, with constant and non-constant
+    denominators, agree with the Fraction reference of
+    tests/fraction_reference.py in value and text() through sums, products,
+    quotients and derivatives, and satisfy distributivity, (a/b)*b == a and
+    the product rule for derive.
 
     python3 scripts/random_audit.py --cases 500 --seed 7
 
@@ -29,6 +34,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 from diffalg import (
     ConcretePoint,
@@ -41,6 +47,7 @@ from diffalg import (
     OrderMatrix,
     QQ,
     Ranking,
+    RatFunc,
     StepLimitExceeded,
     TermLimitExceeded,
     TruncationBounds,
@@ -56,6 +63,9 @@ from diffalg import (
     verify_certificate,
     verify_witness,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+import fraction_reference as ref  # noqa: E402
 
 NAMES = ("x", "y", "z")
 
@@ -220,6 +230,45 @@ def audit_linearize(rng: random.Random, cases: int, max_vars: int) -> int:
     return cases
 
 
+def _rand_qt(rng: random.Random) -> tuple:
+    """Coefficient lists (numerator, denominator) of a rational function of
+    t; the denominator is a constant half the time."""
+
+    def coeff(nonzero=False):
+        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        return c if c or not nonzero else Fraction(rng.choice((-1, 1)), rng.randint(1, 3))
+
+    num = [coeff() for _ in range(rng.randint(0, 4))]
+    den = [coeff() for _ in range(rng.randint(0, 2))] if rng.random() < 0.5 else []
+    return num, den + [coeff(nonzero=True)]
+
+
+def audit_qt(rng: random.Random, cases: int) -> int:
+    """Checks RatFunc on random triples against the Fraction reference."""
+    for _ in range(cases):
+        drawn = [_rand_qt(rng) for _ in range(3)]
+        a, b, c = (RatFunc.make(num, den) for num, den in drawn)
+        ra, rb, _ = refs = [ref.make(num, den) for num, den in drawn]
+        pairs = [(x, rx) for x, rx in zip((a, b, c), refs)]
+        pairs += [(a + b, ref.add(ra, rb)), (a * b, ref.mul(ra, rb)), (a.derive(), ref.derive(ra))]
+        if b:
+            pairs.append((a / b, ref.div(ra, rb)))
+        checks = {
+            "value": all(x.rational_view() == rx for x, rx in pairs),
+            "text": all(x.text() == ref.text(rx) for x, rx in pairs),
+            "distributivity": a * (b + c) == a * b + a * c,
+            "(a/b)*b == a": not b or (a / b) * b == a,
+            "product rule": (a * b).derive() == a.derive() * b + a * b.derive(),
+        }
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
+            print(f"Q(t) check failed ({', '.join(failed)}):", file=sys.stderr)
+            for x in (a, b, c):
+                print(f"  {x.text()}", file=sys.stderr)
+            sys.exit(1)
+    return cases
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=500, help="cases per audit (default 500)")
@@ -249,6 +298,12 @@ def main() -> None:
     print(
         f"linearize: {compared} linearized order matrices agreed with the dual-number "
         f"tangents under both conventions  [{time.monotonic() - t3:.2f}s]"
+    )
+    t4 = time.monotonic()
+    compared = audit_qt(rng, args.cases)
+    print(
+        f"qt: {compared} triples of rational functions agreed with the Fraction reference  "
+        f"[{time.monotonic() - t4:.2f}s]"
     )
     print("all audits passed")
 

@@ -125,11 +125,13 @@ def verify_component(c: CharSetComponent, us: Sequence[DiffPoly]) -> bool:
     )
 
 
-# Budget for the splitting tree: the most distinct components kept and the
-# most nodes taken from the queue.  Exhaustion clears the completeness flag
-# instead of raising.
+# Budget for the splitting tree: the most distinct components kept, the
+# most nodes taken from the queue, and the most bits in any integer of a
+# coefficient of an equation that joins a node.  Exhaustion clears the
+# completeness flag instead of raising.
 MAX_COMPONENTS = 64
 MAX_SPLIT_STEPS = 10_000
+MAX_COEFF_BITS = 4096
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,8 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
     against the inputs, and verify_component does so on demand.  The
     completeness flag reports whether the whole tree was explored within
     MAX_SPLIT_STEPS nodes and MAX_COMPONENTS components; a reduction that
-    hits a step or term cap clears it.
+    hits a step or term cap clears it, and so does a remainder with a
+    coefficient past MAX_COEFF_BITS, which is dropped with its node.
     """
     if not us:
         raise ValueError("empty system")
@@ -286,6 +289,9 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
             complete = False
             continue
         new = {r.monic() for r in remainders if not r.is_zero()} - node
+        if any(ctx.field.bits(c) > MAX_COEFF_BITS for r in new for _, c in r.items()):
+            complete = False
+            continue
         if any(not r.is_zero() for r in remainders):
             if new:
                 queue.append(frozenset(node | new))

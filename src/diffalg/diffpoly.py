@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .fields import _P_ONE, Field, FieldElement, FieldTag, RatFunc, _fraction_text
+from .fields import Field, FieldElement, FieldTag, RatFunc, _fraction_text, _view_text
 
 # Cap on the derivative orders derive() creates; prevents runaway
 # prolongation loops from allocating unbounded jet towers.
@@ -392,17 +392,23 @@ class DiffPoly:
                     break
         return DiffPoly(self.context, acc)
 
+    def orders(self) -> tuple:
+        """Highest derivative order of each variable of the context, None
+        where the variable does not occur (so everywhere for the zero
+        polynomial); one pass over the terms."""
+        best = [-1] * self.context.n
+        for m in self._terms:
+            for v, _ in m.factors:
+                if v.order > best[v.var]:
+                    best[v.var] = v.order
+        return tuple(None if o < 0 else o for o in best)
+
     def order_of(self, var: int) -> Optional[int]:
         """Highest derivative order at which variable `var` occurs, or None
         when it does not occur (so also for the zero polynomial)."""
         if not (0 <= var < self.context.n):
             raise ValueError(f"variable index {var} outside context")
-        best: Optional[int] = None
-        for m in self._terms:
-            for v, _ in m.factors:
-                if v.var == var and (best is None or v.order > best):
-                    best = v.order
-        return best
+        return self.orders()[var]
 
     # -- decomposition in one jet variable --------------------------------------
 
@@ -501,10 +507,11 @@ def _coeff_term_text(c, m: Monomial, names) -> tuple:
     mono = m.text(names) if m.factors else None
     k = 0
     if isinstance(c, RatFunc):
-        if c.den != _P_ONE or sum(1 for x in c.num if x) != 1:
-            body = f"({c.text()})"
+        num, den = c.rational_view()
+        if len(den) != 1 or sum(1 for x in num if x) != 1:
+            body = f"({_view_text(num, den)})"
             return 1, body if mono is None else f"{body}*{mono}"
-        k, c = len(c.num) - 1, c.num[-1]
+        k, c = len(num) - 1, num[-1]
     tpart = None if k == 0 else "t" if k == 1 else f"t^{k}"
     ctext = None if abs(c) == 1 and (tpart or mono) else _fraction_text(abs(c))
     return (1 if c >= 0 else -1), "*".join(x for x in (ctext, tpart, mono) if x)

@@ -6,7 +6,7 @@ permutations sigma of sum_i a[sigma(i)][i] -- a maximum-weight assignment of
 equations to variables scored by orders.  Two conventions differ on absent
 variables: MaxPlus scores them 0, MinusInfinity makes them forbidden edges.
 
-An absent order is None from DiffPoly.order_of to the assignment solve,
+An absent order is None from DiffPoly.orders to the assignment solve,
 and only OrderMatrix.from_orders applies a convention to it.  Under
 MinusInfinity None is a forbidden pair for the solve, which runs once on
 exact integers (see jacobi_assign); the value is re-summed from the entries.
@@ -98,9 +98,7 @@ def order_matrix(us: Sequence[DiffPoly], convention: Convention = Convention.MAX
         raise ValueError(
             f"need a square system: {len(us)} equations over {len(ctx.names)} variables"
         )
-    return OrderMatrix.from_orders(
-        ((u.order_of(j) for j in range(ctx.n)) for u in us), convention
-    )
+    return OrderMatrix.from_orders((u.orders() for u in us), convention)
 
 
 @dataclass(frozen=True)

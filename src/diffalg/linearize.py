@@ -21,7 +21,6 @@ without partials, as an independent check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .decompose import CharSetComponent
 from .diffpoly import (
@@ -75,12 +74,11 @@ class LinearizedPoly:
     def is_zero(self) -> bool:
         return self.poly.is_zero()
 
-    def tangent_order(self, var_index: int) -> Optional[int]:
-        """Order in the tangent variable of one original variable, or None
-        when that tangent variable does not occur."""
-        if not (0 <= var_index < self.base_n):
-            raise ValueError(f"variable index {var_index} outside base context")
-        return self.poly.order_of(self.base_n + var_index)
+    def tangent_orders(self) -> tuple:
+        """Order in the tangent variable of each original variable, None
+        where that tangent variable does not occur; one pass over the
+        terms."""
+        return self.poly.orders()[self.base_n :]
 
     def to_text(self) -> str:
         return self.poly.to_text()
@@ -162,7 +160,7 @@ def linearized_order_matrix(tangents, convention: Convention = Convention.MAX_PL
     n = tangents[0].base_n
     if len(tangents) != n:
         raise ValueError(f"need a square system: {len(tangents)} equations over {n} variables")
-    return OrderMatrix.from_orders(((t.tangent_order(j) for j in range(n)) for t in tangents), convention)
+    return OrderMatrix.from_orders((t.tangent_orders() for t in tangents), convention)
 
 
 class _Dual:

@@ -328,10 +328,11 @@ def _power_growth(p: DiffPoly) -> tuple:
         if isinstance(c, Fraction):
             rationals.append(c)
             continue
-        rationals.extend(q for q in c.num + c.den if q)
-        width = max(width, sum(1 for q in c.num if q), sum(1 for q in c.den if q))
-        tnum = max(tnum, len(c.num) - 1)
-        dens.add(c.den)
+        num, den = c.rational_view()
+        rationals.extend(q for q in num + den if q)
+        width = max(width, sum(1 for q in num if q), sum(1 for q in den if q))
+        tnum = max(tnum, len(num) - 1)
+        dens.add(den)
     den_lcm = lcm(*(q.denominator for q in rationals))
     top = max((abs(q.numerator) * (den_lcm // q.denominator) for q in rationals), default=1)
     products = max(p.term_count() * width, 1)

@@ -201,6 +201,25 @@ class TestDecompose:
         assert main(["decompose", flagship]) == 1
         assert "# complete: no" in capsys.readouterr().out
 
+    def test_coefficient_cap_ends_incomplete(self, flagship, tmp_path, capsys, monkeypatch):
+        # remainders of this system grow to some 24,600-bit coefficients;
+        # past MAX_COEFF_BITS the node is dropped and the decomposition says
+        # it is incomplete, where rendering them for the sort used to fail
+        # on Python's 4,300-digit limit for integer string conversion
+        p = tmp_path / "swelling.sys"
+        p.write_text(
+            "field: Q\nvars: x, y\nranking: elim x > y\n"
+            "eq u1 = -8*x'*y' + 2*x*x' + 3\neq u2 = -7/4*x*y' - x' + 2\n"
+        )
+        assert main(["decompose", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert "# complete: no" in captured.out
+        assert "digits" not in captured.err
+        # the flagship's remainders carry 1/4: three bits
+        monkeypatch.setattr(diffalg.decompose, "MAX_COEFF_BITS", 2)
+        assert main(["decompose", flagship]) == 1
+        assert "# complete: no" in capsys.readouterr().out
+
     def test_budget_flags_are_usage_errors(self, flagship, capsys):
         # the budget is a constant, not an option
         for command in ("decompose", "jbc-check"):

@@ -275,6 +275,20 @@ class TestOrderOf:
             P("x").order_of(2)
 
 
+    @given(st.data())
+    def test_one_pass_rows_equal_per_pair_orders(self, data):
+        ctx = data.draw(contexts(fields=(QQ, QT)))
+        us = [data.draw(diffpolys(ctx)) for _ in range(ctx.n)]
+
+        def walk(u, j):  # the per-pair walk over every factor of every term
+            return max((v.order for m in u.monomials() for v, _ in m.factors if v.var == j), default=None)
+
+        rows = tuple(tuple(walk(u, j) for j in range(ctx.n)) for u in us)
+        assert tuple(u.orders() for u in us) == rows
+        assert tuple(tuple(u.order_of(j) for j in range(ctx.n)) for u in us) == rows
+        assert order_matrix(us, Convention.MINUS_INFINITY).entries == rows
+
+
 class TestStructure:
     @given(st.data())
     def test_partial_is_a_derivation_in_one_jet(self, data):

@@ -1,23 +1,17 @@
 """Exact coefficient fields: Q via Fraction, Q(t) via reduced rational
-functions with the d/dt derivation."""
+functions with the d/dt derivation, checked against the Fraction reference
+in fraction_reference."""
 
 from fractions import Fraction
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import fraction_reference as ref
 from diffalg import QQ, QT, RatFunc
-from diffalg.fields import (
-    _padd,
-    _pderive,
-    _pdivmod,
-    _pgcd,
-    _pmul,
-    _pneg,
-    _pscale,
-    _ptrim,
-)
+from diffalg.fields import _pgcd, _pmul
 
 from conftest import small_fractions
 
@@ -41,8 +35,14 @@ class TestRatFunc:
         assert a.text() == "t + 1"
 
     def test_denominator_is_monic(self):
+        # 1/(2 + 2t) is (1/2)/(t + 1): monic in the rational view, and
+        # 1/(2t + 2) with a positive leading coefficient inside
         a = RatFunc.make((Fraction(1),), (Fraction(2), Fraction(2)))
-        assert a.den[-1] == 1
+        assert a.rational_view() == ref.make((1,), (2, 2)) == ((Fraction(1, 2),), (1, 1))
+        assert a.text() == "(1/2)/(t + 1)"
+        b = RatFunc.make((Fraction(1),), (Fraction(-2), Fraction(-2)))
+        assert b.rational_view() == ((Fraction(-1, 2),), (1, 1))
+        assert b.den[-1] > 0
 
     def test_zero_is_unique(self):
         z = RatFunc.make((Fraction(0),), (Fraction(3), Fraction(5)))
@@ -104,70 +104,108 @@ class TestFieldWrapper:
         assert QQ.text(Fraction(-3, 4)) == "-3/4"
         assert QQ.text(Fraction(5)) == "5"
 
+    def test_bits_reads_the_stored_integers(self):
+        assert QQ.bits(Fraction(-255, 4)) == 8
+        # 1/3 + 5t is stored as (1 + 15t)/3
+        assert QT.bits(RatFunc.make((Fraction(1, 3), 5), (1,))) == 4
+        assert QT.bits(QT.one / (QT.t() * QT.from_fraction(-1000) + QT.one)) == 10
+
     def test_text_ratfunc(self):
         a = (QT.t() * QT.t() + QT.one) / QT.t()
         assert a.text() == "(t^2 + 1)/(t)"
 
 
-def _reference_make(num, den) -> RatFunc:
-    """The canonical form the long way: always divide out the gcd, then
-    make the denominator monic."""
-    num = _ptrim(Fraction(c) for c in num)
-    den = _ptrim(Fraction(c) for c in den)
-    if not num:
-        return RatFunc.make((), (1,))
-    g = _pgcd(num, den)
-    num, den = _pdivmod(num, g)[0], _pdivmod(den, g)[0]
-    return RatFunc(_pscale(num, 1 / den[-1]), _pscale(den, 1 / den[-1]))
-
-
-def _reference_mul(a, b) -> tuple:
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _ptrim(out)
-
-
 @st.composite
 def tpolys(draw):
-    """Polynomials in t: denominator 1, the case the fast paths serve."""
+    """Polynomials in t: a constant denominator, the case the fast paths
+    serve."""
     return RatFunc.make(tuple(draw(st.lists(small_fractions(), max_size=4))), (1,))
 
 
+def _is_canonical(a: RatFunc) -> bool:
+    """Integer coefficients, coprime in Q[t], jointly primitive, lc(den) > 0."""
+    num, den = a.num, a.den
+    return (
+        all(type(c) is int for c in num + den)
+        and (not num or num[-1] != 0)
+        and den[-1] > 0
+        and gcd(*num, *den) == 1
+        and (bool(num) or den == (1,))
+        and (not num or ref.pgcd(ref.ptrim(map(Fraction, num)), ref.ptrim(map(Fraction, den))) == ref.ONE)
+    )
+
+
 class TestFastPaths:
-    """Each shortcut of RatFunc against the general canonical form."""
+    """Each shortcut of RatFunc against the Fraction reference, compared
+    through the rational view and text()."""
 
     @given(st.lists(small_fractions(), max_size=4), st.lists(small_fractions(), max_size=4))
     def test_make_matches_reference(self, num, den):
         if not any(den):
+            with pytest.raises(ZeroDivisionError):
+                RatFunc.make(tuple(num), tuple(den))
             return
-        assert RatFunc.make(tuple(num), tuple(den)) == _reference_make(num, den)
+        got, want = RatFunc.make(tuple(num), tuple(den)), ref.make(num, den)
+        assert got.rational_view() == want
+        assert got.text() == ref.text(want)
 
     def test_make_accepts_integers(self):
         assert RatFunc.make((2, 4), (2,)) == RatFunc.make((Fraction(1), Fraction(2)), (Fraction(1),))
 
     @given(st.one_of(ratfuncs(), tpolys()), st.one_of(ratfuncs(), tpolys()))
     def test_sum_product_and_derivative_match_reference(self, a, b):
-        assert a + b == _reference_make(
-            _padd(_reference_mul(a.num, b.den), _reference_mul(b.num, a.den)),
-            _reference_mul(a.den, b.den),
-        )
-        assert a * b == _reference_make(_reference_mul(a.num, b.num), _reference_mul(a.den, b.den))
-        assert _pmul(a.num, b.num) == _reference_mul(a.num, b.num)
-        assert a.derive() == _reference_make(
-            _padd(_reference_mul(_pderive(a.num), a.den), _pneg(_reference_mul(a.num, _pderive(a.den)))),
-            _reference_mul(a.den, a.den),
-        )
+        ra, rb = a.rational_view(), b.rational_view()
+        for got, want in (
+            (a + b, ref.add(ra, rb)),
+            (a - b, ref.add(ra, (ref.pneg(rb[0]), rb[1]))),
+            (a * b, ref.mul(ra, rb)),
+            (a.derive(), ref.derive(ra)),
+        ):
+            assert got.rational_view() == want
+            assert got.text() == ref.text(want)
+        if b:
+            assert (a / b).rational_view() == ref.div(ra, rb)
+        assert _pmul(a.num, b.num) == ref.pmul(a.num, b.num)
+
+    @given(st.lists(st.integers(-9, 9), max_size=5), st.lists(st.integers(-9, 9), max_size=5))
+    def test_integer_gcd_matches_reference(self, a, b):
+        a, b = ref.ptrim(a), ref.ptrim(b)
+        if not a or not b:
+            return
+        g = _pgcd(a, b)
+        assert gcd(*g) == 1 and g[-1] > 0
+        assert ref.pscale(g, Fraction(1, g[-1])) == ref.pgcd(ref.ptrim(map(Fraction, a)), ref.ptrim(map(Fraction, b)))
 
     @given(tpolys(), st.integers(min_value=0, max_value=4))
     def test_power_is_repeated_product(self, a, e):
-        ref = QT.one
+        want = QT.one
         for _ in range(e):
-            ref = ref * a
-        assert a**e == ref
+            want = want * a
+        assert a**e == want
 
     def test_field_constants(self):
         assert QQ.zero == 0 and QQ.one == 1
         assert QT.zero == RatFunc.make((), (1,)) and QT.one == RatFunc.make((1,), (1,))
         assert QQ.zero is QQ.zero and QT.one is QT.one
+
+
+class TestCanonicalForm:
+    """One value, one representation: the invariants hold after every
+    operation, so equal values are == with equal hashes."""
+
+    @given(st.one_of(ratfuncs(), tpolys()), st.one_of(ratfuncs(), tpolys()))
+    def test_invariants_after_each_operation(self, a, b):
+        results = [a, b, a + b, a - b, -a, a * b, a.derive(), b.derive()]
+        if b:
+            results.append(a / b)
+        for r in results:
+            assert _is_canonical(r), r
+
+    @given(st.one_of(ratfuncs(), tpolys()), st.one_of(ratfuncs(), tpolys()), st.integers(-6, 6).filter(bool))
+    def test_paths_to_one_value_agree(self, a, b, k):
+        paths = [(a + b) - b, a * b / b if b else a]
+        num, den = a.rational_view()
+        paths.append(RatFunc.make([c * k for c in num], [c * k for c in den]))
+        paths.append(RatFunc.make([c * Fraction(1, k) for c in num], [c * Fraction(1, k) for c in den]))
+        for p in paths:
+            assert p == a and hash(p) == hash(a)

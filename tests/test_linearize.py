@@ -107,8 +107,7 @@ class TestAtConcretePoints:
             ctx, {j: data.draw(small_fractions()) for j in range(ctx.n)}
         )
         lu = linearize_at(u, pt, require_zero=False)
-        for j in range(ctx.n):
-            got = lu.tangent_order(j)
+        for j, got in enumerate(lu.tangent_orders()):
             orig = u.order_of(j)
             if orig is None:
                 assert got is None

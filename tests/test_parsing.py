@@ -137,8 +137,9 @@ class TestExpressions:
             if isinstance(c, Fraction):
                 rationals = (c,)
             else:
-                assert max(len(c.num), len(c.den)) - 1 <= e * tdeg
-                rationals = c.num + c.den
+                num, den = c.rational_view()
+                assert max(len(num), len(den)) - 1 <= e * tdeg
+                rationals = num + den
             if not t_den:  # with a denominator in t the bits are an estimate
                 for q in rationals:
                     assert max(abs(q.numerator), q.denominator) <= 2 ** (e * bits)
