@@ -252,9 +252,9 @@ class RatFunc:
     def make(num, den) -> "RatFunc":
         """num/den from coefficient sequences (low degree first) of ints,
         Fractions, or anything Fraction() reads."""
-        num = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in num]
-        den = [c if type(c) is int or type(c) is Fraction else Fraction(c) for c in den]
-        scale = lcm(*(c.denominator for c in num), *(c.denominator for c in den))
+        num = [Fraction(c) for c in num]
+        den = [Fraction(c) for c in den]
+        scale = lcm(*(c.denominator for c in num + den))
         num = _ptrim([c.numerator * (scale // c.denominator) for c in num])
         den = _ptrim([c.numerator * (scale // c.denominator) for c in den])
         if not den:
