@@ -16,6 +16,9 @@ properties that everything else leans on:
     matrix read off the linearize_at tangents (partials evaluated at the
     point) equals the orders of the first_order_expansion tangents (dual
     numbers, no partials), under both conventions;
+  * random elements of Q, built by QQ.from_fraction, agree with the
+    Fractions they came from in value, text(), bits(), equality and hashing
+    through sums, differences, products, quotients and powers;
   * random rational functions of t, with constant and non-constant
     denominators, agree with the Fraction reference of
     tests/fraction_reference.py in value and text() through sums, products,
@@ -77,9 +80,9 @@ def rand_poly(rng: random.Random, ctx: Context, max_order=3, max_degree=3, max_t
         for _ in range(rng.randint(0, 2)):
             v = DerVar(rng.randrange(ctx.n), rng.randint(0, max_order))
             factors[v] = min(factors.get(v, 0) + rng.randint(1, max_degree), max_degree)
-        c = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+        c = QQ.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
         if c:
-            terms.append((Monomial.make(factors.items()), ctx.field.from_fraction(c)))
+            terms.append((Monomial.make(factors.items()), c))
     return DiffPoly.from_terms(ctx, terms)
 
 
@@ -170,7 +173,7 @@ def audit_oracle(rng: random.Random, cases: int) -> tuple[int, int]:
             gi, k = rng.randrange(len(gens)), rng.randint(0, 2)
             h = gens[gi].derive(k)
             m = Monomial.make([(DerVar(rng.randrange(ctx.n), rng.randint(0, 1)), rng.randint(0, 1))])
-            c = ctx.field.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+            c = QQ.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
             f = f + h * DiffPoly.from_terms(ctx, [(m, c)])
             degree, top_k = max(degree, h.total_degree() + m.degree()), max(top_k, k)
         w = truncated_member(f, gens, TruncationBounds(f.max_order(), top_k, degree, 1))
@@ -210,7 +213,7 @@ def audit_linearize(rng: random.Random, cases: int, max_vars: int) -> int:
     for _ in range(cases):
         ctx = Context(NAMES[: rng.randint(1, max_vars)], QQ)
         pt = ConcretePoint(
-            ctx, {j: Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for j in range(ctx.n)}
+            ctx, {j: QQ.from_fraction(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) for j in range(ctx.n)}
         )
         us = []
         for _ in range(ctx.n):
@@ -227,6 +230,39 @@ def audit_linearize(rng: random.Random, cases: int, max_vars: int) -> int:
                 print(f"  linearize_at:          {got}", file=sys.stderr)
                 print(f"  first_order_expansion: {want}", file=sys.stderr)
                 sys.exit(1)
+    return cases
+
+
+def _rand_q(rng: random.Random) -> Fraction:
+    """A small rational half the time, so that values meet, else a large
+    one."""
+    if rng.random() < 0.5:
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+    return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**12))
+
+
+def audit_q(rng: random.Random, cases: int) -> int:
+    """Checks elements of Q on random pairs against fractions.Fraction."""
+    for _ in range(cases):
+        x, y = _rand_q(rng), _rand_q(rng)
+        a, b = QQ.from_fraction(x), QQ.from_fraction(y)
+        e = rng.randint(0, 6)
+        pairs = [(a, x), (b, y), (a + b, x + y), (a - b, x - y), (a * b, x * y), (-a, -x), (a**e, x**e)]
+        if y:
+            pairs.append((a / b, x / y))
+        checks = {
+            "value": all(ref.view(got) == ((want,) if want else (), ref.ONE) for got, want in pairs),
+            "text": all(QQ.text(got) == ref.fraction_text(want) for got, want in pairs),
+            "bits": all(
+                QQ.bits(got) == max(want.numerator.bit_length(), want.denominator.bit_length())
+                for got, want in pairs
+            ),
+            "equality and hash": (a == b) == (x == y) and (x != y or hash(a) == hash(b)),
+        }
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed:
+            print(f"Q check failed ({', '.join(failed)}) on {x} and {y}", file=sys.stderr)
+            sys.exit(1)
     return cases
 
 
@@ -254,7 +290,7 @@ def audit_qt(rng: random.Random, cases: int) -> int:
         if b:
             pairs.append((a / b, ref.div(ra, rb)))
         checks = {
-            "value": all(x.rational_view() == rx for x, rx in pairs),
+            "value": all(ref.view(x) == rx for x, rx in pairs),
             "text": all(x.text() == ref.text(rx) for x, rx in pairs),
             "distributivity": a * (b + c) == a * b + a * c,
             "(a/b)*b == a": not b or (a / b) * b == a,
@@ -299,6 +335,9 @@ def main() -> None:
         f"linearize: {compared} linearized order matrices agreed with the dual-number "
         f"tangents under both conventions  [{time.monotonic() - t3:.2f}s]"
     )
+    t4 = time.monotonic()
+    compared = audit_q(rng, args.cases)
+    print(f"q: {compared} pairs of rationals agreed with Fraction  [{time.monotonic() - t4:.2f}s]")
     t4 = time.monotonic()
     compared = audit_qt(rng, args.cases)
     print(

@@ -11,8 +11,6 @@ deterministic and finishes in a couple of seconds.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from diffalg import (
     ConcretePoint,
     Context,
@@ -87,7 +85,7 @@ def main() -> None:
     # ------------------------------------------------------------------
     banner("4. Linearization at a point on the cusp system")
     cusp = (parse_poly("y^2 - x^3", ctx), parse_poly("x'", ctx))
-    origin = ConcretePoint.from_names(ctx, {"x": Fraction(0), "y": Fraction(0)})
+    origin = ConcretePoint.from_names(ctx, {"x": QQ.zero, "y": QQ.zero})
     tangents = [linearize_at(u, origin) for u in cusp]
     for u, lu in zip(cusp, tangents):
         print(f"L[{u.to_text()}] at the origin = {lu.to_text()}")

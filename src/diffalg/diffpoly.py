@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .fields import Field, FieldElement, FieldTag, RatFunc, _fraction_text, _view_text
+from .fields import Field, FieldTag, RatFunc
 
 # Cap on the derivative orders derive() creates; prevents runaway
 # prolongation loops from allocating unbounded jet towers.
@@ -224,7 +224,7 @@ class DiffPoly:
 
     @staticmethod
     def from_terms(ctx: Context, items: Iterable) -> "DiffPoly":
-        acc: dict[Monomial, FieldElement] = {}
+        acc: dict[Monomial, RatFunc] = {}
         fld = ctx.field
         for m, c in items:
             fld.check(c)
@@ -250,7 +250,7 @@ class DiffPoly:
     def is_constant(self) -> bool:
         return not self._terms or (len(self._terms) == 1 and MON_ONE in self._terms)
 
-    def constant_value(self) -> FieldElement:
+    def constant_value(self) -> RatFunc:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return self._terms.get(MON_ONE, self.context.field.zero)
@@ -312,7 +312,7 @@ class DiffPoly:
         _check_same_context(self, other)
         if not self._terms or not other._terms:
             return DiffPoly.zero(self.context)
-        acc: dict[Monomial, FieldElement] = {}
+        acc: dict[Monomial, RatFunc] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 _accumulate(acc, m1 * m2, c1 * c2)
@@ -332,7 +332,7 @@ class DiffPoly:
             k = base_needed
         return out
 
-    def scale(self, c: FieldElement) -> "DiffPoly":
+    def scale(self, c: RatFunc) -> "DiffPoly":
         c = self.context.field.check(c)
         if not c:
             return DiffPoly.zero(self.context)
@@ -358,7 +358,7 @@ class DiffPoly:
         whose derivative passes DEFAULT_ORDER_CAP."""
         fld = self.context.field
         derive_coeff = None if fld.tag is FieldTag.RATIONALS else RatFunc.derive
-        acc: dict[Monomial, FieldElement] = {}
+        acc: dict[Monomial, RatFunc] = {}
         for m, c in self._terms.items():
             if derive_coeff is not None:
                 dc = derive_coeff(c)
@@ -374,21 +374,20 @@ class DiffPoly:
                 w, rest = v.derived(), fs[k + 1 :]
                 dv = ((w, rest[0][1] + 1),) + rest[1:] if rest and rest[0][0] == w else ((w, 1),) + rest
                 newm = Monomial.make(fs[:k] + (((v, e - 1),) if e > 1 else ()) + dv)
-                _accumulate(acc, newm, c if e == 1 else c * fld.from_fraction(e))
+                _accumulate(acc, newm, c if e == 1 else c * RatFunc.from_int(e))
         return DiffPoly(self.context, acc)
 
     def partial(self, v: DerVar) -> "DiffPoly":
         """Formal partial derivative with respect to one jet variable."""
         self.context.check_dervar(v)
-        fld = self.context.field
-        acc: dict[Monomial, FieldElement] = {}
+        acc: dict[Monomial, RatFunc] = {}
         for m, c in self._terms.items():
             fs = m.factors
             for k, (w, e) in enumerate(fs):
                 if w == v:
                     # m -> m / v is one-to-one, so no two terms meet
                     newm = Monomial.make(fs[:k] + (((v, e - 1),) if e > 1 else ()) + fs[k + 1 :])
-                    acc[newm] = c if e == 1 else c * fld.from_fraction(e)
+                    acc[newm] = c if e == 1 else c * RatFunc.from_int(e)
                     break
         return DiffPoly(self.context, acc)
 
@@ -421,7 +420,7 @@ class DiffPoly:
 
     # -- evaluation ---------------------------------------------------------------
 
-    def eval_at(self, point: "ConcretePoint") -> FieldElement:
+    def eval_at(self, point: "ConcretePoint") -> RatFunc:
         """The value at a concrete point."""
         if point.context != self.context:
             raise ValueError("point context mismatch")
@@ -489,8 +488,7 @@ class DiffPoly:
         names = self.context.names
         parts = []
         for m in sorted(self._terms, key=Monomial.sort_key, reverse=True):
-            c = self._terms[m]
-            sign, body = _coeff_term_text(c, m, names)
+            sign, body = self._terms[m].term_text(m.text(names) if m.factors else None)
             if not parts:
                 parts.append(body if sign >= 0 else "-" + body)
             else:
@@ -499,22 +497,6 @@ class DiffPoly:
 
     def __repr__(self) -> str:
         return f"DiffPoly({self.to_text()})"
-
-
-def _coeff_term_text(c, m: Monomial, names) -> tuple:
-    """Return (sign, body) for one term; sign is +1/-1 and body has no sign.
-    A coefficient a*t^k of Q(t) is written inline like a rational one."""
-    mono = m.text(names) if m.factors else None
-    k = 0
-    if isinstance(c, RatFunc):
-        num, den = c.rational_view()
-        if len(den) != 1 or sum(1 for x in num if x) != 1:
-            body = f"({_view_text(num, den)})"
-            return 1, body if mono is None else f"{body}*{mono}"
-        k, c = len(num) - 1, num[-1]
-    tpart = None if k == 0 else "t" if k == 1 else f"t^{k}"
-    ctext = None if abs(c) == 1 and (tpart or mono) else _fraction_text(abs(c))
-    return (1 if c >= 0 else -1), "*".join(x for x in (ctext, tpart, mono) if x)
 
 
 # ---------------------------------------------------------------------------
@@ -534,13 +516,13 @@ class ConcretePoint:
             raise ValueError("point must assign a value to every variable")
         self.context = context
         self._values = {k: context.field.check(v) for k, v in values.items()}
-        self._cache: dict[DerVar, FieldElement] = {}
+        self._cache: dict[DerVar, RatFunc] = {}
 
     @staticmethod
     def from_names(ctx: Context, named: dict) -> "ConcretePoint":
         return ConcretePoint(ctx, {ctx.var_index(k): v for k, v in named.items()})
 
-    def value(self, v: DerVar) -> FieldElement:
+    def value(self, v: DerVar) -> RatFunc:
         self.context.check_dervar(v)
         if v.order == 0:
             return self._values[v.var]

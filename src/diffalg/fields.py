@@ -1,16 +1,17 @@
 """Exact coefficient fields for differential polynomial arithmetic.
 
 Two fields are supported: the rationals Q with the zero derivation, and
-rational functions Q(t) with d/dt.  Elements are always kept in canonical
-form, so equality is structural and values are hashable.  An element of Q
-is a Fraction in lowest terms.  An element of Q(t) is a numerator and a
-denominator polynomial with integer coefficients: the two are coprime in
-Q[t], their coefficients taken together have no common integer factor, and
-the denominator's leading coefficient is positive.
+rational functions Q(t) with d/dt.  Both hold the same elements, RatFunc
+values, kept in canonical form so equality is structural and values are
+hashable: a numerator and a denominator polynomial with integer
+coefficients, coprime in Q[t], with no common integer factor among all their
+coefficients, and the denominator's leading coefficient positive.  An
+element of Q is a RatFunc that does not depend on t: an integer numerator
+over a positive integer denominator, in lowest terms.
 
-Fractions meet Q(t) only at its boundary: make() and from_fraction() clear
-denominators on the way in, and rational_view() and text() give the form
-with a monic denominator on the way out.
+Fractions appear only where values come in: make() and from_fraction()
+clear denominators.  text() writes the stored integers over the
+denominator's leading coefficient, each coefficient in lowest terms.
 
 No floating point anywhere.
 """
@@ -20,7 +21,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Union
 
 
 class FieldTag(Enum):
@@ -44,17 +44,11 @@ def _ptrim(cs: list) -> Poly:
     return tuple(cs)
 
 
-def _padd(a: Poly, b: Poly) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] += c
-    return _ptrim(out)
-
-
 def _pcombine(a: Poly, x: int, b: Poly, y: int) -> Poly:
     """x*a + y*b."""
+    if len(a) == 1 and len(b) == 1:
+        c = a[0] * x + b[0] * y
+        return (c,) if c else ()
     out = [c * x for c in a]
     if len(out) < len(b):
         out.extend([0] * (len(b) - len(out)))
@@ -76,7 +70,9 @@ def _pmul(a: Poly, b: Poly) -> Poly:
         a, b = b, a
     if len(b) == 1:
         c = b[0]
-        return a if c == 1 else tuple(x * c for x in a)
+        if c == 1:
+            return a
+        return (a[0] * c,) if len(a) == 1 else tuple(x * c for x in a)
     # one row per coefficient of the shorter factor; the first row and each
     # row's top entry are written, not added to a zero
     out = [b[0] * x for x in a]
@@ -146,9 +142,24 @@ def _pderive(a: Poly) -> Poly:
     return tuple(i * c for i, c in enumerate(a) if i)
 
 
-def _ptext(a) -> str:
-    """Render a polynomial in t with Fraction coefficients, terms high
-    degree first."""
+def _ppow(a: Poly, e: int) -> Poly:
+    """a^e for e >= 1, by squaring."""
+    if e == 1:
+        return a
+    h = _ppow(_pmul(a, a), e >> 1)
+    return _pmul(h, a) if e & 1 else h
+
+
+def _qtext(c: int, d: int) -> str:
+    """c/d in lowest terms, for c >= 0 and d > 0."""
+    g = gcd(c, d)
+    if g != 1:
+        c, d = c // g, d // g
+    return str(c) if d == 1 else f"{c}/{d}"
+
+
+def _ptext(a: Poly, lead: int) -> str:
+    """Render the polynomial a/lead in t, terms high degree first."""
     if not a:
         return "0"
     parts = []
@@ -157,26 +168,15 @@ def _ptext(a) -> str:
         if not c:
             continue
         if i == 0:
-            body = _fraction_text(abs(c))
+            body = _qtext(abs(c), lead)
         else:
             tpow = "t" if i == 1 else f"t^{i}"
-            body = tpow if abs(c) == 1 else f"{_fraction_text(abs(c))}*{tpow}"
+            body = tpow if abs(c) == lead else f"{_qtext(abs(c), lead)}*{tpow}"
         if not parts:
             parts.append(body if c > 0 else "-" + body)
         else:
             parts.append((" + " if c > 0 else " - ") + body)
     return "".join(parts)
-
-
-def _view_text(num, den) -> str:
-    """Render a rational function from its rational view."""
-    if len(den) == 1:
-        return _ptext(num)
-    return f"({_ptext(num)})/({_ptext(den)})"
-
-
-def _fraction_text(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
 # ---------------------------------------------------------------------------
@@ -190,38 +190,32 @@ def _canonical(num: Poly, den: Poly) -> "RatFunc":
     positive."""
     if not num:
         return RF_ZERO
+    if den == _P_ONE:
+        return RatFunc(num, _P_ONE)
     g = gcd(*den, *num)
     if den[-1] < 0:
         g = -g
     if g != 1:
-        num = tuple(c // g for c in num)
-        den = tuple(c // g for c in den)
+        num = (num[0] // g,) if len(num) == 1 else tuple(c // g for c in num)
+        den = _const(den[0] // g) if len(den) == 1 else tuple(c // g for c in den)
     return RatFunc(num, den)
+
+
+def _const(d: int) -> Poly:
+    """The constant polynomial d, sharing one tuple for 1."""
+    return _P_ONE if d == 1 else (d,)
 
 
 def _reduced(num: Poly, den: Poly) -> "RatFunc":
     """num/den for any integer polynomials, den nonzero, in canonical form.
     A constant numerator or denominator is coprime to the other, so the
     polynomial gcd runs only when both depend on t."""
-    if not num:
-        return RF_ZERO
     if len(num) > 1 and len(den) > 1:
         g = _pgcd(num, den)
         if len(g) > 1:
             num = _pexquo(num, g)
             den = _pexquo(den, g)
     return _canonical(num, den)
-
-
-def _over_constant(num: Poly, d: int) -> "RatFunc":
-    """num/d for a positive integer d: one gcd over the coefficients."""
-    if not num:
-        return RF_ZERO
-    if d != 1:
-        g = gcd(d, *num)
-        if g != 1:
-            return RatFunc(tuple(c // g for c in num), (d // g,))
-    return RatFunc(num, (d,))
 
 
 class RatFunc:
@@ -231,7 +225,8 @@ class RatFunc:
     num and den are integer coefficient tuples, low degree first: coprime in
     Q[t], with no common integer factor among all their coefficients, and
     den[-1] > 0.  The zero element is ((), (1,)).  Construct through make(),
-    from_fraction() or t_power(); the constructor trusts its arguments.
+    from_fraction(), from_int() or t_power(); the constructor trusts its
+    arguments.
     """
 
     __slots__ = ("num", "den")
@@ -266,60 +261,41 @@ class RatFunc:
         q = Fraction(q)
         if not q:
             return RF_ZERO
-        return RatFunc((q.numerator,), (q.denominator,))
+        return RatFunc((q.numerator,), _const(q.denominator))
+
+    @staticmethod
+    def from_int(n: int) -> "RatFunc":
+        return RatFunc((n,), _P_ONE) if n else RF_ZERO
 
     @staticmethod
     def t_power(k: int = 1) -> "RatFunc":
         return RatFunc((0,) * k + (1,), _P_ONE)
 
-    def rational_view(self) -> tuple:
-        """(numerator, denominator) as tuples of Fractions, low degree
-        first, with the denominator monic: the form text() writes."""
-        lead = self.den[-1]
-        if lead == 1:
-            return tuple(map(Fraction, self.num)), tuple(map(Fraction, self.den))
-        return (
-            tuple(Fraction(c, lead) for c in self.num),
-            tuple(Fraction(c, lead) for c in self.den),
-        )
-
     def __bool__(self) -> bool:
         return bool(self.num)
 
-    # With both denominators integer constants, a sum or a product is one
-    # integer polynomial operation and one gcd over the coefficients.
-
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        a, b = self.den, other.den
-        if len(a) == 1 and len(b) == 1:
-            da, db = a[0], b[0]
-            if da == db:
-                return _over_constant(_padd(self.num, other.num), da)
-            g = gcd(da, db)
-            return _over_constant(_pcombine(self.num, db // g, other.num, da // g), da // g * db)
-        if a == b:
-            return _reduced(_padd(self.num, other.num), a)
-        return _reduced(_padd(_pmul(self.num, b), _pmul(other.num, a)), _pmul(a, b))
+        return _sum(self, other, 1)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return self + (-other)
+        return _sum(self, other, -1)
 
     def __neg__(self) -> "RatFunc":
         return RatFunc(_pneg(self.num), self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        a, b = self.den, other.den
-        if len(a) == 1 and len(b) == 1:
-            return _over_constant(_pmul(self.num, other.num), a[0] * b[0])
-        return _reduced(_pmul(self.num, other.num), _pmul(a, b))
+        return _reduced(_pmul(self.num, other.num), _pmul(self.den, other.den))
 
     def __pow__(self, e: int) -> "RatFunc":
+        """self^e by squaring, with no gcd: powers of a coprime, jointly
+        primitive pair with lc(den) > 0 are again one."""
         if e < 0:
             raise ValueError("negative power of a rational function")
-        out = RF_ONE
-        for _ in range(e):
-            out = out * self
-        return out
+        if e == 0:
+            return RF_ONE
+        if e == 1 or not self.num:
+            return self
+        return RatFunc(_ppow(self.num, e), _ppow(self.den, e))
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if not other:
@@ -334,25 +310,53 @@ class RatFunc:
         """d/dt by the quotient rule."""
         n, d = self.num, self.den
         if len(d) == 1:
-            return _over_constant(_pderive(n), d[0])
-        return _reduced(_padd(_pmul(_pderive(n), d), _pneg(_pmul(n, _pderive(d)))), _pmul(d, d))
+            return _canonical(_pderive(n), d)
+        return _reduced(_pcombine(_pmul(_pderive(n), d), 1, _pmul(n, _pderive(d)), -1), _pmul(d, d))
 
     def is_constant(self) -> bool:
         return len(self.num) <= 1 and len(self.den) == 1
 
     def text(self) -> str:
-        return _view_text(*self.rational_view())
+        """The numerator, and unless it is constant the denominator, each
+        divided by the denominator's leading coefficient."""
+        num, den = self.num, self.den
+        if len(den) == 1:
+            return _ptext(num, den[0])
+        return f"({_ptext(num, den[-1])})/({_ptext(den, den[-1])})"
+
+    def term_text(self, mono) -> tuple:
+        """(sign, body) for the term self*mono, mono the monomial's text or
+        None for the constant term; sign is +1/-1 and body has no sign.  A
+        coefficient a*t^k is written inline, any other in parentheses."""
+        num, den = self.num, self.den
+        if len(den) > 1 or any(num[:-1]):
+            body = f"({self.text()})"
+            return 1, body if mono is None else f"{body}*{mono}"
+        # one term c/d*t^k, with c and d coprime
+        k, c, d = len(num) - 1, num[-1], den[0]
+        tpart = None if k == 0 else "t" if k == 1 else f"t^{k}"
+        ctext = None if abs(c) == d and (tpart or mono) else _qtext(abs(c), d)
+        return (1 if c >= 0 else -1), "*".join(x for x in (ctext, tpart, mono) if x)
 
     def __repr__(self) -> str:
         return f"RatFunc({self.text()})"
 
 
+def _sum(x: RatFunc, y: RatFunc, sign: int) -> RatFunc:
+    """x + sign*y; with both denominators integer constants, one integer
+    polynomial operation and one gcd over the coefficients."""
+    a, b = x.den, y.den
+    if a == b:
+        return _reduced(_pcombine(x.num, 1, y.num, sign), a)
+    if len(a) == 1 and len(b) == 1:
+        da, db = a[0], b[0]
+        g = gcd(da, db)
+        return _canonical(_pcombine(x.num, db // g, y.num, sign * (da // g)), (da // g * db,))
+    return _reduced(_pcombine(_pmul(x.num, b), 1, _pmul(y.num, a), sign), _pmul(a, b))
+
+
 RF_ZERO = RatFunc((), _P_ONE)
 RF_ONE = RatFunc(_P_ONE, _P_ONE)
-_Q_ZERO = Fraction(0)
-_Q_ONE = Fraction(1)
-
-FieldElement = Union[Fraction, RatFunc]
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +365,19 @@ FieldElement = Union[Fraction, RatFunc]
 
 
 class Field:
-    """Arithmetic, derivation, and formatting for one coefficient field.
+    """Derivation, the parameter t and the label of one coefficient field;
+    the elements and their arithmetic are RatFunc's.
 
     Use the module singletons QQ and QT; identity comparison is fine but
     equality is by tag.
     """
 
-    __slots__ = ("tag", "zero", "one")
+    __slots__ = ("tag",)
+    zero = RF_ZERO
+    one = RF_ONE
 
     def __init__(self, tag: FieldTag):
         self.tag = tag
-        self.zero, self.one = (_Q_ZERO, _Q_ONE) if tag is FieldTag.RATIONALS else (RF_ZERO, RF_ONE)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Field) and self.tag is other.tag
@@ -384,47 +390,42 @@ class Field:
 
     # -- element construction ------------------------------------------------
 
-    def from_fraction(self, q) -> FieldElement:
-        q = Fraction(q)
-        return q if self.tag is FieldTag.RATIONALS else RatFunc.from_fraction(q)
+    def from_fraction(self, q) -> RatFunc:
+        return RatFunc.from_fraction(q)
 
-    def t(self) -> FieldElement:
+    def t(self) -> RatFunc:
         if self.tag is not FieldTag.RATIONAL_FUNCTIONS_T:
             raise ValueError("t is only an element of Q(t)")
         return RatFunc.t_power(1)
 
-    def check(self, a: FieldElement) -> FieldElement:
-        want = Fraction if self.tag is FieldTag.RATIONALS else RatFunc
-        if not isinstance(a, want):
-            raise TypeError(f"expected {want.__name__} element of {self.tag.value}, got {type(a).__name__}")
+    def check(self, a: RatFunc) -> RatFunc:
+        """a itself when it is an element of this field: a RatFunc, and over
+        Q one that does not depend on t."""
+        if not isinstance(a, RatFunc):
+            raise TypeError(f"expected a RatFunc element of {self.tag.value}, got {type(a).__name__}")
+        if self.tag is FieldTag.RATIONALS and not a.is_constant():
+            raise TypeError("expected an element of Q, got a rational function that depends on t")
         return a
 
     # -- derivation -----------------------------------------------------------
 
-    def derive(self, a) -> FieldElement:
+    def derive(self, a: RatFunc) -> RatFunc:
         """The field derivation: zero on Q, d/dt on Q(t)."""
         self.check(a)
         if self.tag is FieldTag.RATIONALS:
-            return _Q_ZERO
+            return RF_ZERO
         return a.derive()
 
-    # -- size -----------------------------------------------------------------
+    # -- size and text ----------------------------------------------------------
 
-    def bits(self, a) -> int:
-        """The most bits in an integer that stores a: its numerator or
-        denominator over Q, a coefficient of its numerator or denominator
-        polynomial over Q(t)."""
-        if self.tag is FieldTag.RATIONALS:
-            return max(a.numerator.bit_length(), a.denominator.bit_length())
+    @staticmethod
+    def bits(a: RatFunc) -> int:
+        """The most bits in an integer that stores a: a coefficient of its
+        numerator or denominator polynomial."""
         return max(abs(c) for c in a.num + a.den).bit_length()
 
-    # -- text -----------------------------------------------------------------
-
-    def text(self, a) -> str:
-        self.check(a)
-        if self.tag is FieldTag.RATIONALS:
-            return _fraction_text(a)
-        return a.text()
+    def text(self, a: RatFunc) -> str:
+        return self.check(a).text()
 
 
 QQ = Field(FieldTag.RATIONALS)

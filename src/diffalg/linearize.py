@@ -138,7 +138,11 @@ def linearize_at(u: DiffPoly, pt, require_zero: bool = True) -> LinearizedPoly:
     if require_zero:
         value, heuristic = at(u)
         if value:
-            raise PointNotOnZeroSetError(off_zero_set.format(fld.text(value)))
+            try:
+                shown = fld.text(value)
+            except ValueError:  # past Python's limit on integer-string conversion
+                shown = f"of {fld.bits(value)} bits"
+            raise PointNotOnZeroSetError(off_zero_set.format(shown))
     terms = []
     for v in u.dervars():
         c, h = at(u.partial(v))
@@ -172,7 +176,7 @@ class _Dual:
     def __init__(self, field, a, b):
         self.field = field
         self.a = a
-        self.b = b  # dict[DerVar, FieldElement], no zero values
+        self.b = b  # dict[DerVar, RatFunc], no zero values
 
     def mul(self, other: "_Dual") -> "_Dual":
         fld = self.field

@@ -85,7 +85,7 @@ class OracleVerdict(Enum):
 class WitnessTerm:
     """One summand c * m * d^k(g_i) of a membership combination."""
 
-    coeff: object  # FieldElement
+    coeff: object  # a RatFunc
     monomial: Monomial
     gen_index: int
     derive_order: int

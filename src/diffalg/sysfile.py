@@ -36,13 +36,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .decompose import CharSetComponent
 from .diffpoly import ConcretePoint, Context, DiffPoly
-from .fields import Field, FieldTag, QQ, QT
+from .fields import Field, FieldTag, QQ, QT, RatFunc
 from .ranking import Ranking, RankKind
 
 
@@ -249,7 +248,7 @@ class _ExprParser:
     def _atom(self) -> DiffPoly:
         t = self._next()
         if t.kind == "number":
-            return DiffPoly.const(self.ctx, self.ctx.field.from_fraction(Fraction(_int_value(t))))
+            return DiffPoly.const(self.ctx, RatFunc.from_int(_int_value(t)))
         if t.kind == "op" and t.text == "(":
             p = self._expr()
             self._expect_op(")")
@@ -323,18 +322,21 @@ def _power_growth(p: DiffPoly) -> tuple:
     degree is a bound; the bits are one when every coefficient of p is a
     polynomial in t, and only an estimate when one has a denominator in t,
     since cancelling and scaling to monic can change the sizes."""
-    rationals, dens, width, tnum = [], set(), 1, 0
+    rationals, dens, width, tnum = [], set(), 1, 0  # rationals as (|num|, den) in lowest terms
     for _, c in p.items():
-        if isinstance(c, Fraction):
-            rationals.append(c)
-            continue
-        num, den = c.rational_view()
-        rationals.extend(q for q in num + den if q)
-        width = max(width, sum(1 for q in num if q), sum(1 for q in den if q))
+        num, den = c.num, c.den
+        if len(den) > 1:
+            g = gcd(*den)
+            dens.add(tuple(x // g for x in den))  # equal for denominators equal up to a constant
+        lead = den[-1]
+        for x in num if len(den) == 1 else num + den:
+            if x:
+                g = gcd(x, lead)
+                rationals.append((abs(x) // g, lead // g))
+        width = max(width, sum(1 for x in num if x), sum(1 for x in den if x))
         tnum = max(tnum, len(num) - 1)
-        dens.add(den)
-    den_lcm = lcm(*(q.denominator for q in rationals))
-    top = max((abs(q.numerator) * (den_lcm // q.denominator) for q in rationals), default=1)
+    den_lcm = lcm(*(d for _, d in rationals))
+    top = max((n * (den_lcm // d) for n, d in rationals), default=1)
     products = max(p.term_count() * width, 1)
     bits = max((top - 1).bit_length() + (products - 1).bit_length(), (den_lcm - 1).bit_length())
     return bits, tnum + sum(len(d) - 1 for d in dens)

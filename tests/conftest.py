@@ -29,10 +29,16 @@ prime: no
 
 
 @st.composite
-def small_fractions(draw, max_num=9, max_den=4):
+def small_rationals(draw, max_num=9, max_den=4):
+    """Small Fractions: values as they come in, before the field boundary."""
     num = draw(st.integers(min_value=-max_num, max_value=max_num))
     den = draw(st.integers(min_value=1, max_value=max_den))
     return Fraction(num, den)
+
+
+def small_fractions(max_num=9, max_den=4):
+    """Small elements of Q, built from Fractions at the field boundary."""
+    return small_rationals(max_num, max_den).map(QQ.from_fraction)
 
 
 @st.composite
@@ -79,7 +85,7 @@ def diffpolys(draw, ctx=None, max_order=3, max_degree=3, max_terms=4):
             max_size=max_terms,
         )
     )
-    return DiffPoly.from_terms(ctx, [(m, ctx.field.from_fraction(c)) for m, c in terms])
+    return DiffPoly.from_terms(ctx, terms)
 
 
 @st.composite

@@ -4,15 +4,47 @@ diffalg.fields.
 A polynomial in t is a tuple of Fractions, low degree first, with no
 trailing zeros; () is zero.  A rational function is a (numerator,
 denominator) pair of them with the gcd divided out and the denominator
-monic: the form RatFunc.rational_view() gives.  Every operation runs the
-Euclidean gcd over Q, with no shortcut.
+monic: the form view() reads off a RatFunc.  Every operation runs the
+Euclidean gcd over Q, with no shortcut, and text() renders through
+Fractions.
 """
 
 from fractions import Fraction
 
-from diffalg.fields import _ptext
-
 ONE = (Fraction(1),)
+
+
+def view(a) -> tuple:
+    """(numerator, denominator) of a RatFunc as tuples of Fractions, low
+    degree first, with the denominator monic."""
+    lead = a.den[-1]
+    return tuple(Fraction(c, lead) for c in a.num), tuple(Fraction(c, lead) for c in a.den)
+
+
+def fraction_text(q: Fraction) -> str:
+    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def ptext(a) -> str:
+    """A polynomial in t with Fraction coefficients, terms high degree
+    first."""
+    if not a:
+        return "0"
+    parts = []
+    for i in range(len(a) - 1, -1, -1):
+        c = a[i]
+        if not c:
+            continue
+        if i == 0:
+            body = fraction_text(abs(c))
+        else:
+            tpow = "t" if i == 1 else f"t^{i}"
+            body = tpow if abs(c) == 1 else f"{fraction_text(abs(c))}*{tpow}"
+        if not parts:
+            parts.append(body if c > 0 else "-" + body)
+        else:
+            parts.append((" + " if c > 0 else " - ") + body)
+    return "".join(parts)
 
 
 def ptrim(cs) -> tuple:
@@ -106,4 +138,4 @@ def derive(a) -> tuple:
 
 def text(a) -> str:
     n, d = a
-    return _ptext(n) if d == ONE else f"({_ptext(n)})/({_ptext(d)})"
+    return ptext(n) if d == ONE else f"({ptext(n)})/({ptext(d)})"

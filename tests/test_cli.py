@@ -186,6 +186,18 @@ class TestLinearize:
             "eq g1 = y^2 - x^3\neq g2 = y\npoint p1: x = 1, y = 2\n"
         )
         assert main(["linearize", str(p), "--at", "p1"]) == 3
+        assert capsys.readouterr().err == "diffalg: point is not a zero: value 3\n"
+
+    @pytest.mark.parametrize("field", ["Q", "Q(t)"])
+    def test_point_off_zero_set_with_a_huge_value(self, field, tmp_path, capsys):
+        # (3/2)^16000 - 1 has a 25,360-bit numerator, past the 4,300 digits
+        # Python converts to text, so the message gives its size
+        p = tmp_path / "huge.sys"
+        p.write_text(f"field: {field}\nvars: x\nranking: elim x\neq u = x^16000 - 1\npoint q: x = 3/2\n")
+        assert main(["linearize", str(p), "--at", "q"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "diffalg: point is not a zero: value of 25360 bits\n"
 
 
 class TestDecompose:

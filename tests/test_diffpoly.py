@@ -316,9 +316,10 @@ class TestStructure:
 
 class TestEvalAt:
     def test_constant_point_kills_proper_derivatives(self):
-        pt = ConcretePoint.from_names(XY, {"x": Fraction(2), "y": Fraction(3)})
-        assert P("x*y").eval_at(pt) == Fraction(6)
-        assert P("x'").eval_at(pt) == Fraction(0)  # derivation is zero on Q
+        pt = ConcretePoint.from_names(XY, {"x": QQ.from_fraction(2), "y": QQ.from_fraction(Fraction(3, 2))})
+        assert P("x*y").eval_at(pt) == QQ.from_fraction(Fraction(3))
+        assert P("x*y^2").eval_at(pt).text() == "9/2"
+        assert P("x'").eval_at(pt) == QQ.zero  # derivation is zero on Q
 
     def test_qt_point_jets_follow_field_derivation(self):
         ctx = Context(("x",), QT)
@@ -340,7 +341,11 @@ class TestEvalAt:
 
     def test_point_must_cover_all_variables(self):
         with pytest.raises(ValueError):
-            ConcretePoint(XY, {0: Fraction(1)})
+            ConcretePoint(XY, {0: QQ.one})
+
+    def test_point_values_are_field_elements(self):
+        with pytest.raises(TypeError):
+            ConcretePoint.from_names(XY, {"x": Fraction(1), "y": Fraction(2)})
 
 
 class TestText:

@@ -1,6 +1,7 @@
-"""Exact coefficient fields: Q via Fraction, Q(t) via reduced rational
-functions with the d/dt derivation, checked against the Fraction reference
-in fraction_reference."""
+"""Exact coefficient fields: one element type, RatFunc, for both.  Q(t)
+elements are checked against the Fraction reference in fraction_reference,
+and elements of Q, the RatFuncs that do not depend on t, against
+fractions.Fraction."""
 
 from fractions import Fraction
 from math import gcd
@@ -13,16 +14,16 @@ import fraction_reference as ref
 from diffalg import QQ, QT, RatFunc
 from diffalg.fields import _pgcd, _pmul
 
-from conftest import small_fractions
+from conftest import small_fractions, small_rationals
 
 
 @st.composite
 def ratfuncs(draw):
-    num = draw(st.lists(small_fractions(), min_size=0, max_size=3))
-    den = draw(st.lists(small_fractions(), min_size=0, max_size=3))
+    num = draw(st.lists(small_rationals(), min_size=0, max_size=3))
+    den = draw(st.lists(small_rationals(), min_size=0, max_size=3))
     d = tuple(den)
     while not any(d):
-        d = (draw(small_fractions().filter(bool)),)
+        d = (draw(small_rationals().filter(bool)),)
     return RatFunc.make(tuple(num), d)
 
 
@@ -38,10 +39,10 @@ class TestRatFunc:
         # 1/(2 + 2t) is (1/2)/(t + 1): monic in the rational view, and
         # 1/(2t + 2) with a positive leading coefficient inside
         a = RatFunc.make((Fraction(1),), (Fraction(2), Fraction(2)))
-        assert a.rational_view() == ref.make((1,), (2, 2)) == ((Fraction(1, 2),), (1, 1))
+        assert ref.view(a) == ref.make((1,), (2, 2)) == ((Fraction(1, 2),), (1, 1))
         assert a.text() == "(1/2)/(t + 1)"
         b = RatFunc.make((Fraction(1),), (Fraction(-2), Fraction(-2)))
-        assert b.rational_view() == ((Fraction(-1, 2),), (1, 1))
+        assert ref.view(b) == ((Fraction(-1, 2),), (1, 1))
         assert b.den[-1] > 0
 
     def test_zero_is_unique(self):
@@ -90,22 +91,32 @@ class TestRatFunc:
 class TestFieldWrapper:
     def test_check_rejects_mixed_elements(self):
         with pytest.raises(TypeError):
-            QQ.check(RatFunc.from_fraction(Fraction(1)))
+            QQ.check(QT.t())  # depends on t
+        with pytest.raises(TypeError):
+            QQ.check(QT.one / (QT.t() + QT.one))
+        with pytest.raises(TypeError):
+            QQ.check(Fraction(1))  # Fractions stop at from_fraction
         with pytest.raises(TypeError):
             QT.check(Fraction(1))
         with pytest.raises(TypeError):
             QQ.check(0.5)  # floats never enter exact arithmetic
 
+    def test_elements_of_q_are_elements_of_q_t(self):
+        a = QQ.from_fraction(Fraction(-3, 4))
+        assert QQ.check(a) is a and QT.check(a) is a
+        assert a == QT.from_fraction(Fraction(-3, 4))
+
     @given(small_fractions())
     def test_derivation_on_q_is_zero(self, a):
-        assert QQ.derive(a) == 0
+        assert QQ.derive(a) == QQ.zero
 
     def test_text_is_parseable_fractions(self):
-        assert QQ.text(Fraction(-3, 4)) == "-3/4"
-        assert QQ.text(Fraction(5)) == "5"
+        assert QQ.text(QQ.from_fraction(Fraction(-3, 4))) == "-3/4"
+        assert QQ.text(QQ.from_fraction(5)) == "5"
+        assert QQ.text(QQ.zero) == "0"
 
     def test_bits_reads_the_stored_integers(self):
-        assert QQ.bits(Fraction(-255, 4)) == 8
+        assert QQ.bits(QQ.from_fraction(Fraction(-255, 4))) == 8
         # 1/3 + 5t is stored as (1 + 15t)/3
         assert QT.bits(RatFunc.make((Fraction(1, 3), 5), (1,))) == 4
         assert QT.bits(QT.one / (QT.t() * QT.from_fraction(-1000) + QT.one)) == 10
@@ -115,11 +126,50 @@ class TestFieldWrapper:
         assert a.text() == "(t^2 + 1)/(t)"
 
 
+class TestRationalsAgainstFraction:
+    """Elements of Q built by QQ.from_fraction behave as the Fractions they
+    came from: fractions.Fraction is the reference."""
+
+    @given(small_rationals(99, 12), small_rationals(99, 12))
+    def test_arithmetic_matches_fraction(self, x, y):
+        a, b = QQ.from_fraction(x), QQ.from_fraction(y)
+        assert a + b == QQ.from_fraction(x + y)
+        assert a - b == QQ.from_fraction(x - y)
+        assert a * b == QQ.from_fraction(x * y)
+        assert -a == QQ.from_fraction(-x)
+        if y:
+            assert a / b == QQ.from_fraction(x / y)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a / b
+        for r in (a + b, a - b, a * b):
+            assert r.is_constant() and _is_canonical(r)
+
+    @given(small_rationals(99, 12), small_rationals(99, 12))
+    def test_equality_and_hash_match_fraction(self, x, y):
+        a, b = QQ.from_fraction(x), QQ.from_fraction(y)
+        assert (a == b) == (x == y)
+        if x == y:
+            assert hash(a) == hash(b)
+        assert bool(a) == bool(x)
+
+    @given(small_rationals(10**30, 10**12))
+    def test_text_and_bits_match_fraction(self, x):
+        a = QQ.from_fraction(x)
+        assert QQ.text(a) == ref.fraction_text(x)
+        assert QQ.bits(a) == max(x.numerator.bit_length(), x.denominator.bit_length())
+        assert ref.view(a) == ((x,) if x else (), ref.ONE)
+
+    @given(small_rationals(), st.integers(min_value=0, max_value=40))
+    def test_power_matches_fraction(self, x, e):
+        assert QQ.from_fraction(x) ** e == QQ.from_fraction(x**e)
+
+
 @st.composite
 def tpolys(draw):
     """Polynomials in t: a constant denominator, the case the fast paths
     serve."""
-    return RatFunc.make(tuple(draw(st.lists(small_fractions(), max_size=4))), (1,))
+    return RatFunc.make(tuple(draw(st.lists(small_rationals(), max_size=4))), (1,))
 
 
 def _is_canonical(a: RatFunc) -> bool:
@@ -139,14 +189,14 @@ class TestFastPaths:
     """Each shortcut of RatFunc against the Fraction reference, compared
     through the rational view and text()."""
 
-    @given(st.lists(small_fractions(), max_size=4), st.lists(small_fractions(), max_size=4))
+    @given(st.lists(small_rationals(), max_size=4), st.lists(small_rationals(), max_size=4))
     def test_make_matches_reference(self, num, den):
         if not any(den):
             with pytest.raises(ZeroDivisionError):
                 RatFunc.make(tuple(num), tuple(den))
             return
         got, want = RatFunc.make(tuple(num), tuple(den)), ref.make(num, den)
-        assert got.rational_view() == want
+        assert ref.view(got) == want
         assert got.text() == ref.text(want)
 
     def test_make_accepts_integers(self):
@@ -154,17 +204,17 @@ class TestFastPaths:
 
     @given(st.one_of(ratfuncs(), tpolys()), st.one_of(ratfuncs(), tpolys()))
     def test_sum_product_and_derivative_match_reference(self, a, b):
-        ra, rb = a.rational_view(), b.rational_view()
+        ra, rb = ref.view(a), ref.view(b)
         for got, want in (
             (a + b, ref.add(ra, rb)),
             (a - b, ref.add(ra, (ref.pneg(rb[0]), rb[1]))),
             (a * b, ref.mul(ra, rb)),
             (a.derive(), ref.derive(ra)),
         ):
-            assert got.rational_view() == want
+            assert ref.view(got) == want
             assert got.text() == ref.text(want)
         if b:
-            assert (a / b).rational_view() == ref.div(ra, rb)
+            assert ref.view(a / b) == ref.div(ra, rb)
         assert _pmul(a.num, b.num) == ref.pmul(a.num, b.num)
 
     @given(st.lists(st.integers(-9, 9), max_size=5), st.lists(st.integers(-9, 9), max_size=5))
@@ -176,17 +226,18 @@ class TestFastPaths:
         assert gcd(*g) == 1 and g[-1] > 0
         assert ref.pscale(g, Fraction(1, g[-1])) == ref.pgcd(ref.ptrim(map(Fraction, a)), ref.ptrim(map(Fraction, b)))
 
-    @given(tpolys(), st.integers(min_value=0, max_value=4))
+    @given(st.one_of(ratfuncs(), tpolys(), small_fractions()), st.integers(min_value=0, max_value=9))
     def test_power_is_repeated_product(self, a, e):
         want = QT.one
         for _ in range(e):
             want = want * a
-        assert a**e == want
+        got = a**e
+        assert got == want and _is_canonical(got)
 
     def test_field_constants(self):
-        assert QQ.zero == 0 and QQ.one == 1
+        assert QQ.zero == QQ.from_fraction(0) and QQ.one == QQ.from_fraction(1)
         assert QT.zero == RatFunc.make((), (1,)) and QT.one == RatFunc.make((1,), (1,))
-        assert QQ.zero is QQ.zero and QT.one is QT.one
+        assert QQ.zero is QT.zero and QQ.one is QT.one
 
 
 class TestCanonicalForm:
@@ -204,7 +255,7 @@ class TestCanonicalForm:
     @given(st.one_of(ratfuncs(), tpolys()), st.one_of(ratfuncs(), tpolys()), st.integers(-6, 6).filter(bool))
     def test_paths_to_one_value_agree(self, a, b, k):
         paths = [(a + b) - b, a * b / b if b else a]
-        num, den = a.rational_view()
+        num, den = ref.view(a)
         paths.append(RatFunc.make([c * k for c in num], [c * k for c in den]))
         paths.append(RatFunc.make([c * Fraction(1, k) for c in num], [c * Fraction(1, k) for c in den]))
         for p in paths:

@@ -91,7 +91,7 @@ class TestAtConcretePoints:
         assert l2.poly == P("dx'", EXT)
 
     def test_point_must_lie_on_zero_set(self):
-        pt = ConcretePoint.from_names(XY, {"x": Fraction(1), "y": Fraction(2)})
+        pt = ConcretePoint.from_names(XY, {"x": QQ.from_fraction(1), "y": QQ.from_fraction(Fraction(2))})
         with pytest.raises(PointNotOnZeroSetError):
             linearize_at(P("y^2 - x^3"), pt)
         # the check can be waived explicitly
@@ -141,7 +141,7 @@ class TestOrderMatrices:
 class TestFirstOrderExpansion:
     def test_agrees_with_eval_and_tangent(self):
         u = P("x'^2 + y")
-        pt = ConcretePoint.from_names(XY, {"x": Fraction(1), "y": Fraction(-2)})
+        pt = ConcretePoint.from_names(XY, {"x": QQ.from_fraction(1), "y": QQ.from_fraction(Fraction(-2))})
         value, tangent = first_order_expansion(u, pt)
         assert value == u.eval_at(pt)
         assert tangent.poly == linearize_at(u, pt, require_zero=False).poly

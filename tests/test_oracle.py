@@ -240,6 +240,7 @@ def _ref_monomials_upto(jets, max_deg, cap):
 
 
 def _ref_solve_span(f, candidates):
+    zero = f.context.field.zero
     basis = {}
 
     def reduce(vec, combo):
@@ -252,7 +253,7 @@ def _ref_solve_span(f, candidates):
             c = vec[pivot]
             for target, source in ((vec, rvec), (combo, rcombo)):
                 for m, x in source.items():
-                    nxt = target.get(m, 0) - c * x
+                    nxt = target.get(m, zero) - c * x
                     if nxt:
                         target[m] = nxt
                     else:
@@ -346,7 +347,7 @@ def staged_cases(draw):
             gi = draw(st.integers(min_value=0, max_value=len(gens) - 1))
             k = draw(st.integers(min_value=0, max_value=max_k))
             m = draw(monomials(XY, max_order=1, max_degree=1, max_factors=1))
-            c = XY.field.from_fraction(draw(small_fractions()))
+            c = draw(small_fractions())
             h = gens[gi].derive(k)
             f = f + h * DiffPoly.from_terms(XY, [(m, c)])
             degree = max(degree, h.total_degree() + m.degree())

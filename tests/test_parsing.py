@@ -33,6 +33,7 @@ from diffalg.sysfile import (
 from diffalg.diffpoly import DiffPoly
 from diffalg.sysfile import _power_growth, _power_products
 
+import fraction_reference as ref
 from conftest import contexts, diffpolys, small_fractions
 
 XY = Context(("x", "y"), QQ)
@@ -112,9 +113,19 @@ class TestExpressions:
         bits, _ = _power_growth(P(f"x^2/{p1} + x*y/{p2} + y^2/{p3}"))
         assert 6 * bits <= MAX_POWER_COEFF_BITS < 7 * bits
         sixth = parse_poly(src.format(6), XY)
-        top = max(c.denominator.bit_length() for _, c in sixth.items())
+        top = max(c.den[0].bit_length() for _, c in sixth.items())
         largest = max(p1, p2, p3).bit_length()
         assert 6 * (largest + 2) < top <= 6 * bits
+
+    def test_power_growth_reads_the_stored_integers(self):
+        # a constant denominator adds no number of its own, so coefficients
+        # 1/2 and 1/3 give the same estimate over Q and Q(t); reading the
+        # denominator's 1 as a number gave (4, 1) over Q(t)
+        qt = Context(("x", "y"), QT)
+        assert _power_growth(P("x/2 + y/3")) == (3, 0)
+        assert _power_growth(parse_poly("t*x/2 + t*y/3", qt)) == (3, 1)
+        # 1/(2t + 2) and 1/(t + 1) share one denominator up to a constant
+        assert _power_growth(parse_poly("x/(2*t + 2) + y/(t + 1)", qt)) == (3, 1)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -125,7 +136,7 @@ class TestExpressions:
         if ctx.field is QT:
             def t_poly():
                 cs = data.draw(st.lists(small_fractions(), min_size=1, max_size=3))
-                return sum((QT.from_fraction(a) * QT.t() ** i for i, a in enumerate(cs)), QT.zero)
+                return sum((a * QT.t() ** i for i, a in enumerate(cs)), QT.zero)
             p = p * DiffPoly.const(ctx, t_poly())
             d = t_poly()
             t_den = data.draw(st.booleans()) and bool(d)
@@ -134,12 +145,9 @@ class TestExpressions:
         e = data.draw(st.integers(min_value=1, max_value=4))
         bits, tdeg = _power_growth(p)
         for _, c in (p**e).items():
-            if isinstance(c, Fraction):
-                rationals = (c,)
-            else:
-                num, den = c.rational_view()
-                assert max(len(num), len(den)) - 1 <= e * tdeg
-                rationals = num + den
+            num, den = ref.view(c)
+            assert max(len(num), len(den)) - 1 <= e * tdeg
+            rationals = num + den
             if not t_den:  # with a denominator in t the bits are an estimate
                 for q in rationals:
                     assert max(abs(q.numerator), q.denominator) <= 2 ** (e * bits)
@@ -201,8 +209,9 @@ class TestExpressions:
 
 class TestConstants:
     def test_rational(self):
-        assert parse_constant("-3/4", QQ) == Fraction(-3, 4)
-        assert parse_constant("(1 + 2)^2", QQ) == Fraction(9)
+        assert parse_constant("-3/4", QQ) == QQ.from_fraction(Fraction(-3, 4))
+        assert parse_constant("(1 + 2)^2", QQ) == QQ.from_fraction(Fraction(9))
+        assert parse_constant("0", QQ) == QQ.zero and not parse_constant("2 - 2", QQ)
 
     def test_rational_function(self):
         c = parse_constant("t^2 + 1", QT)
@@ -255,7 +264,7 @@ class TestSystemFiles:
         assert sf.context.field is QQ
         assert [nm for nm, _ in sf.equations] == ["u1", "u2"]
         assert sf.equation("u1") == P("x'' + y")
-        assert sf.point("p0").value(DerVar(0, 0)) == Fraction(0)
+        assert sf.point("p0").value(DerVar(0, 0)) == QQ.zero
 
     def test_qt_field(self):
         sf = parse_system(
