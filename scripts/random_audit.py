@@ -38,7 +38,9 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
+import diffalg.reduction
 from diffalg import (
     ConcretePoint,
     Context,
@@ -48,6 +50,7 @@ from diffalg import (
     JacobiResult,
     Monomial,
     OrderMatrix,
+    PreparedSeq,
     QQ,
     Ranking,
     RatFunc,
@@ -61,7 +64,7 @@ from diffalg import (
     jacobi_brute,
     linearize_at,
     linearized_order_matrix,
-    ritt_reduce_one,
+    ritt_reduce_seq,
     truncated_member,
     verify_certificate,
     verify_witness,
@@ -101,7 +104,8 @@ def audit_reductions(rng: random.Random, cases: int, max_vars: int) -> tuple[int
             skipped += 1
             continue
         try:
-            cert = ritt_reduce_one(dividend, divisor, rk, step_cap=400)
+            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 400):
+                cert = ritt_reduce_seq(dividend, PreparedSeq([divisor], rk))
         except TermLimitExceeded:
             capped += 1
             continue

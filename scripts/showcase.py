@@ -15,6 +15,7 @@ from diffalg import (
     ConcretePoint,
     Context,
     Convention,
+    PreparedSeq,
     QQ,
     QT,
     Ranking,
@@ -28,7 +29,7 @@ from diffalg import (
     parse_poly,
     radical_member,
     ritt_bound,
-    ritt_reduce_one,
+    ritt_reduce_seq,
     split_decompose,
     truncated_member,
     verify_certificate,
@@ -51,7 +52,7 @@ def main() -> None:
     rk = Ranking.elimination(2, [0, 1])  # x above y
     f = parse_poly("x' + y'''", ctx_t)
     g = parse_poly("x^2 + y''*x' + t", ctx_t)
-    cert = ritt_reduce_one(f, g, rk)
+    cert = ritt_reduce_seq(f, PreparedSeq([g], rk))
     print(f"dividend   f = {f.to_text()}")
     print(f"divisor    g = {g.to_text()}")
     print(f"multiplier s = {cert.multiplier.to_text()}")

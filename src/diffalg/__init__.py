@@ -31,7 +31,6 @@ from .reduction import (
     StepLimitExceeded,
     TermLimitExceeded,
     Verdict,
-    ritt_reduce_one,
     ritt_reduce_seq,
     verify_certificate,
 )

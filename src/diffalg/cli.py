@@ -49,6 +49,7 @@ from .oracle import TruncationBounds, radical_member, truncated_member
 from .ranking import ConstantPolyError
 from .reduction import (
     NotAutoreducedError,
+    PreparedSeq,
     StepLimitExceeded,
     ritt_reduce_seq,
     verify_certificate,
@@ -143,9 +144,9 @@ def _cmd_reduce(args) -> int:
     divisors = [(nm, p) for nm, p in sf.equations if nm != args.target]
     if not divisors:
         raise SysFileError("reduce needs at least one equation besides the target")
-    seq = [p for _, p in divisors]
-    cert = ritt_reduce_seq(target, seq, sf.ranking)
-    ok = verify_certificate(cert, target, seq, sf.ranking)
+    prep = PreparedSeq([p for _, p in divisors], sf.ranking)
+    cert = ritt_reduce_seq(target, prep)
+    ok = verify_certificate(cert, target, prep.sequence, sf.ranking)
     print(f"dividend: {args.target} = {target.to_text()}")
     for nm, p in divisors:
         print(f"divisor: {nm} = {p.to_text()}")

@@ -87,7 +87,7 @@ class CharSetComponent:
         """Zero remainder modulo the sequence; heuristic unless verified
         prime.  The one place a component reduces: the verdict carries the
         certificate it was read from."""
-        cert = ritt_reduce_seq(f, self.prepared, self.ranking)
+        cert = ritt_reduce_seq(f, self.prepared)
         return Verdict(
             member=cert.remainder.is_zero(),
             heuristic=not self.prime_verified,
@@ -282,9 +282,7 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
         prep = PreparedSeq(chosen, ranking)
         others = [p for p in node if p not in prep.sequence]
         try:
-            remainders = [
-                ritt_reduce_seq(p, prep, ranking).remainder for p in others
-            ]
+            remainders = [ritt_reduce_seq(p, prep).remainder for p in others]
         except StepLimitExceeded:
             complete = False
             continue
@@ -479,14 +477,9 @@ def jbc_check(
     an unverified component or an incomplete decomposition downgrades a
     passing verdict to INCONCLUSIVE.
     """
-    if not us:
-        raise ValueError("empty system")
-    ctx = us[0].context
-    if len(us) != ctx.n:
-        raise ValueError(
-            f"need a square system: {len(us)} equations over {ctx.n} variables"
-        )
+    # order_matrix refuses an empty or non-square system
     weak = jacobi_assign(order_matrix(us, Convention.MAX_PLUS))
+    ctx = us[0].context
     strong = jacobi_assign(order_matrix(us, Convention.MINUS_INFINITY))
     assert isinstance(weak.value, int)
 

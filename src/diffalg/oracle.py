@@ -151,16 +151,13 @@ def _bigrade(p: DiffPoly) -> Optional[tuple]:
     return grades.pop() if len(grades) == 1 else None
 
 
-def _kept_prolongations(derived, max_k: int, max_deg: int) -> list:
+def _kept_prolongations(gens, max_k: int, max_deg: int) -> list:
     """Nonzero d^k(g_i) with k <= max_k and degree <= max_deg, as (i, k,
-    d^k(g_i)).  derived[i] is the tower [g_i, d(g_i), ...], extended here
-    as far as max_k."""
+    d^k(g_i)), read off the derivative chain each g_i keeps."""
     kept = []
-    for gi, hs in enumerate(derived):
-        while len(hs) <= max_k:
-            hs.append(hs[-1].derive())
+    for gi, g in enumerate(gens):
         for k in range(max_k + 1):
-            h = hs[k]
+            h = g.derive(k)
             if not h.is_zero() and h.total_degree() <= max_deg:
                 kept.append((gi, k, h))
     return kept
@@ -298,9 +295,7 @@ def _member_homogeneous(f, gens, bounds, grades) -> Optional[MembershipWitness]:
     """Blockwise solve when all generators are bigrade-homogeneous over a
     field with zero derivation.  Returns None on a cap hit (caller reports);
     an empty or unsolvable block is a definite miss at these bounds."""
-    kept = _kept_prolongations(
-        [[g] for g in gens], bounds.prolongation_order, bounds.degree_bound
-    )
+    kept = _kept_prolongations(gens, bounds.prolongation_order, bounds.degree_bound)
     universe = _jet_universe(f.dervars(), kept)
     blocks: dict[tuple, list] = {}
     for m, c in f.items():
@@ -332,7 +327,7 @@ class _StagedSearch:
     with: radical_member asks for the powers of one polynomial."""
 
     def __init__(self, gens, jets, bounds: TruncationBounds):
-        self.derived = [[g] for g in gens]  # d^k(g_i) for k = 0, 1, ...
+        self.gens = gens
         self.jets = jets
         self.bounds = bounds
         self.echelon = _Echelon()
@@ -344,7 +339,7 @@ class _StagedSearch:
         """Eliminate the candidates of stage (dd, pp) that no earlier stage
         admitted.  None when no generator is kept; False, building nothing,
         when the stage has more than MAX_CANDIDATES candidates."""
-        kept = _kept_prolongations(self.derived, pp, dd)
+        kept = _kept_prolongations(self.gens, pp, dd)
         if not kept:
             return None
         universe = _jet_universe(self.jets, kept)

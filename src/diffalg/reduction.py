@@ -15,10 +15,11 @@ variable -- either a proper derivative of some leader, or a leader whose
 degree bound is violated -- and clear it with a single separant or initial
 multiplication, so multiplier exponents stay minimal for the run.
 
-A divisor sequence is checked and analyzed once, as a PreparedSeq, and can
-then serve any number of reductions.  A reduction logs its steps; the
-certificate's multiplier and quotients are assembled from that log, in one
-backward pass, the first time either is read.
+A divisor sequence is checked and analyzed once, as a PreparedSeq, which
+is what ritt_reduce_seq divides by; one can serve any number of reductions.
+A reduction logs its steps; the certificate's multiplier and quotients are
+assembled from that log, in one backward pass, the first time either is
+read.
 """
 
 from __future__ import annotations
@@ -36,14 +37,16 @@ from .ranking import (
     is_reduced,
 )
 
-DEFAULT_STEP_CAP = 100_000
+# Most elimination steps one reduction may take.
+MAX_REDUCTION_STEPS = 100_000
 # Most terms any polynomial a reduction step builds may have: the scaled
 # working polynomial, the multiple of a divisor it subtracts, and the result.
 MAX_REDUCTION_TERMS = 10_000
 
 
 class StepLimitExceeded(Exception):
-    """The reduction loop hit one of its caps (distinct from nontermination)."""
+    """A reduction took more than MAX_REDUCTION_STEPS elimination steps, or
+    hit another of its caps (distinct from nontermination)."""
 
 
 class TermLimitExceeded(StepLimitExceeded):
@@ -52,7 +55,7 @@ class TermLimitExceeded(StepLimitExceeded):
 
 
 class NotAutoreducedError(ValueError):
-    """ritt_reduce_seq requires an autoreduced divisor sequence."""
+    """Ritt division requires an autoreduced divisor sequence."""
 
 
 class DiffOperator:
@@ -98,14 +101,8 @@ class DiffOperator:
 
     def apply(self, p: DiffPoly) -> DiffPoly:
         out = DiffPoly.zero(self.context)
-        if not self._terms:
-            return out
-        cache = {0: p}
-        top = max(self._terms)
-        for k in range(1, top + 1):
-            cache[k] = cache[k - 1].derive()
         for k, c in self._terms.items():
-            out = out + c * cache[k]
+            out = out + c * p.derive(k)
         return out
 
     def __eq__(self, other) -> bool:
@@ -134,9 +131,8 @@ class DiffOperator:
 class PreparedSeq:
     """An autoreduced divisor sequence under a ranking, checked and analyzed
     once so that any number of reductions can share it.  Elements may be
-    polynomials or RankedPolys already analyzed under the ranking; anything
-    ritt_reduce_seq refuses (empty, a constant, not autoreduced) is refused
-    here."""
+    polynomials or RankedPolys already analyzed under the ranking.  An empty
+    sequence, a constant, or a sequence that is not autoreduced is refused."""
 
     __slots__ = ("ranking", "ranked", "sequence")
 
@@ -266,8 +262,10 @@ def _offense(c: DiffPoly, by_var: dict, ranking: Ranking):
     return best[1], best[2], best[3]
 
 
-def _reduce(b: DiffPoly, ranked: Sequence[RankedPoly], ranking: Ranking, step_cap: int) -> ReductionCertificate:
+def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
+    """Divide b by a prepared autoreduced sequence, under its ranking."""
     ctx = b.context
+    ranking, ranked = prep.ranking, prep.ranked
     by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
     c = b
     log = []
@@ -275,8 +273,11 @@ def _reduce(b: DiffPoly, ranked: Sequence[RankedPoly], ranking: Ranking, step_ca
         off = _offense(c, by_var, ranking)
         if off is None:
             break
-        if len(log) >= step_cap:
-            raise StepLimitExceeded(f"reduction exceeded {step_cap} elimination steps")
+        if len(log) >= MAX_REDUCTION_STEPS:
+            raise StepLimitExceeded(
+                "reduction needs more elimination steps than the cap "
+                f"MAX_REDUCTION_STEPS = {MAX_REDUCTION_STEPS}"
+            )
         v, i, kind = off
         rp = ranked[i]
         if kind == "d":
@@ -299,26 +300,6 @@ def _reduce(b: DiffPoly, ranked: Sequence[RankedPoly], ranking: Ranking, step_ca
                 f"terms, over the cap MAX_REDUCTION_TERMS = {MAX_REDUCTION_TERMS}"
             )
     return ReductionCertificate._from_log(log, len(ranked), c)
-
-
-def ritt_reduce_one(b: DiffPoly, a: DiffPoly, ranking: Ranking, step_cap: int = DEFAULT_STEP_CAP) -> ReductionCertificate:
-    """Divide b by a single nonconstant divisor."""
-    return _reduce(b, [analyze(a, ranking)], ranking, step_cap)
-
-
-def ritt_reduce_seq(
-    b: DiffPoly,
-    seq: Union[Sequence[DiffPoly], PreparedSeq],
-    ranking: Ranking,
-    step_cap: int = DEFAULT_STEP_CAP,
-) -> ReductionCertificate:
-    """Divide b by an autoreduced sequence: a PreparedSeq, or polynomials,
-    which are prepared for this call; raises NotAutoreducedError if the
-    sequence is not autoreduced under the ranking."""
-    prep = seq if isinstance(seq, PreparedSeq) else PreparedSeq(seq, ranking)
-    if prep.ranking != ranking:
-        raise ValueError("divisor sequence was prepared under another ranking")
-    return _reduce(b, prep.ranked, ranking, step_cap)
 
 
 def verify_certificate(

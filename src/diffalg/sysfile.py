@@ -37,7 +37,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from math import comb, gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .decompose import CharSetComponent
 from .diffpoly import ConcretePoint, Context, DiffPoly
@@ -85,13 +85,13 @@ _TOKEN_RE = re.compile(
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<primes>'+)
   | (?P<op>[-+*/^(),>=])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str  # "number" | "name" | "primes" | "op" | "end"
     text: str
     pos: int
@@ -106,15 +106,12 @@ def _int_value(t: _Tok) -> int:
 
 def _tokenize(src: str) -> list:
     toks = []
-    i = 0
-    while i < len(src):
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ParseError(f"unexpected character {src[i]!r}", i)
+    for m in _TOKEN_RE.finditer(src):  # every character matches some group
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
         if kind != "ws":
-            toks.append(_Tok(kind, m.group(), i))
-        i = m.end()
+            toks.append(_Tok(kind, m.group(), m.start()))
     toks.append(_Tok("end", "", len(src)))
     return toks
 
@@ -204,7 +201,7 @@ class _ExprParser:
 
     def _factor(self) -> DiffPoly:
         if self._accept_op("-"):
-            return DiffPoly.zero(self.ctx) - self._factor()
+            return -self._factor()
         return self._atom()
 
     def _power_suffix(self, p: DiffPoly) -> DiffPoly:
@@ -459,8 +456,8 @@ def _parse_assignments(text: str, ctx: Context, lineno: int) -> ConcretePoint:
             raise SysFileError(f"line {lineno}: {exc}") from None
     try:
         return ConcretePoint.from_names(ctx, named)
-    except (KeyError, ValueError) as exc:
-        raise SysFileError(f"line {lineno}: {exc}") from None
+    except (KeyError, ValueError) as exc:  # a KeyError's str() would add quotes
+        raise SysFileError(f"line {lineno}: {exc.args[0]}") from None
 
 
 def parse_system(text: str) -> SystemFile:

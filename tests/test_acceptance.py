@@ -15,7 +15,9 @@ import random
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from unittest.mock import patch
 
+import diffalg.reduction
 from diffalg import (
     CharSetComponent,
     ConcretePoint,
@@ -27,6 +29,7 @@ from diffalg import (
     JbcVerdict,
     Monomial,
     OrderMatrix,
+    PreparedSeq,
     QQ,
     QT,
     Ranking,
@@ -47,7 +50,7 @@ from diffalg import (
     parse_poly,
     radical_member,
     ritt_bound,
-    ritt_reduce_one,
+    ritt_reduce_seq,
     split_decompose,
     truncated_member,
     verify_certificate,
@@ -114,7 +117,7 @@ def test_check_1_division_certificate_over_qt():
         f = P("x' + y'''", XY_T)
         g = P("x^2 + y''*x' + t", XY_T)
 
-        cert = ritt_reduce_one(f, g, ELIM_XY)
+        cert = ritt_reduce_seq(f, PreparedSeq([g], ELIM_XY))
         assert verify_certificate(cert, f, (g,), ELIM_XY)
         assert is_reduced(cert.remainder, analyze(g, ELIM_XY))
         assert cert.multiplier == P("y''", XY_T)
@@ -272,7 +275,8 @@ def _prop_reduction_certificates(cases: int) -> None:
         if divisor.is_constant():
             continue
         try:
-            cert = ritt_reduce_one(dividend, divisor, rk, step_cap=400)
+            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 400):
+                cert = ritt_reduce_seq(dividend, PreparedSeq([divisor], rk))
         except StepLimitExceeded:
             continue
         assert verify_certificate(cert, dividend, (divisor,), rk)

@@ -411,6 +411,12 @@ class TestErrorChannel:
         assert main(["jacobi", str(p)]) == 2
         assert "line 4" in capsys.readouterr().err
 
+    def test_point_naming_an_unknown_variable(self, tmp_path, capsys):
+        p = tmp_path / "point.sys"
+        p.write_text(FLAGSHIP.replace("y = 0", "z = 0"))
+        assert main(["linearize", str(p), "--at", "p0"]) == 2
+        assert capsys.readouterr().err == "diffalg: line 6: unknown variable 'z'\n"
+
     def test_power_over_the_expansion_cap(self, cusp, capsys):
         assert main(["member", cusp, "(x + y + 1)^100000"]) == 2
         err = capsys.readouterr().err

@@ -1,6 +1,8 @@
 """Ritt division: the certificate identity m*b = sum Q_i(A_i) + r, with the
 multiplier audited as a product of separants and initials."""
 
+from unittest.mock import patch
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -21,7 +23,6 @@ from diffalg import (
     analyze,
     is_autoreduced,
     is_reduced,
-    ritt_reduce_one,
     ritt_reduce_seq,
     verify_certificate,
 )
@@ -36,6 +37,10 @@ ELIM_XY = Ranking.elimination(2, [0, 1])
 
 def P(src, ctx=XY):
     return parse_poly(src, ctx)
+
+
+def divide(b, seq, ranking=ELIM_XY):
+    return ritt_reduce_seq(b, PreparedSeq(seq, ranking))
 
 
 class TestDiffOperator:
@@ -68,7 +73,7 @@ class TestWorkedDivisions:
         ctx = Context(("x", "y"), QT)
         f = P("x' + y'''", ctx)
         g = P("x^2 + y''*x' + t", ctx)
-        cert = ritt_reduce_one(f, g, ELIM_XY)
+        cert = divide(f, [g])
         assert cert.multiplier == P("y''", ctx)
         assert cert.remainder == P("y''*y''' - x^2 - t", ctx)
         assert verify_certificate(cert, f, [g], ELIM_XY)
@@ -77,7 +82,7 @@ class TestWorkedDivisions:
         # dividing x'' by x'^2 + y forces one prolongation
         f = P("x''")
         g = P("x'^2 + y")
-        cert = ritt_reduce_one(f, g, ELIM_XY)
+        cert = divide(f, [g])
         # 2x' * x'' = d(x'^2 + y) - y', so remainder is -y' ... times nothing else
         assert cert.multiplier == P("2*x'")
         assert cert.remainder == P("-y'")
@@ -86,7 +91,7 @@ class TestWorkedDivisions:
     def test_reduced_input_is_untouched(self):
         f = P("y^2")
         g = P("x' + y")
-        cert = ritt_reduce_one(f, g, ELIM_XY)
+        cert = divide(f, [g])
         assert cert.remainder == f
         assert cert.multiplier == DiffPoly.one(XY)
         assert cert.steps == 0
@@ -94,7 +99,7 @@ class TestWorkedDivisions:
     def test_sequence_division_flagship(self):
         seq = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
         f = P("x'' + y")
-        cert = ritt_reduce_seq(f, seq, ELIM_XY)
+        cert = divide(f, seq)
         assert cert.remainder.is_zero()
         assert verify_certificate(cert, f, seq, ELIM_XY)
 
@@ -113,7 +118,7 @@ class TestWorkedDivisions:
             return real_pgcd(u, v)
 
         monkeypatch.setattr(diffalg.fields, "_pgcd", pgcd)
-        cert = ritt_reduce_seq(b, [a], ELIM_XY)
+        cert = divide(b, [a])
         assert cert.steps == 5
         assert verify_certificate(cert, b, [a], ELIM_XY)
         assert len(calls) == 0
@@ -132,7 +137,8 @@ class TestCertificates:
         )
         b = data.draw(diffpolys(ctx, max_order=3, max_degree=3, max_terms=3))
         try:
-            cert = ritt_reduce_one(b, divisor, rk, step_cap=300)
+            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 300):
+                cert = divide(b, [divisor], rk)
         except StepLimitExceeded:
             return  # blow-ups are possible; the cap is the contract
         assert verify_certificate(cert, b, [divisor], rk)
@@ -141,7 +147,7 @@ class TestCertificates:
     def test_identity_holds_term_by_term(self):
         seq = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
         b = P("x''*y' + x^2")
-        cert = ritt_reduce_seq(b, seq, ELIM_XY)
+        cert = divide(b, seq)
         lhs = cert.multiplier * b
         rhs = cert.remainder
         for q, a in zip(cert.quotients, seq):
@@ -151,7 +157,7 @@ class TestCertificates:
     def test_tampered_certificate_rejected(self):
         g = P("x'^2 + y")
         f = P("x''")
-        cert = ritt_reduce_one(f, g, ELIM_XY)
+        cert = divide(f, [g])
         from diffalg import ReductionCertificate
 
         bad = ReductionCertificate(
@@ -165,7 +171,7 @@ class TestCertificates:
     def test_foreign_multiplier_factor_rejected(self):
         g = P("y*x'' + x")  # separant and initial are both y
         f = P("x^(3)")
-        cert = ritt_reduce_one(f, g, ELIM_XY)
+        cert = divide(f, [g])
         assert cert.factors == (P("y"), P("y"))
         from diffalg import ReductionCertificate
 
@@ -183,15 +189,16 @@ class TestCertificates:
 class TestGuards:
     def test_divisors_must_be_autoreduced(self):
         with pytest.raises(NotAutoreducedError):
-            ritt_reduce_seq(P("y"), [P("x'"), P("x'' + y")], ELIM_XY)
+            PreparedSeq([P("x'"), P("x'' + y")], ELIM_XY)
 
     def test_empty_divisors_rejected(self):
         with pytest.raises(ValueError):
-            ritt_reduce_seq(P("y"), [], ELIM_XY)
+            PreparedSeq([], ELIM_XY)
 
     def test_step_cap_is_enforced(self):
-        with pytest.raises(StepLimitExceeded):
-            ritt_reduce_one(P("x^(3)"), P("x'^2 + y"), ELIM_XY, step_cap=1)
+        with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 1):
+            with pytest.raises(StepLimitExceeded, match="than the cap MAX_REDUCTION_STEPS = 1$"):
+                divide(P("x^(3)"), [P("x'^2 + y")])
 
 
 def _forward_certificate(b, seq, ranking):
@@ -250,7 +257,8 @@ class TestCertificateOnRead:
     @staticmethod
     def _check_against_forward(b, seq, rk, step_cap):
         try:
-            cert = ritt_reduce_seq(b, PreparedSeq(seq, rk), rk, step_cap=step_cap)
+            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", step_cap):
+                cert = divide(b, seq, rk)
         except StepLimitExceeded:
             return
         # reading the remainder and the step count builds nothing
@@ -293,7 +301,8 @@ class TestCertificateOnRead:
         ).map_dervars(lambda v: DerVar(lo, v.order), ctx)
         raw = data.draw(qt_polys(ctx, max_order=2, max_degree=2, max_terms=3))
         try:
-            a2 = ritt_reduce_one(raw, a1, rk, step_cap=6).remainder
+            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 6):
+                a2 = divide(raw, [a1], rk).remainder
         except StepLimitExceeded:
             reject()
         assume(a2.term_count() <= 4 and any(v.var == hi for v in a2.dervars()))
@@ -308,23 +317,20 @@ class TestCertificateOnRead:
             ReductionCertificate, "_assemble", lambda self: built.append(1) or real(self)
         )
         seq = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
-        cert = ritt_reduce_seq(P("x''*y' + x^2"), seq, ELIM_XY)
+        cert = divide(P("x''*y' + x^2"), seq)
         assert cert.steps > 0 and not cert.remainder.is_zero()
         assert built == []
         cert.quotients
         cert.multiplier
         assert built == [1]
 
-    def test_prepared_and_plain_sequences_agree(self):
-        seq = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
-        prep = PreparedSeq(seq, ELIM_XY)
-        for src in ("x''*y' + x^2", "x'' + y", "y''"):
-            assert ritt_reduce_seq(P(src), prep, ELIM_XY) == ritt_reduce_seq(P(src), seq, ELIM_XY)
-
-    def test_prepared_under_another_ranking_is_refused(self):
-        prep = PreparedSeq([P("x' + y")], ELIM_XY)
-        with pytest.raises(ValueError):
-            ritt_reduce_seq(P("x''"), prep, Ranking.elimination(2, [1, 0]))
+    def test_reused_prepared_sequence_matches_a_fresh_one(self):
+        # a reduction leaves the shared PreparedSeq (and the derivative
+        # chains its divisors keep) fit for the next one
+        prep = PreparedSeq([P("y'^2 + 4*y^3"), P("2*y*x' - y'")], ELIM_XY)
+        for src in ("x''*y' + x^2", "x'' + y", "y''", "x''*y' + x^2"):
+            fresh = PreparedSeq([P("y'^2 + 4*y^3"), P("2*y*x' - y'")], ELIM_XY)
+            assert ritt_reduce_seq(P(src), prep) == ritt_reduce_seq(P(src), fresh)
 
 
 class TestPreparedSeq:
@@ -344,11 +350,8 @@ class TestPreparedSeq:
         ],
     )
     def test_refuses_what_reduction_refuses(self, seq, error):
-        polys = [P(s) for s in seq]
         with pytest.raises(error):
-            ritt_reduce_seq(P("y"), polys, ELIM_XY)
-        with pytest.raises(error):
-            PreparedSeq(polys, ELIM_XY)
+            PreparedSeq([P(s) for s in seq], ELIM_XY)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -369,7 +372,7 @@ class TestPreparedSeq:
         b = P("x'*y^3 + x^2")
         for seq in ([P("x + y"), P("y^2")], [P("y^2"), P("x + y")]):
             assert is_autoreduced(seq, ELIM_XY)
-            cert = ritt_reduce_seq(b, PreparedSeq(seq, ELIM_XY), ELIM_XY)
+            cert = divide(b, seq)
             assert cert.remainder.is_zero()
             assert cert.multiplier == P("2*y")
             assert verify_certificate(cert, b, seq, ELIM_XY)
@@ -379,5 +382,5 @@ class TestTermCap:
     def test_cap_is_a_named_step_limit(self, monkeypatch):
         monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_TERMS", 3)
         with pytest.raises(TermLimitExceeded, match="MAX_REDUCTION_TERMS = 3") as err:
-            ritt_reduce_one(P("x''*y + x'*y^2 + x"), P("x'^2 + y*x' + y"), ELIM_XY)
+            divide(P("x''*y + x'*y^2 + x"), [P("x'^2 + y*x' + y")])
         assert isinstance(err.value, StepLimitExceeded)
