@@ -6,7 +6,7 @@ linearization at points, and an independent truncated ideal-membership
 oracle.
 """
 
-from .fields import Field, FieldTag, QQ, QT, RatFunc
+from .fields import Field, QQ, QT, RatFunc
 from .diffpoly import (
     Context,
     DerVar,

@@ -523,7 +523,7 @@ def jbc_check(
 
     return JbcReport(
         names=ctx.names,
-        field_tag=ctx.field.tag.value,
+        field_tag=ctx.field.value,
         weak=weak,
         strong=strong,
         records=tuple(records),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .fields import Field, FieldTag, RatFunc
+from .fields import QQ, QT, Field, RatFunc
 
 # Cap on the derivative orders derive() creates; prevents runaway
 # prolongation loops from allocating unbounded jet towers.
@@ -154,7 +154,7 @@ class Context:
         for nm in self.names:
             if not nm.isidentifier():
                 raise ValueError(f"bad variable name {nm!r}")
-        if self.field.tag is FieldTag.RATIONAL_FUNCTIONS_T and "t" in self.names:
+        if self.field is QT and "t" in self.names:
             raise ValueError("variable name 't' collides with the field parameter of Q(t)")
 
     @property
@@ -177,8 +177,11 @@ def _check_same_context(a: "DiffPoly", b: "DiffPoly"):
         raise ValueError("mixed ring contexts")
 
 
-def _accumulate(acc: dict, m: "Monomial", c) -> None:
-    """Add the term c*m into acc, dropping a coefficient that cancels."""
+def _accumulate(acc: dict, m, c) -> None:
+    """Add c*m into acc, a sparse map from keys (monomials, jets, powers of
+    the derivation, candidates) to nonzero coefficients, dropping a
+    coefficient that cancels.  The package's sparse sums merge here, apart
+    from the row loop of the oracle's echelon."""
     cur = acc.get(m)
     c = c if cur is None else cur + c
     if c:
@@ -356,8 +359,7 @@ class DiffPoly:
     def _derive_once(self) -> "DiffPoly":
         """The first derivative; raises OrderCapExceeded at the first jet
         whose derivative passes DEFAULT_ORDER_CAP."""
-        fld = self.context.field
-        derive_coeff = None if fld.tag is FieldTag.RATIONALS else RatFunc.derive
+        derive_coeff = None if self.context.field is QQ else RatFunc.derive
         acc: dict[Monomial, RatFunc] = {}
         for m, c in self._terms.items():
             if derive_coeff is not None:
@@ -436,25 +438,6 @@ class DiffPoly:
                 val = val * pv**e
             total = total + val
         return total
-
-    # -- structure transport ---------------------------------------------------
-
-    def map_dervars(self, fn, new_ctx: Context) -> "DiffPoly":
-        """Rename jet variables via fn: DerVar -> DerVar into another context
-        over the same field."""
-        if new_ctx.field != self.context.field:
-            raise ValueError("cannot transport between different fields")
-        return DiffPoly.from_terms(
-            new_ctx,
-            (
-                (Monomial.make(tuple((fn(v), e) for v, e in m.factors)), c)
-                for m, c in self._terms.items()
-            ),
-        )
-
-    def embed(self, new_ctx: Context) -> "DiffPoly":
-        """Reinterpret in a context with more variables (indices unchanged)."""
-        return self.map_dervars(lambda v: v, new_ctx)
 
     # -- normalization ------------------------------------------------------------
 

@@ -23,11 +23,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 
-class FieldTag(Enum):
-    RATIONALS = "Q"
-    RATIONAL_FUNCTIONS_T = "Q(t)"
-
-
 # ---------------------------------------------------------------------------
 # dense univariate polynomials over Z, coefficient tuples low -> high,
 # normalized with no trailing zeros; () is the zero polynomial
@@ -364,29 +359,13 @@ RF_ONE = RatFunc(_P_ONE, _P_ONE)
 # ---------------------------------------------------------------------------
 
 
-class Field:
-    """Derivation, the parameter t and the label of one coefficient field;
-    the elements and their arithmetic are RatFunc's.
+class Field(Enum):
+    """One of the two coefficient fields, labelled by its value: its
+    derivation and the parameter t.  The elements and their arithmetic are
+    RatFunc's.  Compare fields by identity (``field is QQ``)."""
 
-    Use the module singletons QQ and QT; identity comparison is fine but
-    equality is by tag.
-    """
-
-    __slots__ = ("tag",)
-    zero = RF_ZERO
-    one = RF_ONE
-
-    def __init__(self, tag: FieldTag):
-        self.tag = tag
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Field) and self.tag is other.tag
-
-    def __hash__(self) -> int:
-        return hash(self.tag)
-
-    def __repr__(self) -> str:
-        return f"Field({self.tag.value})"
+    QQ = "Q"
+    QT = "Q(t)"
 
     # -- element construction ------------------------------------------------
 
@@ -394,7 +373,7 @@ class Field:
         return RatFunc.from_fraction(q)
 
     def t(self) -> RatFunc:
-        if self.tag is not FieldTag.RATIONAL_FUNCTIONS_T:
+        if self is not QT:
             raise ValueError("t is only an element of Q(t)")
         return RatFunc.t_power(1)
 
@@ -402,8 +381,8 @@ class Field:
         """a itself when it is an element of this field: a RatFunc, and over
         Q one that does not depend on t."""
         if not isinstance(a, RatFunc):
-            raise TypeError(f"expected a RatFunc element of {self.tag.value}, got {type(a).__name__}")
-        if self.tag is FieldTag.RATIONALS and not a.is_constant():
+            raise TypeError(f"expected a RatFunc element of {self.value}, got {type(a).__name__}")
+        if self is QQ and not a.is_constant():
             raise TypeError("expected an element of Q, got a rational function that depends on t")
         return a
 
@@ -412,7 +391,7 @@ class Field:
     def derive(self, a: RatFunc) -> RatFunc:
         """The field derivation: zero on Q, d/dt on Q(t)."""
         self.check(a)
-        if self.tag is FieldTag.RATIONALS:
+        if self is QQ:
             return RF_ZERO
         return a.derive()
 
@@ -428,5 +407,9 @@ class Field:
         return self.check(a).text()
 
 
-QQ = Field(FieldTag.RATIONALS)
-QT = Field(FieldTag.RATIONAL_FUNCTIONS_T)
+# set outside the class body, where the Enum would make them members
+Field.zero = RF_ZERO
+Field.one = RF_ONE
+
+QQ = Field.QQ
+QT = Field.QT

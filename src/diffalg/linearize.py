@@ -29,6 +29,7 @@ from .diffpoly import (
     DerVar,
     DiffPoly,
     Monomial,
+    _accumulate,
 )
 from .jacobi import Convention, OrderMatrix
 
@@ -87,18 +88,14 @@ class LinearizedPoly:
         return f"LinearizedPoly({self.to_text()})"
 
 
-def _tangent_term(ext: Context, n: int, v: DerVar) -> DiffPoly:
-    return DiffPoly.from_terms(ext, [(Monomial.of(tangent_dervar(n, v)), ext.field.one)])
-
-
 def linearize_sym(u: DiffPoly) -> LinearizedPoly:
     """Symbolic tangent: sum over jets v present in u of du/dv * y_v."""
-    ctx = u.context
-    ext = extended_context(ctx)
-    acc = DiffPoly.zero(ext)
+    n = u.context.n
+    terms = []
     for v in u.dervars():
-        acc = acc + u.partial(v).embed(ext) * _tangent_term(ext, ctx.n, v)
-    return LinearizedPoly(poly=acc, base_n=ctx.n)
+        yv = Monomial.of(tangent_dervar(n, v))
+        terms.extend((m * yv, c) for m, c in u.partial(v).items())
+    return LinearizedPoly(poly=DiffPoly.from_terms(extended_context(u.context), terms), base_n=n)
 
 
 def linearize_at(u: DiffPoly, pt, require_zero: bool = True) -> LinearizedPoly:
@@ -179,33 +176,17 @@ class _Dual:
         self.b = b  # dict[DerVar, RatFunc], no zero values
 
     def mul(self, other: "_Dual") -> "_Dual":
-        fld = self.field
         b: dict = {}
         for k, v in self.b.items():
-            w = other.a * v
-            if w:
-                b[k] = w
+            _accumulate(b, k, other.a * v)
         for k, v in other.b.items():
-            w = self.a * v
-            if not w:
-                continue
-            cur = b.get(k)
-            w = w if cur is None else cur + w
-            if w:
-                b[k] = w
-            elif cur is not None:
-                del b[k]
-        return _Dual(fld, self.a * other.a, b)
+            _accumulate(b, k, self.a * v)
+        return _Dual(self.field, self.a * other.a, b)
 
     def add(self, other: "_Dual") -> "_Dual":
         b = dict(self.b)
         for k, v in other.b.items():
-            cur = b.get(k)
-            v = v if cur is None else cur + v
-            if v:
-                b[k] = v
-            elif cur is not None:
-                del b[k]
+            _accumulate(b, k, v)
         return _Dual(self.field, self.a + other.a, b)
 
     def scale(self, c) -> "_Dual":

@@ -43,8 +43,8 @@ from enum import Enum
 from math import comb
 from typing import Optional, Sequence
 
-from .diffpoly import Context, DiffPoly, Monomial
-from .fields import FieldTag
+from .diffpoly import Context, DiffPoly, Monomial, _accumulate
+from .fields import QQ
 
 MAX_CANDIDATES = 1500
 
@@ -317,8 +317,8 @@ def _member_homogeneous(f, gens, bounds, grades) -> Optional[MembershipWitness]:
         if combo is None:
             return None
         for k, c in combo.items():
-            combo_all[k] = combo_all.get(k, f.context.field.zero) + c
-    return _assemble(f, gens, {k: c for k, c in combo_all.items() if c}, bounds, 1)
+            _accumulate(combo_all, k, c)
+    return _assemble(f, gens, combo_all, bounds, 1)
 
 
 class _StagedSearch:
@@ -419,7 +419,7 @@ def truncated_member(
         )
 
     grades = [_bigrade(g) for g in gens]
-    homogeneous = ctx.field.tag is FieldTag.RATIONALS and all(
+    homogeneous = ctx.field is QQ and all(
         gr is not None for gr in grades
     )
     if homogeneous:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .diffpoly import DiffPoly, Monomial
+from .diffpoly import DiffPoly, Monomial, _accumulate
 from .ranking import (
     ConstantPolyError,
     RankedPoly,
@@ -91,12 +91,7 @@ class DiffOperator:
             raise ValueError("mixed ring contexts")
         acc = dict(self._terms)
         for k, c in other._terms.items():
-            cur = acc.get(k)
-            c = c if cur is None else cur + c
-            if c:
-                acc[k] = c
-            elif cur is not None:
-                del acc[k]
+            _accumulate(acc, k, c)
         return DiffOperator(self.context, acc)
 
     def apply(self, p: DiffPoly) -> DiffPoly:

@@ -35,19 +35,23 @@ A *component file* is a sequence of blank-line-separated blocks:
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb, gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .decompose import CharSetComponent
 from .diffpoly import ConcretePoint, Context, DiffPoly
-from .fields import Field, FieldTag, QQ, QT, RatFunc
+from .fields import Field, QQ, QT, RatFunc
 from .ranking import Ranking, RankKind
 
 
 # Largest term count a ``p ^ e`` may be expanded to: a polynomial with n
 # terms has at most C(n + e - 1, e) terms in its e-th power.
 MAX_POWER_TERMS = 10_000
+# Deepest nesting of parentheses an expression may have: the parser recurses
+# once per level, and Python's stack would give out near 250.
+MAX_NESTING = 100
 # Largest number of term products the expansion of a ``p ^ e`` may make (see
 # _power_products): (x + y)^9999 passes the term cap but would make 38 million.
 MAX_POWER_PRODUCTS = 100_000
@@ -124,8 +128,10 @@ def _tokenize(src: str) -> list:
 class _ExprParser:
     """expr := term (('+'|'-') term)*
     term := factor (('*'|'/') factor)*
-    factor := '-' factor | atom
+    factor := '-'* atom
     atom := NUMBER | NAME jets? power? | '(' expr ')' power?
+
+    Parentheses nest at most MAX_NESTING deep.
     """
 
     def __init__(self, src: str, ctx: Context):
@@ -133,6 +139,7 @@ class _ExprParser:
         self.ctx = ctx
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0  # parentheses open at the current token
 
     # -- token helpers ------------------------------------------------------
 
@@ -200,9 +207,11 @@ class _ExprParser:
                 p = p.scale(self.ctx.field.one / c)
 
     def _factor(self) -> DiffPoly:
-        if self._accept_op("-"):
-            return -self._factor()
-        return self._atom()
+        negate = False
+        while self._accept_op("-"):
+            negate = not negate
+        p = self._atom()
+        return -p if negate else p
 
     def _power_suffix(self, p: DiffPoly) -> DiffPoly:
         """An optional ``^ INT`` (plain integer only — ``^(k)`` is a
@@ -247,8 +256,12 @@ class _ExprParser:
         if t.kind == "number":
             return DiffPoly.const(self.ctx, RatFunc.from_int(_int_value(t)))
         if t.kind == "op" and t.text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", t.pos)
+            self.depth += 1
             p = self._expr()
             self._expect_op(")")
+            self.depth -= 1
             return self._power_suffix(p)
         if t.kind == "name":
             return self._name_atom(t)
@@ -256,7 +269,7 @@ class _ExprParser:
 
     def _name_atom(self, t: _Tok) -> DiffPoly:
         name = t.text
-        if name == "t" and self.ctx.field.tag is FieldTag.RATIONAL_FUNCTIONS_T:
+        if name == "t" and self.ctx.field is QT:
             nxt = self._peek()
             if nxt.kind == "primes":
                 raise ParseError("t is a field element of Q(t); it takes no primes", nxt.pos)
@@ -428,10 +441,26 @@ class SystemFile:
         raise KeyError(f"no point named {name!r}")
 
 
-def _strip_comment(line: str) -> str:
-    # '#' starts a comment anywhere outside an expression's tokens; none of
-    # the grammar's tokens contain '#', so a plain split is safe.
-    return line.split("#", 1)[0].rstrip()
+def _lines(text: str):
+    """(line number, line) for each line of a file, the line stripped of
+    its comment and surrounding blanks.  '#' starts a comment anywhere
+    outside an expression's tokens; none of the grammar's tokens contain
+    '#', so a plain split is safe."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        yield lineno, raw.split("#", 1)[0].strip()
+
+
+@contextmanager
+def _at_line(lineno: int, where: str = "line"):
+    """Re-raise a ValueError (a ParseError among them) or KeyError from the
+    body as a SysFileError that names the line, or with where="block at
+    line" the block, it came from.  The body must not raise SysFileError,
+    or its message would name the line twice."""
+    try:
+        yield
+    except (KeyError, ValueError) as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote a KeyError
+        raise SysFileError(f"{where} {lineno}: {message}") from None
 
 
 def _parse_field(text: str) -> Field:
@@ -450,14 +479,12 @@ def _parse_assignments(text: str, ctx: Context, lineno: int) -> ConcretePoint:
             raise SysFileError(f"line {lineno}: bad assignment {piece.strip()!r}")
         nm, val = piece.split("=", 1)
         nm = nm.strip()
-        try:
+        if nm in named:
+            raise SysFileError(f"line {lineno}: variable {nm!r} is assigned twice")
+        with _at_line(lineno):
             named[nm] = parse_constant(val.strip(), ctx.field)
-        except ParseError as exc:
-            raise SysFileError(f"line {lineno}: {exc}") from None
-    try:
+    with _at_line(lineno):
         return ConcretePoint.from_names(ctx, named)
-    except (KeyError, ValueError) as exc:  # a KeyError's str() would add quotes
-        raise SysFileError(f"line {lineno}: {exc.args[0]}") from None
 
 
 def parse_system(text: str) -> SystemFile:
@@ -469,8 +496,7 @@ def parse_system(text: str) -> SystemFile:
     equations: list = []
     points: list = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+    for lineno, line in _lines(text):
         if not line:
             continue
 
@@ -488,20 +514,16 @@ def parse_system(text: str) -> SystemFile:
             if field is None:
                 raise SysFileError(f"line {lineno}: 'field:' must come before 'vars:'")
             names = tuple(nm.strip() for nm in rest.split(",") if nm.strip())
-            try:
+            with _at_line(lineno):
                 ctx = Context(names, field)
-            except ValueError as exc:
-                raise SysFileError(f"line {lineno}: {exc}") from None
             continue
         if key_word == "ranking" and _ == ":":
             if ctx is None:
                 raise SysFileError(f"line {lineno}: 'vars:' must come before 'ranking:'")
             if ranking is not None:
                 raise SysFileError(f"line {lineno}: duplicate 'ranking:' line")
-            try:
+            with _at_line(lineno):
                 ranking = parse_ranking(rest.strip(), ctx)
-            except ParseError as exc:
-                raise SysFileError(f"line {lineno}: {exc}") from None
             continue
 
         if line.startswith("eq ") or line.startswith("eq\t"):
@@ -515,10 +537,8 @@ def parse_system(text: str) -> SystemFile:
                 raise SysFileError(f"line {lineno}: bad equation name {name!r}")
             if any(nm == name for nm, _p in equations):
                 raise SysFileError(f"line {lineno}: duplicate equation name {name!r}")
-            try:
+            with _at_line(lineno):
                 p = parse_poly(src.strip(), ctx)
-            except ParseError as exc:
-                raise SysFileError(f"line {lineno}: {exc}") from None
             if p.is_zero():
                 raise SysFileError(f"line {lineno}: equation {name!r} is identically zero")
             equations.append((name, p))
@@ -562,12 +582,9 @@ def _parse_poly_list(text: str, ctx: Context, lineno: int) -> tuple:
     polys = []
     for piece in text.split(";"):
         piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            polys.append(parse_poly(piece, ctx))
-        except ParseError as exc:
-            raise SysFileError(f"line {lineno}: {exc}") from None
+        if piece:
+            with _at_line(lineno):
+                polys.append(parse_poly(piece, ctx))
     return tuple(polys)
 
 
@@ -578,8 +595,7 @@ def parse_components(
     ``ranking:`` (optional), ``charset:``, ``ineqs:`` (optional), and
     ``prime:`` (optional, default ``no``) lines."""
     blocks: list = [[]]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
+    for lineno, line in _lines(text):
         if not line:
             if blocks[-1]:
                 blocks.append([])
@@ -600,10 +616,8 @@ def parse_components(
                 raise SysFileError(f"line {lineno}: expected 'key: value', got {line!r}")
             key = key.strip().lower()
             if key == "ranking":
-                try:
+                with _at_line(lineno):
                     ranking = parse_ranking(rest.strip(), ctx)
-                except ParseError as exc:
-                    raise SysFileError(f"line {lineno}: {exc}") from None
             elif key == "charset":
                 charset = _parse_poly_list(rest, ctx, lineno)
                 if not charset:
@@ -617,19 +631,13 @@ def parse_components(
                 prime = word == "yes"
             else:
                 raise SysFileError(f"line {lineno}: unknown component key {key!r}")
+        first = block[0][0]
         if charset is None:
-            first = block[0][0]
             raise SysFileError(f"block at line {first}: missing 'charset:' line")
         if ranking is None:
-            first = block[0][0]
             raise SysFileError(f"block at line {first}: no ranking given and no default")
-        try:
-            components.append(
-                CharSetComponent(ranking, charset, ineqs, prime_verified=prime)
-            )
-        except ValueError as exc:
-            first = block[0][0]
-            raise SysFileError(f"block at line {first}: {exc}") from None
+        with _at_line(first, "block at line"):
+            components.append(CharSetComponent(ranking, charset, ineqs, prime_verified=prime))
     return tuple(components)
 
 

@@ -10,7 +10,7 @@ import pytest
 import diffalg
 from diffalg.cli import main
 import diffalg.cli
-from diffalg.sysfile import MAX_POWER_COEFF_BITS, MAX_POWER_T_DEGREE, MAX_POWER_TERMS
+from diffalg.sysfile import MAX_NESTING, MAX_POWER_COEFF_BITS, MAX_POWER_T_DEGREE, MAX_POWER_TERMS
 
 from conftest import FLAGSHIP, FLAGSHIP_COMPONENT_2
 
@@ -447,6 +447,44 @@ class TestErrorChannel:
         assert main(["jacobi", str(p)]) == 2
         err = capsys.readouterr().err
         assert "line 4" in err and "integer literal of 5000 digits" in err
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 300, 2000])
+    def test_over_deep_nesting_is_a_parse_error(self, cusp, tmp_path, capsys, depth):
+        deep = "(" * depth + "x" + ")" * depth
+        at = f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING) (at position"
+        assert main(["member", cusp, deep]) == 2
+        assert capsys.readouterr().err.startswith(f"diffalg: expression: {at} {MAX_NESTING})")
+        p = tmp_path / "deep_eq.sys"
+        p.write_text(FLAGSHIP.replace("eq u1 = x''", f"eq u1 = {deep}''"))
+        assert main(["order", str(p)]) == 2
+        assert capsys.readouterr().err == f"diffalg: line 4: {at} {MAX_NESTING})\n"
+        p = tmp_path / "deep_point.sys"
+        p.write_text(FLAGSHIP.replace("x = 0", "x = " + deep.replace("x", "0")))
+        assert main(["jbc-check", str(p)]) == 2
+        assert capsys.readouterr().err == f"diffalg: line 6: {at} {MAX_NESTING})\n"
+
+    def test_many_unary_minuses(self, cusp, tmp_path, capsys):
+        assert main(["member", cusp, "--", "-" * 5000 + "x'"]) == 0
+        capsys.readouterr()
+        p = tmp_path / "minus.sys"
+        p.write_text(FLAGSHIP.replace("x = 0", "x = " + "-" * 5001 + "0"))
+        assert main(["linearize", str(p), "--at", "p0"]) == 0
+
+    def test_point_variable_assigned_twice(self, tmp_path, capsys):
+        p = tmp_path / "twice.sys"
+        p.write_text(FLAGSHIP.replace("x = 0", "x = 1, x = 0"))
+        assert main(["linearize", str(p), "--at", "p0"]) == 2
+        assert capsys.readouterr().err == "diffalg: line 6: variable 'x' is assigned twice\n"
+
+    def test_over_deep_nesting_prints_no_traceback(self, tmp_path):
+        p = tmp_path / "deep.sys"
+        p.write_text(FLAGSHIP.replace("eq u1 = x''", "eq u1 = " + "(" * 1000 + "x" + ")" * 1000))
+        src = str(Path(diffalg.__file__).resolve().parents[1])
+        code = "import sys; sys.path.insert(0, sys.argv[1]); from diffalg.cli import main; sys.exit(main(sys.argv[2:]))"
+        run = subprocess.run([sys.executable, "-c", code, src, "order", str(p)], capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr.startswith("diffalg: line 4: parentheses nested deeper than")
+        assert "Traceback" not in run.stderr
 
     def test_usage_error_exits_two(self, flagship):
         with pytest.raises(SystemExit) as exc:

@@ -306,13 +306,6 @@ class TestStructure:
         assert m == P("y*x' - 1/2*y'")
         assert m.monic() == m
 
-    def test_embed_into_larger_context(self):
-        big = Context(("x", "y", "z"), QQ)
-        p = P("x'*y")
-        q = p.embed(big)
-        assert q.context == big
-        assert q.to_text() == "x'*y"
-
 
 class TestEvalAt:
     def test_constant_point_kills_proper_derivatives(self):

@@ -17,6 +17,7 @@ from diffalg import (
     DiffPoly,
     PointNotOnZeroSetError,
     QQ,
+    QT,
     Ranking,
     first_order_expansion,
     jacobi_assign,
@@ -113,6 +114,32 @@ class TestAtConcretePoints:
                 assert got is None
             else:
                 assert got is None or got <= orig
+
+
+class TestTwoTangentBuilders:
+    """linearize_sym keeps each coefficient du/dv as a polynomial;
+    linearize_at evaluates it.  The two must agree at every point."""
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_symbolic_tangent_evaluates_to_the_tangent_at_a_point(self, data):
+        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
+        u = data.draw(diffpolys(ctx, max_terms=3))
+        if ctx.field is QT:  # coefficients and point values that carry t
+            u = u + DiffPoly.const(ctx, QT.t()) * data.draw(diffpolys(ctx, max_terms=2))
+        t_part = QT.t() if ctx.field is QT else QQ.zero
+        pt = ConcretePoint(
+            ctx,
+            {j: data.draw(small_fractions()) + data.draw(small_fractions()) * t_part for j in range(ctx.n)},
+        )
+        n = ctx.n
+        by_jet: dict = {}  # tangent jet -> terms of its coefficient in linearize_sym
+        for m, c in linearize_sym(u).poly.items():
+            (yv,) = (v for v in m.dervars() if v.var >= n)
+            by_jet.setdefault(yv, []).append((m.without(yv), c))
+        evaluated = {yv: DiffPoly.from_terms(ctx, terms).eval_at(pt) for yv, terms in by_jet.items()}
+        at = {m.dervars()[0]: c for m, c in linearize_at(u, pt, require_zero=False).poly.items()}
+        assert {yv: c for yv, c in evaluated.items() if c} == at
 
 
 def tangents_at(us, pt):

@@ -16,6 +16,7 @@ from diffalg import (
     Ranking,
 )
 from diffalg.sysfile import (
+    MAX_NESTING,
     MAX_POWER_COEFF_BITS,
     MAX_POWER_PRODUCTS,
     MAX_POWER_T_DEGREE,
@@ -157,6 +158,17 @@ class TestExpressions:
         assert P("-x^2") == P("-(x^2)")  # tighter power, then negate
         assert P("x - y - x") == P("-y")
 
+    def test_nesting_up_to_the_cap(self):
+        deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+        assert P(deep + "^2") == P("x^2")
+        with pytest.raises(ParseError, match="MAX_NESTING") as exc:
+            P("(" + deep + ")")
+        assert exc.value.pos == MAX_NESTING  # the innermost '('
+
+    def test_long_runs_of_unary_minus(self):
+        assert P("-" * 5000 + "x") == P("x")
+        assert P("y*" + "-" * 5001 + "x'") == P("-y*x'")
+
     def test_constant_division(self):
         assert P("x/2") == P("1/2*x")
         assert P("x/(2/3)") == P("3/2*x")
@@ -293,6 +305,11 @@ class TestSystemFiles:
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(SysFileError, match="line 4"):
             parse_system("field: Q\nvars: x\nranking: elim x\neq u = x +\n")
+
+    def test_point_variable_assigned_twice(self):
+        with pytest.raises(SysFileError) as exc:
+            parse_system(SYSTEM.replace("point p0: x = 0", "point p0: x = 1, x = 0"))
+        assert str(exc.value) == "line 7: variable 'x' is assigned twice"
 
     def test_unknown_line_rejected(self):
         with pytest.raises(SysFileError):
