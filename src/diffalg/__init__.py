@@ -69,7 +69,6 @@ from .sysfile import (
     format_components,
     format_ranking,
     parse_components,
-    parse_constant,
     parse_poly,
     parse_ranking,
     parse_system,

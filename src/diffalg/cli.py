@@ -39,21 +39,9 @@ from .decompose import (
 )
 from .diffpoly import OrderCapExceeded
 from .jacobi import Convention, jacobi_assign, order_matrix, order_text, ritt_bound
-from .linearize import (
-    PointNotOnZeroSetError,
-    linearize_at,
-    linearize_sym,
-    linearized_order_matrix,
-)
+from .linearize import linearize_at, linearize_sym, linearized_order_matrix
 from .oracle import TruncationBounds, radical_member, truncated_member
-from .ranking import ConstantPolyError
-from .reduction import (
-    NotAutoreducedError,
-    PreparedSeq,
-    StepLimitExceeded,
-    ritt_reduce_seq,
-    verify_certificate,
-)
+from .reduction import PreparedSeq, StepLimitExceeded, ritt_reduce_seq, verify_certificate
 from .sysfile import (
     ParseError,
     SysFileError,
@@ -70,14 +58,10 @@ EXIT_FORMAT = 2
 EXIT_DOMAIN = 3
 
 _DOMAIN_ERRORS = (
-    ConstantPolyError,
-    NotAutoreducedError,
     StepLimitExceeded,
     OrderCapExceeded,
-    PointNotOnZeroSetError,
     ZeroDivisionError,
-    KeyError,
-    ValueError,  # includes context/squareness/point validation
+    ValueError,  # a missing name, a point off the zero set, a non-square system, ...
 )
 
 
@@ -339,8 +323,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"diffalg: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except _DOMAIN_ERRORS as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        print(f"diffalg: {msg}", file=sys.stderr)
+        print(f"diffalg: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 
 

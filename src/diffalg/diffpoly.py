@@ -165,7 +165,7 @@ class Context:
         try:
             return self.names.index(name)
         except ValueError:
-            raise KeyError(f"unknown variable {name!r}") from None
+            raise ValueError(f"unknown variable {name!r}") from None
 
     def check_dervar(self, v: DerVar):
         if not (0 <= v.var < self.n) or v.order < 0:

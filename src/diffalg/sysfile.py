@@ -5,14 +5,16 @@ The expression grammar covers differential polynomials as humans write them:
     x'' + y, x'^2 + y, 2*y*x' - y', x^(4) - t*x, (x' + y)^2 / 3
 
 * primes mark derivatives up to order three; beyond that write ``x^(4)``;
-* ``^`` followed by a parenthesised integer is a derivative marker, ``^``
-  followed by a bare integer is a power;
+* ``^`` followed by a parenthesised integer right after a name is a
+  derivative marker; ``^`` followed by a bare integer is a power of any
+  factor, a number included (``2^3`` is 8, ``-x^2`` is ``-(x^2)``);
 * division is only by (nonzero) constants, so everything stays polynomial;
 * over Q(t) the name ``t`` denotes the field parameter, not a variable.
 
 A *system file* declares the field, the variables, a ranking, named
-equations, and optionally named points.  It holds no component blocks:
-components come in a component file of their own.
+equations, and optionally named points.  A point's values are expressions
+in the system's own variables that must come out constant.  It holds no
+component blocks: components come in a component file of their own.
 
     field: Q
     vars: x, y
@@ -128,8 +130,9 @@ def _tokenize(src: str) -> list:
 class _ExprParser:
     """expr := term (('+'|'-') term)*
     term := factor (('*'|'/') factor)*
-    factor := '-'* atom
-    atom := NUMBER | NAME jets? power? | '(' expr ')' power?
+    factor := '-'* atom ('^' INT)?
+    atom := NUMBER | NAME jets? | '(' expr ')'
+    jets := PRIMES | '^' '(' INT ')'
 
     Parentheses nest at most MAX_NESTING deep.
     """
@@ -210,46 +213,43 @@ class _ExprParser:
         negate = False
         while self._accept_op("-"):
             negate = not negate
-        p = self._atom()
+        p = self._power_suffix(self._atom())
         return -p if negate else p
 
     def _power_suffix(self, p: DiffPoly) -> DiffPoly:
-        """An optional ``^ INT`` (plain integer only — ``^(k)`` is a
-        derivative marker handled at the atom level)."""
-        save = self.i
-        if self._accept_op("^"):
-            if self._peek().kind == "number":
-                at = self._peek().pos
-                e = self._expect_int()
-                n = p.term_count()
-                if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
-                    raise ParseError(
-                        f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-                        f"{MAX_POWER_TERMS} terms",
-                        at,
-                    )
-                if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
-                    raise ParseError(
-                        f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-                        f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
-                        at,
-                    )
-                bits, tdeg = _power_growth(p)
-                if e * bits > MAX_POWER_COEFF_BITS:
-                    raise ParseError(
-                        f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
-                        f"coefficient bits (MAX_POWER_COEFF_BITS)",
-                        at,
-                    )
-                if e * tdeg > MAX_POWER_T_DEGREE:
-                    raise ParseError(
-                        f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} "
-                        f"in t-degree (MAX_POWER_T_DEGREE)",
-                        at,
-                    )
-                return p ** e
-            self.i = save  # not a power; let the caller's context complain
-        return p
+        """An optional ``^ INT`` on the atom p.  ``x^(k)`` never gets here:
+        _name_atom reads it as a derivative marker."""
+        if not self._accept_op("^"):
+            return p
+        at = self._peek().pos
+        e = self._expect_int()
+        n = p.term_count()
+        if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
+            raise ParseError(
+                f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+                f"{MAX_POWER_TERMS} terms",
+                at,
+            )
+        if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
+            raise ParseError(
+                f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+                f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
+                at,
+            )
+        bits, tdeg = _power_growth(p)
+        if e * bits > MAX_POWER_COEFF_BITS:
+            raise ParseError(
+                f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
+                f"coefficient bits (MAX_POWER_COEFF_BITS)",
+                at,
+            )
+        if e * tdeg > MAX_POWER_T_DEGREE:
+            raise ParseError(
+                f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} "
+                f"in t-degree (MAX_POWER_T_DEGREE)",
+                at,
+            )
+        return p ** e
 
     def _atom(self) -> DiffPoly:
         t = self._next()
@@ -262,7 +262,7 @@ class _ExprParser:
             p = self._expr()
             self._expect_op(")")
             self.depth -= 1
-            return self._power_suffix(p)
+            return p
         if t.kind == "name":
             return self._name_atom(t)
         raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.pos)
@@ -273,10 +273,10 @@ class _ExprParser:
             nxt = self._peek()
             if nxt.kind == "primes":
                 raise ParseError("t is a field element of Q(t); it takes no primes", nxt.pos)
-            return self._power_suffix(DiffPoly.const(self.ctx, self.ctx.field.t()))
+            return DiffPoly.const(self.ctx, self.ctx.field.t())
         try:
             var = self.ctx.var_index(name)
-        except KeyError:
+        except ValueError:
             raise ParseError(f"unknown variable {name!r}", t.pos) from None
 
         order = 0
@@ -289,8 +289,8 @@ class _ExprParser:
                 )
             order = len(nxt.text)
         elif nxt.kind == "op" and nxt.text == "^":
-            # ``x^(4)`` is the order-4 derivative; ``x^2`` is a power and is
-            # handled by the shared power suffix below.
+            # ``x^(4)`` is the order-4 derivative; ``x^2`` is a power, left
+            # to _factor.
             save = self.i
             self._next()
             if self._accept_op("("):
@@ -298,8 +298,7 @@ class _ExprParser:
                 self._expect_op(")")
             else:
                 self.i = save
-        p = DiffPoly.var(self.ctx, var, order)
-        return self._power_suffix(p)
+        return DiffPoly.var(self.ctx, var, order)
 
 
 def _power_products(n: int, e: int) -> int:
@@ -355,16 +354,6 @@ def _power_growth(p: DiffPoly) -> tuple:
 def parse_poly(src: str, ctx: Context) -> DiffPoly:
     """Parse one differential polynomial in the variables of ``ctx``."""
     return _ExprParser(src, ctx).parse()
-
-
-def parse_constant(src: str, field: Field):
-    """Parse a constant expression (e.g. ``-3/4`` or ``t^2 + 1``) into a
-    field element."""
-    scratch = Context(("__scratch",), field)
-    p = _ExprParser(src, scratch).parse()
-    if not p.is_constant():
-        raise ParseError(f"expected a constant, got {p.to_text()!r}")
-    return p.constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -432,13 +421,13 @@ class SystemFile:
         for nm, p in self.equations:
             if nm == name:
                 return p
-        raise KeyError(f"no equation named {name!r}")
+        raise ValueError(f"no equation named {name!r}")
 
     def point(self, name: str) -> ConcretePoint:
         for nm, pt in self.points:
             if nm == name:
                 return pt
-        raise KeyError(f"no point named {name!r}")
+        raise ValueError(f"no point named {name!r}")
 
 
 def _lines(text: str):
@@ -452,15 +441,14 @@ def _lines(text: str):
 
 @contextmanager
 def _at_line(lineno: int, where: str = "line"):
-    """Re-raise a ValueError (a ParseError among them) or KeyError from the
-    body as a SysFileError that names the line, or with where="block at
-    line" the block, it came from.  The body must not raise SysFileError,
-    or its message would name the line twice."""
+    """Re-raise a ValueError (a ParseError among them) from the body as a
+    SysFileError that names the line, or with where="block at line" the
+    block, it came from.  The body must not raise SysFileError, or its
+    message would name the line twice."""
     try:
         yield
-    except (KeyError, ValueError) as exc:
-        message = exc.args[0] if isinstance(exc, KeyError) else exc  # str() would quote a KeyError
-        raise SysFileError(f"{where} {lineno}: {message}") from None
+    except ValueError as exc:
+        raise SysFileError(f"{where} {lineno}: {exc}") from None
 
 
 def _parse_field(text: str) -> Field:
@@ -482,7 +470,10 @@ def _parse_assignments(text: str, ctx: Context, lineno: int) -> ConcretePoint:
         if nm in named:
             raise SysFileError(f"line {lineno}: variable {nm!r} is assigned twice")
         with _at_line(lineno):
-            named[nm] = parse_constant(val.strip(), ctx.field)
+            p = parse_poly(val.strip(), ctx)
+        if not p.is_constant():  # not rendered: its text can pass 4,300 digits
+            raise SysFileError(f"line {lineno}: the value of {nm!r} is not a constant")
+        named[nm] = p.constant_value()
     with _at_line(lineno):
         return ConcretePoint.from_names(ctx, named)
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -122,6 +123,7 @@ class TestReduce:
 
     def test_missing_target_is_domain_error(self, flagship, capsys):
         assert main(["reduce", flagship, "--target", "nope"]) == 3
+        assert capsys.readouterr().err == "diffalg: no equation named 'nope'\n"
 
     def test_divisors_in_any_order(self, tmp_path, capsys):
         # x + y and y^2 are pairwise reduced: autoreduced in the file's order
@@ -178,6 +180,10 @@ class TestLinearize:
             "original jacobi number: 2\n"
             "note: support decided modulo an unverified-prime component\n"
         )
+
+    def test_missing_point_is_domain_error(self, flagship, capsys):
+        assert main(["linearize", flagship, "--at", "q"]) == 3
+        assert capsys.readouterr().err == "diffalg: no point named 'q'\n"
 
     def test_point_off_zero_set(self, tmp_path, capsys):
         p = tmp_path / "off.sys"
@@ -470,6 +476,17 @@ class TestErrorChannel:
         p.write_text(FLAGSHIP.replace("x = 0", "x = " + "-" * 5001 + "0"))
         assert main(["linearize", str(p), "--at", "p0"]) == 0
 
+    @pytest.mark.parametrize("value", ["y", "y*(7)^3000*(7)^3000*(7)^3000"])
+    def test_nonconstant_point_value(self, tmp_path, capsys, value):
+        # the second value's text has over 7,000 digits: the message must
+        # not render it
+        p = tmp_path / "nonconst.sys"
+        p.write_text(FLAGSHIP.replace("x = 0", "x = " + value))
+        start = time.perf_counter()
+        assert main(["linearize", str(p), "--at", "p0"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == "diffalg: line 6: the value of 'x' is not a constant\n"
+
     def test_point_variable_assigned_twice(self, tmp_path, capsys):
         p = tmp_path / "twice.sys"
         p.write_text(FLAGSHIP.replace("x = 0", "x = 1, x = 0"))
@@ -485,6 +502,16 @@ class TestErrorChannel:
         assert run.returncode == 2
         assert run.stderr.startswith("diffalg: line 4: parentheses nested deeper than")
         assert "Traceback" not in run.stderr
+
+    def test_other_errors_are_not_domain_errors(self, flagship, monkeypatch):
+        # a KeyError inside a command is a bug, not a domain error: it
+        # propagates instead of exiting 3
+        def broken(*args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(diffalg.cli, "order_matrix", broken)
+        with pytest.raises(KeyError):
+            main(["order", flagship])
 
     def test_usage_error_exits_two(self, flagship):
         with pytest.raises(SystemExit) as exc:

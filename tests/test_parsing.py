@@ -26,7 +26,6 @@ from diffalg.sysfile import (
     format_components,
     format_ranking,
     parse_components,
-    parse_constant,
     parse_poly,
     parse_ranking,
     parse_system,
@@ -158,6 +157,15 @@ class TestExpressions:
         assert P("-x^2") == P("-(x^2)")  # tighter power, then negate
         assert P("x - y - x") == P("-y")
 
+    def test_powers_of_numbers(self):
+        assert P("x + 2^3") == P("x + 8")
+        assert P("-2^2*x") == P("-4*x")  # as -x^2 is -(x^2)
+
+    @pytest.mark.parametrize("src", ["x^2^3", "(x)^(2)", "x'^(2)"])
+    def test_malformed_powers_refused(self, src):
+        with pytest.raises(ParseError):
+            P(src)
+
     def test_nesting_up_to_the_cap(self):
         deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
         assert P(deep + "^2") == P("x^2")
@@ -219,21 +227,6 @@ class TestExpressions:
         assert parse_poly(p.to_text(), ctx) == p
 
 
-class TestConstants:
-    def test_rational(self):
-        assert parse_constant("-3/4", QQ) == QQ.from_fraction(Fraction(-3, 4))
-        assert parse_constant("(1 + 2)^2", QQ) == QQ.from_fraction(Fraction(9))
-        assert parse_constant("0", QQ) == QQ.zero and not parse_constant("2 - 2", QQ)
-
-    def test_rational_function(self):
-        c = parse_constant("t^2 + 1", QT)
-        assert c == QT.t() * QT.t() + QT.one
-
-    def test_nonconstant_rejected(self):
-        with pytest.raises(ParseError):
-            parse_constant("t + x", QT)
-
-
 class TestRankings:
     def test_elim_chain(self):
         rk = parse_ranking("elim x > y", XY)
@@ -267,6 +260,16 @@ eq u1 = x'' + y
 eq u2 = x'^2 + y
 point p0: x = 0, y = 0
 """
+
+
+def point_value(src, field="Q"):
+    """The value of x at the point ``p: x = SRC, y = 0`` of a system over
+    FIELD in x and y."""
+    sf = parse_system(
+        f"field: {field}\nvars: x, y\nranking: elim x > y\neq u = x' + y\n"
+        f"point p: x = {src}, y = 0\n"
+    )
+    return sf.point("p").value(DerVar(0, 0))
 
 
 class TestSystemFiles:
@@ -305,6 +308,25 @@ class TestSystemFiles:
     def test_parse_errors_carry_line_numbers(self):
         with pytest.raises(SysFileError, match="line 4"):
             parse_system("field: Q\nvars: x\nranking: elim x\neq u = x +\n")
+
+    def test_point_values_are_constants(self):
+        assert point_value("-3/4") == QQ.from_fraction(Fraction(-3, 4))
+        assert point_value("(1 + 2)^2") == QQ.from_fraction(Fraction(9))
+        assert point_value("0") == QQ.zero and not point_value("2 - 2")
+        assert point_value("t^2 + 1", "Q(t)") == QT.t() * QT.t() + QT.one
+
+    def test_point_values_parse_like_equations(self):
+        assert point_value("2^3") == QQ.from_fraction(Fraction(8))
+        assert point_value("y - y + 1") == QQ.one  # the system's variables, cancelling
+
+    def test_nonconstant_point_value_rejected(self):
+        with pytest.raises(SysFileError) as exc:
+            point_value("t + x", "Q(t)")
+        assert str(exc.value) == "line 5: the value of 'x' is not a constant"
+
+    def test_point_value_sees_only_the_systems_variables(self):
+        with pytest.raises(SysFileError, match="unknown variable '__scratch'"):
+            point_value("__scratch")
 
     def test_point_variable_assigned_twice(self):
         with pytest.raises(SysFileError) as exc:
