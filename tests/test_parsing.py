@@ -272,6 +272,23 @@ def point_value(src, field="Q"):
     return sf.point("p").value(DerVar(0, 0))
 
 
+class TestConstants:
+    """Constants are point values, read through ``parse_system``."""
+
+    def test_rational(self):
+        assert point_value("-3/4") == QQ.from_fraction(Fraction(-3, 4))
+        assert point_value("(1 + 2)^2") == QQ.from_fraction(Fraction(9))
+        assert point_value("0") == QQ.zero and not point_value("2 - 2")
+
+    def test_rational_function(self):
+        assert point_value("t^2 + 1", "Q(t)") == QT.t() * QT.t() + QT.one
+
+    def test_nonconstant_rejected(self):
+        with pytest.raises(SysFileError) as exc:
+            point_value("t + x", "Q(t)")
+        assert str(exc.value) == "line 5: the value of 'x' is not a constant"
+
+
 class TestSystemFiles:
     def test_parse(self):
         sf = parse_system(SYSTEM)
@@ -309,20 +326,9 @@ class TestSystemFiles:
         with pytest.raises(SysFileError, match="line 4"):
             parse_system("field: Q\nvars: x\nranking: elim x\neq u = x +\n")
 
-    def test_point_values_are_constants(self):
-        assert point_value("-3/4") == QQ.from_fraction(Fraction(-3, 4))
-        assert point_value("(1 + 2)^2") == QQ.from_fraction(Fraction(9))
-        assert point_value("0") == QQ.zero and not point_value("2 - 2")
-        assert point_value("t^2 + 1", "Q(t)") == QT.t() * QT.t() + QT.one
-
     def test_point_values_parse_like_equations(self):
         assert point_value("2^3") == QQ.from_fraction(Fraction(8))
         assert point_value("y - y + 1") == QQ.one  # the system's variables, cancelling
-
-    def test_nonconstant_point_value_rejected(self):
-        with pytest.raises(SysFileError) as exc:
-            point_value("t + x", "Q(t)")
-        assert str(exc.value) == "line 5: the value of 'x' is not a constant"
 
     def test_point_value_sees_only_the_systems_variables(self):
         with pytest.raises(SysFileError, match="unknown variable '__scratch'"):
