@@ -38,11 +38,12 @@ class Monomial:
     """A power product of jet variables; factors sorted by (var, order),
     hashed once."""
 
-    __slots__ = ("factors", "_hash")
+    __slots__ = ("factors", "_hash", "_key")
 
     def __init__(self, factors: tuple):
         self.factors = factors  # tuple[tuple[DerVar, int], ...], exponents >= 1
         self._hash = hash(factors)
+        self._key = None  # (degree, factors), once sort_key has computed it
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -81,7 +82,7 @@ class Monomial:
         return MON_ONE if e == 0 else Monomial(((v, e),))
 
     def degree(self) -> int:
-        return sum(e for _, e in self.factors)
+        return self.sort_key()[0]
 
     def weight(self) -> int:
         """Total derivative weight: sum of order * exponent."""
@@ -117,7 +118,12 @@ class Monomial:
         return Monomial(tuple((w, e) for w, e in self.factors if w != v))
 
     def sort_key(self):
-        return (self.degree(), self.factors)
+        """(degree, factors), computed on first use and kept: monomials are
+        built far more often than they are sorted."""
+        key = self._key
+        if key is None:
+            key = self._key = (sum(e for _, e in self.factors), self.factors)
+        return key
 
     def text(self, names) -> str:
         if not self.factors:

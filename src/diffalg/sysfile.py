@@ -40,11 +40,11 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from math import comb, gcd, lcm
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .decompose import CharSetComponent
-from .diffpoly import ConcretePoint, Context, DiffPoly
-from .fields import Field, QQ, QT, RatFunc
+from .diffpoly import MON_ONE, ConcretePoint, Context, DerVar, DiffPoly, Monomial, _accumulate
+from .fields import RF_ONE, Field, QQ, QT, RatFunc
 from .ranking import Ranking, RankKind
 
 
@@ -84,42 +84,31 @@ class SysFileError(ValueError):
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<number>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<primes>'+)
-  | (?P<op>[-+*/^(),>=])
-  | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
-
-
-class _Tok(NamedTuple):
-    kind: str  # "number" | "name" | "primes" | "op" | "end"
-    text: str
-    pos: int
-
-
-def _int_value(t: _Tok) -> int:
-    try:
-        return int(t.text)
-    except ValueError:  # past Python's limit on integer-string conversion
-        raise ParseError(f"integer literal of {len(t.text)} digits is too long", t.pos) from None
+# A token is its text: a number, a name, a run of primes, or one operator.
+# Whitespace separates tokens and is dropped.
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|'+|\S")
+# A character no token may hold.
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_'()*+,\-/=>^]")
 
 
 def _tokenize(src: str) -> list:
-    toks = []
-    for m in _TOKEN_RE.finditer(src):  # every character matches some group
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group()!r}", m.start())
-        if kind != "ws":
-            toks.append(_Tok(kind, m.group(), m.start()))
-    toks.append(_Tok("end", "", len(src)))
+    """The token texts of src, followed by "" for the end of input."""
+    bad = _BAD_RE.search(src)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    toks = _TOKEN_RE.findall(src)
+    toks.append("")
     return toks
+
+
+def _token_pos(src: str, i: int) -> int:
+    """Where token i of src starts, the end of input at len(src).  Only a
+    failing parse needs a position, so positions are found here, not kept
+    with the tokens."""
+    for k, m in enumerate(_TOKEN_RE.finditer(src)):
+        if k == i:
+            return m.start()
+    return len(src)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +123,12 @@ class _ExprParser:
     atom := NUMBER | NAME jets? | '(' expr ')'
     jets := PRIMES | '^' '(' INT ')'
 
+    A term is read straight into one coefficient and one exponent map:
+    numbers, t and jets never become polynomials of their own.  A
+    parenthesised factor is a DiffPoly, multiplied into the term left to
+    right, or folded into the coefficient when it is constant.  An
+    expression adds its terms into one dict.  Terms keep the order in which
+    they first appear, as sums and products of DiffPolys give it.
     Parentheses nest at most MAX_NESTING deep.
     """
 
@@ -146,159 +141,187 @@ class _ExprParser:
 
     # -- token helpers ------------------------------------------------------
 
-    def _peek(self) -> _Tok:
-        return self.toks[self.i]
-
-    def _next(self) -> _Tok:
-        t = self.toks[self.i]
-        self.i += 1
-        return t
+    def _error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, _token_pos(self.src, i))
 
     def _accept_op(self, *ops: str) -> Optional[str]:
-        t = self._peek()
-        if t.kind == "op" and t.text in ops:
+        t = self.toks[self.i]
+        if t in ops:
             self.i += 1
-            return t.text
+            return t
         return None
 
-    def _expect_op(self, op: str) -> _Tok:
-        t = self._next()
-        if t.kind != "op" or t.text != op:
-            raise ParseError(f"expected {op!r}, found {t.text or 'end of input'!r}", t.pos)
-        return t
+    def _expect_op(self, op: str) -> None:
+        t = self.toks[self.i]
+        if t != op:
+            raise self._error(f"expected {op!r}, found {t or 'end of input'!r}", self.i)
+        self.i += 1
 
     def _expect_int(self) -> int:
-        t = self._next()
-        if t.kind != "number":
-            raise ParseError(f"expected an integer, found {t.text or 'end of input'!r}", t.pos)
-        return _int_value(t)
+        t = self.toks[self.i]
+        if not t.isdecimal():
+            raise self._error(f"expected an integer, found {t or 'end of input'!r}", self.i)
+        self.i += 1
+        return self._int_value(self.i - 1)
+
+    def _int_value(self, i: int) -> int:
+        t = self.toks[i]
+        try:
+            return int(t)
+        except ValueError:  # past Python's limit on integer-string conversion
+            raise self._error(f"integer literal of {len(t)} digits is too long", i) from None
 
     # -- grammar --------------------------------------------------------------
 
     def parse(self) -> DiffPoly:
         p = self._expr()
-        t = self._peek()
-        if t.kind != "end":
-            raise ParseError(f"unexpected trailing {t.text!r}", t.pos)
+        t = self.toks[self.i]
+        if t:
+            raise self._error(f"unexpected trailing {t!r}", self.i)
         return p
 
     def _expr(self) -> DiffPoly:
-        p = self._term()
+        acc: dict = {}
+        negate = False
         while True:
+            self._term(acc, negate)
             op = self._accept_op("+", "-")
             if op is None:
-                return p
-            q = self._term()
-            p = p + q if op == "+" else p - q
+                return DiffPoly(self.ctx, acc)
+            negate = op == "-"
 
-    def _term(self) -> DiffPoly:
-        p = self._factor()
+    def _term(self, acc: dict, negate: bool) -> None:
+        """Add one term, negated when asked, into acc."""
+        coeff = RF_ONE  # the product of the constant factors
+        exps: dict = {}  # jet -> exponent
+        poly = None  # the product of the non-constant parenthesised factors
+        slash = None  # index of the '/' before a divisor
         while True:
-            at = self._peek().pos
-            op = self._accept_op("*", "/")
-            if op is None:
-                return p
-            q = self._factor()
-            if op == "*":
-                p = p * q
+            neg, f = self._factor()
+            negate ^= neg
+            if slash is not None:
+                if type(f) is not RatFunc:
+                    raise self._error("division is only allowed by constants", slash)
+                if not f:
+                    raise self._error("division by zero", slash)
+                coeff = coeff / f
+            elif type(f) is tuple:
+                v, e = f
+                exps[v] = exps.get(v, 0) + e
+            elif type(f) is RatFunc:
+                if f is not RF_ONE:
+                    coeff = f if coeff is RF_ONE else coeff * f
             else:
-                if not q.is_constant():
-                    raise ParseError("division is only allowed by constants", at)
-                c = q.constant_value()
-                if not c:
-                    raise ParseError("division by zero", at)
-                p = p.scale(self.ctx.field.one / c)
+                poly = f if poly is None else poly * f
+            t = self.toks[self.i]
+            if t != "*" and t != "/":
+                break
+            slash = self.i if t == "/" else None
+            self.i += 1
+        if not coeff:
+            return
+        if negate:
+            coeff = -coeff
+        mono = Monomial.make(exps.items()) if exps else MON_ONE
+        if poly is None:
+            _accumulate(acc, mono, coeff)
+            return
+        for m, c in poly.items():
+            _accumulate(acc, m * mono, c if coeff is RF_ONE else c * coeff)
 
-    def _factor(self) -> DiffPoly:
+    def _factor(self) -> tuple:
+        """(negate, value) for a factor, the value a field element (a
+        number, t, or a constant parenthesised expression), a jet with its
+        exponent as a (DerVar, e) pair, or a non-constant DiffPoly."""
         negate = False
-        while self._accept_op("-"):
+        while self.toks[self.i] == "-":
             negate = not negate
-        p = self._power_suffix(self._atom())
-        return -p if negate else p
+            self.i += 1
+        t = self.toks[self.i]
+        self.i += 1
+        if t.isidentifier():
+            v = self._jet(t)
+            if v is None:  # t over Q(t)
+                return negate, self._power_suffix(RatFunc.t_power(1))
+            # one term with coefficient 1 passes every power cap
+            e = self._expect_int() if self._accept_op("^") else 1
+            return negate, (v, e) if e else RF_ONE
+        if t.isdecimal():
+            n = self._int_value(self.i - 1)
+            return negate, self._power_suffix(RF_ONE if n == 1 else RatFunc.from_int(n))
+        if t == "(":
+            if self.depth == MAX_NESTING:
+                raise self._error(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", self.i - 1)
+            self.depth += 1
+            p = self._expr()
+            self._expect_op(")")
+            self.depth -= 1
+            return negate, self._power_suffix(p.constant_value() if p.is_constant() else p)
+        raise self._error(f"unexpected {t or 'end of input'!r}", self.i - 1)
 
-    def _power_suffix(self, p: DiffPoly) -> DiffPoly:
-        """An optional ``^ INT`` on the atom p.  ``x^(k)`` never gets here:
-        _name_atom reads it as a derivative marker."""
+    def _jet(self, name: str) -> Optional[DerVar]:
+        """The jet variable of the name just read, with its primes or
+        ``^(k)``; None for t over Q(t)."""
+        nxt = self.toks[self.i]
+        if name == "t" and self.ctx.field is QT:
+            if nxt[:1] == "'":
+                raise self._error("t is a field element of Q(t); it takes no primes", self.i)
+            return None
+        try:
+            var = self.ctx.var_index(name)
+        except ValueError:
+            raise self._error(f"unknown variable {name!r}", self.i - 1) from None
+        if nxt[:1] == "'":
+            if len(nxt) > 3:
+                raise self._error(f"at most three primes; write {name}^({len(nxt)}) instead", self.i)
+            self.i += 1
+            return DerVar(var, len(nxt))
+        if nxt == "^" and self.toks[self.i + 1] == "(":
+            # ``x^(4)`` is the order-4 derivative; ``x^2`` is a power, left
+            # to _factor.
+            self.i += 2
+            order = self._expect_int()
+            self._expect_op(")")
+            return DerVar(var, order)
+        return DerVar(var, 0)
+
+    def _power_suffix(self, p):
+        """p ^ e for an optional ``^ INT`` after p, a DiffPoly or a field
+        element, refused when the power may pass a cap.  A jet's power
+        never gets here, nor does ``x^(k)``: _jet reads it as a derivative
+        marker."""
         if not self._accept_op("^"):
             return p
-        at = self._peek().pos
+        at = self.i
         e = self._expect_int()
-        n = p.term_count()
+        q = p if type(p) is DiffPoly else DiffPoly.const(self.ctx, p)
+        n = q.term_count()
         if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
-            raise ParseError(
+            raise self._error(
                 f"power ^{e} of a {n}-term polynomial may exceed the cap of "
                 f"{MAX_POWER_TERMS} terms",
                 at,
             )
         if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
-            raise ParseError(
+            raise self._error(
                 f"power ^{e} of a {n}-term polynomial may exceed the cap of "
                 f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
                 at,
             )
-        bits, tdeg = _power_growth(p)
+        bits, tdeg = _power_growth(q)
         if e * bits > MAX_POWER_COEFF_BITS:
-            raise ParseError(
+            raise self._error(
                 f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
                 f"coefficient bits (MAX_POWER_COEFF_BITS)",
                 at,
             )
         if e * tdeg > MAX_POWER_T_DEGREE:
-            raise ParseError(
+            raise self._error(
                 f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} "
                 f"in t-degree (MAX_POWER_T_DEGREE)",
                 at,
             )
         return p ** e
-
-    def _atom(self) -> DiffPoly:
-        t = self._next()
-        if t.kind == "number":
-            return DiffPoly.const(self.ctx, RatFunc.from_int(_int_value(t)))
-        if t.kind == "op" and t.text == "(":
-            if self.depth == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", t.pos)
-            self.depth += 1
-            p = self._expr()
-            self._expect_op(")")
-            self.depth -= 1
-            return p
-        if t.kind == "name":
-            return self._name_atom(t)
-        raise ParseError(f"unexpected {t.text or 'end of input'!r}", t.pos)
-
-    def _name_atom(self, t: _Tok) -> DiffPoly:
-        name = t.text
-        if name == "t" and self.ctx.field is QT:
-            nxt = self._peek()
-            if nxt.kind == "primes":
-                raise ParseError("t is a field element of Q(t); it takes no primes", nxt.pos)
-            return DiffPoly.const(self.ctx, self.ctx.field.t())
-        try:
-            var = self.ctx.var_index(name)
-        except ValueError:
-            raise ParseError(f"unknown variable {name!r}", t.pos) from None
-
-        order = 0
-        nxt = self._peek()
-        if nxt.kind == "primes":
-            self._next()
-            if len(nxt.text) > 3:
-                raise ParseError(
-                    f"at most three primes; write {name}^({len(nxt.text)}) instead", nxt.pos
-                )
-            order = len(nxt.text)
-        elif nxt.kind == "op" and nxt.text == "^":
-            # ``x^(4)`` is the order-4 derivative; ``x^2`` is a power, left
-            # to _factor.
-            save = self.i
-            self._next()
-            if self._accept_op("("):
-                order = self._expect_int()
-                self._expect_op(")")
-            else:
-                self.i = save
-        return DiffPoly.var(self.ctx, var, order)
 
 
 def _power_products(n: int, e: int) -> int:
@@ -365,21 +388,20 @@ def parse_ranking(src: str, ctx: Context) -> Ranking:
     """Parse ``elim x > y`` / ``orderly y > x``.  The chain must mention every
     variable exactly once, greatest first."""
     toks = _tokenize(src)
-    if toks[0].kind != "name" or toks[0].text not in ("elim", "elimination", "orderly"):
-        raise ParseError("ranking must start with 'elim' or 'orderly'", toks[0].pos)
-    kind = toks[0].text
+    if toks[0] not in ("elim", "elimination", "orderly"):
+        raise ParseError("ranking must start with 'elim' or 'orderly'", _token_pos(src, 0))
+    kind = toks[0]
     chain = []
     i = 1
-    while toks[i].kind != "end":
-        t = toks[i]
-        if t.kind != "name":
-            raise ParseError(f"expected a variable name, found {t.text!r}", t.pos)
-        chain.append(t.text)
+    while toks[i]:
+        if not toks[i].isidentifier():
+            raise ParseError(f"expected a variable name, found {toks[i]!r}", _token_pos(src, i))
+        chain.append(toks[i])
         i += 1
-        if toks[i].kind == "op" and toks[i].text == ">":
+        if toks[i] == ">":
             i += 1
-        elif toks[i].kind != "end":
-            raise ParseError(f"expected '>', found {toks[i].text!r}", toks[i].pos)
+        elif toks[i]:
+            raise ParseError(f"expected '>', found {toks[i]!r}", _token_pos(src, i))
     if sorted(chain) != sorted(ctx.names):
         raise ParseError(
             f"ranking chain must list every variable exactly once; "

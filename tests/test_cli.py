@@ -13,7 +13,7 @@ from diffalg.cli import main
 import diffalg.cli
 from diffalg.sysfile import MAX_NESTING, MAX_POWER_COEFF_BITS, MAX_POWER_T_DEGREE, MAX_POWER_TERMS
 
-from conftest import FLAGSHIP, FLAGSHIP_COMPONENT_2
+from strategies import FLAGSHIP, FLAGSHIP_COMPONENT_2
 
 CUSP = """\
 field: Q

@@ -31,7 +31,7 @@ from diffalg.linearize import extended_context, tangent_dervar
 from diffalg.reduction import PreparedSeq
 from diffalg.sysfile import parse_poly
 
-from conftest import diffpolys
+from strategies import diffpolys
 
 XY = Context(("x", "y"), QQ)
 ELIM_XY = Ranking.elimination(2, [0, 1])  # x > y

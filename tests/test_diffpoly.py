@@ -20,7 +20,7 @@ from diffalg import (
 )
 from diffalg.diffpoly import MON_ONE, OrderCapExceeded
 
-from conftest import contexts, diffpolys, monomials, small_fractions
+from strategies import contexts, diffpolys, monomials, small_fractions
 
 XY = Context(("x", "y"), QQ)
 

@@ -14,7 +14,7 @@ import fraction_reference as ref
 from diffalg import QQ, QT, RatFunc
 from diffalg.fields import _pgcd, _pmul
 
-from conftest import small_fractions, small_rationals
+from strategies import small_fractions, small_rationals
 
 
 @st.composite

@@ -30,7 +30,7 @@ from diffalg.cli import main
 from diffalg.linearize import extended_context
 from diffalg.sysfile import parse_poly
 
-from conftest import FLAGSHIP, FLAGSHIP_COMPONENT_2, contexts, diffpolys, small_fractions
+from strategies import FLAGSHIP, FLAGSHIP_COMPONENT_2, contexts, diffpolys, small_fractions
 
 XY = Context(("x", "y"), QQ)
 EXT = extended_context(XY)

@@ -23,7 +23,7 @@ from diffalg import (
 )
 from diffalg.sysfile import parse_poly
 
-from conftest import diffpolys, monomials, small_fractions
+from strategies import diffpolys, monomials, small_fractions
 
 X1 = Context(("x",), QQ)
 XY = Context(("x", "y"), QQ)

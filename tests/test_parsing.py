@@ -34,7 +34,7 @@ from diffalg.diffpoly import DiffPoly
 from diffalg.sysfile import _power_growth, _power_products
 
 import fraction_reference as ref
-from conftest import contexts, diffpolys, small_fractions
+from strategies import contexts, diffpolys, small_fractions
 
 XY = Context(("x", "y"), QQ)
 
@@ -189,6 +189,41 @@ class TestExpressions:
         with pytest.raises(ParseError):
             P("x/0")
 
+    @pytest.mark.parametrize(
+        "src, field, message",
+        [
+            ("x/y", QQ, "division is only allowed by constants (at position 1)"),
+            ("x/0", QQ, "division by zero (at position 1)"),
+            ("x*y/(x - x)", QQ, "division by zero (at position 3)"),
+            (
+                "x*2^20000",
+                QQ,
+                f"power ^20000 may exceed the cap of {MAX_POWER_COEFF_BITS} "
+                "coefficient bits (MAX_POWER_COEFF_BITS) (at position 4)",
+            ),
+            (
+                "2^20000*x",
+                QQ,
+                f"power ^20000 may exceed the cap of {MAX_POWER_COEFF_BITS} "
+                "coefficient bits (MAX_POWER_COEFF_BITS) (at position 2)",
+            ),
+            (
+                "x*t^1001",
+                QT,
+                f"power ^1001 may exceed the cap of {MAX_POWER_T_DEGREE} "
+                "in t-degree (MAX_POWER_T_DEGREE) (at position 4)",
+            ),
+            ("x*t'", QT, "t is a field element of Q(t); it takes no primes (at position 3)"),
+            ("y*x''''", QQ, "at most three primes; write x^(4) instead (at position 3)"),
+            ("x*w", QQ, "unknown variable 'w' (at position 2)"),
+            ("3*x^", QQ, "expected an integer, found 'end of input' (at position 4)"),
+        ],
+    )
+    def test_error_text_and_position(self, src, field, message):
+        with pytest.raises(ParseError) as exc:
+            parse_poly(src, Context(("x", "y"), field))
+        assert str(exc.value) == message
+
     def test_four_primes_direct_to_caret_form(self):
         with pytest.raises(ParseError, match=r"\^\(4\)"):
             P("x''''")
@@ -225,6 +260,144 @@ class TestExpressions:
         ctx = data.draw(contexts())
         p = data.draw(diffpolys(ctx, max_order=4))
         assert parse_poly(p.to_text(), ctx) == p
+
+
+# Expression trees shaped like the grammar, for comparing the parser with
+# plain DiffPoly arithmetic.  An expression is a list of (sign, term), a
+# term a list of (op, factor), a factor (minus signs, atom, power or None),
+# and an atom ("num", n), ("t",), ("jet", var, order) or ("paren", expr).
+
+
+@st.composite
+def _trees(draw, qt, depth, budget):
+    """(expression, a bound on its term count): 1-3 terms of 1-3 factors;
+    budget is a one-item list counting the parentheses still allowed."""
+    terms, bound = [], 0
+    for k in range(draw(st.integers(min_value=1, max_value=3))):
+        sign = "+" if k == 0 else draw(st.sampled_from("+-"))
+        factors, count = [], 1
+        for j in range(draw(st.integers(min_value=1, max_value=3))):
+            op = "*" if j == 0 else draw(st.sampled_from("*/"))
+            factor, n = draw(_factor_trees(qt, depth, budget, op == "/"))
+            factors.append((op, factor))
+            count *= n
+        terms.append((sign, factors))
+        bound += count
+    return terms, bound
+
+
+@st.composite
+def _factor_trees(draw, qt, depth, budget, divisor):
+    """(factor, a bound on its term count).  A divisor is a nonzero
+    constant: a positive number, t, or a parenthesised sum of those, any of
+    them powered and negated.  Only a parenthesised sum of at most 12 terms
+    is squared, so no power cap is reached."""
+    kinds = ["num"] + ["t"] * qt
+    if not divisor:
+        kinds.append("jet")
+    if depth and budget[0]:
+        kinds.append("paren")
+    kind = draw(st.sampled_from(kinds))
+    n = 1
+    if kind == "num":
+        atom = ("num", draw(st.integers(min_value=1 if divisor else 0, max_value=12)))
+    elif kind == "t":
+        atom = ("t",)
+    elif kind == "jet":
+        atom = ("jet", draw(st.integers(min_value=0, max_value=1)), draw(st.integers(min_value=0, max_value=5)))
+    else:
+        budget[0] -= 1
+        if divisor:
+            sums = st.tuples(st.just(0), st.sampled_from([("t",)] * qt + [("num", 1), ("num", 3)]), st.none())
+            expr = [("+", [("*", f)]) for f in draw(st.lists(sums, min_size=1, max_size=3))]
+        else:
+            expr, n = draw(_trees(qt, depth - 1, budget))
+        atom = ("paren", expr)
+    top = 3 if kind != "paren" else 2 if n <= 12 else 1
+    power = draw(st.none() | st.integers(min_value=0, max_value=top))
+    if power is not None:
+        n = n * (n + 1) // 2 if power == 2 else n if power else 1
+    return (draw(st.integers(min_value=0, max_value=3)), atom, power), n
+
+
+def _render(expr) -> str:
+    out = []
+    for k, (sign, term) in enumerate(expr):
+        if k:
+            out.append(f" {sign} ")
+        for j, (op, (minus, atom, power)) in enumerate(term):
+            if j:
+                out.append(op)
+            out.append("-" * minus)
+            if atom[0] == "num":
+                out.append(str(atom[1]))
+            elif atom[0] == "t":
+                out.append("t")
+            elif atom[0] == "jet":
+                _, var, order = atom
+                out.append("xy"[var] + ("'" * order if order <= 3 else f"^({order})"))
+            else:
+                out.append(f"({_render(atom[1])})")
+            if power is not None:
+                out.append(f"^{power}")
+    return "".join(out)
+
+
+def _arithmetic(expr, ctx) -> DiffPoly:
+    """The tree's polynomial by DiffPoly + - * ** scale, one factor and one
+    term at a time, left to right."""
+    p = None
+    for sign, term in expr:
+        q = None
+        for op, (minus, atom, power) in term:
+            if atom[0] == "num":
+                f = DiffPoly.const(ctx, QQ.from_fraction(atom[1]))
+            elif atom[0] == "t":
+                f = DiffPoly.const(ctx, QT.t())
+            elif atom[0] == "jet":
+                f = DiffPoly.var(ctx, atom[1], atom[2])
+            else:
+                f = _arithmetic(atom[1], ctx)
+            if power is not None:
+                f = f**power
+            if minus % 2:
+                f = -f
+            if q is None:
+                q = f
+            elif op == "*":
+                q = q * f
+            else:
+                q = q.scale(ctx.field.one / f.constant_value())
+        p = q if p is None else p + q if sign == "+" else p - q
+    return p
+
+
+class TestTermParser:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_parser_agrees_with_diffpoly_arithmetic(self, data):
+        field = data.draw(st.sampled_from((QQ, QT)))
+        ctx = Context(("x", "y"), field)
+        tree, _ = data.draw(_trees(field is QT, 4, [6]))
+        expected = _arithmetic(tree, ctx)
+        p = parse_poly(_render(tree), ctx)
+        assert p == expected
+        assert list(p.items()) == list(expected.items())  # the same term order
+
+    def test_flat_system_makes_no_polynomial_product(self, monkeypatch):
+        calls = []
+        mul = DiffPoly.__mul__
+        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        sf = parse_system(
+            "field: Q\nvars: x1, x2, x3\nranking: elim x1 > x2 > x3\n"
+            "eq u1 = -3*x1^2 + 1/2*x2'''\n"
+            "eq u2 = 5*x3'^2*x1 - 5/2*x2^(4) - x1'*x3 + 7\n"
+            "point p: x1 = 2^3, x2 = -1/4, x3 = 0\n"
+        )
+        assert len(calls) == 0
+        assert sf.equation("u1") == parse_poly("x2''' / 2 - 3*x1*x1", sf.context)
+        parse_poly("(x1 + x2)*(x1 - x2)", sf.context)  # parenthesised factors multiply
+        assert len(calls) == 1
 
 
 class TestRankings:

@@ -18,7 +18,7 @@ from diffalg import (
 )
 from diffalg.sysfile import parse_poly
 
-from conftest import contexts, dervars
+from strategies import contexts, dervars
 
 XY = Context(("x", "y"), QQ)
 ELIM_XY = Ranking.elimination(2, [0, 1])  # x > y

@@ -29,7 +29,7 @@ from diffalg import (
 from diffalg.reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded, _offense
 from diffalg.sysfile import parse_poly
 
-from conftest import contexts, diffpolys, rankings
+from strategies import contexts, diffpolys, rankings
 
 XY = Context(("x", "y"), QQ)
 ELIM_XY = Ranking.elimination(2, [0, 1])
