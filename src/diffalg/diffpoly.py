@@ -36,7 +36,7 @@ class DerVar(NamedTuple):
 
 class Monomial:
     """A power product of jet variables; factors sorted by (var, order),
-    hashed once."""
+    hashed once, and the sort key kept once it is first read."""
 
     __slots__ = ("factors", "_hash", "_key")
 

@@ -180,6 +180,7 @@ class TestExpressions:
     def test_constant_division(self):
         assert P("x/2") == P("1/2*x")
         assert P("x/(2/3)") == P("3/2*x")
+        assert P("x/y^0") == P("x") and P("x/(y - y + 2)") == P("x/2")  # constants both
 
     def test_division_by_polynomial_rejected(self):
         with pytest.raises(ParseError):
