@@ -60,8 +60,9 @@ class Monomial:
     def make(items: Iterable) -> "Monomial":
         """The monomial of (jet variable, exponent) pairs in any order:
         exponents of a repeated variable add up and zero exponents drop.
-        Products, derivatives and partials build their monomials here;
-        factors already sorted, distinct and positive are kept as given."""
+        Derivatives, partials, the parser and the oracle's multipliers
+        build their monomials here; factors already sorted, distinct and
+        positive are kept as given."""
         fs = sorted(items)
         distinct = dict(fs)
         if len(distinct) == len(fs) and min(distinct.values(), default=1) > 0:
@@ -101,11 +102,19 @@ class Monomial:
         return max((v.order for v, _ in self.factors), default=0)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
+        """The product: both factor maps merged in one dict, exponents of a
+        shared jet added, then sorted once."""
         if not self.factors:
             return other
         if not other.factors:
             return self
-        return Monomial.make(self.factors + other.factors)
+        merged = dict(self.factors)
+        for v, e in other.factors:
+            if v in merged:
+                merged[v] += e
+            else:
+                merged[v] = e
+        return Monomial(tuple(sorted(merged.items())))
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
@@ -187,7 +196,8 @@ def _accumulate(acc: dict, m, c) -> None:
     """Add c*m into acc, a sparse map from keys (monomials, jets, powers of
     the derivation, candidates) to nonzero coefficients, dropping a
     coefficient that cancels.  The package's sparse sums merge here, apart
-    from the row loop of the oracle's echelon."""
+    from the oracle's echelon: its row loop adds a multiple of a row in
+    place, and its candidates are monomial shifts, whose terms never meet."""
     cur = acc.get(m)
     c = c if cur is None else cur + c
     if c:

@@ -279,7 +279,15 @@ class RatFunc:
         return RatFunc(_pneg(self.num), self.den)
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
-        return _reduced(_pmul(self.num, other.num), _pmul(self.den, other.den))
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if len(a) == 1 and len(c) == 1 and len(b) == 1 and len(d) == 1:
+            # two nonzero elements of Q: one gcd, with a positive denominator
+            n, m = a[0] * c[0], b[0] * d[0]
+            g = gcd(n, m)
+            if g != 1:
+                n, m = n // g, m // g
+            return RatFunc((n,), _const(m))
+        return _reduced(_pmul(a, c), _pmul(b, d))
 
     def __pow__(self, e: int) -> "RatFunc":
         """self^e by squaring, with no gcd: powers of a coprime, jointly

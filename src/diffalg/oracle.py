@@ -18,7 +18,10 @@ witness, so restricting to that universe loses nothing.
 All linear algebra is one routine: a row-echelon basis (`_Echelon`) that
 takes candidates one at a time and is asked whether f lies in their span,
 the incremental Macaulay-matrix elimination of Lazard (1983) and of
-Faugere's F4 (1999).
+Faugere's F4 (1999).  A candidate enters as a monomial shift of d^k(g_i):
+multiplying by a monomial is one-to-one on monomials, so its coefficients
+are those of d^k(g_i), and no polynomial product is made.  Witnesses are
+re-verified by plain polynomial arithmetic, independent of that shortcut.
 
 When the coefficient field has zero derivation and every generator is
 homogeneous in (total degree, total derivative weight), differentiation
@@ -44,7 +47,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from .diffpoly import Context, DiffPoly, Monomial, _accumulate
-from .fields import QQ
+from .fields import QQ, RF_ONE
 
 MAX_CANDIDATES = 1500
 
@@ -215,11 +218,13 @@ def _monomials_exact(jets, deg: int, weight: int, cap: int) -> list:
 
 class _Echelon:
     """Exact row-echelon basis of candidate polynomials over the coefficient
-    field.  Each row sits under its pivot (leading monomial) as (vector,
-    combination): a sparse monomial -> coefficient map that is 1 at the
-    pivot, and the {candidate key: coefficient} map that makes it.  The
-    pivots are distinct, so a polynomial lies in the span of the candidates
-    exactly when reducing its leading monomials on the rows ends at zero."""
+    field.  Each row sits under its pivot (leading monomial) unscaled, as
+    (tail, combination, lead): the sparse monomial -> coefficient map of its
+    other entries, the {candidate key: coefficient} map that makes it, and
+    its coefficient at the pivot.  The pivots are distinct, so a polynomial
+    lies in the span of the candidates exactly when reducing its leading
+    monomials on the rows ends at zero; each step takes one quotient by the
+    row's lead, and no row is ever divided through."""
 
     def __init__(self):
         self.rows = {}
@@ -236,31 +241,27 @@ class _Echelon:
             row = rows.get(pivot)
             if row is None:
                 return pivot
-            rvec, rcombo = row
-            c = vec[pivot]
-            for target, source in ((vec, rvec), (combo, rcombo)):
+            rtail, rcombo, lead = row
+            c = -(vec.pop(pivot) / lead)
+            for target, source in ((vec, rtail), (combo, rcombo)):
                 for m, x in source.items():
                     cur = target.get(m)
-                    nxt = (cur - c * x) if cur is not None else -c * x
+                    nxt = (cur + c * x) if cur is not None else c * x
                     if nxt:
                         target[m] = nxt
                     else:
-                        target.pop(m, None)
+                        del target[m]
         return None
 
-    def add(self, key, poly: DiffPoly) -> None:
-        """Eliminate the candidate; it becomes a row unless it is already in
-        the span."""
-        vec = dict(poly.items())
-        combo = {key: poly.context.field.one}
+    def add(self, key, vec: dict) -> None:
+        """Eliminate the candidate with the coefficient vector vec, which
+        this takes over; it becomes a row unless it is already in the
+        span."""
+        combo = {key: RF_ONE}
         pivot = self._reduce(vec, combo)
-        if pivot is None:
-            return
-        lead = vec[pivot]
-        self.rows[pivot] = (
-            {m: c / lead for m, c in vec.items()},
-            {k: c / lead for k, c in combo.items()},
-        )
+        if pivot is not None:
+            lead = vec.pop(pivot)
+            self.rows[pivot] = (vec, combo, lead)
 
     def solve(self, f: DiffPoly) -> Optional[dict]:
         """{candidate key: coefficient} with f = sum of coefficient *
@@ -312,7 +313,7 @@ def _member_homogeneous(f, gens, bounds, grades) -> Optional[MembershipWitness]:
                 count += 1
                 if count > MAX_CANDIDATES:
                     raise _CapHit
-                echelon.add((gi, k, m), h * DiffPoly(f.context, {m: f.context.field.one}))
+                echelon.add((gi, k, m), {m * hm: c for hm, c in h.items()})
         combo = echelon.solve(DiffPoly.from_terms(f.context, terms))
         if combo is None:
             return None
@@ -354,7 +355,7 @@ class _StagedSearch:
                 key = (gi, k, m)
                 if key not in self.built:
                     self.built.add(key)
-                    self.echelon.add(key, h * DiffPoly(h.context, {m: h.context.field.one}))
+                    self.echelon.add(key, {m * hm: c for hm, c in h.items()})
         return True
 
     def find(self, f: DiffPoly) -> tuple:

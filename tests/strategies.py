@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import hypothesis.strategies as st
 
-from diffalg import Context, DerVar, DiffPoly, Monomial, QQ, QT, Ranking
+from diffalg import Context, DerVar, DiffPoly, Monomial, QQ, QT, Ranking, RatFunc
 
 NAMES = ("x", "y", "z")
 
@@ -42,6 +42,17 @@ def small_fractions(max_num=9, max_den=4):
 
 
 @st.composite
+def t_fractions(draw):
+    """Elements of Q(t) with a pole: (a + b*t)/(c + t) for small rationals
+    a, b and a small integer c, so that eliminating on them divides by
+    coefficients that depend on t.  Zero when a = b = 0, constant only
+    when a = b*c."""
+    a, b = draw(small_rationals()), draw(small_rationals())
+    c = draw(st.integers(min_value=-3, max_value=3))
+    return RatFunc.make((a, b), (c, 1))
+
+
+@st.composite
 def contexts(draw, max_vars=3, fields=(QQ,)):
     n = draw(st.integers(min_value=1, max_value=max_vars))
     field = draw(st.sampled_from(fields))
@@ -71,16 +82,18 @@ def monomials(draw, ctx, max_order=3, max_degree=3, max_factors=2):
 
 
 @st.composite
-def diffpolys(draw, ctx=None, max_order=3, max_degree=3, max_terms=4):
+def diffpolys(draw, ctx=None, max_order=3, max_degree=3, max_terms=4, coeffs=small_fractions()):
     """Small sparse polynomials; zero comes up naturally when all drawn
-    coefficients cancel, and is also injected explicitly now and then."""
+    coefficients cancel, and is also injected explicitly now and then.
+    Coefficients are drawn from coeffs: small elements of Q unless another
+    strategy is given (t_fractions() for a Q(t) context)."""
     if ctx is None:
         ctx = draw(contexts())
     if draw(st.integers(min_value=0, max_value=19)) == 0:
         return DiffPoly.zero(ctx)
     terms = draw(
         st.lists(
-            st.tuples(monomials(ctx, max_order, max_degree), small_fractions()),
+            st.tuples(monomials(ctx, max_order, max_degree), coeffs),
             min_size=1,
             max_size=max_terms,
         )

@@ -213,8 +213,13 @@ class TestKernelEquivalence:
 
     @given(st.data())
     def test_product_matches_a_dict_and_a_sort(self, data):
+        """The product merges two factor maps in one dict; it agrees with
+        make on the joined factors, shared jets and the empty monomial
+        included."""
         ctx = data.draw(contexts())
         a, b, c = (data.draw(monomials(ctx, max_factors=3)) for _ in range(3))
+        shared = Monomial.make(a.factors[:1] + b.factors)  # a's first jet, if any, in b too
+        b = data.draw(st.sampled_from((b, shared, MON_ONE)))
         ref = _reference_make(a.factors + b.factors)
         got = a * b
         assert got.factors == ref.factors
@@ -222,6 +227,8 @@ class TestKernelEquivalence:
         assert {ref: 1}[got] == 1
         assert b * a == got
         assert (got == c) == (got.factors == c.factors)
+        for x, y in ((a, b), (a, a), (MON_ONE, MON_ONE)):
+            assert (x * y).factors == Monomial.make(x.factors + y.factors).factors
 
     @given(st.data())
     @settings(max_examples=80)

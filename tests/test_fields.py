@@ -234,6 +234,28 @@ class TestFastPaths:
         got = a**e
         assert got == want and _is_canonical(got)
 
+    def test_product_of_constants(self):
+        """The fast path for two elements of Q: one gcd cancels across the
+        factors, the sign stays on the numerator, and 1 is neutral."""
+        q = QQ.from_fraction
+        t_part = RatFunc.make((1, 2), (3, 1))  # (1 + 2t)/(3 + t), off the fast path
+        cases = [
+            (q(Fraction(2, 3)), q(Fraction(3, 4)), Fraction(1, 2)),
+            (q(Fraction(-2, 3)), q(Fraction(3, 4)), Fraction(-1, 2)),
+            (q(Fraction(2, 3)), q(Fraction(-3, 4)), Fraction(-1, 2)),
+            (q(Fraction(-2, 3)), q(Fraction(-3, 4)), Fraction(1, 2)),
+            (q(6), q(Fraction(1, 6)), Fraction(1)),
+            (q(-5), q(7), Fraction(-35)),
+        ]
+        for a, b, want in cases:
+            for got in (a * b, b * a):
+                assert got == q(want) and _is_canonical(got)
+                assert got.num == (want.numerator,) and got.den == (want.denominator,)
+        for x in (q(Fraction(-7, 9)), q(4), t_part, QQ.zero):
+            assert QQ.one * x == x == x * QQ.one
+        assert (q(6) * q(Fraction(1, 6))).den is QQ.one.den  # the shared (1,)
+        assert q(2) * QQ.zero == QQ.zero
+
     def test_field_constants(self):
         assert QQ.zero == QQ.from_fraction(0) and QQ.one == QQ.from_fraction(1)
         assert QT.zero == RatFunc.make((), (1,)) and QT.one == RatFunc.make((1,), (1,))

@@ -23,10 +23,11 @@ from diffalg import (
 )
 from diffalg.sysfile import parse_poly
 
-from strategies import diffpolys, monomials, small_fractions
+from strategies import diffpolys, monomials, small_fractions, t_fractions
 
 X1 = Context(("x",), QQ)
 XY = Context(("x", "y"), QQ)
+XY_T = Context(("x", "y"), QT)
 
 
 def P(src, ctx=X1):
@@ -144,6 +145,10 @@ class TestRadical:
         assert w.is_member()
         assert w.power == 3
         assert verify_witness(f, gens, w)
+        assert w.to_text() == (
+            "Member (e = 3): f^3 = (-1/2)*y''*d^1(g1) + (1/2)*y'*d^2(g1) + "
+            "(3)*x*x'*y'*g2 + (-3/2)*x^2*y''*g2 + (3/2)*x^2*y'*d^1(g2)"
+        )
 
     def test_exponent_one_short_circuits(self):
         f, g = P("x'^3"), P("x^2")
@@ -171,24 +176,30 @@ class TestRadical:
         )
 
     def test_cusp_builds_each_candidate_once(self, monkeypatch):
-        """Work gate: a rebuild of the candidates per stage or per power
-        makes 65,333 products here."""
+        """Work gate: each candidate enters the echelon once, 3,427 of them
+        here.  The per-stage rebuild of ref_radical below builds ~65k, and
+        re-adding a stage's candidates at each stage, or at each power,
+        adds over 8,000.  A candidate is a monomial shift, so the only
+        polynomial products are the powers of f and the witness replay."""
         gens = [parse_poly("y^2 - x^3", XY), parse_poly("x'", XY)]
         f = parse_poly("y'", XY)
-        products = 0
-        mul = DiffPoly.__mul__
+        calls = {"add": 0, "mul": 0}
 
-        def counting_mul(a, b):
-            nonlocal products
-            products += 1
-            return mul(a, b)
+        def counting(name, method):
+            def wrapped(*args):
+                calls[name] += 1
+                return method(*args)
 
-        monkeypatch.setattr(DiffPoly, "__mul__", counting_mul)
+            return wrapped
+
+        monkeypatch.setattr(oracle._Echelon, "add", counting("add", oracle._Echelon.add))
+        monkeypatch.setattr(DiffPoly, "__mul__", counting("mul", DiffPoly.__mul__))
         w = radical_member(f, gens, TruncationBounds())
         monkeypatch.undo()
         assert w.is_member() and w.power == 3
         assert verify_witness(f, gens, w)
-        assert products <= 4000
+        assert calls["add"] <= 4000
+        assert calls["mul"] <= 50
 
 
 class TestQtCoefficients:
@@ -333,26 +344,28 @@ def _homogeneous(gens):
 
 
 @st.composite
-def staged_cases(draw):
-    """Two or three non-homogeneous generators over Q in x, y and a query:
-    either a planted combination sum c * m * d^k(g_i) or an arbitrary
-    polynomial, with bounds that contain the planted summands."""
-    gens = draw(st.lists(diffpolys(XY, max_order=1, max_degree=2, max_terms=3), min_size=2, max_size=3))
+def staged_cases(draw, ctx=XY, coeffs=small_fractions()):
+    """Two or three non-homogeneous generators in x, y (over Q, unless ctx
+    and a coefficient strategy say otherwise) and a query: either a planted
+    combination sum c * m * d^k(g_i) or an arbitrary polynomial, with bounds
+    that contain the planted summands."""
+    polys = diffpolys(ctx, max_order=1, max_degree=2, max_terms=3, coeffs=coeffs)
+    gens = draw(st.lists(polys, min_size=2, max_size=3))
     assume(all(not g.is_zero() for g in gens) and not _homogeneous(gens))
     max_k = draw(st.integers(min_value=0, max_value=2))
     if draw(st.booleans()):
-        f = DiffPoly.zero(XY)
+        f = DiffPoly.zero(ctx)
         degree = 0
         for _ in range(draw(st.integers(min_value=1, max_value=2))):
             gi = draw(st.integers(min_value=0, max_value=len(gens) - 1))
             k = draw(st.integers(min_value=0, max_value=max_k))
-            m = draw(monomials(XY, max_order=1, max_degree=1, max_factors=1))
-            c = draw(small_fractions())
+            m = draw(monomials(ctx, max_order=1, max_degree=1, max_factors=1))
+            c = draw(coeffs)
             h = gens[gi].derive(k)
-            f = f + h * DiffPoly.from_terms(XY, [(m, c)])
+            f = f + h * DiffPoly.from_terms(ctx, [(m, c)])
             degree = max(degree, h.total_degree() + m.degree())
     else:
-        f = draw(diffpolys(XY, max_order=1, max_degree=2, max_terms=3))
+        f = draw(polys)
         degree = f.total_degree()
     assume(not f.is_zero())
     degree = max(degree, f.total_degree()) + draw(st.integers(min_value=0, max_value=1))
@@ -381,9 +394,8 @@ class TestAgainstPerStageRebuild:
         assert w.to_text() == "Member (e = 1): f = (1)*x*g1 + (1)*d^2(g1) + (-1)*g2"
         assert ref_staged(f, gens, bounds, oracle.MAX_CANDIDATES)[0] is not None
 
-    @settings(max_examples=60, deadline=None)
-    @given(case=staged_cases(), cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)))
-    def test_truncated_member(self, case, cap):
+    @staticmethod
+    def _check_truncated_member(case, cap):
         f, gens, bounds = case
         with patch.object(oracle, "MAX_CANDIDATES", cap):
             w = truncated_member(f, gens, bounds)
@@ -395,6 +407,18 @@ class TestAgainstPerStageRebuild:
             assert w.diagnostic == _exhausted(skipped, cap)
         if not skipped:
             assert w.is_member() == (combo is not None)
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=staged_cases(), cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)))
+    def test_truncated_member(self, case, cap):
+        self._check_truncated_member(case, cap)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=staged_cases(XY_T, t_fractions()), cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)))
+    def test_truncated_member_over_qt(self, case, cap):
+        """Over Q(t) the rows' leads depend on t, so elimination divides by
+        rational functions."""
+        self._check_truncated_member(case, cap)
 
     @settings(max_examples=40, deadline=None)
     @given(case=staged_cases(), cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)))
