@@ -210,14 +210,19 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
     ideal by its certificate, joins the node), or emitted (everything
     reduces to zero: the basic set becomes a component whose inequations are
     its separants and initials, and one vanishing branch is queued per
-    inequation).  Each polynomial is analyzed once per run, and each node's
-    basic set is prepared once for all of that node's reductions.  Emitted
-    components are not re-checked here: jbc_check re-verifies each one
-    against the inputs, and verify_component does so on demand.  The
-    completeness flag reports whether the whole tree was explored within
-    MAX_SPLIT_STEPS nodes and MAX_COMPONENTS components; a reduction that
-    hits a step or term cap clears it, and so does a remainder with a
-    coefficient past MAX_COEFF_BITS, which is dropped with its node.
+    inequation).  Each polynomial is analyzed once per run.  Each distinct
+    basic set is prepared once per run, divides each equation at most once
+    per run (nodes share most of their equations, so a node reduces only
+    those with no remainder yet for its basic set), and builds its
+    component at most once.  Emitted components are not re-checked here:
+    jbc_check re-verifies each one against the inputs, and
+    verify_component does so on demand.  The completeness flag reports
+    whether the whole tree was explored within MAX_SPLIT_STEPS nodes and
+    MAX_COMPONENTS components; a reduction that hits a step or term cap
+    clears it (a node that meets the same division again hits the cap
+    again, since nothing is kept for a division that stopped), and so does
+    a remainder with a coefficient past MAX_COEFF_BITS, which is dropped
+    with its node.
     """
     if not us:
         raise ValueError("empty system")
@@ -243,9 +248,15 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
             rp = analyzed[p] = analyze(p, ranking)
         return rp
 
+    # basic set -> (its PreparedSeq, {equation: monic remainder modulo it}),
+    # so each equation is divided by each basic set at most once per run;
+    # a remainder that joins a node is the same object as the one kept here
+    reduced: dict = {}
+
     queue = [start]
     seen: set = set()  # nodes already taken from the queue
-    found: dict[tuple, CharSetComponent] = {}  # (sequence, inequations) -> component
+    found: dict[tuple, CharSetComponent] = {}  # basic set -> its component
+    built: set = set()  # basic sets whose component was built (or refused)
     steps = 0
     complete = True
 
@@ -279,14 +290,22 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
             continue
 
         chosen = _basic_set(node, rank)
-        prep = PreparedSeq(chosen, ranking)
-        others = [p for p in node if p not in prep.sequence]
+        basis = tuple(rp.poly for rp in chosen)
+        entry = reduced.get(basis)
+        if entry is None:
+            entry = reduced[basis] = (PreparedSeq(chosen, ranking), {})
+        prep, known = entry
+        in_basis = set(basis)
+        others = [p for p in node if p not in in_basis]
         try:
-            remainders = [ritt_reduce_seq(p, prep).remainder for p in others]
+            for p in others:
+                if p not in known:
+                    known[p] = ritt_reduce_seq(p, prep).remainder.monic()
         except StepLimitExceeded:
             complete = False
             continue
-        new = {r.monic() for r in remainders if not r.is_zero()} - node
+        remainders = [known[p] for p in others]
+        new = {r for r in remainders if not r.is_zero()} - node
         if any(ctx.field.bits(c) > MAX_COEFF_BITS for r in new for _, c in r.items()):
             complete = False
             continue
@@ -300,27 +319,27 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
             continue
 
         conditions = _sep_init_conditions(chosen)
-        try:
-            # building the component checks that every condition stays
-            # nonzero modulo the basic set
-            comp = CharSetComponent(
-                ranking=ranking,
-                sequence=prep,
-                inequations=tuple(conditions),
-                prime_verified=False,
-            )
-        except VanishingInequationError:
+        if basis not in built:  # a basic set met again gives the same component
+            built.add(basis)
             comp = None
-        except StepLimitExceeded:
-            complete = False
-            comp = None
-        if comp is not None:
-            ckey = (comp.sequence, comp.inequations)
-            if ckey not in found:
+            try:
+                # building the component checks that every condition stays
+                # nonzero modulo the basic set
+                comp = CharSetComponent(
+                    ranking=ranking,
+                    sequence=prep,
+                    inequations=tuple(conditions),
+                    prime_verified=False,
+                )
+            except VanishingInequationError:
+                pass
+            except StepLimitExceeded:
+                complete = False
+            if comp is not None:
                 if len(found) >= MAX_COMPONENTS:
                     complete = False
                     break
-                found[ckey] = comp
+                found[basis] = comp
         # a condition that reduces to zero makes the nonvanishing locus
         # empty: no main component, but the vanishing branches still cover
         for h in conditions:

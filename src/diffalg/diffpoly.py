@@ -209,7 +209,7 @@ def _accumulate(acc: dict, m, c) -> None:
 class DiffPoly:
     """A differential polynomial; immutable by convention."""
 
-    __slots__ = ("context", "_terms", "_hash", "_text", "_prime")
+    __slots__ = ("context", "_terms", "_hash", "_text", "_prime", "_degrees")
 
     def __init__(self, context: Context, terms: dict):
         """Trusted: terms maps monomials of the context to nonzero field
@@ -218,6 +218,7 @@ class DiffPoly:
         self._terms = terms
         self._hash = None
         self._prime = None  # the first derivative, once computed
+        self._degrees = None  # jet variable -> highest exponent, once computed
         # _text stays unset until to_text first renders the polynomial
 
     # -- constructors --------------------------------------------------------
@@ -281,15 +282,25 @@ class DiffPoly:
         """Max monomial degree; 0 for the zero polynomial."""
         return max((m.degree() for m in self._terms), default=0)
 
+    def degrees(self) -> dict:
+        """The jet-degree profile: each jet variable present mapped to its
+        highest exponent, from one pass over the terms on first use and
+        kept.  Shared, so callers must not change it."""
+        deg = self._degrees
+        if deg is None:
+            deg = self._degrees = {}
+            for m in self._terms:
+                for v, e in m.factors:
+                    if e > deg.get(v, 0):
+                        deg[v] = e
+        return deg
+
     def degree_in(self, v: DerVar) -> int:
-        return max((m.degree_in(v) for m in self._terms), default=0)
+        return self.degrees().get(v, 0)
 
     def dervars(self) -> tuple:
         """All jet variables present, sorted by (var, order)."""
-        seen = set()
-        for m in self._terms:
-            seen.update(m.dervars())
-        return tuple(sorted(seen))
+        return tuple(sorted(self.degrees()))
 
     def max_order(self) -> int:
         return max((m.max_order() for m in self._terms), default=0)

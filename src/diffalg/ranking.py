@@ -107,10 +107,11 @@ def is_reduced(b: DiffPoly, a: RankedPoly) -> bool:
     """b is reduced w.r.t. a: no proper derivative of a's leader occurs in
     b, and b's degree in the leader is below a's."""
     lv, lo = a.leader.var, a.leader.order
-    for v in b.dervars():
+    deg = b.degrees()
+    for v in deg:
         if v.var == lv and v.order > lo:
             return False
-    return b.degree_in(a.leader) < a.degree
+    return deg.get(a.leader, 0) < a.degree
 
 
 def is_autoreduced(seq: Sequence[DiffPoly], ranking: Ranking) -> bool:

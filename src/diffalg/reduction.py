@@ -233,13 +233,8 @@ def _offense(c: DiffPoly, by_var: dict, ranking: Ranking):
     (by_var maps a leader's variable to (divisor index, RankedPoly)):
     (jet variable, divisor index, kind) with kind 'd' (proper derivative of
     a leader occurs) or 'a' (leader degree too high)."""
-    degree = {}  # jet variable -> degree of c in it, from one pass over c
-    for m in c.monomials():
-        for v, e in m.factors:
-            if e > degree.get(v, 0):
-                degree[v] = e
     best = None
-    for v, d in degree.items():
+    for v, d in c.degrees().items():
         hit = by_var.get(v.var)
         if hit is None:
             continue
@@ -262,6 +257,7 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
     ctx = b.context
     ranking, ranked = prep.ranking, prep.ranked
     by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
+    one = DiffPoly.one(ctx)
     c = b
     log = []
     while True:
@@ -284,8 +280,11 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
             divisor, mult, degree = rp.poly, rp.initial, rp.degree
         d = c.degree_in(v)
         lead = c.coeff_of_power(v, d)
-        cofactor = lead * DiffPoly(ctx, {Monomial.of(v, d - degree): ctx.field.one})
-        scaled, subtracted = mult * c, cofactor * divisor
+        # lead has no v, so lead * v^(d - degree) is a shift of its monomials
+        shift = Monomial.of(v, d - degree)
+        cofactor = DiffPoly(ctx, {m * shift: a for m, a in lead.items()})
+        scaled = c if mult == one else mult * c
+        subtracted = cofactor * divisor
         c = scaled - subtracted
         log.append((mult, i, cofactor, j))
         terms = max(scaled.term_count(), subtracted.term_count(), c.term_count())

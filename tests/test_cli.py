@@ -121,6 +121,47 @@ class TestReduce:
         assert "remainder: y''*y''' - x^2 - t" in out
         assert "verified: yes" in out
 
+    def test_cofactor_with_a_many_term_leading_coefficient(self, tmp_path, capsys):
+        # the step clears x'^3 with the cofactor (t*y + y' - 1)*x', whose
+        # leading coefficient has three terms over Q(t)
+        p = tmp_path / "shift.sys"
+        p.write_text(
+            "field: Q(t)\nvars: x, y\nranking: elim x > y\n"
+            "eq f = (t*y + y' - 1)*x'^3 + x*y\n"
+            "eq g = y*x'^2 + t*x' - y'\n"
+        )
+        assert main(["reduce", str(p), "--target", "f"]) == 0
+        assert capsys.readouterr().out == (
+            "dividend: f = x'^3*y' + t*x'^3*y - x'^3 + x*y\n"
+            "divisor: g = x'^2*y - y' + t*x'\n"
+            "multiplier: y^2\n"
+            "factors: y, y\n"
+            "quotient[g]: (t*x'*y^2 + x'*y*y' - x'*y - t*y' - t^2*y + t)\n"
+            "remainder: t*x'*y^2*y' + x'*y*y'^2 + x*y^3 - x'*y*y' - t*y'^2 - t^2*y*y' "
+            "+ t^2*x'*y' + t^3*x'*y + t*y' - t^2*x'\n"
+            "verified: yes\n"
+        )
+
+    def test_monic_linear_divisor_multiplies_by_one(self, tmp_path, capsys):
+        # separant and initial of g are 1: every step's factor is 1, and the
+        # certificate still lists each one
+        p = tmp_path / "monic.sys"
+        p.write_text(
+            "field: Q\nvars: x, y\nranking: elim x > y\n"
+            "eq f = x''*y + x'^2 - 3*x'*y'\n"
+            "eq g = x' + y^2 - 2*y'\n"
+        )
+        assert main(["reduce", str(p), "--target", "f"]) == 0
+        assert capsys.readouterr().out == (
+            "dividend: f = x''*y + x'^2 - 3*x'*y'\n"
+            "divisor: g = y^2 - 2*y' + x'\n"
+            "multiplier: 1\n"
+            "factors: 1, 1, 1\n"
+            "quotient[g]: y*d + (-y^2 - y' + x')\n"
+            "remainder: y^4 - 3*y^2*y' - 2*y'^2 + 2*y*y''\n"
+            "verified: yes\n"
+        )
+
     def test_missing_target_is_domain_error(self, flagship, capsys):
         assert main(["reduce", flagship, "--target", "nope"]) == 3
         assert capsys.readouterr().err == "diffalg: no equation named 'nope'\n"

@@ -45,6 +45,22 @@ def seq_texts(c):
     return tuple(p.to_text() for p in c.sequence)
 
 
+def recorded_decompose(mp, us, ranking):
+    """split_decompose(us, ranking), and the (dividend, divisors) pair of
+    each Ritt division it made, in order; mp patches the division."""
+    divisions = []
+    real = diffalg.decompose.ritt_reduce_seq
+
+    def recorded(p, prep):
+        divisions.append((p, prep.sequence))
+        return real(p, prep)
+
+    mp.setattr(diffalg.decompose, "ritt_reduce_seq", recorded)
+    dec = split_decompose(us, ranking)
+    mp.setattr(diffalg.decompose, "ritt_reduce_seq", real)
+    return dec, divisions
+
+
 class TestCharSetComponent:
     def test_requires_autoreduced(self):
         with pytest.raises(ValueError):
@@ -195,6 +211,34 @@ class TestSplitDecompose:
         for c in dec.components:
             assert verify_component(c, us)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            diffpolys(XY, max_order=1, max_degree=2, max_terms=2).filter(bool),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_each_equation_is_divided_once_per_basic_set(self, us):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
+            mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 20)
+            dec, divisions = recorded_decompose(mp, us, ELIM_XY)
+        assert len(set(divisions)) == len(divisions)
+        for c in dec.components:
+            assert verify_component(c, us)
+
+    def test_a_basic_set_met_again_builds_its_component_once(self, monkeypatch):
+        # two flagship pairs side by side: each of the four components is
+        # reached on more than one branch of the tree
+        ctx = Context(("x", "y", "z", "w"), QQ)
+        us = [P(src, ctx) for src in ("x'' + y", "x'^2 + y", "z'' + w", "z'^2 + w")]
+        dec, divisions = recorded_decompose(monkeypatch, us, Ranking.elimination(4, [0, 1, 2, 3]))
+        assert dec.complete and len(dec.components) == 4
+        assert len(set(divisions)) == len(divisions) == 134
+        for c in dec.components:
+            assert verify_component(c, us)
+
     def test_output_is_deterministic(self):
         us = [P("x'' + y"), P("x'^2 + y")]
         a = split_decompose(us, ELIM_XY)
@@ -244,8 +288,10 @@ class TestJbcCheck:
             jbc_check([P("x + y")], ELIM_XY)
 
     def test_flagship_reduction_count(self, monkeypatch):
-        # 42 reductions inside split_decompose (node remainders and the
-        # inequation check of each component built) and 6 for the two
+        # 31 reductions: inside split_decompose, 23 node remainders (one per
+        # equation and basic set, 42 in all when each node reduced all its
+        # equations) and the inequation check of the one component with
+        # nonconstant separants and initials (2); then 6 for the two
         # records: two inputs per component plus the big component's
         # inequations.
         calls = []
@@ -258,12 +304,16 @@ class TestJbcCheck:
         monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", counted)
         rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert len(calls) <= 48
+        assert len(calls) == 31
 
     def test_flagship_work_counts(self, monkeypatch):
         # Deterministic work counters, pinned: each polynomial is analyzed
-        # once per run, node reductions build no certificate products, and
-        # each polynomial is rendered to text at most once.
+        # once per run, each equation is divided by each basic set once per
+        # run, node reductions build no certificate products, an elimination
+        # step's cofactor is a monomial shift and a multiplier of 1 is not
+        # multiplied in, and each polynomial is rendered to text at most
+        # once (261 products and 19 renders before the division memo and
+        # the two step fast paths).
         us = [P("x'' + y"), P("x'^2 + y")]
         counts = Counter()
         real_analyze = diffalg.ranking.analyze
@@ -294,7 +344,7 @@ class TestJbcCheck:
         monkeypatch.setattr(DiffPoly, "to_text", to_text)
         rep = jbc_check(us, ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert dict(counts) == {"analyze": 9, "products": 261, "renders": 19}
+        assert dict(counts) == {"analyze": 9, "products": 76, "renders": 17}
 
     def test_flagship_prolongation_count(self, monkeypatch):
         # Pinned: each polynomial keeps its first derivative, so the run
@@ -317,7 +367,7 @@ class TestJbcCheck:
         monkeypatch.setattr(DiffPoly, "__mul__", mul)
         rep = jbc_check(us, ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert dict(counts) == {"derivatives": 7, "products": 261}
+        assert dict(counts) == {"derivatives": 7, "products": 76}
 
     def test_report_text_is_stable(self):
         us = [P("x'' + y"), P("x'^2 + y")]

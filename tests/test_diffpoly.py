@@ -16,11 +16,13 @@ from diffalg import (
     Monomial,
     QQ,
     QT,
+    analyze,
+    is_reduced,
     order_matrix,
 )
 from diffalg.diffpoly import MON_ONE, OrderCapExceeded
 
-from strategies import contexts, diffpolys, monomials, small_fractions
+from strategies import contexts, diffpolys, monomials, rankings, small_fractions
 
 XY = Context(("x", "y"), QQ)
 
@@ -252,6 +254,44 @@ class TestKernelEquivalence:
             ref = _reference_derive(ref)
         assert p.derive(j) == fresh.derive(j) == ref
         assert p.derive(j) is p.derive(j)
+
+    @given(st.data())
+    @settings(max_examples=80)
+    def test_degree_profile_matches_the_terms(self, data):
+        """degree_in, dervars and is_reduced read the kept jet-degree
+        profile; they agree with a pass over the monomials for the zero
+        polynomial, constants and polynomials read both before and after
+        they are derived."""
+        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
+        rk = data.draw(rankings(ctx))
+        a = analyze(data.draw(diffpolys(ctx).filter(lambda q: not q.is_constant())), rk)
+        p = data.draw(
+            st.one_of(
+                kernel_polys(ctx),
+                st.just(DiffPoly.zero(ctx)),
+                small_fractions().map(lambda c: DiffPoly.const(ctx, c)),
+            )
+        )
+        probes = [DerVar(i, j) for i in range(ctx.n) for j in range(5)]
+
+        def check(q):
+            ms = list(q.monomials())
+            assert q.dervars() == tuple(sorted({v for m in ms for v, _ in m.factors}))
+            for v in probes:
+                assert q.degree_in(v) == max((m.degree_in(v) for m in ms), default=0)
+            lv = a.leader
+            reduced = all(
+                m.degree_in(lv) < a.degree
+                and not any(v.var == lv.var and v.order > lv.order for v, _ in m.factors)
+                for m in ms
+            )
+            assert is_reduced(q, a) == reduced
+
+        check(p)
+        d = p.derive()
+        check(p)
+        check(d)
+        check(DiffPoly.from_terms(ctx, p.items()))
 
     def test_kept_derivative_still_raises_at_the_cap(self):
         p = P("x^(62)*y + x")
