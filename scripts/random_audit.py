@@ -23,7 +23,13 @@ properties that everything else leans on:
     denominators, agree with the Fraction reference of
     tests/fraction_reference.py in value and text() through sums, products,
     quotients and derivatives, and satisfy distributivity, (a/b)*b == a and
-    the product rule for derive.
+    the product rule for derive;
+  * random systems of two independent blocks, a pair of equations in x, y
+    beside a pair in z, w, decompose by split_decompose exactly as the
+    splitting tree run over the whole system: the same components, in the
+    same order, with the same inequations and completeness (draws that take
+    the product of the blocks' components, draws that fall back to the one
+    tree, and draws over a LIMIT_S limit are counted).
 
     python3 scripts/random_audit.py --cases 500 --seed 7
 
@@ -34,12 +40,14 @@ from __future__ import annotations
 
 import argparse
 import random
+import signal
 import sys
 import time
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
+import diffalg.decompose
 import diffalg.reduction
 from diffalg import (
     ConcretePoint,
@@ -65,6 +73,7 @@ from diffalg import (
     linearize_at,
     linearized_order_matrix,
     ritt_reduce_seq,
+    split_decompose,
     truncated_member,
     verify_certificate,
     verify_witness,
@@ -74,6 +83,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import fraction_reference as ref  # noqa: E402
 
 NAMES = ("x", "y", "z")
+LIMIT_S = 2.0
 
 
 def rand_poly(rng: random.Random, ctx: Context, max_order=3, max_degree=3, max_terms=3) -> DiffPoly:
@@ -309,6 +319,70 @@ def audit_qt(rng: random.Random, cases: int) -> int:
     return cases
 
 
+class OverLimit(BaseException):
+    """Raised by the interval timer; a BaseException so that no handler in
+    the program can swallow it."""
+
+
+def _on_alarm(signum, frame):
+    raise OverLimit
+
+
+def _decomposition_text(dec) -> tuple:
+    return tuple(c.to_text() for c in dec.components), dec.complete
+
+
+def audit_product(rng: random.Random, cases: int) -> tuple[int, int, int]:
+    """Draws two nonconstant equations in x, y and two in z, w (order <= 1,
+    degree <= 2 in each jet, up to 3 terms) as one system under
+    elim x > y > z > w, and compares split_decompose with the splitting tree
+    run over the whole system; where the product of the blocks' components
+    is taken, it must be what split_decompose returns.  Returns (draws
+    decomposed by the product, draws that fell back to the one tree, draws
+    over LIMIT_S)."""
+    xy = Context(NAMES[:2], QQ)
+    ctx = Context(("x", "y", "z", "w"), QQ)
+    rk = Ranking.elimination(4, [0, 1, 2, 3])
+    products = fallbacks = over = 0
+    signal.signal(signal.SIGALRM, _on_alarm)
+    for _ in range(cases):
+        us = []
+        for offset in (0, 0, 2, 2):
+            p = rand_poly(rng, xy, max_order=1, max_degree=2)
+            while p.is_constant():
+                p = rand_poly(rng, xy, max_order=1, max_degree=2)
+            shifted = [
+                (Monomial.make((DerVar(v.var + offset, v.order), e) for v, e in m.factors), c)
+                for m, c in p.items()
+            ]
+            us.append(DiffPoly.from_terms(ctx, shifted))
+        start = frozenset(u.monic() for u in us)
+        signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
+        try:
+            product = diffalg.decompose._block_product(diffalg.decompose._blocks(start), rk)
+            single = diffalg.decompose._split_tree(start, rk)[0]
+            got = split_decompose(us, rk)
+        except OverLimit:
+            over += 1
+            continue
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        want = _decomposition_text(single)
+        by_product = want if product is None else _decomposition_text(product)
+        if _decomposition_text(got) != want or by_product != want:
+            print("block decomposition differs from the one tree:", file=sys.stderr)
+            for u in us:
+                print(f"  u:    {u.to_text()}", file=sys.stderr)
+            print(f"  split_decompose: {_decomposition_text(got)}", file=sys.stderr)
+            print(f"  one tree:        {want}", file=sys.stderr)
+            sys.exit(1)
+        if product is not None:
+            products += 1
+        else:
+            fallbacks += 1
+    return products, fallbacks, over
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=500, help="cases per audit (default 500)")
@@ -347,6 +421,13 @@ def main() -> None:
     print(
         f"qt: {compared} triples of rational functions agreed with the Fraction reference  "
         f"[{time.monotonic() - t4:.2f}s]"
+    )
+    t5 = time.monotonic()
+    products, fallbacks, over = audit_product(rng, args.cases)
+    print(
+        f"product: {products + fallbacks} two-block systems decomposed as by one tree "
+        f"({products} by the product of the blocks, {fallbacks} fell back to one tree; "
+        f"{over} over the {LIMIT_S:g} s limit)  [{time.monotonic() - t5:.2f}s]"
     )
     print("all audits passed")
 

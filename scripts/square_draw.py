@@ -9,14 +9,13 @@ to order --max-order, with a coefficient drawn from -3..-1, 1..3; half of
 the equations also get a constant drawn the same way.  Each system runs
 through jbc_check with a LIMIT_S wall-clock limit.
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python3 scripts/square_draw.py --cases 300 --max-order 2 --seed 1
+    PYTHONPATH=src python3 scripts/square_draw.py --cases 300 --max-order 2 --seed 1
 
 Prints each system that ran over the limit, then one summary line: how
-many draws ran over the limit, and the verdicts of the others.  The order
-in which the decomposition divides a node's equations follows set order,
-which changes with Python's string hashing, and a draw can take 2 s under
-one order and far longer under another; fix PYTHONHASHSEED to compare two
-trees on the same orders.
+many draws ran over the limit, and the verdicts of the others.  A node
+divides its equations in ascending rank, so a draw's work does not change
+with Python's string hashing; only machine speed decides which draws near
+the limit fall over it.
 """
 
 from __future__ import annotations

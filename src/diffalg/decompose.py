@@ -6,8 +6,12 @@ sat(A).  Membership in the saturated ideal is decided by Ritt reduction:
 zero remainder.  The splitting decomposition explores a tree of equation
 sets, branching on vanishing/nonvanishing of initials and separants and on
 the factors visible in monomial equations, and emits a component whenever a
-node's basic set reduces every other equation in the node to zero.  Budget
-exhaustion is reported honestly through a completeness flag, never hidden.
+node's basic set reduces every other equation in the node to zero.  A
+system whose equations fall into independent blocks (no variable shared
+between blocks) is decomposed one block at a time, and its components are
+the products of the blocks' components, as the tree over the whole system
+would give them.  Budget exhaustion is reported honestly through a
+completeness flag, never hidden.
 
 The end-to-end check compares each finite-dimensional component's dimension
 (the assignment maximum over the orders of its characteristic sequence)
@@ -16,7 +20,9 @@ against the same maximum for the input system.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -201,28 +207,41 @@ def _pure_power_fork(node: frozenset, rank):
 
 
 def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionResult:
-    """Bounded splitting decomposition.
+    """Bounded splitting decomposition, one independent block at a time.
 
-    Breadth-first over nodes (finite sets of monic equations).  Each node is
-    either killed (a nonzero constant appeared), forked (monomial or
-    tail-free power shape), tightened (some equation has a nonzero remainder
-    modulo the node's basic set -- the remainder, an exact element of the
-    ideal by its certificate, joins the node), or emitted (everything
-    reduces to zero: the basic set becomes a component whose inequations are
-    its separants and initials, and one vanishing branch is queued per
-    inequation).  Each polynomial is analyzed once per run.  Each distinct
-    basic set is prepared once per run, divides each equation at most once
-    per run (nodes share most of their equations, so a node reduces only
-    those with no remainder yet for its basic set), and builds its
-    component at most once.  Emitted components are not re-checked here:
-    jbc_check re-verifies each one against the inputs, and
-    verify_component does so on demand.  The completeness flag reports
-    whether the whole tree was explored within MAX_SPLIT_STEPS nodes and
-    MAX_COMPONENTS components; a reduction that hits a step or term cap
-    clears it (a node that meets the same division again hits the cap
-    again, since nothing is kept for a division that stopped), and so does
-    a remainder with a coefficient past MAX_COEFF_BITS, which is dropped
-    with its node.
+    A block is a connected component of the graph that joins two equations
+    when some variable occurs in both, at any order.  A system with one
+    block runs the splitting tree (_split_tree) on all its equations.  A
+    system with several blocks runs the same tree on each block on its own,
+    under the same context and ranking, and its components are every choice
+    of one component per block, joined: the union of the blocks' basic
+    sets, with the text-sorted union of their separants and initials as
+    inequations, canonically sorted like the tree's own output.
+
+    The product is what the tree over the whole system gives.  Its nodes
+    are unions of one node per block, and it never mixes blocks: a fork
+    splits one equation, so it changes one block's part; the greedy basic
+    set of a union is the union of the blocks' basic sets, since
+    polynomials in disjoint variables are always reduced with respect to
+    each other; and a division uses only divisors from the dividend's own
+    block, so it takes the same steps as in the block's tree and hits a cap
+    exactly when it does there.  Every node the whole tree takes from its
+    queue is thus a union of nodes the blocks' trees take from theirs, at
+    most the product of their node counts; it emits exactly when every
+    block's part would emit, so its components are the joins of the
+    blocks' components, and a joined inequation vanishes exactly when it
+    vanishes in its own block.  Joining also does not skip a check: the
+    product component's construction re-checks every inequation, and
+    jbc_check re-verifies each component against all the inputs.
+
+    The product is taken only when every block run is complete, the product
+    of the blocks' component counts is at most MAX_COMPONENTS and the
+    product of their node counts is at most MAX_SPLIT_STEPS; then the whole
+    tree would be complete within its caps as well.  Otherwise the tree
+    runs on the whole system, whose caps decide what is reported, so a
+    capped run gives what it gave before blocks were split.  Nothing is
+    kept across calls: each tree's run-local tables are dropped when it
+    returns.
     """
     if not us:
         raise ValueError("empty system")
@@ -239,7 +258,105 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
         # a nonzero constant equation has no solutions at all
         return DecompositionResult(components=(), complete=True)
     start = frozenset(u.monic() for u in us)
+    blocks = _blocks(start)
+    if len(blocks) > 1:
+        dec = _block_product(blocks, ranking)
+        if dec is not None:
+            return dec
+    return _split_tree(start, ranking)[0]
 
+
+def _blocks(node: frozenset) -> list:
+    """The independent blocks of a set of nonconstant equations: the
+    connected components of the graph that joins two equations when some
+    variable occurs in both, at any order, ordered by their lowest
+    variable index."""
+    blocks: list = []  # [(variable indices, equations)]
+    for p in node:
+        vs = {v.var for v in p.degrees()}
+        eqs = [p]
+        apart = []
+        for bvs, beqs in blocks:
+            if bvs & vs:
+                vs |= bvs
+                eqs += beqs
+            else:
+                apart.append((bvs, beqs))
+        blocks = apart + [(vs, eqs)]
+    blocks.sort(key=lambda b: min(b[0]))
+    return [frozenset(eqs) for _, eqs in blocks]
+
+
+def _block_product(blocks: Sequence[frozenset], ranking: Ranking) -> Optional[DecompositionResult]:
+    """The decomposition of the union of independent blocks as the product
+    of the blocks' own decompositions, or None when a block run is
+    incomplete or the product would pass MAX_COMPONENTS or MAX_SPLIT_STEPS
+    (see split_decompose)."""
+    runs = [_split_tree(block, ranking) for block in blocks]
+    if not all(dec.complete for dec, _ in runs):
+        return None
+    if math.prod(len(dec.components) for dec, _ in runs) > MAX_COMPONENTS:
+        return None
+    if math.prod(steps for _, steps in runs) > MAX_SPLIT_STEPS:
+        return None
+    joined = []
+    for combo in itertools.product(*(dec.components for dec, _ in runs)):
+        chosen = sorted(
+            (rp for c in combo for rp in c.prepared.ranked),
+            key=lambda rp: (rp.rank_key(), rp.poly.to_text()),
+        )
+        joined.append(
+            CharSetComponent(
+                ranking=ranking,
+                sequence=PreparedSeq(chosen, ranking),
+                inequations=tuple(_sep_init_conditions(chosen)),
+                prime_verified=False,
+            )
+        )
+    return DecompositionResult(components=_canonical_order(joined), complete=True)
+
+
+def _canonical_order(components) -> tuple:
+    return tuple(
+        sorted(
+            components,
+            key=lambda c: (
+                len(c.sequence),
+                tuple(p.to_text() for p in c.sequence),
+                tuple(q.to_text() for q in c.inequations),
+            ),
+        )
+    )
+
+
+def _split_tree(start: frozenset, ranking: Ranking) -> tuple:
+    """The splitting tree over a set of monic, nonconstant equations:
+    (its DecompositionResult, the number of nodes taken from the queue).
+
+    Breadth-first over nodes (finite sets of monic equations).  Each node is
+    either killed (a nonzero constant appeared), forked (monomial or
+    tail-free power shape), tightened (some equation has a nonzero remainder
+    modulo the node's basic set -- the remainder, an exact element of the
+    ideal by its certificate, joins the node), or emitted (everything
+    reduces to zero: the basic set becomes a component whose inequations are
+    its separants and initials, and one vanishing branch is queued per
+    inequation).  Each polynomial is analyzed once per run.  Each distinct
+    basic set is prepared once per run, divides each equation at most once
+    per run (nodes share most of their equations, so a node reduces only
+    those with no remainder yet for its basic set), and builds its
+    component at most once.  A node divides its equations in ascending
+    rank, text breaking ties, so the work done before a division hits a cap
+    does not follow set order.  Emitted components are not re-checked here:
+    jbc_check re-verifies each one against the inputs, and
+    verify_component does so on demand.  The completeness flag reports
+    whether the whole tree was explored within MAX_SPLIT_STEPS nodes and
+    MAX_COMPONENTS components; a reduction that hits a step or term cap
+    clears it (a node that meets the same division again hits the cap
+    again, since nothing is kept for a division that stopped), and so does
+    a remainder with a coefficient past MAX_COEFF_BITS, which is dropped
+    with its node.
+    """
+    ctx = next(iter(start)).context
     analyzed: dict = {}
 
     def rank(p: DiffPoly):
@@ -296,7 +413,10 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
             entry = reduced[basis] = (PreparedSeq(chosen, ranking), {})
         prep, known = entry
         in_basis = set(basis)
-        others = [p for p in node if p not in in_basis]
+        others = sorted(
+            (p for p in node if p not in in_basis),
+            key=lambda p: (rank(p).rank_key(), p.to_text()),
+        )
         try:
             for p in others:
                 if p not in known:
@@ -348,16 +468,7 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
 
     if queue:
         complete = False
-
-    ordered = sorted(
-        found.values(),
-        key=lambda c: (
-            len(c.sequence),
-            tuple(p.to_text() for p in c.sequence),
-            tuple(q.to_text() for q in c.inequations),
-        ),
-    )
-    return DecompositionResult(components=tuple(ordered), complete=complete)
+    return DecompositionResult(components=_canonical_order(found.values()), complete=complete), steps
 
 
 class JbcVerdict(Enum):

@@ -1,8 +1,11 @@
 """Characteristic-set components, the splitting decomposition, and the
 dimension-vs-Jacobi check."""
 
+import os
+import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
@@ -12,6 +15,7 @@ import diffalg.decompose
 import diffalg.ranking
 from diffalg import (
     CharSetComponent,
+    ConcretePoint,
     Context,
     DiffPoly,
     JbcVerdict,
@@ -19,6 +23,7 @@ from diffalg import (
     PointNotOnZeroSetError,
     QQ,
     Ranking,
+    RatFunc,
     component_dimension,
     jbc_check,
     linearize_at,
@@ -35,6 +40,11 @@ from strategies import diffpolys
 
 XY = Context(("x", "y"), QQ)
 ELIM_XY = Ranking.elimination(2, [0, 1])  # x > y
+ZW = Context(("z", "w"), QQ)
+XYZW = Context(("x", "y", "z", "w"), QQ)
+ELIM_XYZW = Ranking.elimination(4, [0, 1, 2, 3])  # x > y > z > w
+# two flagship pairs side by side, in disjoint variables
+DOUBLE_FLAGSHIP = ("x'' + y", "x'^2 + y", "z'' + w", "z'^2 + w")
 
 
 def P(src, ctx=XY):
@@ -59,6 +69,42 @@ def recorded_decompose(mp, us, ranking):
     dec = split_decompose(us, ranking)
     mp.setattr(diffalg.decompose, "ritt_reduce_seq", real)
     return dec, divisions
+
+
+def single_tree(us, ranking):
+    """The splitting tree run on the whole system at once, blocks or not."""
+    return diffalg.decompose._split_tree(frozenset(u.monic() for u in us), ranking)[0]
+
+
+def summary(dec):
+    """Everything a decomposition reports, in its order."""
+    return [c.to_text() for c in dec.components], dec.complete
+
+
+def square_pairs(ctx):
+    """Two small nonconstant equations in ctx, at the existing properties'
+    size."""
+    return st.lists(
+        diffpolys(ctx, max_order=1, max_degree=2, max_terms=2).filter(lambda p: not p.is_constant()),
+        min_size=2,
+        max_size=2,
+    )
+
+
+# a pair in x, y beside a pair in z, w, both in the context x, y, z, w
+two_block_systems = st.tuples(square_pairs(XY), square_pairs(ZW)).map(
+    lambda pairs: [parse_poly(p.to_text(), XYZW) for p in pairs[0] + pairs[1]]
+)
+
+
+@st.composite
+def systems_with_a_zero(draw, systems, ctx):
+    """A system from systems, each equation shifted by a constant so that
+    it vanishes at a drawn small-integer constant point; the point."""
+    values = draw(st.lists(st.integers(-2, 2), min_size=ctx.n, max_size=ctx.n))
+    pt = ConcretePoint(ctx, {j: RatFunc.from_int(v) for j, v in enumerate(values)})
+    us = [u - DiffPoly.const(ctx, u.eval_at(pt)) for u in draw(systems)]
+    return [u for u in us if u], pt
 
 
 class TestCharSetComponent:
@@ -229,15 +275,156 @@ class TestSplitDecompose:
             assert verify_component(c, us)
 
     def test_a_basic_set_met_again_builds_its_component_once(self, monkeypatch):
-        # two flagship pairs side by side: each of the four components is
-        # reached on more than one branch of the tree
-        ctx = Context(("x", "y", "z", "w"), QQ)
-        us = [P(src, ctx) for src in ("x'' + y", "x'^2 + y", "z'' + w", "z'^2 + w")]
-        dec, divisions = recorded_decompose(monkeypatch, us, Ranking.elimination(4, [0, 1, 2, 3]))
-        assert dec.complete and len(dec.components) == 4
-        assert len(set(divisions)) == len(divisions) == 134
+        # the basic set y; x'' is met in three nodes of this connected
+        # system's tree; each component is built (its inequations checked)
+        # once, and no division repeats: 23 node divisions and the 2
+        # inequation checks of the component with nonconstant conditions
+        us = [P("x''' + y"), P("x''^2 + y")]
+        met = Counter()
+        real_basic_set = diffalg.decompose._basic_set
+
+        def basic_set(node, rank):
+            chosen = real_basic_set(node, rank)
+            met["; ".join(rp.poly.to_text() for rp in chosen)] += 1
+            return chosen
+
+        built = Counter()
+
+        class Counted(CharSetComponent):
+            def __post_init__(self):
+                super().__post_init__()
+                built[seq_texts(self)] += 1
+
+        monkeypatch.setattr(diffalg.decompose, "_basic_set", basic_set)
+        monkeypatch.setattr(diffalg.decompose, "CharSetComponent", Counted)
+        dec, divisions = recorded_decompose(monkeypatch, us, ELIM_XY)
+        assert dec.complete
+        assert [seq_texts(c) for c in dec.components] == [
+            ("y", "x''"),
+            ("y^3 + 1/4*y'^2", "x''*y - 1/2*y'"),
+        ]
+        assert met["y; x''"] == 3
+        assert built == {seq_texts(c): 1 for c in dec.components}
+        assert len(set(divisions)) == len(divisions) == 25
+
+    def test_independent_blocks_are_decomposed_apart(self, monkeypatch):
+        # two flagship pairs in disjoint variables: each block runs its own
+        # tree (23 node divisions each, as for one flagship pair), each
+        # block's component with nonconstant conditions checks its 2
+        # inequations, and the four product components check theirs again
+        # (0 + 2 + 2 + 4): 2 * 23 + 2 * 2 + 8 = 58 divisions, none repeated
+        # (134 when one tree ran over the pairs of the blocks' nodes)
+        us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
+        dec, divisions = recorded_decompose(monkeypatch, us, ELIM_XYZW)
+        assert dec.complete
+        assert [seq_texts(c) for c in dec.components] == [
+            ("w", "z'", "y", "x'"),
+            ("w", "z'", "y^3 + 1/4*y'^2", "x'*y - 1/2*y'"),
+            ("w^3 + 1/4*w'^2", "z'*w - 1/2*w'", "y", "x'"),
+            ("w^3 + 1/4*w'^2", "z'*w - 1/2*w'", "y^3 + 1/4*y'^2", "x'*y - 1/2*y'"),
+        ]
+        assert summary(dec) == summary(single_tree(us, ELIM_XYZW))
+        assert len(set(divisions)) == len(divisions) == 58
         for c in dec.components:
             assert verify_component(c, us)
+
+    def test_too_many_product_components_fall_back_to_one_tree(self, monkeypatch):
+        # the double flagship has 2 * 2 components; with room for 3 the
+        # tree over the whole system decides what is reported
+        monkeypatch.setattr(diffalg.decompose, "MAX_COMPONENTS", 3)
+        us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
+        dec = split_decompose(us, ELIM_XYZW)
+        assert not dec.complete and len(dec.components) == 3
+        assert summary(dec) == summary(single_tree(us, ELIM_XYZW))
+
+    def test_too_many_product_nodes_fall_back_to_one_tree(self, monkeypatch):
+        # each flagship block's tree takes at most 14 nodes, so both block
+        # runs are complete, but their product passes 20
+        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 20)
+        us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
+        blocks = diffalg.decompose._blocks(frozenset(u.monic() for u in us))
+        assert all(diffalg.decompose._split_tree(b, ELIM_XYZW)[0].complete for b in blocks)
+        dec = split_decompose(us, ELIM_XYZW)
+        assert not dec.complete
+        assert summary(dec) == summary(single_tree(us, ELIM_XYZW))
+
+    def test_an_incomplete_block_falls_back_to_one_tree(self, monkeypatch):
+        # each flagship block's run drops a remainder with the coefficient
+        # 1/4 at a 2-bit cap, so it is incomplete, and so is the tree over
+        # the whole system; a product would report the blocks' (no)
+        # components as complete
+        monkeypatch.setattr(diffalg.decompose, "MAX_COEFF_BITS", 2)
+        us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
+        blocks = diffalg.decompose._blocks(frozenset(u.monic() for u in us))
+        assert not any(diffalg.decompose._split_tree(b, ELIM_XYZW)[0].complete for b in blocks)
+        dec = split_decompose(us, ELIM_XYZW)
+        assert not dec.complete
+        assert summary(dec) == summary(single_tree(us, ELIM_XYZW))
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_block_systems)
+    def test_blocks_decompose_as_one_tree(self, us):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
+            mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 40)
+            assert summary(split_decompose(us, ELIM_XYZW)) == summary(single_tree(us, ELIM_XYZW))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            systems_with_a_zero(square_pairs(XY), XY).map(lambda s: s + (ELIM_XY,)),
+            systems_with_a_zero(two_block_systems, XYZW).map(lambda s: s + (ELIM_XYZW,)),
+        )
+    )
+    def test_a_complete_decomposition_covers_a_constant_zero(self, drawn):
+        # a complete decomposition covers the zero set: the drawn constant
+        # zero lies in some component, where every element of the
+        # characteristic set vanishes and no inequation does
+        us, pt, ranking = drawn
+        if not us:
+            return
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
+            mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 40)
+            dec = split_decompose(us, ranking)
+        if dec.complete:
+            assert any(
+                all(not p.eval_at(pt) for p in c.sequence)
+                and all(q.eval_at(pt) for q in c.inequations)
+                for c in dec.components
+            )
+
+    def test_division_order_does_not_follow_string_hashing(self):
+        # a node divides its equations in a structural order, so the
+        # flagship's divisions come in the same sequence whatever
+        # PYTHONHASHSEED is
+        src = str(Path(diffalg.__file__).resolve().parents[1])
+        code = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import diffalg.decompose as d
+from diffalg import Context, QQ, Ranking
+from diffalg.sysfile import parse_poly
+real = d.ritt_reduce_seq
+def recorded(p, prep):
+    print(p.to_text(), "/", "; ".join(q.to_text() for q in prep.sequence))
+    return real(p, prep)
+d.ritt_reduce_seq = recorded
+xy = Context(("x", "y"), QQ)
+d.split_decompose([parse_poly(s, xy) for s in ("x'' + y", "x'^2 + y")], Ranking.elimination(2, [0, 1]))
+"""
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", code, src],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert runs[0] == runs[1]
+        assert len(runs[0].splitlines()) == 25
 
     def test_output_is_deterministic(self):
         us = [P("x'' + y"), P("x'^2 + y")]
