@@ -29,7 +29,15 @@ properties that everything else leans on:
     splitting tree run over the whole system: the same components, in the
     same order, with the same inequations and completeness (draws that take
     the product of the blocks' components, draws that fall back to the one
-    tree, and draws over a LIMIT_S limit are counted).
+    tree, and draws over a LIMIT_S limit are counted);
+  * random pairs of generators in x, y, each homogeneous in (weighted
+    degree, derivative weight) under variable weights drawn from {1, 2, 3}^2,
+    get the same verdict from truncated_member, on a planted member, and the
+    same first power from radical_member, on a random query, as from the
+    staged search on the same input, whenever that search skips no stage,
+    and every witness re-verifies (draws the oracle weighs with all ones,
+    with other weights, and draws where the staged search skipped a stage
+    are counted).
 
     python3 scripts/random_audit.py --cases 500 --seed 7
 
@@ -39,6 +47,7 @@ Exits nonzero (with the offending input printed) on the first discrepancy.
 from __future__ import annotations
 
 import argparse
+import itertools
 import random
 import signal
 import sys
@@ -48,6 +57,7 @@ from pathlib import Path
 from unittest.mock import patch
 
 import diffalg.decompose
+import diffalg.oracle
 import diffalg.reduction
 from diffalg import (
     ConcretePoint,
@@ -72,6 +82,7 @@ from diffalg import (
     jacobi_brute,
     linearize_at,
     linearized_order_matrix,
+    radical_member,
     ritt_reduce_seq,
     split_decompose,
     truncated_member,
@@ -383,6 +394,114 @@ def audit_product(rng: random.Random, cases: int) -> tuple[int, int, int]:
     return products, fallbacks, over
 
 
+# monomials of degree <= 3 in x, x', y, y'
+GRADED_POOL = tuple(
+    Monomial.make(zip((DerVar(0, 0), DerVar(0, 1), DerVar(1, 0), DerVar(1, 1)), exps))
+    for exps in itertools.product(range(4), repeat=4)
+    if sum(exps) <= 3
+)
+
+
+def _graded_pair(rng: random.Random) -> list:
+    """Two nonzero generators in x, y, each a sum of monomials of one
+    bigrade under weights drawn from {1, 2, 3}^2; half of the time the
+    first has monomials of two total degrees, where the weights allow it."""
+    wx, wy = rng.choice((1, 2, 3)), rng.choice((1, 2, 3))
+    blocks: dict = {}
+    for m in GRADED_POOL:
+        wdeg = sum((wx, wy)[v.var] * e for v, e in m.factors)
+        blocks.setdefault((wdeg, m.weight()), []).append(m)
+    mixed = [b for b in blocks.values() if len({m.degree() for m in b}) > 1]
+    xy = Context(NAMES[:2], QQ)
+    gens = []
+    while len(gens) < 2:
+        pool = mixed if not gens and mixed and rng.random() < 0.5 else list(blocks.values())
+        block = rng.choice(pool)
+        monos = rng.sample(block, rng.randint(1, min(3, len(block))))
+        if pool is mixed:
+            monos.append(rng.choice([m for m in block if m.degree() != monos[0].degree()]))
+        g = DiffPoly.from_terms(
+            xy, [(m, QQ.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))) for m in monos]
+        )
+        if not g.is_zero():
+            gens.append(g)
+    return gens
+
+
+def _staged_radical(f: DiffPoly, gens, bounds: TruncationBounds) -> tuple:
+    """(first power e with f^e in the staged search's span or None, stages
+    skipped over all powers tried), the powers sharing one search as in
+    radical_member."""
+    search = diffalg.oracle._StagedSearch(gens, f.dervars(), bounds)
+    skipped = 0
+    for e in range(1, bounds.power_bound + 1):
+        fe = f**e
+        if fe.total_degree() > bounds.degree_bound:
+            break
+        combo, s = search.find(fe)
+        skipped += s
+        if combo is not None:
+            return e, skipped
+    return None, skipped
+
+
+def audit_graded(rng: random.Random, cases: int) -> tuple[int, int, int]:
+    """Plants f = sum of c * m * d^k(g_i) over a weighted-homogeneous pair,
+    as audit_oracle does, and draws a query r of degree <= 1 for
+    radical_member up to the power 3; compares both answers with the staged
+    search on the same input.  Returns (draws weighed with other weights
+    than all ones, draws weighed with all ones, draws where the staged
+    search skipped a stage, so that no verdict was compared)."""
+    weighted = unit = skipped = 0
+    xy = Context(NAMES[:2], QQ)
+    for _ in range(cases):
+        gens = _graded_pair(rng)
+        f = DiffPoly.zero(xy)
+        degree = top_k = 0
+        while f.is_zero():
+            for _ in range(rng.randint(1, 3)):
+                gi, k = rng.randrange(2), rng.randint(0, 2)
+                h = gens[gi].derive(k)
+                m = Monomial.make([(DerVar(rng.randrange(2), rng.randint(0, 1)), rng.randint(0, 1))])
+                c = QQ.from_fraction(Fraction(rng.randint(-6, 6), rng.randint(1, 3)))
+                f = f + h * DiffPoly.from_terms(xy, [(m, c)])
+                degree, top_k = max(degree, h.total_degree() + m.degree()), max(top_k, k)
+        r = rand_poly(rng, xy, max_order=1, max_degree=1, max_terms=2)
+        if r.is_zero():
+            r = DiffPoly.var(xy, 1, 1)
+        bounds = TruncationBounds(max(f.max_order(), r.max_order()), top_k, degree, 3)
+        weights = diffalg.oracle._weights(gens)
+        w = truncated_member(f, gens, bounds)
+        combo, f_skipped = diffalg.oracle._StagedSearch(gens, f.dervars(), bounds).find(f)
+        rw = radical_member(r, gens, bounds)
+        power, r_skipped = _staged_radical(r, gens, bounds)
+        failed = []
+        if weights is None:
+            failed.append("no weights found")
+        if (w.is_member() and not verify_witness(f, gens, w)) or (
+            rw.is_member() and not verify_witness(r, gens, rw)
+        ):
+            failed.append("witness failed to verify")
+        if not f_skipped and w.is_member() != (combo is not None):
+            failed.append(f"truncated_member {w.verdict.value}, staged search {combo is not None}")
+        if not r_skipped and (rw.power if rw.is_member() else None) != power:
+            failed.append(f"radical_member power {rw.power if rw.is_member() else None}, staged {power}")
+        if failed:
+            print(f"graded check failed ({'; '.join(failed)}) at {bounds.describe()}:", file=sys.stderr)
+            print(f"  f:    {f.to_text()}", file=sys.stderr)
+            print(f"  r:    {r.to_text()}", file=sys.stderr)
+            for g in gens:
+                print(f"  gen:  {g.to_text()}", file=sys.stderr)
+            sys.exit(1)
+        if all(x == 1 for x in weights):
+            unit += 1
+        else:
+            weighted += 1
+        if f_skipped or r_skipped:
+            skipped += 1
+    return weighted, unit, skipped
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=500, help="cases per audit (default 500)")
@@ -428,6 +547,14 @@ def main() -> None:
         f"product: {products + fallbacks} two-block systems decomposed as by one tree "
         f"({products} by the product of the blocks, {fallbacks} fell back to one tree; "
         f"{over} over the {LIMIT_S:g} s limit)  [{time.monotonic() - t5:.2f}s]"
+    )
+    t6 = time.monotonic()
+    weighted, unit, skipped = audit_graded(rng, args.cases)
+    print(
+        f"graded: {weighted + unit} weighted-homogeneous pairs answered as by the staged search "
+        f"({weighted} under weights other than all ones, {unit} under all ones; "
+        f"{skipped} with a stage skipped by the candidate cap, not compared)  "
+        f"[{time.monotonic() - t6:.2f}s]"
     )
     print("all audits passed")
 

@@ -450,20 +450,20 @@ class DiffPoly:
     # -- evaluation ---------------------------------------------------------------
 
     def eval_at(self, point: "ConcretePoint") -> RatFunc:
-        """The value at a concrete point."""
+        """The value at a concrete point; a term with a jet that vanishes
+        there adds nothing."""
         if point.context != self.context:
             raise ValueError("point context mismatch")
-        fld = self.context.field
-        total = fld.zero
+        total = self.context.field.zero
         for m, c in self._terms.items():
             val = c
             for v, e in m.factors:
                 pv = point.value(v)
                 if not pv:
-                    val = fld.zero
                     break
                 val = val * pv**e
-            total = total + val
+            else:
+                total = total + val
         return total
 
     # -- normalization ------------------------------------------------------------

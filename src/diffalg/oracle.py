@@ -23,11 +23,16 @@ multiplying by a monomial is one-to-one on monomials, so its coefficients
 are those of d^k(g_i), and no polynomial product is made.  Witnesses are
 re-verified by plain polynomial arithmetic, independent of that shortcut.
 
-When the coefficient field has zero derivation and every generator is
-homogeneous in (total degree, total derivative weight), differentiation
-shifts the weight by exactly one and preserves the degree, so the membership
-question splits into small independent blocks, one echelon each -- this
-makes the high-power examples instant.  Otherwise the search walks the
+Over Q, where the derivation of a coefficient is zero, the search looks for
+positive integer variable weights under which every generator is homogeneous
+in (weighted degree, total derivative weight): all ones when each generator
+has a single total degree, else the one line of solutions of the generators'
+own constraints, such as x = 2, y = 3 for the cusp y^2 - x^3.
+Differentiation shifts the derivative weight by exactly one and keeps the
+weighted degree, so the membership question splits into small independent
+blocks, one echelon each, and only the blocks f occupies are built -- this
+makes the high-power examples instant.  Otherwise, and when a block with
+weights other than all ones is over the matrix cap, the search walks the
 (degree, prolongation) stages, degree-major, into a single growing echelon:
 a candidate m * d^k(g_i) is built and eliminated the first time a stage
 admits it, and f is reduced again only when the echelon has grown.  A stage
@@ -43,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import comb
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .diffpoly import Context, DiffPoly, Monomial, _accumulate
@@ -148,10 +153,77 @@ class _CapHit(Exception):
     pass
 
 
-def _bigrade(p: DiffPoly) -> Optional[tuple]:
-    """(degree, weight) when every monomial agrees, else None."""
-    grades = {(m.degree(), m.weight()) for m in p.monomials()}
-    return grades.pop() if len(grades) == 1 else None
+def _bigrade(m: Monomial, weights: tuple) -> tuple:
+    """(weighted degree, derivative weight) of a monomial: its exponents
+    summed with the weight of each jet's variable, and with each jet's
+    order."""
+    return sum(weights[v.var] * e for v, e in m.factors), m.weight()
+
+
+def _weights(gens) -> Optional[tuple]:
+    """Positive integer variable weights under which every generator is
+    homogeneous in (weighted degree, derivative weight), or None.
+
+    Only over Q, and only when each generator has a single derivative
+    weight.  When each generator also has a single total degree the weights
+    are all ones.  Otherwise two monomials of one generator, with exponent
+    sums a and b per variable, ask sum_v w_v * (a_v - b_v) = 0; the weights
+    are the primitive integer vector of the solutions when those form a line
+    through a strictly positive vector, and None in every other case."""
+    ctx = gens[0].context
+    if ctx.field is not QQ or any(
+        g.context != ctx or len({m.weight() for m in g.monomials()}) != 1 for g in gens
+    ):
+        return None
+    if all(len({m.degree() for m in g.monomials()}) == 1 for g in gens):
+        return (1,) * ctx.n
+    rows = []
+    for g in gens:
+        sums = []
+        for m in g.monomials():
+            row = [0] * ctx.n
+            for v, e in m.factors:
+                row[v.var] += e
+            sums.append(row)
+        rows.extend([a - b for a, b in zip(s, sums[0])] for s in sums[1:])
+    return _positive_kernel(rows, ctx.n)
+
+
+def _positive_kernel(rows: list, n: int) -> Optional[tuple]:
+    """The primitive integer vector w > 0 spanning {w : row . w = 0 for
+    every row}, when that solution space is a line through one; else None.
+    Fraction-free Gauss-Jordan elimination: each row operation is an integer
+    combination of two rows, and a row is divided by its content."""
+    pivots = []  # (column, row): each row is zero in every other pivot column
+    for row in rows:
+        for col, prow in pivots:
+            if row[col]:
+                row = [prow[col] * x - row[col] * y for x, y in zip(row, prow)]
+        col = next((j for j, x in enumerate(row) if x), None)
+        if col is None:
+            continue
+        content = gcd(*row)
+        row = [x // content for x in row]
+        for i, (pc, prow) in enumerate(pivots):
+            if prow[col]:
+                prow = [row[col] * x - prow[col] * y for x, y in zip(prow, row)]
+                content = gcd(*prow)
+                pivots[i] = (pc, [x // content for x in prow])
+        pivots.append((col, row))
+    free = [j for j in range(n) if j not in {c for c, _ in pivots}]
+    if len(free) != 1:
+        return None
+    (j,) = free
+    scale = lcm(*(row[col] for col, row in pivots))
+    w = [0] * n
+    w[j] = scale
+    for col, row in pivots:
+        w[col] = -row[j] * scale // row[col]
+    content = gcd(*w)
+    w = [x // content for x in w]
+    if all(x < 0 for x in w):
+        w = [-x for x in w]
+    return tuple(w) if all(x > 0 for x in w) else None
 
 
 def _kept_prolongations(gens, max_k: int, max_deg: int) -> list:
@@ -189,18 +261,20 @@ def _monomials_upto(jets, max_deg: int) -> list:
     return out
 
 
-def _monomials_exact(jets, deg: int, weight: int, cap: int) -> list:
-    """Monomials with the exact (degree, weight) bigrade over the jets."""
+def _monomials_exact(jets, weights: tuple, wdeg: int, weight: int, max_deg: int, cap: int) -> list:
+    """Monomials over the jets with the exact bigrade (wdeg, weight) under
+    the variable weights and total degree <= max_deg."""
     out = []
     jets = sorted(jets, key=lambda v: (-v.order, v.var))
     suffix_max = [0] * (len(jets) + 1)
     for i in range(len(jets) - 1, -1, -1):
         suffix_max[i] = max(suffix_max[i + 1], jets[i].order)
 
-    def rec(i, acc, dleft, wleft):
-        if wleft < 0 or wleft > dleft * suffix_max[i]:
+    def rec(i, acc, wdleft, wleft, dleft):
+        # every weight is >= 1, so at most min(dleft, wdleft) more factors
+        if wleft < 0 or wleft > min(dleft, wdleft) * suffix_max[i]:
             return
-        if dleft == 0:
+        if wdleft == 0:
             if wleft == 0:
                 out.append(Monomial.make(acc))
                 if len(out) > cap:
@@ -209,10 +283,11 @@ def _monomials_exact(jets, deg: int, weight: int, cap: int) -> list:
         if i == len(jets):
             return
         v = jets[i]
-        for e in range(dleft + 1):
-            rec(i + 1, acc + ((v, e),) if e else acc, dleft - e, wleft - e * v.order)
+        wv = weights[v.var]
+        for e in range(min(dleft, wdleft // wv) + 1):
+            rec(i + 1, acc + ((v, e),) if e else acc, wdleft - e * wv, wleft - e * v.order, dleft - e)
 
-    rec(0, (), deg, weight)
+    rec(0, (), wdeg, weight, max_deg)
     return out
 
 
@@ -292,24 +367,38 @@ def _assemble(f: DiffPoly, gens, combo: dict, bounds, power: int) -> MembershipW
     return w
 
 
-def _member_homogeneous(f, gens, bounds, grades) -> Optional[MembershipWitness]:
-    """Blockwise solve when all generators are bigrade-homogeneous over a
-    field with zero derivation.  Returns None on a cap hit (caller reports);
-    an empty or unsolvable block is a definite miss at these bounds."""
+def _member_homogeneous(f, gens, bounds, weights) -> Optional[MembershipWitness]:
+    """Blockwise solve when every generator is homogeneous in (weighted
+    degree, derivative weight) under the variable weights, over Q.  Raises
+    _CapHit when a block has more than MAX_CANDIDATES candidates; None when
+    a block of f is outside its span, a definite miss at these bounds.
+
+    The block (W, O) holds the candidates m * d^k(g_i) of the truncation
+    whose product has that bigrade: m over the jet universe, with bigrade
+    (W - W_i, O - O_i - k) and total degree <= degree_bound - deg d^k(g_i)
+    (with unit weights the last is implied).  Over Q the derivation keeps
+    every term's weighted degree and raises its derivative weight by one,
+    so each candidate is bihomogeneous and the span of the truncation is
+    the direct sum of its blocks' spans: f lies in it exactly when each of
+    f's bigrade parts lies in its own block's span.  The block search
+    therefore decides as the staged search does whenever that search skips
+    no stage, and only the blocks f occupies are built."""
     kept = _kept_prolongations(gens, bounds.prolongation_order, bounds.degree_bound)
     universe = _jet_universe(f.dervars(), kept)
+    grades = [_bigrade(next(iter(g.monomials())), weights) for g in gens]
     blocks: dict[tuple, list] = {}
     for m, c in f.items():
-        blocks.setdefault((m.degree(), m.weight()), []).append((m, c))
+        blocks.setdefault(_bigrade(m, weights), []).append((m, c))
     combo_all: dict = {}
-    for (deg, weight), terms in sorted(blocks.items()):
+    for (wdeg, weight), terms in sorted(blocks.items()):
         echelon = _Echelon()
         count = 0
         for gi, k, h in kept:
             hd, hw = grades[gi][0], grades[gi][1] + k
-            if hd > deg or hw > weight:
+            if hd > wdeg or hw > weight:
                 continue
-            for m in _monomials_exact(universe, deg - hd, weight - hw, MAX_CANDIDATES):
+            dcap = bounds.degree_bound - h.total_degree()
+            for m in _monomials_exact(universe, weights, wdeg - hd, weight - hw, dcap, MAX_CANDIDATES):
                 count += 1
                 if count > MAX_CANDIDATES:
                     raise _CapHit
@@ -324,11 +413,14 @@ def _member_homogeneous(f, gens, bounds, grades) -> Optional[MembershipWitness]:
 
 class _StagedSearch:
     """The (degree, prolongation) stages over fixed generators, eliminated
-    into one growing echelon.  Every query must have the jets it was made
-    with: radical_member asks for the powers of one polynomial."""
+    into one growing echelon, and the generators' variable weights for the
+    graded path (None when there are none), found once.  Every query must
+    have the jets it was made with: radical_member asks for the powers of
+    one polynomial."""
 
     def __init__(self, gens, jets, bounds: TruncationBounds):
         self.gens = gens
+        self.weights = _weights(gens) if gens else None
         self.jets = jets
         self.bounds = bounds
         self.echelon = _Echelon()
@@ -390,8 +482,9 @@ def truncated_member(
 
     Member answers come with an explicit, re-verified combination; anything
     else is Inconclusive (in particular a cap skip or a degree overflow,
-    both named in the diagnostic).  ``_search`` is the staged search that
-    radical_member shares between the powers of one polynomial.
+    both named in the diagnostic).  ``_search`` is the staged search, with
+    the generators' weights, that radical_member shares between the powers
+    of one polynomial.
     """
     gens = [g for g in gens]
     if not gens:
@@ -419,30 +512,30 @@ def truncated_member(
             diagnostic=f"degree of query ({f.total_degree()}) exceeds the degree bound",
         )
 
-    grades = [_bigrade(g) for g in gens]
-    homogeneous = ctx.field is QQ and all(
-        gr is not None for gr in grades
-    )
-    if homogeneous:
+    search = _search if _search is not None else _StagedSearch(gens, f.dervars(), bounds)
+    weights = search.weights
+    if weights is not None:
         try:
-            w = _member_homogeneous(f, gens, bounds, grades)
+            w = _member_homogeneous(f, gens, bounds, weights)
         except _CapHit:
+            # under weights other than all ones the staged search may still decide
+            if all(x == 1 for x in weights):
+                return MembershipWitness(
+                    verdict=OracleVerdict.INCONCLUSIVE,
+                    bounds=bounds,
+                    context=ctx,
+                    diagnostic=f"candidate cap {MAX_CANDIDATES} exceeded in a graded block",
+                )
+        else:
+            if w is not None:
+                return w
             return MembershipWitness(
                 verdict=OracleVerdict.INCONCLUSIVE,
                 bounds=bounds,
                 context=ctx,
-                diagnostic=f"candidate cap {MAX_CANDIDATES} exceeded in a graded block",
+                diagnostic="no combination exists at these bounds (graded search exhausted)",
             )
-        if w is not None:
-            return w
-        return MembershipWitness(
-            verdict=OracleVerdict.INCONCLUSIVE,
-            bounds=bounds,
-            context=ctx,
-            diagnostic="no combination exists at these bounds (graded search exhausted)",
-        )
 
-    search = _search if _search is not None else _StagedSearch(gens, f.dervars(), bounds)
     combo, skipped = search.find(f)
     if combo is not None:
         return _assemble(f, gens, combo, bounds, 1)
@@ -461,7 +554,8 @@ def radical_member(
     f: DiffPoly, gens: Sequence[DiffPoly], bounds: TruncationBounds = TruncationBounds()
 ) -> MembershipWitness:
     """First power e <= power_bound with f^e in the truncated span.  The
-    powers share one staged search, so no stage is swept twice."""
+    powers share one staged search, so no stage is swept twice, and the
+    generators' weights are found once."""
     gens = list(gens)
     search = _StagedSearch(gens, f.dervars(), bounds)
     last = None

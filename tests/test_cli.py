@@ -439,11 +439,13 @@ class TestMembership:
         assert main(["member", cusp, "y +"]) == 2
 
     def test_radical_names_the_degree_bound_stop(self, cusp, capsys):
+        # the cusp is homogeneous under the weights x = 2, y = 3: the graded search answers
         assert main(["radical-member", cusp, "--bounds", "1,1,4,6", "--", "x*y + 1"]) == 1
         out = capsys.readouterr().out
         assert out.startswith(
             "Inconclusive (no power up to 2 found: the degree bound 4 stops the search "
-            "at f^3 (degree 6) (last: search exhausted); bounds:"
+            "at f^3 (degree 6) (last: no combination exists at these bounds "
+            "(graded search exhausted)); bounds:"
         )
 
 

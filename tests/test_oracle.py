@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 
 from diffalg import (
     Context,
+    DerVar,
     DiffPoly,
     MembershipWitness,
     Monomial,
@@ -176,14 +177,16 @@ class TestRadical:
         )
 
     def test_cusp_builds_each_candidate_once(self, monkeypatch):
-        """Work gate: each candidate enters the echelon once, 3,427 of them
-        here.  The per-stage rebuild of ref_radical below builds ~65k, and
-        re-adding a stage's candidates at each stage, or at each power,
-        adds over 8,000.  A candidate is a monomial shift, so the only
-        polynomial products are the powers of f and the witness replay."""
+        """Work gate: the cusp is homogeneous under the weights x = 2,
+        y = 3, so each power is solved in the one block it occupies: 14
+        candidates in all (0, 3 and 11 for e = 1, 2, 3), and the staged
+        search is never asked.  The staged search adds 3,427 candidates
+        here, and the per-stage rebuild of ref_radical below ~65k.  A
+        candidate is a monomial shift, so the only polynomial products are
+        the powers of f and the witness replay."""
         gens = [parse_poly("y^2 - x^3", XY), parse_poly("x'", XY)]
         f = parse_poly("y'", XY)
-        calls = {"add": 0, "mul": 0}
+        calls = {"add": 0, "mul": 0, "find": 0}
 
         def counting(name, method):
             def wrapped(*args):
@@ -193,13 +196,84 @@ class TestRadical:
             return wrapped
 
         monkeypatch.setattr(oracle._Echelon, "add", counting("add", oracle._Echelon.add))
+        monkeypatch.setattr(oracle._StagedSearch, "find", counting("find", oracle._StagedSearch.find))
         monkeypatch.setattr(DiffPoly, "__mul__", counting("mul", DiffPoly.__mul__))
         w = radical_member(f, gens, TruncationBounds())
         monkeypatch.undo()
         assert w.is_member() and w.power == 3
         assert verify_witness(f, gens, w)
-        assert calls["add"] <= 4000
+        assert calls["add"] == 14
+        assert calls["find"] == 0
         assert calls["mul"] <= 50
+
+
+class TestWeights:
+    """The variable weights of the graded path."""
+
+    CUSP = [parse_poly("y^2 - x^3", XY), parse_poly("x'", XY)]
+
+    def test_cusp(self):
+        assert oracle._weights(self.CUSP) == (2, 3)
+
+    def test_unit_when_each_generator_has_one_total_degree(self):
+        # the membership workload's graded pair: degree 2 with weight 0, degree 2 with weight 1
+        gens = [parse_poly("x^2 - 4*y^2 + 1/3*x*y - 2/3*y^2", XY), parse_poly("x*x' - 2*y*y' + x'*y", XY)]
+        assert oracle._weights(gens) == (1, 1)
+
+    def test_primitive_multiple(self):
+        # exponent sums per variable: 6*w_x = 2*w_y = 3*w_x + w_y; 5*w_x = 7*w_y;
+        # 4*w_x = w_x + 2*w_y; 6*w_x + w_y = 4*w_y + w_y
+        assert oracle._weights([parse_poly("x^6 - y^2 + x^3*y", XY)]) == (1, 3)
+        assert oracle._weights([parse_poly("x^4*x' - 2*y^6*y'", XY)]) == (7, 5)
+        assert oracle._weights([parse_poly("x^3*x' - 2*y^2*x'", XY)]) == (2, 3)
+        assert oracle._weights([parse_poly("x^6*y' + y^4*y'", XY)]) == (2, 3)
+
+    def test_constant_term_gives_none(self):
+        assert oracle._weights([parse_poly("y^2 - x^3 + 1", XY), parse_poly("x'", XY)]) is None
+
+    def test_qt_context_gives_none(self):
+        gens = [parse_poly("y^2 - x^3", XY_T), parse_poly("x'", XY_T)]
+        assert oracle._weights(gens) is None
+
+    def test_contradictory_constraints_give_none(self):
+        # y^2 - x^3 asks 2*w_y = 3*w_x and x^2 - y^3 asks 2*w_x = 3*w_y
+        assert oracle._weights([parse_poly("y^2 - x^3", XY), parse_poly("x^2 - y^3", XY)]) is None
+
+    def test_a_free_variable_gives_none(self):
+        xyz = Context(("x", "y", "z"), QQ)
+        assert oracle._weights([parse_poly("y^2 - x^3", xyz), parse_poly("z'", xyz)]) is None
+
+    def test_two_derivative_weights_give_none(self):
+        assert oracle._weights([parse_poly("y^2 - x^3*x'", XY)]) is None
+
+    def test_degree_bound_holds_under_weights(self):
+        # under x = 1, y = 3 the block of y^2 also holds x^3 * g_i, of degree 6;
+        # y^2 = (y/2) * (g1 + g2) needs the degree bound 4
+        gens = [parse_poly("y - x^3", XY), parse_poly("y + x^3", XY)]
+        f = parse_poly("y^2", XY)
+        assert oracle._weights(gens) == (1, 3)
+        w = truncated_member(f, gens, TruncationBounds(0, 0, 3, 1))
+        assert w.diagnostic == "no combination exists at these bounds (graded search exhausted)"
+        assert ref_staged(f, gens, TruncationBounds(0, 0, 3, 1), oracle.MAX_CANDIDATES) == (None, 0)
+        w = truncated_member(f, gens, TruncationBounds(0, 0, 4, 1))
+        assert w.to_text() == "Member (e = 1): f = (1/2)*y*g1 + (1/2)*y*g2"
+
+    def test_weighted_block_over_the_cap_takes_the_staged_search(self):
+        f = parse_poly("y'^3", XY)
+        bounds = TruncationBounds()
+        with patch.object(oracle, "MAX_CANDIDATES", 10):
+            with pytest.raises(oracle._CapHit):
+                oracle._member_homogeneous(f, self.CUSP, bounds, (2, 3))
+            w = truncated_member(f, self.CUSP, bounds)
+            staged = oracle._StagedSearch(self.CUSP, f.dervars(), bounds).find(f)
+        assert staged == (None, 42)
+        assert w.diagnostic == "search exhausted; 42 stage(s) skipped by the candidate cap 10"
+
+    def test_unit_block_over_the_cap_stays_inconclusive(self):
+        f, g = P("x'^3"), P("x^2")
+        with patch.object(oracle, "MAX_CANDIDATES", 1):
+            w = truncated_member(f, [g], TruncationBounds(2, 3, 6, 6))
+        assert w.diagnostic == "candidate cap 1 exceeded in a graded block"
 
 
 class TestQtCoefficients:
@@ -339,19 +413,9 @@ def ref_radical(f, gens, bounds, cap):
     return None, diag, total
 
 
-def _homogeneous(gens):
-    return all(len({(m.degree(), m.weight()) for m in g.monomials()}) == 1 for g in gens)
-
-
-@st.composite
-def staged_cases(draw, ctx=XY, coeffs=small_fractions()):
-    """Two or three non-homogeneous generators in x, y (over Q, unless ctx
-    and a coefficient strategy say otherwise) and a query: either a planted
-    combination sum c * m * d^k(g_i) or an arbitrary polynomial, with bounds
-    that contain the planted summands."""
-    polys = diffpolys(ctx, max_order=1, max_degree=2, max_terms=3, coeffs=coeffs)
-    gens = draw(st.lists(polys, min_size=2, max_size=3))
-    assume(all(not g.is_zero() for g in gens) and not _homogeneous(gens))
+def _query(draw, ctx, gens, coeffs):
+    """A query for the generators and bounds that contain it: either a
+    planted combination sum c * m * d^k(g_i) or an arbitrary polynomial."""
     max_k = draw(st.integers(min_value=0, max_value=2))
     if draw(st.booleans()):
         f = DiffPoly.zero(ctx)
@@ -365,12 +429,53 @@ def staged_cases(draw, ctx=XY, coeffs=small_fractions()):
             f = f + h * DiffPoly.from_terms(ctx, [(m, c)])
             degree = max(degree, h.total_degree() + m.degree())
     else:
-        f = draw(polys)
+        f = draw(diffpolys(ctx, max_order=1, max_degree=2, max_terms=3, coeffs=coeffs))
         degree = f.total_degree()
     assume(not f.is_zero())
     degree = max(degree, f.total_degree()) + draw(st.integers(min_value=0, max_value=1))
     bounds = TruncationBounds(f.max_order(), max_k, min(degree, 4), draw(st.integers(min_value=1, max_value=3)))
     assume(f.total_degree() <= bounds.degree_bound)
+    return f, bounds
+
+
+@st.composite
+def staged_cases(draw, ctx=XY, coeffs=small_fractions()):
+    """Two or three generators in x, y that the oracle finds no weights for
+    (over Q, unless ctx and a coefficient strategy say otherwise), and a
+    query."""
+    polys = diffpolys(ctx, max_order=1, max_degree=2, max_terms=3, coeffs=coeffs)
+    gens = draw(st.lists(polys, min_size=2, max_size=3))
+    assume(all(not g.is_zero() for g in gens) and oracle._weights(gens) is None)
+    f, bounds = _query(draw, ctx, gens, coeffs)
+    return f, gens, bounds
+
+
+# monomials of degree <= 3 in x, x', y, y'
+POOL = _ref_monomials_upto(sorted(DerVar(v, o) for v in range(2) for o in range(2)), 3, 99)
+
+
+@st.composite
+def graded_cases(draw):
+    """Two generators in x, y over Q, each homogeneous in (weighted degree,
+    derivative weight) under variable weights drawn from {1, 2, 3}^2, and a
+    query.  Half of the time the first generator has monomials of two total
+    degrees, where the weights allow it, so that weights other than all
+    ones come up often."""
+    weights = draw(st.tuples(st.sampled_from((1, 2, 3)), st.sampled_from((1, 2, 3))))
+    blocks: dict = {}
+    for m in POOL:
+        blocks.setdefault((sum(weights[v.var] * e for v, e in m.factors), m.weight()), []).append(m)
+    mixed = [b for b in blocks.values() if len({m.degree() for m in b}) > 1]
+    gens = []
+    for first in (True, False):
+        pool = mixed if first and mixed and draw(st.booleans()) else list(blocks.values())
+        block = draw(st.sampled_from(pool))
+        monos = draw(st.lists(st.sampled_from(block), min_size=1, max_size=3, unique=True))
+        if pool is mixed:
+            monos.append(draw(st.sampled_from([m for m in block if m.degree() != monos[0].degree()])))
+        gens.append(DiffPoly.from_terms(XY, [(m, draw(small_fractions())) for m in monos]))
+    assume(all(not g.is_zero() for g in gens))
+    f, bounds = _query(draw, XY, gens, small_fractions())
     return f, gens, bounds
 
 
@@ -433,5 +538,49 @@ class TestAgainstPerStageRebuild:
         else:
             assert power is None
             assert w.diagnostic == diag
+        if not skipped:
+            assert (w.power if w.is_member() else None) == power
+
+
+def _in_truncation(w, gens, bounds):
+    """Every summand c * m * d^k(g_i) of the witness is a candidate of the
+    truncation: k <= prolongation bound, degree <= degree bound."""
+    return all(
+        t.derive_order <= bounds.prolongation_order
+        and t.monomial.degree() + gens[t.gen_index].derive(t.derive_order).total_degree() <= bounds.degree_bound
+        for t in w.combination
+    )
+
+
+class TestGradedAgainstPerStageRebuild:
+    """Systems the oracle solves block by block, with unit or other weights,
+    decide as the per-stage rebuild does whenever the rebuild skips no
+    stage.  Under small caps a block with weights other than all ones goes
+    to the staged search, and one with unit weights is Inconclusive."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=graded_cases(), cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)))
+    def test_truncated_member(self, case, cap):
+        f, gens, bounds = case
+        assert oracle._weights(gens) is not None
+        with patch.object(oracle, "MAX_CANDIDATES", cap):
+            w = truncated_member(f, gens, bounds)
+        combo, skipped = ref_staged(f, gens, bounds, cap)
+        if w.is_member():
+            assert verify_witness(f, gens, w) and _in_truncation(w, gens, bounds)
+        elif "graded search exhausted" in w.diagnostic:
+            assert combo is None
+        if not skipped:
+            assert w.is_member() == (combo is not None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=graded_cases(), cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)))
+    def test_radical_member(self, case, cap):
+        f, gens, bounds = case
+        with patch.object(oracle, "MAX_CANDIDATES", cap):
+            w = radical_member(f, gens, bounds)
+        power, _, skipped = ref_radical(f, gens, bounds, cap)
+        if w.is_member():
+            assert verify_witness(f, gens, w) and _in_truncation(w, gens, bounds)
         if not skipped:
             assert (w.power if w.is_member() else None) == power
