@@ -21,7 +21,6 @@ from diffalg import (
     Ranking,
     TruncationBounds,
     jacobi_assign,
-    jacobi_number,
     jbc_check,
     linearize_at,
     linearized_order_matrix,
@@ -68,7 +67,7 @@ def main() -> None:
     m = order_matrix(us, Convention.MAX_PLUS)
     print("order matrix (rows = equations, columns = x, y):")
     print(m.to_text())
-    res = jacobi_number(us)
+    res = jacobi_assign(m)
     assign = ", ".join(
         f"{ctx.names[j]} <- eq{res.witness[j] + 1}" for j in range(ctx.n)
     )
@@ -92,7 +91,7 @@ def main() -> None:
         print(f"L[{u.to_text()}] at the origin = {lu.to_text()}")
     strong = jacobi_assign(linearized_order_matrix(tangents, Convention.MINUS_INFINITY))
     print(f"jacobi number after linearization (minusinf): {order_text(strong.value)}")
-    print(f"jacobi number of the original system (maxplus): {jacobi_number(cusp).value}")
+    print(f"jacobi number of the original system (maxplus): {jacobi_assign(order_matrix(cusp)).value}")
 
     # ------------------------------------------------------------------
     banner("5. Membership by truncated linear algebra")

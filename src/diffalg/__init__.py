@@ -34,12 +34,11 @@ from .reduction import (
     ritt_reduce_seq,
     verify_certificate,
 )
-from .jacobi import Convention, JacobiResult, OrderMatrix, jacobi_assign, jacobi_brute, jacobi_number, order_matrix, ritt_bound
+from .jacobi import Convention, JacobiResult, OrderMatrix, jacobi_assign, order_matrix, ritt_bound
 from .linearize import (
     LinearizedPoly,
     PointNotOnZeroSetError,
     extended_context,
-    first_order_expansion,
     linearize_at,
     linearize_sym,
     linearized_order_matrix,
@@ -52,7 +51,6 @@ from .decompose import (
     component_dimension,
     jbc_check,
     split_decompose,
-    verify_component,
 )
 from .oracle import (
     MembershipWitness,

@@ -123,14 +123,6 @@ def component_dimension(c: CharSetComponent) -> Optional[int]:
     return value
 
 
-def verify_component(c: CharSetComponent, us: Sequence[DiffPoly]) -> bool:
-    """Every input reduces to zero modulo the sequence and every inequation
-    reduces to nonzero (the latter holds by construction; re-checked)."""
-    return all(c.membership(u).member for u in us) and not any(
-        c.membership(q).member for q in c.inequations
-    )
-
-
 # Budget for the splitting tree: the most distinct components kept, the
 # most nodes taken from the queue, and the most bits in any integer of a
 # coefficient of an equation that joins a node.  Exhaustion clears the
@@ -347,10 +339,9 @@ def _split_tree(start: frozenset, ranking: Ranking) -> tuple:
     component at most once.  A node divides its equations in ascending
     rank, text breaking ties, so the work done before a division hits a cap
     does not follow set order.  Emitted components are not re-checked here:
-    jbc_check re-verifies each one against the inputs, and
-    verify_component does so on demand.  The completeness flag reports
-    whether the whole tree was explored within MAX_SPLIT_STEPS nodes and
-    MAX_COMPONENTS components; a reduction that hits a step or term cap
+    jbc_check re-verifies each one against the inputs.  The completeness
+    flag reports whether the whole tree was explored within MAX_SPLIT_STEPS
+    nodes and MAX_COMPONENTS components; a reduction that hits a step or term cap
     clears it (a node that meets the same division again hits the cap
     again, since nothing is kept for a division that stopped), and so does
     a remainder with a coefficient past MAX_COEFF_BITS, which is dropped

@@ -156,20 +156,24 @@ def _dervar_text(v: DerVar, names) -> str:
 
 @dataclass(frozen=True)
 class Context:
-    """Ring context: named variables and the coefficient field."""
+    """Ring context: named variables and the coefficient field, with a
+    name -> index map for var_index."""
 
     names: tuple
     field: Field
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+        # name -> index for var_index; not a field, so never compared or hashed
+        index = dict(zip(self.names, range(len(self.names))))
+        object.__setattr__(self, "_index", index)
+        if len(index) != len(self.names):
             raise ValueError("duplicate variable names")
         if not self.names:
             raise ValueError("a differential ring needs at least one variable")
         for nm in self.names:
             if not nm.isidentifier():
                 raise ValueError(f"bad variable name {nm!r}")
-        if self.field is QT and "t" in self.names:
+        if self.field is QT and "t" in index:
             raise ValueError("variable name 't' collides with the field parameter of Q(t)")
 
     @property
@@ -178,8 +182,8 @@ class Context:
 
     def var_index(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._index[name]
+        except KeyError:
             raise ValueError(f"unknown variable {name!r}") from None
 
     def check_dervar(self, v: DerVar):

@@ -14,14 +14,11 @@ exact integers (see jacobi_assign); the value is re-summed from the entries.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
 from .diffpoly import DiffPoly
-
-BRUTE_LIMIT = 9
 
 
 class Convention(Enum):
@@ -125,29 +122,64 @@ def _score(m: OrderMatrix, sigma: Sequence[int]) -> Optional[int]:
     return total
 
 
-def jacobi_brute(m: OrderMatrix) -> JacobiResult:
-    """Exact maximum by enumerating all permutations (n <= 9); ties go to
-    the lexicographically smallest witness."""
-    n = m.n
-    if n > BRUTE_LIMIT:
-        raise ValueError(f"n={n} exceeds brute-force limit {BRUTE_LIMIT}; use jacobi_assign")
-    best, best_sigma = None, None
-    for sigma in itertools.permutations(range(n)):
-        s = _score(m, sigma)
-        if s is not None and (best is None or s > best):
-            best, best_sigma = s, sigma
-    return JacobiResult(best, best_sigma)
+def _warm_start(cost: Sequence[Sequence[Optional[int]]]) -> Optional[tuple]:
+    """Column reduction, the start of Jonker and Volgenant's shortest
+    augmenting path method ("A shortest augmenting path algorithm for dense
+    and sparse linear assignment problems", Computing 38, 1987): potentials
+    u, v and a partial matching row_of (column -> row, None where free).
+
+    v[c] is the minimum of column c, and each column's arg-min row (the
+    first, in row order) is matched to it while that row is free.  A free
+    row r gets u[r] = its least reduced cost cost[r][c] - v[c].  Every
+    reduced cost is >= 0 and a matched edge's is 0, so a matched row's
+    least reduced cost is 0: the potentials are feasible and every matched
+    edge is tight.  None when some column or row has no allowed entry."""
+    n = len(cost)
+    v: list = [None] * n
+    arg: list = [None] * n
+    for r, row in enumerate(cost):
+        for c, x in enumerate(row):
+            if x is not None and (v[c] is None or x < v[c]):
+                v[c], arg[c] = x, r
+    if None in arg:
+        return None  # a column with no allowed entry
+    row_of: list = [None] * n
+    matched = set()
+    for c, r in enumerate(arg):
+        if r not in matched:
+            matched.add(r)
+            row_of[c] = r
+    u = [0] * n
+    for r in range(n):
+        if r not in matched:
+            reduced = [x - vc for x, vc in zip(cost[r], v) if x is not None]
+            if not reduced:
+                return None  # a row with no allowed entry
+            u[r] = min(reduced)
+    return u, v, row_of
 
 
 def _min_cost_matching(cost: Sequence[Sequence[Optional[int]]]) -> Optional[list]:
-    """Kuhn-Munkres by shortest augmenting paths with integer potentials.
-    cost[r][c] is an int, or None for a forbidden pair.  Returns the row
-    matched to each column at minimum total cost, or None when no perfect
-    matching exists."""
+    """Kuhn-Munkres by shortest augmenting paths with integer potentials,
+    started warm.  cost[r][c] is an int, or None for a forbidden pair.
+    Returns the row matched to each column at minimum total cost, or None
+    when no perfect matching exists.
+
+    _warm_start matches some rows along tight edges under feasible
+    potentials; each row it leaves free is then inserted by a shortest
+    augmenting path, which keeps the potentials feasible and the matched
+    edges tight, so the final matching has minimum cost.  Under
+    jacobi_assign's costs the witness cannot depend on where the solve
+    starts: the tie-break terms give every permutation a distinct total
+    cost, so the optimum is unique and any exact solver returns it."""
+    start = _warm_start(cost)
+    if start is None:
+        return None
+    u, v, row_of = start
     n = len(cost)
-    u, v = [0] * n, [0] * n
-    row_of: list = [None] * (n + 1)  # column n is a virtual root holding the row being inserted
-    for r in range(n):
+    free = sorted(set(range(n)).difference(row_of))
+    row_of.append(None)  # column n is a virtual root holding the row being inserted
+    for r in free:
         row_of[n], col = r, n
         dist: list = [None] * n  # reduced length of the shortest path from r to each column
         prev, done = [n] * n, [False] * n
@@ -179,11 +211,13 @@ def _min_cost_matching(cost: Sequence[Sequence[Optional[int]]]) -> Optional[list
 
 
 def jacobi_assign(m: OrderMatrix) -> JacobiResult:
-    """Same contract as jacobi_brute, by one exact assignment solve.  Variable
-    i takes equation j at cost -a[j][i]*B^n + j*B^(n-1-i) with B = n + 1.  The
-    tie-break terms of a permutation sigma spell the base-B number
-    sigma(0)...sigma(n-1) < B^n, so the minimum cost first maximises the order
-    sum and then picks the lexicographically smallest sigma among the maxima."""
+    """The maximum order sum over permutations, with the lexicographically
+    smallest witness among the maxima, by one exact assignment solve.
+    Variable i takes equation j at cost -a[j][i]*B^n + j*B^(n-1-i) with
+    B = n + 1.  The tie-break terms of a permutation sigma spell the base-B
+    number sigma(0)...sigma(n-1) < B^n, so the minimum cost first maximises
+    the order sum and then picks the lexicographically smallest sigma among
+    the maxima."""
     n, a = m.n, m.entries
     scale, tie = (n + 1) ** n, [(n + 1) ** (n - 1 - i) for i in range(n)]
     cost = [[None if a[j][i] is None else j * tie[i] - a[j][i] * scale for j in range(n)]
@@ -202,7 +236,3 @@ def ritt_bound(m: OrderMatrix) -> int:
         raise ValueError("ritt_bound is defined for MaxPlus order matrices")
     return sum(max(m.entries[i][j] for i in range(m.n)) for j in range(m.n))
 
-
-def jacobi_number(us: Sequence[DiffPoly], convention: Convention = Convention.MAX_PLUS) -> JacobiResult:
-    """Jacobi number of a square system, solver-backed."""
-    return jacobi_assign(order_matrix(us, convention))

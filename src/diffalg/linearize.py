@@ -9,13 +9,13 @@ and linearizing commute.
 
 `linearize_sym` keeps the coefficients as polynomials in the original jets.
 `linearize_at` is the one place where u and its partials are evaluated at a
-point: a concrete point gives field-element coefficients; a component,
-standing for its generic point, gives only the support pattern (coefficient
-1 on y_v iff du/dv has nonzero remainder modulo the component), which is
-exactly what order counting needs.  The linearized order matrix is read off
-those tangents, and its Jacobi number is `jacobi_assign` of that matrix.
-`first_order_expansion` recomputes concrete tangents by dual numbers,
-without partials, as an independent check.
+point.  At a concrete point it walks u's terms once, reading each factor's
+value once, and sums u's value and every field-element coefficient du/dv
+in that pass, with no partial polynomial built.  A component, standing for
+its generic point, gives only the support pattern (coefficient 1 on y_v iff
+du/dv has nonzero remainder modulo the component), which is exactly what
+order counting needs.  The linearized order matrix is read off those
+tangents, and its Jacobi number is `jacobi_assign` of that matrix.
 """
 
 from __future__ import annotations
@@ -98,55 +98,92 @@ def linearize_sym(u: DiffPoly) -> LinearizedPoly:
     return LinearizedPoly(poly=DiffPoly.from_terms(extended_context(u.context), terms), base_n=n)
 
 
+def _tangent_at(u: DiffPoly, pt: ConcretePoint) -> tuple:
+    """(u at pt, {jet v: du/dv at pt}, no zero values) from one pass over
+    u's terms, reading each factor's value at pt once.
+
+    A term c * prod v^e with no factor vanishing at pt adds its value to
+    u's, and e * c * v^(e-1) * (the other factors) to each factor's
+    coefficient, from prefix and suffix products with no field division.
+    A term with exactly one vanishing factor, of exponent 1, adds c * (the
+    other factors) to that factor's coefficient; any other term adds
+    nothing."""
+    fld = u.context.field
+    value = fld.zero
+    coeffs: dict = {}
+    for m, c in u.items():
+        fs = m.factors
+        vals = [pt.value(v) for v, _ in fs]
+        zeros = [k for k, x in enumerate(vals) if not x]
+        if zeros:
+            if len(zeros) == 1 and fs[zeros[0]][1] == 1:
+                k = zeros[0]
+                for j, x in enumerate(vals):
+                    if j != k:
+                        c = c * x ** fs[j][1]
+                _accumulate(coeffs, fs[k][0], c)
+            continue
+        powers = [x**e for x, (_, e) in zip(vals, fs)]
+        prefix = [c]  # prefix[j]: c times the powers of the factors before j
+        for p in powers:
+            prefix.append(prefix[-1] * p)
+        value = value + prefix[-1]
+        suffix = None  # the powers of the factors after j; None while empty
+        for j in range(len(fs) - 1, -1, -1):
+            v, e = fs[j]
+            d = prefix[j] if suffix is None else prefix[j] * suffix
+            if e > 1:
+                d = d * fld.from_fraction(e) * vals[j] ** (e - 1)
+            _accumulate(coeffs, v, d)
+            if j:
+                suffix = powers[j] if suffix is None else powers[j] * suffix
+    return value, coeffs
+
+
 def linearize_at(u: DiffPoly, pt, require_zero: bool = True) -> LinearizedPoly:
     """Tangent at a ConcretePoint, or at the generic point of a
     CharSetComponent.
 
-    Concrete points give field-element coefficients.  A component gives
-    the support pattern: coefficient 1 on y_v exactly when du/dv does not
-    vanish on the component (an indicator, not residue-field arithmetic),
-    and `heuristic` when any of these answers, or the zero test of u, was
-    read modulo a component not verified prime.  The point must be a zero
-    of u unless require_zero is dropped (useful for identities that hold
-    off the zero set).
+    Concrete points give field-element coefficients, from one pass over u's
+    terms (_tangent_at).  A component gives the support pattern: u is
+    tested first, then each partial du/dv, and the coefficient of y_v is 1
+    exactly when du/dv does not vanish on the component (an indicator, not
+    residue-field arithmetic); `heuristic` is set when any of these
+    answers, or the zero test of u, was read modulo a component not
+    verified prime.  The point must be a zero of u unless require_zero is
+    dropped (useful for identities that hold off the zero set).
     """
     ctx = u.context
     fld = ctx.field
     ext = extended_context(ctx)
-    # at(p) -> (coefficient of p at the point, heuristic)
+    heuristic = False
     if isinstance(pt, ConcretePoint):
         if pt.context != ctx:
             raise ValueError("point context mismatch")
-
-        def at(p: DiffPoly):
-            return p.eval_at(pt), False
-
-        off_zero_set = "point is not a zero: value {}"
-    elif isinstance(pt, CharSetComponent):
-
-        def at(p: DiffPoly):
-            v = pt.membership(p)
-            return (fld.zero if v.member else fld.one), v.heuristic
-
-        off_zero_set = "polynomial has nonzero remainder at the generic point"
-    else:
-        raise TypeError(f"not a differential point: {type(pt).__name__}")
-    heuristic = False
-    if require_zero:
-        value, heuristic = at(u)
-        if value:
+        value, coeffs = _tangent_at(u, pt)
+        if require_zero and value:
             try:
                 shown = fld.text(value)
             except ValueError:  # past Python's limit on integer-string conversion
                 shown = f"of {fld.bits(value)} bits"
-            raise PointNotOnZeroSetError(off_zero_set.format(shown))
-    terms = []
-    for v in u.dervars():
-        c, h = at(u.partial(v))
-        heuristic = heuristic or h
-        if c:
-            terms.append((Monomial.of(tangent_dervar(ctx.n, v)), c))
-    return LinearizedPoly(poly=DiffPoly.from_terms(ext, terms), base_n=ctx.n, heuristic=heuristic)
+            raise PointNotOnZeroSetError(f"point is not a zero: value {shown}")
+    elif isinstance(pt, CharSetComponent):
+        if require_zero:
+            verdict = pt.membership(u)
+            if not verdict.member:
+                raise PointNotOnZeroSetError("polynomial has nonzero remainder at the generic point")
+            heuristic = verdict.heuristic
+        coeffs = {}
+        for v in u.dervars():
+            verdict = pt.membership(u.partial(v))
+            heuristic = heuristic or verdict.heuristic
+            if not verdict.member:
+                coeffs[v] = fld.one
+    else:
+        raise TypeError(f"not a differential point: {type(pt).__name__}")
+    n = ctx.n
+    terms = {Monomial.of(tangent_dervar(n, v)): coeffs[v] for v in sorted(coeffs)}
+    return LinearizedPoly(poly=DiffPoly(ext, terms), base_n=n, heuristic=heuristic)
 
 
 def linearized_order_matrix(tangents, convention: Convention = Convention.MAX_PLUS) -> OrderMatrix:
@@ -162,60 +199,3 @@ def linearized_order_matrix(tangents, convention: Convention = Convention.MAX_PL
     if len(tangents) != n:
         raise ValueError(f"need a square system: {len(tangents)} equations over {n} variables")
     return OrderMatrix.from_orders((t.tangent_orders() for t in tangents), convention)
-
-
-class _Dual:
-    """Coefficient pair (value, linear part) for evaluation modulo eps^2;
-    the linear part maps tangent jets to field elements."""
-
-    __slots__ = ("field", "a", "b")
-
-    def __init__(self, field, a, b):
-        self.field = field
-        self.a = a
-        self.b = b  # dict[DerVar, RatFunc], no zero values
-
-    def mul(self, other: "_Dual") -> "_Dual":
-        b: dict = {}
-        for k, v in self.b.items():
-            _accumulate(b, k, other.a * v)
-        for k, v in other.b.items():
-            _accumulate(b, k, self.a * v)
-        return _Dual(self.field, self.a * other.a, b)
-
-    def add(self, other: "_Dual") -> "_Dual":
-        b = dict(self.b)
-        for k, v in other.b.items():
-            _accumulate(b, k, v)
-        return _Dual(self.field, self.a + other.a, b)
-
-    def scale(self, c) -> "_Dual":
-        if not c:
-            return _Dual(self.field, self.field.zero, {})
-        return _Dual(self.field, c * self.a, {k: c * v for k, v in self.b.items()})
-
-
-def first_order_expansion(u: DiffPoly, pt: ConcretePoint):
-    """Evaluate u at (point + eps*y) modulo eps^2 by dual-number arithmetic.
-
-    Returns (value at the point, the eps coefficient as a LinearizedPoly).
-    This recomputes the tangent without using partial derivatives, so it
-    serves as an independent check of linearize_at.
-    """
-    ctx = u.context
-    if not isinstance(pt, ConcretePoint) or pt.context != ctx:
-        raise ValueError("first_order_expansion needs a concrete point of the same context")
-    fld = ctx.field
-    ext = extended_context(ctx)
-    total = _Dual(fld, fld.zero, {})
-    for m, c in u.items():
-        term = _Dual(fld, fld.one, {})
-        for v, e in m.factors:
-            base = _Dual(fld, pt.value(v), {tangent_dervar(ctx.n, v): fld.one})
-            for _ in range(e):
-                term = term.mul(base)
-        total = total.add(term.scale(c))
-    lin = DiffPoly.from_terms(
-        ext, ((Monomial.of(yv), cv) for yv, cv in total.b.items())
-    )
-    return total.a, LinearizedPoly(poly=lin, base_n=ctx.n)

@@ -42,6 +42,11 @@ MAX_REDUCTION_STEPS = 100_000
 # Most terms any polynomial a reduction step builds may have: the scaled
 # working polynomial, the multiple of a divisor it subtracts, and the result.
 MAX_REDUCTION_TERMS = 10_000
+# Most term pairs one product of a reduction step may make: the multiplier
+# times the working polynomial, or the cofactor times the divisor.  It is
+# checked before either product is built, so no step spends its time
+# building a polynomial that MAX_REDUCTION_TERMS would then refuse.
+MAX_REDUCTION_PAIRS = 1_000_000
 
 
 class StepLimitExceeded(Exception):
@@ -51,7 +56,8 @@ class StepLimitExceeded(Exception):
 
 class TermLimitExceeded(StepLimitExceeded):
     """A reduction step built a polynomial with more than
-    MAX_REDUCTION_TERMS terms."""
+    MAX_REDUCTION_TERMS terms, or would have made more than
+    MAX_REDUCTION_PAIRS term pairs in one product."""
 
 
 class NotAutoreducedError(ValueError):
@@ -283,6 +289,12 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
         # lead has no v, so lead * v^(d - degree) is a shift of its monomials
         shift = Monomial.of(v, d - degree)
         cofactor = DiffPoly(ctx, {m * shift: a for m, a in lead.items()})
+        pairs = max(mult.term_count() * c.term_count(), cofactor.term_count() * divisor.term_count())
+        if pairs > MAX_REDUCTION_PAIRS:
+            raise TermLimitExceeded(
+                f"reduction stopped at step {len(log) + 1}: a product would make {pairs} term pairs, "
+                f"over the cap MAX_REDUCTION_PAIRS = {MAX_REDUCTION_PAIRS}"
+            )
         scaled = c if mult == one else mult * c
         subtracted = cofactor * divisor
         c = scaled - subtracted

@@ -124,9 +124,10 @@ class _ExprParser:
     jets := PRIMES | '^' '(' INT ')'
 
     A term is read straight into one coefficient and one exponent map:
-    numbers, t and jets never become polynomials of their own.  A
-    parenthesised factor is a DiffPoly, multiplied into the term left to
-    right, or folded into the coefficient when it is constant.  An
+    numbers, t and jets never become polynomials of their own, and integer
+    literals stay Python integers until the term's one coefficient is
+    built.  A parenthesised factor is a DiffPoly, multiplied into the term
+    left to right, or folded into the coefficient when it is constant.  An
     expression adds its terms into one dict.  Terms keep the order in which
     they first appear, as sums and products of DiffPolys give it.
     Parentheses nest at most MAX_NESTING deep.
@@ -191,24 +192,35 @@ class _ExprParser:
             negate = op == "-"
 
     def _term(self, acc: dict, negate: bool) -> None:
-        """Add one term, negated when asked, into acc."""
-        coeff = RF_ONE  # the product of the constant factors
+        """Add one term, negated when asked, into acc.  Integer literals
+        multiply into one integer numerator and integer divisors into one
+        denominator, which become one field element with one gcd; the other
+        constant factors (t, powers and constant parenthesised expressions)
+        multiply into a field element of their own."""
+        num = den = 1  # the product of the integer literals, and of the integer divisors
+        coeff = RF_ONE  # the product of the other constant factors
         exps: dict = {}  # jet -> exponent
         poly = None  # the product of the non-constant parenthesised factors
         slash = None  # index of the '/' before a divisor
         while True:
             neg, f = self._factor()
             negate ^= neg
+            kind = type(f)
             if slash is not None:
-                if type(f) is not RatFunc:
+                if kind is not int and kind is not RatFunc:
                     raise self._error("division is only allowed by constants", slash)
                 if not f:
                     raise self._error("division by zero", slash)
-                coeff = coeff / f
-            elif type(f) is tuple:
+                if kind is int:
+                    den *= f
+                else:
+                    coeff = coeff / f
+            elif kind is int:
+                num *= f
+            elif kind is tuple:
                 v, e = f
                 exps[v] = exps.get(v, 0) + e
-            elif type(f) is RatFunc:
+            elif kind is RatFunc:
                 if f is not RF_ONE:
                     coeff = f if coeff is RF_ONE else coeff * f
             else:
@@ -218,21 +230,28 @@ class _ExprParser:
                 break
             slash = self.i if t == "/" else None
             self.i += 1
-        if not coeff:
+        if not num or not coeff:
             return
-        if negate:
-            coeff = -coeff
+        g = gcd(num, den)
+        num, den = (-num if negate else num) // g, den // g
+        if den != 1:
+            q = RatFunc((num,), (den,))
+        else:
+            q = RF_ONE if num == 1 else RatFunc.from_int(num)
+        if coeff is not RF_ONE:
+            q = coeff if q is RF_ONE else coeff * q
         mono = Monomial.make(exps.items()) if exps else MON_ONE
         if poly is None:
-            _accumulate(acc, mono, coeff)
+            _accumulate(acc, mono, q)
             return
         for m, c in poly.items():
-            _accumulate(acc, m * mono, c if coeff is RF_ONE else c * coeff)
+            _accumulate(acc, m * mono, c if q is RF_ONE else c * q)
 
     def _factor(self) -> tuple:
-        """(negate, value) for a factor, the value a field element (a
-        number, t, or a constant parenthesised expression), a jet with its
-        exponent as a (DerVar, e) pair, or a non-constant DiffPoly."""
+        """(negate, value) for a factor, the value an int (an integer
+        literal with no ``^``), a field element (t, a power of a number, or
+        a constant parenthesised expression), a jet with its exponent as a
+        (DerVar, e) pair, or a non-constant DiffPoly."""
         negate = False
         while self.toks[self.i] == "-":
             negate = not negate
@@ -248,6 +267,8 @@ class _ExprParser:
             return negate, (v, e) if e else RF_ONE
         if t.isdecimal():
             n = self._int_value(self.i - 1)
+            if self.toks[self.i] != "^":
+                return negate, n
             return negate, self._power_suffix(RF_ONE if n == 1 else RatFunc.from_int(n))
         if t == "(":
             if self.depth == MAX_NESTING:

@@ -7,19 +7,20 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import diffalg.jacobi
 from diffalg import (
     Context,
     Convention,
     OrderMatrix,
     QQ,
     jacobi_assign,
-    jacobi_brute,
-    jacobi_number,
     order_matrix,
     ritt_bound,
 )
-from diffalg.jacobi import BRUTE_LIMIT
+from diffalg.jacobi import _warm_start
 from diffalg.sysfile import parse_poly
+
+from reference_engines import BRUTE_LIMIT, jacobi_brute, jacobi_number
 
 XY = Context(("x", "y"), QQ)
 
@@ -130,8 +131,14 @@ class TestSolvers:
         assert a.value == b.value
         assert a.witness == b.witness
 
-    @given(st.one_of(maxplus_matrices(max_n=7, max_order=1), minusinf_matrices(max_n=7, max_order=1)))
-    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            maxplus_matrices(max_n=7, max_order=1),
+            minusinf_matrices(max_n=7, max_order=1),
+            minusinf_matrices(max_n=7, max_order=0),
+        )
+    )
+    @settings(max_examples=200, deadline=None)
     def test_assign_matches_brute_on_ties(self, m):
         a = jacobi_assign(m)
         b = jacobi_brute(m)
@@ -184,6 +191,53 @@ class TestSolvers:
         big = M([[0] * n for _ in range(n)])
         with pytest.raises(ValueError, match="assign"):
             jacobi_brute(big)
+
+
+@st.composite
+def cost_matrices(draw, max_n=6):
+    """Square integer cost matrices with forbidden (None) pairs, the values
+    drawn from a small range so that ties are common."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    entry = st.one_of(st.none(), st.integers(min_value=-3, max_value=3))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+class TestWarmStart:
+    @given(cost_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_potentials_are_feasible_and_matched_edges_tight(self, cost):
+        n = len(cost)
+        start = _warm_start(cost)
+        if start is None:
+            columns = [[row[c] for row in cost] for c in range(n)]
+            assert any(all(x is None for x in line) for line in cost + columns)
+            return
+        u, v, row_of = start
+        for r in range(n):
+            for c in range(n):
+                if cost[r][c] is not None:
+                    assert cost[r][c] - u[r] - v[c] >= 0
+        matched = [(r, c) for c, r in enumerate(row_of) if r is not None]
+        assert len({r for r, _ in matched}) == len(matched)
+        assert matched, "the first column's arg-min row is always matched"
+        for r, c in matched:
+            assert cost[r][c] - u[r] - v[c] == 0
+
+    def test_rows_matched_on_the_all_ties_matrix_at_n40(self, monkeypatch):
+        # Every column's minimum lies in row 0 (column 0, where all rows
+        # tie) or row 39 (the smallest tie-break weight), so column
+        # reduction matches two rows and the other 38 are augmented.
+        matchings = []
+
+        def warm_start(cost):
+            start = _warm_start(cost)
+            matchings.append(list(start[2]))  # the solve goes on to change it in place
+            return start
+
+        monkeypatch.setattr(diffalg.jacobi, "_warm_start", warm_start)
+        jacobi_assign(M([[1] * 40 for _ in range(40)]))
+        (row_of,) = matchings
+        assert [(c, r) for c, r in enumerate(row_of) if r is not None] == [(0, 0), (1, 39)]
 
 
 class TestRittBound:

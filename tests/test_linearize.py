@@ -9,27 +9,28 @@ import pytest
 from hypothesis import given, settings
 
 import diffalg.decompose
+import diffalg.linearize
 from diffalg import (
     CharSetComponent,
     ConcretePoint,
     Context,
     Convention,
     DiffPoly,
+    Monomial,
     PointNotOnZeroSetError,
     QQ,
     QT,
     Ranking,
-    first_order_expansion,
     jacobi_assign,
-    jacobi_number,
     linearize_at,
     linearize_sym,
     linearized_order_matrix,
 )
 from diffalg.cli import main
-from diffalg.linearize import extended_context
+from diffalg.linearize import extended_context, tangent_dervar
 from diffalg.sysfile import parse_poly
 
+from reference_engines import first_order_expansion, jacobi_number
 from strategies import FLAGSHIP, FLAGSHIP_COMPONENT_2, contexts, diffpolys, small_fractions
 
 XY = Context(("x", "y"), QQ)
@@ -174,16 +175,39 @@ class TestFirstOrderExpansion:
         assert tangent.poly == linearize_at(u, pt, require_zero=False).poly
 
     @given(st.data())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_dual_numbers_match_partial_evaluations(self, data):
-        ctx = data.draw(contexts(max_vars=2))
-        u = data.draw(diffpolys(ctx, max_terms=3, max_degree=3))
+        # linearize_at at a concrete point walks u's terms once; it must
+        # give the partials evaluated one by one and the dual-number
+        # expansion, zero test included, at points with zero coordinates,
+        # with exponents up to 4 and over Q(t)
+        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
+        u = data.draw(diffpolys(ctx, max_terms=4, max_degree=4))
+        t_part = QQ.zero
+        if ctx.field is QT:  # coefficients and point values that carry t
+            t_part = QT.t()
+            u = u + DiffPoly.const(ctx, t_part) * data.draw(diffpolys(ctx, max_terms=2, max_degree=4))
         pt = ConcretePoint(
-            ctx, {j: data.draw(small_fractions()) for j in range(ctx.n)}
+            ctx,
+            {
+                j: ctx.field.zero
+                if data.draw(st.booleans())
+                else data.draw(small_fractions()) + data.draw(small_fractions()) * t_part
+                for j in range(ctx.n)
+            },
         )
-        value, tangent = first_order_expansion(u, pt)
+        n, ext = ctx.n, extended_context(ctx)
+        by_partials = DiffPoly.from_terms(
+            ext, ((Monomial.of(tangent_dervar(n, v)), u.partial(v).eval_at(pt)) for v in u.dervars())
+        )
+        value, dual = first_order_expansion(u, pt)
         assert value == u.eval_at(pt)
-        assert tangent.poly == linearize_at(u, pt, require_zero=False).poly
+        assert linearize_at(u, pt, require_zero=False).poly == by_partials == dual.poly
+        if value:
+            with pytest.raises(PointNotOnZeroSetError, match="point is not a zero: value "):
+                linearize_at(u, pt)
+        else:
+            assert linearize_at(u, pt).poly == by_partials
 
 
 class TestGenericPoints:
@@ -208,38 +232,34 @@ class TestGenericPoints:
 
 class TestWorkCounts:
     def test_flagship_work_counts(self, tmp_path, monkeypatch, capsys):
-        # Deterministic work counters, pinned: `linearize` evaluates each
-        # equation and each of its partials at the point once (three per
-        # equation here), and at a generic point each evaluation is one
-        # membership test, one reduction modulo the component; the other two
-        # are the component's inequation checks when its file is read.
+        # Deterministic work counters, pinned: `linearize --at` makes one
+        # pass over each equation's terms (two here) and builds no partial
+        # and calls no eval_at.  At a generic point each equation and each
+        # of its four partials is one membership test, one reduction modulo
+        # the component; the other two are the component's inequation checks
+        # when its file is read, and the other two partials the separants of
+        # its sequence.
         system = tmp_path / "flagship.sys"
         system.write_text(FLAGSHIP)
         comp = tmp_path / "component2.txt"
         comp.write_text(FLAGSHIP_COMPONENT_2)
         counts = Counter()
-        real_eval = DiffPoly.eval_at
-        real_membership = CharSetComponent.membership
-        real_reduce = diffalg.decompose.ritt_reduce_seq
 
-        def eval_at(self, pt):
-            counts["evaluations"] += 1
-            return real_eval(self, pt)
+        def counted(name, real):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
 
-        def membership(self, f):
-            counts["memberships"] += 1
-            return real_membership(self, f)
+            return wrapper
 
-        def reduce(*args, **kwargs):
-            counts["reductions"] += 1
-            return real_reduce(*args, **kwargs)
-
-        monkeypatch.setattr(DiffPoly, "eval_at", eval_at)
-        monkeypatch.setattr(CharSetComponent, "membership", membership)
-        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", reduce)
+        monkeypatch.setattr(diffalg.linearize, "_tangent_at", counted("passes", diffalg.linearize._tangent_at))
+        monkeypatch.setattr(DiffPoly, "eval_at", counted("evaluations", DiffPoly.eval_at))
+        monkeypatch.setattr(DiffPoly, "partial", counted("partials", DiffPoly.partial))
+        monkeypatch.setattr(CharSetComponent, "membership", counted("memberships", CharSetComponent.membership))
+        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", counted("reductions", diffalg.decompose.ritt_reduce_seq))
         assert main(["linearize", str(system), "--at", "p0"]) == 0
-        assert dict(counts) == {"evaluations": 6}
+        assert dict(counts) == {"passes": 2}
         counts.clear()
         assert main(["linearize", str(system), "--generic", str(comp)]) == 0
-        assert dict(counts) == {"memberships": 8, "reductions": 8}
+        assert dict(counts) == {"partials": 6, "memberships": 8, "reductions": 8}
         capsys.readouterr()

@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from diffalg import (
     Context,
     DerVar,
+    Monomial,
     QQ,
     QT,
     RankKind,
     Ranking,
+    RatFunc,
 )
 from diffalg.sysfile import (
     MAX_NESTING,
@@ -34,7 +36,7 @@ from diffalg.diffpoly import DiffPoly
 from diffalg.sysfile import _power_growth, _power_products
 
 import fraction_reference as ref
-from strategies import contexts, diffpolys, small_fractions
+from strategies import contexts, diffpolys, small_fractions, small_rationals
 
 XY = Context(("x", "y"), QQ)
 
@@ -399,6 +401,61 @@ class TestTermParser:
         assert sf.equation("u1") == parse_poly("x2''' / 2 - 3*x1*x1", sf.context)
         parse_poly("(x1 + x2)*(x1 - x2)", sf.context)  # parenthesised factors multiply
         assert len(calls) == 1
+
+
+@st.composite
+def _constant_terms(draw, over_qt):
+    """(source, the coefficient as (Fraction, power of t) or None when some
+    divisor is zero) of a term of integer literals, '/', t (over Q(t)) and
+    parenthesised constants, times x."""
+    factors = [st.integers(min_value=0, max_value=30).map(lambda k: (str(k), Fraction(k), 0))]
+    factors.append(
+        st.tuples(small_rationals(), small_rationals()).map(
+            lambda ab: (f"({ab[0]} - {ab[1]})", ab[0] - ab[1], 0)
+        )
+    )
+    if over_qt:
+        factors.append(st.just(("t", Fraction(1), 1)))
+    parts, value, tpow, zero_divisor = ["x"], Fraction(1), 0, False
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        src, q, k = draw(st.one_of(factors))
+        if draw(st.booleans()):
+            parts.append(f"/{src}")
+            zero_divisor = zero_divisor or not q
+            value, tpow = (value / q if q else value), tpow - k
+        else:
+            parts.append(f"*{src}")
+            value, tpow = value * q, tpow + k
+    sign = draw(st.sampled_from(("", "-")))
+    return sign + "".join(parts), None if zero_divisor else ((-value if sign else value), tpow)
+
+
+class TestIntegerCoefficients:
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_term_coefficient_is_the_fraction_arithmetic(self, data):
+        field = data.draw(st.sampled_from((QQ, QT)))
+        ctx = Context(("x", "y"), field)
+        src, want = data.draw(_constant_terms(field is QT))
+        if want is None:
+            with pytest.raises(ParseError, match="division by zero"):
+                parse_poly(src, ctx)
+            return
+        value, k = want
+        coeff = RatFunc.make([0] * k + [value], [1]) if k >= 0 else RatFunc.make([value], [0] * -k + [1])
+        assert parse_poly(src, ctx) == DiffPoly.from_terms(ctx, [(Monomial.of(DerVar(0, 0)), coeff)])
+
+    def test_zero_times_a_term_over_zero_is_division_by_zero(self):
+        with pytest.raises(ParseError) as exc:
+            P("0*x/0")
+        assert str(exc.value) == "division by zero (at position 3)"
+
+    def test_integer_literals_make_no_field_division(self, monkeypatch):
+        calls = []
+        div = RatFunc.__truediv__
+        monkeypatch.setattr(RatFunc, "__truediv__", lambda a, b: calls.append(1) or div(a, b))
+        assert P("5/2*x'") == DiffPoly.from_terms(XY, [(Monomial.of(DerVar(0, 1)), QQ.from_fraction(Fraction(5, 2)))])
+        assert calls == []
 
 
 class TestRankings:

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given, reject, settings
 
+import diffalg.decompose
 import diffalg.fields
 import diffalg.reduction
 from diffalg import (
@@ -14,6 +15,7 @@ from diffalg import (
     DerVar,
     DiffOperator,
     DiffPoly,
+    JbcVerdict,
     Monomial,
     NotAutoreducedError,
     QQ,
@@ -23,6 +25,7 @@ from diffalg import (
     analyze,
     is_autoreduced,
     is_reduced,
+    jbc_check,
     ritt_reduce_seq,
     verify_certificate,
 )
@@ -381,3 +384,38 @@ class TestTermCap:
         with pytest.raises(TermLimitExceeded, match="MAX_REDUCTION_TERMS = 3") as err:
             divide(P("x''*y + x'*y^2 + x"), [P("x'^2 + y*x' + y")])
         assert isinstance(err.value, StepLimitExceeded)
+
+    def test_pair_cap_is_checked_before_any_product(self, monkeypatch):
+        # the first step would multiply a 3-term cofactor by a 3-term
+        # divisor: refused before either product of the step is built
+        products = []
+        mul = DiffPoly.__mul__
+        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_PAIRS", 8)
+        with pytest.raises(TermLimitExceeded, match="9 term pairs, over the cap MAX_REDUCTION_PAIRS = 8$"):
+            divide(P("x'*y^2 + x'*y + x'"), [P("x'*y^2 + x'*y + 1")])
+        assert products == []
+        monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_PAIRS", 9)
+        assert divide(P("x'*y^2 + x'*y + x'"), [P("x'*y^2 + x'*y + 1")]).steps == 1
+
+    def test_huge_product_of_a_square_draw_is_refused(self, monkeypatch):
+        # draw 192 of scripts/square_draw.py --seed 1 --max-order 2: its
+        # splitting tree once spent 33 s building one 72,445-term product
+        # before MAX_REDUCTION_TERMS refused it
+        messages = []
+        reduce = diffalg.decompose.ritt_reduce_seq
+
+        def recorded(*args):
+            try:
+                return reduce(*args)
+            except StepLimitExceeded as exc:
+                messages.append(str(exc))
+                raise
+
+        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", recorded)
+        us = [P("3*x*y'' + 2*x'' - 2"), P("x''*y' + 3*x*x' - y")]
+        assert jbc_check(us, ELIM_XY).verdict is JbcVerdict.INCONCLUSIVE
+        assert messages == [
+            "reduction stopped at step 1: a product would make 1505005 term pairs, "
+            "over the cap MAX_REDUCTION_PAIRS = 1000000"
+        ]
