@@ -27,10 +27,13 @@ properties that everything else leans on:
     the product rule for derive;
   * random systems of two independent blocks, a pair of equations in x, y
     beside a pair in z, w, decompose by split_decompose exactly as the
-    splitting tree run over the whole system: the same components, in the
-    same order, with the same inequations and completeness (draws that take
-    the product of the blocks' components, draws that fall back to the one
-    tree, and draws over a LIMIT_S limit are counted);
+    splitting tree run over the whole system wherever that tree is
+    complete: the same components, in the same order, with the same
+    inequations and completeness; where that tree is capped, every
+    component verifies against the inputs (tests/reference_engines.py) and
+    the decomposition is incomplete whenever a block's own run is (draws
+    with a complete tree, draws with a capped tree, and draws over a
+    LIMIT_S limit are counted);
   * random pairs of generators in x, y, each homogeneous in (weighted
     degree, derivative weight) under variable weights drawn from {1, 2, 3}^2,
     get the same verdict from truncated_member, on a planted member, and the
@@ -91,7 +94,7 @@ from diffalg import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import fraction_reference as ref  # noqa: E402
-from reference_engines import first_order_expansion, jacobi_brute  # noqa: E402
+from reference_engines import first_order_expansion, jacobi_brute, verify_component  # noqa: E402
 
 NAMES = ("x", "y", "z")
 LIMIT_S = 2.0
@@ -353,15 +356,17 @@ def _decomposition_text(dec) -> tuple:
 def audit_product(rng: random.Random, cases: int) -> tuple[int, int, int]:
     """Draws two nonconstant equations in x, y and two in z, w (order <= 1,
     degree <= 2 in each jet, up to 3 terms) as one system under
-    elim x > y > z > w, and compares split_decompose with the splitting tree
-    run over the whole system; where the product of the blocks' components
-    is taken, it must be what split_decompose returns.  Returns (draws
-    decomposed by the product, draws that fell back to the one tree, draws
-    over LIMIT_S)."""
+    elim x > y > z > w.  Where the splitting tree run over the whole system
+    is complete, split_decompose must give what it gives.  Where that tree
+    is capped, every component split_decompose gives must verify against
+    the inputs (tests/reference_engines.py), and the decomposition must be
+    incomplete whenever a block's own run is.  Returns (draws compared with
+    the complete one tree, draws where the one tree is capped, draws over
+    LIMIT_S)."""
     xy = Context(NAMES[:2], QQ)
     ctx = Context(("x", "y", "z", "w"), QQ)
     rk = Ranking.elimination(4, [0, 1, 2, 3])
-    products = fallbacks = over = 0
+    equal = capped = over = 0
     signal.signal(signal.SIGALRM, _on_alarm)
     for _ in range(cases):
         us = []
@@ -377,28 +382,35 @@ def audit_product(rng: random.Random, cases: int) -> tuple[int, int, int]:
         start = frozenset(u.monic() for u in us)
         signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
         try:
-            product = diffalg.decompose._block_product(diffalg.decompose._blocks(start), rk)
-            single = diffalg.decompose._split_tree(start, rk)[0]
+            single = diffalg.decompose._split_tree(start, rk)
+            runs = [diffalg.decompose._split_tree(b, rk) for b in diffalg.decompose._blocks(start)]
             got = split_decompose(us, rk)
+            failed = []
+            if single.complete:
+                if _decomposition_text(got) != _decomposition_text(single):
+                    failed.append("differs from the complete one tree")
+            else:
+                if not all(verify_component(c, us) for c in got.components):
+                    failed.append("a component failed to verify")
+                if got.complete and not all(run.complete for run in runs):
+                    failed.append("complete although a block run is not")
         except OverLimit:
             over += 1
             continue
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
-        want = _decomposition_text(single)
-        by_product = want if product is None else _decomposition_text(product)
-        if _decomposition_text(got) != want or by_product != want:
-            print("block decomposition differs from the one tree:", file=sys.stderr)
+        if failed:
+            print(f"block decomposition check failed ({'; '.join(failed)}):", file=sys.stderr)
             for u in us:
                 print(f"  u:    {u.to_text()}", file=sys.stderr)
             print(f"  split_decompose: {_decomposition_text(got)}", file=sys.stderr)
-            print(f"  one tree:        {want}", file=sys.stderr)
+            print(f"  one tree:        {_decomposition_text(single)}", file=sys.stderr)
             sys.exit(1)
-        if product is not None:
-            products += 1
+        if single.complete:
+            equal += 1
         else:
-            fallbacks += 1
-    return products, fallbacks, over
+            capped += 1
+    return equal, capped, over
 
 
 # monomials of degree <= 3 in x, x', y, y'
@@ -550,11 +562,11 @@ def main() -> None:
         f"[{time.monotonic() - t4:.2f}s]"
     )
     t5 = time.monotonic()
-    products, fallbacks, over = audit_product(rng, args.cases)
+    equal, capped, over = audit_product(rng, args.cases)
     print(
-        f"product: {products + fallbacks} two-block systems decomposed as by one tree "
-        f"({products} by the product of the blocks, {fallbacks} fell back to one tree; "
-        f"{over} over the {LIMIT_S:g} s limit)  [{time.monotonic() - t5:.2f}s]"
+        f"product: {equal + capped} two-block systems decomposed block by block "
+        f"({equal} as by the complete one tree, {capped} with the one tree capped, their "
+        f"components verified; {over} over the {LIMIT_S:g} s limit)  [{time.monotonic() - t5:.2f}s]"
     )
     t6 = time.monotonic()
     weighted, unit, skipped = audit_graded(rng, args.cases)

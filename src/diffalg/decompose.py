@@ -10,8 +10,9 @@ node's basic set reduces every other equation in the node to zero.  A
 system whose equations fall into independent blocks (no variable shared
 between blocks) is decomposed one block at a time, and its components are
 the products of the blocks' components, as the tree over the whole system
-would give them.  Budget exhaustion is reported honestly through a
-completeness flag, never hidden.
+gives them wherever it completes; the budget bounds each block's tree.
+Budget exhaustion is reported honestly through a completeness flag, never
+hidden.
 
 The end-to-end check compares each finite-dimensional component's dimension
 (the assignment maximum over the orders of its characteristic sequence)
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional, Sequence
@@ -138,21 +138,25 @@ class DecompositionResult:
     complete: bool
 
 
-def _basic_set(node: Sequence[DiffPoly], rank) -> list:
-    """Greedy minimal autoreduced subset: scan by ascending rank (text as
-    the final tie-break) and keep whatever stays reduced against everything
-    already kept.  This realizes the minimal-sequence choice: any competing
-    autoreduced subset compares greater or equal.  rank(p) gives p's
-    RankedPoly."""
-    ranked = sorted(
-        (rank(p) for p in node),
-        key=lambda rp: (rp.rank_key(), rp.poly.to_text()),
-    )
-    chosen = []
-    for rp in ranked:
+def _rank_text(rp: RankedPoly) -> tuple:
+    """Ascending rank, text as the final tie-break."""
+    return rp.rank_key(), rp.poly.to_text()
+
+
+def _basic_set(node: Sequence[DiffPoly], rank) -> tuple:
+    """Greedy minimal autoreduced subset, and the rest of the node: scan by
+    ascending rank (text as the final tie-break) and keep whatever stays
+    reduced against everything already kept.  This realizes the
+    minimal-sequence choice: any competing autoreduced subset compares
+    greater or equal.  Returns (the kept RankedPolys, the other equations),
+    both in scan order.  rank(p) gives p's RankedPoly."""
+    chosen, rest = [], []
+    for rp in sorted((rank(p) for p in node), key=_rank_text):
         if all(is_reduced(rp.poly, c) for c in chosen):
             chosen.append(rp)
-    return chosen
+        else:
+            rest.append(rp.poly)
+    return chosen, rest
 
 
 def _sep_init_conditions(chosen) -> list:
@@ -168,10 +172,20 @@ def _sep_init_conditions(chosen) -> list:
     return [seen[k] for k in sorted(seen)]
 
 
-def _monomial_fork(node: frozenset):
-    """First (canonical order) single-monomial equation that is not already
-    a bare jet variable: its zero set is the union over its variables."""
-    for p in sorted(node, key=lambda q: q.to_text()):
+def _fork(node: frozenset, rank) -> Optional[list]:
+    """The children of a node split on one equation, or None.  Equations are
+    scanned in text order, first for the monomial rule, then for the power
+    rule.  The monomial rule takes a single-monomial equation that is not
+    already a bare jet variable: its zero set is the union over its
+    variables.  The power rule takes an equation of the shape
+    (initial) * leader^d with no tail: one child for the leader, one for
+    the initial.  That initial is never constant: single terms go to the
+    monomial rule, so the equation has two or more terms, each of degree d
+    in the leader, and its initial has as many.  rank(p) gives p's
+    RankedPoly."""
+    ctx = next(iter(node)).context
+    ordered = sorted(node, key=DiffPoly.to_text)
+    for p in ordered:
         if p.term_count() != 1:
             continue
         m = p.leading_monomial()
@@ -179,22 +193,16 @@ def _monomial_fork(node: frozenset):
             continue  # constant; the dead check owns this
         if len(m.factors) == 1 and m.factors[0][1] == 1:
             continue  # already a bare variable
-        return p, [v for v, _ in m.factors]
-    return None
-
-
-def _pure_power_fork(node: frozenset, rank):
-    """First equation of the shape (initial) * leader^d with no tail: split
-    into the leader branch and the initial branch.  The initial is never
-    constant: single terms go to the monomial rule, so the equation has two
-    or more terms, each of degree d in the leader, and its initial has as
-    many.  rank(p) gives p's RankedPoly."""
-    for p in sorted(node, key=lambda q: q.to_text()):
+        rest = node - {p}
+        return [frozenset(rest | {DiffPoly.var(ctx, v.var, v.order)}) for v, _ in m.factors]
+    for p in ordered:
         if p.is_constant() or p.term_count() == 1:
             continue  # monomial rule owns single terms
         rp = rank(p)
         if all(m.degree_in(rp.leader) == rp.degree for m in p.monomials()):
-            return p, rp
+            rest = node - {p}
+            leader = DiffPoly.var(ctx, rp.leader.var, rp.leader.order)
+            return [frozenset(rest | {leader}), frozenset(rest | {rp.initial.monic()})]
     return None
 
 
@@ -202,38 +210,34 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
     """Bounded splitting decomposition, one independent block at a time.
 
     A block is a connected component of the graph that joins two equations
-    when some variable occurs in both, at any order.  A system with one
-    block runs the splitting tree (_split_tree) on all its equations.  A
-    system with several blocks runs the same tree on each block on its own,
-    under the same context and ranking, and its components are every choice
-    of one component per block, joined: the union of the blocks' basic
-    sets, with the text-sorted union of their separants and initials as
-    inequations, canonically sorted like the tree's own output.
+    when some variable occurs in both, at any order.  The splitting tree
+    (_split_tree) runs on each block on its own, under the same context and
+    ranking.  A system with one block returns its tree's result.  With
+    several blocks, the components are the choices of one component per
+    block, joined: the union of the blocks' basic sets, with the text-sorted
+    union of their separants and initials as inequations, canonically sorted
+    like the tree's own output.
 
-    The product is what the tree over the whole system gives.  Its nodes
-    are unions of one node per block, and it never mixes blocks: a fork
-    splits one equation, so it changes one block's part; the greedy basic
-    set of a union is the union of the blocks' basic sets, since
-    polynomials in disjoint variables are always reduced with respect to
-    each other; and a division uses only divisors from the dividend's own
+    Where the tree over the whole system is complete, the product is what it
+    gives.  Its nodes are unions of one node per block, and it never mixes
+    blocks: a fork splits one equation, so it changes one block's part; the
+    greedy basic set of a union is the union of the blocks' basic sets,
+    since polynomials in disjoint variables are always reduced with respect
+    to each other; and a division uses only divisors from the dividend's own
     block, so it takes the same steps as in the block's tree and hits a cap
-    exactly when it does there.  Every node the whole tree takes from its
-    queue is thus a union of nodes the blocks' trees take from theirs, at
-    most the product of their node counts; it emits exactly when every
-    block's part would emit, so its components are the joins of the
+    exactly when it does there.  A node of the whole tree emits exactly when
+    every block's part would emit, so its components are the joins of the
     blocks' components, and a joined inequation vanishes exactly when it
     vanishes in its own block.  Joining also does not skip a check: the
-    product component's construction re-checks every inequation, and
+    joined component's construction re-checks every inequation, and
     jbc_check re-verifies each component against all the inputs.
 
-    The product is taken only when every block run is complete, the product
-    of the blocks' component counts is at most MAX_COMPONENTS and the
-    product of their node counts is at most MAX_SPLIT_STEPS; then the whole
-    tree would be complete within its caps as well.  Otherwise the tree
-    runs on the whole system, whose caps decide what is reported, so a
-    capped run gives what it gave before blocks were split.  Nothing is
-    kept across calls: each tree's run-local tables are dropped when it
-    returns.
+    The caps apply to the blocks, not to the whole tree: MAX_SPLIT_STEPS
+    bounds each block's tree, and combinations are joined in
+    itertools.product order, the first MAX_COMPONENTS of them kept.  The
+    result is complete exactly when every block run is complete and there
+    are at most MAX_COMPONENTS combinations.  Nothing is kept across calls:
+    each tree's run-local tables are dropped when it returns.
     """
     if not us:
         raise ValueError("empty system")
@@ -249,13 +253,26 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
     if any(u.is_constant() for u in us):
         # a nonzero constant equation has no solutions at all
         return DecompositionResult(components=(), complete=True)
-    start = frozenset(u.monic() for u in us)
-    blocks = _blocks(start)
-    if len(blocks) > 1:
-        dec = _block_product(blocks, ranking)
-        if dec is not None:
-            return dec
-    return _split_tree(start, ranking)[0]
+    runs = [_split_tree(block, ranking) for block in _blocks(frozenset(u.monic() for u in us))]
+    if len(runs) == 1:
+        return runs[0]
+    combos = list(
+        itertools.islice(itertools.product(*(dec.components for dec in runs)), MAX_COMPONENTS + 1)
+    )
+    joined = []
+    for combo in combos[:MAX_COMPONENTS]:
+        chosen = sorted((rp for c in combo for rp in c.prepared.ranked), key=_rank_text)
+        joined.append(
+            CharSetComponent(
+                ranking=ranking,
+                sequence=PreparedSeq(chosen, ranking),
+                inequations=tuple(_sep_init_conditions(chosen)),
+            )
+        )
+    return DecompositionResult(
+        components=_canonical_order(joined),
+        complete=all(dec.complete for dec in runs) and len(combos) <= MAX_COMPONENTS,
+    )
 
 
 def _blocks(node: frozenset) -> list:
@@ -279,35 +296,6 @@ def _blocks(node: frozenset) -> list:
     return [frozenset(eqs) for _, eqs in blocks]
 
 
-def _block_product(blocks: Sequence[frozenset], ranking: Ranking) -> Optional[DecompositionResult]:
-    """The decomposition of the union of independent blocks as the product
-    of the blocks' own decompositions, or None when a block run is
-    incomplete or the product would pass MAX_COMPONENTS or MAX_SPLIT_STEPS
-    (see split_decompose)."""
-    runs = [_split_tree(block, ranking) for block in blocks]
-    if not all(dec.complete for dec, _ in runs):
-        return None
-    if math.prod(len(dec.components) for dec, _ in runs) > MAX_COMPONENTS:
-        return None
-    if math.prod(steps for _, steps in runs) > MAX_SPLIT_STEPS:
-        return None
-    joined = []
-    for combo in itertools.product(*(dec.components for dec, _ in runs)):
-        chosen = sorted(
-            (rp for c in combo for rp in c.prepared.ranked),
-            key=lambda rp: (rp.rank_key(), rp.poly.to_text()),
-        )
-        joined.append(
-            CharSetComponent(
-                ranking=ranking,
-                sequence=PreparedSeq(chosen, ranking),
-                inequations=tuple(_sep_init_conditions(chosen)),
-                prime_verified=False,
-            )
-        )
-    return DecompositionResult(components=_canonical_order(joined), complete=True)
-
-
 def _canonical_order(components) -> tuple:
     return tuple(
         sorted(
@@ -321,9 +309,8 @@ def _canonical_order(components) -> tuple:
     )
 
 
-def _split_tree(start: frozenset, ranking: Ranking) -> tuple:
-    """The splitting tree over a set of monic, nonconstant equations:
-    (its DecompositionResult, the number of nodes taken from the queue).
+def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
+    """The splitting tree over a set of monic, nonconstant equations.
 
     Breadth-first over nodes (finite sets of monic equations).  Each node is
     either killed (a nonzero constant appeared), forked (monomial or
@@ -332,20 +319,21 @@ def _split_tree(start: frozenset, ranking: Ranking) -> tuple:
     ideal by its certificate, joins the node), or emitted (everything
     reduces to zero: the basic set becomes a component whose inequations are
     its separants and initials, and one vanishing branch is queued per
-    inequation).  Each polynomial is analyzed once per run.  Each distinct
-    basic set is prepared once per run, divides each equation at most once
-    per run (nodes share most of their equations, so a node reduces only
-    those with no remainder yet for its basic set), and builds its
-    component at most once.  A node divides its equations in ascending
-    rank, text breaking ties, so the work done before a division hits a cap
-    does not follow set order.  Emitted components are not re-checked here:
-    jbc_check re-verifies each one against the inputs.  The completeness
-    flag reports whether the whole tree was explored within MAX_SPLIT_STEPS
-    nodes and MAX_COMPONENTS components; a reduction that hits a step or term cap
-    clears it (a node that meets the same division again hits the cap
-    again, since nothing is kept for a division that stopped), and so does
-    a remainder with a coefficient past MAX_COEFF_BITS, which is dropped
-    with its node.
+    inequation).  A node is sorted once by text for the forks and once by
+    rank, text breaking ties, for its basic set; it divides its other
+    equations in that rank order, so the work done before a division hits a
+    cap does not follow set order.  Each polynomial is analyzed once per
+    run.  Each distinct basic set is prepared once per run, divides each
+    equation at most once per run (nodes share most of their equations, so
+    a node reduces only those with no remainder yet for its basic set), and
+    builds its component at most once.  Emitted components are not
+    re-checked here: jbc_check re-verifies each one against the inputs.
+    The completeness flag reports whether the whole tree was explored within
+    MAX_SPLIT_STEPS nodes and MAX_COMPONENTS components; a reduction that
+    hits a step or term cap clears it (a node that meets the same division
+    again hits the cap again, since nothing is kept for a division that
+    stopped), and so does a remainder with a coefficient past
+    MAX_COEFF_BITS, which is dropped with its node.
     """
     ctx = next(iter(start)).context
     analyzed: dict = {}
@@ -381,33 +369,17 @@ def _split_tree(start: frozenset, ranking: Ranking) -> tuple:
         if any(p.is_constant() for p in node):
             continue  # nonzero constant in the ideal: no solutions here
 
-        fork = _monomial_fork(node)
-        if fork is not None:
-            p, dervars = fork
-            for v in dervars:
-                child = frozenset((node - {p}) | {DiffPoly.var(ctx, v.var, v.order)})
-                queue.append(child)
+        children = _fork(node, rank)
+        if children is not None:
+            queue.extend(children)
             continue
 
-        fork = _pure_power_fork(node, rank)
-        if fork is not None:
-            p, rp = fork
-            rest = node - {p}
-            queue.append(frozenset(rest | {DiffPoly.var(ctx, rp.leader.var, rp.leader.order)}))
-            queue.append(frozenset(rest | {rp.initial.monic()}))
-            continue
-
-        chosen = _basic_set(node, rank)
+        chosen, others = _basic_set(node, rank)
         basis = tuple(rp.poly for rp in chosen)
         entry = reduced.get(basis)
         if entry is None:
             entry = reduced[basis] = (PreparedSeq(chosen, ranking), {})
         prep, known = entry
-        in_basis = set(basis)
-        others = sorted(
-            (p for p in node if p not in in_basis),
-            key=lambda p: (rank(p).rank_key(), p.to_text()),
-        )
         try:
             for p in others:
                 if p not in known:
@@ -440,7 +412,6 @@ def _split_tree(start: frozenset, ranking: Ranking) -> tuple:
                     ranking=ranking,
                     sequence=prep,
                     inequations=tuple(conditions),
-                    prime_verified=False,
                 )
             except VanishingInequationError:
                 pass
@@ -459,7 +430,7 @@ def _split_tree(start: frozenset, ranking: Ranking) -> tuple:
 
     if queue:
         complete = False
-    return DecompositionResult(components=_canonical_order(found.values()), complete=complete), steps
+    return DecompositionResult(components=_canonical_order(found.values()), complete=complete)
 
 
 class JbcVerdict(Enum):
@@ -475,7 +446,9 @@ class ComponentRecord:
     component: CharSetComponent
     dimension: Optional[int]  # None = infinite
     memberships: tuple  # tuple[Verdict, ...], one per input equation
-    verified: bool  # all inputs reduce to zero, all inequations nonzero
+    # all inputs reduce to zero; that no inequation does was checked when
+    # the (frozen) component was built, in CharSetComponent.__post_init__
+    verified: bool
     dim_le_jacobi: Optional[bool]
     equality: Optional[bool]  # dimension == weak Jacobi value
 
@@ -613,8 +586,7 @@ def jbc_check(
     records = []
     for c in comps:
         mems = tuple(c.membership(u) for u in us)
-        ineqs_ok = not any(c.membership(q).member for q in c.inequations)
-        verified = ineqs_ok and all(v.member for v in mems)
+        verified = all(v.member for v in mems)
         dim = component_dimension(c)
         dim_le = None if dim is None else dim <= weak.value
         eq = None if dim is None else dim == weak.value

@@ -42,12 +42,19 @@ class PointNotOnZeroSetError(ValueError):
 
 def extended_context(ctx: Context) -> Context:
     """The 2n-variable context: original names, then one tangent name per
-    variable (prefixed), over the same field."""
-    tangent = tuple(TANGENT_PREFIX + nm for nm in ctx.names)
-    clash = set(tangent) & set(ctx.names)
-    if clash:
-        raise ValueError(f"tangent names collide with variables: {sorted(clash)}")
-    return Context(names=ctx.names + tangent, field=ctx.field)
+    variable (prefixed), over the same field.  Built on first use and kept
+    on ctx, as its name index is, so the tangents of one system share one
+    context; a context whose names clash is never kept, so it raises on
+    every call."""
+    ext = getattr(ctx, "_extended", None)
+    if ext is None:
+        tangent = tuple(TANGENT_PREFIX + nm for nm in ctx.names)
+        clash = set(tangent) & set(ctx.names)
+        if clash:
+            raise ValueError(f"tangent names collide with variables: {sorted(clash)}")
+        ext = Context(names=ctx.names + tangent, field=ctx.field)
+        object.__setattr__(ctx, "_extended", ext)  # not a field: never compared or hashed
+    return ext
 
 
 def tangent_dervar(n: int, v: DerVar) -> DerVar:

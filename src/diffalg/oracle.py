@@ -471,30 +471,40 @@ class _StagedSearch:
         return None, skipped
 
 
+def _checked_generators(f: DiffPoly, gens: Sequence[DiffPoly]) -> list:
+    """The generators as a list, refused when empty, zero or in another
+    context than f."""
+    gens = list(gens)
+    if not gens:
+        raise ValueError("empty generator list")
+    for g in gens:
+        if g.context != f.context:
+            raise ValueError("mixed ring contexts")
+        if g.is_zero():
+            raise ValueError("zero generator")
+    return gens
+
+
 def truncated_member(
-    f: DiffPoly,
-    gens: Sequence[DiffPoly],
-    bounds: TruncationBounds = TruncationBounds(),
-    *,
-    _search: Optional[_StagedSearch] = None,
+    f: DiffPoly, gens: Sequence[DiffPoly], bounds: TruncationBounds = TruncationBounds()
 ) -> MembershipWitness:
     """Is f in the truncated span of the prolonged generators?
 
     Member answers come with an explicit, re-verified combination; anything
     else is Inconclusive (in particular a cap skip or a degree overflow,
-    both named in the diagnostic).  ``_search`` is the staged search, with
-    the generators' weights, that radical_member shares between the powers
-    of one polynomial.
+    both named in the diagnostic).
     """
-    gens = [g for g in gens]
-    if not gens:
-        raise ValueError("empty generator list")
+    gens = _checked_generators(f, gens)
+    return _member(f, gens, bounds, _StagedSearch(gens, f.dervars(), bounds))
+
+
+def _member(
+    f: DiffPoly, gens: list, bounds: TruncationBounds, search: _StagedSearch
+) -> MembershipWitness:
+    """truncated_member over checked generators, with the staged search,
+    and the generators' weights, that radical_member shares between the
+    powers of one polynomial."""
     ctx = f.context
-    for g in gens:
-        if g.context != ctx:
-            raise ValueError("mixed ring contexts")
-        if g.is_zero():
-            raise ValueError("zero generator")
     if f.is_zero():
         return MembershipWitness(
             verdict=OracleVerdict.MEMBER, bounds=bounds, context=ctx, power=1
@@ -512,7 +522,6 @@ def truncated_member(
             diagnostic=f"degree of query ({f.total_degree()}) exceeds the degree bound",
         )
 
-    search = _search if _search is not None else _StagedSearch(gens, f.dervars(), bounds)
     weights = search.weights
     if weights is not None:
         try:
@@ -555,8 +564,8 @@ def radical_member(
 ) -> MembershipWitness:
     """First power e <= power_bound with f^e in the truncated span.  The
     powers share one staged search, so no stage is swept twice, and the
-    generators' weights are found once."""
-    gens = list(gens)
+    generators are checked and their weights found once."""
+    gens = _checked_generators(f, gens)
     search = _StagedSearch(gens, f.dervars(), bounds)
     last = None
     diag = f"no power up to {bounds.power_bound} found"
@@ -569,7 +578,7 @@ def radical_member(
                 f"at f^{e} (degree {fe.total_degree()})"
             )
             break
-        w = truncated_member(fe, gens, bounds, _search=search)
+        w = _member(fe, gens, bounds, search)
         if w.is_member():
             return MembershipWitness(
                 verdict=OracleVerdict.MEMBER,

@@ -74,7 +74,7 @@ def recorded_decompose(mp, us, ranking):
 
 def single_tree(us, ranking):
     """The splitting tree run on the whole system at once, blocks or not."""
-    return diffalg.decompose._split_tree(frozenset(u.monic() for u in us), ranking)[0]
+    return diffalg.decompose._split_tree(frozenset(u.monic() for u in us), ranking)
 
 
 def summary(dec):
@@ -285,9 +285,9 @@ class TestSplitDecompose:
         real_basic_set = diffalg.decompose._basic_set
 
         def basic_set(node, rank):
-            chosen = real_basic_set(node, rank)
+            chosen, rest = real_basic_set(node, rank)
             met["; ".join(rp.poly.to_text() for rp in chosen)] += 1
-            return chosen
+            return chosen, rest
 
         built = Counter()
 
@@ -329,46 +329,81 @@ class TestSplitDecompose:
         for c in dec.components:
             assert verify_component(c, us)
 
-    def test_too_many_product_components_fall_back_to_one_tree(self, monkeypatch):
-        # the double flagship has 2 * 2 components; with room for 3 the
-        # tree over the whole system decides what is reported
+    def test_too_many_product_components_keep_the_first_joins(self, monkeypatch):
+        # the double flagship has 2 * 2 combinations; with room for 3 the
+        # first three in product order are joined and the fourth is not
         monkeypatch.setattr(diffalg.decompose, "MAX_COMPONENTS", 3)
         us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
         dec = split_decompose(us, ELIM_XYZW)
-        assert not dec.complete and len(dec.components) == 3
-        assert summary(dec) == summary(single_tree(us, ELIM_XYZW))
+        assert not dec.complete
+        assert [seq_texts(c) for c in dec.components] == [
+            ("w", "z'", "y", "x'"),
+            ("w", "z'", "y^3 + 1/4*y'^2", "x'*y - 1/2*y'"),
+            ("w^3 + 1/4*w'^2", "z'*w - 1/2*w'", "y", "x'"),
+        ]
+        for c in dec.components:
+            assert verify_component(c, us)
 
-    def test_too_many_product_nodes_fall_back_to_one_tree(self, monkeypatch):
+    def test_the_step_budget_bounds_each_block(self, monkeypatch):
         # each flagship block's tree takes at most 14 nodes, so both block
-        # runs are complete, but their product passes 20
+        # runs are complete within 20 steps and so is their product, though
+        # the tree over the whole system runs out of nodes
         monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 20)
         us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
-        blocks = diffalg.decompose._blocks(frozenset(u.monic() for u in us))
-        assert all(diffalg.decompose._split_tree(b, ELIM_XYZW)[0].complete for b in blocks)
+        assert not single_tree(us, ELIM_XYZW).complete
         dec = split_decompose(us, ELIM_XYZW)
-        assert not dec.complete
-        assert summary(dec) == summary(single_tree(us, ELIM_XYZW))
+        monkeypatch.undo()
+        assert summary(dec) == summary(split_decompose(us, ELIM_XYZW))
+        assert dec.complete and len(dec.components) == 4
 
-    def test_an_incomplete_block_falls_back_to_one_tree(self, monkeypatch):
+    def test_an_incomplete_block_makes_the_product_incomplete(self, monkeypatch):
         # each flagship block's run drops a remainder with the coefficient
-        # 1/4 at a 2-bit cap, so it is incomplete, and so is the tree over
-        # the whole system; a product would report the blocks' (no)
-        # components as complete
+        # 1/4 at a 2-bit cap, so it is incomplete, and so is the product
         monkeypatch.setattr(diffalg.decompose, "MAX_COEFF_BITS", 2)
         us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
         blocks = diffalg.decompose._blocks(frozenset(u.monic() for u in us))
-        assert not any(diffalg.decompose._split_tree(b, ELIM_XYZW)[0].complete for b in blocks)
+        assert not any(diffalg.decompose._split_tree(b, ELIM_XYZW).complete for b in blocks)
         dec = split_decompose(us, ELIM_XYZW)
         assert not dec.complete
-        assert summary(dec) == summary(single_tree(us, ELIM_XYZW))
+
+    def test_many_blocks_join_at_most_max_components(self, monkeypatch):
+        # seven independent x_i'^2 - x_i: 2^7 = 128 combinations, of which
+        # the first 64 are joined and no more; with the 2 components of each
+        # block's tree, 78 components are built in all
+        ctx = Context(tuple(f"x{i}" for i in range(7)), QQ)
+        us = [parse_poly(f"x{i}'^2 - x{i}", ctx) for i in range(7)]
+        built = Counter()
+
+        class Counted(CharSetComponent):
+            def __post_init__(self):
+                super().__post_init__()
+                built[len(self.sequence) > 1] += 1
+
+        monkeypatch.setattr(diffalg.decompose, "CharSetComponent", Counted)
+        dec = split_decompose(us, Ranking.elimination(7))
+        assert not dec.complete
+        assert len(dec.components) == diffalg.decompose.MAX_COMPONENTS == 64
+        assert built == {False: 14, True: 64}
+        for c in dec.components[:4]:
+            assert verify_component(c, us)
 
     @settings(max_examples=100, deadline=None)
     @given(two_block_systems)
     def test_blocks_decompose_as_one_tree(self, us):
+        # where the tree over the whole system completes, the product is
+        # what it gives; where a block run is incomplete, so is the product
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
             mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 40)
-            assert summary(split_decompose(us, ELIM_XYZW)) == summary(single_tree(us, ELIM_XYZW))
+            dec = split_decompose(us, ELIM_XYZW)
+            single = single_tree(us, ELIM_XYZW)
+            blocks = diffalg.decompose._blocks(frozenset(u.monic() for u in us))
+            runs = [diffalg.decompose._split_tree(b, ELIM_XYZW) for b in blocks]
+        if single.complete:
+            assert dec.complete
+            assert summary(dec) == summary(single)
+        if not all(run.complete for run in runs):
+            assert not dec.complete
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -476,12 +511,12 @@ class TestJbcCheck:
             jbc_check([P("x + y")], ELIM_XY)
 
     def test_flagship_reduction_count(self, monkeypatch):
-        # 31 reductions: inside split_decompose, 23 node remainders (one per
+        # 29 reductions: inside split_decompose, 23 node remainders (one per
         # equation and basic set, 42 in all when each node reduced all its
         # equations) and the inequation check of the one component with
-        # nonconstant separants and initials (2); then 6 for the two
-        # records: two inputs per component plus the big component's
-        # inequations.
+        # nonconstant separants and initials (2); then 4 for the two
+        # records, two inputs per component (the inequations were checked
+        # when the component was built).
         calls = []
         real = diffalg.decompose.ritt_reduce_seq
 
@@ -492,7 +527,7 @@ class TestJbcCheck:
         monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", counted)
         rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert len(calls) == 31
+        assert len(calls) == 29
 
     def test_flagship_work_counts(self, monkeypatch):
         # Deterministic work counters, pinned: each polynomial is analyzed

@@ -229,6 +229,18 @@ class TestGenericPoints:
         with pytest.raises(PointNotOnZeroSetError):
             linearize_at(P("y + 1"), comp)
 
+    def test_one_extended_context_per_context(self):
+        # the tangents of one system share one 2n-name context, built on
+        # first use; a context whose tangent names clash raises every time
+        ctx = Context(("x", "y"), QQ)
+        a = linearize_at(P("x*y", ctx), origin(ctx))
+        b = linearize_sym(P("x' + y", ctx))
+        assert a.poly.context is b.poly.context is extended_context(ctx)
+        clash = Context(("x", "dx"), QQ)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="collide"):
+                extended_context(clash)
+
 
 class TestWorkCounts:
     def test_flagship_work_counts(self, tmp_path, monkeypatch, capsys):

@@ -176,6 +176,13 @@ class TestRadical:
             "no power tried: the degree bound 3 stops the search at f^1 (degree 5)"
         )
 
+    def test_generators_are_checked_before_any_power(self):
+        # empty, zero or foreign generators are refused once, up front, even
+        # where the degree bound stops the search before f^1
+        for gens in ([], [P("0")], [parse_poly("x", XY)]):
+            with pytest.raises(ValueError):
+                radical_member(P("x^5"), gens, TruncationBounds(0, 0, 3, 2))
+
     def test_cusp_builds_each_candidate_once(self, monkeypatch):
         """Work gate: the cusp is homogeneous under the weights x = 2,
         y = 3, so each power is solved in the one block it occupies: 14
