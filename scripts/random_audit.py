@@ -41,7 +41,12 @@ properties that everything else leans on:
     staged search on the same input, whenever that search skips no stage,
     and every witness re-verifies (draws the oracle weighs with all ones,
     with other weights, and draws where the staged search skipped a stage
-    are counted).
+    are counted);
+  * random polynomials over Q and Q(t), written with random spacing,
+    unary minus, divisors and parentheses (one in ten with a character
+    dropped or replaced), read by parse_poly and by the token-by-token parser
+    of tests/reference_engines.py give the same terms in the same order,
+    or the same ParseError, text and position (refusals are counted).
 
     python3 scripts/random_audit.py --cases 500 --seed 7
 
@@ -64,6 +69,7 @@ import diffalg.decompose
 import diffalg.oracle
 import diffalg.reduction
 from diffalg import (
+    QT,
     ConcretePoint,
     Context,
     Convention,
@@ -79,11 +85,13 @@ from diffalg import (
     StepLimitExceeded,
     TermLimitExceeded,
     TruncationBounds,
+    ParseError,
     analyze,
     is_reduced,
     jacobi_assign,
     linearize_at,
     linearized_order_matrix,
+    parse_poly,
     radical_member,
     ritt_reduce_seq,
     split_decompose,
@@ -94,7 +102,12 @@ from diffalg import (
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import fraction_reference as ref  # noqa: E402
-from reference_engines import first_order_expansion, jacobi_brute, verify_component  # noqa: E402
+from reference_engines import (  # noqa: E402
+    first_order_expansion,
+    jacobi_brute,
+    reference_parse_poly,
+    verify_component,
+)
 
 NAMES = ("x", "y", "z")
 LIMIT_S = 2.0
@@ -521,6 +534,75 @@ def audit_graded(rng: random.Random, cases: int) -> tuple[int, int, int]:
     return weighted, unit, skipped
 
 
+def _rendering(rng: random.Random, names, qt: bool) -> str:
+    """A random polynomial written out token by token, each token followed
+    by random spacing."""
+
+    def jet() -> list:
+        k = rng.randint(0, 5)
+        toks = [rng.choice(names)] + (["'" * k] if 0 < k <= 3 else ["^", "(", str(k), ")"] if k else [])
+        return toks + (["^", str(rng.randint(0, 3))] if rng.random() < 0.3 else [])
+
+    def constant() -> list:
+        if qt and rng.random() < 0.4:
+            toks = ["("]
+            for j in range(rng.randint(1, 3)):
+                toks += ([rng.choice("+-")] if j else []) + [str(rng.randint(1, 9)), "*", "t", "^", str(rng.randint(0, 3))]
+            return toks + [")"]
+        return [str(rng.randint(0, 9))]
+
+    def term(depth: int) -> list:
+        toks = ["-"] * rng.randint(0, 2)
+        for j in range(rng.randint(1, 3)):
+            if j and rng.random() < 0.2:
+                toks += ["/", str(rng.randint(1, 9))]
+                continue
+            if j:
+                toks.append("*")
+            r = rng.random()
+            if depth and r < 0.15:
+                toks += ["("] + expr(depth - 1) + [")"] + (["^", str(rng.randint(0, 2))] if rng.random() < 0.3 else [])
+            elif r < 0.4:
+                toks += constant()
+            else:
+                toks += jet()
+        return toks
+
+    def expr(depth: int) -> list:
+        toks = term(depth)
+        for _ in range(rng.randint(0, 3)):
+            toks += [rng.choice("+-")] + term(depth)
+        return toks
+
+    text = "".join(tok + rng.choice(("", "", " ", "  ")) for tok in expr(2))
+    if rng.random() < 0.1:  # a character dropped or replaced
+        k = rng.randrange(len(text) + 1)
+        text = text[:k] + rng.choice(("", "(", ")", "+", "*", "^", "'", "x", "2", " ")) + text[k + 1 :]
+    return text
+
+
+def _reading(read, text: str, ctx: Context):
+    try:
+        return list(read(text, ctx).items())
+    except ParseError as exc:
+        return str(exc)
+
+
+def audit_parse(rng: random.Random, cases: int) -> tuple[int, int]:
+    """Reads random renderings by parse_poly and by the reference parser."""
+    refused = 0
+    for _ in range(cases):
+        ctx = Context(NAMES[: rng.randint(1, 3)], rng.choice((QQ, QT)))
+        text = _rendering(rng, ctx.names, ctx.field is QT)
+        got, want = _reading(parse_poly, text, ctx), _reading(reference_parse_poly, text, ctx)
+        if got != want:
+            print(f"parse disagreement over {ctx.field.value} on {text!r}:", file=sys.stderr)
+            print(f"  library:   {got}\n  reference: {want}", file=sys.stderr)
+            sys.exit(1)
+        refused += isinstance(got, str)
+    return cases, refused
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=500, help="cases per audit (default 500)")
@@ -575,6 +657,12 @@ def main() -> None:
         f"({weighted} under weights other than all ones, {unit} under all ones; "
         f"{skipped} with a stage skipped by the candidate cap, not compared)  "
         f"[{time.monotonic() - t6:.2f}s]"
+    )
+    t7 = time.monotonic()
+    compared, refused = audit_parse(rng, args.cases)
+    print(
+        f"parse: {compared} renderings read alike by the library and the token-by-token reference, "
+        f"0 disagreements ({refused} refused alike, with the same message)  [{time.monotonic() - t7:.2f}s]"
     )
     print("all audits passed")
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional
 
-from .fields import QQ, QT, Field, RatFunc
+from .fields import QQ, QT, RF_ZERO, Field, RatFunc
 
 # Cap on the derivative orders derive() creates; prevents runaway
 # prolongation loops from allocating unbounded jet towers.
@@ -60,9 +60,9 @@ class Monomial:
     def make(items: Iterable) -> "Monomial":
         """The monomial of (jet variable, exponent) pairs in any order:
         exponents of a repeated variable add up and zero exponents drop.
-        Derivatives, partials, the parser and the oracle's multipliers
-        build their monomials here; factors already sorted, distinct and
-        positive are kept as given."""
+        Derivatives, partials, the expression reader's terms of several
+        jets and the oracle's multipliers build their monomials here;
+        factors already sorted, distinct and positive are kept as given."""
         fs = sorted(items)
         distinct = dict(fs)
         if len(distinct) == len(fs) and min(distinct.values(), default=1) > 0:
@@ -523,28 +523,45 @@ class ConcretePoint:
     jets are obtained by the field derivation (so over Q every point is a
     constant solution)."""
 
-    __slots__ = ("context", "_values", "_cache")
+    __slots__ = ("context", "_values", "_derivatives")
 
     def __init__(self, context: Context, values: dict):
         if set(values) != set(range(context.n)):
             raise ValueError("point must assign a value to every variable")
         self.context = context
         self._values = {k: context.field.check(v) for k, v in values.items()}
-        self._cache: dict[DerVar, RatFunc] = {}
+        # var -> [value, its first derivative, ...] over Q(t), computed as
+        # far as a query has needed, or until a derivative is zero
+        self._derivatives: dict[int, list] = {}
 
     @staticmethod
     def from_names(ctx: Context, named: dict) -> "ConcretePoint":
         return ConcretePoint(ctx, {ctx.var_index(k): v for k, v in named.items()})
 
     def value(self, v: DerVar) -> RatFunc:
+        """The value of the jet v: over Q zero at every positive order;
+        over Q(t) the v.order-th derivative in t, computed one order at a
+        time and zero past the first derivative that is.  A nonzero
+        derivative past DEFAULT_ORDER_CAP raises OrderCapExceeded."""
         self.context.check_dervar(v)
         if v.order == 0:
             return self._values[v.var]
-        got = self._cache.get(v)
-        if got is None:
-            got = self.context.field.derive(self.value(DerVar(v.var, v.order - 1)))
-            self._cache[v] = got
-        return got
+        if self.context.field is QQ:
+            return RF_ZERO
+        chain = self._derivatives.get(v.var)
+        if chain is None:
+            chain = self._derivatives[v.var] = [self._values[v.var]]
+        while len(chain) <= v.order:
+            last = chain[-1]
+            if not last:
+                return last
+            if len(chain) > DEFAULT_ORDER_CAP:
+                raise OrderCapExceeded(
+                    f"point value of order {v.order} > cap {DEFAULT_ORDER_CAP}: "
+                    f"its derivatives do not vanish by order {DEFAULT_ORDER_CAP}"
+                )
+            chain.append(last.derive())
+        return chain[v.order]
 
     def __repr__(self) -> str:
         fld = self.context.field

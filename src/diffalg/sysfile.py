@@ -11,6 +11,13 @@ The expression grammar covers differential polynomials as humans write them:
 * division is only by (nonzero) constants, so everything stays polynomial;
 * over Q(t) the name ``t`` denotes the field parameter, not a variable.
 
+The reader (``_scan``) reads an expression in one scan of one regex whose
+matches are whole factors, each with its power and the operator before it,
+and folds them left to right in one loop, with an explicit stack for
+parentheses.  Each term's monomial and coefficient are built once.  Nothing
+is kept between calls: every equation and every value of a point is read
+afresh.
+
 A *system file* declares the field, the variables, a ranking, named
 equations, and optionally named points.  A point's values are expressions
 in the system's own variables that must come out constant.  It holds no
@@ -44,15 +51,15 @@ from typing import Optional, Sequence
 
 from .decompose import CharSetComponent
 from .diffpoly import MON_ONE, ConcretePoint, Context, DerVar, DiffPoly, Monomial, _accumulate
-from .fields import RF_ONE, Field, QQ, QT, RatFunc
+from .fields import RF_ONE, RF_ZERO, Field, QQ, QT, RatFunc
 from .ranking import Ranking, RankKind
 
 
 # Largest term count a ``p ^ e`` may be expanded to: a polynomial with n
 # terms has at most C(n + e - 1, e) terms in its e-th power.
 MAX_POWER_TERMS = 10_000
-# Deepest nesting of parentheses an expression may have: the parser recurses
-# once per level, and Python's stack would give out near 250.
+# Deepest nesting of parentheses an expression may have: the reader saves
+# the enclosing expression and its open term once per level.
 MAX_NESTING = 100
 # Largest number of term products the expansion of a ``p ^ e`` may make (see
 # _power_products): (x + y)^9999 passes the term cap but would make 38 million.
@@ -81,268 +88,281 @@ class SysFileError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
+# the expression reader
 # ---------------------------------------------------------------------------
 
-# A token is its text: a number, a name, a run of primes, or one operator.
-# Whitespace separates tokens and is dropped.
+# A token is a number, a name, a run of primes, or one other character;
+# whitespace separates tokens.  Error messages name the token they stop at,
+# and rankings are read token by token.
 _TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|'+|\S")
 # A character no token may hold.
 _BAD_RE = re.compile(r"[^\s\dA-Za-z_'()*+,\-/=>^]")
+# One match is one factor with the operator before it.  Groups:
+#   1 op      '+', '-', '*', '/' or ''      2 minus   a run of unary minus
+# then one of
+#   3 name    a name, with 4 primes, or with a derivative marker '^(', its
+#             order 5 and 6 its ')'
+#   7 lit     an integer literal
+#   8 close   ')'
+#   10 open   '('
+# where name, lit and close may take a power '^' with exponent 9.  The
+# integers 5 and 9 match empty, and 6 matches empty, when the '^(' or '^'
+# before them is not followed as it must be.  Every group after op is
+# optional, so the scan matches at any position; a match that stops short
+# of a well-formed factor leaves groups unset, and the reader names the
+# token it stopped at.
+_FACTOR_RE = re.compile(
+    r"\s*([-+*/]?)((?:\s*-)*)\s*"
+    r"(?:(?:([A-Za-z_][A-Za-z0-9_]*)(?:\s*('+)|\s*\^\s*\(\s*(\d*)\s*(\)?))?|(\d+)|(\)))"
+    r"(?:\s*\^\s*(\d*))?|(\())?"
+)
+_ONE = RF_ONE.den  # the denominator of an integer
+_T = RatFunc.t_power(1)
 
 
-def _tokenize(src: str) -> list:
-    """The token texts of src, followed by "" for the end of input."""
+def _check_chars(src: str) -> None:
     bad = _BAD_RE.search(src)
     if bad:
         raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
-    toks = _TOKEN_RE.findall(src)
-    toks.append("")
-    return toks
 
 
-def _token_pos(src: str, i: int) -> int:
-    """Where token i of src starts, the end of input at len(src).  Only a
-    failing parse needs a position, so positions are found here, not kept
-    with the tokens."""
-    for k, m in enumerate(_TOKEN_RE.finditer(src)):
-        if k == i:
-            return m.start()
-    return len(src)
+def _token_at(src: str, pos: int) -> tuple:
+    """(text, position) of the first token at or after pos, ("", len(src))
+    at the end of input."""
+    m = _TOKEN_RE.search(src, pos)
+    return (m.group(), m.start()) if m else ("", len(src))
 
 
-# ---------------------------------------------------------------------------
-# expression parser (recursive descent)
-# ---------------------------------------------------------------------------
+def _expected(what: str, src: str, pos: int) -> ParseError:
+    tok, at = _token_at(src, pos)
+    return ParseError(f"expected {what}, found {tok or 'end of input'!r}", at)
 
 
-class _ExprParser:
-    """expr := term (('+'|'-') term)*
-    term := factor (('*'|'/') factor)*
-    factor := '-'* atom ('^' INT)?
-    atom := NUMBER | NAME jets? | '(' expr ')'
-    jets := PRIMES | '^' '(' INT ')'
+def _int(src: str, m, group: int) -> int:
+    """The integer that group of the match m holds; one must be there."""
+    digits = m.group(group)
+    if not digits:
+        raise _expected("an integer", src, m.end(group))
+    try:
+        return int(digits)
+    except ValueError:  # past Python's limit on integer-string conversion
+        raise ParseError(f"integer literal of {len(digits)} digits is too long", m.start(group)) from None
 
-    A term is read straight into one coefficient and one exponent map:
-    numbers, t and jets never become polynomials of their own, and integer
-    literals stay Python integers until the term's one coefficient is
-    built.  A parenthesised factor is a DiffPoly, multiplied into the term
-    left to right, or folded into the coefficient when it is constant.  An
-    expression adds its terms into one dict.  Terms keep the order in which
-    they first appear, as sums and products of DiffPolys give it.
-    Parentheses nest at most MAX_NESTING deep.
+
+def _scan(src: str, ctx: Context) -> dict:
+    """The terms of the expression src, a map from monomials to nonzero
+    coefficients in the order the terms first appear.
+
+        expr := term (('+'|'-') term)*
+        term := factor (('*'|'/') factor)*
+        factor := '-'* atom ('^' INT)?
+        atom := NUMBER | NAME jets? | '(' expr ')'
+        jets := PRIMES | '^' '(' INT ')'
+
+    One scan of _FACTOR_RE reads the expression a factor at a time, left to
+    right, in one loop.  A term is read straight into one coefficient and
+    one list of jets: numbers, t and jets never become polynomials of their
+    own, and integer literals stay Python integers until the term's one
+    coefficient is built.  A '(' saves the enclosing expression and its
+    open term on an explicit stack, at most MAX_NESTING deep; its ')'
+    makes the inner expression a DiffPoly, which is multiplied into the
+    term left to right, or folded into the coefficient when it is
+    constant.  Terms keep the order in which they first appear, as sums and
+    products of DiffPolys give it.  An error names the first token, left
+    to right, that cannot be read.  Nothing is kept between calls.
     """
-
-    def __init__(self, src: str, ctx: Context):
-        self.src = src
-        self.ctx = ctx
-        self.toks = _tokenize(src)
-        self.i = 0
-        self.depth = 0  # parentheses open at the current token
-
-    # -- token helpers ------------------------------------------------------
-
-    def _error(self, message: str, i: int) -> ParseError:
-        return ParseError(message, _token_pos(self.src, i))
-
-    def _accept_op(self, *ops: str) -> Optional[str]:
-        t = self.toks[self.i]
-        if t in ops:
-            self.i += 1
-            return t
-        return None
-
-    def _expect_op(self, op: str) -> None:
-        t = self.toks[self.i]
-        if t != op:
-            raise self._error(f"expected {op!r}, found {t or 'end of input'!r}", self.i)
-        self.i += 1
-
-    def _expect_int(self) -> int:
-        t = self.toks[self.i]
-        if not t.isdecimal():
-            raise self._error(f"expected an integer, found {t or 'end of input'!r}", self.i)
-        self.i += 1
-        return self._int_value(self.i - 1)
-
-    def _int_value(self, i: int) -> int:
-        t = self.toks[i]
-        try:
-            return int(t)
-        except ValueError:  # past Python's limit on integer-string conversion
-            raise self._error(f"integer literal of {len(t)} digits is too long", i) from None
-
-    # -- grammar --------------------------------------------------------------
-
-    def parse(self) -> DiffPoly:
-        p = self._expr()
-        t = self.toks[self.i]
-        if t:
-            raise self._error(f"unexpected trailing {t!r}", self.i)
-        return p
-
-    def _expr(self) -> DiffPoly:
-        acc: dict = {}
-        negate = False
-        while True:
-            self._term(acc, negate)
-            op = self._accept_op("+", "-")
-            if op is None:
-                return DiffPoly(self.ctx, acc)
-            negate = op == "-"
-
-    def _term(self, acc: dict, negate: bool) -> None:
-        """Add one term, negated when asked, into acc.  Integer literals
-        multiply into one integer numerator and integer divisors into one
-        denominator, which become one field element with one gcd; the other
-        constant factors (t, powers and constant parenthesised expressions)
-        multiply into a field element of their own."""
-        num = den = 1  # the product of the integer literals, and of the integer divisors
-        coeff = RF_ONE  # the product of the other constant factors
-        exps: dict = {}  # jet -> exponent
-        poly = None  # the product of the non-constant parenthesised factors
-        slash = None  # index of the '/' before a divisor
-        while True:
-            neg, f = self._factor()
-            negate ^= neg
-            kind = type(f)
-            if slash is not None:
-                if kind is not int and kind is not RatFunc:
-                    raise self._error("division is only allowed by constants", slash)
-                if not f:
-                    raise self._error("division by zero", slash)
-                if kind is int:
-                    den *= f
-                else:
-                    coeff = coeff / f
-            elif kind is int:
-                num *= f
-            elif kind is tuple:
-                v, e = f
-                exps[v] = exps.get(v, 0) + e
-            elif kind is RatFunc:
-                if f is not RF_ONE:
-                    coeff = f if coeff is RF_ONE else coeff * f
-            else:
-                poly = f if poly is None else poly * f
-            t = self.toks[self.i]
-            if t != "*" and t != "/":
-                break
-            slash = self.i if t == "/" else None
-            self.i += 1
-        if not num or not coeff:
-            return
-        g = gcd(num, den)
-        num, den = (-num if negate else num) // g, den // g
-        if den != 1:
-            q = RatFunc((num,), (den,))
+    _check_chars(src)
+    qt = ctx.field is QT
+    frames: list = []  # the enclosing expressions and their open terms
+    acc: dict = {}  # the terms read so far
+    # The open term: its sign, the product of its integer literals and of
+    # its integer divisors, the product of its other constant factors, its
+    # (jet, exponent) pairs, the product of its non-constant parenthesised
+    # factors, and where the '/' before a divisor is.
+    negate, num, den, coeff, jets, poly, slash = False, 1, 1, RF_ONE, [], None, None
+    operand = True  # a factor comes next, not an operator
+    for m in _FACTOR_RE.finditer(src):
+        op, minus, name, primes, order, shut, lit, close, exp, opened = m.groups()
+        # -- the operator, and the end of the open term at '+', '-', ')' or the end
+        if operand:
+            if op and op != "-":
+                raise ParseError(f"unexpected {op!r}", m.start(1))
+            neg = op == "-"
+        elif op == "*":
+            slash = None
+            neg = False
+        elif op == "/":
+            slash = m.start(1)
+            neg = False
         else:
-            q = RF_ONE if num == 1 else RatFunc.from_int(num)
-        if coeff is not RF_ONE:
-            q = coeff if q is RF_ONE else coeff * q
-        mono = Monomial.make(exps.items()) if exps else MON_ONE
-        if poly is None:
-            _accumulate(acc, mono, q)
-            return
-        for m, c in poly.items():
-            _accumulate(acc, m * mono, c if q is RF_ONE else c * q)
+            if num and (coeff is RF_ONE or coeff):
+                if den != 1:
+                    g = gcd(num, den)
+                    num, den = num // g, den // g
+                if negate:
+                    num = -num
+                if den != 1:
+                    q = RatFunc((num,), (den,))
+                else:
+                    q = RF_ONE if num == 1 else RatFunc((num,), _ONE)
+                if coeff is not RF_ONE:
+                    q = coeff if q is RF_ONE else coeff * q
+                if len(jets) == 1:
+                    mono = Monomial(tuple(jets))
+                else:
+                    mono = Monomial.make(jets) if jets else MON_ONE
+                if poly is None:
+                    if mono in acc:
+                        _accumulate(acc, mono, q)
+                    else:
+                        acc[mono] = q
+                else:
+                    for pm, c in poly.items():
+                        _accumulate(acc, pm * mono, c if q is RF_ONE else c * q)
+            if op:
+                negate, num, den, coeff, jets, poly, slash = op == "-", 1, 1, RF_ONE, [], None, None
+                neg = False
+            elif close is None:  # the end, or a token that cannot follow a factor
+                if frames:
+                    raise _expected("')'", src, m.end(2))
+                if m.end(2) < len(src):
+                    raise ParseError(f"unexpected trailing {_token_at(src, m.end(2))[0]!r}", m.end(2))
+                return acc
+            else:
+                if not frames:
+                    raise ParseError("unexpected trailing ')'", m.start(8))
+                if not acc:
+                    f = RF_ZERO
+                elif len(acc) == 1 and MON_ONE in acc:
+                    f = acc[MON_ONE]
+                else:
+                    f = DiffPoly(ctx, acc)
+                acc, negate, num, den, coeff, jets, poly, slash = frames.pop()
+                if exp is not None:
+                    f = _power(f, _int(src, m, 9), ctx, m.start(9))
+                coeff, poly = _apply(f, slash, coeff, poly)
+                continue
+        if minus:
+            neg ^= minus.count("-") & 1
+        # -- the factor
+        if name is not None:
+            operand = False
+            if not (qt and name == "t"):
+                try:
+                    var = ctx.var_index(name)
+                except ValueError:
+                    raise ParseError(f"unknown variable {name!r}", m.start(3)) from None
+                if primes is not None:
+                    k = len(primes)
+                    if k > 3:
+                        raise ParseError(f"at most three primes; write {name}^({k}) instead", m.start(4))
+                elif order is not None:
+                    k = _int(src, m, 5)
+                    if not shut:
+                        raise _expected("')'", src, m.end(5))
+                else:
+                    k = 0
+                # one term with coefficient 1 passes every power cap
+                e = 1 if exp is None else _int(src, m, 9)
+                negate ^= neg
+                if e:  # else the factor is 1
+                    if slash is not None:
+                        raise ParseError("division is only allowed by constants", slash)
+                    jets.append((DerVar(var, k), e))
+                continue
+            if primes is not None:
+                raise ParseError("t is a field element of Q(t); it takes no primes", m.start(4))
+            if order is not None:
+                raise ParseError("expected an integer, found '('", src.index("(", m.end(3)))
+            if exp is None:
+                f = _T
+            else:
+                # t^e passes every cap but the one on the degree in t
+                e = _int(src, m, 9)
+                if e > MAX_POWER_T_DEGREE:
+                    raise ParseError(_t_degree_cap(e), m.start(9))
+                f = RatFunc.t_power(e) if e else RF_ONE
+        elif lit is not None:
+            operand = False
+            try:
+                f = int(lit)
+            except ValueError:  # past Python's limit on integer-string conversion
+                raise ParseError(f"integer literal of {len(lit)} digits is too long", m.start(7)) from None
+            if exp is None:
+                negate ^= neg
+                if slash is None:
+                    num *= f
+                elif not f:
+                    raise ParseError("division by zero", slash)
+                else:
+                    den *= f
+                continue
+            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, 9), ctx, m.start(9))
+        elif opened is not None:
+            if len(frames) == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", m.start(10))
+            frames.append((acc, negate ^ neg, num, den, coeff, jets, poly, slash))
+            acc, negate, num, den, coeff, jets, poly, slash = {}, False, 1, 1, RF_ONE, [], None, None
+            operand = True
+            continue
+        else:  # no factor where one must come
+            tok, at = _token_at(src, m.end(2))
+            raise ParseError(f"unexpected {tok or 'end of input'!r}", at)
+        negate ^= neg
+        coeff, poly = _apply(f, slash, coeff, poly)
 
-    def _factor(self) -> tuple:
-        """(negate, value) for a factor, the value an int (an integer
-        literal with no ``^``), a field element (t, a power of a number, or
-        a constant parenthesised expression), a jet with its exponent as a
-        (DerVar, e) pair, or a non-constant DiffPoly."""
-        negate = False
-        while self.toks[self.i] == "-":
-            negate = not negate
-            self.i += 1
-        t = self.toks[self.i]
-        self.i += 1
-        if t.isidentifier():
-            v = self._jet(t)
-            if v is None:  # t over Q(t)
-                return negate, self._power_suffix(RatFunc.t_power(1))
-            # one term with coefficient 1 passes every power cap
-            e = self._expect_int() if self._accept_op("^") else 1
-            return negate, (v, e) if e else RF_ONE
-        if t.isdecimal():
-            n = self._int_value(self.i - 1)
-            if self.toks[self.i] != "^":
-                return negate, n
-            return negate, self._power_suffix(RF_ONE if n == 1 else RatFunc.from_int(n))
-        if t == "(":
-            if self.depth == MAX_NESTING:
-                raise self._error(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", self.i - 1)
-            self.depth += 1
-            p = self._expr()
-            self._expect_op(")")
-            self.depth -= 1
-            return negate, self._power_suffix(p.constant_value() if p.is_constant() else p)
-        raise self._error(f"unexpected {t or 'end of input'!r}", self.i - 1)
 
-    def _jet(self, name: str) -> Optional[DerVar]:
-        """The jet variable of the name just read, with its primes or
-        ``^(k)``; None for t over Q(t)."""
-        nxt = self.toks[self.i]
-        if name == "t" and self.ctx.field is QT:
-            if nxt[:1] == "'":
-                raise self._error("t is a field element of Q(t); it takes no primes", self.i)
-            return None
-        try:
-            var = self.ctx.var_index(name)
-        except ValueError:
-            raise self._error(f"unknown variable {name!r}", self.i - 1) from None
-        if nxt[:1] == "'":
-            if len(nxt) > 3:
-                raise self._error(f"at most three primes; write {name}^({len(nxt)}) instead", self.i)
-            self.i += 1
-            return DerVar(var, len(nxt))
-        if nxt == "^" and self.toks[self.i + 1] == "(":
-            # ``x^(4)`` is the order-4 derivative; ``x^2`` is a power, left
-            # to _factor.
-            self.i += 2
-            order = self._expect_int()
-            self._expect_op(")")
-            return DerVar(var, order)
-        return DerVar(var, 0)
+def _apply(f, slash, coeff, poly) -> tuple:
+    """(coeff, poly) of the open term times a factor that is
+    neither a jet nor a plain integer literal: a field element (t, a power
+    of a number, or a constant parenthesised expression) or a DiffPoly;
+    divided by it instead after a '/' at position slash."""
+    if slash is not None:
+        if type(f) is not RatFunc:
+            raise ParseError("division is only allowed by constants", slash)
+        if not f:
+            raise ParseError("division by zero", slash)
+        coeff = coeff / f
+    elif type(f) is RatFunc:
+        if f is not RF_ONE:
+            coeff = f if coeff is RF_ONE else coeff * f
+    else:
+        poly = f if poly is None else poly * f
+    return coeff, poly
 
-    def _power_suffix(self, p):
-        """p ^ e for an optional ``^ INT`` after p, a DiffPoly or a field
-        element, refused when the power may pass a cap.  A jet's power
-        never gets here, nor does ``x^(k)``: _jet reads it as a derivative
-        marker."""
-        if not self._accept_op("^"):
-            return p
-        at = self.i
-        e = self._expect_int()
-        q = p if type(p) is DiffPoly else DiffPoly.const(self.ctx, p)
-        n = q.term_count()
-        if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
-            raise self._error(
-                f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-                f"{MAX_POWER_TERMS} terms",
-                at,
-            )
-        if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
-            raise self._error(
-                f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-                f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
-                at,
-            )
-        bits, tdeg = _power_growth(q)
-        if e * bits > MAX_POWER_COEFF_BITS:
-            raise self._error(
-                f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
-                f"coefficient bits (MAX_POWER_COEFF_BITS)",
-                at,
-            )
-        if e * tdeg > MAX_POWER_T_DEGREE:
-            raise self._error(
-                f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} "
-                f"in t-degree (MAX_POWER_T_DEGREE)",
-                at,
-            )
-        return p ** e
+
+def _power(p, e: int, ctx: Context, at: int):
+    """p ^ e for a DiffPoly or a field element p, refused at the exponent's
+    position when the power may pass a cap.  A jet's power never gets
+    here: it has one term with coefficient 1."""
+    q = p if type(p) is DiffPoly else DiffPoly.const(ctx, p)
+    n = q.term_count()
+    if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
+        raise ParseError(
+            f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+            f"{MAX_POWER_TERMS} terms",
+            at,
+        )
+    if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
+        raise ParseError(
+            f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+            f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
+            at,
+        )
+    bits, tdeg = _power_growth(q)
+    if e * bits > MAX_POWER_COEFF_BITS:
+        raise ParseError(
+            f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
+            f"coefficient bits (MAX_POWER_COEFF_BITS)",
+            at,
+        )
+    if e * tdeg > MAX_POWER_T_DEGREE:
+        raise ParseError(_t_degree_cap(e), at)
+    return p ** e
+
+
+def _t_degree_cap(e: int) -> str:
+    return f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} in t-degree (MAX_POWER_T_DEGREE)"
 
 
 def _power_products(n: int, e: int) -> int:
@@ -397,7 +417,7 @@ def _power_growth(p: DiffPoly) -> tuple:
 
 def parse_poly(src: str, ctx: Context) -> DiffPoly:
     """Parse one differential polynomial in the variables of ``ctx``."""
-    return _ExprParser(src, ctx).parse()
+    return DiffPoly(ctx, _scan(src, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -408,21 +428,25 @@ def parse_poly(src: str, ctx: Context) -> DiffPoly:
 def parse_ranking(src: str, ctx: Context) -> Ranking:
     """Parse ``elim x > y`` / ``orderly y > x``.  The chain must mention every
     variable exactly once, greatest first."""
-    toks = _tokenize(src)
-    if toks[0] not in ("elim", "elimination", "orderly"):
-        raise ParseError("ranking must start with 'elim' or 'orderly'", _token_pos(src, 0))
-    kind = toks[0]
+    _check_chars(src)
+    toks = [(m.group(), m.start()) for m in _TOKEN_RE.finditer(src)]
+    toks.append(("", len(src)))
+    kind, at = toks[0]
+    if kind not in ("elim", "elimination", "orderly"):
+        raise ParseError("ranking must start with 'elim' or 'orderly'", at)
     chain = []
     i = 1
-    while toks[i]:
-        if not toks[i].isidentifier():
-            raise ParseError(f"expected a variable name, found {toks[i]!r}", _token_pos(src, i))
-        chain.append(toks[i])
+    while toks[i][0]:
+        tok, at = toks[i]
+        if not tok.isidentifier():
+            raise ParseError(f"expected a variable name, found {tok!r}", at)
+        chain.append(tok)
         i += 1
-        if toks[i] == ">":
+        tok, at = toks[i]
+        if tok == ">":
             i += 1
-        elif toks[i]:
-            raise ParseError(f"expected '>', found {toks[i]!r}", _token_pos(src, i))
+        elif tok:
+            raise ParseError(f"expected '>', found {tok!r}", at)
     if sorted(chain) != sorted(ctx.names):
         raise ParseError(
             f"ranking chain must list every variable exactly once; "
@@ -503,22 +527,22 @@ def _parse_field(text: str) -> Field:
     raise SysFileError(f"unknown field {text!r}; expected 'Q' or 'Q(t)'")
 
 
-def _parse_assignments(text: str, ctx: Context, lineno: int) -> ConcretePoint:
+def _parse_assignments(text: str, ctx: Context) -> ConcretePoint:
+    """The point of ``x = c, y = d, ...``, each value read by one scan."""
     named = {}
     for piece in text.split(","):
-        if "=" not in piece:
-            raise SysFileError(f"line {lineno}: bad assignment {piece.strip()!r}")
-        nm, val = piece.split("=", 1)
+        nm, eq, val = piece.partition("=")
+        if not eq:
+            raise ValueError(f"bad assignment {piece.strip()!r}")
         nm = nm.strip()
         if nm in named:
-            raise SysFileError(f"line {lineno}: variable {nm!r} is assigned twice")
-        with _at_line(lineno):
-            p = parse_poly(val.strip(), ctx)
-        if not p.is_constant():  # not rendered: its text can pass 4,300 digits
-            raise SysFileError(f"line {lineno}: the value of {nm!r} is not a constant")
-        named[nm] = p.constant_value()
-    with _at_line(lineno):
-        return ConcretePoint.from_names(ctx, named)
+            raise ValueError(f"variable {nm!r} is assigned twice")
+        terms = _scan(val.strip(), ctx)
+        c = terms.pop(MON_ONE, RF_ZERO)
+        if terms:  # not rendered: its text can pass 4,300 digits
+            raise ValueError(f"the value of {nm!r} is not a constant")
+        named[nm] = c
+    return ConcretePoint.from_names(ctx, named)
 
 
 def parse_system(text: str) -> SystemFile:
@@ -529,6 +553,8 @@ def parse_system(text: str) -> SystemFile:
     ranking: Optional[Ranking] = None
     equations: list = []
     points: list = []
+    eq_names: set = set()
+    point_names: set = set()
 
     for lineno, line in _lines(text):
         if not line:
@@ -569,13 +595,14 @@ def parse_system(text: str) -> SystemFile:
                 raise SysFileError(f"line {lineno}: expected 'eq NAME = EXPRESSION'")
             if not name.isidentifier():
                 raise SysFileError(f"line {lineno}: bad equation name {name!r}")
-            if any(nm == name for nm, _p in equations):
+            if name in eq_names:
                 raise SysFileError(f"line {lineno}: duplicate equation name {name!r}")
             with _at_line(lineno):
-                p = parse_poly(src.strip(), ctx)
-            if p.is_zero():
+                terms = _scan(src.strip(), ctx)
+            if not terms:
                 raise SysFileError(f"line {lineno}: equation {name!r} is identically zero")
-            equations.append((name, p))
+            eq_names.add(name)
+            equations.append((name, DiffPoly(ctx, terms)))
             continue
 
         if line.startswith("point ") or line.startswith("point\t"):
@@ -585,9 +612,12 @@ def parse_system(text: str) -> SystemFile:
             name = head.strip()
             if not colon or not name.isidentifier():
                 raise SysFileError(f"line {lineno}: expected 'point NAME: x = c, ...'")
-            if any(nm == name for nm, _p in points):
+            if name in point_names:
                 raise SysFileError(f"line {lineno}: duplicate point name {name!r}")
-            points.append((name, _parse_assignments(rest2, ctx, lineno)))
+            with _at_line(lineno):
+                point = _parse_assignments(rest2, ctx)
+            point_names.add(name)
+            points.append((name, point))
             continue
 
         raise SysFileError(f"line {lineno}: cannot understand {line!r}")

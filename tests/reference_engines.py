@@ -7,13 +7,19 @@ check the library against; none of them is on a path the library takes.
 * first_order_expansion evaluates u at (point + eps*y) by dual numbers,
   with no partial derivative, the reference for linearize_at's one pass;
 * verify_component re-checks a component against its system by one
-  membership test per input and per inequation.
+  membership test per input and per inequation;
+* _ExprParser is a token-by-token recursive-descent expression parser,
+  written apart from sysfile's one-scan reader, the reference for
+  parse_poly: the same polynomial with its terms in the same order, or the
+  same ParseError, text and position.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+import re
+from math import comb, gcd
+from typing import Optional, Sequence
 
 from diffalg import (
     CharSetComponent,
@@ -28,9 +34,20 @@ from diffalg import (
     jacobi_assign,
     order_matrix,
 )
-from diffalg.diffpoly import _accumulate
+from diffalg.diffpoly import MON_ONE, Context, DerVar, _accumulate
+from diffalg.fields import QT, RF_ONE, RatFunc
 from diffalg.jacobi import _score
 from diffalg.linearize import tangent_dervar
+from diffalg.sysfile import (
+    MAX_NESTING,
+    MAX_POWER_COEFF_BITS,
+    MAX_POWER_PRODUCTS,
+    MAX_POWER_T_DEGREE,
+    MAX_POWER_TERMS,
+    ParseError,
+    _power_growth,
+    _power_products,
+)
 
 BRUTE_LIMIT = 9
 
@@ -115,3 +132,273 @@ def verify_component(c: CharSetComponent, us: Sequence[DiffPoly]) -> bool:
     return all(c.membership(u).member for u in us) and not any(
         c.membership(q).member for q in c.inequations
     )
+
+
+# ---------------------------------------------------------------------------
+# the token-by-token expression parser
+# ---------------------------------------------------------------------------
+
+# A token is its text: a number, a name, a run of primes, or one operator.
+# Whitespace separates tokens and is dropped.
+_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|'+|\S")
+# A character no token may hold.
+_BAD_RE = re.compile(r"[^\s\dA-Za-z_'()*+,\-/=>^]")
+
+
+def _tokenize(src: str) -> list:
+    """The token texts of src, followed by "" for the end of input."""
+    bad = _BAD_RE.search(src)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    toks = _TOKEN_RE.findall(src)
+    toks.append("")
+    return toks
+
+
+def _token_pos(src: str, i: int) -> int:
+    """Where token i of src starts, the end of input at len(src).  Only a
+    failing parse needs a position, so positions are found here, not kept
+    with the tokens."""
+    for k, m in enumerate(_TOKEN_RE.finditer(src)):
+        if k == i:
+            return m.start()
+    return len(src)
+
+
+# ---------------------------------------------------------------------------
+# expression parser (recursive descent)
+# ---------------------------------------------------------------------------
+
+
+class _ExprParser:
+    """expr := term (('+'|'-') term)*
+    term := factor (('*'|'/') factor)*
+    factor := '-'* atom ('^' INT)?
+    atom := NUMBER | NAME jets? | '(' expr ')'
+    jets := PRIMES | '^' '(' INT ')'
+
+    A term is read straight into one coefficient and one exponent map:
+    numbers, t and jets never become polynomials of their own, and integer
+    literals stay Python integers until the term's one coefficient is
+    built.  A parenthesised factor is a DiffPoly, multiplied into the term
+    left to right, or folded into the coefficient when it is constant.  An
+    expression adds its terms into one dict.  Terms keep the order in which
+    they first appear, as sums and products of DiffPolys give it.
+    Parentheses nest at most MAX_NESTING deep.
+    """
+
+    def __init__(self, src: str, ctx: Context):
+        self.src = src
+        self.ctx = ctx
+        self.toks = _tokenize(src)
+        self.i = 0
+        self.depth = 0  # parentheses open at the current token
+
+    # -- token helpers ------------------------------------------------------
+
+    def _error(self, message: str, i: int) -> ParseError:
+        return ParseError(message, _token_pos(self.src, i))
+
+    def _accept_op(self, *ops: str) -> Optional[str]:
+        t = self.toks[self.i]
+        if t in ops:
+            self.i += 1
+            return t
+        return None
+
+    def _expect_op(self, op: str) -> None:
+        t = self.toks[self.i]
+        if t != op:
+            raise self._error(f"expected {op!r}, found {t or 'end of input'!r}", self.i)
+        self.i += 1
+
+    def _expect_int(self) -> int:
+        t = self.toks[self.i]
+        if not t.isdecimal():
+            raise self._error(f"expected an integer, found {t or 'end of input'!r}", self.i)
+        self.i += 1
+        return self._int_value(self.i - 1)
+
+    def _int_value(self, i: int) -> int:
+        t = self.toks[i]
+        try:
+            return int(t)
+        except ValueError:  # past Python's limit on integer-string conversion
+            raise self._error(f"integer literal of {len(t)} digits is too long", i) from None
+
+    # -- grammar --------------------------------------------------------------
+
+    def parse(self) -> DiffPoly:
+        p = self._expr()
+        t = self.toks[self.i]
+        if t:
+            raise self._error(f"unexpected trailing {t!r}", self.i)
+        return p
+
+    def _expr(self) -> DiffPoly:
+        acc: dict = {}
+        negate = False
+        while True:
+            self._term(acc, negate)
+            op = self._accept_op("+", "-")
+            if op is None:
+                return DiffPoly(self.ctx, acc)
+            negate = op == "-"
+
+    def _term(self, acc: dict, negate: bool) -> None:
+        """Add one term, negated when asked, into acc.  Integer literals
+        multiply into one integer numerator and integer divisors into one
+        denominator, which become one field element with one gcd; the other
+        constant factors (t, powers and constant parenthesised expressions)
+        multiply into a field element of their own."""
+        num = den = 1  # the product of the integer literals, and of the integer divisors
+        coeff = RF_ONE  # the product of the other constant factors
+        exps: dict = {}  # jet -> exponent
+        poly = None  # the product of the non-constant parenthesised factors
+        slash = None  # index of the '/' before a divisor
+        while True:
+            neg, f = self._factor()
+            negate ^= neg
+            kind = type(f)
+            if slash is not None:
+                if kind is not int and kind is not RatFunc:
+                    raise self._error("division is only allowed by constants", slash)
+                if not f:
+                    raise self._error("division by zero", slash)
+                if kind is int:
+                    den *= f
+                else:
+                    coeff = coeff / f
+            elif kind is int:
+                num *= f
+            elif kind is tuple:
+                v, e = f
+                exps[v] = exps.get(v, 0) + e
+            elif kind is RatFunc:
+                if f is not RF_ONE:
+                    coeff = f if coeff is RF_ONE else coeff * f
+            else:
+                poly = f if poly is None else poly * f
+            t = self.toks[self.i]
+            if t != "*" and t != "/":
+                break
+            slash = self.i if t == "/" else None
+            self.i += 1
+        if not num or not coeff:
+            return
+        g = gcd(num, den)
+        num, den = (-num if negate else num) // g, den // g
+        if den != 1:
+            q = RatFunc((num,), (den,))
+        else:
+            q = RF_ONE if num == 1 else RatFunc.from_int(num)
+        if coeff is not RF_ONE:
+            q = coeff if q is RF_ONE else coeff * q
+        mono = Monomial.make(exps.items()) if exps else MON_ONE
+        if poly is None:
+            _accumulate(acc, mono, q)
+            return
+        for m, c in poly.items():
+            _accumulate(acc, m * mono, c if q is RF_ONE else c * q)
+
+    def _factor(self) -> tuple:
+        """(negate, value) for a factor, the value an int (an integer
+        literal with no ``^``), a field element (t, a power of a number, or
+        a constant parenthesised expression), a jet with its exponent as a
+        (DerVar, e) pair, or a non-constant DiffPoly."""
+        negate = False
+        while self.toks[self.i] == "-":
+            negate = not negate
+            self.i += 1
+        t = self.toks[self.i]
+        self.i += 1
+        if t.isidentifier():
+            v = self._jet(t)
+            if v is None:  # t over Q(t)
+                return negate, self._power_suffix(RatFunc.t_power(1))
+            # one term with coefficient 1 passes every power cap
+            e = self._expect_int() if self._accept_op("^") else 1
+            return negate, (v, e) if e else RF_ONE
+        if t.isdecimal():
+            n = self._int_value(self.i - 1)
+            if self.toks[self.i] != "^":
+                return negate, n
+            return negate, self._power_suffix(RF_ONE if n == 1 else RatFunc.from_int(n))
+        if t == "(":
+            if self.depth == MAX_NESTING:
+                raise self._error(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", self.i - 1)
+            self.depth += 1
+            p = self._expr()
+            self._expect_op(")")
+            self.depth -= 1
+            return negate, self._power_suffix(p.constant_value() if p.is_constant() else p)
+        raise self._error(f"unexpected {t or 'end of input'!r}", self.i - 1)
+
+    def _jet(self, name: str) -> Optional[DerVar]:
+        """The jet variable of the name just read, with its primes or
+        ``^(k)``; None for t over Q(t)."""
+        nxt = self.toks[self.i]
+        if name == "t" and self.ctx.field is QT:
+            if nxt[:1] == "'":
+                raise self._error("t is a field element of Q(t); it takes no primes", self.i)
+            return None
+        try:
+            var = self.ctx.var_index(name)
+        except ValueError:
+            raise self._error(f"unknown variable {name!r}", self.i - 1) from None
+        if nxt[:1] == "'":
+            if len(nxt) > 3:
+                raise self._error(f"at most three primes; write {name}^({len(nxt)}) instead", self.i)
+            self.i += 1
+            return DerVar(var, len(nxt))
+        if nxt == "^" and self.toks[self.i + 1] == "(":
+            # ``x^(4)`` is the order-4 derivative; ``x^2`` is a power, left
+            # to _factor.
+            self.i += 2
+            order = self._expect_int()
+            self._expect_op(")")
+            return DerVar(var, order)
+        return DerVar(var, 0)
+
+    def _power_suffix(self, p):
+        """p ^ e for an optional ``^ INT`` after p, a DiffPoly or a field
+        element, refused when the power may pass a cap.  A jet's power
+        never gets here, nor does ``x^(k)``: _jet reads it as a derivative
+        marker."""
+        if not self._accept_op("^"):
+            return p
+        at = self.i
+        e = self._expect_int()
+        q = p if type(p) is DiffPoly else DiffPoly.const(self.ctx, p)
+        n = q.term_count()
+        if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
+            raise self._error(
+                f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+                f"{MAX_POWER_TERMS} terms",
+                at,
+            )
+        if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
+            raise self._error(
+                f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+                f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
+                at,
+            )
+        bits, tdeg = _power_growth(q)
+        if e * bits > MAX_POWER_COEFF_BITS:
+            raise self._error(
+                f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
+                f"coefficient bits (MAX_POWER_COEFF_BITS)",
+                at,
+            )
+        if e * tdeg > MAX_POWER_T_DEGREE:
+            raise self._error(
+                f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} "
+                f"in t-degree (MAX_POWER_T_DEGREE)",
+                at,
+            )
+        return p ** e
+
+
+def reference_parse_poly(src: str, ctx: Context) -> DiffPoly:
+    """parse_poly by the token-by-token parser."""
+    return _ExprParser(src, ctx).parse()

@@ -1,6 +1,8 @@
 """Linearization: formal tangents, tangents at points, and how the Jacobi
 number behaves under both."""
 
+import math
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -15,6 +17,7 @@ from diffalg import (
     ConcretePoint,
     Context,
     Convention,
+    DerVar,
     DiffPoly,
     Monomial,
     PointNotOnZeroSetError,
@@ -27,6 +30,7 @@ from diffalg import (
     linearized_order_matrix,
 )
 from diffalg.cli import main
+from diffalg.diffpoly import DEFAULT_ORDER_CAP, OrderCapExceeded
 from diffalg.linearize import extended_context, tangent_dervar
 from diffalg.sysfile import parse_poly
 
@@ -99,6 +103,37 @@ class TestAtConcretePoints:
         # the check can be waived explicitly
         lp = linearize_at(P("y^2 - x^3"), pt, require_zero=False)
         assert lp.poly == P("-3*dx + 4*dy", EXT)
+
+    def test_jets_of_high_order_at_a_point_over_q(self, tmp_path, capsys):
+        # over Q every jet of positive order is zero at a point, read with
+        # no recursion per order
+        p = tmp_path / "high.sys"
+        p.write_text("field: Q\nvars: x\nranking: elim x\neq u1 = x^(5000) - 1 + x\npoint p: x = 1\n")
+        assert main(["linearize", str(p), "--at", "p"]) == 0
+        assert capsys.readouterr().out.startswith("L[u1, p] = dx^(5000) + dx\n")
+
+    def test_jet_values_over_qt_stop_at_a_zero_derivative_or_the_cap(self, tmp_path, capsys):
+        ctx = Context(("x",), QT)
+        t = QT.t()
+        square = ConcretePoint(ctx, {0: t * t + QT.one})
+        assert square.value(DerVar(0, 2)) == QT.from_fraction(2)
+        start = time.perf_counter()
+        assert not square.value(DerVar(0, 900))  # zero from the third derivative on
+        assert time.perf_counter() - start < 1.0
+        # the derivatives of 1/(t + 1) never vanish: the 64th is 64!/(t + 1)^65
+        inverse = ConcretePoint(ctx, {0: QT.one / (t + QT.one)})
+        assert inverse.value(DerVar(0, DEFAULT_ORDER_CAP)) == QT.from_fraction(
+            math.factorial(DEFAULT_ORDER_CAP)
+        ) / (t + QT.one) ** (DEFAULT_ORDER_CAP + 1)
+        with pytest.raises(OrderCapExceeded, match="point value of order 65 > cap 64"):
+            inverse.value(DerVar(0, DEFAULT_ORDER_CAP + 1))
+        # at the command line the cap is a domain error, exit 3
+        p = tmp_path / "inverse.sys"
+        p.write_text("field: Q(t)\nvars: x\nranking: elim x\neq u1 = x^(300) - x\npoint p: x = 1/(t+1)\n")
+        assert main(["linearize", str(p), "--at", "p"]) == 3
+        assert capsys.readouterr().err == (
+            "diffalg: point value of order 300 > cap 64: its derivatives do not vanish by order 64\n"
+        )
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)

@@ -32,10 +32,12 @@ from diffalg.sysfile import (
     parse_ranking,
     parse_system,
 )
+import diffalg.sysfile
 from diffalg.diffpoly import DiffPoly
 from diffalg.sysfile import _power_growth, _power_products
 
 import fraction_reference as ref
+from reference_engines import reference_parse_poly
 from strategies import contexts, diffpolys, small_fractions, small_rationals
 
 XY = Context(("x", "y"), QQ)
@@ -220,6 +222,9 @@ class TestExpressions:
             ("y*x''''", QQ, "at most three primes; write x^(4) instead (at position 3)"),
             ("x*w", QQ, "unknown variable 'w' (at position 2)"),
             ("3*x^", QQ, "expected an integer, found 'end of input' (at position 4)"),
+            ("x'^(2)", QQ, "expected an integer, found '(' (at position 3)"),
+            ("x^2^3", QQ, "unexpected trailing '^' (at position 3)"),
+            ("+x", QQ, "unexpected '+' (at position 0)"),
         ],
     )
     def test_error_text_and_position(self, src, field, message):
@@ -256,6 +261,21 @@ class TestExpressions:
         ctx = Context(("s", "t", "u"), QQ)
         p = parse_poly("t'^2 + s", ctx)
         assert p.order_of(1) == 1
+
+    @pytest.mark.parametrize(
+        "src, same_as",
+        [
+            ("x '", "x'"),
+            ("x ^ ( 4 )", "x^(4)"),
+            ("x^ (2)", "x''"),
+            ("2 ^ 3 * x", "8*x"),
+            ("- - x", "x"),
+            ("x*-y", "-x*y"),
+            ("(x)^0", "1"),
+        ],
+    )
+    def test_spellings_read_alike(self, src, same_as):
+        assert P(src) == P(same_as)
 
     @given(st.data())
     @settings(max_examples=100)
@@ -402,6 +422,96 @@ class TestTermParser:
         parse_poly("(x1 + x2)*(x1 - x2)", sf.context)  # parenthesised factors multiply
         assert len(calls) == 1
 
+    def test_flat_system_of_forty_scans_each_expression_once(self, monkeypatch):
+        n = 40
+        names = [f"x{i}" for i in range(1, n + 1)]
+        lines = ["field: Q", f"vars: {', '.join(names)}", f"ranking: elim {' > '.join(names)}"]
+        lines += [f"eq u{i} = {i}/2*x{i}'^2 - 3*x{i % n + 1}'' + x{i}^(4) - {i}" for i in range(1, n + 1)]
+        lines.append("point p: " + ", ".join(f"x{i} = -{i}/3" for i in range(1, n + 1)))
+        products, scans = [], []
+        mul, scan = DiffPoly.__mul__, diffalg.sysfile._scan
+        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        monkeypatch.setattr(diffalg.sysfile, "_scan", lambda src, ctx: scans.append(src) or scan(src, ctx))
+        sf = parse_system("\n".join(lines) + "\n")
+        assert products == []
+        assert len(scans) == 2 * n  # one per equation and one per value of the point
+        assert sf.equation("u40") == parse_poly("20*x40'*x40' - 3*x1'' + x40^(4) - 40", sf.context)
+
+
+# Strings over the grammar's tokens, well-formed or not, for comparing the
+# reader with the token-by-token parser of tests/reference_engines.py.
+
+_LONG = "7" * 4301  # one digit past Python's limit on integer-string conversion
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
+
+
+@st.composite
+def _operands(draw):
+    """A number, t or a jet, with primes, a ``^(k)`` or a power, spaced at
+    random; now and then a spelling the grammar refuses."""
+    sp = draw(_SPACE)
+    atom = draw(st.sampled_from(["0", "1", "2", "3", "12", "x", "y", "x", "y", "t", "t", "w"]))
+    if atom.isalpha() and draw(st.booleans()):
+        if draw(st.booleans()):
+            atom += sp + "'" * draw(st.integers(min_value=1, max_value=4))
+        else:
+            k = draw(st.sampled_from(["0", "2", "4", "", _LONG]))
+            atom += f"{sp}^{sp}({sp}{k}{draw(st.sampled_from([')', ')', '']))}"
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        atom += sp + "^" + sp + draw(st.sampled_from(["0", "1", "2", "3", "(2)", "", "1001", "20000", _LONG]))
+    return atom
+
+
+@st.composite
+def _spellings(draw):
+    """Terms of factors joined by operators, with runs of unary minus,
+    parentheses (balanced or not, powered or not) and stray tokens, every
+    token followed by random whitespace."""
+    parts, depth = [], 0
+    for k in range(draw(st.integers(min_value=1, max_value=7))):
+        if k:
+            parts.append(draw(st.sampled_from(["+", "-", "*", "/", "+", "-", "*", "/", "/0*", "*-", "- -"])))
+        parts.append("-" * draw(st.integers(min_value=0, max_value=3)))
+        opens = draw(st.integers(min_value=0, max_value=2))
+        parts.append("(" * opens)
+        depth += opens
+        parts.append(draw(_operands()))
+        closes = draw(st.integers(min_value=0, max_value=depth))
+        depth -= closes
+        if closes:
+            parts.append(")" * closes + draw(st.sampled_from(["", "", "^2", "^0", "^(2)", "^1001", "^20000"])))
+    parts.append(")" * draw(st.sampled_from([depth, depth, max(depth - 1, 0), depth + 1])))
+    if draw(st.integers(min_value=0, max_value=5)) == 0:  # a stray token
+        at = draw(st.integers(min_value=0, max_value=len(parts)))
+        parts.insert(at, draw(st.sampled_from(["+", "*", ")", "(", ",", "=", ">", "^", "'", "$", "x", "7", _LONG])))
+    return "".join(part + draw(_SPACE) for part in parts)
+
+
+@st.composite
+def _deep_spellings(draw):
+    """An operand nested MAX_NESTING deep or one level more, closed or not."""
+    depth = draw(st.sampled_from([MAX_NESTING, MAX_NESTING + 1]))
+    closes = draw(st.sampled_from([depth, depth - 1]))
+    return "(" * depth + draw(_operands()) + ")" * closes + draw(st.sampled_from(["", "^2", " * y"]))
+
+
+def _reading(read, src, ctx):
+    """The terms in order, or the refusal with its text and position."""
+    try:
+        return list(read(src, ctx).items())
+    except ParseError as exc:
+        return str(exc)
+
+
+class TestAgainstTheReferenceParser:
+    @given(st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_reader_agrees_with_the_token_by_token_parser(self, data):
+        ctx = Context(("x", "y"), data.draw(st.sampled_from((QQ, QT))))
+        src = data.draw(st.one_of(_spellings(), _deep_spellings(), _trees(ctx.field is QT, 3, [4]).map(
+            lambda tree: _render(tree[0]))))
+        assert _reading(parse_poly, src, ctx) == _reading(reference_parse_poly, src, ctx)
+
 
 @st.composite
 def _constant_terms(draw, over_qt):
@@ -544,10 +654,11 @@ class TestSystemFiles:
             parse_system("field: Q\nvars: x\nranking: elim x\n")
 
     def test_duplicate_equation_names(self):
-        with pytest.raises(SysFileError, match="duplicate"):
+        with pytest.raises(SysFileError) as exc:
             parse_system(
                 "field: Q\nvars: x\nranking: elim x\neq u = x\neq u = x'\n"
             )
+        assert str(exc.value) == "line 5: duplicate equation name 'u'"
 
     def test_zero_equation_rejected(self):
         with pytest.raises(SysFileError, match="zero"):
@@ -569,6 +680,16 @@ class TestSystemFiles:
         with pytest.raises(SysFileError) as exc:
             parse_system(SYSTEM.replace("point p0: x = 0", "point p0: x = 1, x = 0"))
         assert str(exc.value) == "line 7: variable 'x' is assigned twice"
+
+    def test_duplicate_point_names(self):
+        with pytest.raises(SysFileError) as exc:
+            parse_system(SYSTEM + "point p0: x = 1, y = 1\n")
+        assert str(exc.value) == "line 8: duplicate point name 'p0'"
+
+    def test_point_assignment_needs_an_equals_sign(self):
+        with pytest.raises(SysFileError) as exc:
+            parse_system(SYSTEM.replace("point p0: x = 0, y = 0", "point p0: x = 0, y 0"))
+        assert str(exc.value) == "line 7: bad assignment 'y 0'"
 
     def test_unknown_line_rejected(self):
         with pytest.raises(SysFileError):
