@@ -46,7 +46,14 @@ properties that everything else leans on:
     unary minus, divisors and parentheses (one in ten with a character
     dropped or replaced), read by parse_poly and by the token-by-token parser
     of tests/reference_engines.py give the same terms in the same order,
-    or the same ParseError, text and position (refusals are counted).
+    or the same ParseError, text and position (refusals are counted);
+  * random divisions over Q and Q(t), by one divisor or an autoreduced pair,
+    give ritt_reduce_seq (one working map, a step log) the certificate of
+    the forward division of tests/reference_engines.py (whole polynomials,
+    eager quotients), factors, multiplier, quotients, remainder and step
+    count, or the same cap exception at the same step (draws stopped at a
+    cap are counted).  This stream runs last, so the others draw as
+    they did before it was added.
 
     python3 scripts/random_audit.py --cases 500 --seed 7
 
@@ -81,6 +88,7 @@ from diffalg import (
     PreparedSeq,
     QQ,
     Ranking,
+    is_autoreduced,
     RatFunc,
     StepLimitExceeded,
     TermLimitExceeded,
@@ -104,6 +112,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 import fraction_reference as ref  # noqa: E402
 from reference_engines import (  # noqa: E402
     first_order_expansion,
+    forward_certificate,
     jacobi_brute,
     reference_parse_poly,
     verify_component,
@@ -603,6 +612,64 @@ def audit_parse(rng: random.Random, cases: int) -> tuple[int, int]:
     return cases, refused
 
 
+# (MAX_REDUCTION_STEPS, MAX_REDUCTION_TERMS, MAX_REDUCTION_PAIRS) for a
+# division draw: the term and pair caps at their values, or small enough to
+# stop some divisions part way.
+DIVISION_CAPS = ((400, 10_000, 1_000_000), (400, 8, 1_000_000), (400, 10_000, 12))
+
+
+def _division(b: DiffPoly, seq: list, rk: Ranking, caps: tuple, engine):
+    """The certificate's parts, or the cap exception's type and text."""
+    steps, terms, pairs = caps
+    try:
+        with patch.multiple(
+            diffalg.reduction, MAX_REDUCTION_STEPS=steps, MAX_REDUCTION_TERMS=terms, MAX_REDUCTION_PAIRS=pairs
+        ):
+            cert = engine(b, seq, rk)
+    except StepLimitExceeded as exc:
+        return type(exc).__name__, str(exc)
+    return cert.steps, cert.factors, cert.multiplier, cert.quotients, cert.remainder
+
+
+def audit_division(rng: random.Random, cases: int, max_vars: int) -> tuple[int, int]:
+    """Divides random polynomials by ritt_reduce_seq and by the forward
+    reference; returns (divisions compared, of which stopped alike at a
+    cap)."""
+    capped = 0
+    compared = 0
+    while compared < cases:
+        ctx = Context(NAMES[: rng.randint(1, max_vars)], rng.choice((QQ, QT)))
+        rk = Ranking.elimination(ctx.n, rng.sample(range(ctx.n), ctx.n))
+
+        def draw(**kw) -> DiffPoly:
+            p = rand_poly(rng, ctx, **kw)
+            if ctx.field is QT and rng.random() < 0.5:
+                p = p + DiffPoly.const(ctx, RatFunc.t_power(1)) * rand_poly(rng, ctx, **kw)
+            return p
+
+        seq = [draw(max_order=2, max_degree=2)]
+        if rng.random() < 0.5:
+            seq.append(draw(max_order=2, max_degree=2))
+        if any(a.is_constant() for a in seq) or not is_autoreduced(seq, rk):
+            seq = seq[:1]
+            if seq[0].is_constant():
+                continue
+        b = draw()
+        caps = rng.choice(DIVISION_CAPS)
+        got = _division(b, seq, rk, caps, lambda b, seq, rk: ritt_reduce_seq(b, PreparedSeq(seq, rk)))
+        want = _division(b, seq, rk, caps, forward_certificate)
+        if got != want:
+            print("division disagreement:", file=sys.stderr)
+            print(f"  dividend: {b.to_text()}", file=sys.stderr)
+            for a in seq:
+                print(f"  divisor:  {a.to_text()}", file=sys.stderr)
+            print(f"  caps: {caps}\n  library:   {got}\n  reference: {want}", file=sys.stderr)
+            sys.exit(1)
+        capped += isinstance(got[0], str)
+        compared += 1
+    return compared, capped
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=500, help="cases per audit (default 500)")
@@ -663,6 +730,12 @@ def main() -> None:
     print(
         f"parse: {compared} renderings read alike by the library and the token-by-token reference, "
         f"0 disagreements ({refused} refused alike, with the same message)  [{time.monotonic() - t7:.2f}s]"
+    )
+    t8 = time.monotonic()
+    compared, capped = audit_division(rng, args.cases, args.max_vars)
+    print(
+        f"division: {compared} divisions gave the forward reference's certificate "
+        f"({capped} stopped alike at a cap)  [{time.monotonic() - t8:.2f}s]"
     )
     print("all audits passed")
 

@@ -3,6 +3,7 @@
 
     python3 scripts/stdout_digests.py TREE_A TREE_B --seed 7
     python3 scripts/stdout_digests.py TREE_A TREE_B --seed 7 --workload certify-qt
+    python3 scripts/stdout_digests.py TREE_A TREE_B --seed 7 --timing 9
 
 A tree is a checkout with ``src/diffalg``.  Each tree runs, in a process of
 its own, every query of each workload as the benchmark generates it for the
@@ -14,11 +15,22 @@ the same queries.
 A query differs when its exit code or the digest of its stdout differs
 between the trees.  A query over the limit in either tree has no output to
 compare; it is listed apart.  The exit status is 0 when no query differs.
+
+With ``--timing PASSES`` both trees run in this one process: each tree's
+``src/diffalg`` is loaded under a module name of its own (every import in
+the package is relative), and each query runs once in each tree, the order
+of the two alternating, in each of PASSES passes.  Per workload this prints
+the sum over the queries of each tree's minimum time and the B/A ratio;
+queries over the limit in either tree are run once and left out of the
+sums.  The digests of the first pass are compared as above.  Two runs of
+one benchmark command on a shared machine swing far more than two trees
+timed side by side in one process, query by query.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import shutil
@@ -44,6 +56,66 @@ def compare(a: dict, b: dict) -> dict:
         elif a[qid] != b[qid]:
             differ.append(qid)
     return {"differ": differ, "over_limit": over}
+
+
+def timing_summary(a: dict, b: dict) -> dict:
+    """Sum, over the queries timed in both runs, of each run's minimum time
+    per query; a and b map a query id to its times in seconds.  Returns
+    {"queries", "a_s", "b_s", "ratio"} with ratio = b_s / a_s."""
+    shared = sorted(set(a) & set(b))
+    a_s = sum(min(a[q]) for q in shared)
+    b_s = sum(min(b[q]) for q in shared)
+    return {"queries": len(shared), "a_s": a_s, "b_s": b_s, "ratio": b_s / a_s if a_s else float("nan")}
+
+
+def _load_tree(tree: Path, name: str):
+    """tree's src/diffalg imported as the package `name`; its cli module."""
+    pkg = tree / "src" / "diffalg"
+    spec = importlib.util.spec_from_file_location(name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return importlib.import_module(f"{name}.cli")
+
+
+def timed(trees, seed: int, names, passes: int) -> dict:
+    """Run every query of each named workload in both trees, alternating,
+    for `passes` passes; {workload: (runs of tree A, runs of tree B, times
+    of A, times of B)}, a run as emit gives it and times as timing_summary
+    takes them."""
+    sys.path.insert(0, str(BENCH))
+    import runner
+    import workloads
+
+    clis = [_load_tree(tree, f"diffalg_tree_{tag}") for tag, tree in zip("ab", trees)]
+    out = {}
+    workdir = WORK / f"timing-{os.getpid()}"
+    try:
+        for name in names:
+            wl = workloads.GENERATORS[name](seed)
+            workdir.mkdir(parents=True, exist_ok=True)
+            for fname, text in wl.files.items():
+                (workdir / fname).write_text(text, encoding="utf-8")
+            rqs = [runner.QueryRunner(cli, wl.queries, workdir) for cli in clis]
+            runs, times = ({}, {}), ({}, {})
+            over = set()
+            for p in range(passes):
+                for i, q in enumerate(wl.queries):
+                    if q.qid in over:
+                        continue
+                    for t in (0, 1) if (p + i) % 2 == 0 else (1, 0):
+                        o = rqs[t].run(i)
+                        runs[t].setdefault(q.qid, [o.code, o.digest, o.error])
+                        times[t].setdefault(q.qid, []).append(o.latency_s)
+                        if o.timed_out:
+                            over.add(q.qid)
+            for t in (0, 1):
+                for qid in over:
+                    times[t].pop(qid, None)
+            out[name] = (runs[0], runs[1], times[0], times[1])
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+    return out
 
 
 def emit(tree: Path, seed: int, names) -> dict:
@@ -89,6 +161,12 @@ def main(argv=None) -> int:
     ap.add_argument("trees", nargs="*", type=Path, metavar="TREE")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--workload", action="append", choices=WORKLOADS)
+    ap.add_argument(
+        "--timing",
+        type=int,
+        metavar="PASSES",
+        help="run both trees in this process, alternating query by query, and report their times",
+    )
     ap.add_argument("--emit", type=Path, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     names = args.workload or list(WORKLOADS)
@@ -97,7 +175,17 @@ def main(argv=None) -> int:
         return 0
     if len(args.trees) != 2:
         ap.error("give two source trees")
-    a, b = (_run_tree(t.resolve(), args.seed, names) for t in args.trees)
+    if args.timing is not None and args.timing < 1:
+        ap.error("--timing needs at least one pass")
+    trees = [t.resolve() for t in args.trees]
+    if args.timing is None:
+        a, b = (_run_tree(t, args.seed, names) for t in trees)
+        summaries = {}
+    else:
+        res = timed(trees, args.seed, names, args.timing)
+        a = {name: r[0] for name, r in res.items()}
+        b = {name: r[1] for name, r in res.items()}
+        summaries = {name: timing_summary(r[2], r[3]) for name, r in res.items()}
     total = 0
     for name in names:
         res = compare(a[name], b[name])
@@ -110,6 +198,12 @@ def main(argv=None) -> int:
             print(f"  DIFFER {qid}: {a[name][qid]} vs {b[name][qid]}")
         for qid in res["over_limit"]:
             print(f"  over the limit {qid}: {a[name][qid][2] or 'ok'} vs {b[name][qid][2] or 'ok'}")
+        if name in summaries:
+            sm = summaries[name]
+            print(
+                f"  timing, {args.timing} passes, sum of per-query minima over {sm['queries']} "
+                f"queries: A {sm['a_s']:.4f} s, B {sm['b_s']:.4f} s, B/A {sm['ratio']:.3f}"
+            )
     return 0 if total == 0 else 1
 
 

@@ -102,19 +102,13 @@ class Monomial:
         return max((v.order for v, _ in self.factors), default=0)
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        """The product: both factor maps merged in one dict, exponents of a
-        shared jet added, then sorted once."""
+        """The product: the two sorted factor tuples merged in one pass by
+        _merge_factors, with no dict and no sort."""
         if not self.factors:
             return other
         if not other.factors:
             return self
-        merged = dict(self.factors)
-        for v, e in other.factors:
-            if v in merged:
-                merged[v] += e
-            else:
-                merged[v] = e
-        return Monomial(tuple(sorted(merged.items())))
+        return Monomial(_merge_factors(self.factors, other.factors))
 
     def __pow__(self, k: int) -> "Monomial":
         if k < 0:
@@ -143,6 +137,41 @@ class Monomial:
 
 
 MON_ONE = Monomial(())
+
+
+def _merge_factors(a: tuple, b: tuple) -> tuple:
+    """The sorted factors of the product of two monomials, from their sorted
+    factor tuples: one linear merge that adds the exponents of a shared jet.
+    When every jet of one factor ranks below every jet of the other, the
+    two tuples are simply joined.  Every monomial product is made here:
+    Monomial.__mul__, the term pairs of a Ritt division step, and the
+    oracle's candidate keys."""
+    if not a:
+        return b
+    if not b:
+        return a
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        fa, fb = a[i], b[j]
+        if fa[0] < fb[0]:
+            out.append(fa)
+            i += 1
+        elif fb[0] < fa[0]:
+            out.append(fb)
+            j += 1
+        else:
+            out.append((fa[0], fa[1] + fb[1]))
+            i += 1
+            j += 1
+    out.extend(a[i:])
+    out.extend(b[j:])
+    return tuple(out)
 
 
 def _dervar_text(v: DerVar, names) -> str:
@@ -200,14 +229,26 @@ def _accumulate(acc: dict, m, c) -> None:
     """Add c*m into acc, a sparse map from keys (monomials, jets, powers of
     the derivation, candidates) to nonzero coefficients, dropping a
     coefficient that cancels.  The package's sparse sums merge here, apart
-    from the oracle's echelon: its row loop adds a multiple of a row in
-    place, and its candidates are monomial shifts, whose terms never meet."""
+    from two hot loops that inline it: the oracle's echelon, whose row loop
+    adds a multiple of a row in place (its candidates are monomial shifts,
+    whose terms never meet), and a Ritt division step's term pairs."""
     cur = acc.get(m)
     c = c if cur is None else cur + c
     if c:
         acc[m] = c
     elif cur is not None:
         del acc[m]
+
+
+def _degree_profile(terms) -> dict:
+    """Each jet variable of the monomials in terms mapped to its highest
+    exponent, in one pass."""
+    deg: dict = {}
+    for m in terms:
+        for v, e in m.factors:
+            if e > deg.get(v, 0):
+                deg[v] = e
+    return deg
 
 
 class DiffPoly:
@@ -292,11 +333,7 @@ class DiffPoly:
         kept.  Shared, so callers must not change it."""
         deg = self._degrees
         if deg is None:
-            deg = self._degrees = {}
-            for m in self._terms:
-                for v, e in m.factors:
-                    if e > deg.get(v, 0):
-                        deg[v] = e
+            deg = self._degrees = _degree_profile(self._terms)
         return deg
 
     def degree_in(self, v: DerVar) -> int:

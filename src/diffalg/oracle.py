@@ -18,10 +18,16 @@ witness, so restricting to that universe loses nothing.
 All linear algebra is one routine: a row-echelon basis (`_Echelon`) that
 takes candidates one at a time and is asked whether f lies in their span,
 the incremental Macaulay-matrix elimination of Lazard (1983) and of
-Faugere's F4 (1999).  A candidate enters as a monomial shift of d^k(g_i):
-multiplying by a monomial is one-to-one on monomials, so its coefficients
-are those of d^k(g_i), and no polynomial product is made.  Witnesses are
-re-verified by plain polynomial arithmetic, independent of that shortcut.
+Faugere's F4 (1999).  Its rows, candidate vectors and f are keyed by each
+monomial's graded sort key, the tuple (degree, factors) of
+Monomial.sort_key, so the pivot of a vector is max(vec) with no key
+function.  A candidate enters as a monomial shift of d^k(g_i): multiplying
+by a monomial is one-to-one on monomials, so its coefficients are those of
+d^k(g_i), and no polynomial product is made.  d^k(g_i) is read once as
+(degree, factors, coefficient) triples, and the key of m * hm is
+(deg m + deg hm, the merged factors of m and hm), so no Monomial is built
+for a candidate either.  Witnesses are re-verified by plain polynomial
+arithmetic, independent of these shortcuts.
 
 Over Q, where the derivation of a coefficient is zero, the search looks for
 positive integer variable weights under which every generator is homogeneous
@@ -51,7 +57,7 @@ from enum import Enum
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
-from .diffpoly import Context, DiffPoly, Monomial, _accumulate
+from .diffpoly import Context, DiffPoly, Monomial, _accumulate, _merge_factors
 from .fields import QQ, RF_ONE
 
 MAX_CANDIDATES = 1500
@@ -226,22 +232,41 @@ def _positive_kernel(rows: list, n: int) -> Optional[tuple]:
     return tuple(w) if all(x > 0 for x in w) else None
 
 
-def _kept_prolongations(gens, max_k: int, max_deg: int) -> list:
+def _kept_prolongations(gens, max_k: int, max_deg: int, read: dict) -> list:
     """Nonzero d^k(g_i) with k <= max_k and degree <= max_deg, as (i, k,
-    d^k(g_i)), read off the derivative chain each g_i keeps."""
+    degree, graded terms, jets).  Each d^k(g_i) is read once, off the
+    derivative chain g_i keeps, into `read`, the caller's map from (i, k)
+    to that reading (None for zero), so the stages and powers of one search
+    share it."""
     kept = []
     for gi, g in enumerate(gens):
         for k in range(max_k + 1):
-            h = g.derive(k)
-            if not h.is_zero() and h.total_degree() <= max_deg:
-                kept.append((gi, k, h))
+            if (gi, k) not in read:
+                h = g.derive(k)
+                terms = _graded_terms(h)
+                read[(gi, k)] = (max(t[0] for t in terms), terms, h.dervars()) if terms else None
+            r = read[(gi, k)]
+            if r is not None and r[0] <= max_deg:
+                kept.append((gi, k) + r)
     return kept
+
+
+def _graded_terms(h: DiffPoly) -> tuple:
+    """h's terms as (degree, factors, coefficient) triples."""
+    return tuple((*m.sort_key(), c) for m, c in h.items())
+
+
+def _shifted(m: Monomial, terms: tuple) -> dict:
+    """The coefficient vector of m * h, keyed by sort keys, from h's graded
+    terms: each key is (deg m + deg hm, the merged factors)."""
+    d, fs = m.sort_key()
+    return {(d + hd, _merge_factors(fs, hf)): c for hd, hf, c in terms}
 
 
 def _jet_universe(jets, kept) -> tuple:
     universe = set(jets)
-    for _, _, h in kept:
-        universe.update(h.dervars())
+    for *_, h_jets in kept:
+        universe.update(h_jets)
     return tuple(sorted(universe))
 
 
@@ -293,8 +318,10 @@ def _monomials_exact(jets, weights: tuple, wdeg: int, weight: int, max_deg: int,
 
 class _Echelon:
     """Exact row-echelon basis of candidate polynomials over the coefficient
-    field.  Each row sits under its pivot (leading monomial) unscaled, as
-    (tail, combination, lead): the sparse monomial -> coefficient map of its
+    field.  Every monomial is keyed by its sort key (degree, factors), whose
+    tuple order is the graded monomial order, so a vector's leading entry is
+    its max().  Each row sits under its pivot (leading monomial) unscaled, as
+    (tail, combination, lead): the sparse key -> coefficient map of its
     other entries, the {candidate key: coefficient} map that makes it, and
     its coefficient at the pivot.  The pivots are distinct, so a polynomial
     lies in the span of the candidates exactly when reducing its leading
@@ -312,7 +339,7 @@ class _Echelon:
         the leading monomial left over, or None when vec reduced to zero."""
         rows = self.rows
         while vec:
-            pivot = max(vec, key=Monomial.sort_key)
+            pivot = max(vec)
             row = rows.get(pivot)
             if row is None:
                 return pivot
@@ -329,9 +356,9 @@ class _Echelon:
         return None
 
     def add(self, key, vec: dict) -> None:
-        """Eliminate the candidate with the coefficient vector vec, which
-        this takes over; it becomes a row unless it is already in the
-        span."""
+        """Eliminate the candidate with the coefficient vector vec (keyed
+        by sort keys), which this takes over; it becomes a row unless it is
+        already in the span."""
         combo = {key: RF_ONE}
         pivot = self._reduce(vec, combo)
         if pivot is not None:
@@ -342,7 +369,7 @@ class _Echelon:
         """{candidate key: coefficient} with f = sum of coefficient *
         candidate, or None when f is outside the span."""
         combo: dict = {}
-        if self._reduce(dict(f.items()), combo) is not None:
+        if self._reduce({m.sort_key(): c for m, c in f.items()}, combo) is not None:
             return None
         # f reduced to zero: f = sum over basis contributions with OPPOSITE sign
         return {k: -c for k, c in combo.items()}
@@ -367,7 +394,7 @@ def _assemble(f: DiffPoly, gens, combo: dict, bounds, power: int) -> MembershipW
     return w
 
 
-def _member_homogeneous(f, gens, bounds, weights) -> Optional[MembershipWitness]:
+def _member_homogeneous(f, gens, bounds, weights, read: dict) -> Optional[MembershipWitness]:
     """Blockwise solve when every generator is homogeneous in (weighted
     degree, derivative weight) under the variable weights, over Q.  Raises
     _CapHit when a block has more than MAX_CANDIDATES candidates; None when
@@ -382,8 +409,9 @@ def _member_homogeneous(f, gens, bounds, weights) -> Optional[MembershipWitness]
     the direct sum of its blocks' spans: f lies in it exactly when each of
     f's bigrade parts lies in its own block's span.  The block search
     therefore decides as the staged search does whenever that search skips
-    no stage, and only the blocks f occupies are built."""
-    kept = _kept_prolongations(gens, bounds.prolongation_order, bounds.degree_bound)
+    no stage, and only the blocks f occupies are built.  `read` holds the
+    readings of _kept_prolongations."""
+    kept = _kept_prolongations(gens, bounds.prolongation_order, bounds.degree_bound, read)
     universe = _jet_universe(f.dervars(), kept)
     grades = [_bigrade(next(iter(g.monomials())), weights) for g in gens]
     blocks: dict[tuple, list] = {}
@@ -393,16 +421,16 @@ def _member_homogeneous(f, gens, bounds, weights) -> Optional[MembershipWitness]
     for (wdeg, weight), terms in sorted(blocks.items()):
         echelon = _Echelon()
         count = 0
-        for gi, k, h in kept:
+        for gi, k, h_deg, terms_h, _ in kept:
             hd, hw = grades[gi][0], grades[gi][1] + k
             if hd > wdeg or hw > weight:
                 continue
-            dcap = bounds.degree_bound - h.total_degree()
+            dcap = bounds.degree_bound - h_deg
             for m in _monomials_exact(universe, weights, wdeg - hd, weight - hw, dcap, MAX_CANDIDATES):
                 count += 1
                 if count > MAX_CANDIDATES:
                     raise _CapHit
-                echelon.add((gi, k, m), {m * hm: c for hm, c in h.items()})
+                echelon.add((gi, k, m), _shifted(m, terms_h))
         combo = echelon.solve(DiffPoly.from_terms(f.context, terms))
         if combo is None:
             return None
@@ -427,19 +455,20 @@ class _StagedSearch:
         self.built: set = set()  # candidate keys (gi, k, m) in the echelon
         self.stages: dict = {}  # (dd, pp) -> admitted, skipped (False) or empty (None)
         self.monomials: dict = {}  # (universe, degree cap) -> monomials
+        self.read: dict = {}  # (gi, k) -> d^k(g_i) read by _kept_prolongations
 
     def _visit(self, dd: int, pp: int) -> Optional[bool]:
         """Eliminate the candidates of stage (dd, pp) that no earlier stage
         admitted.  None when no generator is kept; False, building nothing,
         when the stage has more than MAX_CANDIDATES candidates."""
-        kept = _kept_prolongations(self.gens, pp, dd)
+        kept = _kept_prolongations(self.gens, pp, dd, self.read)
         if not kept:
             return None
         universe = _jet_universe(self.jets, kept)
-        caps = [dd - h.total_degree() for _, _, h in kept]
+        caps = [dd - h_deg for _, _, h_deg, _, _ in kept]
         if sum(comb(len(universe) + c, c) for c in caps) > MAX_CANDIDATES:
             return False
-        for (gi, k, h), dcap in zip(kept, caps):
+        for (gi, k, _, terms_h, _), dcap in zip(kept, caps):
             mons = self.monomials.get((universe, dcap))
             if mons is None:
                 mons = self.monomials[(universe, dcap)] = _monomials_upto(universe, dcap)
@@ -447,7 +476,7 @@ class _StagedSearch:
                 key = (gi, k, m)
                 if key not in self.built:
                     self.built.add(key)
-                    self.echelon.add(key, {m * hm: c for hm, c in h.items()})
+                    self.echelon.add(key, _shifted(m, terms_h))
         return True
 
     def find(self, f: DiffPoly) -> tuple:
@@ -525,7 +554,7 @@ def _member(
     weights = search.weights
     if weights is not None:
         try:
-            w = _member_homogeneous(f, gens, bounds, weights)
+            w = _member_homogeneous(f, gens, bounds, weights, search.read)
         except _CapHit:
             # under weights other than all ones the staged search may still decide
             if all(x == 1 for x in weights):

@@ -17,9 +17,14 @@ multiplication, so multiplier exponents stay minimal for the run.
 
 A divisor sequence is checked and analyzed once, as a PreparedSeq, which
 is what ritt_reduce_seq divides by; one can serve any number of reductions.
-A reduction logs its steps; the certificate's multiplier and quotients are
-assembled from that log, in one backward pass, the first time either is
-read.
+A reduction keeps the working polynomial as one {monomial: coefficient}
+map, copied from the dividend at the first step that changes it.  A step
+reads its cofactor off the map in one pass, multiplies the map by the
+separant or initial only when that factor is not 1, and subtracts
+cofactor * d^j(divisor) from it term pair by term pair; no intermediate
+polynomial is built.  A reduction logs its steps; the certificate's
+multiplier and quotients are assembled from that log, in one backward
+pass, the first time either is read.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .diffpoly import DiffPoly, Monomial, _accumulate
+from .diffpoly import DiffPoly, Monomial, _accumulate, _degree_profile, _merge_factors
 from .ranking import (
     ConstantPolyError,
     RankedPoly,
@@ -39,13 +44,15 @@ from .ranking import (
 
 # Most elimination steps one reduction may take.
 MAX_REDUCTION_STEPS = 100_000
-# Most terms any polynomial a reduction step builds may have: the scaled
-# working polynomial, the multiple of a divisor it subtracts, and the result.
+# Most terms the working map of a reduction may have after a step: once
+# scaled by the step's separant or initial, and once the multiple of a
+# divisor is subtracted.  That multiple is subtracted term by term and never
+# built, so it is not bounded on its own.
 MAX_REDUCTION_TERMS = 10_000
 # Most term pairs one product of a reduction step may make: the multiplier
-# times the working polynomial, or the cofactor times the divisor.  It is
-# checked before either product is built, so no step spends its time
-# building a polynomial that MAX_REDUCTION_TERMS would then refuse.
+# times the working map, or the cofactor times the divisor.  It is checked
+# before either product is made, so no step spends its time on a map that
+# MAX_REDUCTION_TERMS would then refuse.
 MAX_REDUCTION_PAIRS = 1_000_000
 
 
@@ -55,9 +62,9 @@ class StepLimitExceeded(Exception):
 
 
 class TermLimitExceeded(StepLimitExceeded):
-    """A reduction step built a polynomial with more than
-    MAX_REDUCTION_TERMS terms, or would have made more than
-    MAX_REDUCTION_PAIRS term pairs in one product."""
+    """A reduction step left a working map of more than MAX_REDUCTION_TERMS
+    terms, or would have made more than MAX_REDUCTION_PAIRS term pairs in
+    one product."""
 
 
 class NotAutoreducedError(ValueError):
@@ -133,9 +140,11 @@ class PreparedSeq:
     """An autoreduced divisor sequence under a ranking, checked and analyzed
     once so that any number of reductions can share it.  Elements may be
     polynomials or RankedPolys already analyzed under the ranking.  An empty
-    sequence, a constant, or a sequence that is not autoreduced is refused."""
+    sequence, a constant, or a sequence that is not autoreduced is refused.
+    unit_factors records, per divisor, whether its separant and its initial
+    are 1, so a step multiplies by neither when it is."""
 
-    __slots__ = ("ranking", "ranked", "sequence")
+    __slots__ = ("ranking", "ranked", "sequence", "unit_factors")
 
     def __init__(self, seq: Sequence[Union[DiffPoly, RankedPoly]], ranking: Ranking):
         if not seq:
@@ -156,6 +165,8 @@ class PreparedSeq:
         self.ranking = ranking
         self.ranked = ranked
         self.sequence = tuple(rp.poly for rp in ranked)
+        one = DiffPoly.one(ranked[0].poly.context)
+        self.unit_factors = tuple((rp.separant == one, rp.initial == one) for rp in ranked)
 
 
 class ReductionCertificate:
@@ -234,40 +245,62 @@ class ReductionCertificate:
         return f"ReductionCertificate(multiplier={m!r}, factors={f!r}, quotients={q!r}, remainder={r!r})"
 
 
-def _offense(c: DiffPoly, by_var: dict, ranking: Ranking):
-    """The highest-ranked violation of reducedness of c against the divisors
-    (by_var maps a leader's variable to (divisor index, RankedPoly)):
-    (jet variable, divisor index, kind) with kind 'd' (proper derivative of
-    a leader occurs) or 'a' (leader degree too high)."""
+def _add_product(acc: dict, a: dict, b: dict) -> dict:
+    """Add the product of the term maps a and b into acc, one term pair at a
+    time (a's terms outer, b's inner), and return acc: a division step's
+    scaling of the working map, and its subtraction of the divisor's
+    multiple, with no polynomial built."""
+    merge = _merge_factors
+    for m1, c1 in a.items():
+        f1 = m1.factors
+        for m2, c2 in b.items():
+            # _accumulate, inlined: this loop makes every term pair
+            m = Monomial(merge(f1, m2.factors))
+            cur = acc.get(m)
+            c = c1 * c2 if cur is None else cur + c1 * c2
+            if c:
+                acc[m] = c
+            elif cur is not None:
+                del acc[m]
+    return acc
+
+
+def _offense(deg: dict, by_var: dict, ranking: Ranking):
+    """The highest-ranked violation of reducedness against the divisors,
+    read off a degree profile deg (jet variable -> highest exponent; by_var
+    maps a leader's variable to (divisor index, RankedPoly)): (jet
+    variable, its degree, divisor index, kind) with kind 'd' (proper
+    derivative of a leader occurs) or 'a' (leader degree too high)."""
     best = None
-    for v, d in c.degrees().items():
+    for v, d in deg.items():
         hit = by_var.get(v.var)
         if hit is None:
             continue
         i, rp = hit
         if v.order > rp.leader.order:
-            cand = (ranking.key(v), v, i, "d")
+            cand = (ranking.key(v), v, d, i, "d")
         elif v.order == rp.leader.order and d >= rp.degree:
-            cand = (ranking.key(v), v, i, "a")
+            cand = (ranking.key(v), v, d, i, "a")
         else:
             continue
         if best is None or cand[0] > best[0]:
             best = cand
     if best is None:
         return None
-    return best[1], best[2], best[3]
+    return best[1:]
 
 
 def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
-    """Divide b by a prepared autoreduced sequence, under its ranking."""
+    """Divide b by a prepared autoreduced sequence, under its ranking.  A
+    division with no step has b itself as its remainder."""
     ctx = b.context
-    ranking, ranked = prep.ranking, prep.ranked
+    ranking, ranked, unit_factors = prep.ranking, prep.ranked, prep.unit_factors
     by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
-    one = DiffPoly.one(ctx)
-    c = b
+    work = b._terms  # b's own map until the first step changes it
+    deg = b.degrees()
     log = []
     while True:
-        off = _offense(c, by_var, ranking)
+        off = _offense(deg, by_var, ranking)
         if off is None:
             break
         if len(log) >= MAX_REDUCTION_STEPS:
@@ -275,37 +308,51 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
                 "reduction needs more elimination steps than the cap "
                 f"MAX_REDUCTION_STEPS = {MAX_REDUCTION_STEPS}"
             )
-        v, i, kind = off
+        v, d, i, kind = off
         rp = ranked[i]
         if kind == "d":
             j = v.order - rp.leader.order
             # the prolongation has leader v, degree 1 and initial = separant
-            divisor, mult, degree = rp.poly.derive(j), rp.separant, 1
+            divisor, mult, degree, unit = rp.poly.derive(j), rp.separant, 1, unit_factors[i][0]
         else:
             j = 0
-            divisor, mult, degree = rp.poly, rp.initial, rp.degree
-        d = c.degree_in(v)
-        lead = c.coeff_of_power(v, d)
-        # lead has no v, so lead * v^(d - degree) is a shift of its monomials
-        shift = Monomial.of(v, d - degree)
-        cofactor = DiffPoly(ctx, {m * shift: a for m, a in lead.items()})
-        pairs = max(mult.term_count() * c.term_count(), cofactor.term_count() * divisor.term_count())
+            divisor, mult, degree, unit = rp.poly, rp.initial, rp.degree, unit_factors[i][1]
+        # the cofactor lead * v^(d - degree), with lead the coefficient of
+        # v^d: each term of degree d in v, its exponent of v lowered
+        cof = {}
+        shift = ((v, d - degree),) if d > degree else ()
+        for m, a in work.items():
+            fs = m.factors
+            for k, (w, e) in enumerate(fs):
+                if w >= v:
+                    if w == v and e == d:
+                        cof[Monomial(fs[:k] + shift + fs[k + 1 :])] = a
+                    break
+        pairs = max(mult.term_count() * len(work), len(cof) * divisor.term_count())
         if pairs > MAX_REDUCTION_PAIRS:
             raise TermLimitExceeded(
                 f"reduction stopped at step {len(log) + 1}: a product would make {pairs} term pairs, "
                 f"over the cap MAX_REDUCTION_PAIRS = {MAX_REDUCTION_PAIRS}"
             )
-        scaled = c if mult == one else mult * c
-        subtracted = cofactor * divisor
-        c = scaled - subtracted
-        log.append((mult, i, cofactor, j))
-        terms = max(scaled.term_count(), subtracted.term_count(), c.term_count())
+        if not unit:
+            work = _add_product({}, mult._terms, work)
+        elif work is b._terms:
+            work = dict(work)
+        scaled = len(work)
+        _add_product(work, {m: -a for m, a in cof.items()}, divisor._terms)
+        log.append((mult, i, DiffPoly(ctx, cof), j))
+        terms = max(scaled, len(work))
         if terms > MAX_REDUCTION_TERMS:
             raise TermLimitExceeded(
                 f"reduction stopped at step {len(log)}: it built a polynomial with {terms} "
                 f"terms, over the cap MAX_REDUCTION_TERMS = {MAX_REDUCTION_TERMS}"
             )
-    return ReductionCertificate._from_log(log, len(ranked), c)
+        deg = _degree_profile(work)
+    remainder = b
+    if log:
+        remainder = DiffPoly(ctx, work)
+        remainder._degrees = deg  # the profile the last step read
+    return ReductionCertificate._from_log(log, len(ranked), remainder)
 
 
 def verify_certificate(

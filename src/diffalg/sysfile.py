@@ -93,10 +93,12 @@ class SysFileError(ValueError):
 
 # A token is a number, a name, a run of primes, or one other character;
 # whitespace separates tokens.  Error messages name the token they stop at,
-# and rankings are read token by token.
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|'+|\S")
+# and rankings are read token by token.  Digits and whitespace are ASCII
+# only: the classes are spelled out, since \d and \s on a str pattern also
+# match the other Unicode digits and spaces.
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|'+|[^ \t\n\r\f\v]")
 # A character no token may hold.
-_BAD_RE = re.compile(r"[^\s\dA-Za-z_'()*+,\-/=>^]")
+_BAD_RE = re.compile(r"[^ \t\n\r\f\v0-9A-Za-z_'()*+,\-/=>^]")
 # One match is one factor with the operator before it.  Groups:
 #   1 op      '+', '-', '*', '/' or ''      2 minus   a run of unary minus
 # then one of
@@ -111,10 +113,11 @@ _BAD_RE = re.compile(r"[^\s\dA-Za-z_'()*+,\-/=>^]")
 # optional, so the scan matches at any position; a match that stops short
 # of a well-formed factor leaves groups unset, and the reader names the
 # token it stopped at.
+_SP = r"[ \t\n\r\f\v]*"  # a run of ASCII whitespace
 _FACTOR_RE = re.compile(
-    r"\s*([-+*/]?)((?:\s*-)*)\s*"
-    r"(?:(?:([A-Za-z_][A-Za-z0-9_]*)(?:\s*('+)|\s*\^\s*\(\s*(\d*)\s*(\)?))?|(\d+)|(\)))"
-    r"(?:\s*\^\s*(\d*))?|(\())?"
+    rf"{_SP}([-+*/]?)((?:{_SP}-)*){_SP}"
+    rf"(?:(?:([A-Za-z_][A-Za-z0-9_]*)(?:{_SP}('+)|{_SP}\^{_SP}\({_SP}([0-9]*){_SP}(\)?))?|([0-9]+)|(\)))"
+    rf"(?:{_SP}\^{_SP}([0-9]*))?|(\())?"
 )
 _ONE = RF_ONE.den  # the denominator of an integer
 _T = RatFunc.t_power(1)

@@ -11,7 +11,14 @@ check the library against; none of them is on a path the library takes.
 * _ExprParser is a token-by-token recursive-descent expression parser,
   written apart from sysfile's one-scan reader, the reference for
   parse_poly: the same polynomial with its terms in the same order, or the
-  same ParseError, text and position.
+  same ParseError, text and position;
+* forward_certificate is Ritt division by whole-polynomial arithmetic, with
+  the multiplier and every quotient rescaled at each step, the reference
+  for ritt_reduce_seq's working map and step log: the same certificate, or
+  the same cap exception at the same step;
+* Echelon is the oracle's row-echelon basis keyed by Monomial objects, each
+  pivot picked by Monomial.sort_key, the reference for oracle._Echelon,
+  which keys every entry by the sort key itself.
 """
 
 from __future__ import annotations
@@ -21,15 +28,19 @@ import re
 from math import comb, gcd
 from typing import Optional, Sequence
 
+import diffalg.reduction as _reduction
 from diffalg import (
     CharSetComponent,
     ConcretePoint,
     Convention,
+    DiffOperator,
     DiffPoly,
     JacobiResult,
     LinearizedPoly,
     Monomial,
     OrderMatrix,
+    ReductionCertificate,
+    analyze,
     extended_context,
     jacobi_assign,
     order_matrix,
@@ -135,14 +146,142 @@ def verify_component(c: CharSetComponent, us: Sequence[DiffPoly]) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Ritt division, forward
+# ---------------------------------------------------------------------------
+
+
+def _forward_offense(c: DiffPoly, ranked: list, ranking):
+    """(jet, divisor index, kind) of the highest-ranked jet of c that a
+    divisor's leader forbids: kind 'd' for a proper derivative of the
+    leader, 'a' for the leader itself at the leader's degree or above."""
+    hits = []
+    for v in c.dervars():
+        for i, rp in enumerate(ranked):
+            if v.var != rp.leader.var:
+                continue
+            if v.order > rp.leader.order:
+                hits.append((ranking.key(v), v, i, "d"))
+            elif v == rp.leader and c.degree_in(v) >= rp.degree:
+                hits.append((ranking.key(v), v, i, "a"))
+    return max(hits)[1:] if hits else None
+
+
+def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
+    """Ritt division with the multiplier and every quotient rescaled eagerly
+    at each step, as the certificate used to be built, each step made of
+    whole polynomials: mult * c - cofactor * d^j(divisor).  The caps of
+    diffalg.reduction, read when called, are checked as the library checks
+    them: the step count before a step, the term pairs of both products
+    before either is made, and the terms of the scaled and the new
+    polynomial after the step."""
+    ctx = b.context
+    ranked = [analyze(a, ranking) for a in seq]
+    one = DiffPoly.one(ctx)
+    c = b
+    multiplier = one
+    factors = []
+    quotients = [DiffOperator.zero(ctx) for _ in ranked]
+    while True:
+        off = _forward_offense(c, ranked, ranking)
+        if off is None:
+            break
+        if len(factors) >= _reduction.MAX_REDUCTION_STEPS:
+            raise _reduction.StepLimitExceeded(
+                "reduction needs more elimination steps than the cap "
+                f"MAX_REDUCTION_STEPS = {_reduction.MAX_REDUCTION_STEPS}"
+            )
+        v, i, kind = off
+        rp = ranked[i]
+        if kind == "d":
+            j = v.order - rp.leader.order
+            divisor, mult, degree = rp.poly.derive(j), rp.separant, 1
+        else:
+            j = 0
+            divisor, mult, degree = rp.poly, rp.initial, rp.degree
+        d = c.degree_in(v)
+        cofactor = c.coeff_of_power(v, d) * DiffPoly.from_terms(
+            ctx, [(Monomial.of(v, d - degree), ctx.field.one)]
+        )
+        pairs = max(mult.term_count() * c.term_count(), cofactor.term_count() * divisor.term_count())
+        if pairs > _reduction.MAX_REDUCTION_PAIRS:
+            raise _reduction.TermLimitExceeded(
+                f"reduction stopped at step {len(factors) + 1}: a product would make {pairs} term pairs, "
+                f"over the cap MAX_REDUCTION_PAIRS = {_reduction.MAX_REDUCTION_PAIRS}"
+            )
+        scaled = mult * c
+        c = scaled - cofactor * divisor
+        multiplier = mult * multiplier
+        factors.append(mult)
+        quotients = [
+            sum((DiffOperator.of(mult * coeff, k) for coeff, k in q.terms()), DiffOperator.zero(ctx))
+            for q in quotients
+        ]
+        quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
+        terms = max(scaled.term_count(), c.term_count())
+        if terms > _reduction.MAX_REDUCTION_TERMS:
+            raise _reduction.TermLimitExceeded(
+                f"reduction stopped at step {len(factors)}: it built a polynomial with {terms} "
+                f"terms, over the cap MAX_REDUCTION_TERMS = {_reduction.MAX_REDUCTION_TERMS}"
+            )
+    return ReductionCertificate(
+        multiplier=multiplier, factors=tuple(factors), quotients=tuple(quotients), remainder=c
+    )
+
+
+# ---------------------------------------------------------------------------
+# the oracle's echelon, keyed by monomials
+# ---------------------------------------------------------------------------
+
+
+class Echelon:
+    """Exact row-echelon basis of candidate vectors keyed by Monomial: each
+    row sits under its pivot unscaled, as (tail, combination, lead), and the
+    pivot of a vector is its greatest monomial under Monomial.sort_key."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec: dict, combo: dict):
+        rows = self.rows
+        while vec:
+            pivot = max(vec, key=Monomial.sort_key)
+            row = rows.get(pivot)
+            if row is None:
+                return pivot
+            rtail, rcombo, lead = row
+            c = -(vec.pop(pivot) / lead)
+            for target, source in ((vec, rtail), (combo, rcombo)):
+                for m, x in source.items():
+                    _accumulate(target, m, c * x)
+        return None
+
+    def add(self, key, vec: dict) -> None:
+        combo = {key: RF_ONE}
+        pivot = self._reduce(vec, combo)
+        if pivot is not None:
+            lead = vec.pop(pivot)
+            self.rows[pivot] = (vec, combo, lead)
+
+    def solve(self, f: DiffPoly) -> Optional[dict]:
+        combo: dict = {}
+        if self._reduce(dict(f.items()), combo) is not None:
+            return None
+        return {k: -c for k, c in combo.items()}
+
+
+# ---------------------------------------------------------------------------
 # the token-by-token expression parser
 # ---------------------------------------------------------------------------
 
 # A token is its text: a number, a name, a run of primes, or one operator.
-# Whitespace separates tokens and is dropped.
-_TOKEN_RE = re.compile(r"\d+|[A-Za-z_][A-Za-z0-9_]*|'+|\S")
+# Whitespace separates tokens and is dropped.  Digits and whitespace are
+# ASCII only.
+_TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|'+|[^ \t\n\r\f\v]")
 # A character no token may hold.
-_BAD_RE = re.compile(r"[^\s\dA-Za-z_'()*+,\-/=>^]")
+_BAD_RE = re.compile(r"[^ \t\n\r\f\v0-9A-Za-z_'()*+,\-/=>^]")
 
 
 def _tokenize(src: str) -> list:

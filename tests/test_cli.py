@@ -460,6 +460,15 @@ class TestErrorChannel:
         assert main(["jacobi", str(p)]) == 2
         assert "line 4" in capsys.readouterr().err
 
+    def test_non_ascii_digit_in_a_system_file(self, tmp_path, capsys):
+        # an Arabic-Indic one is not the digit 1
+        p = tmp_path / "digit.sys"
+        p.write_text("field: Q\nvars: x\nranking: elim x\neq u = x + \u0661\n", encoding="utf-8")
+        assert main(["jacobi", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "diffalg: line 4: unexpected character '\u0661' (at position 4)\n"
+        )
+
     def test_point_naming_an_unknown_variable(self, tmp_path, capsys):
         p = tmp_path / "point.sys"
         p.write_text(FLAGSHIP.replace("y = 0", "z = 0"))

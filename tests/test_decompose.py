@@ -13,6 +13,7 @@ from hypothesis import given, settings
 
 import diffalg.decompose
 import diffalg.ranking
+import diffalg.reduction
 from diffalg import (
     CharSetComponent,
     ConcretePoint,
@@ -529,14 +530,36 @@ class TestJbcCheck:
         assert rep.verdict is JbcVerdict.HOLDS
         assert len(calls) == 29
 
+    @staticmethod
+    def _count_division_work(monkeypatch, counts):
+        """Count the division's own work into counts: its steps, and the
+        term pairs of the products its steps make in the working map."""
+        real_reduce = diffalg.decompose.ritt_reduce_seq
+        real_product = diffalg.reduction._add_product
+
+        def reduce(*args):
+            cert = real_reduce(*args)
+            counts["steps"] += cert.steps
+            return cert
+
+        def add_product(acc, a, b):
+            counts["pairs"] += len(a) * len(b)
+            return real_product(acc, a, b)
+
+        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", reduce)
+        monkeypatch.setattr(diffalg.reduction, "_add_product", add_product)
+
     def test_flagship_work_counts(self, monkeypatch):
         # Deterministic work counters, pinned: each polynomial is analyzed
         # once per run, each equation is divided by each basic set once per
-        # run, node reductions build no certificate products, an elimination
-        # step's cofactor is a monomial shift and a multiplier of 1 is not
-        # multiplied in, and each polynomial is rendered to text at most
-        # once (261 products and 19 renders before the division memo and
-        # the two step fast paths).
+        # run, node reductions build no certificate products, and each
+        # polynomial is rendered to text at most once (19 renders before
+        # the division memo).  A division step works in one map: its
+        # cofactor is a monomial shift, a multiplier of 1 is not multiplied
+        # in, and the multiple of the divisor is subtracted term pair by
+        # term pair, so the division makes no DiffPoly product (76 products
+        # in all when each step multiplied and subtracted polynomials, 261
+        # before the division memo and the two step fast paths).
         us = [P("x'' + y"), P("x'^2 + y")]
         counts = Counter()
         real_analyze = diffalg.ranking.analyze
@@ -565,32 +588,30 @@ class TestJbcCheck:
 
         monkeypatch.setattr(DiffPoly, "__mul__", mul)
         monkeypatch.setattr(DiffPoly, "to_text", to_text)
+        self._count_division_work(monkeypatch, counts)
         rep = jbc_check(us, ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert dict(counts) == {"analyze": 9, "products": 76, "renders": 17}
+        assert counts["products"] == 0
+        assert dict(counts) == {"analyze": 9, "steps": 54, "pairs": 129, "renders": 17}
 
     def test_flagship_prolongation_count(self, monkeypatch):
         # Pinned: each polynomial keeps its first derivative, so the run
         # computes 7 derivatives, not one per use (43 before they were kept).
-        # The product count is that of test_flagship_work_counts.
+        # The division's steps and term pairs are those of
+        # test_flagship_work_counts.
         us = [P("x'' + y"), P("x'^2 + y")]
         counts = Counter()
         real_derive_once = DiffPoly._derive_once
-        real_mul = DiffPoly.__mul__
 
         def derive_once(self):
             counts["derivatives"] += 1
             return real_derive_once(self)
 
-        def mul(self, other):
-            counts["products"] += 1
-            return real_mul(self, other)
-
         monkeypatch.setattr(DiffPoly, "_derive_once", derive_once)
-        monkeypatch.setattr(DiffPoly, "__mul__", mul)
+        self._count_division_work(monkeypatch, counts)
         rep = jbc_check(us, ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert dict(counts) == {"derivatives": 7, "products": 76}
+        assert dict(counts) == {"derivatives": 7, "steps": 54, "pairs": 129}
 
     def test_report_text_is_stable(self):
         us = [P("x'' + y"), P("x'^2 + y")]

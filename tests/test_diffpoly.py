@@ -215,13 +215,14 @@ class TestKernelEquivalence:
 
     @given(st.data())
     def test_product_matches_a_dict_and_a_sort(self, data):
-        """The product merges two factor maps in one dict; it agrees with
-        make on the joined factors, shared jets and the empty monomial
-        included."""
+        """The product merges the two sorted factor tuples in one pass; it
+        agrees with make on the joined factors, shared jets, factors that
+        all rank above the other's and the empty monomial included."""
         ctx = data.draw(contexts())
         a, b, c = (data.draw(monomials(ctx, max_factors=3)) for _ in range(3))
         shared = Monomial.make(a.factors[:1] + b.factors)  # a's first jet, if any, in b too
-        b = data.draw(st.sampled_from((b, shared, MON_ONE)))
+        above = Monomial.make((DerVar(v.var + ctx.n, v.order), e) for v, e in b.factors)
+        b = data.draw(st.sampled_from((b, shared, above, MON_ONE)))
         ref = _reference_make(a.factors + b.factors)
         got = a * b
         assert got.factors == ref.factors

@@ -1,6 +1,7 @@
 """The truncated ideal-membership oracle: exact span solving over prolonged
 generators, honest Inconclusive answers, and radical search."""
 
+from collections import Counter
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -16,6 +17,7 @@ from diffalg import (
     OracleVerdict,
     QQ,
     QT,
+    RatFunc,
     TruncationBounds,
     oracle,
     radical_member,
@@ -24,6 +26,7 @@ from diffalg import (
 )
 from diffalg.sysfile import parse_poly
 
+from reference_engines import Echelon
 from strategies import diffpolys, monomials, small_fractions, t_fractions
 
 X1 = Context(("x",), QQ)
@@ -270,7 +273,7 @@ class TestWeights:
         bounds = TruncationBounds()
         with patch.object(oracle, "MAX_CANDIDATES", 10):
             with pytest.raises(oracle._CapHit):
-                oracle._member_homogeneous(f, self.CUSP, bounds, (2, 3))
+                oracle._member_homogeneous(f, self.CUSP, bounds, (2, 3), {})
             w = truncated_member(f, self.CUSP, bounds)
             staged = oracle._StagedSearch(self.CUSP, f.dervars(), bounds).find(f)
         assert staged == (None, 42)
@@ -291,6 +294,84 @@ class TestQtCoefficients:
         w = truncated_member(f, [g], TruncationBounds(2, 2, 2, 1))
         assert w.is_member()
         assert verify_witness(f, [g], w)
+
+
+class TestWorkGates:
+    def test_staged_non_member_arithmetic(self, monkeypatch):
+        """Work gate, pinned: the staged search on the membership
+        workload's non-member staged1-nonmember (seed 5) makes these field
+        operations and no polynomial product, as when the echelon was keyed
+        by Monomial objects: keying by sort keys changes no arithmetic."""
+        gens = [parse_poly("1/2*x'*y' - 3/2*x'", XY), parse_poly("-3/2*y'^2 - x - 3/2*y - 9/2", XY)]
+        f = parse_poly("-4*x*y' + 4*x' - 4", XY)
+        counts = Counter()
+
+        def counting(name, method):
+            def wrapped(*args):
+                counts[name] += 1
+                return method(*args)
+
+            return wrapped
+
+        for name in ("__add__", "__sub__", "__neg__", "__mul__", "__truediv__"):
+            monkeypatch.setattr(RatFunc, name, counting(name.strip("_"), getattr(RatFunc, name)))
+        monkeypatch.setattr(DiffPoly, "__mul__", counting("products", DiffPoly.__mul__))
+        w = truncated_member(f, gens, TruncationBounds(1, 3, 3, 1))
+        assert w.diagnostic == "search exhausted"
+        assert dict(counts) == {"add": 32, "truediv": 38, "mul": 158, "neg": 38}
+
+
+@st.composite
+def candidate_runs(draw, ctx):
+    """Generators, their candidates (key, m, d^k(g_i)) in the order an
+    echelon takes them, and a combination of the candidates."""
+    coeffs = t_fractions() if ctx.field is QT else small_fractions()
+    gens = draw(st.lists(diffpolys(ctx, max_order=1, max_degree=2, max_terms=3, coeffs=coeffs), min_size=1, max_size=2))
+    assume(all(not g.is_zero() for g in gens))
+    cands = []
+    for _ in range(draw(st.integers(min_value=1, max_value=12))):
+        gi = draw(st.integers(min_value=0, max_value=len(gens) - 1))
+        k = draw(st.integers(min_value=0, max_value=2))
+        m = draw(monomials(ctx, max_order=1, max_degree=2, max_factors=2))
+        h = gens[gi].derive(k)
+        if not h.is_zero():
+            cands.append(((gi, k, m), m, h))
+    assume(cands)
+    f = DiffPoly.zero(ctx)
+    for _, m, h in cands:
+        c = draw(coeffs)
+        f = f + h * DiffPoly.from_terms(ctx, [(m, c)])
+    return cands, f
+
+
+class TestEchelonAgainstMonomialKeys:
+    """The echelon keyed by sort keys keeps the rows the Monomial-keyed one
+    of tests/reference_engines.py keeps, and solves alike."""
+
+    @pytest.mark.parametrize("ctx", [XY, XY_T], ids=["Q", "Qt"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_same_rows_and_solutions(self, ctx, data):
+        cands, inside = data.draw(candidate_runs(ctx))
+        new, ref = oracle._Echelon(), Echelon()
+        new_kept, ref_kept = [], []
+        for key, m, h in cands:
+            for echelon, vec, kept in (
+                (new, oracle._shifted(m, oracle._graded_terms(h)), new_kept),
+                (ref, {m * hm: c for hm, c in h.items()}, ref_kept),
+            ):
+                size = len(echelon)
+                echelon.add(key, vec)
+                if len(echelon) > size:
+                    kept.append(key)
+        assert new_kept == ref_kept
+        assert set(new.rows) == {p.sort_key() for p in ref.rows}
+        # no candidate has a jet of order 5
+        outside = inside + DiffPoly.var(ctx, 0, 5)
+        for f in (inside, outside):
+            assert new.solve(f) == ref.solve(f)
+        assert new.solve(inside) is not None
+        assert new.solve(outside) is None
 
 
 # ------------------------------------------------------------------ reference

@@ -225,6 +225,11 @@ class TestExpressions:
             ("x'^(2)", QQ, "expected an integer, found '(' (at position 3)"),
             ("x^2^3", QQ, "unexpected trailing '^' (at position 3)"),
             ("+x", QQ, "unexpected '+' (at position 0)"),
+            # digits and whitespace are ASCII only
+            ("x^(\u0663) + \uff11\uff12", QQ, "unexpected character '\u0663' (at position 3)"),
+            ("x + \u0661", QQ, "unexpected character '\u0661' (at position 4)"),
+            ("x +\u00a0y", QQ, "unexpected character '\\xa0' (at position 3)"),
+            ("x*\u20032", QQ, "unexpected character '\\u2003' (at position 2)"),
         ],
     )
     def test_error_text_and_position(self, src, field, message):
@@ -511,6 +516,13 @@ class TestAgainstTheReferenceParser:
         src = data.draw(st.one_of(_spellings(), _deep_spellings(), _trees(ctx.field is QT, 3, [4]).map(
             lambda tree: _render(tree[0]))))
         assert _reading(parse_poly, src, ctx) == _reading(reference_parse_poly, src, ctx)
+
+    @pytest.mark.parametrize("src", ["x^(\u0663) + \uff11\uff12", "x + \u0661", "x +\u00a0y", "\u2003x"])
+    def test_non_ascii_digits_and_spaces_are_refused_alike(self, src):
+        ctx = Context(("x", "y"), QQ)
+        got = _reading(parse_poly, src, ctx)
+        assert got.startswith("unexpected character")
+        assert got == _reading(reference_parse_poly, src, ctx)
 
 
 @st.composite

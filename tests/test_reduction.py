@@ -1,6 +1,7 @@
 """Ritt division: the certificate identity m*b = sum Q_i(A_i) + r, with the
 multiplier audited as a product of separants and initials."""
 
+from collections import Counter
 from unittest.mock import patch
 
 import hypothesis.strategies as st
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, given, reject, settings
 
 import diffalg.decompose
+import diffalg.diffpoly
 import diffalg.fields
 import diffalg.reduction
 from diffalg import (
@@ -21,6 +23,7 @@ from diffalg import (
     QQ,
     QT,
     Ranking,
+    RatFunc,
     ReductionCertificate,
     analyze,
     is_autoreduced,
@@ -29,9 +32,10 @@ from diffalg import (
     ritt_reduce_seq,
     verify_certificate,
 )
-from diffalg.reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded, _offense
+from diffalg.reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded
 from diffalg.sysfile import parse_poly
 
+from reference_engines import forward_certificate
 from strategies import contexts, diffpolys, rankings
 
 XY = Context(("x", "y"), QQ)
@@ -196,49 +200,6 @@ class TestGuards:
                 divide(P("x^(3)"), [P("x'^2 + y")])
 
 
-def _forward_certificate(b, seq, ranking):
-    """Reference: the division with the multiplier and every quotient
-    rescaled eagerly at each step, as the certificate used to be built."""
-    ctx = b.context
-    ranked = [analyze(a, ranking) for a in seq]
-    by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
-    c = b
-    multiplier = DiffPoly.one(ctx)
-    factors = []
-    quotients = [DiffOperator.zero(ctx) for _ in ranked]
-    while True:
-        off = _offense(c, by_var, ranking)
-        if off is None:
-            break
-        v, i, kind = off
-        rp = ranked[i]
-        if kind == "d":
-            j = v.order - rp.leader.order
-            prolonged = rp.poly.derive(j)
-            mult = rp.separant
-            d = c.degree_in(v)
-            lead = c.coeff_of_power(v, d)
-            cofactor = lead * DiffPoly.from_terms(ctx, [(Monomial.of(v, d - 1), ctx.field.one)])
-            c = mult * c - cofactor * prolonged
-        else:
-            j = 0
-            mult = rp.initial
-            d = c.degree_in(v)
-            lead = c.coeff_of_power(v, d)
-            cofactor = lead * DiffPoly.from_terms(ctx, [(Monomial.of(v, d - rp.degree), ctx.field.one)])
-            c = mult * c - cofactor * rp.poly
-        multiplier = mult * multiplier
-        factors.append(mult)
-        quotients = [
-            sum((DiffOperator.of(mult * coeff, k) for coeff, k in q.terms()), DiffOperator.zero(ctx))
-            for q in quotients
-        ]
-        quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
-    return ReductionCertificate(
-        multiplier=multiplier, factors=tuple(factors), quotients=tuple(quotients), remainder=c
-    )
-
-
 @st.composite
 def qt_polys(draw, ctx, **kw):
     """Over Q(t) some coefficients carry t, so the field derivation acts."""
@@ -248,18 +209,39 @@ def qt_polys(draw, ctx, **kw):
     return p + DiffPoly.const(ctx, ctx.field.t()) * draw(diffpolys(ctx, **kw))
 
 
+def caps(steps):
+    """(MAX_REDUCTION_STEPS, MAX_REDUCTION_TERMS, MAX_REDUCTION_PAIRS): the
+    term and pair caps at their values, or small enough to stop a few
+    divisions part way."""
+    return st.tuples(st.just(steps), st.sampled_from((10_000, 3, 6)), st.sampled_from((1_000_000, 4, 9)))
+
+
 class TestCertificateOnRead:
     @staticmethod
-    def _check_against_forward(b, seq, rk, step_cap):
-        try:
-            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", step_cap):
-                cert = divide(b, seq, rk)
-        except StepLimitExceeded:
+    def _check_against_forward(b, seq, rk, caps):
+        steps, terms, pairs = caps
+        outcomes = []
+        with patch.multiple(
+            diffalg.reduction,
+            MAX_REDUCTION_STEPS=steps,
+            MAX_REDUCTION_TERMS=terms,
+            MAX_REDUCTION_PAIRS=pairs,
+        ):
+            for engine in (lambda: divide(b, seq, rk), lambda: forward_certificate(b, seq, rk)):
+                try:
+                    outcomes.append(engine())
+                except StepLimitExceeded as exc:
+                    outcomes.append(exc)
+        cert, ref = outcomes
+        if isinstance(cert, StepLimitExceeded) or isinstance(ref, StepLimitExceeded):
+            # the same cap at the same step: the messages name both
+            assert type(cert) is type(ref)
+            assert str(cert) == str(ref)
             return
         # reading the remainder and the step count builds nothing
         cert.remainder, cert.steps
         assert cert._log is not None
-        ref = _forward_certificate(b, seq, rk)
+        assert cert.steps == ref.steps
         assert cert.remainder == ref.remainder
         assert cert.factors == ref.factors
         assert cert.multiplier == ref.multiplier
@@ -278,7 +260,7 @@ class TestCertificateOnRead:
             )
         )
         b = data.draw(qt_polys(ctx, max_order=3, max_degree=2, max_terms=3))
-        self._check_against_forward(b, [divisor], rk, step_cap=60)
+        self._check_against_forward(b, [divisor], rk, data.draw(caps(60)))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -308,7 +290,7 @@ class TestCertificateOnRead:
         assume(a2.term_count() <= 4 and any(v.var == hi for v in a2.dervars()))
         assert is_autoreduced([a1, a2], rk)
         b = data.draw(qt_polys(ctx, max_order=2, max_degree=2, max_terms=3))
-        self._check_against_forward(b, [a1, a2], rk, step_cap=20)
+        self._check_against_forward(b, [a1, a2], rk, data.draw(caps(20)))
 
     def test_remainder_and_steps_do_not_build(self, monkeypatch):
         built = []
@@ -386,17 +368,26 @@ class TestTermCap:
         assert isinstance(err.value, StepLimitExceeded)
 
     def test_pair_cap_is_checked_before_any_product(self, monkeypatch):
-        # the first step would multiply a 3-term cofactor by a 3-term
-        # divisor: refused before either product of the step is built
-        products = []
-        mul = DiffPoly.__mul__
-        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        # the first step would multiply the 2-term initial y^2 + y by the
+        # 3-term dividend, and a 3-term cofactor by the 3-term divisor:
+        # refused before either product of the step makes a term pair
+        work = Counter()
+        merge, mul = diffalg.diffpoly._merge_factors, RatFunc.__mul__
+        for module in (diffalg.diffpoly, diffalg.reduction):
+            monkeypatch.setattr(
+                module, "_merge_factors", lambda a, b: work.update(["monomials"]) or merge(a, b)
+            )
+        monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: work.update(["coefficients"]) or mul(a, b))
+        b, a = P("x'*y^2 + x'*y + x'"), P("x'*y^2 + x'*y + 1")
+        prep = PreparedSeq([a], ELIM_XY)
         monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_PAIRS", 8)
         with pytest.raises(TermLimitExceeded, match="9 term pairs, over the cap MAX_REDUCTION_PAIRS = 8$"):
-            divide(P("x'*y^2 + x'*y + x'"), [P("x'*y^2 + x'*y + 1")])
-        assert products == []
+            ritt_reduce_seq(b, prep)
+        assert work == {}
         monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_PAIRS", 9)
-        assert divide(P("x'*y^2 + x'*y + x'"), [P("x'*y^2 + x'*y + 1")]).steps == 1
+        assert ritt_reduce_seq(b, prep).steps == 1
+        # the two products, 6 and 9 term pairs, and nothing else
+        assert work == {"monomials": 15, "coefficients": 15}
 
     def test_huge_product_of_a_square_draw_is_refused(self, monkeypatch):
         # draw 192 of scripts/square_draw.py --seed 1 --max-order 2: its

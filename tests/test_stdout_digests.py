@@ -8,6 +8,7 @@ _spec = importlib.util.spec_from_file_location("stdout_digests", SCRIPT)
 stdout_digests = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(stdout_digests)
 compare = stdout_digests.compare
+timing_summary = stdout_digests.timing_summary
 
 
 def test_identical_runs_have_no_differences():
@@ -34,3 +35,13 @@ def test_an_exception_is_compared_like_output():
     b = {"q1": [0, "d2", ""]}
     assert compare(a, b)["differ"] == ["q1"]
 
+
+
+def test_timing_sums_the_per_query_minima_of_shared_queries():
+    a = {"q1": [0.30, 0.10, 0.20], "q2": [0.05], "only_a": [9.0]}
+    b = {"q1": [0.08, 0.09], "q2": [0.06, 0.04], "only_b": [9.0]}
+    sm = timing_summary(a, b)
+    assert sm["queries"] == 2
+    assert abs(sm["a_s"] - 0.15) < 1e-12
+    assert abs(sm["b_s"] - 0.12) < 1e-12
+    assert abs(sm["ratio"] - 0.8) < 1e-12
