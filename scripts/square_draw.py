@@ -1,46 +1,39 @@
 #!/usr/bin/env python3
-"""Random square systems in x, y through jbc_check, counting those that run
-over a time limit.
+"""Random square systems in x, y through jbc_check, counting those whose
+decomposition runs out of its work budget.
 
 Each draw is a pair of equations over Q under `elim x > y`.  An equation
 has 2 or 3 distinct terms, each a monomial of degree 1 or 2 (degree drawn
 first, then its jets, uniformly) in the jets x, x', ... and y, y', ... up
 to order --max-order, with a coefficient drawn from -3..-1, 1..3; half of
-the equations also get a constant drawn the same way.  Each system runs
-through jbc_check with a LIMIT_S wall-clock limit.
+the equations also get a constant drawn the same way.  Each system is
+decomposed under the work budget diffalg.reduction.MAX_WORK (splitting
+nodes and division term pairs), which this script sets to 200,000, about
+2 s of a draw that runs out of it; a system whose decomposition does not
+run out of work then runs through jbc_check.
 
     PYTHONPATH=src python3 scripts/square_draw.py --cases 300 --max-order 2 --seed 1
 
-Prints each system that ran over the limit, then one summary line: how
-many draws ran over the limit, and the verdicts of the others.  A node
-divides its equations in ascending rank, so a draw's work does not change
-with Python's string hashing; only machine speed decides which draws near
-the limit fall over it.
+Prints each system that ran out of work, then one summary line: how many
+draws ran out of work, the verdicts of the others, and the seconds taken.
+The budget counts work, not time, and a node divides its equations in
+ascending rank, so the counts do not change with machine speed or with
+Python's string hashing.
 """
 
 from __future__ import annotations
 
 import argparse
 import random
-import signal
 import time
 from collections import Counter
 
-from diffalg import Context, DerVar, DiffPoly, Monomial, QQ, Ranking, RatFunc, jbc_check
+import diffalg.reduction
+from diffalg import Context, DerVar, DiffPoly, Monomial, QQ, Ranking, RatFunc, jbc_check, split_decompose
 
-LIMIT_S = 2.0
 XY = Context(("x", "y"), QQ)
 ELIM_XY = Ranking.elimination(2, [0, 1])  # x > y
 COEFFS = (-3, -2, -1, 1, 2, 3)
-
-
-class OverLimit(BaseException):
-    """Raised by the interval timer; a BaseException so that no handler in
-    the program can swallow it."""
-
-
-def _on_alarm(signum, frame):
-    raise OverLimit
 
 
 def draw_equation(rng: random.Random, max_order: int) -> DiffPoly:
@@ -57,33 +50,31 @@ def draw_equation(rng: random.Random, max_order: int) -> DiffPoly:
     return DiffPoly.from_terms(XY, terms)
 
 
-def main() -> None:
+def main(argv=None) -> None:
+    """Draws and checks the systems under the budget MAX_WORK as it stands."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=300, help="systems drawn (default 300)")
     ap.add_argument("--max-order", type=int, default=2, help="highest jet order (default 2)")
     ap.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     rng = random.Random(args.seed)
     tally = Counter()
-    over = 0
-    signal.signal(signal.SIGALRM, _on_alarm)
+    stopped = 0
     t0 = time.perf_counter()
     for k in range(args.cases):
         us = [draw_equation(rng, args.max_order) for _ in range(2)]
-        signal.setitimer(signal.ITIMER_REAL, LIMIT_S)
-        try:
+        if split_decompose(us, ELIM_XY).out_of_work:
+            stopped += 1
+            print(f"draw {k}: out of work: " + "; ".join(u.to_text() for u in us))
+        else:
             tally[jbc_check(us, ELIM_XY).verdict.value] += 1
-        except OverLimit:
-            over += 1
-            print(f"draw {k}: over the limit: " + "; ".join(u.to_text() for u in us))
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
     others = ", ".join(f"{name} {n}" for name, n in sorted(tally.items()))
     print(
-        f"seed {args.seed}, order <= {args.max_order}: {over} of {args.cases} over the "
-        f"{LIMIT_S:g} s limit; {others} ({time.perf_counter() - t0:.0f} s)"
+        f"seed {args.seed}, order <= {args.max_order}: {stopped} of {args.cases} out of the "
+        f"budget MAX_WORK = {diffalg.reduction.MAX_WORK}; {others} ({time.perf_counter() - t0:.0f} s)"
     )
 
 
 if __name__ == "__main__":
+    diffalg.reduction.MAX_WORK = 200_000
     main()

@@ -13,7 +13,7 @@ SYSTEM is a system file (see `sysfile`).  Components reach jbc-check only
 through --components, a component file such as decompose prints, and then
 count as incomplete (never HOLDS); without it jbc-check decomposes the
 system itself.  The decomposition budget is fixed
-(decompose.MAX_COMPONENTS, decompose.MAX_SPLIT_STEPS).  Output is
+(decompose.MAX_COMPONENTS, reduction.MAX_WORK: nodes and term pairs).  Output is
 deterministic: the same input always produces byte-identical output.
 
 Exit codes:

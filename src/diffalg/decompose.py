@@ -10,7 +10,7 @@ node's basic set reduces every other equation in the node to zero.  A
 system whose equations fall into independent blocks (no variable shared
 between blocks) is decomposed one block at a time, and its components are
 the products of the blocks' components, as the tree over the whole system
-gives them wherever it completes; the budget bounds each block's tree.
+gives them wherever it completes; the work budget bounds each block's tree.
 Budget exhaustion is reported honestly through a completeness flag, never
 hidden.
 
@@ -30,7 +30,8 @@ from typing import Optional, Sequence
 from .diffpoly import DiffPoly
 from .jacobi import Convention, JacobiResult, jacobi_assign, order_matrix, order_text
 from .ranking import RankedPoly, Ranking, analyze, is_reduced
-from .reduction import PreparedSeq, StepLimitExceeded, Verdict, ritt_reduce_seq
+from . import reduction
+from .reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded, Verdict, _divide, ritt_reduce_seq
 
 
 class VanishingInequationError(ValueError):
@@ -123,19 +124,16 @@ def component_dimension(c: CharSetComponent) -> Optional[int]:
     return value
 
 
-# Budget for the splitting tree: the most distinct components kept, the
-# most nodes taken from the queue, and the most bits in any integer of a
-# coefficient of an equation that joins a node.  Exhaustion clears the
-# completeness flag instead of raising.
+# The most distinct components a splitting tree keeps; past it, as past the
+# tree's caps in reduction, it clears its completeness flag instead of raising.
 MAX_COMPONENTS = 64
-MAX_SPLIT_STEPS = 10_000
-MAX_COEFF_BITS = 4096
 
 
 @dataclass(frozen=True)
 class DecompositionResult:
     components: tuple  # tuple[CharSetComponent, ...], canonically sorted
     complete: bool
+    out_of_work: bool = False  # a splitting tree spent its MAX_WORK budget
 
 
 def _rank_text(rp: RankedPoly) -> tuple:
@@ -209,35 +207,32 @@ def _fork(node: frozenset, rank) -> Optional[list]:
 def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionResult:
     """Bounded splitting decomposition, one independent block at a time.
 
-    A block is a connected component of the graph that joins two equations
-    when some variable occurs in both, at any order.  The splitting tree
-    (_split_tree) runs on each block on its own, under the same context and
-    ranking.  A system with one block returns its tree's result.  With
-    several blocks, the components are the choices of one component per
-    block, joined: the union of the blocks' basic sets, with the text-sorted
-    union of their separants and initials as inequations, canonically sorted
-    like the tree's own output.
+    The splitting tree (_split_tree) runs on each block of _blocks on its
+    own, under the same ranking, and a system with one block returns its
+    tree's result.  With several blocks, the components are the choices of
+    one component per block, joined: the union of the blocks' basic sets,
+    with the text-sorted union of their separants and initials as
+    inequations, canonically sorted like the tree's own output.
 
     Where the tree over the whole system is complete, the product is what it
     gives.  Its nodes are unions of one node per block, and it never mixes
-    blocks: a fork splits one equation, so it changes one block's part; the
-    greedy basic set of a union is the union of the blocks' basic sets,
-    since polynomials in disjoint variables are always reduced with respect
-    to each other; and a division uses only divisors from the dividend's own
-    block, so it takes the same steps as in the block's tree and hits a cap
-    exactly when it does there.  A node of the whole tree emits exactly when
-    every block's part would emit, so its components are the joins of the
-    blocks' components, and a joined inequation vanishes exactly when it
-    vanishes in its own block.  Joining also does not skip a check: the
-    joined component's construction re-checks every inequation, and
-    jbc_check re-verifies each component against all the inputs.
+    blocks: a fork changes one block's part; the greedy basic set of a union
+    is the union of the blocks' basic sets, since polynomials in disjoint
+    variables are always reduced with respect to each other; and a division
+    uses only divisors from the dividend's own block, so it takes the same
+    steps as in the block's tree.  A node of the whole tree emits when every
+    block's part would emit, so its components are the joins of the blocks'
+    components, and a joined inequation vanishes exactly when it vanishes in
+    its own block.  A joined component's construction re-checks every
+    inequation, and jbc_check re-verifies each one against all the inputs.
 
-    The caps apply to the blocks, not to the whole tree: MAX_SPLIT_STEPS
-    bounds each block's tree, and combinations are joined in
+    The caps apply to the blocks, not to the whole tree: each block's tree
+    has its own MAX_WORK budget, and combinations are joined in
     itertools.product order, the first MAX_COMPONENTS of them kept.  The
     result is complete exactly when every block run is complete and there
-    are at most MAX_COMPONENTS combinations.  Nothing is kept across calls:
-    each tree's run-local tables are dropped when it returns.
+    are at most MAX_COMPONENTS combinations, or when a block's run is
+    complete with no components (no zeros): then no later block runs.
+    Nothing is kept across calls: each tree's tables die with it.
     """
     if not us:
         raise ValueError("empty system")
@@ -253,7 +248,12 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
     if any(u.is_constant() for u in us):
         # a nonzero constant equation has no solutions at all
         return DecompositionResult(components=(), complete=True)
-    runs = [_split_tree(block, ranking) for block in _blocks(frozenset(u.monic() for u in us))]
+    runs = []
+    for block in _blocks(frozenset(u.monic() for u in us)):
+        dec = _split_tree(block, ranking)
+        if dec.complete and not dec.components:
+            return dec
+        runs.append(dec)
     if len(runs) == 1:
         return runs[0]
     combos = list(
@@ -262,17 +262,10 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
     joined = []
     for combo in combos[:MAX_COMPONENTS]:
         chosen = sorted((rp for c in combo for rp in c.prepared.ranked), key=_rank_text)
-        joined.append(
-            CharSetComponent(
-                ranking=ranking,
-                sequence=PreparedSeq(chosen, ranking),
-                inequations=tuple(_sep_init_conditions(chosen)),
-            )
-        )
-    return DecompositionResult(
-        components=_canonical_order(joined),
-        complete=all(dec.complete for dec in runs) and len(combos) <= MAX_COMPONENTS,
-    )
+        prep = PreparedSeq(chosen, ranking)
+        joined.append(CharSetComponent(ranking, prep, tuple(_sep_init_conditions(chosen))))
+    complete = all(dec.complete for dec in runs) and len(combos) <= MAX_COMPONENTS
+    return DecompositionResult(_canonical_order(joined), complete, any(dec.out_of_work for dec in runs))
 
 
 def _blocks(node: frozenset) -> list:
@@ -313,36 +306,33 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
     """The splitting tree over a set of monic, nonconstant equations.
 
     Breadth-first over nodes (finite sets of monic equations).  Each node is
-    either killed (a nonzero constant appeared), forked (monomial or
-    tail-free power shape), tightened (some equation has a nonzero remainder
-    modulo the node's basic set -- the remainder, an exact element of the
-    ideal by its certificate, joins the node), or emitted (everything
-    reduces to zero: the basic set becomes a component whose inequations are
-    its separants and initials, and one vanishing branch is queued per
-    inequation).  A node is sorted once by text for the forks and once by
-    rank, text breaking ties, for its basic set; it divides its other
-    equations in that rank order, so the work done before a division hits a
-    cap does not follow set order.  Each polynomial is analyzed once per
-    run.  Each distinct basic set is prepared once per run, divides each
-    equation at most once per run (nodes share most of their equations, so
-    a node reduces only those with no remainder yet for its basic set), and
-    builds its component at most once.  Emitted components are not
-    re-checked here: jbc_check re-verifies each one against the inputs.
-    The completeness flag reports whether the whole tree was explored within
-    MAX_SPLIT_STEPS nodes and MAX_COMPONENTS components; a reduction that
-    hits a step or term cap clears it (a node that meets the same division
-    again hits the cap again, since nothing is kept for a division that
-    stopped), and so does a remainder with a coefficient past
-    MAX_COEFF_BITS, which is dropped with its node.
+    killed (a nonzero constant appeared), forked (monomial or tail-free
+    power shape), tightened (an equation has a nonzero remainder modulo the
+    node's basic set; the remainder, in the ideal by its certificate, joins
+    the node), or emitted (everything reduces to zero: the basic set becomes
+    a component whose inequations are its separants and initials, and one
+    vanishing branch is queued per inequation).  A node is sorted by text
+    for the forks and by rank, text breaking ties, for its basic set and
+    its divisions, so its work does not follow set order.  Per run, each
+    polynomial is analyzed once, and each distinct basic set is prepared
+    once, divides each equation at most once and builds its component at
+    most once.  Emitted components are not re-checked: jbc_check re-verifies
+    each against the inputs.  The run charges reduction.MAX_WORK one unit
+    per node taken from the queue and the term pairs of its node divisions,
+    each getting what is left (a component's inequation checks are
+    divisions of their own); a spent budget stops it, out of work.  A
+    division stopped by a size cap (its pairs charged too; nothing is kept
+    for it), or a remainder with a coefficient past MAX_COEFF_BITS, drops
+    its node and clears the completeness flag, as do a spent budget and a
+    full MAX_COMPONENTS.
     """
     ctx = next(iter(start)).context
     analyzed: dict = {}
 
     def rank(p: DiffPoly):
-        rp = analyzed.get(p)
-        if rp is None:
-            rp = analyzed[p] = analyze(p, ranking)
-        return rp
+        if p not in analyzed:
+            analyzed[p] = analyze(p, ranking)
+        return analyzed[p]
 
     # basic set -> (its PreparedSeq, {equation: monic remainder modulo it}),
     # so each equation is divided by each basic set at most once per run;
@@ -353,17 +343,17 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
     seen: set = set()  # nodes already taken from the queue
     found: dict[tuple, CharSetComponent] = {}  # basic set -> its component
     built: set = set()  # basic sets whose component was built (or refused)
-    steps = 0
-    complete = True
+    work = 0  # nodes taken and node division pairs
+    complete, out_of_work = True, False
 
     while queue:
         node = queue.pop(0)
         if node in seen:
             continue
         seen.add(node)
-        steps += 1
-        if steps > MAX_SPLIT_STEPS:
-            complete = False
+        work += 1
+        if work > reduction.MAX_WORK:
+            complete, out_of_work = False, True
             break
 
         if any(p.is_constant() for p in node):
@@ -383,13 +373,18 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
         try:
             for p in others:
                 if p not in known:
-                    known[p] = ritt_reduce_seq(p, prep).remainder.monic()
-        except StepLimitExceeded:
-            complete = False
+                    cert = _divide(p, prep, work)
+                    work += cert.pairs
+                    known[p] = cert.remainder.monic()
+        except TermLimitExceeded as exc:
+            work, complete = work + exc.pairs, False
             continue
+        except StepLimitExceeded:
+            complete, out_of_work = False, True
+            break
         remainders = [known[p] for p in others]
         new = {r for r in remainders if not r.is_zero()} - node
-        if any(ctx.field.bits(c) > MAX_COEFF_BITS for r in new for _, c in r.items()):
+        if any(ctx.field.bits(c) > reduction.MAX_COEFF_BITS for r in new for _, c in r.items()):
             complete = False
             continue
         if any(not r.is_zero() for r in remainders):
@@ -404,19 +399,14 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
         conditions = _sep_init_conditions(chosen)
         if basis not in built:  # a basic set met again gives the same component
             built.add(basis)
-            comp = None
             try:
                 # building the component checks that every condition stays
                 # nonzero modulo the basic set
-                comp = CharSetComponent(
-                    ranking=ranking,
-                    sequence=prep,
-                    inequations=tuple(conditions),
-                )
+                comp = CharSetComponent(ranking, prep, tuple(conditions))
             except VanishingInequationError:
-                pass
+                comp = None
             except StepLimitExceeded:
-                complete = False
+                comp, complete = None, False
             if comp is not None:
                 if len(found) >= MAX_COMPONENTS:
                     complete = False
@@ -428,9 +418,7 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
             if h not in node:
                 queue.append(frozenset(node | {h}))
 
-    if queue:
-        complete = False
-    return DecompositionResult(components=_canonical_order(found.values()), complete=complete)
+    return DecompositionResult(_canonical_order(found.values()), complete, out_of_work)
 
 
 class JbcVerdict(Enum):

@@ -480,19 +480,23 @@ class _StagedSearch:
         return True
 
     def find(self, f: DiffPoly) -> tuple:
-        """Walk the stages from f's degree up until f lies in the echelon's
-        span; returns (combination or None, number of stages on the way
-        skipped by the cap)."""
+        """Walk the stages from f's degree up until f lies in the echelon's span;
+        returns (combination or None, stages skipped by the cap).  Candidate counts
+        only grow with both bounds: stages after a skipped one are counted, not visited."""
         skipped = 0
         tried_at = None
-        for dd in range(f.total_degree(), self.bounds.degree_bound + 1):
-            for pp in range(self.bounds.prolongation_order + 1):
+        top, last = self.bounds.degree_bound, self.bounds.prolongation_order
+        for dd in range(f.total_degree(), top + 1):
+            for pp in range(last + 1):
                 if (dd, pp) not in self.stages:
                     self.stages[(dd, pp)] = self._visit(dd, pp)
                 admitted = self.stages[(dd, pp)]
                 if admitted is False:
-                    skipped += 1
-                elif admitted and len(self.echelon) != tried_at:
+                    skipped += last + 1 - pp
+                    if pp == 0:
+                        return None, skipped + (top - dd) * (last + 1)
+                    break
+                if admitted and len(self.echelon) != tried_at:
                     tried_at = len(self.echelon)
                     combo = self.echelon.solve(f)
                     if combo is not None:

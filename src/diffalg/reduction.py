@@ -24,7 +24,7 @@ separant or initial only when that factor is not 1, and subtracts
 cofactor * d^j(divisor) from it term pair by term pair; no intermediate
 polynomial is built.  A reduction logs its steps; the certificate's
 multiplier and quotients are assembled from that log, in one backward
-pass, the first time either is read.
+pass, the first time either is read.  Its term pairs are bounded by MAX_WORK.
 """
 
 from __future__ import annotations
@@ -42,29 +42,27 @@ from .ranking import (
     is_reduced,
 )
 
-# Most elimination steps one reduction may take.
-MAX_REDUCTION_STEPS = 100_000
-# Most terms the working map of a reduction may have after a step: once
-# scaled by the step's separant or initial, and once the multiple of a
-# divisor is subtracted.  That multiple is subtracted term by term and never
-# built, so it is not bounded on its own.
+# The work budget of one run: a division's term pairs (scaling by a separant or initial
+# other than 1, and subtracting), checked before each step, and a splitting tree's nodes.
+MAX_WORK = 1_000_000
+# Size caps: the most terms of a reduction's working map after a step (scaled, and after
+# the subtraction, whose multiple is never built), and the most bits in an integer of a
+# step's cofactor coefficients or of an equation's coefficients in a splitting node.
 MAX_REDUCTION_TERMS = 10_000
-# Most term pairs one product of a reduction step may make: the multiplier
-# times the working map, or the cofactor times the divisor.  It is checked
-# before either product is made, so no step spends its time on a map that
-# MAX_REDUCTION_TERMS would then refuse.
-MAX_REDUCTION_PAIRS = 1_000_000
+MAX_COEFF_BITS = 4096
 
 
 class StepLimitExceeded(Exception):
-    """A reduction took more than MAX_REDUCTION_STEPS elimination steps, or
-    hit another of its caps (distinct from nontermination)."""
+    """A reduction would have spent more than its MAX_WORK budget, or hit
+    another of its caps (distinct from nontermination)."""
 
 
 class TermLimitExceeded(StepLimitExceeded):
-    """A reduction step left a working map of more than MAX_REDUCTION_TERMS
-    terms, or would have made more than MAX_REDUCTION_PAIRS term pairs in
-    one product."""
+    """A division step passed MAX_REDUCTION_TERMS or MAX_COEFF_BITS, after `pairs` of work."""
+
+    def __init__(self, message: str, pairs: int = 0):
+        super().__init__(message)
+        self.pairs = pairs
 
 
 class NotAutoreducedError(ValueError):
@@ -176,25 +174,27 @@ class ReductionCertificate:
     A reduction hands over its step log instead of the multiplier and
     quotients; they are built from it the first time either is read, so a
     caller that needs only the remainder or the step count pays for
-    neither."""
+    neither.  pairs, its term pairs (0 when built from parts), is not compared."""
 
-    __slots__ = ("factors", "remainder", "_multiplier", "_quotients", "_log")
+    __slots__ = ("factors", "remainder", "pairs", "_multiplier", "_quotients", "_log")
 
     def __init__(self, multiplier: DiffPoly, factors: tuple, quotients: tuple, remainder: DiffPoly):
         self.factors = tuple(factors)  # tuple[DiffPoly, ...]
         self.remainder = remainder
+        self.pairs = 0
         self._multiplier = multiplier
         self._quotients = tuple(quotients)  # tuple[DiffOperator, ...], one per divisor
         self._log = None
 
     @classmethod
-    def _from_log(cls, log: list, divisors: int, remainder: DiffPoly) -> "ReductionCertificate":
+    def _from_log(cls, log: list, divisors: int, remainder: DiffPoly, pairs: int) -> "ReductionCertificate":
         """log holds (factor, divisor index, cofactor, derivation power) per
         step: the step multiplied the working polynomial by the factor and
         subtracted cofactor * d^power(divisor)."""
         cert = cls.__new__(cls)
         cert.factors = tuple(step[0] for step in log)
         cert.remainder = remainder
+        cert.pairs = pairs
         cert._multiplier = cert._quotients = None
         cert._log = (tuple(log), divisors)
         return cert
@@ -291,23 +291,24 @@ def _offense(deg: dict, by_var: dict, ranking: Ranking):
 
 
 def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
-    """Divide b by a prepared autoreduced sequence, under its ranking.  A
-    division with no step has b itself as its remainder."""
+    """Divide b by a prepared autoreduced sequence, under its ranking, within
+    MAX_WORK.  A division with no step has b itself as its remainder."""
+    return _divide(b, prep, 0)
+
+
+def _divide(b: DiffPoly, prep: PreparedSeq, spent: int) -> ReductionCertificate:
+    """ritt_reduce_seq in a run that has spent `spent` of MAX_WORK; pairs is this division's."""
     ctx = b.context
     ranking, ranked, unit_factors = prep.ranking, prep.ranked, prep.unit_factors
     by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
     work = b._terms  # b's own map until the first step changes it
     deg = b.degrees()
     log = []
+    pairs = 0
     while True:
         off = _offense(deg, by_var, ranking)
         if off is None:
             break
-        if len(log) >= MAX_REDUCTION_STEPS:
-            raise StepLimitExceeded(
-                "reduction needs more elimination steps than the cap "
-                f"MAX_REDUCTION_STEPS = {MAX_REDUCTION_STEPS}"
-            )
         v, d, i, kind = off
         rp = ranked[i]
         if kind == "d":
@@ -328,11 +329,17 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
                     if w == v and e == d:
                         cof[Monomial(fs[:k] + shift + fs[k + 1 :])] = a
                     break
-        pairs = max(mult.term_count() * len(work), len(cof) * divisor.term_count())
-        if pairs > MAX_REDUCTION_PAIRS:
+        if any(ctx.field.bits(a) > MAX_COEFF_BITS for a in cof.values()):
             raise TermLimitExceeded(
-                f"reduction stopped at step {len(log) + 1}: a product would make {pairs} term pairs, "
-                f"over the cap MAX_REDUCTION_PAIRS = {MAX_REDUCTION_PAIRS}"
+                f"reduction stopped at step {len(log) + 1}: a cofactor coefficient has more than "
+                f"MAX_COEFF_BITS = {MAX_COEFF_BITS} bits",
+                pairs,
+            )
+        pairs += (0 if unit else mult.term_count() * len(work)) + len(cof) * divisor.term_count()
+        if spent + pairs > MAX_WORK:
+            raise StepLimitExceeded(
+                f"reduction stopped at step {len(log) + 1}: its work would reach {spent + pairs}, "
+                f"over the budget MAX_WORK = {MAX_WORK}"
             )
         if not unit:
             work = _add_product({}, mult._terms, work)
@@ -345,14 +352,15 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
         if terms > MAX_REDUCTION_TERMS:
             raise TermLimitExceeded(
                 f"reduction stopped at step {len(log)}: it built a polynomial with {terms} "
-                f"terms, over the cap MAX_REDUCTION_TERMS = {MAX_REDUCTION_TERMS}"
+                f"terms, over the cap MAX_REDUCTION_TERMS = {MAX_REDUCTION_TERMS}",
+                pairs,
             )
         deg = _degree_profile(work)
     remainder = b
     if log:
         remainder = DiffPoly(ctx, work)
         remainder._degrees = deg  # the profile the last step read
-    return ReductionCertificate._from_log(log, len(ranked), remainder)
+    return ReductionCertificate._from_log(log, len(ranked), remainder, pairs)
 
 
 def verify_certificate(

@@ -14,8 +14,8 @@ check the library against; none of them is on a path the library takes.
   same ParseError, text and position;
 * forward_certificate is Ritt division by whole-polynomial arithmetic, with
   the multiplier and every quotient rescaled at each step, the reference
-  for ritt_reduce_seq's working map and step log: the same certificate, or
-  the same cap exception at the same step;
+  for ritt_reduce_seq's working map and step log: the same certificate and
+  work count, or the same cap exception at the same step;
 * Echelon is the oracle's row-echelon basis keyed by Monomial objects, each
   pivot picked by Monomial.sort_key, the reference for oracle._Echelon,
   which keys every entry by the sort key itself.
@@ -171,9 +171,11 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
     at each step, as the certificate used to be built, each step made of
     whole polynomials: mult * c - cofactor * d^j(divisor).  The caps of
     diffalg.reduction, read when called, are checked as the library checks
-    them: the step count before a step, the term pairs of both products
-    before either is made, and the terms of the scaled and the new
-    polynomial after the step."""
+    them: the bits of the cofactor's coefficients against MAX_COEFF_BITS and
+    the division's running count of term pairs, with a step's two products
+    (the scaling only when mult is not 1), against MAX_WORK, before either
+    product is made, and the terms of the scaled and the new polynomial
+    after the step.  The certificate's pairs is that count."""
     ctx = b.context
     ranked = [analyze(a, ranking) for a in seq]
     one = DiffPoly.one(ctx)
@@ -181,15 +183,11 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
     multiplier = one
     factors = []
     quotients = [DiffOperator.zero(ctx) for _ in ranked]
+    pairs = 0
     while True:
         off = _forward_offense(c, ranked, ranking)
         if off is None:
             break
-        if len(factors) >= _reduction.MAX_REDUCTION_STEPS:
-            raise _reduction.StepLimitExceeded(
-                "reduction needs more elimination steps than the cap "
-                f"MAX_REDUCTION_STEPS = {_reduction.MAX_REDUCTION_STEPS}"
-            )
         v, i, kind = off
         rp = ranked[i]
         if kind == "d":
@@ -202,11 +200,19 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
         cofactor = c.coeff_of_power(v, d) * DiffPoly.from_terms(
             ctx, [(Monomial.of(v, d - degree), ctx.field.one)]
         )
-        pairs = max(mult.term_count() * c.term_count(), cofactor.term_count() * divisor.term_count())
-        if pairs > _reduction.MAX_REDUCTION_PAIRS:
+        if any(ctx.field.bits(a) > _reduction.MAX_COEFF_BITS for _, a in cofactor.items()):
             raise _reduction.TermLimitExceeded(
-                f"reduction stopped at step {len(factors) + 1}: a product would make {pairs} term pairs, "
-                f"over the cap MAX_REDUCTION_PAIRS = {_reduction.MAX_REDUCTION_PAIRS}"
+                f"reduction stopped at step {len(factors) + 1}: a cofactor coefficient has more than "
+                f"MAX_COEFF_BITS = {_reduction.MAX_COEFF_BITS} bits",
+                pairs,
+            )
+        if mult != one:
+            pairs += mult.term_count() * c.term_count()
+        pairs += cofactor.term_count() * divisor.term_count()
+        if pairs > _reduction.MAX_WORK:
+            raise _reduction.StepLimitExceeded(
+                f"reduction stopped at step {len(factors) + 1}: its work would reach {pairs}, "
+                f"over the budget MAX_WORK = {_reduction.MAX_WORK}"
             )
         scaled = mult * c
         c = scaled - cofactor * divisor
@@ -221,11 +227,14 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
         if terms > _reduction.MAX_REDUCTION_TERMS:
             raise _reduction.TermLimitExceeded(
                 f"reduction stopped at step {len(factors)}: it built a polynomial with {terms} "
-                f"terms, over the cap MAX_REDUCTION_TERMS = {_reduction.MAX_REDUCTION_TERMS}"
+                f"terms, over the cap MAX_REDUCTION_TERMS = {_reduction.MAX_REDUCTION_TERMS}",
+                pairs,
             )
-    return ReductionCertificate(
+    cert = ReductionCertificate(
         multiplier=multiplier, factors=tuple(factors), quotients=tuple(quotients), remainder=c
     )
+    cert.pairs = pairs
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,7 @@ def _prop_reduction_certificates(cases: int) -> None:
         if divisor.is_constant():
             continue
         try:
-            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 400):
+            with patch.object(diffalg.reduction, "MAX_WORK", 50_000):
                 cert = ritt_reduce_seq(dividend, PreparedSeq([divisor], rk))
         except StepLimitExceeded:
             continue

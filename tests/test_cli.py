@@ -256,7 +256,7 @@ class TestDecompose:
         assert "# complete: yes" in out
 
     def test_budget_exhaustion_exits_nonzero(self, flagship, capsys, monkeypatch):
-        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 1)
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 1)
         assert main(["decompose", flagship]) == 1
         assert "# complete: no" in capsys.readouterr().out
 
@@ -275,7 +275,7 @@ class TestDecompose:
         assert "# complete: no" in captured.out
         assert "digits" not in captured.err
         # the flagship's remainders carry 1/4: three bits
-        monkeypatch.setattr(diffalg.decompose, "MAX_COEFF_BITS", 2)
+        monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 2)
         assert main(["decompose", flagship]) == 1
         assert "# complete: no" in capsys.readouterr().out
 
@@ -335,7 +335,7 @@ class TestJbcCheck:
         assert data["system"]["jacobi_weak"] == 2
 
     def test_inconclusive_exits_one(self, flagship, capsys, monkeypatch):
-        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 1)
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 1)
         assert main(["jbc-check", flagship]) == 1
         assert "INCONCLUSIVE" in capsys.readouterr().out
 

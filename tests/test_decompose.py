@@ -1,6 +1,7 @@
 """Characteristic-set components, the splitting decomposition, and the
 dimension-vs-Jacobi check."""
 
+import functools
 import os
 import subprocess
 import sys
@@ -57,19 +58,30 @@ def seq_texts(c):
     return tuple(p.to_text() for p in c.sequence)
 
 
+def wrap_divisions(mp, wrapper):
+    """Patch both ways a decomposition divides, the tree's node divisions
+    (_divide) and the divisions of components (ritt_reduce_seq), with
+    wrapper(real, p, prep, *rest); returns the originals to restore."""
+    reals = {}
+    for name in ("_divide", "ritt_reduce_seq"):
+        real = reals[name] = getattr(diffalg.decompose, name)
+        mp.setattr(diffalg.decompose, name, functools.partial(wrapper, real))
+    return reals
+
+
 def recorded_decompose(mp, us, ranking):
     """split_decompose(us, ranking), and the (dividend, divisors) pair of
-    each Ritt division it made, in order; mp patches the division."""
+    each Ritt division it made, in order; mp patches the divisions."""
     divisions = []
-    real = diffalg.decompose.ritt_reduce_seq
 
-    def recorded(p, prep):
+    def recorded(real, p, prep, *rest):
         divisions.append((p, prep.sequence))
-        return real(p, prep)
+        return real(p, prep, *rest)
 
-    mp.setattr(diffalg.decompose, "ritt_reduce_seq", recorded)
+    reals = wrap_divisions(mp, recorded)
     dec = split_decompose(us, ranking)
-    mp.setattr(diffalg.decompose, "ritt_reduce_seq", real)
+    for name, real in reals.items():
+        mp.setattr(diffalg.decompose, name, real)
     return dec, divisions
 
 
@@ -235,9 +247,12 @@ class TestSplitDecompose:
         assert dec.components == ()
 
     def test_budget_exhaustion_is_reported(self, monkeypatch):
-        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 1)
+        # the first node spends the whole budget, and its first division
+        # would take the run past it
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 1)
         dec = split_decompose([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
-        assert not dec.complete
+        assert not dec.complete and dec.out_of_work
+        assert dec.components == ()
 
     def test_rejects_zero_member(self):
         with pytest.raises(ValueError):
@@ -254,7 +269,7 @@ class TestSplitDecompose:
     def test_every_component_verifies_against_the_inputs(self, us):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
-            mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 20)
+            mp.setattr(diffalg.reduction, "MAX_WORK", 10_000)
             dec = split_decompose(us, ELIM_XY)
         for c in dec.components:
             assert verify_component(c, us)
@@ -270,7 +285,7 @@ class TestSplitDecompose:
     def test_each_equation_is_divided_once_per_basic_set(self, us):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
-            mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 20)
+            mp.setattr(diffalg.reduction, "MAX_WORK", 10_000)
             dec, divisions = recorded_decompose(mp, us, ELIM_XY)
         assert len(set(divisions)) == len(divisions)
         for c in dec.components:
@@ -346,12 +361,14 @@ class TestSplitDecompose:
             assert verify_component(c, us)
 
     def test_the_step_budget_bounds_each_block(self, monkeypatch):
-        # each flagship block's tree takes at most 14 nodes, so both block
-        # runs are complete within 20 steps and so is their product, though
-        # the tree over the whole system runs out of nodes
-        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 20)
+        # each flagship block's tree spends at most 108 units of work (14
+        # nodes and the term pairs of their divisions), so both block runs
+        # are complete within 200 and so is their product, though the tree
+        # over the whole system, which needs 622, runs out of work
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 200)
         us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
-        assert not single_tree(us, ELIM_XYZW).complete
+        single = single_tree(us, ELIM_XYZW)
+        assert not single.complete and single.out_of_work
         dec = split_decompose(us, ELIM_XYZW)
         monkeypatch.undo()
         assert summary(dec) == summary(split_decompose(us, ELIM_XYZW))
@@ -360,12 +377,27 @@ class TestSplitDecompose:
     def test_an_incomplete_block_makes_the_product_incomplete(self, monkeypatch):
         # each flagship block's run drops a remainder with the coefficient
         # 1/4 at a 2-bit cap, so it is incomplete, and so is the product
-        monkeypatch.setattr(diffalg.decompose, "MAX_COEFF_BITS", 2)
+        monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 2)
         us = [P(src, XYZW) for src in DOUBLE_FLAGSHIP]
         blocks = diffalg.decompose._blocks(frozenset(u.monic() for u in us))
         assert not any(diffalg.decompose._split_tree(b, ELIM_XYZW).complete for b in blocks)
         dec = split_decompose(us, ELIM_XYZW)
         assert not dec.complete
+
+    @pytest.mark.parametrize("empty, hard", [("xy", "zw"), ("zw", "xy")])
+    def test_a_block_with_no_zeros_empties_the_product(self, monkeypatch, empty, hard):
+        # a^2 = 0 and a'^2 = 1 have no common zero, while the other pair's
+        # tree runs out of work: before or after it, the empty block makes
+        # the product complete and empty, as the tree over the whole system
+        # finds it
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 2_000)
+        a, (c, d) = empty[0], hard
+        sources = (f"2*{a}^2", f"-{a}'^2 + 1", f"-2/3*{c}'^2*{d}^2 - 5*{c}*{d}^2 - 2*{c}", f"2*{c}^2*{c}'^2 - 1/2*{d}' - 4")
+        us = [P(src, XYZW) for src in sources]
+        hard_block = frozenset(u.monic() for u in us[2:])
+        assert diffalg.decompose._split_tree(hard_block, ELIM_XYZW).out_of_work
+        dec = split_decompose(us, ELIM_XYZW)
+        assert summary(dec) == summary(single_tree(us, ELIM_XYZW)) == ([], True)
 
     def test_many_blocks_join_at_most_max_components(self, monkeypatch):
         # seven independent x_i'^2 - x_i: 2^7 = 128 combinations, of which
@@ -392,10 +424,11 @@ class TestSplitDecompose:
     @given(two_block_systems)
     def test_blocks_decompose_as_one_tree(self, us):
         # where the tree over the whole system completes, the product is
-        # what it gives; where a block run is incomplete, so is the product
+        # what it gives; where a block run is incomplete and no block is
+        # empty, so is the product
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
-            mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 40)
+            mp.setattr(diffalg.reduction, "MAX_WORK", 10_000)
             dec = split_decompose(us, ELIM_XYZW)
             single = single_tree(us, ELIM_XYZW)
             blocks = diffalg.decompose._blocks(frozenset(u.monic() for u in us))
@@ -403,7 +436,8 @@ class TestSplitDecompose:
         if single.complete:
             assert dec.complete
             assert summary(dec) == summary(single)
-        if not all(run.complete for run in runs):
+        empty_block = any(run.complete and not run.components for run in runs)
+        if not all(run.complete for run in runs) and not empty_block:
             assert not dec.complete
 
     @settings(max_examples=100, deadline=None)
@@ -422,7 +456,7 @@ class TestSplitDecompose:
             return
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(diffalg.decompose, "MAX_COMPONENTS", 8)
-            mp.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 40)
+            mp.setattr(diffalg.reduction, "MAX_WORK", 10_000)
             dec = split_decompose(us, ranking)
         if dec.complete:
             assert any(
@@ -442,11 +476,13 @@ sys.path.insert(0, sys.argv[1])
 import diffalg.decompose as d
 from diffalg import Context, QQ, Ranking
 from diffalg.sysfile import parse_poly
-real = d.ritt_reduce_seq
-def recorded(p, prep):
-    print(p.to_text(), "/", "; ".join(q.to_text() for q in prep.sequence))
-    return real(p, prep)
-d.ritt_reduce_seq = recorded
+def recording(real):
+    def recorded(p, prep, *rest):
+        print(p.to_text(), "/", "; ".join(q.to_text() for q in prep.sequence))
+        return real(p, prep, *rest)
+    return recorded
+d._divide = recording(d._divide)
+d.ritt_reduce_seq = recording(d.ritt_reduce_seq)
 xy = Context(("x", "y"), QQ)
 d.split_decompose([parse_poly(s, xy) for s in ("x'' + y", "x'^2 + y")], Ranking.elimination(2, [0, 1]))
 """
@@ -499,7 +535,7 @@ class TestJbcCheck:
         assert rep.verdict is JbcVerdict.INCONCLUSIVE
 
     def test_incomplete_decomposition_is_inconclusive(self, monkeypatch):
-        monkeypatch.setattr(diffalg.decompose, "MAX_SPLIT_STEPS", 1)
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 1)
         rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert rep.verdict is JbcVerdict.INCONCLUSIVE
 
@@ -518,36 +554,30 @@ class TestJbcCheck:
         # nonconstant separants and initials (2); then 4 for the two
         # records, two inputs per component (the inequations were checked
         # when the component was built).
-        calls = []
-        real = diffalg.decompose.ritt_reduce_seq
+        calls = Counter()
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(real, *args):
+            calls[real.__name__] += 1
+            return real(*args)
 
-        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", counted)
+        wrap_divisions(monkeypatch, counted)
         rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert len(calls) == 29
+        assert calls == {"_divide": 23, "ritt_reduce_seq": 6}
 
     @staticmethod
     def _count_division_work(monkeypatch, counts):
-        """Count the division's own work into counts: its steps, and the
-        term pairs of the products its steps make in the working map."""
-        real_reduce = diffalg.decompose.ritt_reduce_seq
-        real_product = diffalg.reduction._add_product
+        """Count the division's own work into counts, as its certificates
+        report it: its steps, and the term pairs of the products its steps
+        make in the working map."""
 
-        def reduce(*args):
-            cert = real_reduce(*args)
+        def reduce(real, *args):
+            cert = real(*args)
             counts["steps"] += cert.steps
+            counts["pairs"] += cert.pairs
             return cert
 
-        def add_product(acc, a, b):
-            counts["pairs"] += len(a) * len(b)
-            return real_product(acc, a, b)
-
-        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", reduce)
-        monkeypatch.setattr(diffalg.reduction, "_add_product", add_product)
+        wrap_divisions(monkeypatch, reduce)
 
     def test_flagship_work_counts(self, monkeypatch):
         # Deterministic work counters, pinned: each polynomial is analyzed

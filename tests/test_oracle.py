@@ -1,6 +1,7 @@
 """The truncated ideal-membership oracle: exact span solving over prolonged
 generators, honest Inconclusive answers, and radical search."""
 
+import time
 from collections import Counter
 from unittest.mock import patch
 
@@ -106,6 +107,22 @@ class TestInconclusive:
     def test_query_beyond_jet_bound_is_an_error(self):
         with pytest.raises(ValueError):
             truncated_member(P("x^(5)"), [P("x^2")], TruncationBounds(jet_order=4))
+
+    @pytest.mark.parametrize("degree, skipped", [(20_000, 39_984), (10**8, 199_999_984)])
+    def test_a_huge_degree_bound_counts_the_stages_it_skips(self, degree, skipped):
+        # past the first stage over the candidate cap every later stage is
+        # over it too: the walk counts them instead of visiting them, so
+        # both queries take well under a second of CPU (visited one by one,
+        # the 2 * 10^8 stages would take over an hour)
+        gens = [P("x' + x^2 + 1", XY), P("y' - x", XY)]
+        bounds = TruncationBounds(2, 1, degree, 1)
+        start = time.process_time()
+        w = truncated_member(P("y^2", XY), gens, bounds)
+        r = radical_member(P("y", XY), gens, bounds)
+        assert time.process_time() - start < 1.0
+        note = f"search exhausted; {skipped} stage(s) skipped by the candidate cap 1500"
+        assert w.diagnostic == note
+        assert r.diagnostic == f"no power up to 1 found (last: {note})"
 
     def test_every_inconclusive_names_the_bounds(self):
         for f, gens in ((P("x"), [P("x^2")]), (P("1"), [P("x")])):

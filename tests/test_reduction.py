@@ -144,10 +144,10 @@ class TestCertificates:
         )
         b = data.draw(diffpolys(ctx, max_order=3, max_degree=3, max_terms=3))
         try:
-            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 300):
+            with patch.object(diffalg.reduction, "MAX_WORK", 50_000):
                 cert = divide(b, [divisor], rk)
         except StepLimitExceeded:
-            return  # blow-ups are possible; the cap is the contract
+            return  # blow-ups are possible; the budget is the contract
         assert verify_certificate(cert, b, [divisor], rk)
         assert is_reduced(cert.remainder, analyze(divisor, rk))
 
@@ -195,9 +195,23 @@ class TestCertificates:
 
 class TestGuards:
     def test_step_cap_is_enforced(self):
-        with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 1):
-            with pytest.raises(StepLimitExceeded, match="than the cap MAX_REDUCTION_STEPS = 1$"):
-                divide(P("x^(3)"), [P("x'^2 + y")])
+        # the budget bounds a division's running count of term pairs: its
+        # first step scales the 1-term dividend by the separant 2*x' and
+        # subtracts a 1-term cofactor times the 3 terms of d^2(x'^2 + y), 4
+        # pairs, and its four steps make 14
+        b, seq = P("x^(3)"), [P("x'^2 + y")]
+        for budget, step, reach in ((3, 1, 4), (13, 4, 14)):
+            with patch.object(diffalg.reduction, "MAX_WORK", budget):
+                with pytest.raises(StepLimitExceeded) as err:
+                    divide(b, seq)
+            assert type(err.value) is StepLimitExceeded
+            assert str(err.value) == (
+                f"reduction stopped at step {step}: its work would reach {reach}, "
+                f"over the budget MAX_WORK = {budget}"
+            )
+        with patch.object(diffalg.reduction, "MAX_WORK", 14):
+            cert = divide(b, seq)
+        assert (cert.steps, cert.pairs) == (4, 14)
 
 
 @st.composite
@@ -209,24 +223,22 @@ def qt_polys(draw, ctx, **kw):
     return p + DiffPoly.const(ctx, ctx.field.t()) * draw(diffpolys(ctx, **kw))
 
 
-def caps(steps):
-    """(MAX_REDUCTION_STEPS, MAX_REDUCTION_TERMS, MAX_REDUCTION_PAIRS): the
-    term and pair caps at their values, or small enough to stop a few
-    divisions part way."""
-    return st.tuples(st.just(steps), st.sampled_from((10_000, 3, 6)), st.sampled_from((1_000_000, 4, 9)))
+def caps():
+    """(MAX_REDUCTION_TERMS, MAX_COEFF_BITS, MAX_WORK): each size cap at its
+    value, or small enough to stop a few divisions part way; a budget that
+    no division drawn here has reached, or one small enough to stop a
+    division at its first step or part way."""
+    return st.tuples(
+        st.sampled_from((10_000, 3, 6)), st.sampled_from((4096, 3)), st.sampled_from((50_000, 4, 40))
+    )
 
 
 class TestCertificateOnRead:
     @staticmethod
     def _check_against_forward(b, seq, rk, caps):
-        steps, terms, pairs = caps
+        terms, bits, work = caps
         outcomes = []
-        with patch.multiple(
-            diffalg.reduction,
-            MAX_REDUCTION_STEPS=steps,
-            MAX_REDUCTION_TERMS=terms,
-            MAX_REDUCTION_PAIRS=pairs,
-        ):
+        with patch.multiple(diffalg.reduction, MAX_REDUCTION_TERMS=terms, MAX_COEFF_BITS=bits, MAX_WORK=work):
             for engine in (lambda: divide(b, seq, rk), lambda: forward_certificate(b, seq, rk)):
                 try:
                     outcomes.append(engine())
@@ -237,11 +249,13 @@ class TestCertificateOnRead:
             # the same cap at the same step: the messages name both
             assert type(cert) is type(ref)
             assert str(cert) == str(ref)
+            assert getattr(cert, "pairs", None) == getattr(ref, "pairs", None)
             return
         # reading the remainder and the step count builds nothing
         cert.remainder, cert.steps
         assert cert._log is not None
         assert cert.steps == ref.steps
+        assert cert.pairs == ref.pairs <= work
         assert cert.remainder == ref.remainder
         assert cert.factors == ref.factors
         assert cert.multiplier == ref.multiplier
@@ -260,7 +274,7 @@ class TestCertificateOnRead:
             )
         )
         b = data.draw(qt_polys(ctx, max_order=3, max_degree=2, max_terms=3))
-        self._check_against_forward(b, [divisor], rk, data.draw(caps(60)))
+        self._check_against_forward(b, [divisor], rk, data.draw(caps()))
 
     @given(st.data())
     @settings(max_examples=40, deadline=None)
@@ -283,14 +297,14 @@ class TestCertificateOnRead:
         )
         raw = data.draw(qt_polys(ctx, max_order=2, max_degree=2, max_terms=3))
         try:
-            with patch.object(diffalg.reduction, "MAX_REDUCTION_STEPS", 6):
+            with patch.object(diffalg.reduction, "MAX_WORK", 200):
                 a2 = divide(raw, [a1], rk).remainder
         except StepLimitExceeded:
             reject()
         assume(a2.term_count() <= 4 and any(v.var == hi for v in a2.dervars()))
         assert is_autoreduced([a1, a2], rk)
         b = data.draw(qt_polys(ctx, max_order=2, max_degree=2, max_terms=3))
-        self._check_against_forward(b, [a1, a2], rk, data.draw(caps(20)))
+        self._check_against_forward(b, [a1, a2], rk, data.draw(caps()))
 
     def test_remainder_and_steps_do_not_build(self, monkeypatch):
         built = []
@@ -367,10 +381,22 @@ class TestTermCap:
             divide(P("x''*y + x'*y^2 + x"), [P("x'^2 + y*x' + y")])
         assert isinstance(err.value, StepLimitExceeded)
 
+    def test_coefficient_cap_stops_a_division(self, monkeypatch):
+        # the third step's cofactor of x''' by x'^2 + 3*y has a coefficient
+        # past a 2-bit cap; the first two steps made 8 term pairs
+        monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 2)
+        with pytest.raises(TermLimitExceeded) as err:
+            divide(P("x^(3)"), [P("x'^2 + 3*y")])
+        assert str(err.value) == (
+            "reduction stopped at step 3: a cofactor coefficient has more than MAX_COEFF_BITS = 2 bits"
+        )
+        assert err.value.pairs == 8
+
     def test_pair_cap_is_checked_before_any_product(self, monkeypatch):
         # the first step would multiply the 2-term initial y^2 + y by the
-        # 3-term dividend, and a 3-term cofactor by the 3-term divisor:
-        # refused before either product of the step makes a term pair
+        # 3-term dividend, and a 3-term cofactor by the 3-term divisor, 15
+        # term pairs of MAX_WORK: refused before either product of the step
+        # makes a term pair
         work = Counter()
         merge, mul = diffalg.diffpoly._merge_factors, RatFunc.__mul__
         for module in (diffalg.diffpoly, diffalg.reduction):
@@ -380,33 +406,45 @@ class TestTermCap:
         monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: work.update(["coefficients"]) or mul(a, b))
         b, a = P("x'*y^2 + x'*y + x'"), P("x'*y^2 + x'*y + 1")
         prep = PreparedSeq([a], ELIM_XY)
-        monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_PAIRS", 8)
-        with pytest.raises(TermLimitExceeded, match="9 term pairs, over the cap MAX_REDUCTION_PAIRS = 8$"):
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 14)
+        with pytest.raises(StepLimitExceeded, match="step 1: its work would reach 15, over the budget MAX_WORK = 14$"):
             ritt_reduce_seq(b, prep)
         assert work == {}
-        monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_PAIRS", 9)
-        assert ritt_reduce_seq(b, prep).steps == 1
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 15)
+        cert = ritt_reduce_seq(b, prep)
+        assert (cert.steps, cert.pairs) == (1, 15)
         # the two products, 6 and 9 term pairs, and nothing else
         assert work == {"monomials": 15, "coefficients": 15}
 
     def test_huge_product_of_a_square_draw_is_refused(self, monkeypatch):
         # draw 192 of scripts/square_draw.py --seed 1 --max-order 2: its
         # splitting tree once spent 33 s building one 72,445-term product
-        # before MAX_REDUCTION_TERMS refused it
+        # before MAX_REDUCTION_TERMS refused it; now the step that would
+        # make it is refused first, and the tree stops out of work
         messages = []
-        reduce = diffalg.decompose.ritt_reduce_seq
+        divide_in_tree = diffalg.decompose._divide
 
         def recorded(*args):
             try:
-                return reduce(*args)
+                return divide_in_tree(*args)
             except StepLimitExceeded as exc:
                 messages.append(str(exc))
                 raise
 
-        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", recorded)
+        monkeypatch.setattr(diffalg.decompose, "_divide", recorded)
         us = [P("3*x*y'' + 2*x'' - 2"), P("x''*y' + 3*x*x' - y")]
         assert jbc_check(us, ELIM_XY).verdict is JbcVerdict.INCONCLUSIVE
         assert messages == [
-            "reduction stopped at step 1: a product would make 1505005 term pairs, "
-            "over the cap MAX_REDUCTION_PAIRS = 1000000"
+            "reduction stopped at step 1: its work would reach 3038524, "
+            "over the budget MAX_WORK = 1000000"
         ]
+        assert diffalg.decompose.split_decompose(us, ELIM_XY).out_of_work
+
+    def test_swelling_coefficients_of_a_square_draw_stop_at_the_coefficient_cap(self):
+        # draw 290 of the same script: a division in its tree keeps five
+        # terms while their coefficients grow by some 20 bits a step, and it
+        # once made only 24,000 term pairs in 40 s; MAX_COEFF_BITS drops its
+        # nodes long before the budget is spent
+        us = [P("-3*x'*x'' + y'' - 2*x'' + 1"), P("y'^2 - 2*x*y - 2*y")]
+        dec = diffalg.decompose.split_decompose(us, ELIM_XY)
+        assert not dec.complete and not dec.out_of_work

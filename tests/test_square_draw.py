@@ -1,0 +1,25 @@
+"""scripts/square_draw.py counts budget stops, not seconds, so its counts
+repeat on any machine."""
+
+import importlib.util
+import re
+from pathlib import Path
+
+import diffalg.reduction
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "square_draw.py"
+_spec = importlib.util.spec_from_file_location("square_draw", SCRIPT)
+square_draw = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(square_draw)
+
+
+def test_counts_of_a_small_budget_are_pinned(monkeypatch, capsys):
+    monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 2_000)
+    square_draw.main(["--cases", "20", "--max-order", "2", "--seed", "1"])
+    *stops, summary = capsys.readouterr().out.splitlines()
+    assert [int(re.match(r"draw (\d+): out of work: ", line).group(1)) for line in stops] == [
+        1, 2, 3, 8, 9, 10, 14, 15, 17, 19
+    ]
+    assert re.sub(r" \(\d+ s\)$", "", summary) == (
+        "seed 1, order <= 2: 10 of 20 out of the budget MAX_WORK = 2000; HOLDS 10"
+    )
