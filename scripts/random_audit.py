@@ -467,13 +467,13 @@ def _staged_radical(f: DiffPoly, gens, bounds: TruncationBounds) -> tuple:
     """(first power e with f^e in the staged search's span or None, stages
     skipped over all powers tried), the powers sharing one search as in
     radical_member."""
-    search = diffalg.oracle._StagedSearch(gens, f.dervars(), bounds)
+    search = diffalg.oracle._Search(f, gens, bounds)
     skipped = 0
     for e in range(1, bounds.power_bound + 1):
         fe = f**e
         if fe.total_degree() > bounds.degree_bound:
             break
-        combo, s = search.find(fe)
+        combo, s = search._find(fe)
         skipped += s
         if combo is not None:
             return e, skipped
@@ -507,7 +507,7 @@ def audit_graded(rng: random.Random, cases: int) -> tuple[int, int, int]:
         bounds = TruncationBounds(max(f.max_order(), r.max_order()), top_k, degree, 3)
         weights = diffalg.oracle._weights(gens)
         w = truncated_member(f, gens, bounds)
-        combo, f_skipped = diffalg.oracle._StagedSearch(gens, f.dervars(), bounds).find(f)
+        combo, f_skipped = diffalg.oracle._Search(f, gens, bounds)._find(f)
         rw = radical_member(r, gens, bounds)
         power, r_skipped = _staged_radical(r, gens, bounds)
         failed = []

@@ -31,7 +31,7 @@ from .diffpoly import DiffPoly
 from .jacobi import Convention, JacobiResult, jacobi_assign, order_matrix, order_text
 from .ranking import RankedPoly, Ranking, analyze, is_reduced
 from . import reduction
-from .reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded, Verdict, _divide, ritt_reduce_seq
+from .reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded, Verdict, ritt_reduce_seq
 
 
 class VanishingInequationError(ValueError):
@@ -373,7 +373,7 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
         try:
             for p in others:
                 if p not in known:
-                    cert = _divide(p, prep, work)
+                    cert = ritt_reduce_seq(p, prep, work)
                     work += cert.pairs
                     known[p] = cert.remainder.monic()
         except TermLimitExceeded as exc:

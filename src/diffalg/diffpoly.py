@@ -144,8 +144,8 @@ def _merge_factors(a: tuple, b: tuple) -> tuple:
     factor tuples: one linear merge that adds the exponents of a shared jet.
     When every jet of one factor ranks below every jet of the other, the
     two tuples are simply joined.  Every monomial product is made here:
-    Monomial.__mul__, the term pairs of a Ritt division step, and the
-    oracle's candidate keys."""
+    Monomial.__mul__, the term pairs of _add_product, and the oracle's
+    candidate keys."""
     if not a:
         return b
     if not b:
@@ -231,13 +231,34 @@ def _accumulate(acc: dict, m, c) -> None:
     coefficient that cancels.  The package's sparse sums merge here, apart
     from two hot loops that inline it: the oracle's echelon, whose row loop
     adds a multiple of a row in place (its candidates are monomial shifts,
-    whose terms never meet), and a Ritt division step's term pairs."""
+    whose terms never meet), and _add_product's term pairs."""
     cur = acc.get(m)
     c = c if cur is None else cur + c
     if c:
         acc[m] = c
     elif cur is not None:
         del acc[m]
+
+
+def _add_product(acc: dict, a: dict, b: dict) -> dict:
+    """Add the product of the term maps a and b into acc, one term pair at a
+    time (a's terms outer, b's inner), and return acc.  Every term-pair
+    product is made here: DiffPoly.__mul__, and a Ritt division step's
+    scaling of the working map and subtraction of the divisor's multiple,
+    with no polynomial built."""
+    merge = _merge_factors
+    for m1, c1 in a.items():
+        f1 = m1.factors
+        for m2, c2 in b.items():
+            # _accumulate, inlined
+            m = Monomial(merge(f1, m2.factors))
+            cur = acc.get(m)
+            c = c1 * c2 if cur is None else cur + c1 * c2
+            if c:
+                acc[m] = c
+            elif cur is not None:
+                del acc[m]
+    return acc
 
 
 def _degree_profile(terms) -> dict:
@@ -383,11 +404,7 @@ class DiffPoly:
         _check_same_context(self, other)
         if not self._terms or not other._terms:
             return DiffPoly.zero(self.context)
-        acc: dict[Monomial, RatFunc] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                _accumulate(acc, m1 * m2, c1 * c2)
-        return DiffPoly(self.context, acc)
+        return DiffPoly(self.context, _add_product({}, self._terms, other._terms))
 
     def __pow__(self, k: int) -> "DiffPoly":
         if k < 0:

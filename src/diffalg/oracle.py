@@ -45,9 +45,15 @@ admits it, and f is reduced again only when the echelon has grown.  A stage
 whose own candidate count exceeds the matrix cap is skipped and counted in
 the diagnostic.  Stages are nested in both bounds, so the echelon spans the
 union of the admitted stages; when no stage is skipped that union is the top
-stage, the whole truncation.  radical_member hands the search on from f^e to
-f^(e+1): the powers have the jets of f, so once e = 1 has swept the stages,
-every further power is a single reduction.
+stage, the whole truncation.
+
+One search object is built per query, for f: it checks the generators and
+finds their weights once, and it answers for the powers f^e, which have
+the jets of f.  truncated_member is its answer for e = 1 and radical_member
+its walk over the powers; once e = 1 has swept the stages, every further
+power is a single reduction.  Candidate counts only grow with the degree,
+so with no weights, once a power's first stage is over the cap every later
+power's is too: those powers are counted, not tried.
 """
 
 from __future__ import annotations
@@ -232,25 +238,6 @@ def _positive_kernel(rows: list, n: int) -> Optional[tuple]:
     return tuple(w) if all(x > 0 for x in w) else None
 
 
-def _kept_prolongations(gens, max_k: int, max_deg: int, read: dict) -> list:
-    """Nonzero d^k(g_i) with k <= max_k and degree <= max_deg, as (i, k,
-    degree, graded terms, jets).  Each d^k(g_i) is read once, off the
-    derivative chain g_i keeps, into `read`, the caller's map from (i, k)
-    to that reading (None for zero), so the stages and powers of one search
-    share it."""
-    kept = []
-    for gi, g in enumerate(gens):
-        for k in range(max_k + 1):
-            if (gi, k) not in read:
-                h = g.derive(k)
-                terms = _graded_terms(h)
-                read[(gi, k)] = (max(t[0] for t in terms), terms, h.dervars()) if terms else None
-            r = read[(gi, k)]
-            if r is not None and r[0] <= max_deg:
-                kept.append((gi, k) + r)
-    return kept
-
-
 def _graded_terms(h: DiffPoly) -> tuple:
     """h's terms as (degree, factors, coefficient) triples."""
     return tuple((*m.sort_key(), c) for m, c in h.items())
@@ -375,93 +362,166 @@ class _Echelon:
         return {k: -c for k, c in combo.items()}
 
 
-def _assemble(f: DiffPoly, gens, combo: dict, bounds, power: int) -> MembershipWitness:
-    terms = tuple(
-        WitnessTerm(coeff=c, monomial=m, gen_index=gi, derive_order=k)
-        for (gi, k, m), c in sorted(
-            combo.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].sort_key())
-        )
-    )
-    w = MembershipWitness(
-        verdict=OracleVerdict.MEMBER,
-        bounds=bounds,
-        context=f.context,
-        power=power,
-        combination=terms,
-    )
-    if not verify_witness(f, gens, w):
-        raise RuntimeError("internal error: witness failed re-verification")
-    return w
+def _exhausted(skipped: int) -> str:
+    """The diagnostic of a staged walk that found no combination."""
+    note = "search exhausted"
+    if skipped:
+        note += f"; {skipped} stage(s) skipped by the candidate cap {MAX_CANDIDATES}"
+    return note
 
 
-def _member_homogeneous(f, gens, bounds, weights, read: dict) -> Optional[MembershipWitness]:
-    """Blockwise solve when every generator is homogeneous in (weighted
-    degree, derivative weight) under the variable weights, over Q.  Raises
-    _CapHit when a block has more than MAX_CANDIDATES candidates; None when
-    a block of f is outside its span, a definite miss at these bounds.
+class _Search:
+    """The truncated search for the powers of one polynomial f over fixed
+    generators.  It checks the generators once and finds their variable
+    weights for the graded path (None when there are none); it keeps each
+    d^k(g_i) as read, and the (degree, prolongation) stages eliminated into
+    one growing echelon, so no stage is swept twice.  It is asked only about
+    f^e, whose jets are f's.  Every answer is built here: a Member by
+    _assemble, re-verified, and an Inconclusive by _inconclusive."""
 
-    The block (W, O) holds the candidates m * d^k(g_i) of the truncation
-    whose product has that bigrade: m over the jet universe, with bigrade
-    (W - W_i, O - O_i - k) and total degree <= degree_bound - deg d^k(g_i)
-    (with unit weights the last is implied).  Over Q the derivation keeps
-    every term's weighted degree and raises its derivative weight by one,
-    so each candidate is bihomogeneous and the span of the truncation is
-    the direct sum of its blocks' spans: f lies in it exactly when each of
-    f's bigrade parts lies in its own block's span.  The block search
-    therefore decides as the staged search does whenever that search skips
-    no stage, and only the blocks f occupies are built.  `read` holds the
-    readings of _kept_prolongations."""
-    kept = _kept_prolongations(gens, bounds.prolongation_order, bounds.degree_bound, read)
-    universe = _jet_universe(f.dervars(), kept)
-    grades = [_bigrade(next(iter(g.monomials())), weights) for g in gens]
-    blocks: dict[tuple, list] = {}
-    for m, c in f.items():
-        blocks.setdefault(_bigrade(m, weights), []).append((m, c))
-    combo_all: dict = {}
-    for (wdeg, weight), terms in sorted(blocks.items()):
-        echelon = _Echelon()
-        count = 0
-        for gi, k, h_deg, terms_h, _ in kept:
-            hd, hw = grades[gi][0], grades[gi][1] + k
-            if hd > wdeg or hw > weight:
-                continue
-            dcap = bounds.degree_bound - h_deg
-            for m in _monomials_exact(universe, weights, wdeg - hd, weight - hw, dcap, MAX_CANDIDATES):
-                count += 1
-                if count > MAX_CANDIDATES:
-                    raise _CapHit
-                echelon.add((gi, k, m), _shifted(m, terms_h))
-        combo = echelon.solve(DiffPoly.from_terms(f.context, terms))
-        if combo is None:
-            return None
-        for k, c in combo.items():
-            _accumulate(combo_all, k, c)
-    return _assemble(f, gens, combo_all, bounds, 1)
-
-
-class _StagedSearch:
-    """The (degree, prolongation) stages over fixed generators, eliminated
-    into one growing echelon, and the generators' variable weights for the
-    graded path (None when there are none), found once.  Every query must
-    have the jets it was made with: radical_member asks for the powers of
-    one polynomial."""
-
-    def __init__(self, gens, jets, bounds: TruncationBounds):
-        self.gens = gens
-        self.weights = _weights(gens) if gens else None
-        self.jets = jets
-        self.bounds = bounds
+    def __init__(self, f: DiffPoly, gens: Sequence[DiffPoly], bounds: TruncationBounds):
+        gens = list(gens)
+        if not gens:
+            raise ValueError("empty generator list")
+        for g in gens:
+            if g.context != f.context:
+                raise ValueError("mixed ring contexts")
+            if g.is_zero():
+                raise ValueError("zero generator")
+        self.f, self.gens, self.bounds = f, gens, bounds
+        self.jets = f.dervars()
+        self.weights = _weights(gens)
+        self.read: dict = {}  # (gi, k) -> d^k(g_i) as _kept reads it
         self.echelon = _Echelon()
         self.built: set = set()  # candidate keys (gi, k, m) in the echelon
         self.stages: dict = {}  # (dd, pp) -> admitted, skipped (False) or empty (None)
         self.monomials: dict = {}  # (universe, degree cap) -> monomials
-        self.read: dict = {}  # (gi, k) -> d^k(g_i) read by _kept_prolongations
+
+    def answer(self, e: int) -> MembershipWitness:
+        """Is f^e in the truncated span?  A zero f^e is a Member; a query
+        above the jet bound is a ValueError; one above the degree bound is
+        Inconclusive."""
+        f = self.f ** e if e > 1 else self.f
+        bounds = self.bounds
+        if f.is_zero():
+            return self._assemble({}, e)
+        if f.max_order() > bounds.jet_order:
+            raise ValueError(
+                f"query has derivative order {f.max_order()}, above the jet bound "
+                f"{bounds.jet_order}"
+            )
+        if f.total_degree() > bounds.degree_bound:
+            return self._inconclusive(f"degree of query ({f.total_degree()}) exceeds the degree bound")
+        if self.weights is not None:
+            try:
+                combo = self._graded(f)
+            except _CapHit:
+                # under weights other than all ones the staged search may still decide
+                if all(x == 1 for x in self.weights):
+                    return self._inconclusive(f"candidate cap {MAX_CANDIDATES} exceeded in a graded block")
+            else:
+                if combo is None:
+                    return self._inconclusive("no combination exists at these bounds (graded search exhausted)")
+                return self._assemble(combo, e)
+        combo, skipped = self._find(f)
+        if combo is None:
+            return self._inconclusive(_exhausted(skipped))
+        return self._assemble(combo, e)
+
+    def _inconclusive(self, diagnostic: str) -> MembershipWitness:
+        return MembershipWitness(
+            verdict=OracleVerdict.INCONCLUSIVE,
+            bounds=self.bounds,
+            context=self.f.context,
+            diagnostic=diagnostic,
+        )
+
+    def _assemble(self, combo: dict, power: int) -> MembershipWitness:
+        """The Member witness f^power = sum of combo's candidates, re-verified."""
+        terms = tuple(
+            WitnessTerm(coeff=c, monomial=m, gen_index=gi, derive_order=k)
+            for (gi, k, m), c in sorted(
+                combo.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2].sort_key())
+            )
+        )
+        w = MembershipWitness(
+            verdict=OracleVerdict.MEMBER,
+            bounds=self.bounds,
+            context=self.f.context,
+            power=power,
+            combination=terms,
+        )
+        if not verify_witness(self.f, self.gens, w):
+            raise RuntimeError("internal error: witness failed re-verification")
+        return w
+
+    def _kept(self, max_k: int, max_deg: int) -> list:
+        """Nonzero d^k(g_i) with k <= max_k and degree <= max_deg, as (i, k,
+        degree, graded terms, jets).  Each d^k(g_i) is read once, off the
+        derivative chain g_i keeps, so the stages and powers share it."""
+        kept = []
+        read = self.read
+        for gi, g in enumerate(self.gens):
+            for k in range(max_k + 1):
+                if (gi, k) not in read:
+                    h = g.derive(k)
+                    terms = _graded_terms(h)
+                    read[(gi, k)] = (max(t[0] for t in terms), terms, h.dervars()) if terms else None
+                r = read[(gi, k)]
+                if r is not None and r[0] <= max_deg:
+                    kept.append((gi, k) + r)
+        return kept
+
+    def _graded(self, f: DiffPoly) -> Optional[dict]:
+        """Blockwise solve when every generator is homogeneous in (weighted
+        degree, derivative weight) under the variable weights, over Q:
+        the combination, or None when a block of f is outside its span, a
+        definite miss at these bounds.  Raises _CapHit when a block has more
+        than MAX_CANDIDATES candidates.
+
+        The block (W, O) holds the candidates m * d^k(g_i) of the truncation
+        whose product has that bigrade: m over the jet universe, with bigrade
+        (W - W_i, O - O_i - k) and total degree <= degree_bound - deg d^k(g_i)
+        (with unit weights the last is implied).  Over Q the derivation keeps
+        every term's weighted degree and raises its derivative weight by one,
+        so each candidate is bihomogeneous and the span of the truncation is
+        the direct sum of its blocks' spans: f lies in it exactly when each of
+        f's bigrade parts lies in its own block's span.  The block search
+        therefore decides as the staged search does whenever that search skips
+        no stage, and only the blocks f occupies are built."""
+        bounds, weights = self.bounds, self.weights
+        kept = self._kept(bounds.prolongation_order, bounds.degree_bound)
+        universe = _jet_universe(self.jets, kept)
+        grades = [_bigrade(next(iter(g.monomials())), weights) for g in self.gens]
+        blocks: dict[tuple, list] = {}
+        for m, c in f.items():
+            blocks.setdefault(_bigrade(m, weights), []).append((m, c))
+        combo_all: dict = {}
+        for (wdeg, weight), terms in sorted(blocks.items()):
+            echelon = _Echelon()
+            count = 0
+            for gi, k, h_deg, terms_h, _ in kept:
+                hd, hw = grades[gi][0], grades[gi][1] + k
+                if hd > wdeg or hw > weight:
+                    continue
+                dcap = bounds.degree_bound - h_deg
+                for m in _monomials_exact(universe, weights, wdeg - hd, weight - hw, dcap, MAX_CANDIDATES):
+                    count += 1
+                    if count > MAX_CANDIDATES:
+                        raise _CapHit
+                    echelon.add((gi, k, m), _shifted(m, terms_h))
+            combo = echelon.solve(DiffPoly.from_terms(f.context, terms))
+            if combo is None:
+                return None
+            for k, c in combo.items():
+                _accumulate(combo_all, k, c)
+        return combo_all
 
     def _visit(self, dd: int, pp: int) -> Optional[bool]:
         """Eliminate the candidates of stage (dd, pp) that no earlier stage
         admitted.  None when no generator is kept; False, building nothing,
         when the stage has more than MAX_CANDIDATES candidates."""
-        kept = _kept_prolongations(self.gens, pp, dd, self.read)
+        kept = self._kept(pp, dd)
         if not kept:
             return None
         universe = _jet_universe(self.jets, kept)
@@ -479,7 +539,7 @@ class _StagedSearch:
                     self.echelon.add(key, _shifted(m, terms_h))
         return True
 
-    def find(self, f: DiffPoly) -> tuple:
+    def _find(self, f: DiffPoly) -> tuple:
         """Walk the stages from f's degree up until f lies in the echelon's span;
         returns (combination or None, stages skipped by the cap).  Candidate counts
         only grow with both bounds: stages after a skipped one are counted, not visited."""
@@ -504,20 +564,6 @@ class _StagedSearch:
         return None, skipped
 
 
-def _checked_generators(f: DiffPoly, gens: Sequence[DiffPoly]) -> list:
-    """The generators as a list, refused when empty, zero or in another
-    context than f."""
-    gens = list(gens)
-    if not gens:
-        raise ValueError("empty generator list")
-    for g in gens:
-        if g.context != f.context:
-            raise ValueError("mixed ring contexts")
-        if g.is_zero():
-            raise ValueError("zero generator")
-    return gens
-
-
 def truncated_member(
     f: DiffPoly, gens: Sequence[DiffPoly], bounds: TruncationBounds = TruncationBounds()
 ) -> MembershipWitness:
@@ -527,105 +573,37 @@ def truncated_member(
     else is Inconclusive (in particular a cap skip or a degree overflow,
     both named in the diagnostic).
     """
-    gens = _checked_generators(f, gens)
-    return _member(f, gens, bounds, _StagedSearch(gens, f.dervars(), bounds))
-
-
-def _member(
-    f: DiffPoly, gens: list, bounds: TruncationBounds, search: _StagedSearch
-) -> MembershipWitness:
-    """truncated_member over checked generators, with the staged search,
-    and the generators' weights, that radical_member shares between the
-    powers of one polynomial."""
-    ctx = f.context
-    if f.is_zero():
-        return MembershipWitness(
-            verdict=OracleVerdict.MEMBER, bounds=bounds, context=ctx, power=1
-        )
-    if f.max_order() > bounds.jet_order:
-        raise ValueError(
-            f"query has derivative order {f.max_order()}, above the jet bound "
-            f"{bounds.jet_order}"
-        )
-    if f.total_degree() > bounds.degree_bound:
-        return MembershipWitness(
-            verdict=OracleVerdict.INCONCLUSIVE,
-            bounds=bounds,
-            context=ctx,
-            diagnostic=f"degree of query ({f.total_degree()}) exceeds the degree bound",
-        )
-
-    weights = search.weights
-    if weights is not None:
-        try:
-            w = _member_homogeneous(f, gens, bounds, weights, search.read)
-        except _CapHit:
-            # under weights other than all ones the staged search may still decide
-            if all(x == 1 for x in weights):
-                return MembershipWitness(
-                    verdict=OracleVerdict.INCONCLUSIVE,
-                    bounds=bounds,
-                    context=ctx,
-                    diagnostic=f"candidate cap {MAX_CANDIDATES} exceeded in a graded block",
-                )
-        else:
-            if w is not None:
-                return w
-            return MembershipWitness(
-                verdict=OracleVerdict.INCONCLUSIVE,
-                bounds=bounds,
-                context=ctx,
-                diagnostic="no combination exists at these bounds (graded search exhausted)",
-            )
-
-    combo, skipped = search.find(f)
-    if combo is not None:
-        return _assemble(f, gens, combo, bounds, 1)
-    note = "search exhausted"
-    if skipped:
-        note += f"; {skipped} stage(s) skipped by the candidate cap {MAX_CANDIDATES}"
-    return MembershipWitness(
-        verdict=OracleVerdict.INCONCLUSIVE,
-        bounds=bounds,
-        context=ctx,
-        diagnostic=note,
-    )
+    return _Search(f, gens, bounds).answer(1)
 
 
 def radical_member(
     f: DiffPoly, gens: Sequence[DiffPoly], bounds: TruncationBounds = TruncationBounds()
 ) -> MembershipWitness:
     """First power e <= power_bound with f^e in the truncated span.  The
-    powers share one staged search, so no stage is swept twice, and the
-    generators are checked and their weights found once."""
-    gens = _checked_generators(f, gens)
-    search = _StagedSearch(gens, f.dervars(), bounds)
-    last = None
+    powers share one search, so no stage is swept twice.  Candidate counts
+    only grow with the degree: with no weights, once a power's staged walk
+    skips its first stage (e * deg f, 0), every later power's is skipped
+    whole too, and those powers are counted, not tried."""
+    search = _Search(f, gens, bounds)
+    deg, top, pp = f.total_degree(), bounds.degree_bound, bounds.prolongation_order
     diag = f"no power up to {bounds.power_bound} found"
-    for e in range(1, bounds.power_bound + 1):
-        fe = f ** e
-        if fe.total_degree() > bounds.degree_bound:
+    last = None
+    e = 1
+    while e <= bounds.power_bound:
+        if e * deg > top:
             tried = f"no power up to {e - 1} found" if e > 1 else "no power tried"
-            diag = (
-                f"{tried}: the degree bound {bounds.degree_bound} stops the search "
-                f"at f^{e} (degree {fe.total_degree()})"
-            )
+            diag = f"{tried}: the degree bound {top} stops the search at f^{e} (degree {e * deg})"
             break
-        w = _member(fe, gens, bounds, search)
+        w = search.answer(e)
         if w.is_member():
-            return MembershipWitness(
-                verdict=OracleVerdict.MEMBER,
-                bounds=bounds,
-                context=f.context,
-                power=e,
-                combination=w.combination,
-            )
-        last = w
-    if last is not None and last.diagnostic:
-        diag += f" (last: {last.diagnostic})"
-    return MembershipWitness(
-        verdict=OracleVerdict.INCONCLUSIVE,
-        bounds=bounds,
-        context=f.context,
-        diagnostic=diag,
-    )
+            return w
+        last = w.diagnostic
+        if search.weights is None and search.stages.get((e * deg, 0)) is False:
+            # skip to the last power the bounds allow; its walk would skip the
+            # stages (dd, 0..pp) for every dd from its degree to the top
+            e = min(bounds.power_bound, top // deg) if deg else bounds.power_bound
+            last = _exhausted((top - e * deg + 1) * (pp + 1))
+        e += 1
+    if last is not None:
+        diag += f" (last: {last})"
+    return search._inconclusive(diag)

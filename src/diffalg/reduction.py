@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .diffpoly import DiffPoly, Monomial, _accumulate, _degree_profile, _merge_factors
+from .diffpoly import DiffPoly, Monomial, _accumulate, _add_product, _degree_profile
 from .ranking import (
     ConstantPolyError,
     RankedPoly,
@@ -245,26 +245,6 @@ class ReductionCertificate:
         return f"ReductionCertificate(multiplier={m!r}, factors={f!r}, quotients={q!r}, remainder={r!r})"
 
 
-def _add_product(acc: dict, a: dict, b: dict) -> dict:
-    """Add the product of the term maps a and b into acc, one term pair at a
-    time (a's terms outer, b's inner), and return acc: a division step's
-    scaling of the working map, and its subtraction of the divisor's
-    multiple, with no polynomial built."""
-    merge = _merge_factors
-    for m1, c1 in a.items():
-        f1 = m1.factors
-        for m2, c2 in b.items():
-            # _accumulate, inlined: this loop makes every term pair
-            m = Monomial(merge(f1, m2.factors))
-            cur = acc.get(m)
-            c = c1 * c2 if cur is None else cur + c1 * c2
-            if c:
-                acc[m] = c
-            elif cur is not None:
-                del acc[m]
-    return acc
-
-
 def _offense(deg: dict, by_var: dict, ranking: Ranking):
     """The highest-ranked violation of reducedness against the divisors,
     read off a degree profile deg (jet variable -> highest exponent; by_var
@@ -290,14 +270,11 @@ def _offense(deg: dict, by_var: dict, ranking: Ranking):
     return best[1:]
 
 
-def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq) -> ReductionCertificate:
+def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> ReductionCertificate:
     """Divide b by a prepared autoreduced sequence, under its ranking, within
-    MAX_WORK.  A division with no step has b itself as its remainder."""
-    return _divide(b, prep, 0)
-
-
-def _divide(b: DiffPoly, prep: PreparedSeq, spent: int) -> ReductionCertificate:
-    """ritt_reduce_seq in a run that has spent `spent` of MAX_WORK; pairs is this division's."""
+    MAX_WORK, of which the run dividing (a splitting tree) has already spent
+    `spent`; the certificate's pairs are this division's own.  A division
+    with no step has b itself as its remainder."""
     ctx = b.context
     ranking, ranked, unit_factors = prep.ranking, prep.ranked, prep.unit_factors
     by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}

@@ -59,14 +59,13 @@ def seq_texts(c):
 
 
 def wrap_divisions(mp, wrapper):
-    """Patch both ways a decomposition divides, the tree's node divisions
-    (_divide) and the divisions of components (ritt_reduce_seq), with
-    wrapper(real, p, prep, *rest); returns the originals to restore."""
-    reals = {}
-    for name in ("_divide", "ritt_reduce_seq"):
-        real = reals[name] = getattr(diffalg.decompose, name)
-        mp.setattr(diffalg.decompose, name, functools.partial(wrapper, real))
-    return reals
+    """Patch the one way a decomposition divides, ritt_reduce_seq, for the
+    tree's node divisions (given the work spent) and the divisions of
+    components, with wrapper(real, p, prep, *rest); returns the original
+    to restore."""
+    real = diffalg.decompose.ritt_reduce_seq
+    mp.setattr(diffalg.decompose, "ritt_reduce_seq", functools.partial(wrapper, real))
+    return real
 
 
 def recorded_decompose(mp, us, ranking):
@@ -78,10 +77,9 @@ def recorded_decompose(mp, us, ranking):
         divisions.append((p, prep.sequence))
         return real(p, prep, *rest)
 
-    reals = wrap_divisions(mp, recorded)
+    real = wrap_divisions(mp, recorded)
     dec = split_decompose(us, ranking)
-    for name, real in reals.items():
-        mp.setattr(diffalg.decompose, name, real)
+    mp.setattr(diffalg.decompose, "ritt_reduce_seq", real)
     return dec, divisions
 
 
@@ -481,7 +479,6 @@ def recording(real):
         print(p.to_text(), "/", "; ".join(q.to_text() for q in prep.sequence))
         return real(p, prep, *rest)
     return recorded
-d._divide = recording(d._divide)
 d.ritt_reduce_seq = recording(d.ritt_reduce_seq)
 xy = Context(("x", "y"), QQ)
 d.split_decompose([parse_poly(s, xy) for s in ("x'' + y", "x'^2 + y")], Ranking.elimination(2, [0, 1]))
@@ -556,14 +553,14 @@ class TestJbcCheck:
         # when the component was built).
         calls = Counter()
 
-        def counted(real, *args):
-            calls[real.__name__] += 1
-            return real(*args)
+        def counted(real, p, prep, *spent):
+            calls["tree" if spent else "component"] += 1
+            return real(p, prep, *spent)
 
         wrap_divisions(monkeypatch, counted)
         rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert calls == {"_divide": 23, "ritt_reduce_seq": 6}
+        assert calls == {"tree": 23, "component": 6}
 
     @staticmethod
     def _count_division_work(monkeypatch, counts):

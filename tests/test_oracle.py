@@ -112,17 +112,31 @@ class TestInconclusive:
     def test_a_huge_degree_bound_counts_the_stages_it_skips(self, degree, skipped):
         # past the first stage over the candidate cap every later stage is
         # over it too: the walk counts them instead of visiting them, so
-        # both queries take well under a second of CPU (visited one by one,
-        # the 2 * 10^8 stages would take over an hour)
+        # every query takes well under a second of CPU (visited one by one,
+        # the 2 * 10^8 stages would take over an hour).  Likewise past the
+        # first power whose first stage is over the cap every later power's
+        # is: up to a power bound of `degree`, y reaches the power bound and
+        # x*y + x the degree stop, and the last power tried skips its top
+        # degree's two stages (walked power by power, they took hours)
         gens = [P("x' + x^2 + 1", XY), P("y' - x", XY)]
         bounds = TruncationBounds(2, 1, degree, 1)
+        powers = TruncationBounds(2, 1, degree, degree)
         start = time.process_time()
         w = truncated_member(P("y^2", XY), gens, bounds)
         r = radical_member(P("y", XY), gens, bounds)
+        r_all = radical_member(P("y", XY), gens, powers)
+        r_half = radical_member(P("x*y + x", XY), gens, powers)
         assert time.process_time() - start < 1.0
         note = f"search exhausted; {skipped} stage(s) skipped by the candidate cap 1500"
         assert w.diagnostic == note
         assert r.diagnostic == f"no power up to 1 found (last: {note})"
+        top = "search exhausted; 2 stage(s) skipped by the candidate cap 1500"
+        assert r_all.diagnostic == f"no power up to {degree} found (last: {top})"
+        half = degree // 2
+        assert r_half.diagnostic == (
+            f"no power up to {half} found: the degree bound {degree} stops the search "
+            f"at f^{half + 1} (degree {degree + 2}) (last: {top})"
+        )
 
     def test_every_inconclusive_names_the_bounds(self):
         for f, gens in ((P("x"), [P("x^2")]), (P("1"), [P("x")])):
@@ -191,10 +205,17 @@ class TestRadical:
         assert "up to 6" not in w.diagnostic
 
     def test_degree_bound_stop_before_any_power(self):
-        w = radical_member(P("x^5"), [P("x^2")], TruncationBounds(0, 0, 3, 2))
-        assert w.diagnostic == (
-            "no power tried: the degree bound 3 stops the search at f^1 (degree 5)"
-        )
+        # the degree stop comes before the jet-bound check: x'''^5 is over
+        # both bounds, and truncated_member, which has no degree stop,
+        # refuses it for its jets before it reads its degree
+        bounds = TruncationBounds(0, 0, 3, 2)
+        for f in (P("x^5"), P("x'''^5")):
+            w = radical_member(f, [P("x^2")], bounds)
+            assert w.diagnostic == (
+                "no power tried: the degree bound 3 stops the search at f^1 (degree 5)"
+            )
+        with pytest.raises(ValueError, match="derivative order 3, above the jet bound 0"):
+            truncated_member(P("x'''^5"), [P("x^2")], bounds)
 
     def test_generators_are_checked_before_any_power(self):
         # empty, zero or foreign generators are refused once, up front, even
@@ -223,7 +244,7 @@ class TestRadical:
             return wrapped
 
         monkeypatch.setattr(oracle._Echelon, "add", counting("add", oracle._Echelon.add))
-        monkeypatch.setattr(oracle._StagedSearch, "find", counting("find", oracle._StagedSearch.find))
+        monkeypatch.setattr(oracle._Search, "_find", counting("find", oracle._Search._find))
         monkeypatch.setattr(DiffPoly, "__mul__", counting("mul", DiffPoly.__mul__))
         w = radical_member(f, gens, TruncationBounds())
         monkeypatch.undo()
@@ -289,10 +310,12 @@ class TestWeights:
         f = parse_poly("y'^3", XY)
         bounds = TruncationBounds()
         with patch.object(oracle, "MAX_CANDIDATES", 10):
+            search = oracle._Search(f, self.CUSP, bounds)
+            assert search.weights == (2, 3)
             with pytest.raises(oracle._CapHit):
-                oracle._member_homogeneous(f, self.CUSP, bounds, (2, 3), {})
+                search._graded(f)
             w = truncated_member(f, self.CUSP, bounds)
-            staged = oracle._StagedSearch(self.CUSP, f.dervars(), bounds).find(f)
+            staged = oracle._Search(f, self.CUSP, bounds)._find(f)
         assert staged == (None, 42)
         assert w.diagnostic == "search exhausted; 42 stage(s) skipped by the candidate cap 10"
 

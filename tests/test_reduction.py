@@ -399,10 +399,9 @@ class TestTermCap:
         # makes a term pair
         work = Counter()
         merge, mul = diffalg.diffpoly._merge_factors, RatFunc.__mul__
-        for module in (diffalg.diffpoly, diffalg.reduction):
-            monkeypatch.setattr(
-                module, "_merge_factors", lambda a, b: work.update(["monomials"]) or merge(a, b)
-            )
+        monkeypatch.setattr(
+            diffalg.diffpoly, "_merge_factors", lambda a, b: work.update(["monomials"]) or merge(a, b)
+        )
         monkeypatch.setattr(RatFunc, "__mul__", lambda a, b: work.update(["coefficients"]) or mul(a, b))
         b, a = P("x'*y^2 + x'*y + x'"), P("x'*y^2 + x'*y + 1")
         prep = PreparedSeq([a], ELIM_XY)
@@ -422,7 +421,7 @@ class TestTermCap:
         # before MAX_REDUCTION_TERMS refused it; now the step that would
         # make it is refused first, and the tree stops out of work
         messages = []
-        divide_in_tree = diffalg.decompose._divide
+        divide_in_tree = diffalg.decompose.ritt_reduce_seq
 
         def recorded(*args):
             try:
@@ -431,7 +430,7 @@ class TestTermCap:
                 messages.append(str(exc))
                 raise
 
-        monkeypatch.setattr(diffalg.decompose, "_divide", recorded)
+        monkeypatch.setattr(diffalg.decompose, "ritt_reduce_seq", recorded)
         us = [P("3*x*y'' + 2*x'' - 2"), P("x''*y' + 3*x*x' - y")]
         assert jbc_check(us, ELIM_XY).verdict is JbcVerdict.INCONCLUSIVE
         assert messages == [
