@@ -60,7 +60,6 @@ EXIT_DOMAIN = 3
 _DOMAIN_ERRORS = (
     StepLimitExceeded,
     OrderCapExceeded,
-    ZeroDivisionError,
     ValueError,  # a missing name, a point off the zero set, a non-square system, ...
 )
 

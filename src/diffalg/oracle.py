@@ -37,15 +37,15 @@ own constraints, such as x = 2, y = 3 for the cusp y^2 - x^3.
 Differentiation shifts the derivative weight by exactly one and keeps the
 weighted degree, so the membership question splits into small independent
 blocks, one echelon each, and only the blocks f occupies are built -- this
-makes the high-power examples instant.  Otherwise, and when a block with
-weights other than all ones is over the matrix cap, the search walks the
-(degree, prolongation) stages, degree-major, into a single growing echelon:
-a candidate m * d^k(g_i) is built and eliminated the first time a stage
-admits it, and f is reduced again only when the echelon has grown.  A stage
-whose own candidate count exceeds the matrix cap is skipped and counted in
-the diagnostic.  Stages are nested in both bounds, so the echelon spans the
-union of the admitted stages; when no stage is skipped that union is the top
-stage, the whole truncation.
+makes the high-power examples instant.  Otherwise, and when a block is
+over the cap, the search walks the (degree, prolongation) stages,
+degree-major, into a single growing echelon: a candidate m * d^k(g_i) is
+built and eliminated the first time a stage admits it, and f is reduced
+again only when the echelon has grown.  A stage whose own candidate count
+exceeds the matrix cap is skipped and counted in the diagnostic.  Stages
+are nested in both bounds, so the echelon spans the union of the admitted
+stages; when no stage is skipped that union is the top stage, the whole
+truncation.
 
 One search object is built per query, for f: it checks the generators and
 finds their weights once, and it answers for the powers f^e, which have
@@ -416,9 +416,7 @@ class _Search:
             try:
                 combo = self._graded(f)
             except _CapHit:
-                # under weights other than all ones the staged search may still decide
-                if all(x == 1 for x in self.weights):
-                    return self._inconclusive(f"candidate cap {MAX_CANDIDATES} exceeded in a graded block")
+                pass  # the staged search may still decide
             else:
                 if combo is None:
                     return self._inconclusive("no combination exists at these bounds (graded search exhausted)")

@@ -37,6 +37,14 @@ A *component file* is a sequence of blank-line-separated blocks:
     ineqs: y; y'
     prime: no
 
+Only ``charset:`` must be there; a block with no ``ranking:`` line takes the
+system's ranking.
+
+One rule reads every ``key: value`` line of both formats (``_keyed``): the
+key is read lower-cased, each key comes at most once per file or block, and
+a repeat is refused as ``line N: duplicate 'KEY:' line``.  Every error in a
+line names that line.
+
 ``format_components`` inverts ``parse_components``, so the components that
 ``decompose`` prints can be fed back in unchanged.
 """
@@ -488,16 +496,18 @@ class SystemFile:
         return tuple(p for _, p in self.equations)
 
     def equation(self, name: str) -> DiffPoly:
-        for nm, p in self.equations:
-            if nm == name:
-                return p
-        raise ValueError(f"no equation named {name!r}")
+        return _named(self.equations, name, "equation")
 
     def point(self, name: str) -> ConcretePoint:
-        for nm, pt in self.points:
-            if nm == name:
-                return pt
-        raise ValueError(f"no point named {name!r}")
+        return _named(self.points, name, "point")
+
+
+def _named(pairs: tuple, name: str, noun: str):
+    """The value named name among the (name, value) pairs."""
+    for nm, value in pairs:
+        if nm == name:
+            return value
+    raise ValueError(f"no {noun} named {name!r}")
 
 
 def _lines(text: str):
@@ -521,13 +531,27 @@ def _at_line(lineno: int, where: str = "line"):
         raise SysFileError(f"{where} {lineno}: {exc}") from None
 
 
+def _keyed(line: str, values: dict) -> Optional[tuple]:
+    """(key, value text) of a ``key: value`` line, the key lower-cased and
+    stripped of blanks; None when the line has no colon.  values holds what
+    the file or block has read so far, by key: each key comes once, and a
+    key already there is refused."""
+    key, colon, value = line.partition(":")
+    if not colon:
+        return None
+    key = key.strip().lower()
+    if key in values:
+        raise ValueError(f"duplicate '{key}:' line")
+    return key, value
+
+
 def _parse_field(text: str) -> Field:
     text = text.strip()
     if text == "Q":
         return QQ
     if text.replace(" ", "") == "Q(t)":
         return QT
-    raise SysFileError(f"unknown field {text!r}; expected 'Q' or 'Q(t)'")
+    raise ValueError(f"unknown field {text!r}; expected 'Q' or 'Q(t)'")
 
 
 def _parse_assignments(text: str, ctx: Context) -> ConcretePoint:
@@ -548,93 +572,68 @@ def _parse_assignments(text: str, ctx: Context) -> ConcretePoint:
     return ConcretePoint.from_names(ctx, named)
 
 
+# The header keys of a system file, in order: each needs the one before it.
+_HEADERS = ("field", "vars", "ranking")
+
+
 def parse_system(text: str) -> SystemFile:
-    """Parse a system file.  ``field:`` and ``vars:`` must precede everything
-    that needs them."""
-    field: Optional[Field] = None
-    ctx: Optional[Context] = None
-    ranking: Optional[Ranking] = None
-    equations: list = []
-    points: list = []
-    eq_names: set = set()
-    point_names: set = set()
+    """Parse a system file.  Its header lines ``field:``, ``vars:`` and
+    ``ranking:`` come once each and in that order, and ``vars:`` before
+    every ``eq`` and ``point`` line."""
+    header: dict = {}  # header key -> its value
+    equations: dict = {}  # name -> DiffPoly, in file order
+    points: dict = {}  # name -> ConcretePoint, in file order
 
     for lineno, line in _lines(text):
         if not line:
             continue
+        with _at_line(lineno):
+            is_eq = line.startswith(("eq ", "eq\t"))
+            if is_eq or line.startswith(("point ", "point\t")):
+                # eq NAME = EXPRESSION  or  point NAME: x = c, ...
+                noun, named = ("equation", equations) if is_eq else ("point", points)
+                if "vars" not in header:
+                    raise ValueError(f"'vars:' must come before {noun}s")
+                head, sep, body = line[3 if is_eq else 6 :].partition("=" if is_eq else ":")
+                name = head.strip()
+                if not sep or not name:
+                    form = "eq NAME = EXPRESSION" if is_eq else "point NAME: x = c, ..."
+                    raise ValueError(f"expected '{form}'")
+                if not name.isidentifier():
+                    raise ValueError(f"bad {noun} name {name!r}")
+                if name in named:
+                    raise ValueError(f"duplicate {noun} name {name!r}")
+                ctx = header["vars"]
+                if is_eq:
+                    terms = _scan(body.strip(), ctx)
+                    if not terms:
+                        raise ValueError(f"equation {name!r} is identically zero")
+                    named[name] = DiffPoly(ctx, terms)
+                else:
+                    named[name] = _parse_assignments(body, ctx)
+                continue
+            keyed = _keyed(line, header)
+            if keyed is None or keyed[0] not in _HEADERS:
+                raise ValueError(f"cannot understand {line!r}")
+            key, value = keyed
+            i = _HEADERS.index(key)
+            if i and _HEADERS[i - 1] not in header:
+                raise ValueError(f"'{_HEADERS[i - 1]}:' must come before '{key}:'")
+            if key == "field":
+                header[key] = _parse_field(value)
+            elif key == "vars":
+                names = tuple(nm.strip() for nm in value.split(",") if nm.strip())
+                header[key] = Context(names, header["field"])
+            else:
+                header[key] = parse_ranking(value.strip(), header["vars"])
 
-        key, _, rest = line.partition(":")
-        key_word = key.strip().lower()
-
-        if key_word == "field" and _ == ":":
-            if field is not None:
-                raise SysFileError(f"line {lineno}: duplicate 'field:' line")
-            field = _parse_field(rest)
-            continue
-        if key_word == "vars" and _ == ":":
-            if ctx is not None:
-                raise SysFileError(f"line {lineno}: duplicate 'vars:' line")
-            if field is None:
-                raise SysFileError(f"line {lineno}: 'field:' must come before 'vars:'")
-            names = tuple(nm.strip() for nm in rest.split(",") if nm.strip())
-            with _at_line(lineno):
-                ctx = Context(names, field)
-            continue
-        if key_word == "ranking" and _ == ":":
-            if ctx is None:
-                raise SysFileError(f"line {lineno}: 'vars:' must come before 'ranking:'")
-            if ranking is not None:
-                raise SysFileError(f"line {lineno}: duplicate 'ranking:' line")
-            with _at_line(lineno):
-                ranking = parse_ranking(rest.strip(), ctx)
-            continue
-
-        if line.startswith("eq ") or line.startswith("eq\t"):
-            if ctx is None:
-                raise SysFileError(f"line {lineno}: 'vars:' must come before equations")
-            head, eq, src = line[3:].partition("=")
-            name = head.strip()
-            if not eq or not name:
-                raise SysFileError(f"line {lineno}: expected 'eq NAME = EXPRESSION'")
-            if not name.isidentifier():
-                raise SysFileError(f"line {lineno}: bad equation name {name!r}")
-            if name in eq_names:
-                raise SysFileError(f"line {lineno}: duplicate equation name {name!r}")
-            with _at_line(lineno):
-                terms = _scan(src.strip(), ctx)
-            if not terms:
-                raise SysFileError(f"line {lineno}: equation {name!r} is identically zero")
-            eq_names.add(name)
-            equations.append((name, DiffPoly(ctx, terms)))
-            continue
-
-        if line.startswith("point ") or line.startswith("point\t"):
-            if ctx is None:
-                raise SysFileError(f"line {lineno}: 'vars:' must come before points")
-            head, colon, rest2 = line[6:].partition(":")
-            name = head.strip()
-            if not colon or not name.isidentifier():
-                raise SysFileError(f"line {lineno}: expected 'point NAME: x = c, ...'")
-            if name in point_names:
-                raise SysFileError(f"line {lineno}: duplicate point name {name!r}")
-            with _at_line(lineno):
-                point = _parse_assignments(rest2, ctx)
-            point_names.add(name)
-            points.append((name, point))
-            continue
-
-        raise SysFileError(f"line {lineno}: cannot understand {line!r}")
-
-    if field is None:
-        raise SysFileError("missing 'field:' line")
-    if ctx is None:
-        raise SysFileError("missing 'vars:' line")
-    if ranking is None:
-        raise SysFileError("missing 'ranking:' line")
+    for key in _HEADERS:
+        if key not in header:
+            raise SysFileError(f"missing '{key}:' line")
     if not equations:
         raise SysFileError("a system file needs at least one 'eq' line")
 
-    return SystemFile(ctx, ranking, tuple(equations), tuple(points))
+    return SystemFile(header["vars"], header["ranking"], tuple(equations.items()), tuple(points.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -642,25 +641,18 @@ def parse_system(text: str) -> SystemFile:
 # ---------------------------------------------------------------------------
 
 
-def _parse_poly_list(text: str, ctx: Context, lineno: int) -> tuple:
+def _parse_poly_list(text: str, ctx: Context) -> tuple:
     text = text.strip()
     if not text or text == "(none)":
         return ()
-    polys = []
-    for piece in text.split(";"):
-        piece = piece.strip()
-        if piece:
-            with _at_line(lineno):
-                polys.append(parse_poly(piece, ctx))
-    return tuple(polys)
+    return tuple(parse_poly(piece.strip(), ctx) for piece in text.split(";") if piece.strip())
 
 
-def parse_components(
-    text: str, ctx: Context, default_ranking: Optional[Ranking] = None
-) -> tuple:
-    """Parse a component file: blank-line-separated blocks of
-    ``ranking:`` (optional), ``charset:``, ``ineqs:`` (optional), and
-    ``prime:`` (optional, default ``no``) lines."""
+def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
+    """Parse a component file: blank-line-separated blocks of a
+    ``charset:`` line and optional ``ranking:`` (default: ranking, the
+    system's), ``ineqs:`` (default none) and ``prime:`` (default ``no``)
+    lines, each key at most once per block."""
     blocks: list = [[]]
     for lineno, line in _lines(text):
         if not line:
@@ -673,38 +665,38 @@ def parse_components(
 
     components = []
     for block in blocks:
-        ranking = default_ranking
-        charset = None
-        ineqs: tuple = ()
-        prime = False
+        values: dict = {}  # key -> its value
         for lineno, line in block:
-            key, colon, rest = line.partition(":")
-            if not colon:
-                raise SysFileError(f"line {lineno}: expected 'key: value', got {line!r}")
-            key = key.strip().lower()
-            if key == "ranking":
-                with _at_line(lineno):
-                    ranking = parse_ranking(rest.strip(), ctx)
-            elif key == "charset":
-                charset = _parse_poly_list(rest, ctx, lineno)
-                if not charset:
-                    raise SysFileError(f"line {lineno}: empty charset")
-            elif key == "ineqs":
-                ineqs = _parse_poly_list(rest, ctx, lineno)
-            elif key == "prime":
-                word = rest.strip().lower()
-                if word not in ("yes", "no"):
-                    raise SysFileError(f"line {lineno}: prime must be 'yes' or 'no'")
-                prime = word == "yes"
-            else:
-                raise SysFileError(f"line {lineno}: unknown component key {key!r}")
+            with _at_line(lineno):
+                keyed = _keyed(line, values)
+                if keyed is None:
+                    raise ValueError(f"expected 'key: value', got {line!r}")
+                key, value = keyed
+                if key == "ranking":
+                    values[key] = parse_ranking(value.strip(), ctx)
+                elif key in ("charset", "ineqs"):
+                    values[key] = _parse_poly_list(value, ctx)
+                    if key == "charset" and not values[key]:
+                        raise ValueError("empty charset")
+                elif key == "prime":
+                    word = value.strip().lower()
+                    if word not in ("yes", "no"):
+                        raise ValueError("prime must be 'yes' or 'no'")
+                    values[key] = word == "yes"
+                else:
+                    raise ValueError(f"unknown component key {key!r}")
         first = block[0][0]
-        if charset is None:
+        if "charset" not in values:
             raise SysFileError(f"block at line {first}: missing 'charset:' line")
-        if ranking is None:
-            raise SysFileError(f"block at line {first}: no ranking given and no default")
         with _at_line(first, "block at line"):
-            components.append(CharSetComponent(ranking, charset, ineqs, prime_verified=prime))
+            components.append(
+                CharSetComponent(
+                    values.get("ranking", ranking),
+                    values["charset"],
+                    values.get("ineqs", ()),
+                    prime_verified=values.get("prime", False),
+                )
+            )
     return tuple(components)
 
 

@@ -309,6 +309,14 @@ class TestDecompose:
         assert "decomposition: 2 component(s) (INCOMPLETE)" in out
         assert "verdict: INCONCLUSIVE" in out
 
+    def test_repeated_component_key_is_refused(self, flagship, tmp_path, capsys):
+        comp_file = tmp_path / "comp.txt"
+        comp_file.write_text("charset: y; x'\ncharset: y\n")
+        assert main(["jbc-check", flagship, "--components", str(comp_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "diffalg: line 2: duplicate 'charset:' line\n"
+
     def test_partial_component_file_never_holds(self, flagship, tmp_path, capsys):
         # the first of the two blocks decompose prints
         comp_file = tmp_path / "one.txt"
@@ -436,7 +444,13 @@ class TestMembership:
         assert captured.out == "" and "--bounds" in captured.err
 
     def test_bad_expression_is_format_error(self, cusp, capsys):
-        assert main(["member", cusp, "y +"]) == 2
+        # a zero divisor is the reader's refusal, never a ZeroDivisionError
+        for expr in ("y +", "y/0", "y/(1-1)"):
+            assert main(["member", cusp, expr]) == 2
+        assert capsys.readouterr().err.splitlines()[1:] == [
+            "diffalg: expression: division by zero (at position 1)",
+            "diffalg: expression: division by zero (at position 1)",
+        ]
 
     def test_radical_names_the_degree_bound_stop(self, cusp, capsys):
         # the cusp is homogeneous under the weights x = 2, y = 3: the graded search answers
@@ -555,14 +569,16 @@ class TestErrorChannel:
         assert run.stderr.startswith("diffalg: line 4: parentheses nested deeper than")
         assert "Traceback" not in run.stderr
 
-    def test_other_errors_are_not_domain_errors(self, flagship, monkeypatch):
-        # a KeyError inside a command is a bug, not a domain error: it
-        # propagates instead of exiting 3
+    @pytest.mark.parametrize("error", [KeyError, ZeroDivisionError], ids=lambda e: e.__name__)
+    def test_other_errors_are_not_domain_errors(self, flagship, monkeypatch, error):
+        # a KeyError or a ZeroDivisionError inside a command is a bug, not a
+        # domain error: it propagates instead of exiting 3 (the expression
+        # reader refuses a zero divisor itself, as a format error)
         def broken(*args):
-            raise KeyError("internal")
+            raise error("internal")
 
         monkeypatch.setattr(diffalg.cli, "order_matrix", broken)
-        with pytest.raises(KeyError):
+        with pytest.raises(error):
             main(["order", flagship])
 
     def test_usage_error_exits_two(self, flagship):

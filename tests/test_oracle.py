@@ -319,11 +319,25 @@ class TestWeights:
         assert staged == (None, 42)
         assert w.diagnostic == "search exhausted; 42 stage(s) skipped by the candidate cap 10"
 
-    def test_unit_block_over_the_cap_stays_inconclusive(self):
+    def test_unit_block_over_the_cap_takes_the_staged_search(self):
         f, g = P("x'^3"), P("x^2")
         with patch.object(oracle, "MAX_CANDIDATES", 1):
             w = truncated_member(f, [g], TruncationBounds(2, 3, 6, 6))
-        assert w.diagnostic == "candidate cap 1 exceeded in a graded block"
+        assert w.diagnostic == "search exhausted; 16 stage(s) skipped by the candidate cap 1"
+        # under unit weights f's block is over the cap from prolongation 4 on,
+        # and raising the bound must not lose the Member that prolongation 2 proves
+        xyz = Context(("x", "y", "z"), QQ)
+        gens = [parse_poly(g, xyz) for g in ("x*y", "y*z", "x*z")]
+        f = parse_poly("x*y*x'^2*y''^2", xyz)
+        for prolong in (2, 4, 8):
+            bounds = TruncationBounds(4, prolong, 6, 1)
+            search = oracle._Search(f, gens, bounds)
+            assert search.weights == (1, 1, 1)
+            if prolong > 2:
+                with pytest.raises(oracle._CapHit):
+                    search._graded(f)
+            w = truncated_member(f, gens, bounds)
+            assert w.to_text() == "Member (e = 1): f = (1)*x'^2*y''^2*g1"
 
 
 class TestQtCoefficients:
@@ -683,8 +697,8 @@ def _in_truncation(w, gens, bounds):
 class TestGradedAgainstPerStageRebuild:
     """Systems the oracle solves block by block, with unit or other weights,
     decide as the per-stage rebuild does whenever the rebuild skips no
-    stage.  Under small caps a block with weights other than all ones goes
-    to the staged search, and one with unit weights is Inconclusive."""
+    stage.  Under small caps a block over the cap goes to the staged
+    search."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=graded_cases(), cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)))

@@ -41,6 +41,7 @@ from reference_engines import reference_parse_poly
 from strategies import contexts, diffpolys, small_fractions, small_rationals
 
 XY = Context(("x", "y"), QQ)
+ELIM_XY = Ranking.elimination(2, [0, 1])  # elim x > y
 
 
 def P(src, ctx=XY):
@@ -703,6 +704,19 @@ class TestSystemFiles:
             parse_system(SYSTEM.replace("point p0: x = 0, y = 0", "point p0: x = 0, y 0"))
         assert str(exc.value) == "line 7: bad assignment 'y 0'"
 
+    def test_unknown_field_names_its_line(self):
+        with pytest.raises(SysFileError) as exc:
+            parse_system("field: R\nvars: x\nranking: elim x\neq u = x\n")
+        assert str(exc.value) == "line 1: unknown field 'R'; expected 'Q' or 'Q(t)'"
+
+    def test_bad_names(self):
+        with pytest.raises(SysFileError) as exc:
+            parse_system(SYSTEM.replace("eq u1 =", "eq 1u ="))
+        assert str(exc.value) == "line 5: bad equation name '1u'"
+        with pytest.raises(SysFileError) as exc:
+            parse_system(SYSTEM.replace("point p0:", "point 0p:"))
+        assert str(exc.value) == "line 7: bad point name '0p'"
+
     def test_unknown_line_rejected(self):
         with pytest.raises(SysFileError):
             parse_system(SYSTEM + "frobnicate: 3\n")
@@ -723,30 +737,34 @@ prime: no
 
 class TestComponentFiles:
     def test_parse(self):
-        comps = parse_components(COMPONENTS, XY)
+        comps = parse_components(COMPONENTS, XY, ELIM_XY)
         assert len(comps) == 2
         assert len(comps[0].inequations) == 2
         assert comps[1].inequations == ()
 
     def test_format_round_trip(self):
-        comps = parse_components(COMPONENTS, XY)
+        comps = parse_components(COMPONENTS, XY, ELIM_XY)
         text = format_components(comps, XY)
-        again = parse_components(text, XY)
+        again = parse_components(text, XY, ELIM_XY)
         assert [c.to_text() for c in again] == [c.to_text() for c in comps]
 
     def test_default_ranking_fills_in(self):
-        rk = Ranking.elimination(2, [0, 1])
-        comps = parse_components("charset: y; x'\n", XY, rk)
-        assert comps[0].ranking == rk
+        comps = parse_components("charset: y; x'\n", XY, ELIM_XY)
+        assert comps[0].ranking == ELIM_XY
 
-    def test_no_ranking_anywhere_fails(self):
-        with pytest.raises(SysFileError, match="ranking"):
-            parse_components("charset: y; x'\n", XY)
+    @pytest.mark.parametrize("line", ["ranking: elim x > y", "charset: y; x'", "ineqs: y", "prime: no"])
+    def test_repeated_key_is_refused(self, line):
+        # each key comes once per block, in any case: line 5 repeats one of lines 1-4
+        key = line.partition(":")[0]
+        block = COMPONENTS.split("\n\n")[1] + key.title() + line[len(key) :] + "\n"
+        with pytest.raises(SysFileError) as exc:
+            parse_components(block, XY, ELIM_XY)
+        assert str(exc.value) == f"line 5: duplicate '{key}:' line"
 
     def test_invalid_component_content_fails(self):
         # not autoreduced: file is well-formed, content is not a component
         with pytest.raises(SysFileError):
-            parse_components("ranking: elim x > y\ncharset: x'; x'' + y\n", XY)
+            parse_components("ranking: elim x > y\ncharset: x'; x'' + y\n", XY, ELIM_XY)
 
     def test_system_file_with_component_blocks_is_refused(self):
         # components live in component files only; line 9 opens the block
