@@ -20,9 +20,10 @@ With ``--timing PASSES`` both trees run in this one process: each tree's
 ``src/diffalg`` is loaded under a module name of its own (every import in
 the package is relative), and each query runs once in each tree, the order
 of the two alternating, in each of PASSES passes.  Per workload this prints
-the sum over the queries of each tree's minimum time and the B/A ratio;
-queries over the limit in either tree are run once and left out of the
-sums.  The digests of the first pass are compared as above.  Two runs of
+the sum over the queries of each tree's minimum time and the B/A ratio, and
+the median (p50) and 90th percentile (p90) of those minima, the latency
+tail side by side; queries over the limit in either tree are run once and
+left out.  The digests of the first pass are compared as above.  Two runs of
 one benchmark command on a shared machine swing far more than two trees
 timed side by side in one process, query by query.
 """
@@ -34,6 +35,7 @@ import importlib.util
 import json
 import os
 import shutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -58,14 +60,28 @@ def compare(a: dict, b: dict) -> dict:
     return {"differ": differ, "over_limit": over}
 
 
+def _percentile(values: list, q: int) -> float:
+    """The q-th percentile as the benchmark reads its latencies."""
+    if len(values) == 1:
+        return values[0]
+    return statistics.quantiles(values, n=100, method="inclusive")[q - 1]
+
+
 def timing_summary(a: dict, b: dict) -> dict:
-    """Sum, over the queries timed in both runs, of each run's minimum time
-    per query; a and b map a query id to its times in seconds.  Returns
-    {"queries", "a_s", "b_s", "ratio"} with ratio = b_s / a_s."""
+    """Sum, median and 90th percentile, over the queries timed in both runs,
+    of each run's minimum time per query; a and b map a query id to its
+    times in seconds.  Returns {"queries", "a_s", "b_s", "ratio", "a_p50_s",
+    "b_p50_s", "a_p90_s", "b_p90_s"} with ratio = b_s / a_s; the
+    percentiles are nan when no query is shared."""
     shared = sorted(set(a) & set(b))
-    a_s = sum(min(a[q]) for q in shared)
-    b_s = sum(min(b[q]) for q in shared)
-    return {"queries": len(shared), "a_s": a_s, "b_s": b_s, "ratio": b_s / a_s if a_s else float("nan")}
+    out = {"queries": len(shared)}
+    for tag, run in (("a", a), ("b", b)):
+        mins = [min(run[q]) for q in shared]
+        out[f"{tag}_s"] = sum(mins)
+        out[f"{tag}_p50_s"] = statistics.median(mins) if mins else float("nan")
+        out[f"{tag}_p90_s"] = _percentile(mins, 90) if mins else float("nan")
+    out["ratio"] = out["b_s"] / out["a_s"] if out["a_s"] else float("nan")
+    return out
 
 
 def _load_tree(tree: Path, name: str):
@@ -203,6 +219,10 @@ def main(argv=None) -> int:
             print(
                 f"  timing, {args.timing} passes, sum of per-query minima over {sm['queries']} "
                 f"queries: A {sm['a_s']:.4f} s, B {sm['b_s']:.4f} s, B/A {sm['ratio']:.3f}"
+            )
+            print(
+                f"  per-query minima, p50: A {sm['a_p50_s'] * 1e3:.3f} ms, B {sm['b_p50_s'] * 1e3:.3f} ms; "
+                f"p90: A {sm['a_p90_s'] * 1e3:.3f} ms, B {sm['b_p90_s'] * 1e3:.3f} ms"
             )
     return 0 if total == 0 else 1
 

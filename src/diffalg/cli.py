@@ -14,7 +14,8 @@ through --components, a component file such as decompose prints, and then
 count as incomplete (never HOLDS); without it jbc-check decomposes the
 system itself.  The decomposition budget is fixed
 (decompose.MAX_COMPONENTS, reduction.MAX_WORK: nodes and term pairs).  Output is
-deterministic: the same input always produces byte-identical output.
+deterministic: the same input always produces byte-identical output, and a
+run that ends in an error (exit 2 or 3) prints nothing on stdout.
 
 Exit codes:
 
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import sys
 from typing import Optional, Sequence
 
@@ -315,15 +317,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one subcommand.  Its stdout is held back until it returns, so a
+    run that ends in an error prints nothing on stdout."""
     args = _parser().parse_args(argv)
+    held = io.StringIO()
+    stdout, sys.stdout = sys.stdout, held
     try:
-        return args.fn(args)
+        code = args.fn(args)
     except (ParseError, SysFileError) as exc:
         print(f"diffalg: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except _DOMAIN_ERRORS as exc:
         print(f"diffalg: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    finally:
+        sys.stdout = stdout
+    stdout.write(held.getvalue())
+    return code
 
 
 if __name__ == "__main__":

@@ -230,8 +230,10 @@ def _accumulate(acc: dict, m, c) -> None:
     the derivation, candidates) to nonzero coefficients, dropping a
     coefficient that cancels.  The package's sparse sums merge here, apart
     from two hot loops that inline it: the oracle's echelon, whose row loop
-    adds a multiple of a row in place (its candidates are monomial shifts,
-    whose terms never meet), and _add_product's term pairs."""
+    adds a multiple of a row's tail to the vector in place (its candidates
+    are monomial shifts, whose terms never meet; a combination of
+    candidates is expanded here, and only for a Member), and _add_product's
+    term pairs."""
     cur = acc.get(m)
     c = c if cur is None else cur + c
     if c:

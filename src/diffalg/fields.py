@@ -18,6 +18,7 @@ No floating point anywhere.
 
 from __future__ import annotations
 
+import sys
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
@@ -145,12 +146,29 @@ def _ppow(a: Poly, e: int) -> Poly:
     return _pmul(h, a) if e & 1 else h
 
 
+def _too_long(c: int) -> ValueError:
+    """The refusal of c > 0 when it has more digits than Python converts to
+    text (sys.get_int_max_str_digits()): it names c by its first and last
+    digits and its length."""
+    n = (c.bit_length() - 1) * 3 // 10  # 3/10 < log10(2): below c's digit count
+    while c >= 10**n:
+        n += 1
+    head, tail = c // 10 ** (n - 6), c % 10**6
+    return ValueError(
+        f"coefficient {head}...{tail:06d} has {n} digits, more than the "
+        f"{sys.get_int_max_str_digits()} that can be written as text"
+    )
+
+
 def _qtext(c: int, d: int) -> str:
     """c/d in lowest terms, for c >= 0 and d > 0."""
     g = gcd(c, d)
     if g != 1:
         c, d = c // g, d // g
-    return str(c) if d == 1 else f"{c}/{d}"
+    try:
+        return str(c) if d == 1 else f"{c}/{d}"
+    except ValueError:  # one of c, d has too many digits for text: the larger
+        raise _too_long(max(c, d)) from None
 
 
 def _ptext(a: Poly, lead: int) -> str:

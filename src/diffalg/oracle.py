@@ -26,8 +26,12 @@ by a monomial is one-to-one on monomials, so its coefficients are those of
 d^k(g_i), and no polynomial product is made.  d^k(g_i) is read once as
 (degree, factors, coefficient) triples, and the key of m * hm is
 (deg m + deg hm, the merged factors of m and hm), so no Monomial is built
-for a candidate either.  Witnesses are re-verified by plain polynomial
-arithmetic, independent of these shortcuts.
+for a candidate either.  A row records the (pivot, quotient) steps that
+reduced its candidate, not the combination of candidates it stands for;
+reduction updates only the vector, and a combination is expanded from the
+steps only when f reduces to zero, so a search that ends Inconclusive never
+builds one.  Witnesses are re-verified by plain polynomial arithmetic,
+independent of these shortcuts.
 
 Over Q, where the derivation of a coefficient is zero, the search looks for
 positive integer variable weights under which every generator is homogeneous
@@ -40,12 +44,12 @@ blocks, one echelon each, and only the blocks f occupies are built -- this
 makes the high-power examples instant.  Otherwise, and when a block is
 over the cap, the search walks the (degree, prolongation) stages,
 degree-major, into a single growing echelon: a candidate m * d^k(g_i) is
-built and eliminated the first time a stage admits it, and f is reduced
-again only when the echelon has grown.  A stage whose own candidate count
-exceeds the matrix cap is skipped and counted in the diagnostic.  Stages
-are nested in both bounds, so the echelon spans the union of the admitted
-stages; when no stage is skipped that union is the top stage, the whole
-truncation.
+built and eliminated the first time a stage admits it, and f's reduction
+resumes where it stopped each time the echelon has grown.  A stage whose
+own candidate count exceeds the matrix cap is skipped and counted in the
+diagnostic.  Stages are nested in both bounds, so the echelon spans the
+union of the admitted stages; when no stage is skipped that union is the
+top stage, the whole truncation.
 
 One search object is built per query, for f: it checks the generators and
 finds their weights once, and it answers for the powers f^e, which have
@@ -53,7 +57,9 @@ the jets of f.  truncated_member is its answer for e = 1 and radical_member
 its walk over the powers; once e = 1 has swept the stages, every further
 power is a single reduction.  Candidate counts only grow with the degree,
 so with no weights, once a power's first stage is over the cap every later
-power's is too: those powers are counted, not tried.
+power's is too: those powers are counted, not tried.  With weights every
+power solves blocks of its own, and the walk tries no further power once
+the graded candidates of the powers tried pass the same cap.
 """
 
 from __future__ import annotations
@@ -63,8 +69,8 @@ from enum import Enum
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
-from .diffpoly import Context, DiffPoly, Monomial, _accumulate, _merge_factors
-from .fields import QQ, RF_ONE
+from .diffpoly import MON_ONE, Context, DiffPoly, Monomial, _accumulate, _merge_factors
+from .fields import QQ
 
 MAX_CANDIDATES = 1500
 
@@ -259,15 +265,18 @@ def _jet_universe(jets, kept) -> tuple:
 
 def _monomials_upto(jets, max_deg: int) -> list:
     """All monomials of total degree <= max_deg over the given jets,
-    C(len(jets) + max_deg, max_deg) of them."""
-    out = [Monomial.make(())]
+    C(len(jets) + max_deg, max_deg) of them.  The jets come sorted, as
+    _jet_universe gives them, and each factor tuple is built in their
+    order, so its factors are sorted, distinct and positive as Monomial
+    keeps them."""
+    out = [MON_ONE]
     stack = [(0, (), max_deg)]
     while stack:
         i, acc, left = stack.pop()
         for j in range(i, len(jets)):
             for e in range(1, left + 1):
                 mono = acc + ((jets[j], e),)
-                out.append(Monomial.make(mono))
+                out.append(Monomial(mono))
                 if left - e > 0:
                     stack.append((j + 1, mono, left - e))
     return out
@@ -308,12 +317,19 @@ class _Echelon:
     field.  Every monomial is keyed by its sort key (degree, factors), whose
     tuple order is the graded monomial order, so a vector's leading entry is
     its max().  Each row sits under its pivot (leading monomial) unscaled, as
-    (tail, combination, lead): the sparse key -> coefficient map of its
-    other entries, the {candidate key: coefficient} map that makes it, and
-    its coefficient at the pivot.  The pivots are distinct, so a polynomial
-    lies in the span of the candidates exactly when reducing its leading
-    monomials on the rows ends at zero; each step takes one quotient by the
-    row's lead, and no row is ever divided through."""
+    (tail, lead, key, steps): the sparse key -> coefficient map of its other
+    entries, its coefficient at the pivot, the key of the candidate it was
+    made from, and the (pivot, quotient) steps that reduced that candidate
+    to it.  The pivots are distinct, so a polynomial lies in the span of the
+    candidates exactly when reducing its leading monomials on the rows ends
+    at zero; each step takes one quotient by the row's lead, and no row is
+    ever divided through.
+
+    Reduction updates only the vector.  A row is its candidate plus
+    multiples of earlier rows, so the rows' candidates are independent and
+    a polynomial in the span is one combination of them, with unique
+    coefficients; that combination is expanded from the recorded steps
+    only when a reduction ends at zero (_combination)."""
 
     def __init__(self):
         self.rows = {}
@@ -321,45 +337,75 @@ class _Echelon:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _reduce(self, vec: dict, combo: dict):
-        """Reduce vec in place, carrying combo through every row operation;
-        the leading monomial left over, or None when vec reduced to zero."""
+    def _reduce(self, vec: dict, steps: list):
+        """Reduce vec in place, appending each (pivot, quotient) step to
+        steps; the leading monomial left over, or None when vec reduced to
+        zero.  A vector left over may be reduced again once rows are added."""
         rows = self.rows
         while vec:
             pivot = max(vec)
             row = rows.get(pivot)
             if row is None:
                 return pivot
-            rtail, rcombo, lead = row
+            tail, lead, _, _ = row
             c = -(vec.pop(pivot) / lead)
-            for target, source in ((vec, rtail), (combo, rcombo)):
-                for m, x in source.items():
-                    cur = target.get(m)
-                    nxt = (cur + c * x) if cur is not None else c * x
-                    if nxt:
-                        target[m] = nxt
-                    else:
-                        del target[m]
+            steps.append((pivot, c))
+            for m, x in tail.items():
+                cur = vec.get(m)
+                nxt = (cur + c * x) if cur is not None else c * x
+                if nxt:
+                    vec[m] = nxt
+                else:
+                    del vec[m]
         return None
+
+    def _combination(self, steps: list) -> dict:
+        """{candidate key: coefficient} of the vector that the steps took to
+        zero: v + sum of c * row(pivot) = 0.  Each row's steps refer to
+        earlier rows only, so one pass over the rows in reverse insertion
+        order carries every row's multiplier down to the rows its own steps
+        used, with no recursion: a row reached with multiplier w contributes
+        -w times its candidate."""
+        rows = self.rows
+        weight: dict = {}
+        for pivot, c in steps:
+            _accumulate(weight, pivot, c)
+        combo = {}
+        for pivot in reversed(rows):
+            if not weight:
+                break
+            w = weight.pop(pivot, None)
+            if w is None:
+                continue
+            _, _, key, row_steps = rows[pivot]
+            combo[key] = -w
+            for q, c in row_steps:
+                _accumulate(weight, q, w * c)
+        return combo
 
     def add(self, key, vec: dict) -> None:
         """Eliminate the candidate with the coefficient vector vec (keyed
         by sort keys), which this takes over; it becomes a row unless it is
         already in the span."""
-        combo = {key: RF_ONE}
-        pivot = self._reduce(vec, combo)
+        steps: list = []
+        pivot = self._reduce(vec, steps)
         if pivot is not None:
             lead = vec.pop(pivot)
-            self.rows[pivot] = (vec, combo, lead)
+            self.rows[pivot] = (vec, lead, key, steps)
+
+    def resume(self, vec: dict, steps: list) -> Optional[dict]:
+        """Reduce vec further on the rows as they stand, after earlier
+        reductions of the same vec recorded in steps: {candidate key:
+        coefficient} summing to the vector vec started as, or None while it
+        is outside the span."""
+        if self._reduce(vec, steps) is not None:
+            return None
+        return self._combination(steps)
 
     def solve(self, f: DiffPoly) -> Optional[dict]:
         """{candidate key: coefficient} with f = sum of coefficient *
         candidate, or None when f is outside the span."""
-        combo: dict = {}
-        if self._reduce({m.sort_key(): c for m, c in f.items()}, combo) is not None:
-            return None
-        # f reduced to zero: f = sum over basis contributions with OPPOSITE sign
-        return {k: -c for k, c in combo.items()}
+        return self.resume({m.sort_key(): c for m, c in f.items()}, [])
 
 
 def _exhausted(skipped: int) -> str:
@@ -396,6 +442,7 @@ class _Search:
         self.built: set = set()  # candidate keys (gi, k, m) in the echelon
         self.stages: dict = {}  # (dd, pp) -> admitted, skipped (False) or empty (None)
         self.monomials: dict = {}  # (universe, degree cap) -> monomials
+        self.graded = 0  # candidates the graded blocks have eliminated, over every power
 
     def answer(self, e: int) -> MembershipWitness:
         """Is f^e in the truncated span?  A zero f^e is a Member; a query
@@ -507,6 +554,7 @@ class _Search:
                     count += 1
                     if count > MAX_CANDIDATES:
                         raise _CapHit
+                    self.graded += 1
                     echelon.add((gi, k, m), _shifted(m, terms_h))
             combo = echelon.solve(DiffPoly.from_terms(f.context, terms))
             if combo is None:
@@ -540,9 +588,12 @@ class _Search:
     def _find(self, f: DiffPoly) -> tuple:
         """Walk the stages from f's degree up until f lies in the echelon's span;
         returns (combination or None, stages skipped by the cap).  Candidate counts
-        only grow with both bounds: stages after a skipped one are counted, not visited."""
+        only grow with both bounds: stages after a skipped one are counted, not visited.
+        f's reduction is kept from stage to stage and resumes where it stopped
+        at each admitted stage; with no new row under its leading monomial it
+        stops at once."""
         skipped = 0
-        tried_at = None
+        vec, steps = {m.sort_key(): c for m, c in f.items()}, []
         top, last = self.bounds.degree_bound, self.bounds.prolongation_order
         for dd in range(f.total_degree(), top + 1):
             for pp in range(last + 1):
@@ -554,9 +605,8 @@ class _Search:
                     if pp == 0:
                         return None, skipped + (top - dd) * (last + 1)
                     break
-                if admitted and len(self.echelon) != tried_at:
-                    tried_at = len(self.echelon)
-                    combo = self.echelon.solve(f)
+                if admitted:
+                    combo = self.echelon.resume(vec, steps)
                     if combo is not None:
                         return combo, skipped
         return None, skipped
@@ -581,7 +631,10 @@ def radical_member(
     powers share one search, so no stage is swept twice.  Candidate counts
     only grow with the degree: with no weights, once a power's staged walk
     skips its first stage (e * deg f, 0), every later power's is skipped
-    whole too, and those powers are counted, not tried."""
+    whole too, and those powers are counted, not tried.  With weights each
+    power solves graded blocks of its own, so MAX_CANDIDATES also bounds
+    their total: once the powers tried have eliminated more graded
+    candidates than that, no further power is tried."""
     search = _Search(f, gens, bounds)
     deg, top, pp = f.total_degree(), bounds.degree_bound, bounds.prolongation_order
     diag = f"no power up to {bounds.power_bound} found"
@@ -591,6 +644,12 @@ def radical_member(
         if e * deg > top:
             tried = f"no power up to {e - 1} found" if e > 1 else "no power tried"
             diag = f"{tried}: the degree bound {top} stops the search at f^{e} (degree {e * deg})"
+            break
+        if search.graded > MAX_CANDIDATES:
+            diag = (
+                f"no power up to {e - 1} found: the candidate cap {MAX_CANDIDATES} stops the search "
+                f"at f^{e} ({search.graded} graded candidates before it)"
+            )
             break
         w = search.answer(e)
         if w.is_member():

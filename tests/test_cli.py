@@ -553,6 +553,35 @@ class TestErrorChannel:
         assert time.perf_counter() - start < 1.0
         assert capsys.readouterr().err == "diffalg: line 6: the value of 'x' is not a constant\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["decompose"], ["jbc-check"], ["jbc-check", "--json"], ["linearize"], ["reduce", "--target", "u1"]],
+        ids=lambda a: " ".join(a),
+    )
+    def test_coefficient_too_long_to_print(self, tmp_path, capsys, argv):
+        # 4,000 sevens times 4,000 sevens has 8,000 digits, more than Python
+        # converts to text: a named refusal, exit 3 and nothing on stdout
+        sevens = "7" * 4000
+        p = tmp_path / "big.sys"
+        p.write_text(f"field: Q\nvars: x, y\nranking: elim x > y\neq u1 = {sevens}*{sevens}*x' + y\neq u2 = y'\n")
+        assert main([argv[0], str(p), *argv[1:]]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "diffalg: coefficient 604938...061729 has 8000 digits, more than the 4300 that can be written as text\n"
+
+    def test_reduce_prints_nothing_before_a_coefficient_too_long_to_print(self, tmp_path, capsys):
+        # the dividend and divisors print, but a quotient's coefficient has
+        # 6,000 digits: stdout is held back, so none of it is written
+        p = tmp_path / "red.sys"
+        p.write_text(
+            "field: Q\nvars: x, z\nranking: elim x > z\n"
+            f"eq b = {'7' * 3000}*z + x''\neq a = {'3' * 3000}*x' - 1\n"
+        )
+        assert main(["reduce", str(p), "--target", "b"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "diffalg: coefficient 259259...740741 has 6000 digits, more than the 4300 that can be written as text\n"
+
     def test_point_variable_assigned_twice(self, tmp_path, capsys):
         p = tmp_path / "twice.sys"
         p.write_text(FLAGSHIP.replace("x = 0", "x = 1, x = 0"))

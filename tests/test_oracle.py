@@ -1,6 +1,7 @@
 """The truncated ideal-membership oracle: exact span solving over prolonged
 generators, honest Inconclusive answers, and radical search."""
 
+import sys
 import time
 from collections import Counter
 from unittest.mock import patch
@@ -185,6 +186,33 @@ class TestRadical:
             "(3)*x*x'*y'*g2 + (-3/2)*x^2*y''*g2 + (3/2)*x^2*y'*d^1(g2)"
         )
 
+    def test_the_cap_bounds_the_graded_walk(self):
+        # each power of y or x*y + x solves graded blocks of its own; past
+        # 1,500 graded candidates in all the walk tries no further power
+        # (walked to the power bound 800, these took minutes)
+        gens = [parse_poly("y^2 - x^3", XY), parse_poly("x'", XY)]
+        bounds = TruncationBounds(2, 1, 10**8, 800)
+        start = time.process_time()
+        w_y = radical_member(parse_poly("y", XY), gens, bounds)
+        w_xy = radical_member(parse_poly("x*y + x", XY), gens, bounds)
+        assert time.process_time() - start < 2.0
+        last = "(last: no combination exists at these bounds (graded search exhausted))"
+        assert w_y.diagnostic == (
+            "no power up to 78 found: the candidate cap 1500 stops the search at f^79 "
+            f"(1521 graded candidates before it) {last}"
+        )
+        assert w_xy.diagnostic == (
+            "no power up to 96 found: the candidate cap 1500 stops the search at f^97 "
+            f"(1520 graded candidates before it) {last}"
+        )
+
+    @pytest.mark.parametrize("bounds", [(1, 2, 4, 3), (2, 3, 4, 4), (2, 3, 5, 3), (2, 4, 6, 4)])
+    def test_the_benchmark_cusp_radicals_stay_members(self, bounds):
+        # the truncation bounds of the membership workload's cusp queries
+        gens = [parse_poly("y^2 - 3/2*x^3", XY), parse_poly("x'", XY)]
+        w = radical_member(parse_poly("2*y'", XY), gens, TruncationBounds(*bounds))
+        assert w.is_member() and w.power == 3
+
     def test_exponent_one_short_circuits(self):
         f, g = P("x'^3"), P("x^2")
         w = radical_member(f, [g], TruncationBounds(2, 3, 6, 6))
@@ -354,8 +382,11 @@ class TestWorkGates:
     def test_staged_non_member_arithmetic(self, monkeypatch):
         """Work gate, pinned: the staged search on the membership
         workload's non-member staged1-nonmember (seed 5) makes these field
-        operations and no polynomial product, as when the echelon was keyed
-        by Monomial objects: keying by sort keys changes no arithmetic."""
+        operations and no polynomial product.  The echelon's rows record
+        their reduction steps and no combination is built for a miss, and
+        f's reduction resumes from stage to stage (158 multiplications and
+        32 additions when every row carried its combination and f was
+        reduced afresh at each stage)."""
         gens = [parse_poly("1/2*x'*y' - 3/2*x'", XY), parse_poly("-3/2*y'^2 - x - 3/2*y - 9/2", XY)]
         f = parse_poly("-4*x*y' + 4*x' - 4", XY)
         counts = Counter()
@@ -372,7 +403,29 @@ class TestWorkGates:
         monkeypatch.setattr(DiffPoly, "__mul__", counting("products", DiffPoly.__mul__))
         w = truncated_member(f, gens, TruncationBounds(1, 3, 3, 1))
         assert w.diagnostic == "search exhausted"
-        assert dict(counts) == {"add": 32, "truediv": 38, "mul": 158, "neg": 38}
+        assert dict(counts) == {"add": 28, "truediv": 38, "mul": 107, "neg": 38}
+
+    def test_flagship_failing_search_multiplications(self, monkeypatch):
+        """Work gate, pinned: the failing staged search for x'*y over the
+        flagship pair at the default bounds 4,6,8,6 makes exactly these
+        field operations (40,676 multiplications and 12,988 additions when
+        every row carried its combination)."""
+        gens = [parse_poly("x'' + y", XY), parse_poly("x'^2 + y", XY)]
+        f = parse_poly("x'*y", XY)
+        counts = Counter()
+
+        def counting(name, method):
+            def wrapped(*args):
+                counts[name] += 1
+                return method(*args)
+
+            return wrapped
+
+        for name in ("__add__", "__mul__", "__truediv__"):
+            monkeypatch.setattr(RatFunc, name, counting(name.strip("_"), getattr(RatFunc, name)))
+        w = truncated_member(f, gens, TruncationBounds(4, 6, 8, 6))
+        assert w.diagnostic == "search exhausted; 23 stage(s) skipped by the candidate cap 1500"
+        assert dict(counts) == {"mul": 11979, "add": 3355, "truediv": 10104}
 
 
 @st.composite
@@ -726,3 +779,71 @@ class TestGradedAgainstPerStageRebuild:
             assert verify_witness(f, gens, w) and _in_truncation(w, gens, bounds)
         if not skipped:
             assert (w.power if w.is_member() else None) == power
+
+
+class TestCombinationOnlyForAMember:
+    """The echelon records each row's reduction steps and expands a
+    combination only when a reduction ends at zero; _find resumes f's
+    reduction from stage to stage.  Both give the combination that the
+    reference echelon, which carries every row's combination, solves for."""
+
+    def test_a_chain_longer_than_the_recursion_limit(self):
+        # candidate k is a_(k-1) + a_k with a_k = x^(n + 1 - k), so row k is
+        # reached through row k - 1, and a_n = x is the alternating sum of
+        # all n + 1 candidates
+        n = sys.getrecursionlimit() + 100
+        x = DerVar(0, 0)
+        key = [Monomial.of(x, n + 1 - k).sort_key() for k in range(n + 1)]
+        one = RatFunc.from_fraction(1)
+        echelon = oracle._Echelon()
+        echelon.add(0, {key[0]: one})
+        for k in range(1, n + 1):
+            echelon.add(k, {key[k - 1]: one, key[k]: one})
+        assert len(echelon) == n + 1
+        combo = echelon.solve(DiffPoly.var(X1, 0, 0))
+        assert combo == {k: one if (n - k) % 2 == 0 else -one for k in range(n + 1)}
+
+    @staticmethod
+    def _check_find(case, cap, stop):
+        f, gens, bounds = case
+        if stop is not None:  # end the walk at an intermediate stage
+            bounds = TruncationBounds(
+                bounds.jet_order,
+                min(stop[1], bounds.prolongation_order),
+                max(f.total_degree(), min(stop[0], bounds.degree_bound)),
+                bounds.power_bound,
+            )
+        with patch.object(oracle, "MAX_CANDIDATES", cap):
+            search = oracle._Search(f, gens, bounds)
+            taken = []
+            add = search.echelon.add
+
+            def logging_add(key, vec):
+                taken.append(key)
+                add(key, vec)
+
+            search.echelon.add = logging_add
+            combo, _ = search._find(f)
+        ref = Echelon()
+        for gi, k, m in taken:
+            ref.add((gi, k, m), {m * hm: c for hm, c in gens[gi].derive(k).items()})
+        assert combo == ref.solve(f)
+        assert combo == search.echelon.solve(f)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=staged_cases(),
+        cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)),
+        stop=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 2)),
+    )
+    def test_find_solves_as_the_reference_echelon(self, case, cap, stop):
+        self._check_find(case, cap, stop)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        case=staged_cases(XY_T, t_fractions()),
+        cap=st.sampled_from((8, 16, oracle.MAX_CANDIDATES)),
+        stop=st.none() | st.tuples(st.integers(0, 4), st.integers(0, 2)),
+    )
+    def test_find_solves_as_the_reference_echelon_over_qt(self, case, cap, stop):
+        self._check_find(case, cap, stop)

@@ -45,3 +45,21 @@ def test_timing_sums_the_per_query_minima_of_shared_queries():
     assert abs(sm["a_s"] - 0.15) < 1e-12
     assert abs(sm["b_s"] - 0.12) < 1e-12
     assert abs(sm["ratio"] - 0.8) < 1e-12
+
+
+def test_timing_reads_the_median_and_90th_percentile_of_the_minima():
+    # per-query minima: A 1..10 ms, B 2..20 ms; the inclusive quantiles
+    # put p50 at 5.5 and p90 at 9.1 of ten evenly spaced values
+    a = {f"q{i}": [i / 1e3, 1.0] for i in range(1, 11)}
+    b = {f"q{i}": [2 * i / 1e3] for i in range(1, 11)}
+    sm = timing_summary(a, b)
+    assert abs(sm["a_p50_s"] - 5.5e-3) < 1e-12
+    assert abs(sm["a_p90_s"] - 9.1e-3) < 1e-12
+    assert abs(sm["b_p50_s"] - 11e-3) < 1e-12
+    assert abs(sm["b_p90_s"] - 18.2e-3) < 1e-12
+
+
+def test_timing_of_one_shared_query_is_its_minimum():
+    sm = timing_summary({"q1": [0.3, 0.2]}, {"q1": [0.4], "q2": [9.0]})
+    assert sm["a_p50_s"] == sm["a_p90_s"] == 0.2
+    assert sm["b_p50_s"] == sm["b_p90_s"] == 0.4
