@@ -321,11 +321,20 @@ class RatFunc:
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
         if not other:
             raise ZeroDivisionError("division by zero rational function")
-        on, od = other.num, other.den
+        a, b, on, od = self.num, self.den, other.num, other.den
         if len(on) == 1 and len(od) == 1:
+            if len(a) == 1 and len(b) == 1:
+                # a nonzero element of Q by another: one gcd, as in __mul__
+                n, m = a[0] * od[0], b[0] * on[0]
+                if m < 0:
+                    n, m = -n, -m
+                g = gcd(n, m)
+                if g != 1:
+                    n, m = n // g, m // g
+                return RatFunc((n,), _const(m))
             # by a constant: numerator and denominator stay coprime
-            return _canonical(_pmul(self.num, od), _pmul(self.den, on))
-        return _reduced(_pmul(self.num, other.den), _pmul(self.den, other.num))
+            return _canonical(_pmul(a, od), _pmul(b, on))
+        return _reduced(_pmul(a, od), _pmul(b, on))
 
     def derive(self) -> "RatFunc":
         """d/dt by the quotient rule."""

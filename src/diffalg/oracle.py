@@ -70,9 +70,10 @@ from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .diffpoly import MON_ONE, Context, DiffPoly, Monomial, _accumulate, _merge_factors
-from .fields import QQ
+from .fields import QQ, RF_ONE
 
 MAX_CANDIDATES = 1500
+_MINUS_ONE = -RF_ONE
 
 
 @dataclass(frozen=True)
@@ -322,8 +323,9 @@ class _Echelon:
     made from, and the (pivot, quotient) steps that reduced that candidate
     to it.  The pivots are distinct, so a polynomial lies in the span of the
     candidates exactly when reducing its leading monomials on the rows ends
-    at zero; each step takes one quotient by the row's lead, and no row is
-    ever divided through.
+    at zero.  A step's quotient is one product with the row's -1/lead, kept
+    in scales from the first step that uses the row, so a row that no step
+    uses is never inverted, and no row is ever divided through.
 
     Reduction updates only the vector.  A row is its candidate plus
     multiples of earlier rows, so the rows' candidates are independent and
@@ -333,6 +335,7 @@ class _Echelon:
 
     def __init__(self):
         self.rows = {}
+        self.scales = {}  # pivot -> -1/lead of its row, once a step has used it
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -341,14 +344,17 @@ class _Echelon:
         """Reduce vec in place, appending each (pivot, quotient) step to
         steps; the leading monomial left over, or None when vec reduced to
         zero.  A vector left over may be reduced again once rows are added."""
-        rows = self.rows
+        rows, scales = self.rows, self.scales
         while vec:
             pivot = max(vec)
             row = rows.get(pivot)
             if row is None:
                 return pivot
             tail, lead, _, _ = row
-            c = -(vec.pop(pivot) / lead)
+            scale = scales.get(pivot)
+            if scale is None:
+                scale = scales[pivot] = _MINUS_ONE / lead
+            c = vec.pop(pivot) * scale
             steps.append((pivot, c))
             for m, x in tail.items():
                 cur = vec.get(m)
@@ -443,12 +449,17 @@ class _Search:
         self.stages: dict = {}  # (dd, pp) -> admitted, skipped (False) or empty (None)
         self.monomials: dict = {}  # (universe, degree cap) -> monomials
         self.graded = 0  # candidates the graded blocks have eliminated, over every power
+        self.power = (1, f)  # (e, f^e) for the last power asked about
 
     def answer(self, e: int) -> MembershipWitness:
         """Is f^e in the truncated span?  A zero f^e is a Member; a query
         above the jet bound is a ValueError; one above the degree bound is
-        Inconclusive."""
-        f = self.f ** e if e > 1 else self.f
+        Inconclusive.  A walk over the powers e = 1, 2, ... makes each f^e
+        as one product of the last power with f."""
+        last, f = self.power
+        if e != last:
+            f = f * self.f if e == last + 1 else self.f ** e
+            self.power = (e, f)
         bounds = self.bounds
         if f.is_zero():
             return self._assemble({}, e)

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from .diffpoly import DiffPoly, Monomial, _accumulate, _add_product, _degree_profile
+from .diffpoly import DiffPoly, Monomial, _accumulate, _add_product, _check_same_context, _degree_profile
 from .ranking import (
     ConstantPolyError,
     RankedPoly,
@@ -349,15 +349,20 @@ def verify_certificate(
     """Re-check the whole certificate by plain arithmetic: the division
     identity, reducedness of the remainder, the audited multiplier
     factorization, and that every factor is a separant or initial of a
-    divisor."""
+    divisor.  Each side of the identity multiplier * b = remainder + sum
+    of q_i(a_i) is summed term pair by term pair into one map, with no
+    polynomial built, and the two maps are compared."""
     if len(cert.quotients) != len(seq):
         return False
     ranked = [analyze(a, ranking) for a in seq]
-    lhs = cert.multiplier * b
-    rhs = cert.remainder
+    for p in (cert.multiplier, cert.remainder, *seq):
+        _check_same_context(p, b)
+    rhs = dict(cert.remainder._terms)
     for q, a in zip(cert.quotients, seq):
-        rhs = rhs + q.apply(a)
-    if lhs != rhs:
+        for k, c in q._terms.items():
+            _check_same_context(c, a)
+            _add_product(rhs, c._terms, a.derive(k)._terms)
+    if _add_product({}, cert.multiplier._terms, b._terms) != rhs:
         return False
     if not all(is_reduced(cert.remainder, rp) for rp in ranked):
         return False

@@ -11,12 +11,15 @@ The expression grammar covers differential polynomials as humans write them:
 * division is only by (nonzero) constants, so everything stays polynomial;
 * over Q(t) the name ``t`` denotes the field parameter, not a variable.
 
-The reader (``_scan``) reads an expression in one scan of one regex whose
-matches are whole factors, each with its power and the operator before it,
-and folds them left to right in one loop, with an explicit stack for
-parentheses.  Each term's monomial and coefficient are built once.  Nothing
-is kept between calls: every equation and every value of a point is read
-afresh.
+The reader (``_scan``) reads an expression in one scan of one regex and
+folds the matches left to right in one loop, with an explicit stack for
+parentheses.  Over Q a match is first tried as a whole plain term, such as
+``-3/2*x'^2`` or ``7``, whose monomial and coefficient are looked up by
+their spelling in a table; any other match is one factor with its power and
+the operator before it.  Each term's monomial and coefficient are built
+once.  ``parse_system`` keeps one table for the whole file, equations and
+point values alike, so a jet or coefficient that repeats in the file is
+built once; nothing outlives one file.
 
 A *system file* declares the field, the variables, a ranking, named
 equations, and optionally named points.  A point's values are expressions
@@ -107,26 +110,48 @@ class SysFileError(ValueError):
 _TOKEN_RE = re.compile(r"[0-9]+|[A-Za-z_][A-Za-z0-9_]*|'+|[^ \t\n\r\f\v]")
 # A character no token may hold.
 _BAD_RE = re.compile(r"[^ \t\n\r\f\v0-9A-Za-z_'()*+,\-/=>^]")
-# One match is one factor with the operator before it.  Groups:
-#   1 op      '+', '-', '*', '/' or ''      2 minus   a run of unary minus
+# One match is a plain term or one factor, each with the operator before it.
+# A plain term is a whole term of the commonest shape,
+#     [+|-] INT [/ INT]   or   [+|-] [INT [/ INT] *] NAME [primes] [^ INT]
+# with one to three primes, a nonzero divisor, integers of at most 640
+# digits, and a '+', '-' or the end after it.  Its groups are sign ('+', '-'
+# or ''), its integers tnum and tden, and its variable tname with tprimes
+# and its exponent texp.
+# Anything else fails the plain alternative and is read a factor at a time:
+#   op      '+', '-', '*', '/' or ''      minus   a run of unary minus
 # then one of
-#   3 name    a name, with 4 primes, or with a derivative marker '^(', its
-#             order 5 and 6 its ')'
-#   7 lit     an integer literal
-#   8 close   ')'
-#   10 open   '('
-# where name, lit and close may take a power '^' with exponent 9.  The
-# integers 5 and 9 match empty, and 6 matches empty, when the '^(' or '^'
-# before them is not followed as it must be.  Every group after op is
-# optional, so the scan matches at any position; a match that stops short
-# of a well-formed factor leaves groups unset, and the reader names the
-# token it stopped at.
+#   name    a name, with primes, or with a derivative marker '^(', its
+#           order and its ')' shut
+#   lit     an integer literal
+#   close   ')'
+#   open    '('
+# where name, lit and close may take a power '^' with exponent exp.  The
+# integers order and exp match empty, and shut matches empty, when the '^('
+# or '^' before them is not followed as it must be.  Every group after op
+# is optional, so the scan matches at any position; a match that stops
+# short of a well-formed factor leaves groups unset, and the reader names
+# the token it stopped at.
 _SP = r"[ \t\n\r\f\v]*"  # a run of ASCII whitespace
-_FACTOR_RE = re.compile(
-    rf"{_SP}([-+*/]?)((?:{_SP}-)*){_SP}"
-    rf"(?:(?:([A-Za-z_][A-Za-z0-9_]*)(?:{_SP}('+)|{_SP}\^{_SP}\({_SP}([0-9]*){_SP}(\)?))?|([0-9]+)|(\)))"
-    rf"(?:{_SP}\^{_SP}([0-9]*))?|(\())?"
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TERM_END = rf"(?={_SP}(?:[-+]|\Z))"
+# 640 is the least limit that Python's integer-string conversion may be set
+# to, so int() takes these; a longer literal is read, and named, as a factor.
+_DIGITS = r"[0-9]{1,640}"
+_PLAIN = (
+    rf"(?P<sign>[-+]?){_SP}(?=[0-9A-Za-z_])"
+    rf"(?:(?P<tnum>{_DIGITS})(?:{_SP}/{_SP}(?P<tden>(?!0+(?![0-9])){_DIGITS}))?"
+    rf"(?:{_SP}\*{_SP}(?=[A-Za-z_])|{_TERM_END}))?"
+    rf"(?:(?P<tname>{_NAME})(?:{_SP}(?P<tprimes>'{{1,3}}))?(?:{_SP}\^{_SP}(?P<texp>{_DIGITS}))?)?{_TERM_END}"
 )
+_FACTOR = (
+    rf"(?P<op>[-+*/]?)(?P<minus>(?:{_SP}-)*){_SP}"
+    rf"(?:(?:(?P<name>{_NAME})(?:{_SP}(?P<primes>'+)|{_SP}\^{_SP}\({_SP}(?P<order>[0-9]*){_SP}(?P<shut>\)?))?"
+    rf"|(?P<lit>[0-9]+)|(?P<close>\)))(?:{_SP}\^{_SP}(?P<exp>[0-9]*))?|(?P<open>\())?"
+)
+# Over Q(t) nearly every term has a coefficient in t, which no plain term
+# holds, so the scan there has no plain alternative, and no groups for it.
+_SCAN_Q = re.compile(rf"{_SP}(?:{_PLAIN}|{_FACTOR})")
+_SCAN_QT = re.compile(rf"{_SP}{_FACTOR}")
 _ONE = RF_ONE.den  # the denominator of an integer
 _T = RatFunc.t_power(1)
 
@@ -149,7 +174,7 @@ def _expected(what: str, src: str, pos: int) -> ParseError:
     return ParseError(f"expected {what}, found {tok or 'end of input'!r}", at)
 
 
-def _int(src: str, m, group: int) -> int:
+def _int(src: str, m, group: str) -> int:
     """The integer that group of the match m holds; one must be there."""
     digits = m.group(group)
     if not digits:
@@ -160,7 +185,19 @@ def _int(src: str, m, group: int) -> int:
         raise ParseError(f"integer literal of {len(digits)} digits is too long", m.start(group)) from None
 
 
-def _scan(src: str, ctx: Context) -> dict:
+def _rational(negate: bool, num: int, den: int) -> RatFunc:
+    """The coefficient -num/den or num/den of a term, num and den nonzero."""
+    if den != 1:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+    if negate:
+        num = -num
+    if den != 1:
+        return RatFunc((num,), (den,))
+    return RF_ONE if num == 1 else RatFunc((num,), _ONE)
+
+
+def _scan(src: str, ctx: Context, table: dict) -> dict:
     """The terms of the expression src, a map from monomials to nonzero
     coefficients in the order the terms first appear.
 
@@ -170,17 +207,23 @@ def _scan(src: str, ctx: Context) -> dict:
         atom := NUMBER | NAME jets? | '(' expr ')'
         jets := PRIMES | '^' '(' INT ')'
 
-    One scan of _FACTOR_RE reads the expression a factor at a time, left to
-    right, in one loop.  A term is read straight into one coefficient and
-    one list of jets: numbers, t and jets never become polynomials of their
-    own, and integer literals stay Python integers until the term's one
-    coefficient is built.  A '(' saves the enclosing expression and its
-    open term on an explicit stack, at most MAX_NESTING deep; its ')'
-    makes the inner expression a DiffPoly, which is multiplied into the
-    term left to right, or folded into the coefficient when it is
-    constant.  Terms keep the order in which they first appear, as sums and
-    products of DiffPolys give it.  An error names the first token, left
-    to right, that cannot be read.  Nothing is kept between calls.
+    One scan of one regex reads the expression left to right, in one loop.
+    Over Q a plain term (see _PLAIN) is one match, its monomial and
+    coefficient looked up in table by their spelling: (name, primes,
+    exponent) -> Monomial and (negative, numerator, divisor) -> RatFunc.
+    The caller keeps one table for a whole file, so a jet or coefficient
+    that repeats in the file is built once; nothing outlives one file.
+    Every other term is read a factor at a time, straight into one
+    coefficient and one list of jets: numbers, t and jets never become
+    polynomials of their own, and integer literals stay Python integers
+    until the term's one coefficient is built.  A '(' saves the enclosing
+    expression and its open term on an explicit stack, at most MAX_NESTING
+    deep; its ')' makes the inner expression a DiffPoly, which is
+    multiplied into the term left to right, or folded into the coefficient
+    when it is constant.  Terms keep the order in which they first appear,
+    as sums and products of DiffPolys give it.  An error names the first
+    token, left to right, that cannot be read, whichever way the term is
+    read.
     """
     _check_chars(src)
     qt = ctx.field is QT
@@ -189,33 +232,33 @@ def _scan(src: str, ctx: Context) -> dict:
     # The open term: its sign, the product of its integer literals and of
     # its integer divisors, the product of its other constant factors, its
     # (jet, exponent) pairs, the product of its non-constant parenthesised
-    # factors, and where the '/' before a divisor is.
+    # factors, and where the '/' before a divisor is.  A plain term goes
+    # into acc at once and leaves num 0, an open term that adds nothing.
     negate, num, den, coeff, jets, poly, slash = False, 1, 1, RF_ONE, [], None, None
     operand = True  # a factor comes next, not an operator
-    for m in _FACTOR_RE.finditer(src):
-        op, minus, name, primes, order, shut, lit, close, exp, opened = m.groups()
+    for m in (_SCAN_QT if qt else _SCAN_Q).finditer(src):
+        if qt:
+            sign = None
+            op, minus, name, primes, order, shut, lit, close, exp, opened = m.groups()
+        else:
+            (sign, tnum, tden, tname, tprimes, texp,
+             op, minus, name, primes, order, shut, lit, close, exp, opened) = m.groups()
+            if sign is not None:
+                op = sign
         # -- the operator, and the end of the open term at '+', '-', ')' or the end
         if operand:
             if op and op != "-":
-                raise ParseError(f"unexpected {op!r}", m.start(1))
+                raise ParseError(f"unexpected {op!r}", m.start("op" if sign is None else "sign"))
             neg = op == "-"
         elif op == "*":
             slash = None
             neg = False
         elif op == "/":
-            slash = m.start(1)
+            slash = m.start("op")
             neg = False
         else:
             if num and (coeff is RF_ONE or coeff):
-                if den != 1:
-                    g = gcd(num, den)
-                    num, den = num // g, den // g
-                if negate:
-                    num = -num
-                if den != 1:
-                    q = RatFunc((num,), (den,))
-                else:
-                    q = RF_ONE if num == 1 else RatFunc((num,), _ONE)
+                q = _rational(negate, num, den)
                 if coeff is not RF_ONE:
                     q = coeff if q is RF_ONE else coeff * q
                 if len(jets) == 1:
@@ -231,17 +274,19 @@ def _scan(src: str, ctx: Context) -> dict:
                     for pm, c in poly.items():
                         _accumulate(acc, pm * mono, c if q is RF_ONE else c * q)
             if op:
-                negate, num, den, coeff, jets, poly, slash = op == "-", 1, 1, RF_ONE, [], None, None
-                neg = False
+                if sign is None:  # a plain term opens no term
+                    negate, num, den, coeff, jets, poly, slash = op == "-", 1, 1, RF_ONE, [], None, None
+                    neg = False
             elif close is None:  # the end, or a token that cannot follow a factor
+                at = m.end("minus" if sign is None else "sign")
                 if frames:
-                    raise _expected("')'", src, m.end(2))
-                if m.end(2) < len(src):
-                    raise ParseError(f"unexpected trailing {_token_at(src, m.end(2))[0]!r}", m.end(2))
+                    raise _expected("')'", src, at)
+                if at < len(src):
+                    raise ParseError(f"unexpected trailing {_token_at(src, at)[0]!r}", at)
                 return acc
             else:
                 if not frames:
-                    raise ParseError("unexpected trailing ')'", m.start(8))
+                    raise ParseError("unexpected trailing ')'", m.start("close"))
                 if not acc:
                     f = RF_ZERO
                 elif len(acc) == 1 and MON_ONE in acc:
@@ -250,9 +295,37 @@ def _scan(src: str, ctx: Context) -> dict:
                     f = DiffPoly(ctx, acc)
                 acc, negate, num, den, coeff, jets, poly, slash = frames.pop()
                 if exp is not None:
-                    f = _power(f, _int(src, m, 9), ctx, m.start(9))
+                    f = _power(f, _int(src, m, "exp"), ctx, m.start("exp"))
                 coeff, poly = _apply(f, slash, coeff, poly)
                 continue
+        # -- a plain term, whole
+        if sign is not None:
+            operand = False
+            num = 0
+            key = (op == "-", tnum, tden)
+            q = table.get(key)
+            if q is None:
+                n = 1 if tnum is None else int(tnum)
+                d = 1 if tden is None else int(tden)
+                q = table[key] = _rational(key[0], n, d) if n else RF_ZERO
+            if tname is None:
+                mono = MON_ONE
+            else:
+                key = (tname, tprimes, texp)
+                mono = table.get(key)
+                if mono is None:
+                    try:
+                        var = ctx.var_index(tname)
+                    except ValueError:
+                        raise ParseError(f"unknown variable {tname!r}", m.start("tname")) from None
+                    e = 1 if texp is None else int(texp)
+                    mono = table[key] = Monomial(((DerVar(var, len(tprimes) if tprimes else 0), e),)) if e else MON_ONE
+            if q:
+                if mono in acc:
+                    _accumulate(acc, mono, q)
+                else:
+                    acc[mono] = q
+            continue
         if minus:
             neg ^= minus.count("-") & 1
         # -- the factor
@@ -262,19 +335,19 @@ def _scan(src: str, ctx: Context) -> dict:
                 try:
                     var = ctx.var_index(name)
                 except ValueError:
-                    raise ParseError(f"unknown variable {name!r}", m.start(3)) from None
+                    raise ParseError(f"unknown variable {name!r}", m.start("name")) from None
                 if primes is not None:
                     k = len(primes)
                     if k > 3:
-                        raise ParseError(f"at most three primes; write {name}^({k}) instead", m.start(4))
+                        raise ParseError(f"at most three primes; write {name}^({k}) instead", m.start("primes"))
                 elif order is not None:
-                    k = _int(src, m, 5)
+                    k = _int(src, m, "order")
                     if not shut:
-                        raise _expected("')'", src, m.end(5))
+                        raise _expected("')'", src, m.end("order"))
                 else:
                     k = 0
                 # one term with coefficient 1 passes every power cap
-                e = 1 if exp is None else _int(src, m, 9)
+                e = 1 if exp is None else _int(src, m, "exp")
                 negate ^= neg
                 if e:  # else the factor is 1
                     if slash is not None:
@@ -282,23 +355,23 @@ def _scan(src: str, ctx: Context) -> dict:
                     jets.append((DerVar(var, k), e))
                 continue
             if primes is not None:
-                raise ParseError("t is a field element of Q(t); it takes no primes", m.start(4))
+                raise ParseError("t is a field element of Q(t); it takes no primes", m.start("primes"))
             if order is not None:
-                raise ParseError("expected an integer, found '('", src.index("(", m.end(3)))
+                raise ParseError("expected an integer, found '('", src.index("(", m.end("name")))
             if exp is None:
                 f = _T
             else:
                 # t^e passes every cap but the one on the degree in t
-                e = _int(src, m, 9)
+                e = _int(src, m, "exp")
                 if e > MAX_POWER_T_DEGREE:
-                    raise ParseError(_t_degree_cap(e), m.start(9))
+                    raise ParseError(_t_degree_cap(e), m.start("exp"))
                 f = RatFunc.t_power(e) if e else RF_ONE
         elif lit is not None:
             operand = False
             try:
                 f = int(lit)
             except ValueError:  # past Python's limit on integer-string conversion
-                raise ParseError(f"integer literal of {len(lit)} digits is too long", m.start(7)) from None
+                raise ParseError(f"integer literal of {len(lit)} digits is too long", m.start("lit")) from None
             if exp is None:
                 negate ^= neg
                 if slash is None:
@@ -308,16 +381,16 @@ def _scan(src: str, ctx: Context) -> dict:
                 else:
                     den *= f
                 continue
-            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, 9), ctx, m.start(9))
+            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, "exp"), ctx, m.start("exp"))
         elif opened is not None:
             if len(frames) == MAX_NESTING:
-                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", m.start(10))
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", m.start("open"))
             frames.append((acc, negate ^ neg, num, den, coeff, jets, poly, slash))
             acc, negate, num, den, coeff, jets, poly, slash = {}, False, 1, 1, RF_ONE, [], None, None
             operand = True
             continue
         else:  # no factor where one must come
-            tok, at = _token_at(src, m.end(2))
+            tok, at = _token_at(src, m.end("minus"))
             raise ParseError(f"unexpected {tok or 'end of input'!r}", at)
         negate ^= neg
         coeff, poly = _apply(f, slash, coeff, poly)
@@ -428,7 +501,7 @@ def _power_growth(p: DiffPoly) -> tuple:
 
 def parse_poly(src: str, ctx: Context) -> DiffPoly:
     """Parse one differential polynomial in the variables of ``ctx``."""
-    return DiffPoly(ctx, _scan(src, ctx))
+    return DiffPoly(ctx, _scan(src, ctx, {}))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +627,9 @@ def _parse_field(text: str) -> Field:
     raise ValueError(f"unknown field {text!r}; expected 'Q' or 'Q(t)'")
 
 
-def _parse_assignments(text: str, ctx: Context) -> ConcretePoint:
-    """The point of ``x = c, y = d, ...``, each value read by one scan."""
+def _parse_assignments(text: str, ctx: Context, table: dict) -> ConcretePoint:
+    """The point of ``x = c, y = d, ...``, each value read by one scan with
+    the file's table."""
     named = {}
     for piece in text.split(","):
         nm, eq, val = piece.partition("=")
@@ -564,7 +638,7 @@ def _parse_assignments(text: str, ctx: Context) -> ConcretePoint:
         nm = nm.strip()
         if nm in named:
             raise ValueError(f"variable {nm!r} is assigned twice")
-        terms = _scan(val.strip(), ctx)
+        terms = _scan(val.strip(), ctx, table)
         c = terms.pop(MON_ONE, RF_ZERO)
         if terms:  # not rendered: its text can pass 4,300 digits
             raise ValueError(f"the value of {nm!r} is not a constant")
@@ -579,8 +653,10 @@ _HEADERS = ("field", "vars", "ranking")
 def parse_system(text: str) -> SystemFile:
     """Parse a system file.  Its header lines ``field:``, ``vars:`` and
     ``ranking:`` come once each and in that order, and ``vars:`` before
-    every ``eq`` and ``point`` line."""
+    every ``eq`` and ``point`` line.  Every expression of the file is read
+    with one table of the jets and coefficients read so far (see _scan)."""
     header: dict = {}  # header key -> its value
+    table: dict = {}  # spelling -> Monomial or RatFunc, for this file only
     equations: dict = {}  # name -> DiffPoly, in file order
     points: dict = {}  # name -> ConcretePoint, in file order
 
@@ -605,12 +681,12 @@ def parse_system(text: str) -> SystemFile:
                     raise ValueError(f"duplicate {noun} name {name!r}")
                 ctx = header["vars"]
                 if is_eq:
-                    terms = _scan(body.strip(), ctx)
+                    terms = _scan(body.strip(), ctx, table)
                     if not terms:
                         raise ValueError(f"equation {name!r} is identically zero")
                     named[name] = DiffPoly(ctx, terms)
                 else:
-                    named[name] = _parse_assignments(body, ctx)
+                    named[name] = _parse_assignments(body, ctx, table)
                 continue
             keyed = _keyed(line, header)
             if keyed is None or keyed[0] not in _HEADERS:

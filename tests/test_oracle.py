@@ -282,6 +282,20 @@ class TestRadical:
         assert calls["find"] == 0
         assert calls["mul"] <= 50
 
+    def test_radical_walk_makes_one_product_per_power(self, monkeypatch):
+        """Work gate, pinned: the walk for x*y + x over the cusp at bounds
+        2,1,10^8,100 tries f^1 to f^96, and makes each power as one product
+        of the power before it with f: 95 polynomial products (761 when
+        each power was built by squaring from f)."""
+        gens = [parse_poly("y^2 - x^3", XY), parse_poly("x'", XY)]
+        f = parse_poly("x*y + x", XY)
+        products = []
+        mul = DiffPoly.__mul__
+        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        w = radical_member(f, gens, TruncationBounds(2, 1, 10**8, 100))
+        assert w.diagnostic.startswith("no power up to 96 found: the candidate cap 1500 stops the search at f^97")
+        assert len(products) == 95
+
 
 class TestWeights:
     """The variable weights of the graded path."""
@@ -386,7 +400,11 @@ class TestWorkGates:
         their reduction steps and no combination is built for a miss, and
         f's reduction resumes from stage to stage (158 multiplications and
         32 additions when every row carried its combination and f was
-        reduced afresh at each stage)."""
+        reduced afresh at each stage).  A step is one product with its
+        row's -1/lead, taken once for each of the 29 rows that a step uses
+        (107 multiplications, 38 divisions and 38 negations when each step
+        divided by the lead; 88 divisions if every row added were
+        inverted)."""
         gens = [parse_poly("1/2*x'*y' - 3/2*x'", XY), parse_poly("-3/2*y'^2 - x - 3/2*y - 9/2", XY)]
         f = parse_poly("-4*x*y' + 4*x' - 4", XY)
         counts = Counter()
@@ -403,13 +421,16 @@ class TestWorkGates:
         monkeypatch.setattr(DiffPoly, "__mul__", counting("products", DiffPoly.__mul__))
         w = truncated_member(f, gens, TruncationBounds(1, 3, 3, 1))
         assert w.diagnostic == "search exhausted"
-        assert dict(counts) == {"add": 28, "truediv": 38, "mul": 107, "neg": 38}
+        assert dict(counts) == {"add": 28, "truediv": 29, "mul": 145}
 
     def test_flagship_failing_search_multiplications(self, monkeypatch):
         """Work gate, pinned: the failing staged search for x'*y over the
         flagship pair at the default bounds 4,6,8,6 makes exactly these
         field operations (40,676 multiplications and 12,988 additions when
-        every row carried its combination)."""
+        every row carried its combination).  Each of its 10,104 steps is one
+        product with its row's -1/lead, taken once for each of the 2,133 rows
+        that a step uses (11,979 multiplications and 10,104 divisions when
+        each step divided by the lead)."""
         gens = [parse_poly("x'' + y", XY), parse_poly("x'^2 + y", XY)]
         f = parse_poly("x'*y", XY)
         counts = Counter()
@@ -425,7 +446,7 @@ class TestWorkGates:
             monkeypatch.setattr(RatFunc, name, counting(name.strip("_"), getattr(RatFunc, name)))
         w = truncated_member(f, gens, TruncationBounds(4, 6, 8, 6))
         assert w.diagnostic == "search exhausted; 23 stage(s) skipped by the candidate cap 1500"
-        assert dict(counts) == {"mul": 11979, "add": 3355, "truediv": 10104}
+        assert dict(counts) == {"mul": 22083, "add": 3355, "truediv": 2133}
 
 
 @st.composite

@@ -432,16 +432,32 @@ class TestTermParser:
         n = 40
         names = [f"x{i}" for i in range(1, n + 1)]
         lines = ["field: Q", f"vars: {', '.join(names)}", f"ranking: elim {' > '.join(names)}"]
-        lines += [f"eq u{i} = {i}/2*x{i}'^2 - 3*x{i % n + 1}'' + x{i}^(4) - {i}" for i in range(1, n + 1)]
+        lines += [f"eq u{i} = {i}/2*x{i}'^2 - 3*x{i % n + 1}'' + x{i}^(4) - {i} - 3*x1'" for i in range(1, n + 1)]
         lines.append("point p: " + ", ".join(f"x{i} = -{i}/3" for i in range(1, n + 1)))
-        products, scans = [], []
+        products, scans, monomials, coefficients = [], [], [], []
         mul, scan = DiffPoly.__mul__, diffalg.sysfile._scan
+        mono_init, coeff_init = Monomial.__init__, RatFunc.__init__
         monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
-        monkeypatch.setattr(diffalg.sysfile, "_scan", lambda src, ctx: scans.append(src) or scan(src, ctx))
-        sf = parse_system("\n".join(lines) + "\n")
+        monkeypatch.setattr(diffalg.sysfile, "_scan", lambda src, ctx, t: scans.append(src) or scan(src, ctx, t))
+        monkeypatch.setattr(Monomial, "__init__", lambda m, fs: monomials.append(fs) or mono_init(m, fs))
+        monkeypatch.setattr(RatFunc, "__init__", lambda q, a, b: coefficients.append((a, b)) or coeff_init(q, a, b))
+        text = "\n".join(lines) + "\n"
+        sf = parse_system(text)
         assert products == []
         assert len(scans) == 2 * n  # one per equation and one per value of the point
-        assert sf.equation("u40") == parse_poly("20*x40'*x40' - 3*x1'' + x40^(4) - 40", sf.context)
+        # Each distinct jet and coefficient is built once for the file: the
+        # jets x_i'^2, x_j'' and x_i^(4) of each i and the x1' of every
+        # equation (3 * 40 + 1), and the coefficients i/2 (39: 2/2 is 1,
+        # which is never built), the -3 of every x_j'' and x1', the
+        # constants -i (39 more: - 3 is spelled as that -3) and the point's
+        # -i/3 (40).
+        assert len(monomials) == len(set(monomials)) == 3 * n + 1
+        assert len(coefficients) == 39 + 1 + 39 + 40
+        # nothing outlives the file: a second read builds them all again
+        parse_system(text)
+        assert len(monomials) == 2 * (3 * n + 1) and len(coefficients) == 2 * 119
+        monkeypatch.undo()
+        assert sf.equation("u40") == parse_poly("20*x40'*x40' - 3*x1'' + x40^(4) - 40 - 3*x1'", sf.context)
 
 
 # Strings over the grammar's tokens, well-formed or not, for comparing the
@@ -452,9 +468,50 @@ _SPACE = st.sampled_from(["", "", " ", "  ", "\t"])
 
 
 @st.composite
+def _plain_terms(draw):
+    """A term of the shape the reader takes in one match, a[/b]*NAME, NAME
+    or a[/b], with its primes and power, and a blank or none at every spot
+    a blank may go.  The integers are multi-digit, zero, 640 digits (the
+    most that match whole) or more, primes number 1 to 4, and exponents
+    are 0, 1, 1001, 641 digits and past Python's limit, so that every way
+    out of the one match is drawn too."""
+    sp = lambda: draw(_SPACE)
+    term = ""
+    if draw(st.integers(min_value=0, max_value=3)):
+        term += draw(st.sampled_from(["1", "2", "12", "345", "007", "0", "00", "9" * 640, "9" * 641, _LONG]))
+        if draw(st.booleans()):
+            term += sp() + "/" + sp() + draw(st.sampled_from(["1", "3", "10", "0004", "0", "000", "9" * 641, _LONG]))
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            return term
+        term += sp() + "*" + sp()
+    term += draw(st.sampled_from(["x", "y", "x", "y", "t", "w"]))
+    k = draw(st.integers(min_value=0, max_value=4))
+    if k:
+        term += sp() + "'" * k
+    if draw(st.booleans()):
+        term += sp() + "^" + sp() + draw(st.sampled_from(["0", "1", "2", "1001", "9" * 641, _LONG]))
+    return term
+
+
+@st.composite
+def _plain_sums(draw):
+    """Plain terms joined by '+' and '-', each with blanks or none around
+    its sign, the sum now and then inside ( ... ), powered or multiplied."""
+    sp = lambda: draw(_SPACE)
+    src = draw(st.sampled_from(["", "", "-", "+"])) + sp() + draw(_plain_terms())
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        src += sp() + draw(st.sampled_from(["+", "-", "- ", ""])) + sp() + draw(_plain_terms())
+    if draw(st.booleans()):
+        src = sp() + "(" + sp() + src + sp() + ")" + draw(st.sampled_from(["", "^2", "*y", " - x'", "/2"]))
+    return src + sp()
+
+
+@st.composite
 def _operands(draw):
     """A number, t or a jet, with primes, a ``^(k)`` or a power, spaced at
-    random; now and then a spelling the grammar refuses."""
+    random; now and then a spelling the grammar refuses, or a plain term."""
+    if draw(st.integers(min_value=0, max_value=4)) == 0:
+        return draw(_plain_terms())
     sp = draw(_SPACE)
     atom = draw(st.sampled_from(["0", "1", "2", "3", "12", "x", "y", "x", "y", "t", "t", "w"]))
     if atom.isalpha() and draw(st.booleans()):
@@ -514,8 +571,24 @@ class TestAgainstTheReferenceParser:
     @settings(max_examples=500, deadline=None)
     def test_reader_agrees_with_the_token_by_token_parser(self, data):
         ctx = Context(("x", "y"), data.draw(st.sampled_from((QQ, QT))))
-        src = data.draw(st.one_of(_spellings(), _deep_spellings(), _trees(ctx.field is QT, 3, [4]).map(
+        src = data.draw(st.one_of(_spellings(), _deep_spellings(), _plain_sums(), _trees(ctx.field is QT, 3, [4]).map(
             lambda tree: _render(tree[0]))))
+        assert _reading(parse_poly, src, ctx) == _reading(reference_parse_poly, src, ctx)
+
+    @pytest.mark.parametrize("field", [QQ, QT])
+    @pytest.mark.parametrize(
+        "src",
+        [
+            "3/0*x", "x + 3/000*y", "0/0*x", "3/0", "-0/5*x + y", "12/18*x' - 007*y''^3 + 1001",
+            "x", "x + 2*y", "x^0 + 5^2", "x^1 - x^1001", "9" * 640 + "*x", "9" * 641 + "*x",
+            "x^" + "9" * 641, "x^" + _LONG, "x + 3/" + _LONG + "*y", _LONG + "/2*x", "w + x", "3*w^2",
+            "+x", "x y", "x + + y", "(x + 1/2*y) - x'", " - 3 / 4 * x ' ^ 2 + y ", "x'^(2) + y",
+            "2*x^(3) - y", "--x + y", "x - -y", "x/2 + y", "2*x*y + x", "t + 3*t^2 - 1/2*t'",
+        ],
+    )
+    def test_plain_term_edges_read_as_the_token_by_token_parser(self, src, field):
+        # each way into and out of the one-match plain term, refusals included
+        ctx = Context(("x", "y"), field)
         assert _reading(parse_poly, src, ctx) == _reading(reference_parse_poly, src, ctx)
 
     @pytest.mark.parametrize("src", ["x^(\u0663) + \uff11\uff12", "x + \u0661", "x +\u00a0y", "\u2003x"])

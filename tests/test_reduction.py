@@ -175,6 +175,18 @@ class TestCertificates:
         )
         assert not verify_certificate(bad, f, [g], ELIM_XY)
 
+    def test_mixed_contexts_are_refused(self):
+        # the identity is summed in maps keyed by monomials, which name
+        # variables by index, so a dividend or divisor of another ring is
+        # refused, not compared
+        g, f = P("x'^2 + y"), P("x''")
+        cert = divide(f, [g])
+        other = Context(("x", "z"), QQ)
+        with pytest.raises(ValueError, match="mixed ring contexts"):
+            verify_certificate(cert, P("x''", other), [g], ELIM_XY)
+        with pytest.raises(ValueError, match="mixed ring contexts"):
+            verify_certificate(cert, f, [P("x'^2 + z", other)], ELIM_XY)
+
     def test_foreign_multiplier_factor_rejected(self):
         g = P("y*x'' + x")  # separant and initial are both y
         f = P("x^(3)")
