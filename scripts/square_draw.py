@@ -8,11 +8,12 @@ first, then its jets, uniformly) in the jets x, x', ... and y, y', ... up
 to order --max-order, with a coefficient drawn from -3..-1, 1..3; half of
 the equations also get a constant drawn the same way.  Each system is
 decomposed under the work budget diffalg.reduction.MAX_WORK (splitting
-nodes and division term pairs), which this script sets to 200,000, about
-2 s of a draw that runs out of it; a system whose decomposition does not
-run out of work then runs through jbc_check.
+nodes and division term pairs), which this script sets to --work units,
+200,000 by default, about 2 s of a draw that runs out of it; a system
+whose decomposition does not run out of work then runs through jbc_check.
 
     PYTHONPATH=src python3 scripts/square_draw.py --cases 300 --max-order 2 --seed 1
+    PYTHONPATH=src python3 scripts/square_draw.py --work 2000
 
 Prints each system that ran out of work, then one summary line: how many
 draws ran out of work, the verdicts of the others, and the seconds taken.
@@ -51,12 +52,22 @@ def draw_equation(rng: random.Random, max_order: int) -> DiffPoly:
 
 
 def main(argv=None) -> None:
-    """Draws and checks the systems under the budget MAX_WORK as it stands."""
+    """Draws and checks the systems under the budget MAX_WORK = --work,
+    which is restored on return."""
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--cases", type=int, default=300, help="systems drawn (default 300)")
     ap.add_argument("--max-order", type=int, default=2, help="highest jet order (default 2)")
     ap.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
+    ap.add_argument("--work", type=int, default=200_000, help="the work budget MAX_WORK (default 200000)")
     args = ap.parse_args(argv)
+    saved, diffalg.reduction.MAX_WORK = diffalg.reduction.MAX_WORK, args.work
+    try:
+        _draw(args)
+    finally:
+        diffalg.reduction.MAX_WORK = saved
+
+
+def _draw(args) -> None:
     rng = random.Random(args.seed)
     tally = Counter()
     stopped = 0
@@ -76,5 +87,4 @@ def main(argv=None) -> None:
 
 
 if __name__ == "__main__":
-    diffalg.reduction.MAX_WORK = 200_000
     main()

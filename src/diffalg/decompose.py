@@ -136,20 +136,28 @@ class DecompositionResult:
     out_of_work: bool = False  # a splitting tree spent its MAX_WORK budget
 
 
-def _rank_text(rp: RankedPoly) -> tuple:
-    """Ascending rank, text as the final tie-break."""
-    return rp.rank_key(), rp.poly.to_text()
+def _rank_sorted(rps) -> list:
+    """RankedPolys in ascending rank, text as the final tie-break: sorted by
+    rank key, and only a run of equal rank keys sorted by text, so only
+    polynomials that tie are rendered."""
+    out = []
+    for _, tied in itertools.groupby(sorted(rps, key=RankedPoly.rank_key), RankedPoly.rank_key):
+        tied = list(tied)
+        if len(tied) > 1:
+            tied.sort(key=lambda rp: rp.poly.to_text())
+        out += tied
+    return out
 
 
 def _basic_set(node: Sequence[DiffPoly], rank) -> tuple:
     """Greedy minimal autoreduced subset, and the rest of the node: scan by
-    ascending rank (text as the final tie-break) and keep whatever stays
-    reduced against everything already kept.  This realizes the
-    minimal-sequence choice: any competing autoreduced subset compares
-    greater or equal.  Returns (the kept RankedPolys, the other equations),
-    both in scan order.  rank(p) gives p's RankedPoly."""
+    ascending rank (text as the final tie-break, read only for equal rank
+    keys) and keep whatever stays reduced against everything already kept.
+    This realizes the minimal-sequence choice: any competing autoreduced
+    subset compares greater or equal.  Returns (the kept RankedPolys, the
+    other equations), both in scan order.  rank(p) gives p's RankedPoly."""
     chosen, rest = [], []
-    for rp in sorted((rank(p) for p in node), key=_rank_text):
+    for rp in _rank_sorted(rank(p) for p in node):
         if all(is_reduced(rp.poly, c) for c in chosen):
             chosen.append(rp)
         else:
@@ -159,7 +167,8 @@ def _basic_set(node: Sequence[DiffPoly], rank) -> tuple:
 
 def _sep_init_conditions(chosen) -> list:
     """Distinct monic nonconstant separants and initials of a basic set, in
-    canonical text order."""
+    canonical text order.  A splitting tree runs this once per basic set,
+    when a node first emits it, and keeps the list with the basic set."""
     seen = {}
     for rp in chosen:
         for h in (rp.separant, rp.initial):
@@ -170,37 +179,54 @@ def _sep_init_conditions(chosen) -> list:
     return [seen[k] for k in sorted(seen)]
 
 
-def _fork(node: frozenset, rank) -> Optional[list]:
-    """The children of a node split on one equation, or None.  Equations are
-    scanned in text order, first for the monomial rule, then for the power
-    rule.  The monomial rule takes a single-monomial equation that is not
-    already a bare jet variable: its zero set is the union over its
-    variables.  The power rule takes an equation of the shape
-    (initial) * leader^d with no tail: one child for the leader, one for
-    the initial.  That initial is never constant: single terms go to the
-    monomial rule, so the equation has two or more terms, each of degree d
-    in the leader, and its initial has as many.  rank(p) gives p's
-    RankedPoly."""
+# The fork shapes of _fork's two rules, by the rule that splits on them.
+_MONOMIAL_RULE, _POWER_RULE = "monomial", "power"
+
+
+def _fork_shape(p: DiffPoly, rank) -> Optional[str]:
+    """The rule of _fork that can split on p, or None: _MONOMIAL_RULE for a
+    single monomial that is not a bare jet variable (a constant is the dead
+    check's), _POWER_RULE for an equation of two or more terms, each of the
+    leader's degree in the leader.  rank(p) gives p's RankedPoly."""
+    if p.term_count() == 1:
+        fs = p.leading_monomial().factors
+        if not fs or (len(fs) == 1 and fs[0][1] == 1):
+            return None  # constant, or already a bare variable
+        return _MONOMIAL_RULE
+    if p.is_constant():
+        return None
+    rp = rank(p)
+    if all(m.degree_in(rp.leader) == rp.degree for m in p.monomials()):
+        return _POWER_RULE
+    return None
+
+
+def _fork(node: frozenset, shape, rank) -> Optional[list]:
+    """The children of a node split on one equation, or None.  The monomial
+    rule goes first, then the power rule; each takes, among the node's
+    equations of its shape (shape(p) gives _fork_shape's answer), the first
+    in text order, and renders text only when two or more have that shape.
+    The monomial rule takes a single-monomial equation that is not already
+    a bare jet variable: its zero set is the union over its variables.  The
+    power rule takes an equation of the shape (initial) * leader^d with no
+    tail: one child for the leader, one for the initial.  That initial is
+    never constant: single terms go to the monomial rule, so the equation
+    has two or more terms, each of degree d in the leader, and its initial
+    has as many.  rank(p) gives p's RankedPoly."""
     ctx = next(iter(node)).context
-    ordered = sorted(node, key=DiffPoly.to_text)
-    for p in ordered:
-        if p.term_count() != 1:
+    shapes = [(shape(p), p) for p in node]
+    for rule in (_MONOMIAL_RULE, _POWER_RULE):
+        candidates = [p for s, p in shapes if s is rule]
+        if not candidates:
             continue
-        m = p.leading_monomial()
-        if not m.factors:
-            continue  # constant; the dead check owns this
-        if len(m.factors) == 1 and m.factors[0][1] == 1:
-            continue  # already a bare variable
+        p = candidates[0] if len(candidates) == 1 else min(candidates, key=DiffPoly.to_text)
         rest = node - {p}
-        return [frozenset(rest | {DiffPoly.var(ctx, v.var, v.order)}) for v, _ in m.factors]
-    for p in ordered:
-        if p.is_constant() or p.term_count() == 1:
-            continue  # monomial rule owns single terms
+        if rule is _MONOMIAL_RULE:
+            jets = p.leading_monomial().factors
+            return [frozenset(rest | {DiffPoly.var(ctx, v.var, v.order)}) for v, _ in jets]
         rp = rank(p)
-        if all(m.degree_in(rp.leader) == rp.degree for m in p.monomials()):
-            rest = node - {p}
-            leader = DiffPoly.var(ctx, rp.leader.var, rp.leader.order)
-            return [frozenset(rest | {leader}), frozenset(rest | {rp.initial.monic()})]
+        leader = DiffPoly.var(ctx, rp.leader.var, rp.leader.order)
+        return [frozenset(rest | {leader}), frozenset(rest | {rp.initial.monic()})]
     return None
 
 
@@ -261,7 +287,7 @@ def split_decompose(us: Sequence[DiffPoly], ranking: Ranking) -> DecompositionRe
     )
     joined = []
     for combo in combos[:MAX_COMPONENTS]:
-        chosen = sorted((rp for c in combo for rp in c.prepared.ranked), key=_rank_text)
+        chosen = _rank_sorted(rp for c in combo for rp in c.prepared.ranked)
         prep = PreparedSeq(chosen, ranking)
         joined.append(CharSetComponent(ranking, prep, tuple(_sep_init_conditions(chosen))))
     complete = all(dec.complete for dec in runs) and len(combos) <= MAX_COMPONENTS
@@ -311,12 +337,15 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
     node's basic set; the remainder, in the ideal by its certificate, joins
     the node), or emitted (everything reduces to zero: the basic set becomes
     a component whose inequations are its separants and initials, and one
-    vanishing branch is queued per inequation).  A node is sorted by text
-    for the forks and by rank, text breaking ties, for its basic set and
-    its divisions, so its work does not follow set order.  Per run, each
-    polynomial is analyzed once, and each distinct basic set is prepared
-    once, divides each equation at most once and builds its component at
-    most once.  Emitted components are not re-checked: jbc_check re-verifies
+    vanishing branch is queued per inequation).  A node forks on the first
+    candidate in text order, and scans for its basic set and divides by
+    ascending rank, text breaking ties; text is rendered only where two
+    candidates or two rank keys tie, and the node's work does not follow
+    set order.  Per run, each polynomial is analyzed once and its fork
+    shape found once, and each distinct basic set is prepared once, divides
+    each equation at most once, and lists its separants and initials and
+    builds its component once, when a node first emits it.  Emitted
+    components are not re-checked: jbc_check re-verifies
     each against the inputs.  The run charges reduction.MAX_WORK one unit
     per node taken from the queue and the term pairs of its node divisions,
     each getting what is left (a component's inequation checks are
@@ -328,21 +357,27 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
     """
     ctx = next(iter(start)).context
     analyzed: dict = {}
+    shapes: dict = {}  # polynomial -> its _fork_shape
 
     def rank(p: DiffPoly):
         if p not in analyzed:
             analyzed[p] = analyze(p, ranking)
         return analyzed[p]
 
-    # basic set -> (its PreparedSeq, {equation: monic remainder modulo it}),
-    # so each equation is divided by each basic set at most once per run;
-    # a remainder that joins a node is the same object as the one kept here
+    def shape(p: DiffPoly):
+        if p not in shapes:
+            shapes[p] = _fork_shape(p, rank)
+        return shapes[p]
+
+    # basic set -> [its PreparedSeq, {equation: monic remainder modulo it},
+    # its separants and initials, or None until a node first emits it], so
+    # each equation is divided by each basic set at most once per run; a
+    # remainder that joins a node is the same object as the one kept here
     reduced: dict = {}
 
     queue = [start]
     seen: set = set()  # nodes already taken from the queue
     found: dict[tuple, CharSetComponent] = {}  # basic set -> its component
-    built: set = set()  # basic sets whose component was built (or refused)
     work = 0  # nodes taken and node division pairs
     complete, out_of_work = True, False
 
@@ -359,7 +394,7 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
         if any(p.is_constant() for p in node):
             continue  # nonzero constant in the ideal: no solutions here
 
-        children = _fork(node, rank)
+        children = _fork(node, shape, rank)
         if children is not None:
             queue.extend(children)
             continue
@@ -368,8 +403,8 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
         basis = tuple(rp.poly for rp in chosen)
         entry = reduced.get(basis)
         if entry is None:
-            entry = reduced[basis] = (PreparedSeq(chosen, ranking), {})
-        prep, known = entry
+            entry = reduced[basis] = [PreparedSeq(chosen, ranking), {}, None]
+        prep, known, conditions = entry
         try:
             for p in others:
                 if p not in known:
@@ -396,9 +431,8 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
                 complete = False
             continue
 
-        conditions = _sep_init_conditions(chosen)
-        if basis not in built:  # a basic set met again gives the same component
-            built.add(basis)
+        if conditions is None:  # a basic set met again gives the same component
+            conditions = entry[2] = _sep_init_conditions(chosen)
             try:
                 # building the component checks that every condition stays
                 # nonzero modulo the basic set

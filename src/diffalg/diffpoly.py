@@ -411,16 +411,17 @@ class DiffPoly:
     def __pow__(self, k: int) -> "DiffPoly":
         if k < 0:
             raise ValueError("negative polynomial power")
-        out = DiffPoly.one(self.context)
-        base = self
-        while k:
+        if k == 0:
+            return DiffPoly.one(self.context)
+        # the running product starts at the power of the lowest set bit
+        out, base = None, self
+        while True:
             if k & 1:
-                out = out * base
-            base_needed = k >> 1
-            if base_needed:
-                base = base * base
-            k = base_needed
-        return out
+                out = base if out is None else out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
 
     def scale(self, c: RatFunc) -> "DiffPoly":
         c = self.context.field.check(c)

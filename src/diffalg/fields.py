@@ -380,8 +380,15 @@ def _sum(x: RatFunc, y: RatFunc, sign: int) -> RatFunc:
         return _reduced(_pcombine(x.num, 1, y.num, sign), a)
     if len(a) == 1 and len(b) == 1:
         da, db = a[0], b[0]
+        xn, yn = x.num, y.num
+        if len(xn) == 1 and len(yn) == 1:
+            # two nonzero elements of Q with different denominators, so a
+            # nonzero sum: one gcd, as in __mul__
+            n, m = xn[0] * db + sign * yn[0] * da, da * db
+            g = gcd(n, m)
+            return RatFunc((n // g,), _const(m // g))
         g = gcd(da, db)
-        return _canonical(_pcombine(x.num, db // g, y.num, sign * (da // g)), (da // g * db,))
+        return _canonical(_pcombine(xn, db // g, yn, sign * (da // g)), (da // g * db,))
     return _reduced(_pcombine(_pmul(x.num, b), 1, _pmul(y.num, a), sign), _pmul(a, b))
 
 
@@ -435,8 +442,12 @@ class Field(Enum):
     @staticmethod
     def bits(a: RatFunc) -> int:
         """The most bits in an integer that stores a: a coefficient of its
-        numerator or denominator polynomial."""
-        return max(abs(c) for c in a.num + a.den).bit_length()
+        numerator or denominator polynomial.  An element of Q is read with
+        no tuple built."""
+        num, den = a.num, a.den
+        if len(num) == 1 and len(den) == 1:
+            return max(abs(num[0]), den[0]).bit_length()
+        return max(abs(c) for c in num + den).bit_length()
 
     def text(self, a: RatFunc) -> str:
         return self.check(a).text()

@@ -19,12 +19,16 @@ A divisor sequence is checked and analyzed once, as a PreparedSeq, which
 is what ritt_reduce_seq divides by; one can serve any number of reductions.
 A reduction keeps the working polynomial as one {monomial: coefficient}
 map, copied from the dividend at the first step that changes it.  A step
-reads its cofactor off the map in one pass, multiplies the map by the
-separant or initial only when that factor is not 1, and subtracts
-cofactor * d^j(divisor) from it term pair by term pair; no intermediate
-polynomial is built.  A reduction logs its steps; the certificate's
-multiplier and quotients are assembled from that log, in one backward
-pass, the first time either is read.  Its term pairs are bounded by MAX_WORK.
+finds the jet to clear by looking each jet's variable up in the
+PreparedSeq's leader table, reads its cofactor and the cofactor's negation
+off the map in one pass that also checks each coefficient against
+MAX_COEFF_BITS, multiplies the map by the separant or initial only when
+that factor is not 1, and adds the negation times d^j(divisor) to it term
+pair by term pair; no intermediate polynomial is built.  A reduction logs
+its steps.  The certificate's multiplier is the product of the logged
+factors, built the first time it is read; its quotients are assembled from
+the log, reusing those products, the first time they are read.  Its term
+pairs are bounded by MAX_WORK.
 """
 
 from __future__ import annotations
@@ -139,10 +143,14 @@ class PreparedSeq:
     once so that any number of reductions can share it.  Elements may be
     polynomials or RankedPolys already analyzed under the ranking.  An empty
     sequence, a constant, or a sequence that is not autoreduced is refused.
-    unit_factors records, per divisor, whether its separant and its initial
-    are 1, so a step multiplies by neither when it is."""
+    leaders maps each divisor's leading variable (its index; the leaders of
+    an autoreduced sequence are distinct variables) to (divisor index,
+    leader order, leader degree), so a division step finds the jet to clear
+    by one lookup per jet of the working polynomial.  unit_factors records,
+    per divisor, whether its separant and its initial are 1, so a step
+    multiplies by neither when it is."""
 
-    __slots__ = ("ranking", "ranked", "sequence", "unit_factors")
+    __slots__ = ("ranking", "ranked", "sequence", "leaders", "unit_factors")
 
     def __init__(self, seq: Sequence[Union[DiffPoly, RankedPoly]], ranking: Ranking):
         if not seq:
@@ -163,6 +171,7 @@ class PreparedSeq:
         self.ranking = ranking
         self.ranked = ranked
         self.sequence = tuple(rp.poly for rp in ranked)
+        self.leaders = {rp.leader.var: (i, rp.leader.order, rp.degree) for i, rp in enumerate(ranked)}
         one = DiffPoly.one(ranked[0].poly.context)
         self.unit_factors = tuple((rp.separant == one, rp.initial == one) for rp in ranked)
 
@@ -172,11 +181,15 @@ class ReductionCertificate:
     audited factor list (each factor is a separant or initial of a divisor).
 
     A reduction hands over its step log instead of the multiplier and
-    quotients; they are built from it the first time either is read, so a
-    caller that needs only the remainder or the step count pays for
-    neither.  pairs, its term pairs (0 when built from parts), is not compared."""
+    quotients.  The multiplier is built the first time it is read, as the
+    product of the log's factors alone, so a caller that prints it and never
+    reads a quotient (jbc-check's text) builds no quotient; the quotients
+    are built from the log the first time they are read, reusing the
+    products of factors the multiplier went through.  A caller that needs
+    only the remainder or the step count pays for neither.  pairs, its term
+    pairs (0 when built from parts), is not compared."""
 
-    __slots__ = ("factors", "remainder", "pairs", "_multiplier", "_quotients", "_log")
+    __slots__ = ("factors", "remainder", "pairs", "_multiplier", "_quotients", "_log", "_suffixes")
 
     def __init__(self, multiplier: DiffPoly, factors: tuple, quotients: tuple, remainder: DiffPoly):
         self.factors = tuple(factors)  # tuple[DiffPoly, ...]
@@ -184,7 +197,7 @@ class ReductionCertificate:
         self.pairs = 0
         self._multiplier = multiplier
         self._quotients = tuple(quotients)  # tuple[DiffOperator, ...], one per divisor
-        self._log = None
+        self._log = self._suffixes = None
 
     @classmethod
     def _from_log(cls, log: list, divisors: int, remainder: DiffPoly, pairs: int) -> "ReductionCertificate":
@@ -195,36 +208,43 @@ class ReductionCertificate:
         cert.factors = tuple(step[0] for step in log)
         cert.remainder = remainder
         cert.pairs = pairs
-        cert._multiplier = cert._quotients = None
+        cert._multiplier = cert._quotients = cert._suffixes = None
         cert._log = (tuple(log), divisors)
         return cert
 
-    def _assemble(self) -> None:
-        # A step's cofactor ends up multiplied by the factors of every later
-        # step, so one backward pass with the running suffix product builds
-        # each quotient coefficient and, at the end, the whole multiplier.
-        log, divisors = self._log
-        ctx = self.remainder.context
-        quotients = [DiffOperator.zero(ctx) for _ in range(divisors)]
-        suffix = None  # product of the later steps' factors; None while empty
-        for mult, i, cofactor, j in reversed(log):
-            coeff = cofactor if suffix is None else cofactor * suffix
-            quotients[i] = quotients[i] + DiffOperator.of(coeff, j)
-            suffix = mult if suffix is None else mult * suffix
-        self._multiplier = DiffPoly.one(ctx) if suffix is None else suffix
-        self._quotients = tuple(quotients)
-        self._log = None
+    def _suffix_products(self) -> list:
+        """Entry k is the product of the factors of step k and of every later
+        step, built once, from the last step back."""
+        if self._suffixes is None:
+            out, suffix = [], None
+            for mult in reversed(self.factors):
+                suffix = mult if suffix is None else mult * suffix
+                out.append(suffix)
+            out.reverse()
+            self._suffixes = out
+        return self._suffixes
 
     @property
     def multiplier(self) -> DiffPoly:
-        if self._log is not None:
-            self._assemble()
+        if self._multiplier is None:
+            suffixes = self._suffix_products()
+            self._multiplier = suffixes[0] if suffixes else DiffPoly.one(self.remainder.context)
         return self._multiplier
 
     @property
     def quotients(self) -> tuple:
-        if self._log is not None:
-            self._assemble()
+        if self._quotients is None:
+            # a step's cofactor ends up multiplied by the factors of every
+            # later step: its quotient coefficient is cofactor * suffix[k + 1]
+            log, divisors = self._log
+            suffixes = self._suffix_products()
+            quotients = [DiffOperator.zero(self.remainder.context) for _ in range(divisors)]
+            for k in range(len(log) - 1, -1, -1):
+                _, i, cofactor, j = log[k]
+                coeff = cofactor * suffixes[k + 1] if k + 1 < len(log) else cofactor
+                quotients[i] = quotients[i] + DiffOperator.of(coeff, j)
+            self._quotients = tuple(quotients)
+            self._log = None
         return self._quotients
 
     @property
@@ -245,73 +265,58 @@ class ReductionCertificate:
         return f"ReductionCertificate(multiplier={m!r}, factors={f!r}, quotients={q!r}, remainder={r!r})"
 
 
-def _offense(deg: dict, by_var: dict, ranking: Ranking):
-    """The highest-ranked violation of reducedness against the divisors,
-    read off a degree profile deg (jet variable -> highest exponent; by_var
-    maps a leader's variable to (divisor index, RankedPoly)): (jet
-    variable, its degree, divisor index, kind) with kind 'd' (proper
-    derivative of a leader occurs) or 'a' (leader degree too high)."""
-    best = None
-    for v, d in deg.items():
-        hit = by_var.get(v.var)
-        if hit is None:
-            continue
-        i, rp = hit
-        if v.order > rp.leader.order:
-            cand = (ranking.key(v), v, d, i, "d")
-        elif v.order == rp.leader.order and d >= rp.degree:
-            cand = (ranking.key(v), v, d, i, "a")
-        else:
-            continue
-        if best is None or cand[0] > best[0]:
-            best = cand
-    if best is None:
-        return None
-    return best[1:]
-
-
 def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> ReductionCertificate:
     """Divide b by a prepared autoreduced sequence, under its ranking, within
     MAX_WORK, of which the run dividing (a splitting tree) has already spent
     `spent`; the certificate's pairs are this division's own.  A division
     with no step has b itself as its remainder."""
     ctx = b.context
-    ranking, ranked, unit_factors = prep.ranking, prep.ranked, prep.unit_factors
-    by_var = {rp.leader.var: (i, rp) for i, rp in enumerate(ranked)}
+    key, ranked, leaders, unit_factors = prep.ranking.key, prep.ranked, prep.leaders, prep.unit_factors
+    bits = ctx.field.bits
     work = b._terms  # b's own map until the first step changes it
     deg = b.degrees()
     log = []
     pairs = 0
     while True:
-        off = _offense(deg, by_var, ranking)
-        if off is None:
+        # the highest-ranked jet that a divisor's leader forbids: a proper
+        # derivative of the leader, or the leader at its degree or above
+        v = None
+        for w, e in deg.items():
+            hit = leaders.get(w.var)
+            if hit is not None and (w.order > hit[1] or (w.order == hit[1] and e >= hit[2])):
+                k = key(w)
+                if v is None or k > top:
+                    v, d, top, (i, order, degree) = w, e, k, hit
+        if v is None:
             break
-        v, d, i, kind = off
         rp = ranked[i]
-        if kind == "d":
-            j = v.order - rp.leader.order
+        if v.order > order:
+            j = v.order - order
             # the prolongation has leader v, degree 1 and initial = separant
             divisor, mult, degree, unit = rp.poly.derive(j), rp.separant, 1, unit_factors[i][0]
         else:
             j = 0
-            divisor, mult, degree, unit = rp.poly, rp.initial, rp.degree, unit_factors[i][1]
+            divisor, mult, unit = rp.poly, rp.initial, unit_factors[i][1]
         # the cofactor lead * v^(d - degree), with lead the coefficient of
-        # v^d: each term of degree d in v, its exponent of v lowered
-        cof = {}
+        # v^d: each term of degree d in v, its exponent of v lowered; and
+        # its negation, which the step subtracts
+        cof, neg = {}, {}
         shift = ((v, d - degree),) if d > degree else ()
         for m, a in work.items():
             fs = m.factors
             for k, (w, e) in enumerate(fs):
                 if w >= v:
                     if w == v and e == d:
-                        cof[Monomial(fs[:k] + shift + fs[k + 1 :])] = a
+                        if bits(a) > MAX_COEFF_BITS:
+                            raise TermLimitExceeded(
+                                f"reduction stopped at step {len(log) + 1}: a cofactor coefficient has "
+                                f"more than MAX_COEFF_BITS = {MAX_COEFF_BITS} bits",
+                                pairs,
+                            )
+                        c = Monomial(fs[:k] + shift + fs[k + 1 :])
+                        cof[c] = a
+                        neg[c] = -a
                     break
-        if any(ctx.field.bits(a) > MAX_COEFF_BITS for a in cof.values()):
-            raise TermLimitExceeded(
-                f"reduction stopped at step {len(log) + 1}: a cofactor coefficient has more than "
-                f"MAX_COEFF_BITS = {MAX_COEFF_BITS} bits",
-                pairs,
-            )
         pairs += (0 if unit else mult.term_count() * len(work)) + len(cof) * divisor.term_count()
         if spent + pairs > MAX_WORK:
             raise StepLimitExceeded(
@@ -323,7 +328,7 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
         elif work is b._terms:
             work = dict(work)
         scaled = len(work)
-        _add_product(work, {m: -a for m, a in cof.items()}, divisor._terms)
+        _add_product(work, neg, divisor._terms)
         log.append((mult, i, DiffPoly(ctx, cof), j))
         terms = max(scaled, len(work))
         if terms > MAX_REDUCTION_TERMS:

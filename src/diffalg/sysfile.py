@@ -452,11 +452,13 @@ def _t_degree_cap(e: int) -> str:
 def _power_products(n: int, e: int) -> int:
     """Term products that DiffPoly.__pow__ makes for the e-th power of an
     n-term polynomial, each k-th power counted at its largest size, the
-    C(n + k - 1, k) monomials of degree k in n terms."""
+    C(n + k - 1, k) monomials of degree k in n terms.  The running product
+    starts as the power of e's lowest set bit, with no product."""
     total, out, base = 0, 0, 1  # exponents of the running product and the square
     while e:
         if e & 1:
-            total += comb(n + out - 1, out) * comb(n + base - 1, base)
+            if out:
+                total += comb(n + out - 1, out) * comb(n + base - 1, base)
             out += base
         e >>= 1
         if e:

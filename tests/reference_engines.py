@@ -8,6 +8,9 @@ check the library against; none of them is on a path the library takes.
   with no partial derivative, the reference for linearize_at's one pass;
 * verify_component re-checks a component against its system by one
   membership test per input and per inequation;
+* text_sorted_fork and text_sorted_basic_set render every equation of a
+  splitting node and sort by text, the reference for the splitting tree's
+  _fork and _basic_set, which render text only to break a tie;
 * _ExprParser is a token-by-token recursive-descent expression parser,
   written apart from sysfile's one-scan reader, the reference for
   parse_poly: the same polynomial with its terms in the same order, or the
@@ -42,6 +45,7 @@ from diffalg import (
     ReductionCertificate,
     analyze,
     extended_context,
+    is_reduced,
     jacobi_assign,
     order_matrix,
 )
@@ -143,6 +147,51 @@ def verify_component(c: CharSetComponent, us: Sequence[DiffPoly]) -> bool:
     return all(c.membership(u).member for u in us) and not any(
         c.membership(q).member for q in c.inequations
     )
+
+
+# ---------------------------------------------------------------------------
+# the splitting tree's choices, by text order
+# ---------------------------------------------------------------------------
+
+
+def text_sorted_fork(node: frozenset, rank):
+    """The children of a node split on one equation, or None: the first
+    equation in text order of the monomial rule's shape (a single monomial
+    that is not a bare jet variable) splits into its variables; else the
+    first in text order of the power rule's shape (two or more terms, each
+    of the leader's degree in the leader) into its leader and its monic
+    initial.  rank(p) gives p's RankedPoly."""
+    ctx = next(iter(node)).context
+    ordered = sorted(node, key=DiffPoly.to_text)
+    for p in ordered:
+        if p.term_count() != 1:
+            continue
+        m = p.leading_monomial()
+        if not m.factors or (len(m.factors) == 1 and m.factors[0][1] == 1):
+            continue
+        rest = node - {p}
+        return [frozenset(rest | {DiffPoly.var(ctx, v.var, v.order)}) for v, _ in m.factors]
+    for p in ordered:
+        if p.is_constant() or p.term_count() == 1:
+            continue
+        rp = rank(p)
+        if all(m.degree_in(rp.leader) == rp.degree for m in p.monomials()):
+            rest = node - {p}
+            leader = DiffPoly.var(ctx, rp.leader.var, rp.leader.order)
+            return [frozenset(rest | {leader}), frozenset(rest | {rp.initial.monic()})]
+    return None
+
+
+def text_sorted_basic_set(node, rank) -> tuple:
+    """The greedy basic set of a node, scanned by (rank key, text): (the
+    kept RankedPolys, the other equations), both in scan order."""
+    chosen, rest = [], []
+    for rp in sorted((rank(p) for p in node), key=lambda rp: (rp.rank_key(), rp.poly.to_text())):
+        if all(is_reduced(rp.poly, c) for c in chosen):
+            chosen.append(rp)
+        else:
+            rest.append(rp.poly)
+    return chosen, rest
 
 
 # ---------------------------------------------------------------------------

@@ -107,3 +107,36 @@ def rankings(draw, ctx):
     if draw(st.booleans()):
         return Ranking.elimination(ctx.n, order)
     return Ranking.orderly(ctx.n, order)
+
+
+@st.composite
+def splitting_nodes(draw, ctx, ranking, max_size=5):
+    """Nodes of a splitting tree: sets of monic nonconstant equations, in
+    half of them none a single term (so that the monomial rule does not
+    take them).  Some equations are drawn as c*p + r for an equation p
+    already drawn and a small r, so that two of them often share a leader
+    and its degree, a tie in rank key (as x'' and y - 1/4*x'' under
+    elim x > y); some as h * v^d for the greatest jet v of order 2 under
+    the ranking and a two-term h below it, the power rule's shape."""
+    least = draw(st.sampled_from((1, 2)))  # the fewest terms of an equation
+    eqs = draw(
+        st.lists(
+            diffpolys(ctx, max_order=2, max_degree=2, max_terms=3).filter(
+                lambda p: not p.is_constant() and p.term_count() >= least
+            ),
+            min_size=1,
+            max_size=max_size,
+        )
+    )
+    small = diffpolys(ctx, max_order=1, max_degree=1, max_terms=2)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        if draw(st.booleans()):
+            c = draw(small_fractions().filter(bool))
+            q = draw(st.sampled_from(eqs)).scale(c) + draw(small)
+        else:
+            v = DiffPoly.var(ctx, max(range(ctx.n), key=lambda i: ranking.key(DerVar(i, 2))), 2)
+            h = draw(small.filter(lambda h: h.term_count() == 2))
+            q = h * v ** draw(st.integers(min_value=1, max_value=2))
+        if not q.is_constant() and q.term_count() >= least:
+            eqs.append(q)
+    return frozenset(p.monic() for p in eqs)

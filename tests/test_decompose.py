@@ -26,20 +26,21 @@ from diffalg import (
     QQ,
     Ranking,
     RatFunc,
+    analyze,
     component_dimension,
     jbc_check,
     linearize_at,
     split_decompose,
     verify_certificate,
 )
-from diffalg.decompose import VanishingInequationError
+from diffalg.decompose import VanishingInequationError, _basic_set, _fork, _fork_shape
 from diffalg.linearize import extended_context, tangent_dervar
 from diffalg.reduction import PreparedSeq
 from diffalg.sysfile import parse_poly
 
-from strategies import diffpolys
+from strategies import contexts, diffpolys, rankings, splitting_nodes
 
-from reference_engines import verify_component
+from reference_engines import text_sorted_basic_set, text_sorted_fork, verify_component
 
 XY = Context(("x", "y"), QQ)
 ELIM_XY = Ranking.elimination(2, [0, 1])  # x > y
@@ -503,6 +504,55 @@ d.split_decompose([parse_poly(s, xy) for s in ("x'' + y", "x'^2 + y")], Ranking.
         assert [seq_texts(c) for c in a.components] == [seq_texts(c) for c in b.components]
 
 
+class TestTreeChoices:
+    """The tree renders text only to break a tie: its fork and basic set
+    choose what a reference that renders and text-sorts every equation
+    chooses."""
+
+    @staticmethod
+    def _tables(ranking):
+        rank = functools.cache(lambda p: analyze(p, ranking))
+        return functools.cache(lambda p: _fork_shape(p, rank)), rank
+
+    def _check(self, node, ranking):
+        shape, rank = self._tables(ranking)
+        assert _fork(node, shape, rank) == text_sorted_fork(node, rank)
+        chosen, rest = _basic_set(node, rank)
+        ref_chosen, ref_rest = text_sorted_basic_set(node, rank)
+        assert [rp.poly for rp in chosen] == [rp.poly for rp in ref_chosen]
+        assert rest == ref_rest
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_choices_match_the_text_sorting_reference(self, data):
+        ctx = data.draw(contexts(max_vars=2))
+        ranking = data.draw(rankings(ctx))
+        self._check(data.draw(splitting_nodes(ctx, ranking)), ranking)
+
+    def test_a_tie_in_rank_key_is_broken_by_text(self):
+        # x'' and y - 1/4*x'' share the rank key of x'' under elim x > y;
+        # x'' comes first in text order, and the other is not reduced by it
+        tied = [P("y - 1/4*x''"), P("x''")]
+        node = frozenset(tied + [P("y'")])
+        self._check(node, ELIM_XY)
+        _, rank = self._tables(ELIM_XY)
+        chosen, rest = _basic_set(node, rank)
+        assert [rp.poly for rp in chosen] == [P("y'"), P("x''")] and rest == [tied[0]]
+
+    def test_only_tied_equations_are_rendered(self):
+        node = [P("y - 1/4*x''"), P("x''"), P("y'"), P("x*y + 1")]
+        shape, rank = self._tables(ELIM_XY)
+        _basic_set(frozenset(node), rank)
+        assert [hasattr(p, "_text") for p in node] == [True, True, False, False]
+        # a node with one equation of the power rule's shape renders nothing
+        node = [P("x^2*y + x^2"), P("y^2 + 1"), P("x'' + y")]
+        assert _fork(frozenset(node), shape, rank) == [
+            frozenset({P("x"), node[1], node[2]}),
+            frozenset({P("y + 1"), node[1], node[2]}),
+        ]
+        assert not any(hasattr(p, "_text") for p in node)
+
+
 class TestJbcCheck:
     def test_flagship_holds(self):
         rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
@@ -580,8 +630,11 @@ class TestJbcCheck:
         # Deterministic work counters, pinned: each polynomial is analyzed
         # once per run, each equation is divided by each basic set once per
         # run, node reductions build no certificate products, and each
-        # polynomial is rendered to text at most once (19 renders before
-        # the division memo).  A division step works in one map: its
+        # polynomial is rendered to text at most once, only where an order
+        # needs its text: a tie between fork candidates or rank keys, the
+        # order of a basic set's conditions and of the components (19
+        # renders before the division memo, 17 when every node was sorted
+        # by text).  A division step works in one map: its
         # cofactor is a monomial shift, a multiplier of 1 is not multiplied
         # in, and the multiple of the divisor is subtracted term pair by
         # term pair, so the division makes no DiffPoly product (76 products
@@ -619,7 +672,30 @@ class TestJbcCheck:
         rep = jbc_check(us, ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
         assert counts["products"] == 0
-        assert dict(counts) == {"analyze": 9, "steps": 54, "pairs": 129, "renders": 17}
+        assert dict(counts) == {"analyze": 9, "steps": 54, "pairs": 129, "renders": 10}
+
+    def test_flagship_conditions_are_listed_once_per_basic_set(self, monkeypatch):
+        # the basic set y; x' emits at three nodes, and its separants and
+        # initials are listed once, when it first emits (three times before
+        # the list was kept with the basic set)
+        listed, met = Counter(), Counter()
+        real_conditions, real_basic_set = diffalg.decompose._sep_init_conditions, _basic_set
+
+        def conditions(chosen):
+            listed["; ".join(rp.poly.to_text() for rp in chosen)] += 1
+            return real_conditions(chosen)
+
+        def basic_set(node, rank):
+            chosen, rest = real_basic_set(node, rank)
+            met["; ".join(rp.poly.to_text() for rp in chosen)] += 1
+            return chosen, rest
+
+        monkeypatch.setattr(diffalg.decompose, "_sep_init_conditions", conditions)
+        monkeypatch.setattr(diffalg.decompose, "_basic_set", basic_set)
+        rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
+        assert rep.verdict is JbcVerdict.HOLDS
+        assert met["y; x'"] == 3
+        assert listed == {"y; x'": 1, "y^3 + 1/4*y'^2; x'*y - 1/2*y'": 1}
 
     def test_flagship_prolongation_count(self, monkeypatch):
         # Pinned: each polynomial keeps its first derivative, so the run

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from math import comb
 
 import hypothesis.strategies as st
 import pytest
@@ -76,10 +77,35 @@ class TestExpressions:
                 parse_poly(f"(x + y)^{e}", XY)
             assert time.perf_counter() - start < 1.0
         assert _power_products(2, 9999) > MAX_POWER_PRODUCTS
-        # the count is exact for binary powering: one square, then 1 x 6
-        assert _power_products(3, 2) == 3 * 3 + 1 * 6
+        # the count is exact for binary powering: one square, which is the power
+        assert _power_products(3, 2) == 3 * 3
         assert parse_poly("(x + y)^400", XY).term_count() == 401
         assert parse_poly("(x - x)^100000", XY).is_zero()
+
+    def test_power_products_match_the_products_made(self, monkeypatch):
+        # binary powering starts the running product at the power of the
+        # lowest set bit: p ** k makes one product per squaring and one per
+        # further set bit, none with 1; a sum of n distinct jets has
+        # C(n + j - 1, j) terms in its j-th power, so the term pairs made
+        # are what _power_products counts
+        made = {"products": 0, "pairs": 0}
+        real_mul = DiffPoly.__mul__
+
+        def mul(a, b):
+            made["products"] += 1
+            made["pairs"] += a.term_count() * b.term_count()
+            return real_mul(a, b)
+
+        monkeypatch.setattr(DiffPoly, "__mul__", mul)
+        jets = ("x", "y", "x'", "y'")
+        for k, products in enumerate((0, 0, 1, 2, 2, 3, 3, 4, 3)):
+            for n in range(1, len(jets) + 1):
+                p = P(" + ".join(jets[:n]))
+                made.update(products=0, pairs=0)
+                power = p**k
+                assert made["products"] == products
+                assert made["pairs"] == _power_products(n, k)
+                assert power.term_count() == comb(n + k - 1, k)
 
     def test_over_long_integer_literal(self):
         # past Python's 4,300-digit conversion limit, named at the token

@@ -318,19 +318,43 @@ class TestCertificateOnRead:
         b = data.draw(qt_polys(ctx, max_order=2, max_degree=2, max_terms=3))
         self._check_against_forward(b, [a1, a2], rk, data.draw(caps()))
 
-    def test_remainder_and_steps_do_not_build(self, monkeypatch):
-        built = []
-        real = ReductionCertificate._assemble
+    @staticmethod
+    def _count_builds(monkeypatch) -> Counter:
+        """Count DiffPoly products and DiffOperator constructions."""
+        built = Counter()
+        mul, init = DiffPoly.__mul__, DiffOperator.__init__
+        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: built.update(["products"]) or mul(a, b))
         monkeypatch.setattr(
-            ReductionCertificate, "_assemble", lambda self: built.append(1) or real(self)
+            DiffOperator, "__init__", lambda op, *args: built.update(["operators"]) or init(op, *args)
         )
+        return built
+
+    def test_remainder_and_steps_do_not_build(self, monkeypatch):
         seq = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
+        built = self._count_builds(monkeypatch)
         cert = divide(P("x''*y' + x^2"), seq)
-        assert cert.steps > 0 and not cert.remainder.is_zero()
-        assert built == []
+        assert cert.steps == 5 and not cert.remainder.is_zero()
+        assert built == {}
+        # the 4 products of the factors and the 4 of the cofactors by them
         cert.quotients
         cert.multiplier
-        assert built == [1]
+        assert built["products"] == 8
+        built.clear()
+        cert.quotients
+        cert.multiplier
+        assert built == {}
+
+    def test_multiplier_alone_builds_no_quotient(self, monkeypatch):
+        # jbc-check's text prints multipliers and no quotient: the
+        # multiplier is the product of the 5 factors, 4 products, with no
+        # operator built; the quotients then reuse those products
+        seq = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
+        built = self._count_builds(monkeypatch)
+        cert = divide(P("x''*y' + x^2"), seq)
+        assert cert.multiplier == P("8*y^2*y'")
+        assert built == {"products": 4}
+        cert.quotients
+        assert built["products"] == 8 and built["operators"] > 0
 
     def test_reused_prepared_sequence_matches_a_fresh_one(self):
         # a reduction leaves the shared PreparedSeq (and the derivative
