@@ -606,7 +606,7 @@ def audit_parse(rng: random.Random, cases: int) -> tuple[int, int]:
     return cases, refused
 
 
-# (MAX_REDUCTION_TERMS, MAX_COEFF_BITS, MAX_WORK) for a division draw: the
+# (MAX_TERMS, MAX_COEFF_BITS, MAX_WORK) for a division draw: the
 # size caps at their values, or one small enough to stop some divisions part
 # way, with the budget at REDUCTION_WORK or small enough to do the same.
 DIVISION_CAPS = (
@@ -621,7 +621,7 @@ def _division(b: DiffPoly, seq: list, rk: Ranking, caps: tuple, engine):
     """The certificate's parts, or the cap exception's type, text and work count."""
     terms, bits, work = caps
     try:
-        with patch.multiple(diffalg.reduction, MAX_REDUCTION_TERMS=terms, MAX_COEFF_BITS=bits, MAX_WORK=work):
+        with patch.multiple(diffalg.reduction, MAX_TERMS=terms, MAX_COEFF_BITS=bits, MAX_WORK=work):
             cert = engine(b, seq, rk)
     except StepLimitExceeded as exc:
         return type(exc).__name__, str(exc), getattr(exc, "pairs", None)

@@ -16,7 +16,8 @@ whose decomposition does not run out of work then runs through jbc_check.
     PYTHONPATH=src python3 scripts/square_draw.py --work 2000
 
 Prints each system that ran out of work, then one summary line: how many
-draws ran out of work, the verdicts of the others, and the seconds taken.
+draws ran out of work, the verdicts of the others, and the seconds taken,
+to a tenth.
 The budget counts work, not time, and a node divides its equations in
 ascending rank, so the counts do not change with machine speed or with
 Python's string hashing.
@@ -82,7 +83,7 @@ def _draw(args) -> None:
     others = ", ".join(f"{name} {n}" for name, n in sorted(tally.items()))
     print(
         f"seed {args.seed}, order <= {args.max_order}: {stopped} of {args.cases} out of the "
-        f"budget MAX_WORK = {diffalg.reduction.MAX_WORK}; {others} ({time.perf_counter() - t0:.0f} s)"
+        f"budget MAX_WORK = {diffalg.reduction.MAX_WORK}; {others} ({time.perf_counter() - t0:.1f} s)"
     )
 
 

@@ -25,13 +25,17 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from .diffpoly import DiffPoly
 from .jacobi import Convention, JacobiResult, jacobi_assign, order_matrix, order_text
-from .ranking import RankedPoly, Ranking, analyze, is_reduced
+from .ranking import Ranking, analyze, is_reduced
 from . import reduction
 from .reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded, Verdict, ritt_reduce_seq
+
+
+_by_rank = attrgetter("rank_key")  # the sort key of a scan in ascending rank
 
 
 class VanishingInequationError(ValueError):
@@ -67,7 +71,7 @@ class CharSetComponent:
             prep = PreparedSeq(prep, self.ranking)
         elif prep.ranking != self.ranking:
             raise ValueError("component sequence was prepared under another ranking")
-        ascending = tuple(sorted(prep.ranked, key=RankedPoly.rank_key))
+        ascending = tuple(sorted(prep.ranked, key=_by_rank))
         if ascending != prep.ranked:
             prep = PreparedSeq(ascending, self.ranking)
         object.__setattr__(self, "sequence", prep.sequence)
@@ -141,7 +145,7 @@ def _rank_sorted(rps) -> list:
     rank key, and only a run of equal rank keys sorted by text, so only
     polynomials that tie are rendered."""
     out = []
-    for _, tied in itertools.groupby(sorted(rps, key=RankedPoly.rank_key), RankedPoly.rank_key):
+    for _, tied in itertools.groupby(sorted(rps, key=_by_rank), _by_rank):
         tied = list(tied)
         if len(tied) > 1:
             tied.sort(key=lambda rp: rp.poly.to_text())

@@ -458,7 +458,7 @@ class DiffPoly:
             for k, (v, e) in enumerate(fs):
                 if v.order >= DEFAULT_ORDER_CAP:
                     raise OrderCapExceeded(
-                        f"derivation would create order {v.order + 1} > cap {DEFAULT_ORDER_CAP}"
+                        f"derivation would create order {v.order + 1} > cap {DEFAULT_ORDER_CAP} (DEFAULT_ORDER_CAP)"
                     )
                 # e * v^(e-1) * v', where v' can only meet the factor after v
                 w, rest = v.derived(), fs[k + 1 :]
@@ -614,7 +614,7 @@ class ConcretePoint:
                 return last
             if len(chain) > DEFAULT_ORDER_CAP:
                 raise OrderCapExceeded(
-                    f"point value of order {v.order} > cap {DEFAULT_ORDER_CAP}: "
+                    f"point value of order {v.order} > cap {DEFAULT_ORDER_CAP} (DEFAULT_ORDER_CAP): "
                     f"its derivatives do not vanish by order {DEFAULT_ORDER_CAP}"
                 )
             chain.append(last.derive())

@@ -10,7 +10,7 @@ derivation: u < v implies u' < v', and u < u'.  Two families are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -71,7 +71,8 @@ def _priority_from(n: int, greatest_to_least) -> tuple:
 class RankedPoly:
     """A nonconstant polynomial analyzed under a ranking: its leader (the
     greatest jet variable present), leader degree, separant dA/d(leader),
-    and initial (coefficient of leader^degree)."""
+    and initial (coefficient of leader^degree).  rank_key is its rank,
+    leader^degree, compared leader first then degree; analyze reads it once."""
 
     poly: DiffPoly
     ranking: Ranking
@@ -79,10 +80,7 @@ class RankedPoly:
     degree: int
     separant: DiffPoly
     initial: DiffPoly
-
-    def rank_key(self):
-        """Rank = leader^degree, compared leader first then degree."""
-        return (self.ranking.key(self.leader), self.degree)
+    rank_key: tuple = field(repr=False, compare=False)
 
 
 def analyze(p: DiffPoly, ranking: Ranking) -> RankedPoly:
@@ -100,6 +98,7 @@ def analyze(p: DiffPoly, ranking: Ranking) -> RankedPoly:
         degree=degree,
         separant=p.partial(leader),
         initial=p.coeff_of_power(leader, degree),
+        rank_key=(ranking.key(leader), degree),
     )
 
 

@@ -47,12 +47,14 @@ from .ranking import (
 )
 
 # The work budget of one run: a division's term pairs (scaling by a separant or initial
-# other than 1, and subtracting), checked before each step, and a splitting tree's nodes.
+# other than 1, and subtracting), checked before each step, and a splitting tree's nodes;
+# the reader (sysfile) keeps one count per file, of its products' and powers' term pairs.
 MAX_WORK = 1_000_000
-# Size caps: the most terms of a reduction's working map after a step (scaled, and after
-# the subtraction, whose multiple is never built), and the most bits in an integer of a
-# step's cofactor coefficients or of an equation's coefficients in a splitting node.
-MAX_REDUCTION_TERMS = 10_000
+# Size caps, shared with the reader: the most terms of a reduction's working map after a
+# step (scaled, and after the subtraction, whose multiple is never built) or of a product
+# or power the reader builds, and the most bits in an integer of a step's cofactor
+# coefficients, of an equation's coefficients in a splitting node, or of a power's.
+MAX_TERMS = 10_000
 MAX_COEFF_BITS = 4096
 
 
@@ -62,7 +64,7 @@ class StepLimitExceeded(Exception):
 
 
 class TermLimitExceeded(StepLimitExceeded):
-    """A division step passed MAX_REDUCTION_TERMS or MAX_COEFF_BITS, after `pairs` of work."""
+    """A division step passed MAX_TERMS or MAX_COEFF_BITS, after `pairs` of work."""
 
     def __init__(self, message: str, pairs: int = 0):
         super().__init__(message)
@@ -331,10 +333,10 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
         _add_product(work, neg, divisor._terms)
         log.append((mult, i, DiffPoly(ctx, cof), j))
         terms = max(scaled, len(work))
-        if terms > MAX_REDUCTION_TERMS:
+        if terms > MAX_TERMS:
             raise TermLimitExceeded(
                 f"reduction stopped at step {len(log)}: it built a polynomial with {terms} "
-                f"terms, over the cap MAX_REDUCTION_TERMS = {MAX_REDUCTION_TERMS}",
+                f"terms, over the cap MAX_TERMS = {MAX_TERMS}",
                 pairs,
             )
         deg = _degree_profile(work)

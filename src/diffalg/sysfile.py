@@ -19,7 +19,11 @@ their spelling in a table; any other match is one factor with its power and
 the operator before it.  Each term's monomial and coefficient are built
 once.  ``parse_system`` keeps one table for the whole file, equations and
 point values alike, so a jet or coefficient that repeats in the file is
-built once; nothing outlives one file.
+built once; nothing outlives one file.  The table also keeps the file's
+work count: each product of parenthesised polynomials and each power is
+charged its term pairs before it is made.  The reader shares MAX_WORK,
+MAX_TERMS and MAX_COEFF_BITS with the reducer, read from ``reduction`` at
+each use, so that patching ``diffalg.reduction`` governs both.
 
 A *system file* declares the field, the variables, a ranking, named
 equations, and optionally named points.  A point's values are expressions
@@ -60,27 +64,18 @@ from dataclasses import dataclass
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
+from . import reduction
 from .decompose import CharSetComponent
 from .diffpoly import MON_ONE, ConcretePoint, Context, DerVar, DiffPoly, Monomial, _accumulate
 from .fields import RF_ONE, RF_ZERO, Field, QQ, QT, RatFunc
 from .ranking import Ranking, RankKind
 
 
-# Largest term count a ``p ^ e`` may be expanded to: a polynomial with n
-# terms has at most C(n + e - 1, e) terms in its e-th power.
-MAX_POWER_TERMS = 10_000
 # Deepest nesting of parentheses an expression may have: the reader saves
 # the enclosing expression and its open term once per level.
 MAX_NESTING = 100
-# Largest number of term products the expansion of a ``p ^ e`` may make (see
-# _power_products): (x + y)^9999 passes the term cap but would make 38 million.
-MAX_POWER_PRODUCTS = 100_000
-# Largest coefficient size, in bits of a numerator or denominator, and
-# largest degree in t that a ``p ^ e`` may be expanded to.  Both are bounded
-# from p without expanding (see _power_growth).  When p's coefficients are
-# polynomials in t, the bit cap keeps every coefficient of the power inside
-# the 4,300 digits Python will print.
-MAX_POWER_COEFF_BITS = 10_000
+# Largest degree in t that a ``p ^ e`` may be expanded to, bounded from p
+# without expanding (see _power_growth).
 MAX_POWER_T_DEGREE = 1_000
 
 
@@ -197,6 +192,9 @@ def _rational(negate: bool, num: int, den: int) -> RatFunc:
     return RF_ONE if num == 1 else RatFunc((num,), _ONE)
 
 
+_WORK = "work"  # the key of a file's work count in its table; the other keys are tuples
+
+
 def _scan(src: str, ctx: Context, table: dict) -> dict:
     """The terms of the expression src, a map from monomials to nonzero
     coefficients in the order the terms first appear.
@@ -293,10 +291,10 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
                     f = acc[MON_ONE]
                 else:
                     f = DiffPoly(ctx, acc)
-                acc, negate, num, den, coeff, jets, poly, slash = frames.pop()
+                at, acc, negate, num, den, coeff, jets, poly, slash = frames.pop()
                 if exp is not None:
-                    f = _power(f, _int(src, m, "exp"), ctx, m.start("exp"))
-                coeff, poly = _apply(f, slash, coeff, poly)
+                    f = _power(f, _int(src, m, "exp"), ctx, m.start("exp"), table)
+                coeff, poly = _apply(f, slash, coeff, poly, table, at)
                 continue
         # -- a plain term, whole
         if sign is not None:
@@ -381,11 +379,11 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
                 else:
                     den *= f
                 continue
-            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, "exp"), ctx, m.start("exp"))
+            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, "exp"), ctx, m.start("exp"), table)
         elif opened is not None:
             if len(frames) == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", m.start("open"))
-            frames.append((acc, negate ^ neg, num, den, coeff, jets, poly, slash))
+            frames.append((m.start("open"), acc, negate ^ neg, num, den, coeff, jets, poly, slash))
             acc, negate, num, den, coeff, jets, poly, slash = {}, False, 1, 1, RF_ONE, [], None, None
             operand = True
             continue
@@ -393,14 +391,16 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
             tok, at = _token_at(src, m.end("minus"))
             raise ParseError(f"unexpected {tok or 'end of input'!r}", at)
         negate ^= neg
-        coeff, poly = _apply(f, slash, coeff, poly)
+        coeff, poly = _apply(f, slash, coeff, poly, table, m.start())
 
 
-def _apply(f, slash, coeff, poly) -> tuple:
+def _apply(f, slash, coeff, poly, table: dict, at: int) -> tuple:
     """(coeff, poly) of the open term times a factor that is
     neither a jet nor a plain integer literal: a field element (t, a power
     of a number, or a constant parenthesised expression) or a DiffPoly;
-    divided by it instead after a '/' at position slash."""
+    divided by it instead after a '/' at position slash.  A product of two
+    DiffPolys is charged to the file's work count before it is made, and
+    refused at the factor's position at past MAX_WORK or MAX_TERMS."""
     if slash is not None:
         if type(f) is not RatFunc:
             raise ParseError("division is only allowed by constants", slash)
@@ -410,36 +410,43 @@ def _apply(f, slash, coeff, poly) -> tuple:
     elif type(f) is RatFunc:
         if f is not RF_ONE:
             coeff = f if coeff is RF_ONE else coeff * f
+    elif poly is None:
+        poly = f
     else:
-        poly = f if poly is None else poly * f
+        n, k = poly.term_count(), f.term_count()
+        what = f"product of a {n}-term and a {k}-term polynomial"
+        _charge(table, n * k, what, at)
+        poly = poly * f
+        cap = reduction.MAX_TERMS
+        if poly.term_count() > cap:
+            raise ParseError(f"{what} has {poly.term_count()} terms, over the cap of {cap} terms (MAX_TERMS)", at)
     return coeff, poly
 
 
-def _power(p, e: int, ctx: Context, at: int):
-    """p ^ e for a DiffPoly or a field element p, refused at the exponent's
-    position when the power may pass a cap.  A jet's power never gets
-    here: it has one term with coefficient 1."""
+def _charge(table: dict, pairs: int, what: str, at: int) -> None:
+    """Charge the term pairs of what to the file's work count in table,
+    refused at position at when the count would pass MAX_WORK."""
+    work = table[_WORK] = table.get(_WORK, 0) + pairs
+    if work > reduction.MAX_WORK:
+        raise ParseError(f"{what} would bring the reader's work to {work} term pairs, "
+                         f"over the budget MAX_WORK = {reduction.MAX_WORK}", at)
+
+
+def _power(p, e: int, ctx: Context, at: int, table: dict):
+    """p ^ e for a DiffPoly or a field element p, charged to the file's work
+    count and refused at the exponent's position when the power may pass a
+    cap.  A jet's power never gets here: it has one term with coefficient 1."""
     q = p if type(p) is DiffPoly else DiffPoly.const(ctx, p)
     n = q.term_count()
-    if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
-        raise ParseError(
-            f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-            f"{MAX_POWER_TERMS} terms",
-            at,
-        )
-    if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
-        raise ParseError(
-            f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-            f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
-            at,
-        )
+    if n > 1:
+        what = f"power ^{e} of a {n}-term polynomial"
+        if comb(n + e - 1, e) > reduction.MAX_TERMS:
+            raise ParseError(f"{what} may exceed the cap of {reduction.MAX_TERMS} terms (MAX_TERMS)", at)
+        _charge(table, _power_products(n, e), what, at)
     bits, tdeg = _power_growth(q)
-    if e * bits > MAX_POWER_COEFF_BITS:
-        raise ParseError(
-            f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
-            f"coefficient bits (MAX_POWER_COEFF_BITS)",
-            at,
-        )
+    if e * bits > reduction.MAX_COEFF_BITS:
+        cap = reduction.MAX_COEFF_BITS
+        raise ParseError(f"power ^{e} may exceed the cap of {cap} coefficient bits (MAX_COEFF_BITS)", at)
     if e * tdeg > MAX_POWER_T_DEGREE:
         raise ParseError(_t_degree_cap(e), at)
     return p ** e
@@ -658,7 +665,7 @@ def parse_system(text: str) -> SystemFile:
     every ``eq`` and ``point`` line.  Every expression of the file is read
     with one table of the jets and coefficients read so far (see _scan)."""
     header: dict = {}  # header key -> its value
-    table: dict = {}  # spelling -> Monomial or RatFunc, for this file only
+    table: dict = {}  # spelling -> Monomial or RatFunc, and _WORK, for this file only
     equations: dict = {}  # name -> DiffPoly, in file order
     points: dict = {}  # name -> ConcretePoint, in file order
 
@@ -719,18 +726,11 @@ def parse_system(text: str) -> SystemFile:
 # ---------------------------------------------------------------------------
 
 
-def _parse_poly_list(text: str, ctx: Context) -> tuple:
-    text = text.strip()
-    if not text or text == "(none)":
-        return ()
-    return tuple(parse_poly(piece.strip(), ctx) for piece in text.split(";") if piece.strip())
-
-
 def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
     """Parse a component file: blank-line-separated blocks of a
     ``charset:`` line and optional ``ranking:`` (default: ranking, the
     system's), ``ineqs:`` (default none) and ``prime:`` (default ``no``)
-    lines, each key at most once per block."""
+    lines, each key at most once per block, all read with one table."""
     blocks: list = [[]]
     for lineno, line in _lines(text):
         if not line:
@@ -741,6 +741,7 @@ def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
     if not blocks[-1]:
         blocks.pop()
 
+    table: dict = {}
     components = []
     for block in blocks:
         values: dict = {}  # key -> its value
@@ -753,7 +754,8 @@ def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
                 if key == "ranking":
                     values[key] = parse_ranking(value.strip(), ctx)
                 elif key in ("charset", "ineqs"):
-                    values[key] = _parse_poly_list(value, ctx)
+                    pieces = () if value.strip() == "(none)" else value.split(";")
+                    values[key] = tuple(DiffPoly(ctx, _scan(p.strip(), ctx, table)) for p in pieces if p.strip())
                     if key == "charset" and not values[key]:
                         raise ValueError("empty charset")
                 elif key == "prime":

@@ -55,10 +55,7 @@ from diffalg.jacobi import _score
 from diffalg.linearize import tangent_dervar
 from diffalg.sysfile import (
     MAX_NESTING,
-    MAX_POWER_COEFF_BITS,
-    MAX_POWER_PRODUCTS,
     MAX_POWER_T_DEGREE,
-    MAX_POWER_TERMS,
     ParseError,
     _power_growth,
     _power_products,
@@ -186,7 +183,7 @@ def text_sorted_basic_set(node, rank) -> tuple:
     """The greedy basic set of a node, scanned by (rank key, text): (the
     kept RankedPolys, the other equations), both in scan order."""
     chosen, rest = [], []
-    for rp in sorted((rank(p) for p in node), key=lambda rp: (rp.rank_key(), rp.poly.to_text())):
+    for rp in sorted((rank(p) for p in node), key=lambda rp: (rp.rank_key, rp.poly.to_text())):
         if all(is_reduced(rp.poly, c) for c in chosen):
             chosen.append(rp)
         else:
@@ -273,10 +270,10 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
         ]
         quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
         terms = max(scaled.term_count(), c.term_count())
-        if terms > _reduction.MAX_REDUCTION_TERMS:
+        if terms > _reduction.MAX_TERMS:
             raise _reduction.TermLimitExceeded(
                 f"reduction stopped at step {len(factors)}: it built a polynomial with {terms} "
-                f"terms, over the cap MAX_REDUCTION_TERMS = {_reduction.MAX_REDUCTION_TERMS}",
+                f"terms, over the cap MAX_TERMS = {_reduction.MAX_TERMS}",
                 pairs,
             )
     cert = ReductionCertificate(
@@ -381,7 +378,12 @@ class _ExprParser:
     left to right, or folded into the coefficient when it is constant.  An
     expression adds its terms into one dict.  Terms keep the order in which
     they first appear, as sums and products of DiffPolys give it.
-    Parentheses nest at most MAX_NESTING deep.
+    Parentheses nest at most MAX_NESTING deep.  Each product of two
+    DiffPolys and each power of a polynomial of two or more terms is
+    charged its term pairs, one count for the whole parse, against
+    reduction.MAX_WORK before it is made; a product past
+    reduction.MAX_TERMS terms is refused at its '(', a power that may pass
+    it at its exponent.
     """
 
     def __init__(self, src: str, ctx: Context):
@@ -390,6 +392,7 @@ class _ExprParser:
         self.toks = _tokenize(src)
         self.i = 0
         self.depth = 0  # parentheses open at the current token
+        self.work = 0  # term pairs charged so far
 
     # -- token helpers ------------------------------------------------------
 
@@ -454,6 +457,7 @@ class _ExprParser:
         poly = None  # the product of the non-constant parenthesised factors
         slash = None  # index of the '/' before a divisor
         while True:
+            at = self.i  # the factor's first token, a run of '-' skipped below
             neg, f = self._factor()
             negate ^= neg
             kind = type(f)
@@ -474,8 +478,12 @@ class _ExprParser:
             elif kind is RatFunc:
                 if f is not RF_ONE:
                     coeff = f if coeff is RF_ONE else coeff * f
+            elif poly is None:
+                poly = f
             else:
-                poly = f if poly is None else poly * f
+                while self.toks[at] == "-":
+                    at += 1
+                poly = self._product(poly, f, at)
             t = self.toks[self.i]
             if t != "*" and t != "/":
                 break
@@ -568,23 +576,19 @@ class _ExprParser:
         e = self._expect_int()
         q = p if type(p) is DiffPoly else DiffPoly.const(self.ctx, p)
         n = q.term_count()
-        if n > 1 and comb(n + e - 1, e) > MAX_POWER_TERMS:
-            raise self._error(
-                f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-                f"{MAX_POWER_TERMS} terms",
-                at,
-            )
-        if n > 1 and _power_products(n, e) > MAX_POWER_PRODUCTS:
-            raise self._error(
-                f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-                f"{MAX_POWER_PRODUCTS} term products (MAX_POWER_PRODUCTS)",
-                at,
-            )
+        if n > 1:
+            if comb(n + e - 1, e) > _reduction.MAX_TERMS:
+                raise self._error(
+                    f"power ^{e} of a {n}-term polynomial may exceed the cap of "
+                    f"{_reduction.MAX_TERMS} terms (MAX_TERMS)",
+                    at,
+                )
+            self._charge(_power_products(n, e), f"power ^{e} of a {n}-term polynomial", at)
         bits, tdeg = _power_growth(q)
-        if e * bits > MAX_POWER_COEFF_BITS:
+        if e * bits > _reduction.MAX_COEFF_BITS:
             raise self._error(
-                f"power ^{e} may exceed the cap of {MAX_POWER_COEFF_BITS} "
-                f"coefficient bits (MAX_POWER_COEFF_BITS)",
+                f"power ^{e} may exceed the cap of {_reduction.MAX_COEFF_BITS} "
+                f"coefficient bits (MAX_COEFF_BITS)",
                 at,
             )
         if e * tdeg > MAX_POWER_T_DEGREE:
@@ -594,6 +598,26 @@ class _ExprParser:
                 at,
             )
         return p ** e
+
+    def _product(self, a: DiffPoly, b: DiffPoly, at: int) -> DiffPoly:
+        """a * b, charged before it is made and refused at token at."""
+        what = f"product of a {a.term_count()}-term and a {b.term_count()}-term polynomial"
+        self._charge(a.term_count() * b.term_count(), what, at)
+        p = a * b
+        if p.term_count() > _reduction.MAX_TERMS:
+            raise self._error(
+                f"{what} has {p.term_count()} terms, over the cap of {_reduction.MAX_TERMS} terms (MAX_TERMS)", at
+            )
+        return p
+
+    def _charge(self, pairs: int, what: str, at: int) -> None:
+        self.work += pairs
+        if self.work > _reduction.MAX_WORK:
+            raise self._error(
+                f"{what} would bring the reader's work to {self.work} term pairs, "
+                f"over the budget MAX_WORK = {_reduction.MAX_WORK}",
+                at,
+            )
 
 
 def reference_parse_poly(src: str, ctx: Context) -> DiffPoly:

@@ -1,5 +1,6 @@
 """The command-line front end: output shapes, exit codes, determinism."""
 
+import ast
 import json
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 import diffalg
 from diffalg.cli import main
 import diffalg.cli
-from diffalg.sysfile import MAX_NESTING, MAX_POWER_COEFF_BITS, MAX_POWER_T_DEGREE, MAX_POWER_TERMS
+from diffalg.reduction import MAX_COEFF_BITS, MAX_TERMS
+from diffalg.sysfile import MAX_NESTING, MAX_POWER_T_DEGREE
 
 from strategies import FLAGSHIP, FLAGSHIP_COMPONENT_2
 
@@ -190,7 +192,7 @@ class TestReduce:
         assert main(["reduce", str(p), "--target", "f"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "over the cap MAX_REDUCTION_TERMS = 10000" in captured.err
+        assert "over the cap MAX_TERMS = 10000" in captured.err
 
 
 class TestLinearize:
@@ -356,7 +358,7 @@ class TestJbcCheck:
         assert "decomposition: 0 component(s) (complete)" in out
 
     def test_term_cap_in_the_decomposition_is_inconclusive(self, flagship, capsys, monkeypatch):
-        monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_TERMS", 2)
+        monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 2)
         assert main(["jbc-check", flagship]) == 1
         out = capsys.readouterr().out
         assert "(INCOMPLETE)" in out and "verdict: INCONCLUSIVE" in out
@@ -492,8 +494,23 @@ class TestErrorChannel:
     def test_power_over_the_expansion_cap(self, cusp, capsys):
         assert main(["member", cusp, "(x + y + 1)^100000"]) == 2
         err = capsys.readouterr().err
-        assert "power ^100000 of a 3-term polynomial" in err
-        assert f"cap of {MAX_POWER_TERMS} terms" in err
+        assert err == (
+            f"diffalg: expression: power ^100000 of a 3-term polynomial may exceed the cap of "
+            f"{MAX_TERMS} terms (MAX_TERMS) (at position 12)\n"
+        )
+
+    def test_long_product_of_sums_ends_at_the_term_cap(self, cusp, capsys):
+        # 100 factors, 1,189 characters, once built 176,850 terms; each
+        # product is charged before it is made, and the 38th, at 404,928
+        # term pairs with its own, is the first past MAX_TERMS
+        expr = "*".join(f"(x+y+x'+{i})" for i in range(100))
+        assert len(expr) == 1189
+        assert main(["member", cusp, expr]) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"diffalg: expression: product of a 9879-term and a 4-term polynomial has 10659 terms, "
+            f"over the cap of {MAX_TERMS} terms (MAX_TERMS) (at position 434)\n",
+        )
 
     def test_power_over_the_expansion_cap_in_a_system_file(self, tmp_path, capsys):
         p = tmp_path / "big.sys"
@@ -503,7 +520,7 @@ class TestErrorChannel:
 
     def test_power_over_the_size_caps(self, cusp, tmp_path, capsys):
         assert main(["member", cusp, "(2*x)^1000000000000000000"]) == 2
-        assert f"cap of {MAX_POWER_COEFF_BITS} coefficient bits" in capsys.readouterr().err
+        assert f"cap of {MAX_COEFF_BITS} coefficient bits (MAX_COEFF_BITS)" in capsys.readouterr().err
         p = tmp_path / "tpow.sys"
         p.write_text(QT_PAIR.replace("+ t\n", "+ t^1000000000000000000\n"))
         assert main(["reduce", str(p), "--target", "f"]) == 2
@@ -542,7 +559,7 @@ class TestErrorChannel:
         p.write_text(FLAGSHIP.replace("x = 0", "x = " + "-" * 5001 + "0"))
         assert main(["linearize", str(p), "--at", "p0"]) == 0
 
-    @pytest.mark.parametrize("value", ["y", "y*(7)^3000*(7)^3000*(7)^3000"])
+    @pytest.mark.parametrize("value", ["y", "y" + "*(7)^1300" * 7])
     def test_nonconstant_point_value(self, tmp_path, capsys, value):
         # the second value's text has over 7,000 digits: the message must
         # not render it
@@ -664,3 +681,29 @@ class TestImport:
         loaded = {name.split(".")[0] for name in json.loads(out)}
         assert "diffalg" in loaded
         assert not loaded & {"numpy", "scipy"}
+
+
+class TestNamedCaps:
+    def test_the_library_has_eight_named_caps(self):
+        # every module-level integer constant of the library but the exit
+        # codes is a cap; the reader and the reducer share the three in
+        # reduction, and every cap's stop names it
+        caps = set()
+        for path in sorted(Path(diffalg.__file__).parent.glob("*.py")):
+            for node in ast.parse(path.read_text()).body:
+                if (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.value, ast.Constant)
+                    and type(node.value.value) is int
+                ):
+                    caps.update(f"{path.stem}.{t.id}" for t in node.targets if isinstance(t, ast.Name) and not t.id.startswith(("_", "EXIT_")))
+        assert caps == {
+            "reduction.MAX_WORK",
+            "reduction.MAX_TERMS",
+            "reduction.MAX_COEFF_BITS",
+            "sysfile.MAX_NESTING",
+            "sysfile.MAX_POWER_T_DEGREE",
+            "oracle.MAX_CANDIDATES",
+            "decompose.MAX_COMPONENTS",
+            "diffpoly.DEFAULT_ORDER_CAP",
+        }

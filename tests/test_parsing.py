@@ -3,6 +3,7 @@
 import time
 from fractions import Fraction
 from math import comb
+from unittest.mock import patch
 
 import hypothesis.strategies as st
 import pytest
@@ -18,12 +19,10 @@ from diffalg import (
     Ranking,
     RatFunc,
 )
+from diffalg.reduction import MAX_COEFF_BITS, MAX_TERMS, MAX_WORK
 from diffalg.sysfile import (
     MAX_NESTING,
-    MAX_POWER_COEFF_BITS,
-    MAX_POWER_PRODUCTS,
     MAX_POWER_T_DEGREE,
-    MAX_POWER_TERMS,
     ParseError,
     SysFileError,
     format_components,
@@ -33,6 +32,7 @@ from diffalg.sysfile import (
     parse_ranking,
     parse_system,
 )
+import diffalg.reduction
 import diffalg.sysfile
 from diffalg.diffpoly import DiffPoly
 from diffalg.sysfile import _power_growth, _power_products
@@ -65,18 +65,29 @@ class TestExpressions:
         assert parse_poly("x^1000", XY).term_count() == 1
         assert parse_poly("(2*x*y')^50", XY).term_count() == 1
         # (x + 1)^e has C(e + 1, e) = e + 1 terms
-        with pytest.raises(ParseError, match=f"cap of {MAX_POWER_TERMS} terms"):
-            parse_poly(f"(x + 1)^{MAX_POWER_TERMS}", XY)
+        with pytest.raises(ParseError) as exc:
+            parse_poly(f"(x + 1)^{MAX_TERMS}", XY)
+        assert str(exc.value) == (
+            f"power ^{MAX_TERMS} of a 2-term polynomial may exceed the cap of "
+            f"{MAX_TERMS} terms (MAX_TERMS) (at position 8)"
+        )
 
     def test_power_product_cap(self):
         # (x + y)^9999 has 10,000 terms, inside the term cap, but binary
-        # powering would make about 38 million term products
-        for e in (9999, 2000):
+        # powering would make about 38 million term products; each power
+        # is charged its products before it is expanded, against MAX_WORK
+        for e, pairs in ((9999, 38_146_306), (2000, 1_656_818)):
             start = time.perf_counter()
-            with pytest.raises(ParseError, match=f"cap of {MAX_POWER_PRODUCTS} term products"):
+            with pytest.raises(ParseError) as exc:
                 parse_poly(f"(x + y)^{e}", XY)
             assert time.perf_counter() - start < 1.0
-        assert _power_products(2, 9999) > MAX_POWER_PRODUCTS
+            assert str(exc.value) == (
+                f"power ^{e} of a 2-term polynomial would bring the reader's work to "
+                f"{pairs} term pairs, over the budget MAX_WORK = {MAX_WORK} (at position 8)"
+            )
+            assert _power_products(2, e) == pairs
+        # (x + y)^1614 is the largest power of a binomial inside the budget
+        assert _power_products(2, 1614) <= MAX_WORK < _power_products(2, 1615)
         # the count is exact for binary powering: one square, which is the power
         assert _power_products(3, 2) == 3 * 3
         assert parse_poly("(x + y)^400", XY).term_count() == 401
@@ -119,9 +130,9 @@ class TestExpressions:
 
     def test_power_size_caps(self):
         # single-term powers are refused from p and e alone, before expansion
-        with pytest.raises(ParseError, match=f"cap of {MAX_POWER_COEFF_BITS} coefficient bits"):
+        with pytest.raises(ParseError, match=rf"cap of {MAX_COEFF_BITS} coefficient bits \(MAX_COEFF_BITS\)"):
             parse_poly("(2)^1000000000000000000", XY)
-        with pytest.raises(ParseError, match="MAX_POWER_COEFF_BITS"):
+        with pytest.raises(ParseError, match="MAX_COEFF_BITS"):
             parse_poly("(3/2*x)^1000000000000000000", XY)
         with pytest.raises(ParseError, match=f"cap of {MAX_POWER_T_DEGREE} in t-degree"):
             parse_poly("t^1000000000000000000", Context(("x",), QT))
@@ -139,14 +150,15 @@ class TestExpressions:
         # bits, far above e times the largest single denominator
         p1, p2, p3 = 3**300, 5**206, 7**170
         src = f"(x^2/{p1} + x*y/{p2} + y^2/{p3})^{{}}"
-        with pytest.raises(ParseError, match="MAX_POWER_COEFF_BITS"):
-            parse_poly(src.format(20), XY)
+        for e in (3, 20):
+            with pytest.raises(ParseError, match="MAX_COEFF_BITS"):
+                parse_poly(src.format(e), XY)
         bits, _ = _power_growth(P(f"x^2/{p1} + x*y/{p2} + y^2/{p3}"))
-        assert 6 * bits <= MAX_POWER_COEFF_BITS < 7 * bits
-        sixth = parse_poly(src.format(6), XY)
-        top = max(c.den[0].bit_length() for _, c in sixth.items())
+        assert 2 * bits <= MAX_COEFF_BITS < 3 * bits
+        square = parse_poly(src.format(2), XY)
+        top = max(c.den[0].bit_length() for _, c in square.items())
         largest = max(p1, p2, p3).bit_length()
-        assert 6 * (largest + 2) < top <= 6 * bits
+        assert 2 * (largest + 2) < top <= 2 * bits
 
     def test_power_growth_reads_the_stored_integers(self):
         # a constant denominator adds no number of its own, so coefficients
@@ -230,14 +242,14 @@ class TestExpressions:
             (
                 "x*2^20000",
                 QQ,
-                f"power ^20000 may exceed the cap of {MAX_POWER_COEFF_BITS} "
-                "coefficient bits (MAX_POWER_COEFF_BITS) (at position 4)",
+                f"power ^20000 may exceed the cap of {MAX_COEFF_BITS} "
+                "coefficient bits (MAX_COEFF_BITS) (at position 4)",
             ),
             (
                 "2^20000*x",
                 QQ,
-                f"power ^20000 may exceed the cap of {MAX_POWER_COEFF_BITS} "
-                "coefficient bits (MAX_POWER_COEFF_BITS) (at position 2)",
+                f"power ^20000 may exceed the cap of {MAX_COEFF_BITS} "
+                "coefficient bits (MAX_COEFF_BITS) (at position 2)",
             ),
             (
                 "x*t^1001",
@@ -427,6 +439,102 @@ def _arithmetic(expr, ctx) -> DiffPoly:
     return p
 
 
+def _chain(k: int) -> str:
+    """k parenthesised sums of four terms multiplied together, each factor 17
+    characters with its '*': the product of the first j has C(j + 3, 3)
+    terms, so multiplying in the next factor makes 4 * C(j + 3, 3) term
+    pairs."""
+    return "*".join(f"(x + y + x' + {i})" for i in range(1, k + 1))
+
+
+class TestReaderWork:
+    """The reader charges the term pairs of each product of parenthesised
+    factors and of each power to one count per file, before it makes them,
+    against reduction.MAX_WORK; a product or power past reduction.MAX_TERMS
+    terms is refused."""
+
+    def test_a_product_chain_stops_at_the_product_that_crosses_the_count(self, monkeypatch):
+        # the products make 16, 40, 80 and 140 term pairs: 56 after the
+        # third factor, 136 after the fourth and 276 after the fifth
+        src = _chain(6)
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 100)
+        with pytest.raises(ParseError) as exc:
+            P(src)
+        assert str(exc.value) == (
+            "product of a 20-term and a 4-term polynomial would bring the reader's work to "
+            "136 term pairs, over the budget MAX_WORK = 100 (at position 51)"
+        )
+        assert exc.value.pos == src.index("(x + y + x' + 4)")
+        assert _reading(reference_parse_poly, src, XY) == str(exc.value)
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 136)
+        with pytest.raises(ParseError) as exc:
+            P(src)
+        assert str(exc.value) == (
+            "product of a 35-term and a 4-term polynomial would bring the reader's work to "
+            "276 term pairs, over the budget MAX_WORK = 136 (at position 68)"
+        )
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 276)
+        assert P(_chain(5)).term_count() == comb(5 + 3, 3)
+
+    def test_a_power_and_the_products_after_it_share_the_count(self, monkeypatch):
+        # (x + y)^3 is charged _power_products(2, 3) = 2 * 2 + 2 * 3 = 10
+        # term pairs, and its product with (x + 1) 4 * 2 = 8 more
+        src = "(x + y)^3*(x + 1)"
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 17)
+        with pytest.raises(ParseError, match=r"^product of a 4-term and a 2-term .* 18 term pairs, .* = 17 \(at position 10\)$"):
+            P(src)
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 18)
+        assert P(src).term_count() == 8
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 9)
+        with pytest.raises(ParseError, match=r"^power \^3 of a 2-term .* 10 term pairs, .* = 9 \(at position 8\)$"):
+            P(src)
+
+    def test_a_file_keeps_one_count_for_all_its_expressions(self, monkeypatch):
+        # each equation makes 16 + 40 = 56 term pairs: one passes a budget
+        # of 100, and the file's second crosses it at its third factor
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 100)
+        eq = _chain(3)
+        head = "field: Q\nvars: x, y\nranking: elim x > y\n"
+        assert P(eq) == P(eq)  # parse_poly starts a fresh count each time
+        one = parse_system(f"{head}eq u1 = {eq}\neq u2 = y\n")
+        assert one.equation("u1") == P(eq)
+        with pytest.raises(SysFileError) as exc:
+            parse_system(f"{head}eq u1 = {eq}\neq u2 = y\neq u3 = {eq}\n")
+        assert str(exc.value) == (
+            "line 6: product of a 10-term and a 4-term polynomial would bring the reader's "
+            "work to 112 term pairs, over the budget MAX_WORK = 100 (at position 34)"
+        )
+        # a component file keeps one count too, across its blocks
+        with pytest.raises(SysFileError, match=r"^line 3: product .* 112 term pairs"):
+            parse_components(f"charset: {eq}\n\ncharset: {eq}\n", XY, ELIM_XY)
+
+    def test_a_product_over_the_term_cap_is_refused_as_a_power_is(self, monkeypatch):
+        # 101 by 101 distinct jets make 10,201 terms from as many term pairs
+        xs = " + ".join(f"x^({k})" for k in range(101))
+        ys = xs.replace("x", "y")
+        src = f"({xs})*({ys})"
+        with pytest.raises(ParseError) as exc:
+            P(src)
+        assert str(exc.value) == (
+            f"product of a 101-term and a 101-term polynomial has 10201 terms, over the cap of "
+            f"{MAX_TERMS} terms (MAX_TERMS) (at position {len(xs) + 3})"
+        )
+        assert _reading(reference_parse_poly, src, XY) == str(exc.value)
+        # under a cap of 5 terms, (x + y + 1)^2 and the product it expands
+        # to are both refused, and (x + y)*(x + y + 1) passes
+        monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 5)
+        for src, message in (
+            ("(x + y + 1)^2", "power ^2 of a 3-term polynomial may exceed the cap of 5 terms (MAX_TERMS) (at position 12)"),
+            (
+                "(x + y + 1)*(x + y + 1)",
+                "product of a 3-term and a 3-term polynomial has 6 terms, over the cap of 5 terms "
+                "(MAX_TERMS) (at position 12)",
+            ),
+        ):
+            assert _reading(parse_poly, src, XY) == message == _reading(reference_parse_poly, src, XY)
+        assert P("(x + y)*(x + y + 1)").term_count() == 5
+
+
 class TestTermParser:
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -600,6 +708,20 @@ class TestAgainstTheReferenceParser:
         src = data.draw(st.one_of(_spellings(), _deep_spellings(), _plain_sums(), _trees(ctx.field is QT, 3, [4]).map(
             lambda tree: _render(tree[0]))))
         assert _reading(parse_poly, src, ctx) == _reading(reference_parse_poly, src, ctx)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_small_caps_stop_both_readers_alike(self, data):
+        # the work count, the term cap and the bit cap refuse the same
+        # factor with the same message
+        ctx = Context(("x", "y"), data.draw(st.sampled_from((QQ, QT))))
+        src = data.draw(st.one_of(_spellings(), _plain_sums(), _trees(ctx.field is QT, 3, [4]).map(
+            lambda tree: _render(tree[0]))))
+        work = data.draw(st.sampled_from((1, 4, 12, 40)))
+        terms = data.draw(st.sampled_from((1, 3, 6, 10_000)))
+        bits = data.draw(st.sampled_from((4, 4096)))
+        with patch.multiple(diffalg.reduction, MAX_WORK=work, MAX_TERMS=terms, MAX_COEFF_BITS=bits):
+            assert _reading(parse_poly, src, ctx) == _reading(reference_parse_poly, src, ctx)
 
     @pytest.mark.parametrize("field", [QQ, QT])
     @pytest.mark.parametrize(

@@ -89,7 +89,17 @@ class TestAnalyze:
         a = analyze(P("x'"), ELIM_XY)
         b = analyze(P("x'^2"), ELIM_XY)
         c = analyze(P("x''"), ELIM_XY)
-        assert a.rank_key() < b.rank_key() < c.rank_key()
+        assert a.rank_key < b.rank_key < c.rank_key
+        assert b.rank_key == (ELIM_XY.key(DerVar(0, 1)), 2)
+
+    def test_rank_key_is_read_once_per_analysis(self, monkeypatch):
+        calls = []
+        key = Ranking.key
+        monkeypatch.setattr(Ranking, "key", lambda r, v: calls.append(v) or key(r, v))
+        rp = analyze(P("x' + y"), ELIM_XY)
+        assert len(calls) == 3  # max_var's two jets, then the leader's for the rank
+        sorted([rp, rp, rp], key=lambda r: r.rank_key)
+        assert len(calls) == 3
 
 
 class TestReduced:

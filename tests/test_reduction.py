@@ -236,7 +236,7 @@ def qt_polys(draw, ctx, **kw):
 
 
 def caps():
-    """(MAX_REDUCTION_TERMS, MAX_COEFF_BITS, MAX_WORK): each size cap at its
+    """(MAX_TERMS, MAX_COEFF_BITS, MAX_WORK): each size cap at its
     value, or small enough to stop a few divisions part way; a budget that
     no division drawn here has reached, or one small enough to stop a
     division at its first step or part way."""
@@ -250,7 +250,7 @@ class TestCertificateOnRead:
     def _check_against_forward(b, seq, rk, caps):
         terms, bits, work = caps
         outcomes = []
-        with patch.multiple(diffalg.reduction, MAX_REDUCTION_TERMS=terms, MAX_COEFF_BITS=bits, MAX_WORK=work):
+        with patch.multiple(diffalg.reduction, MAX_TERMS=terms, MAX_COEFF_BITS=bits, MAX_WORK=work):
             for engine in (lambda: divide(b, seq, rk), lambda: forward_certificate(b, seq, rk)):
                 try:
                     outcomes.append(engine())
@@ -412,8 +412,8 @@ class TestPreparedSeq:
 
 class TestTermCap:
     def test_cap_is_a_named_step_limit(self, monkeypatch):
-        monkeypatch.setattr(diffalg.reduction, "MAX_REDUCTION_TERMS", 3)
-        with pytest.raises(TermLimitExceeded, match="MAX_REDUCTION_TERMS = 3") as err:
+        monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 3)
+        with pytest.raises(TermLimitExceeded, match="MAX_TERMS = 3") as err:
             divide(P("x''*y + x'*y^2 + x"), [P("x'^2 + y*x' + y")])
         assert isinstance(err.value, StepLimitExceeded)
 
@@ -454,7 +454,7 @@ class TestTermCap:
     def test_huge_product_of_a_square_draw_is_refused(self, monkeypatch):
         # draw 192 of scripts/square_draw.py --seed 1 --max-order 2: its
         # splitting tree once spent 33 s building one 72,445-term product
-        # before MAX_REDUCTION_TERMS refused it; now the step that would
+        # before MAX_TERMS refused it; now the step that would
         # make it is refused first, and the tree stops out of work
         messages = []
         divide_in_tree = diffalg.decompose.ritt_reduce_seq

@@ -19,7 +19,7 @@ def test_counts_of_a_small_budget_are_pinned(capsys):
     assert [int(re.match(r"draw (\d+): out of work: ", line).group(1)) for line in stops] == [
         1, 2, 3, 8, 9, 10, 14, 15, 17, 19
     ]
-    assert re.sub(r" \(\d+ s\)$", "", summary) == (
+    assert re.sub(r" \(\d+\.\d s\)$", "", summary) == (
         "seed 1, order <= 2: 10 of 20 out of the budget MAX_WORK = 2000; HOLDS 10"
     )
 
@@ -31,7 +31,7 @@ def test_work_sets_the_budget_for_the_run_only(capsys):
     square_draw.main(["--cases", "0"])
     square_draw.main(["--cases", "3", "--work", "20000"])
     assert diffalg.reduction.MAX_WORK == before
-    default, stop, small = [re.sub(r" \(\d+ s\)$", "", line) for line in capsys.readouterr().out.splitlines()]
+    default, stop, small = [re.sub(r" \(\d+\.\d s\)$", "", line) for line in capsys.readouterr().out.splitlines()]
     assert default == "seed 1, order <= 2: 0 of 0 out of the budget MAX_WORK = 200000; "
     assert stop.startswith("draw 2: out of work: ")
     assert small == "seed 1, order <= 2: 1 of 3 out of the budget MAX_WORK = 20000; HOLDS 2"
