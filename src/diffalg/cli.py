@@ -14,9 +14,11 @@ through --components, a component file such as decompose prints, and then
 count as incomplete (never HOLDS); without it jbc-check decomposes the
 system itself.  The budgets are fixed: decompose.MAX_COMPONENTS;
 reduction.MAX_WORK, counted by each splitting tree in nodes and term pairs
-and by the reader in the term pairs of a file's (or EXPR's) products and
-powers; and reduction.MAX_TERMS and MAX_COEFF_BITS, which bound what a
-division or the reader builds.  Output is deterministic: the same input
+and by the reader in the term pairs of the polynomial products, powers'
+among them, that it makes for a file (or EXPR); reduction.MAX_TERMS and
+MAX_COEFF_BITS, which bound what a division or a reader's product builds;
+and sysfile.MAX_T_DEGREE, the degree in t of every coefficient a reader's
+product makes.  Output is deterministic: the same input
 always produces byte-identical output, and a run that ends in an error
 (exit 2 or 3) prints nothing on stdout.
 

@@ -48,8 +48,9 @@ class CharSetComponent:
 
     Invariants enforced at construction: the sequence is autoreduced under
     the ranking (hence leading variables are pairwise distinct), and every
-    inequation has nonzero Ritt remainder modulo the sequence.  Components
-    are not certified prime unless an external source declared them so.
+    inequation has nonzero Ritt remainder modulo the sequence.  No
+    component is certified prime: nothing here tests primality, and a
+    component file may not declare it (``prime: yes`` is refused).
 
     The sequence may be given in any order, and as a PreparedSeq, whose
     construction was the autoreducedness check; either way the component
@@ -60,7 +61,6 @@ class CharSetComponent:
     ranking: Ranking
     sequence: tuple  # tuple[DiffPoly, ...], ascending rank
     inequations: tuple = ()
-    prime_verified: bool = False
     prepared: PreparedSeq = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -95,21 +95,16 @@ class CharSetComponent:
         return len(self.sequence) == self.context.n
 
     def membership(self, f: DiffPoly) -> Verdict:
-        """Zero remainder modulo the sequence; heuristic unless verified
-        prime.  The one place a component reduces: the verdict carries the
-        certificate it was read from."""
+        """Zero remainder modulo the sequence; always heuristic, since no
+        component is proven prime.  The one place a component reduces: the
+        verdict carries the certificate it was read from."""
         cert = ritt_reduce_seq(f, self.prepared)
-        return Verdict(
-            member=cert.remainder.is_zero(),
-            heuristic=not self.prime_verified,
-            certificate=cert,
-        )
+        return Verdict(member=cert.remainder.is_zero(), heuristic=True, certificate=cert)
 
     def to_text(self) -> str:
         seq = "; ".join(p.to_text() for p in self.sequence)
         ineq = "; ".join(q.to_text() for q in self.inequations) or "(none)"
-        prime = "yes" if self.prime_verified else "no"
-        return f"charset: {seq}\nineqs: {ineq}\nprime: {prime}"
+        return f"charset: {seq}\nineqs: {ineq}\nprime: no"
 
     def __repr__(self) -> str:
         return f"CharSetComponent([{'; '.join(p.to_text() for p in self.sequence)}])"
@@ -558,7 +553,7 @@ class JbcReport:
                 {
                     "charset": [p.to_text() for p in rec.component.sequence],
                     "ineqs": [q.to_text() for q in rec.component.inequations],
-                    "prime": rec.component.prime_verified,
+                    "prime": False,
                     "dimension": "infinite" if rec.dimension is None else rec.dimension,
                     "memberships": [
                         {"member": v.member, "heuristic": v.heuristic}

@@ -447,7 +447,7 @@ class Field(Enum):
         num, den = a.num, a.den
         if len(num) == 1 and len(den) == 1:
             return max(abs(num[0]), den[0]).bit_length()
-        return max(abs(c) for c in num + den).bit_length()
+        return max(map(abs, num + den)).bit_length()
 
     def text(self, a: RatFunc) -> str:
         return self.check(a).text()

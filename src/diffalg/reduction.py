@@ -48,12 +48,13 @@ from .ranking import (
 
 # The work budget of one run: a division's term pairs (scaling by a separant or initial
 # other than 1, and subtracting), checked before each step, and a splitting tree's nodes;
-# the reader (sysfile) keeps one count per file, of its products' and powers' term pairs.
+# the reader (sysfile) keeps one count per file, of the term pairs of its polynomial products.
 MAX_WORK = 1_000_000
 # Size caps, shared with the reader: the most terms of a reduction's working map after a
 # step (scaled, and after the subtraction, whose multiple is never built) or of a product
-# or power the reader builds, and the most bits in an integer of a step's cofactor
-# coefficients, of an equation's coefficients in a splitting node, or of a power's.
+# the reader builds, and the most bits in an integer of a step's cofactor coefficients,
+# of an equation's coefficients in a splitting node, or of a coefficient a reader's
+# product makes.
 MAX_TERMS = 10_000
 MAX_COEFF_BITS = 4096
 

@@ -20,10 +20,18 @@ the operator before it.  Each term's monomial and coefficient are built
 once.  ``parse_system`` keeps one table for the whole file, equations and
 point values alike, so a jet or coefficient that repeats in the file is
 built once; nothing outlives one file.  The table also keeps the file's
-work count: each product of parenthesised polynomials and each power is
-charged its term pairs before it is made.  The reader shares MAX_WORK,
-MAX_TERMS and MAX_COEFF_BITS with the reducer, read from ``reduction`` at
-each use, so that patching ``diffalg.reduction`` governs both.
+work count.
+
+The reader multiplies in one way only, ``_times``: a product of two
+parenthesised polynomials, each squaring and product of a power ``p^e``, a
+term's constant and jets times its parenthesised polynomial, and every
+product of two constants (two numbers in one term, a division by a
+constant).  A product of polynomials is charged its term pairs before it is
+made and stops as soon as it holds more than MAX_TERMS terms; every
+coefficient a product makes is held to MAX_COEFF_BITS and, over Q(t), to
+MAX_T_DEGREE.  The reader shares MAX_WORK, MAX_TERMS and MAX_COEFF_BITS
+with the reducer, read from ``reduction`` at each use, so that patching
+``diffalg.reduction`` governs both.
 
 A *system file* declares the field, the variables, a ranking, named
 equations, and optionally named points.  A point's values are expressions
@@ -61,12 +69,12 @@ from __future__ import annotations
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from math import comb, gcd, lcm
+from math import gcd
 from typing import Optional, Sequence
 
 from . import reduction
 from .decompose import CharSetComponent
-from .diffpoly import MON_ONE, ConcretePoint, Context, DerVar, DiffPoly, Monomial, _accumulate
+from .diffpoly import MON_ONE, ConcretePoint, Context, DerVar, DiffPoly, Monomial, _accumulate, _add_product
 from .fields import RF_ONE, RF_ZERO, Field, QQ, QT, RatFunc
 from .ranking import Ranking, RankKind
 
@@ -74,9 +82,9 @@ from .ranking import Ranking, RankKind
 # Deepest nesting of parentheses an expression may have: the reader saves
 # the enclosing expression and its open term once per level.
 MAX_NESTING = 100
-# Largest degree in t that a ``p ^ e`` may be expanded to, bounded from p
-# without expanding (see _power_growth).
-MAX_POWER_T_DEGREE = 1_000
+# Largest degree in t of a coefficient the reader makes: of t^e, and of
+# every product (see _times).
+MAX_T_DEGREE = 1_000
 
 
 class ParseError(ValueError):
@@ -218,10 +226,14 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
     expression and its open term on an explicit stack, at most MAX_NESTING
     deep; its ')' makes the inner expression a DiffPoly, which is
     multiplied into the term left to right, or folded into the coefficient
-    when it is constant.  Terms keep the order in which they first appear,
-    as sums and products of DiffPolys give it.  An error names the first
-    token, left to right, that cannot be read, whichever way the term is
-    read.
+    when it is constant.  Every product is made by _times: one of two
+    numbers or two constants is refused at the factor that makes it, one
+    of polynomials at its '(' and a power's at its exponent, and the
+    term's coefficient, and its product with the term's parenthesised
+    polynomial, at the token that ends the term.  Terms keep the order in
+    which they first appear, as sums and products of DiffPolys give it.  An
+    error names the first token, left to right, that cannot be read,
+    whichever way the term is read.
     """
     _check_chars(src)
     qt = ctx.field is QT
@@ -258,7 +270,7 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
             if num and (coeff is RF_ONE or coeff):
                 q = _rational(negate, num, den)
                 if coeff is not RF_ONE:
-                    q = coeff if q is RF_ONE else coeff * q
+                    q = coeff if q is RF_ONE else _times(coeff, q, table, m.start("op" if sign is None else "sign"))
                 if len(jets) == 1:
                     mono = Monomial(tuple(jets))
                 else:
@@ -269,8 +281,10 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
                     else:
                         acc[mono] = q
                 else:
+                    if q is not RF_ONE or mono is not MON_ONE:
+                        poly = _times(poly, DiffPoly(ctx, {mono: q}), table, m.start("op" if sign is None else "sign"))
                     for pm, c in poly.items():
-                        _accumulate(acc, pm * mono, c if q is RF_ONE else c * q)
+                        _accumulate(acc, pm, c)
             if op:
                 if sign is None:  # a plain term opens no term
                     negate, num, den, coeff, jets, poly, slash = op == "-", 1, 1, RF_ONE, [], None, None
@@ -293,7 +307,7 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
                     f = DiffPoly(ctx, acc)
                 at, acc, negate, num, den, coeff, jets, poly, slash = frames.pop()
                 if exp is not None:
-                    f = _power(f, _int(src, m, "exp"), ctx, m.start("exp"), table)
+                    f = _power(f, _int(src, m, "exp"), table, m.start("exp"))
                 coeff, poly = _apply(f, slash, coeff, poly, table, at)
                 continue
         # -- a plain term, whole
@@ -356,30 +370,32 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
                 raise ParseError("t is a field element of Q(t); it takes no primes", m.start("primes"))
             if order is not None:
                 raise ParseError("expected an integer, found '('", src.index("(", m.end("name")))
+            at = m.start("name")
             if exp is None:
                 f = _T
             else:
-                # t^e passes every cap but the one on the degree in t
+                # t^e is made at once, with an exact check of its degree
                 e = _int(src, m, "exp")
-                if e > MAX_POWER_T_DEGREE:
-                    raise ParseError(_t_degree_cap(e), m.start("exp"))
+                if e > MAX_T_DEGREE:
+                    raise ParseError(_t_degree_cap(f"power t^{e}", e), m.start("exp"))
                 f = RatFunc.t_power(e) if e else RF_ONE
         elif lit is not None:
             operand = False
+            at = m.start("lit")
             try:
                 f = int(lit)
             except ValueError:  # past Python's limit on integer-string conversion
-                raise ParseError(f"integer literal of {len(lit)} digits is too long", m.start("lit")) from None
+                raise ParseError(f"integer literal of {len(lit)} digits is too long", at) from None
             if exp is None:
                 negate ^= neg
                 if slash is None:
-                    num *= f
+                    num = f if num == 1 else _times(num, f, table, at)
                 elif not f:
                     raise ParseError("division by zero", slash)
                 else:
-                    den *= f
+                    den = f if den == 1 else _times(den, f, table, at)
                 continue
-            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, "exp"), ctx, m.start("exp"), table)
+            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, "exp"), table, m.start("exp"))
         elif opened is not None:
             if len(frames) == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", m.start("open"))
@@ -391,36 +407,66 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
             tok, at = _token_at(src, m.end("minus"))
             raise ParseError(f"unexpected {tok or 'end of input'!r}", at)
         negate ^= neg
-        coeff, poly = _apply(f, slash, coeff, poly, table, m.start())
+        coeff, poly = _apply(f, slash, coeff, poly, table, at)
 
 
 def _apply(f, slash, coeff, poly, table: dict, at: int) -> tuple:
-    """(coeff, poly) of the open term times a factor that is
+    """(coeff, poly) of the open term times a factor at position at that is
     neither a jet nor a plain integer literal: a field element (t, a power
     of a number, or a constant parenthesised expression) or a DiffPoly;
-    divided by it instead after a '/' at position slash.  A product of two
-    DiffPolys is charged to the file's work count before it is made, and
-    refused at the factor's position at past MAX_WORK or MAX_TERMS."""
+    divided by it instead after a '/' at position slash."""
     if slash is not None:
         if type(f) is not RatFunc:
             raise ParseError("division is only allowed by constants", slash)
         if not f:
             raise ParseError("division by zero", slash)
-        coeff = coeff / f
-    elif type(f) is RatFunc:
+        f = RF_ONE / f
+    if type(f) is RatFunc:
         if f is not RF_ONE:
-            coeff = f if coeff is RF_ONE else coeff * f
+            coeff = f if coeff is RF_ONE else _times(coeff, f, table, at)
     elif poly is None:
         poly = f
     else:
-        n, k = poly.term_count(), f.term_count()
-        what = f"product of a {n}-term and a {k}-term polynomial"
-        _charge(table, n * k, what, at)
-        poly = poly * f
-        cap = reduction.MAX_TERMS
-        if poly.term_count() > cap:
-            raise ParseError(f"{what} has {poly.term_count()} terms, over the cap of {cap} terms (MAX_TERMS)", at)
+        poly = _times(poly, f, table, at)
     return coeff, poly
+
+
+def _times(a, b, table: dict, at: int, what: str = None):
+    """a * b for two DiffPolys, two field elements or two integers: the one
+    way the reader multiplies, refused at position at past a cap.  A product
+    of an n-term and a k-term polynomial is charged its n * k term pairs to
+    the file's work count before it is made (see _charge), and is built one
+    term of a at a time, so that it stops as soon as it holds more than
+    MAX_TERMS terms.  Every coefficient the product makes, an integer
+    product too, is then held to MAX_COEFF_BITS bits and to MAX_T_DEGREE in
+    t.  what names the product in a refusal; a power names its own."""
+    if type(a) is DiffPoly:
+        n, k = a.term_count(), b.term_count()
+        what = what or f"product of a {n}-term and a {k}-term polynomial"
+        _charge(table, n * k, what, at)
+        acc, cap = {}, reduction.MAX_TERMS
+        for m, c in a.items():
+            _add_product(acc, {m: c}, b._terms)
+            if len(acc) > cap:
+                raise ParseError(f"{what} passes the cap of {cap} terms (MAX_TERMS)", at)
+        p = DiffPoly(a.context, acc)
+        bits = max(map(Field.bits, acc.values()))
+        degree = max(max(len(c.num), len(c.den)) for c in acc.values()) - 1
+    else:
+        p = a * b
+        q = p if type(p) is RatFunc else RatFunc((p,), _ONE)  # an integer as the field element
+        bits, degree = Field.bits(q), max(len(q.num), len(q.den)) - 1
+        what = what or "product of two constants"
+    cap = reduction.MAX_COEFF_BITS
+    if bits > cap:
+        raise ParseError(f"{what} makes a coefficient of {bits} bits, over the cap of {cap} bits (MAX_COEFF_BITS)", at)
+    if degree > MAX_T_DEGREE:
+        raise ParseError(_t_degree_cap(what, degree), at)
+    return p
+
+
+def _t_degree_cap(what: str, degree: int) -> str:
+    return f"{what} makes a coefficient of degree {degree} in t, over the cap of {MAX_T_DEGREE} (MAX_T_DEGREE)"
 
 
 def _charge(table: dict, pairs: int, what: str, at: int) -> None:
@@ -432,80 +478,21 @@ def _charge(table: dict, pairs: int, what: str, at: int) -> None:
                          f"over the budget MAX_WORK = {reduction.MAX_WORK}", at)
 
 
-def _power(p, e: int, ctx: Context, at: int, table: dict):
-    """p ^ e for a DiffPoly or a field element p, charged to the file's work
-    count and refused at the exponent's position when the power may pass a
-    cap.  A jet's power never gets here: it has one term with coefficient 1."""
-    q = p if type(p) is DiffPoly else DiffPoly.const(ctx, p)
-    n = q.term_count()
-    if n > 1:
-        what = f"power ^{e} of a {n}-term polynomial"
-        if comb(n + e - 1, e) > reduction.MAX_TERMS:
-            raise ParseError(f"{what} may exceed the cap of {reduction.MAX_TERMS} terms (MAX_TERMS)", at)
-        _charge(table, _power_products(n, e), what, at)
-    bits, tdeg = _power_growth(q)
-    if e * bits > reduction.MAX_COEFF_BITS:
-        cap = reduction.MAX_COEFF_BITS
-        raise ParseError(f"power ^{e} may exceed the cap of {cap} coefficient bits (MAX_COEFF_BITS)", at)
-    if e * tdeg > MAX_POWER_T_DEGREE:
-        raise ParseError(_t_degree_cap(e), at)
-    return p ** e
-
-
-def _t_degree_cap(e: int) -> str:
-    return f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} in t-degree (MAX_POWER_T_DEGREE)"
-
-
-def _power_products(n: int, e: int) -> int:
-    """Term products that DiffPoly.__pow__ makes for the e-th power of an
-    n-term polynomial, each k-th power counted at its largest size, the
-    C(n + k - 1, k) monomials of degree k in n terms.  The running product
-    starts as the power of e's lowest set bit, with no product."""
-    total, out, base = 0, 0, 1  # exponents of the running product and the square
-    while e:
+def _power(p, e: int, table: dict, at: int):
+    """p ^ e for a DiffPoly or a field element p, by repeated squaring from
+    the power of e's lowest set bit, each product made by _times and refused
+    at the exponent's position at.  A jet's power never gets here."""
+    if not e:
+        return RF_ONE
+    what = f"power ^{e}" if type(p) is RatFunc else f"power ^{e} of a {p.term_count()}-term polynomial"
+    out = None
+    while True:
         if e & 1:
-            if out:
-                total += comb(n + out - 1, out) * comb(n + base - 1, base)
-            out += base
+            out = p if out is None else _times(out, p, table, at, what)
         e >>= 1
-        if e:
-            total += comb(n + base - 1, base) ** 2
-            base *= 2
-    return total
-
-
-def _power_growth(p: DiffPoly) -> tuple:
-    """(bits, t-degree) that each factor of a power of p can add to a
-    coefficient of the power, read from p without expanding anything.
-
-    Over the lcm L of the denominators of p's rational numbers, a rational
-    coefficient of p^e is a sum of at most (terms * width)^e products of e
-    numerators over L^e, where width counts the nonzero coefficients in t of
-    p's widest coefficient.  With A the largest |q * L|, its numerator is at
-    most 2^(e * (log A + log(terms * width))) and its denominator at most
-    L^e, logs rounded up.  The degree in t grows by at most p's top
-    numerator degree plus the degrees of its distinct denominators.  The
-    degree is a bound; the bits are one when every coefficient of p is a
-    polynomial in t, and only an estimate when one has a denominator in t,
-    since cancelling and scaling to monic can change the sizes."""
-    rationals, dens, width, tnum = [], set(), 1, 0  # rationals as (|num|, den) in lowest terms
-    for _, c in p.items():
-        num, den = c.num, c.den
-        if len(den) > 1:
-            g = gcd(*den)
-            dens.add(tuple(x // g for x in den))  # equal for denominators equal up to a constant
-        lead = den[-1]
-        for x in num if len(den) == 1 else num + den:
-            if x:
-                g = gcd(x, lead)
-                rationals.append((abs(x) // g, lead // g))
-        width = max(width, sum(1 for x in num if x), sum(1 for x in den if x))
-        tnum = max(tnum, len(num) - 1)
-    den_lcm = lcm(*(d for _, d in rationals))
-    top = max((n * (den_lcm // d) for n, d in rationals), default=1)
-    products = max(p.term_count() * width, 1)
-    bits = max((top - 1).bit_length() + (products - 1).bit_length(), (den_lcm - 1).bit_length())
-    return bits, tnum + sum(len(d) - 1 for d in dens)
+        if not e:
+            return out
+        p = _times(p, p, table, at, what)
 
 
 def parse_poly(src: str, ctx: Context) -> DiffPoly:
@@ -729,8 +716,9 @@ def parse_system(text: str) -> SystemFile:
 def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
     """Parse a component file: blank-line-separated blocks of a
     ``charset:`` line and optional ``ranking:`` (default: ranking, the
-    system's), ``ineqs:`` (default none) and ``prime:`` (default ``no``)
-    lines, each key at most once per block, all read with one table."""
+    system's), ``ineqs:`` (default none) and ``prime:`` lines, each key at
+    most once per block, all read with one table.  ``prime:`` may only say
+    ``no``: nothing tests primality, so ``prime: yes`` is refused."""
     blocks: list = [[]]
     for lineno, line in _lines(text):
         if not line:
@@ -760,9 +748,11 @@ def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
                         raise ValueError("empty charset")
                 elif key == "prime":
                     word = value.strip().lower()
-                    if word not in ("yes", "no"):
-                        raise ValueError("prime must be 'yes' or 'no'")
-                    values[key] = word == "yes"
+                    if word == "yes":
+                        raise ValueError("'prime: yes' is refused: no primality test confirms it; write 'prime: no'")
+                    if word != "no":
+                        raise ValueError("prime must be 'no'")
+                    values[key] = False
                 else:
                     raise ValueError(f"unknown component key {key!r}")
         first = block[0][0]
@@ -774,7 +764,6 @@ def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
                     values.get("ranking", ranking),
                     values["charset"],
                     values.get("ineqs", ()),
-                    prime_verified=values.get("prime", False),
                 )
             )
     return tuple(components)

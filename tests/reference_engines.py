@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from math import comb, gcd
+from math import gcd
 from typing import Optional, Sequence
 
 import diffalg.reduction as _reduction
+import diffalg.sysfile as _sysfile
 from diffalg import (
     CharSetComponent,
     ConcretePoint,
@@ -53,13 +54,7 @@ from diffalg.diffpoly import MON_ONE, Context, DerVar, _accumulate
 from diffalg.fields import QT, RF_ONE, RatFunc
 from diffalg.jacobi import _score
 from diffalg.linearize import tangent_dervar
-from diffalg.sysfile import (
-    MAX_NESTING,
-    MAX_POWER_T_DEGREE,
-    ParseError,
-    _power_growth,
-    _power_products,
-)
+from diffalg.sysfile import MAX_NESTING, ParseError
 
 BRUTE_LIMIT = 9
 
@@ -378,12 +373,19 @@ class _ExprParser:
     left to right, or folded into the coefficient when it is constant.  An
     expression adds its terms into one dict.  Terms keep the order in which
     they first appear, as sums and products of DiffPolys give it.
-    Parentheses nest at most MAX_NESTING deep.  Each product of two
-    DiffPolys and each power of a polynomial of two or more terms is
-    charged its term pairs, one count for the whole parse, against
-    reduction.MAX_WORK before it is made; a product past
-    reduction.MAX_TERMS terms is refused at its '(', a power that may pass
-    it at its exponent.
+    Parentheses nest at most MAX_NESTING deep.  A power is made by
+    repeated squaring from the power of its exponent's lowest set bit, but
+    t^e at once, with its degree in t checked.  Each product of two
+    DiffPolys, a power's among them, is charged its term pairs, one count
+    for the whole parse, against reduction.MAX_WORK before it is made, and
+    refused once the rows made so far hold more than reduction.MAX_TERMS
+    terms.  Every product, of two DiffPolys or of two constants, is then
+    refused when a coefficient it made has more than
+    reduction.MAX_COEFF_BITS bits or a degree in t above
+    sysfile.MAX_T_DEGREE.  A product of polynomials is refused at its '(',
+    a power's at its exponent, one of two constants at its second factor,
+    and the term's coefficient, and its product with the term's
+    parenthesised polynomial, at the token after the term.
     """
 
     def __init__(self, src: str, ctx: Context):
@@ -461,28 +463,28 @@ class _ExprParser:
             neg, f = self._factor()
             negate ^= neg
             kind = type(f)
+            while self.toks[at] == "-":
+                at += 1
             if slash is not None:
                 if kind is not int and kind is not RatFunc:
                     raise self._error("division is only allowed by constants", slash)
                 if not f:
                     raise self._error("division by zero", slash)
                 if kind is int:
-                    den *= f
+                    den = f if den == 1 else self._checked(den * f, "product of two constants", at)
                 else:
-                    coeff = coeff / f
+                    coeff = RF_ONE / f if coeff is RF_ONE else self._checked(coeff / f, "product of two constants", at)
             elif kind is int:
-                num *= f
+                num = f if num == 1 else self._checked(num * f, "product of two constants", at)
             elif kind is tuple:
                 v, e = f
                 exps[v] = exps.get(v, 0) + e
             elif kind is RatFunc:
                 if f is not RF_ONE:
-                    coeff = f if coeff is RF_ONE else coeff * f
+                    coeff = f if coeff is RF_ONE else self._checked(coeff * f, "product of two constants", at)
             elif poly is None:
                 poly = f
             else:
-                while self.toks[at] == "-":
-                    at += 1
                 poly = self._product(poly, f, at)
             t = self.toks[self.i]
             if t != "*" and t != "/":
@@ -498,13 +500,15 @@ class _ExprParser:
         else:
             q = RF_ONE if num == 1 else RatFunc.from_int(num)
         if coeff is not RF_ONE:
-            q = coeff if q is RF_ONE else coeff * q
+            q = coeff if q is RF_ONE else self._checked(coeff * q, "product of two constants", self.i)
         mono = Monomial.make(exps.items()) if exps else MON_ONE
         if poly is None:
             _accumulate(acc, mono, q)
             return
+        if q is not RF_ONE or mono is not MON_ONE:
+            poly = self._product(poly, DiffPoly(self.ctx, {mono: q}), self.i)
         for m, c in poly.items():
-            _accumulate(acc, m * mono, c if q is RF_ONE else c * q)
+            _accumulate(acc, m, c)
 
     def _factor(self) -> tuple:
         """(negate, value) for a factor, the value an int (an integer
@@ -519,8 +523,17 @@ class _ExprParser:
         self.i += 1
         if t.isidentifier():
             v = self._jet(t)
-            if v is None:  # t over Q(t)
-                return negate, self._power_suffix(RatFunc.t_power(1))
+            if v is None:  # t over Q(t), its power made at once
+                e = 1
+                if self._accept_op("^"):
+                    e = self._expect_int()
+                    if e > _sysfile.MAX_T_DEGREE:
+                        raise self._error(
+                            f"power t^{e} makes a coefficient of degree {e} in t, over the cap of "
+                            f"{_sysfile.MAX_T_DEGREE} (MAX_T_DEGREE)",
+                            self.i - 1,
+                        )
+                return negate, RatFunc.t_power(e) if e else RF_ONE
             # one term with coefficient 1 passes every power cap
             e = self._expect_int() if self._accept_op("^") else 1
             return negate, (v, e) if e else RF_ONE
@@ -567,46 +580,66 @@ class _ExprParser:
 
     def _power_suffix(self, p):
         """p ^ e for an optional ``^ INT`` after p, a DiffPoly or a field
-        element, refused when the power may pass a cap.  A jet's power
+        element: the power of e's lowest set bit, then one squaring per
+        further bit and one product per further set bit.  A jet's power
         never gets here, nor does ``x^(k)``: _jet reads it as a derivative
         marker."""
         if not self._accept_op("^"):
             return p
         at = self.i
         e = self._expect_int()
-        q = p if type(p) is DiffPoly else DiffPoly.const(self.ctx, p)
-        n = q.term_count()
-        if n > 1:
-            if comb(n + e - 1, e) > _reduction.MAX_TERMS:
-                raise self._error(
-                    f"power ^{e} of a {n}-term polynomial may exceed the cap of "
-                    f"{_reduction.MAX_TERMS} terms (MAX_TERMS)",
-                    at,
-                )
-            self._charge(_power_products(n, e), f"power ^{e} of a {n}-term polynomial", at)
-        bits, tdeg = _power_growth(q)
-        if e * bits > _reduction.MAX_COEFF_BITS:
-            raise self._error(
-                f"power ^{e} may exceed the cap of {_reduction.MAX_COEFF_BITS} "
-                f"coefficient bits (MAX_COEFF_BITS)",
-                at,
-            )
-        if e * tdeg > MAX_POWER_T_DEGREE:
-            raise self._error(
-                f"power ^{e} may exceed the cap of {MAX_POWER_T_DEGREE} "
-                f"in t-degree (MAX_POWER_T_DEGREE)",
-                at,
-            )
-        return p ** e
+        if not e:
+            return RF_ONE
+        if type(p) is DiffPoly:
+            what = f"power ^{e} of a {p.term_count()}-term polynomial"
+        else:
+            what = f"power ^{e}"
+        bits = bin(e)[:1:-1]  # e's binary digits, the lowest first
+        out = None
+        for k, bit in enumerate(bits):
+            if k:
+                p = self._product(p, p, at, what)
+            if bit == "1":
+                out = p if out is None else self._product(out, p, at, what)
+        return out
 
-    def _product(self, a: DiffPoly, b: DiffPoly, at: int) -> DiffPoly:
-        """a * b, charged before it is made and refused at token at."""
-        what = f"product of a {a.term_count()}-term and a {b.term_count()}-term polynomial"
+    def _product(self, a, b, at: int, what: str = None):
+        """a * b, refused at token at.  Two DiffPolys are charged their term
+        pairs first, then multiplied row by row, a's terms in order, the
+        term count read after each row; two field elements are left to
+        _checked."""
+        if type(a) is not DiffPoly:
+            return self._checked(a * b, what or "product of two constants", at)
+        what = what or f"product of a {a.term_count()}-term and a {b.term_count()}-term polynomial"
         self._charge(a.term_count() * b.term_count(), what, at)
-        p = a * b
-        if p.term_count() > _reduction.MAX_TERMS:
+        acc: dict = {}
+        for m, c in a.items():
+            for m2, c2 in b.items():
+                _accumulate(acc, m * m2, c * c2)
+            if len(acc) > _reduction.MAX_TERMS:
+                raise self._error(f"{what} passes the cap of {_reduction.MAX_TERMS} terms (MAX_TERMS)", at)
+        return self._checked(DiffPoly(self.ctx, acc), what, at)
+
+    def _checked(self, p, what: str, at: int):
+        """p, a product just made (a DiffPoly, a field element or an
+        integer), refused at token at when its largest integer, numerator
+        or denominator, has more than MAX_COEFF_BITS bits, or then its
+        highest degree in t passes MAX_T_DEGREE."""
+        coeffs = [c for _, c in p.items()] if type(p) is DiffPoly else [p]
+        ints = [x for c in coeffs for x in ((c, 1) if type(c) is int else c.num + c.den)]
+        bits = max(abs(x) for x in ints).bit_length()
+        if bits > _reduction.MAX_COEFF_BITS:
             raise self._error(
-                f"{what} has {p.term_count()} terms, over the cap of {_reduction.MAX_TERMS} terms (MAX_TERMS)", at
+                f"{what} makes a coefficient of {bits} bits, over the cap of "
+                f"{_reduction.MAX_COEFF_BITS} bits (MAX_COEFF_BITS)",
+                at,
+            )
+        degree = max(0 if type(c) is int else max(len(c.num), len(c.den)) - 1 for c in coeffs)
+        if degree > _sysfile.MAX_T_DEGREE:
+            raise self._error(
+                f"{what} makes a coefficient of degree {degree} in t, over the cap of "
+                f"{_sysfile.MAX_T_DEGREE} (MAX_T_DEGREE)",
+                at,
             )
         return p
 

@@ -13,7 +13,7 @@ import diffalg
 from diffalg.cli import main
 import diffalg.cli
 from diffalg.reduction import MAX_COEFF_BITS, MAX_TERMS
-from diffalg.sysfile import MAX_NESTING, MAX_POWER_T_DEGREE
+from diffalg.sysfile import MAX_NESTING, MAX_T_DEGREE
 
 from strategies import FLAGSHIP, FLAGSHIP_COMPONENT_2
 
@@ -311,6 +311,24 @@ class TestDecompose:
         assert "decomposition: 2 component(s) (INCOMPLETE)" in out
         assert "verdict: INCONCLUSIVE" in out
 
+    def test_declared_prime_is_refused(self, tmp_path, capsys):
+        # the saturation of y^2, x'*y + 1 is the unit ideal, yet a block
+        # that declared it prime made both memberships non-heuristic
+        p = tmp_path / "unit.sys"
+        p.write_text("field: Q\nvars: x, y\nranking: elim x > y\neq u1 = y^2\neq u2 = x'*y + 1\n")
+        comp_file = tmp_path / "prime.txt"
+        comp_file.write_text("ranking: elim x > y\ncharset: y^2; x'*y + 1\nineqs: (none)\nprime: yes\n")
+        for extra in ([], ["--json"]):
+            assert main(["jbc-check", str(p), "--components", str(comp_file)] + extra) == 2
+            assert capsys.readouterr() == (
+                "",
+                "diffalg: line 4: 'prime: yes' is refused: no primality test confirms it; write 'prime: no'\n",
+            )
+        comp_file.write_text(comp_file.read_text().replace("prime: yes", "prime: no"))
+        assert main(["jbc-check", str(p), "--components", str(comp_file)]) == 1
+        out = capsys.readouterr().out
+        assert "eq1 -> member (heuristic) [cert-1]; eq2 -> member (heuristic) [cert-2]" in out
+
     def test_repeated_component_key_is_refused(self, flagship, tmp_path, capsys):
         comp_file = tmp_path / "comp.txt"
         comp_file.write_text("charset: y; x'\ncharset: y\n")
@@ -492,25 +510,47 @@ class TestErrorChannel:
         assert capsys.readouterr().err == "diffalg: line 6: unknown variable 'z'\n"
 
     def test_power_over_the_expansion_cap(self, cusp, capsys):
+        # each squaring and product is charged before it is made: the
+        # square of the 2,145-term p^64 would bring the work past MAX_WORK
         assert main(["member", cusp, "(x + y + 1)^100000"]) == 2
         err = capsys.readouterr().err
         assert err == (
-            f"diffalg: expression: power ^100000 of a 3-term polynomial may exceed the cap of "
-            f"{MAX_TERMS} terms (MAX_TERMS) (at position 12)\n"
+            "diffalg: expression: power ^100000 of a 3-term polynomial would bring the reader's work to "
+            "4941450 term pairs, over the budget MAX_WORK = 1000000 (at position 12)\n"
         )
 
     def test_long_product_of_sums_ends_at_the_term_cap(self, cusp, capsys):
         # 100 factors, 1,189 characters, once built 176,850 terms; each
         # product is charged before it is made, and the 38th, at 404,928
-        # term pairs with its own, is the first past MAX_TERMS
+        # term pairs with its own, is the first past MAX_TERMS: it stops
+        # at the row that takes it there
         expr = "*".join(f"(x+y+x'+{i})" for i in range(100))
         assert len(expr) == 1189
         assert main(["member", cusp, expr]) == 2
         assert capsys.readouterr() == (
             "",
-            f"diffalg: expression: product of a 9879-term and a 4-term polynomial has 10659 terms, "
-            f"over the cap of {MAX_TERMS} terms (MAX_TERMS) (at position 434)\n",
+            f"diffalg: expression: product of a 9879-term and a 4-term polynomial passes the cap of "
+            f"{MAX_TERMS} terms (MAX_TERMS) (at position 434)\n",
         )
+
+    @pytest.mark.parametrize(
+        "expr, cap",
+        [
+            # 60 written-out factors, once admitted with 120,001-bit coefficients
+            ("*".join([f"({2 ** 2000}*x + 1)"] * 60), "MAX_COEFF_BITS"),
+            # s*s*s for s a sum of 100 jets, once refused only after 171,700 terms
+            ("*".join(["(" + " + ".join(f"x^({k})" for k in range(100)) + ")"] * 3), "MAX_TERMS"),
+            # 1,000 factors 2^4000 before *x, once one 4,000,001-bit coefficient
+            ("2^4000*" * 1000 + "x", "MAX_COEFF_BITS"),
+        ],
+        ids=["60 factors", "s*s*s", "1000 factors"],
+    )
+    def test_hostile_products_end_at_a_named_cap(self, cusp, capsys, expr, cap):
+        start = time.perf_counter()
+        assert main(["member", cusp, expr]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("diffalg: expression: ") and f"({cap})" in err
 
     def test_power_over_the_expansion_cap_in_a_system_file(self, tmp_path, capsys):
         p = tmp_path / "big.sys"
@@ -520,12 +560,12 @@ class TestErrorChannel:
 
     def test_power_over_the_size_caps(self, cusp, tmp_path, capsys):
         assert main(["member", cusp, "(2*x)^1000000000000000000"]) == 2
-        assert f"cap of {MAX_COEFF_BITS} coefficient bits (MAX_COEFF_BITS)" in capsys.readouterr().err
+        assert f"over the cap of {MAX_COEFF_BITS} bits (MAX_COEFF_BITS)" in capsys.readouterr().err
         p = tmp_path / "tpow.sys"
         p.write_text(QT_PAIR.replace("+ t\n", "+ t^1000000000000000000\n"))
         assert main(["reduce", str(p), "--target", "f"]) == 2
         err = capsys.readouterr().err
-        assert "line 5" in err and f"cap of {MAX_POWER_T_DEGREE} in t-degree" in err
+        assert "line 5" in err and f"in t, over the cap of {MAX_T_DEGREE} (MAX_T_DEGREE)" in err
 
     def test_over_long_integer_literal(self, cusp, tmp_path, capsys):
         long = "7" * 5000
@@ -560,9 +600,11 @@ class TestErrorChannel:
         assert main(["linearize", str(p), "--at", "p0"]) == 0
 
     @pytest.mark.parametrize("value", ["y", "y" + "*(7)^1300" * 7])
-    def test_nonconstant_point_value(self, tmp_path, capsys, value):
+    def test_nonconstant_point_value(self, tmp_path, capsys, monkeypatch, value):
         # the second value's text has over 7,000 digits: the message must
-        # not render it
+        # not render it.  Its product of seven powers passes MAX_COEFF_BITS,
+        # so the cap is raised for this test only.
+        monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 30_000)
         p = tmp_path / "nonconst.sys"
         p.write_text(FLAGSHIP.replace("x = 0", "x = " + value))
         start = time.perf_counter()
@@ -576,15 +618,16 @@ class TestErrorChannel:
         ids=lambda a: " ".join(a),
     )
     def test_coefficient_too_long_to_print(self, tmp_path, capsys, argv):
-        # 4,000 sevens times 4,000 sevens has 8,000 digits, more than Python
-        # converts to text: a named refusal, exit 3 and nothing on stdout
-        sevens = "7" * 4000
+        # 4,300 nines plus 4,300 nines has 4,301 digits, more than Python
+        # converts to text: a named refusal, exit 3 and nothing on stdout.
+        # A sum is not a product, so the reader admits it.
+        nines = "9" * 4300
         p = tmp_path / "big.sys"
-        p.write_text(f"field: Q\nvars: x, y\nranking: elim x > y\neq u1 = {sevens}*{sevens}*x' + y\neq u2 = y'\n")
+        p.write_text(f"field: Q\nvars: x, y\nranking: elim x > y\neq u1 = ({nines} + {nines})*x' + y\neq u2 = y'\n")
         assert main([argv[0], str(p), *argv[1:]]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "diffalg: coefficient 604938...061729 has 8000 digits, more than the 4300 that can be written as text\n"
+        assert err == "diffalg: coefficient 199999...999998 has 4301 digits, more than the 4300 that can be written as text\n"
 
     def test_reduce_prints_nothing_before_a_coefficient_too_long_to_print(self, tmp_path, capsys):
         # the dividend and divisors print, but a quotient's coefficient has
@@ -702,7 +745,7 @@ class TestNamedCaps:
             "reduction.MAX_TERMS",
             "reduction.MAX_COEFF_BITS",
             "sysfile.MAX_NESTING",
-            "sysfile.MAX_POWER_T_DEGREE",
+            "sysfile.MAX_T_DEGREE",
             "oracle.MAX_CANDIDATES",
             "decompose.MAX_COMPONENTS",
             "diffpoly.DEFAULT_ORDER_CAP",

@@ -36,7 +36,7 @@ from diffalg import (
 from diffalg.decompose import VanishingInequationError, _basic_set, _fork, _fork_shape
 from diffalg.linearize import extended_context, tangent_dervar
 from diffalg.reduction import PreparedSeq
-from diffalg.sysfile import parse_poly
+from diffalg.sysfile import SysFileError, parse_components, parse_poly
 
 from strategies import contexts, diffpolys, rankings, splitting_nodes
 
@@ -155,9 +155,14 @@ class TestCharSetComponent:
         assert comp.sequence == (P("y"), P("x'"))
         assert comp.prepared.sequence == comp.sequence
 
-    def test_prime_verified_drops_heuristic_flag(self):
-        comp = CharSetComponent(ELIM_XY, (P("y"), P("x'")), prime_verified=True)
-        assert not comp.membership(P("y")).heuristic
+    def test_a_declared_prime_is_refused(self):
+        # nothing tests primality, so a component file cannot declare a
+        # component prime, and every membership stays heuristic
+        with pytest.raises(SysFileError, match=r"^line 2: 'prime: yes' is refused: no primality test confirms it"):
+            parse_components("charset: y; x'\nprime: yes\n", XY, ELIM_XY)
+        (comp,) = parse_components("charset: y; x'\nprime: no\n", XY, ELIM_XY)
+        assert comp.membership(P("y")).heuristic
+        assert comp.to_text().endswith("prime: no")
 
     def test_generic_point_evaluation_is_the_membership_verdict(self):
         # linearize_at(u, comp) reads u and each partial at the generic
@@ -474,7 +479,7 @@ import sys
 sys.path.insert(0, sys.argv[1])
 import diffalg.decompose as d
 from diffalg import Context, QQ, Ranking
-from diffalg.sysfile import parse_poly
+from diffalg.sysfile import SysFileError, parse_components, parse_poly
 def recording(real):
     def recorded(p, prep, *rest):
         print(p.to_text(), "/", "; ".join(q.to_text() for q in prep.sequence))

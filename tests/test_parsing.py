@@ -22,7 +22,7 @@ from diffalg import (
 from diffalg.reduction import MAX_COEFF_BITS, MAX_TERMS, MAX_WORK
 from diffalg.sysfile import (
     MAX_NESTING,
-    MAX_POWER_T_DEGREE,
+    MAX_T_DEGREE,
     ParseError,
     SysFileError,
     format_components,
@@ -35,7 +35,6 @@ from diffalg.sysfile import (
 import diffalg.reduction
 import diffalg.sysfile
 from diffalg.diffpoly import DiffPoly
-from diffalg.sysfile import _power_growth, _power_products
 
 import fraction_reference as ref
 from reference_engines import reference_parse_poly
@@ -60,63 +59,66 @@ class TestExpressions:
         assert P("(x + y)^2") == P("x^2 + 2*x*y + y^2")
         assert P("x^(4)^2") == P("x^(4)*x^(4)")
 
-    def test_power_expansion_cap(self):
+    def test_power_expansion_cap(self, monkeypatch):
         # a monomial or constant power has one term, however high
         assert parse_poly("x^1000", XY).term_count() == 1
         assert parse_poly("(2*x*y')^50", XY).term_count() == 1
-        # (x + 1)^e has C(e + 1, e) = e + 1 terms
+        # (x + 1)^e has e + 1 terms: under a cap of 100 terms the 99th power
+        # is made, and the 100th stops in its last product, p^36 * p^64
+        monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 100)
+        assert parse_poly("(x + 1)^99", XY).term_count() == 100
         with pytest.raises(ParseError) as exc:
-            parse_poly(f"(x + 1)^{MAX_TERMS}", XY)
+            parse_poly("(x + 1)^100", XY)
         assert str(exc.value) == (
-            f"power ^{MAX_TERMS} of a 2-term polynomial may exceed the cap of "
-            f"{MAX_TERMS} terms (MAX_TERMS) (at position 8)"
+            "power ^100 of a 2-term polynomial passes the cap of 100 terms (MAX_TERMS) (at position 8)"
         )
 
-    def test_power_product_cap(self):
-        # (x + y)^9999 has 10,000 terms, inside the term cap, but binary
-        # powering would make about 38 million term products; each power
-        # is charged its products before it is expanded, against MAX_WORK
-        for e, pairs in ((9999, 38_146_306), (2000, 1_656_818)):
+    def test_power_product_cap(self, monkeypatch):
+        # (x + y)^9999 has 10,000 terms, inside the term cap; each squaring
+        # and product of a power is charged its term pairs before it is
+        # made, against MAX_WORK, so the power stops at the first product
+        # that would pass the budget, after the work before it
+        assert parse_poly("(x + y)^400", XY).term_count() == 401  # 61,821 term pairs
+        assert parse_poly("(x - x)^100000", XY).is_zero()
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 50_000)
+        for e, pairs in ((9999, 92_622), (2000, 87_630)):
             start = time.perf_counter()
             with pytest.raises(ParseError) as exc:
                 parse_poly(f"(x + y)^{e}", XY)
             assert time.perf_counter() - start < 1.0
             assert str(exc.value) == (
                 f"power ^{e} of a 2-term polynomial would bring the reader's work to "
-                f"{pairs} term pairs, over the budget MAX_WORK = {MAX_WORK} (at position 8)"
+                f"{pairs} term pairs, over the budget MAX_WORK = 50000 (at position 8)"
             )
-            assert _power_products(2, e) == pairs
-        # (x + y)^1614 is the largest power of a binomial inside the budget
-        assert _power_products(2, 1614) <= MAX_WORK < _power_products(2, 1615)
-        # the count is exact for binary powering: one square, which is the power
-        assert _power_products(3, 2) == 3 * 3
-        assert parse_poly("(x + y)^400", XY).term_count() == 401
-        assert parse_poly("(x - x)^100000", XY).is_zero()
 
-    def test_power_products_match_the_products_made(self, monkeypatch):
+    def test_a_power_is_charged_the_pairs_it_makes(self, monkeypatch):
         # binary powering starts the running product at the power of the
-        # lowest set bit: p ** k makes one product per squaring and one per
-        # further set bit, none with 1; a sum of n distinct jets has
-        # C(n + j - 1, j) terms in its j-th power, so the term pairs made
-        # are what _power_products counts
+        # lowest set bit: p^k makes one product per squaring and one per
+        # further set bit, none with 1, and the file's work count holds
+        # exactly the term pairs that those products make
         made = {"products": 0, "pairs": 0}
-        real_mul = DiffPoly.__mul__
+        add = diffalg.sysfile._add_product
+        times = diffalg.sysfile._times
 
-        def mul(a, b):
+        def count_pairs(acc, a, b):
+            made["pairs"] += len(a) * len(b)
+            return add(acc, a, b)
+
+        def count_products(*args):
             made["products"] += 1
-            made["pairs"] += a.term_count() * b.term_count()
-            return real_mul(a, b)
+            return times(*args)
 
-        monkeypatch.setattr(DiffPoly, "__mul__", mul)
+        monkeypatch.setattr(diffalg.sysfile, "_add_product", count_pairs)
+        monkeypatch.setattr(diffalg.sysfile, "_times", count_products)
         jets = ("x", "y", "x'", "y'")
         for k, products in enumerate((0, 0, 1, 2, 2, 3, 3, 4, 3)):
             for n in range(1, len(jets) + 1):
-                p = P(" + ".join(jets[:n]))
                 made.update(products=0, pairs=0)
-                power = p**k
+                table = {}
+                terms = diffalg.sysfile._scan(f"({' + '.join(jets[:n])})^{k}", XY, table)
                 assert made["products"] == products
-                assert made["pairs"] == _power_products(n, k)
-                assert power.term_count() == comb(n + k - 1, k)
+                assert table.get("work", 0) == made["pairs"]
+                assert len(terms) == comb(n + k - 1, k)
 
     def test_over_long_integer_literal(self):
         # past Python's 4,300-digit conversion limit, named at the token
@@ -129,71 +131,33 @@ class TestExpressions:
             P("x^(" + long + ")")
 
     def test_power_size_caps(self):
-        # single-term powers are refused from p and e alone, before expansion
-        with pytest.raises(ParseError, match=rf"cap of {MAX_COEFF_BITS} coefficient bits \(MAX_COEFF_BITS\)"):
+        # a single-term power is refused at the first squaring or product
+        # that makes a coefficient past a cap
+        with pytest.raises(ParseError, match=rf"of 4097 bits, over the cap of {MAX_COEFF_BITS} bits \(MAX_COEFF_BITS\)"):
             parse_poly("(2)^1000000000000000000", XY)
         with pytest.raises(ParseError, match="MAX_COEFF_BITS"):
             parse_poly("(3/2*x)^1000000000000000000", XY)
-        with pytest.raises(ParseError, match=f"cap of {MAX_POWER_T_DEGREE} in t-degree"):
+        with pytest.raises(ParseError, match=f"degree 1000000000000000000 in t, over the cap of {MAX_T_DEGREE}"):
             parse_poly("t^1000000000000000000", Context(("x",), QT))
-        with pytest.raises(ParseError, match="MAX_POWER_T_DEGREE"):
-            parse_poly(f"(t*x)^{MAX_POWER_T_DEGREE + 1}", Context(("x",), QT))
+        with pytest.raises(ParseError, match=f"degree {MAX_T_DEGREE + 1} in t, .* \\(MAX_T_DEGREE\\)"):
+            parse_poly(f"(t*x)^{MAX_T_DEGREE + 1}", Context(("x",), QT))
         # magnitude 1 does not grow, and powers inside the caps expand
         assert parse_poly("(-x)^100001", XY) == -parse_poly("x^100001", XY)
         assert parse_poly("(2*x)^100", XY) == parse_poly(f"{2 ** 100}*x^100", XY)
-        t_top = parse_poly(f"t^{MAX_POWER_T_DEGREE}", Context(("x",), QT))
+        t_top = parse_poly(f"t^{MAX_T_DEGREE}", Context(("x",), QT))
         assert t_top.constant_value().num[-1] == 1
 
-    def test_power_size_cap_counts_every_denominator(self):
-        # three coprime denominators of about 480 bits each: the coefficient
-        # of x^e*y^e in the e-th power has a denominator of about e * 1,430
-        # bits, far above e times the largest single denominator
-        p1, p2, p3 = 3**300, 5**206, 7**170
-        src = f"(x^2/{p1} + x*y/{p2} + y^2/{p3})^{{}}"
-        for e in (3, 20):
-            with pytest.raises(ParseError, match="MAX_COEFF_BITS"):
-                parse_poly(src.format(e), XY)
-        bits, _ = _power_growth(P(f"x^2/{p1} + x*y/{p2} + y^2/{p3}"))
-        assert 2 * bits <= MAX_COEFF_BITS < 3 * bits
-        square = parse_poly(src.format(2), XY)
-        top = max(c.den[0].bit_length() for _, c in square.items())
-        largest = max(p1, p2, p3).bit_length()
-        assert 2 * (largest + 2) < top <= 2 * bits
-
-    def test_power_growth_reads_the_stored_integers(self):
-        # a constant denominator adds no number of its own, so coefficients
-        # 1/2 and 1/3 give the same estimate over Q and Q(t); reading the
-        # denominator's 1 as a number gave (4, 1) over Q(t)
-        qt = Context(("x", "y"), QT)
-        assert _power_growth(P("x/2 + y/3")) == (3, 0)
-        assert _power_growth(parse_poly("t*x/2 + t*y/3", qt)) == (3, 1)
-        # 1/(2t + 2) and 1/(t + 1) share one denominator up to a constant
-        assert _power_growth(parse_poly("x/(2*t + 2) + y/(t + 1)", qt)) == (3, 1)
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_power_growth_bounds_the_expanded_power(self, data):
-        ctx = data.draw(contexts(max_vars=2, fields=(QQ, QT)))
-        p = data.draw(diffpolys(ctx, max_terms=3))
-        t_den = False
-        if ctx.field is QT:
-            def t_poly():
-                cs = data.draw(st.lists(small_fractions(), min_size=1, max_size=3))
-                return sum((a * QT.t() ** i for i, a in enumerate(cs)), QT.zero)
-            p = p * DiffPoly.const(ctx, t_poly())
-            d = t_poly()
-            t_den = data.draw(st.booleans()) and bool(d)
-            if t_den:
-                p = p * DiffPoly.const(ctx, QT.one / d)
-        e = data.draw(st.integers(min_value=1, max_value=4))
-        bits, tdeg = _power_growth(p)
-        for _, c in (p**e).items():
-            num, den = ref.view(c)
-            assert max(len(num), len(den)) - 1 <= e * tdeg
-            rationals = num + den
-            if not t_den:  # with a denominator in t the bits are an estimate
-                for q in rationals:
-                    assert max(abs(q.numerator), q.denominator) <= 2 ** (e * bits)
+    def test_a_power_is_held_to_the_sizes_it_makes(self):
+        # two coprime denominators of about 1,000 bits: the e-th power's
+        # largest coefficient has a denominator of about e * 1,000 bits, so
+        # the cube is made and the fifth power is refused at its product
+        p1, p2 = 3**630, 5**430
+        cube = parse_poly(f"(x/{p1} + y/{p2})^3", XY)
+        assert max(c.den[0] for _, c in cube.items()) == p1**3
+        with pytest.raises(ParseError) as exc:
+            parse_poly(f"(x/{p1} + y/{p2})^5", XY)
+        bits = (p1**5).bit_length()
+        assert str(exc.value).startswith(f"power ^5 of a 2-term polynomial makes a coefficient of {bits} bits")
 
     def test_precedence(self):
         assert P("2*y*x' - y'") == P("(2*y*x') - (y')")
@@ -242,20 +206,26 @@ class TestExpressions:
             (
                 "x*2^20000",
                 QQ,
-                f"power ^20000 may exceed the cap of {MAX_COEFF_BITS} "
-                "coefficient bits (MAX_COEFF_BITS) (at position 4)",
+                "power ^20000 makes a coefficient of 4097 bits, over the cap of "
+                f"{MAX_COEFF_BITS} bits (MAX_COEFF_BITS) (at position 4)",
             ),
             (
                 "2^20000*x",
                 QQ,
-                f"power ^20000 may exceed the cap of {MAX_COEFF_BITS} "
-                "coefficient bits (MAX_COEFF_BITS) (at position 2)",
+                "power ^20000 makes a coefficient of 4097 bits, over the cap of "
+                f"{MAX_COEFF_BITS} bits (MAX_COEFF_BITS) (at position 2)",
+            ),
+            (
+                "2^4000*2^4000*x",
+                QQ,
+                "product of two constants makes a coefficient of 8001 bits, over the cap of "
+                f"{MAX_COEFF_BITS} bits (MAX_COEFF_BITS) (at position 7)",
             ),
             (
                 "x*t^1001",
                 QT,
-                f"power ^1001 may exceed the cap of {MAX_POWER_T_DEGREE} "
-                "in t-degree (MAX_POWER_T_DEGREE) (at position 4)",
+                "power t^1001 makes a coefficient of degree 1001 in t, over the cap of "
+                f"{MAX_T_DEGREE} (MAX_T_DEGREE) (at position 4)",
             ),
             ("x*t'", QT, "t is a field element of Q(t); it takes no primes (at position 3)"),
             ("y*x''''", QQ, "at most three primes; write x^(4) instead (at position 3)"),
@@ -449,9 +419,10 @@ def _chain(k: int) -> str:
 
 class TestReaderWork:
     """The reader charges the term pairs of each product of parenthesised
-    factors and of each power to one count per file, before it makes them,
-    against reduction.MAX_WORK; a product or power past reduction.MAX_TERMS
-    terms is refused."""
+    factors and of each squaring and product of a power to one count per
+    file, before it makes them, against reduction.MAX_WORK; a product, a
+    power's among them, stops as soon as it holds more than
+    reduction.MAX_TERMS terms."""
 
     def test_a_product_chain_stops_at_the_product_that_crosses_the_count(self, monkeypatch):
         # the products make 16, 40, 80 and 140 term pairs: 56 after the
@@ -477,7 +448,7 @@ class TestReaderWork:
         assert P(_chain(5)).term_count() == comb(5 + 3, 3)
 
     def test_a_power_and_the_products_after_it_share_the_count(self, monkeypatch):
-        # (x + y)^3 is charged _power_products(2, 3) = 2 * 2 + 2 * 3 = 10
+        # (x + y)^3 is charged its square and its product, 2 * 2 + 2 * 3 = 10
         # term pairs, and its product with (x + 1) 4 * 2 = 8 more
         src = "(x + y)^3*(x + 1)"
         monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 17)
@@ -509,14 +480,15 @@ class TestReaderWork:
             parse_components(f"charset: {eq}\n\ncharset: {eq}\n", XY, ELIM_XY)
 
     def test_a_product_over_the_term_cap_is_refused_as_a_power_is(self, monkeypatch):
-        # 101 by 101 distinct jets make 10,201 terms from as many term pairs
+        # 101 by 101 distinct jets make 10,201 terms from as many term pairs;
+        # the product stops at the row that takes it past 10,000
         xs = " + ".join(f"x^({k})" for k in range(101))
         ys = xs.replace("x", "y")
         src = f"({xs})*({ys})"
         with pytest.raises(ParseError) as exc:
             P(src)
         assert str(exc.value) == (
-            f"product of a 101-term and a 101-term polynomial has 10201 terms, over the cap of "
+            f"product of a 101-term and a 101-term polynomial passes the cap of "
             f"{MAX_TERMS} terms (MAX_TERMS) (at position {len(xs) + 3})"
         )
         assert _reading(reference_parse_poly, src, XY) == str(exc.value)
@@ -524,15 +496,127 @@ class TestReaderWork:
         # to are both refused, and (x + y)*(x + y + 1) passes
         monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 5)
         for src, message in (
-            ("(x + y + 1)^2", "power ^2 of a 3-term polynomial may exceed the cap of 5 terms (MAX_TERMS) (at position 12)"),
+            ("(x + y + 1)^2", "power ^2 of a 3-term polynomial passes the cap of 5 terms (MAX_TERMS) (at position 12)"),
             (
                 "(x + y + 1)*(x + y + 1)",
-                "product of a 3-term and a 3-term polynomial has 6 terms, over the cap of 5 terms "
-                "(MAX_TERMS) (at position 12)",
+                "product of a 3-term and a 3-term polynomial passes the cap of 5 terms (MAX_TERMS) (at position 12)",
             ),
         ):
             assert _reading(parse_poly, src, XY) == message == _reading(reference_parse_poly, src, XY)
         assert P("(x + y)*(x + y + 1)").term_count() == 5
+
+    def test_a_refused_product_holds_at_most_one_row_past_the_term_cap(self, monkeypatch):
+        # s*s*s for s a sum of 100 variables: s*s has 5,050 terms, and the
+        # product by s stops at the first row that passes 10,000, after
+        # which no term pair is made; the parent built all 171,700 terms
+        ctx = Context(tuple(f"x{i}" for i in range(100)), QQ)
+        s = "(" + " + ".join(ctx.names) + ")"
+        sizes = []
+        add = diffalg.sysfile._add_product
+
+        def count(acc, a, b):
+            add(acc, a, b)
+            sizes.append((len(acc), len(b)))
+            return acc
+
+        monkeypatch.setattr(diffalg.sysfile, "_add_product", count)
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_poly(f"{s}*{s}*{s}", ctx)
+        assert time.perf_counter() - start < 1.0
+        assert str(exc.value) == (
+            f"product of a 5050-term and a 100-term polynomial passes the cap of {MAX_TERMS} terms "
+            f"(MAX_TERMS) (at position {2 * len(s) + 2})"
+        )
+        (held, row), = {(n, k) for n, k in sizes if n > MAX_TERMS}
+        assert held <= MAX_TERMS + row and sizes[-1] == (held, row)
+        assert _reading(reference_parse_poly, f"{s}*{s}*{s}", ctx) == str(exc.value)
+
+
+class TestReaderSizes:
+    """Every coefficient a product makes, of polynomials or of two
+    constants, is held to reduction.MAX_COEFF_BITS bits and, over Q(t), to
+    sysfile.MAX_T_DEGREE in t; both readers refuse it at the same token
+    with the same message."""
+
+    @staticmethod
+    def _both(src, ctx=XY):
+        got = _reading(parse_poly, src, ctx)
+        assert got == _reading(reference_parse_poly, src, ctx)
+        return got
+
+    def test_written_out_factors_meet_the_cap_their_power_meets(self, monkeypatch):
+        # under a cap of 40 bits, (2^20*x + 1) times itself makes 2^40, of
+        # 41 bits: sixty factors written out are refused at the second, as
+        # the power is at its first squaring
+        monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 40)
+        one = "(2^20*x + 1)"
+        tail = "makes a coefficient of 41 bits, over the cap of 40 bits (MAX_COEFF_BITS)"
+        assert self._both("*".join([one] * 60)) == (
+            f"product of a 2-term and a 2-term polynomial {tail} (at position {len(one) + 1})"
+        )
+        assert self._both(f"{one}^60") == f"power ^60 of a 2-term polynomial {tail} (at position {len(one) + 1})"
+        assert self._both(f"{one}*{one}".replace("20", "19")) == [
+            (k, v) for k, v in P("(2^38*x^2 + 2^20*x + 1)").items()
+        ]
+
+    @pytest.mark.parametrize(
+        "src, bits, at",
+        [
+            ("2^30*2^30*x", 61, 5),  # two powers of numbers, at the second
+            ("x/(2^30)/(2^30)", 61, 9),  # a division by a constant
+            ("1000000*1000000*1000000*x", 60, 16),  # three numbers, at the third
+            ("x/1000000/1000000/1000000", 60, 18),  # three divisors
+            ("1000000000000*2^30*x", 70, 20),  # the term's numbers times its other constants, at its end
+            ("(2^30*x + 1)*2^30 + y", 61, 18),  # the term's constant times its polynomial, at its end
+            ("(2^30*x + 1)*(2^30)", 61, 19),
+        ],
+    )
+    def test_constants_in_one_term_meet_the_bit_cap(self, monkeypatch, src, bits, at):
+        monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 40)
+        got = self._both(src)
+        assert got.endswith(f"makes a coefficient of {bits} bits, over the cap of 40 bits (MAX_COEFF_BITS) (at position {at})")
+        monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", bits)
+        assert not isinstance(self._both(src), str)
+
+    @pytest.mark.parametrize(
+        "src, what, at",
+        [
+            ("t*t*t*t*t*t*x", "product of two constants", 10),
+            ("x/t/t/t/t/t/t", "product of two constants", 12),
+            ("(t + 1)^6*x", "power ^6", 8),
+            ("(t*x + 1)^6", "power ^6 of a 2-term polynomial", 10),
+            ("(t^3*x + 1)*(t^3*y + 1)", "product of a 2-term and a 2-term polynomial", 12),
+            ("t^6*x", "power t^6", 2),
+        ],
+    )
+    def test_a_chain_of_t_meets_the_degree_cap(self, monkeypatch, src, what, at):
+        ctx = Context(("x", "y"), QT)
+        monkeypatch.setattr(diffalg.sysfile, "MAX_T_DEGREE", 5)
+        assert self._both(src, ctx) == (
+            f"{what} makes a coefficient of degree 6 in t, over the cap of 5 (MAX_T_DEGREE) (at position {at})"
+        )
+        monkeypatch.setattr(diffalg.sysfile, "MAX_T_DEGREE", 6)
+        assert not isinstance(self._both(src, ctx), str)
+
+    def test_a_long_chain_stops_at_the_product_that_passes(self):
+        # 1,000 factors 2^4000 before *x, 7,001 characters: each factor was
+        # multiplied in, in time that grew with the square of the chain, to
+        # one coefficient of 4,000,001 bits; the second factor is refused
+        src = "2^4000*" * 1000 + "x"
+        start = time.perf_counter()
+        assert self._both(src) == (
+            f"product of two constants makes a coefficient of 8001 bits, over the cap of "
+            f"{MAX_COEFF_BITS} bits (MAX_COEFF_BITS) (at position 7)"
+        )
+        # 1,000 integer literals of 600 digits: the third is refused
+        lit = "9" * 600
+        src = "*".join([lit] * 1000) + "*x"
+        assert self._both(src) == (
+            f"product of two constants makes a coefficient of {((10**600 - 1) ** 3).bit_length()} bits, "
+            f"over the cap of {MAX_COEFF_BITS} bits (MAX_COEFF_BITS) (at position {2 * 601})"
+        )
+        assert time.perf_counter() - start < 0.5
 
 
 class TestTermParser:
@@ -548,19 +632,22 @@ class TestTermParser:
         assert list(p.items()) == list(expected.items())  # the same term order
 
     def test_flat_system_makes_no_polynomial_product(self, monkeypatch):
+        # the one checked product is the reader's only multiplication: the
+        # flat system makes none of polynomials, and two of constants, the
+        # squaring and the product of 2^3
         calls = []
-        mul = DiffPoly.__mul__
-        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+        times = diffalg.sysfile._times
+        monkeypatch.setattr(diffalg.sysfile, "_times", lambda a, b, *rest: calls.append(type(a)) or times(a, b, *rest))
         sf = parse_system(
             "field: Q\nvars: x1, x2, x3\nranking: elim x1 > x2 > x3\n"
             "eq u1 = -3*x1^2 + 1/2*x2'''\n"
             "eq u2 = 5*x3'^2*x1 - 5/2*x2^(4) - x1'*x3 + 7\n"
             "point p: x1 = 2^3, x2 = -1/4, x3 = 0\n"
         )
-        assert len(calls) == 0
+        assert calls == [RatFunc, RatFunc]
         assert sf.equation("u1") == parse_poly("x2''' / 2 - 3*x1*x1", sf.context)
         parse_poly("(x1 + x2)*(x1 - x2)", sf.context)  # parenthesised factors multiply
-        assert len(calls) == 1
+        assert calls == [RatFunc, RatFunc, DiffPoly]
 
     def test_flat_system_of_forty_scans_each_expression_once(self, monkeypatch):
         n = 40
@@ -569,9 +656,9 @@ class TestTermParser:
         lines += [f"eq u{i} = {i}/2*x{i}'^2 - 3*x{i % n + 1}'' + x{i}^(4) - {i} - 3*x1'" for i in range(1, n + 1)]
         lines.append("point p: " + ", ".join(f"x{i} = -{i}/3" for i in range(1, n + 1)))
         products, scans, monomials, coefficients = [], [], [], []
-        mul, scan = DiffPoly.__mul__, diffalg.sysfile._scan
+        times, scan = diffalg.sysfile._times, diffalg.sysfile._scan
         mono_init, coeff_init = Monomial.__init__, RatFunc.__init__
-        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+        monkeypatch.setattr(diffalg.sysfile, "_times", lambda *args: products.append(1) or times(*args))
         monkeypatch.setattr(diffalg.sysfile, "_scan", lambda src, ctx, t: scans.append(src) or scan(src, ctx, t))
         monkeypatch.setattr(Monomial, "__init__", lambda m, fs: monomials.append(fs) or mono_init(m, fs))
         monkeypatch.setattr(RatFunc, "__init__", lambda q, a, b: coefficients.append((a, b)) or coeff_init(q, a, b))
@@ -707,7 +794,10 @@ class TestAgainstTheReferenceParser:
         ctx = Context(("x", "y"), data.draw(st.sampled_from((QQ, QT))))
         src = data.draw(st.one_of(_spellings(), _deep_spellings(), _plain_sums(), _trees(ctx.field is QT, 3, [4]).map(
             lambda tree: _render(tree[0]))))
-        assert _reading(parse_poly, src, ctx) == _reading(reference_parse_poly, src, ctx)
+        # a power such as (x + y)^20000 is made until the work count stops
+        # it: a budget of 50,000 term pairs keeps each such draw near 0.1 s
+        with patch.object(diffalg.reduction, "MAX_WORK", 50_000):
+            assert _reading(parse_poly, src, ctx) == _reading(reference_parse_poly, src, ctx)
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
