@@ -6,8 +6,8 @@ properties that everything else leans on:
 
   * every Ritt reduction certificate re-expands exactly to its identity
     m * f = sum Q_i(A_i) + r, with the remainder reduced, unless the division
-    stops at a named size cap, of terms or coefficient bits (such draws are
-    counted);
+    stops at a named cap, of terms, coefficient bits, degree in t or
+    derivation order (such draws are counted);
   * the assignment-backed Jacobi solver agrees with brute-force permutation
     enumeration (tests/reference_engines.py), witness included, and finds planted optima at n = 10..40;
   * the membership oracle finds every planted member f = sum c * m * d^k(g_i)

@@ -15,10 +15,9 @@ count as incomplete (never HOLDS); without it jbc-check decomposes the
 system itself.  The budgets are fixed: decompose.MAX_COMPONENTS;
 reduction.MAX_WORK, counted by each splitting tree in nodes and term pairs
 and by the reader in the term pairs of the polynomial products, powers'
-among them, that it makes for a file (or EXPR); reduction.MAX_TERMS and
-MAX_COEFF_BITS, which bound what a division or a reader's product builds;
-and sysfile.MAX_T_DEGREE, the degree in t of every coefficient a reader's
-product makes.  Output is deterministic: the same input
+among them, that it makes for a file (or EXPR); and the size caps
+reduction.MAX_TERMS, MAX_COEFF_BITS and MAX_T_DEGREE on what a division step
+or a reader's product builds.  Output is deterministic: the same input
 always produces byte-identical output, and a run that ends in an error
 (exit 2 or 3) prints nothing on stdout.
 
@@ -194,7 +193,7 @@ def _cmd_decompose(args) -> int:
     if dec.components:
         print(format_components(dec.components, sf.context), end="")
     else:
-        print("# no components (empty zero set)")
+        print("# no components (empty zero set)" if dec.complete else "# no components found")
     print(f"# complete: {'yes' if dec.complete else 'no'}")
     for k, c in enumerate(dec.components, start=1):
         dim = component_dimension(c)

@@ -349,12 +349,11 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
     per node taken from the queue and the term pairs of its node divisions,
     each getting what is left (a component's inequation checks are
     divisions of their own); a spent budget stops it, out of work.  A
-    division stopped by a size cap (its pairs charged too; nothing is kept
-    for it), or a remainder with a coefficient past MAX_COEFF_BITS, drops
-    its node and clears the completeness flag, as do a spent budget and a
-    full MAX_COMPONENTS.
+    division stopped by a size cap or DEFAULT_ORDER_CAP (its pairs charged
+    too; nothing is kept for it), or a new remainder, made monic, past the
+    reducer's coefficient rule drops its node and clears the completeness
+    flag, as do a spent budget and a full MAX_COMPONENTS.
     """
-    ctx = next(iter(start)).context
     analyzed: dict = {}
     shapes: dict = {}  # polynomial -> its _fork_shape
 
@@ -418,7 +417,7 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
             break
         remainders = [known[p] for p in others]
         new = {r for r in remainders if not r.is_zero()} - node
-        if any(ctx.field.bits(c) > reduction.MAX_COEFF_BITS for r in new for _, c in r.items()):
+        if any(reduction._coefficient_defect(c for _, c in r.items()) for r in new):
             complete = False
             continue
         if any(not r.is_zero() for r in remainders):

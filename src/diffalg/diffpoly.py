@@ -245,10 +245,8 @@ def _accumulate(acc: dict, m, c) -> None:
 def _add_product(acc: dict, a: dict, b: dict) -> dict:
     """Add the product of the term maps a and b into acc, one term pair at a
     time (a's terms outer, b's inner), and return acc.  Every term-pair
-    product is made here: DiffPoly.__mul__, the reader's checked product
-    (one term of a at a time), and a Ritt division step's scaling of the
-    working map and subtraction of the divisor's multiple, with no
-    polynomial built."""
+    product is made here, with no polynomial built: DiffPoly.__mul__'s, and
+    reduction._checked_product's for the reader and a division step."""
     merge = _merge_factors
     for m1, c1 in a.items():
         f1 = m1.factors

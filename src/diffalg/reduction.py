@@ -21,22 +21,23 @@ A reduction keeps the working polynomial as one {monomial: coefficient}
 map, copied from the dividend at the first step that changes it.  A step
 finds the jet to clear by looking each jet's variable up in the
 PreparedSeq's leader table, reads its cofactor and the cofactor's negation
-off the map in one pass that also checks each coefficient against
-MAX_COEFF_BITS, multiplies the map by the separant or initial only when
-that factor is not 1, and adds the negation times d^j(divisor) to it term
-pair by term pair; no intermediate polynomial is built.  A reduction logs
-its steps.  The certificate's multiplier is the product of the logged
-factors, built the first time it is read; its quotients are assembled from
-the log, reusing those products, the first time they are read.  Its term
-pairs are bounded by MAX_WORK.
+off the map in one pass, and makes its two products, the map times the
+separant or initial (only when that factor is not 1) and the negation
+times d^j(divisor) added into the map, by the checked product the reader
+uses too, with no intermediate polynomial built and one coefficient pass
+per step.  A reduction logs its steps.  The certificate's multiplier is
+the product of the logged factors, built the first time it is read; its
+quotients are assembled from the log, reusing those products, the first
+time they are read.  Its term pairs are bounded by MAX_WORK.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .diffpoly import DiffPoly, Monomial, _accumulate, _add_product, _check_same_context, _degree_profile
+from .diffpoly import DiffPoly, Monomial, OrderCapExceeded, _accumulate, _add_product
+from .diffpoly import _check_same_context, _degree_profile
 from .ranking import (
     ConstantPolyError,
     RankedPoly,
@@ -50,13 +51,49 @@ from .ranking import (
 # other than 1, and subtracting), checked before each step, and a splitting tree's nodes;
 # the reader (sysfile) keeps one count per file, of the term pairs of its polynomial products.
 MAX_WORK = 1_000_000
-# Size caps, shared with the reader: the most terms of a reduction's working map after a
-# step (scaled, and after the subtraction, whose multiple is never built) or of a product
-# the reader builds, and the most bits in an integer of a step's cofactor coefficients,
-# of an equation's coefficients in a splitting node, or of a coefficient a reader's
-# product makes.
+# Size caps, shared with the reader and the splitting tree: the most terms of a map that
+# _checked_product builds, and the most bits in an integer and the highest degree in t of a
+# coefficient it makes, of a new remainder in a splitting node, or of a reader's constant.
 MAX_TERMS = 10_000
 MAX_COEFF_BITS = 4096
+MAX_T_DEGREE = 1_000
+
+
+def _checked_product(acc: dict, a: dict, b: dict, coefficients: bool = True) -> Optional[str]:
+    """Add the product of the term maps a and b into acc, a row (a term of a
+    times b) at a time through _add_product, in one call when no row could
+    pass MAX_TERMS, and stop after the first row that takes acc past it;
+    then hold every coefficient of acc to the coefficient rule, unless told
+    not to.  None, or the cap passed in its one wording, prefixed by the
+    caller.  The reader's products and a division step's two are made here."""
+    if len(acc) + len(a) * len(b) <= MAX_TERMS:
+        _add_product(acc, a, b)
+    else:
+        for m, c in a.items():
+            _add_product(acc, {m: c}, b)
+            if len(acc) > MAX_TERMS:
+                return f"passes the cap of {MAX_TERMS} terms (MAX_TERMS)"
+    return _coefficient_defect(acc.values()) if coefficients else None
+
+
+def _coefficient_defect(coeffs, degree: int = 0) -> Optional[str]:
+    """The coefficient rule, in one pass over coeffs (field elements), and
+    over degree, one in t known unbuilt (the reader's t^e): None, or the
+    wording of MAX_COEFF_BITS, else of MAX_T_DEGREE, when one is passed."""
+    ored, entries = 0, degree + 1  # integers or-ed, for their bit length; the most in a num or den
+    for c in coeffs:
+        num, den = c.num, c.den
+        if len(num) == 1 and len(den) == 1:  # an element of Q
+            ored |= abs(num[0]) | den[0]
+        else:
+            ored |= max(map(abs, num + den))  # the one with the most bits
+            entries = max(entries, len(num), len(den))
+    bits = ored.bit_length()  # the most bits in one integer
+    if bits > MAX_COEFF_BITS:
+        return f"makes a coefficient of {bits} bits, over the cap of {MAX_COEFF_BITS} bits (MAX_COEFF_BITS)"
+    if entries - 1 > MAX_T_DEGREE:
+        return f"makes a coefficient of degree {entries - 1} in t, over the cap of {MAX_T_DEGREE} (MAX_T_DEGREE)"
+    return None
 
 
 class StepLimitExceeded(Exception):
@@ -65,7 +102,7 @@ class StepLimitExceeded(Exception):
 
 
 class TermLimitExceeded(StepLimitExceeded):
-    """A division step passed MAX_TERMS or MAX_COEFF_BITS, after `pairs` of work."""
+    """A division step passed a size cap or DEFAULT_ORDER_CAP, after `pairs` of work."""
 
     def __init__(self, message: str, pairs: int = 0):
         super().__init__(message)
@@ -272,10 +309,10 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
     """Divide b by a prepared autoreduced sequence, under its ranking, within
     MAX_WORK, of which the run dividing (a splitting tree) has already spent
     `spent`; the certificate's pairs are this division's own.  A division
-    with no step has b itself as its remainder."""
+    with no step has b itself as its remainder; past a size cap or
+    DEFAULT_ORDER_CAP a step raises TermLimitExceeded."""
     ctx = b.context
     key, ranked, leaders, unit_factors = prep.ranking.key, prep.ranked, prep.leaders, prep.unit_factors
-    bits = ctx.field.bits
     work = b._terms  # b's own map until the first step changes it
     deg = b.degrees()
     log = []
@@ -295,8 +332,12 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
         rp = ranked[i]
         if v.order > order:
             j = v.order - order
+            try:
+                divisor = rp.poly.derive(j)
+            except OrderCapExceeded as exc:
+                raise TermLimitExceeded(f"reduction stopped at step {len(log) + 1}: {exc}", pairs) from None
             # the prolongation has leader v, degree 1 and initial = separant
-            divisor, mult, degree, unit = rp.poly.derive(j), rp.separant, 1, unit_factors[i][0]
+            mult, degree, unit = rp.separant, 1, unit_factors[i][0]
         else:
             j = 0
             divisor, mult, unit = rp.poly, rp.initial, unit_factors[i][1]
@@ -310,12 +351,6 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
             for k, (w, e) in enumerate(fs):
                 if w >= v:
                     if w == v and e == d:
-                        if bits(a) > MAX_COEFF_BITS:
-                            raise TermLimitExceeded(
-                                f"reduction stopped at step {len(log) + 1}: a cofactor coefficient has "
-                                f"more than MAX_COEFF_BITS = {MAX_COEFF_BITS} bits",
-                                pairs,
-                            )
                         c = Monomial(fs[:k] + shift + fs[k + 1 :])
                         cof[c] = a
                         neg[c] = -a
@@ -326,20 +361,15 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
                 f"reduction stopped at step {len(log) + 1}: its work would reach {spent + pairs}, "
                 f"over the budget MAX_WORK = {MAX_WORK}"
             )
-        if not unit:
-            work = _add_product({}, mult._terms, work)
-        elif work is b._terms:
-            work = dict(work)
-        scaled = len(work)
-        _add_product(work, neg, divisor._terms)
+        if unit:
+            work, defect = dict(work) if work is b._terms else work, None
+        else:  # the subtraction's coefficient pass reads what the scaling made
+            work, unscaled = {}, work
+            defect = _checked_product(work, mult._terms, unscaled, coefficients=False)
+        defect = defect or _checked_product(work, neg, divisor._terms)
+        if defect is not None:
+            raise TermLimitExceeded(f"reduction stopped at step {len(log) + 1}: the step {defect}", pairs)
         log.append((mult, i, DiffPoly(ctx, cof), j))
-        terms = max(scaled, len(work))
-        if terms > MAX_TERMS:
-            raise TermLimitExceeded(
-                f"reduction stopped at step {len(log)}: it built a polynomial with {terms} "
-                f"terms, over the cap MAX_TERMS = {MAX_TERMS}",
-                pairs,
-            )
         deg = _degree_profile(work)
     remainder = b
     if log:

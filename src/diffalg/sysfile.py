@@ -26,12 +26,10 @@ The reader multiplies in one way only, ``_times``: a product of two
 parenthesised polynomials, each squaring and product of a power ``p^e``, a
 term's constant and jets times its parenthesised polynomial, and every
 product of two constants (two numbers in one term, a division by a
-constant).  A product of polynomials is charged its term pairs before it is
-made and stops as soon as it holds more than MAX_TERMS terms; every
-coefficient a product makes is held to MAX_COEFF_BITS and, over Q(t), to
-MAX_T_DEGREE.  The reader shares MAX_WORK, MAX_TERMS and MAX_COEFF_BITS
-with the reducer, read from ``reduction`` at each use, so that patching
-``diffalg.reduction`` governs both.
+constant).  A product of polynomials is charged its term pairs, then made
+by ``reduction._checked_product``, as a division step's are; a product of
+constants meets its coefficient rule.  The budget and the size caps are read
+from ``reduction`` at each use: patching ``diffalg.reduction`` governs both.
 
 A *system file* declares the field, the variables, a ranking, named
 equations, and optionally named points.  A point's values are expressions
@@ -74,7 +72,7 @@ from typing import Optional, Sequence
 
 from . import reduction
 from .decompose import CharSetComponent
-from .diffpoly import MON_ONE, ConcretePoint, Context, DerVar, DiffPoly, Monomial, _accumulate, _add_product
+from .diffpoly import MON_ONE, ConcretePoint, Context, DerVar, DiffPoly, Monomial, _accumulate
 from .fields import RF_ONE, RF_ZERO, Field, QQ, QT, RatFunc
 from .ranking import Ranking, RankKind
 
@@ -82,9 +80,6 @@ from .ranking import Ranking, RankKind
 # Deepest nesting of parentheses an expression may have: the reader saves
 # the enclosing expression and its open term once per level.
 MAX_NESTING = 100
-# Largest degree in t of a coefficient the reader makes: of t^e, and of
-# every product (see _times).
-MAX_T_DEGREE = 1_000
 
 
 class ParseError(ValueError):
@@ -376,8 +371,8 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
             else:
                 # t^e is made at once, with an exact check of its degree
                 e = _int(src, m, "exp")
-                if e > MAX_T_DEGREE:
-                    raise ParseError(_t_degree_cap(f"power t^{e}", e), m.start("exp"))
+                if e > reduction.MAX_T_DEGREE:
+                    raise ParseError(f"power t^{e} {reduction._coefficient_defect((), e)}", m.start("exp"))
                 f = RatFunc.t_power(e) if e else RF_ONE
         elif lit is not None:
             operand = False
@@ -435,47 +430,26 @@ def _times(a, b, table: dict, at: int, what: str = None):
     """a * b for two DiffPolys, two field elements or two integers: the one
     way the reader multiplies, refused at position at past a cap.  A product
     of an n-term and a k-term polynomial is charged its n * k term pairs to
-    the file's work count before it is made (see _charge), and is built one
-    term of a at a time, so that it stops as soon as it holds more than
-    MAX_TERMS terms.  Every coefficient the product makes, an integer
-    product too, is then held to MAX_COEFF_BITS bits and to MAX_T_DEGREE in
-    t.  what names the product in a refusal; a power names its own."""
+    the file's work count in table, refused past MAX_WORK, and then made by
+    reduction's checked product; a product of constants meets its coefficient
+    rule.  what names the product in a refusal; a power names its own."""
     if type(a) is DiffPoly:
         n, k = a.term_count(), b.term_count()
         what = what or f"product of a {n}-term and a {k}-term polynomial"
-        _charge(table, n * k, what, at)
-        acc, cap = {}, reduction.MAX_TERMS
-        for m, c in a.items():
-            _add_product(acc, {m: c}, b._terms)
-            if len(acc) > cap:
-                raise ParseError(f"{what} passes the cap of {cap} terms (MAX_TERMS)", at)
+        work = table[_WORK] = table.get(_WORK, 0) + n * k
+        if work > reduction.MAX_WORK:
+            raise ParseError(f"{what} would bring the reader's work to {work} term pairs, "
+                             f"over the budget MAX_WORK = {reduction.MAX_WORK}", at)
+        acc: dict = {}
+        defect = reduction._checked_product(acc, a._terms, b._terms)
         p = DiffPoly(a.context, acc)
-        bits = max(map(Field.bits, acc.values()))
-        degree = max(max(len(c.num), len(c.den)) for c in acc.values()) - 1
     else:
-        p = a * b
-        q = p if type(p) is RatFunc else RatFunc((p,), _ONE)  # an integer as the field element
-        bits, degree = Field.bits(q), max(len(q.num), len(q.den)) - 1
+        p = a * b  # an integer product is held to the rule as the field element it stands for
+        defect = reduction._coefficient_defect((p if type(p) is RatFunc else RatFunc((p,), _ONE),))
         what = what or "product of two constants"
-    cap = reduction.MAX_COEFF_BITS
-    if bits > cap:
-        raise ParseError(f"{what} makes a coefficient of {bits} bits, over the cap of {cap} bits (MAX_COEFF_BITS)", at)
-    if degree > MAX_T_DEGREE:
-        raise ParseError(_t_degree_cap(what, degree), at)
+    if defect is not None:
+        raise ParseError(f"{what} {defect}", at)
     return p
-
-
-def _t_degree_cap(what: str, degree: int) -> str:
-    return f"{what} makes a coefficient of degree {degree} in t, over the cap of {MAX_T_DEGREE} (MAX_T_DEGREE)"
-
-
-def _charge(table: dict, pairs: int, what: str, at: int) -> None:
-    """Charge the term pairs of what to the file's work count in table,
-    refused at position at when the count would pass MAX_WORK."""
-    work = table[_WORK] = table.get(_WORK, 0) + pairs
-    if work > reduction.MAX_WORK:
-        raise ParseError(f"{what} would bring the reader's work to {work} term pairs, "
-                         f"over the budget MAX_WORK = {reduction.MAX_WORK}", at)
 
 
 def _power(p, e: int, table: dict, at: int):

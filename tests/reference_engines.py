@@ -32,7 +32,6 @@ from math import gcd
 from typing import Optional, Sequence
 
 import diffalg.reduction as _reduction
-import diffalg.sysfile as _sysfile
 from diffalg import (
     CharSetComponent,
     ConcretePoint,
@@ -50,7 +49,7 @@ from diffalg import (
     jacobi_assign,
     order_matrix,
 )
-from diffalg.diffpoly import MON_ONE, Context, DerVar, _accumulate
+from diffalg.diffpoly import MON_ONE, Context, DerVar, OrderCapExceeded, _accumulate
 from diffalg.fields import QT, RF_ONE, RatFunc
 from diffalg.jacobi import _score
 from diffalg.linearize import tangent_dervar
@@ -207,16 +206,56 @@ def _forward_offense(c: DiffPoly, ranked: list, ranking):
     return max(hits)[1:] if hits else None
 
 
+def _forward_rows(acc: dict, a: DiffPoly, b: DiffPoly, step: int, pairs: int) -> None:
+    """acc += a * b, one row (a term of a times all of b) at a time, in the
+    order of a's terms, the term count read after each row: refused past
+    reduction.MAX_TERMS as the library refuses a division step."""
+    for m, x in a.items():
+        for m2, y in b.items():
+            _accumulate(acc, m * m2, x * y)
+        if len(acc) > _reduction.MAX_TERMS:
+            raise _reduction.TermLimitExceeded(
+                f"reduction stopped at step {step}: the step passes the cap of "
+                f"{_reduction.MAX_TERMS} terms (MAX_TERMS)",
+                pairs,
+            )
+
+
+def _forward_sizes(c: DiffPoly, step: int, pairs: int) -> None:
+    """Refuse the polynomial a step made when one of its coefficients has
+    an integer, in its numerator or denominator, of more than
+    MAX_COEFF_BITS bits, or then a degree in t above MAX_T_DEGREE."""
+    coeffs = [a for _, a in c.items()]
+    bits = max((abs(x).bit_length() for a in coeffs for x in a.num + a.den), default=0)
+    if bits > _reduction.MAX_COEFF_BITS:
+        raise _reduction.TermLimitExceeded(
+            f"reduction stopped at step {step}: the step makes a coefficient of {bits} bits, "
+            f"over the cap of {_reduction.MAX_COEFF_BITS} bits (MAX_COEFF_BITS)",
+            pairs,
+        )
+    degree = max((max(len(a.num), len(a.den)) - 1 for a in coeffs), default=0)
+    if degree > _reduction.MAX_T_DEGREE:
+        raise _reduction.TermLimitExceeded(
+            f"reduction stopped at step {step}: the step makes a coefficient of degree {degree} "
+            f"in t, over the cap of {_reduction.MAX_T_DEGREE} (MAX_T_DEGREE)",
+            pairs,
+        )
+
+
 def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
     """Ritt division with the multiplier and every quotient rescaled eagerly
-    at each step, as the certificate used to be built, each step made of
-    whole polynomials: mult * c - cofactor * d^j(divisor).  The caps of
-    diffalg.reduction, read when called, are checked as the library checks
-    them: the bits of the cofactor's coefficients against MAX_COEFF_BITS and
-    the division's running count of term pairs, with a step's two products
-    (the scaling only when mult is not 1), against MAX_WORK, before either
-    product is made, and the terms of the scaled and the new polynomial
-    after the step.  The certificate's pairs is that count."""
+    at each step, as the certificate used to be built, each step made as
+    mult * c - cofactor * d^j(divisor).  The caps of diffalg.reduction,
+    read when called, are checked as the library checks them: the
+    division's running count of term pairs, with a step's two products (the
+    scaling only when mult is not 1), against MAX_WORK, before either
+    product is made; the terms against MAX_TERMS after each row of either
+    product, both made row by row in the order of the working polynomial's
+    terms (the scaling, a term of mult at a time, into a new polynomial;
+    the subtraction, a term of the cofactor at a time, into the scaled
+    one); and, once the step is made, every coefficient against
+    MAX_COEFF_BITS and MAX_T_DEGREE.  A derivative past DEFAULT_ORDER_CAP
+    stops the step as a cap does.  The certificate's pairs is that count."""
     ctx = b.context
     ranked = [analyze(a, ranking) for a in seq]
     one = DiffPoly.one(ctx)
@@ -231,9 +270,14 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
             break
         v, i, kind = off
         rp = ranked[i]
+        step = len(factors) + 1
         if kind == "d":
             j = v.order - rp.leader.order
-            divisor, mult, degree = rp.poly.derive(j), rp.separant, 1
+            try:
+                divisor = rp.poly.derive(j)
+            except OrderCapExceeded as exc:
+                raise _reduction.TermLimitExceeded(f"reduction stopped at step {step}: {exc}", pairs) from None
+            mult, degree = rp.separant, 1
         else:
             j = 0
             divisor, mult, degree = rp.poly, rp.initial, rp.degree
@@ -241,22 +285,21 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
         cofactor = c.coeff_of_power(v, d) * DiffPoly.from_terms(
             ctx, [(Monomial.of(v, d - degree), ctx.field.one)]
         )
-        if any(ctx.field.bits(a) > _reduction.MAX_COEFF_BITS for _, a in cofactor.items()):
-            raise _reduction.TermLimitExceeded(
-                f"reduction stopped at step {len(factors) + 1}: a cofactor coefficient has more than "
-                f"MAX_COEFF_BITS = {_reduction.MAX_COEFF_BITS} bits",
-                pairs,
-            )
         if mult != one:
             pairs += mult.term_count() * c.term_count()
         pairs += cofactor.term_count() * divisor.term_count()
         if pairs > _reduction.MAX_WORK:
             raise _reduction.StepLimitExceeded(
-                f"reduction stopped at step {len(factors) + 1}: its work would reach {pairs}, "
+                f"reduction stopped at step {step}: its work would reach {pairs}, "
                 f"over the budget MAX_WORK = {_reduction.MAX_WORK}"
             )
-        scaled = mult * c
-        c = scaled - cofactor * divisor
+        acc = dict(c._terms)
+        if mult != one:
+            acc = {}
+            _forward_rows(acc, mult, c, step, pairs)
+        _forward_rows(acc, -cofactor, divisor, step, pairs)
+        c = DiffPoly(ctx, acc)
+        _forward_sizes(c, step, pairs)
         multiplier = mult * multiplier
         factors.append(mult)
         quotients = [
@@ -264,13 +307,6 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
             for q in quotients
         ]
         quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
-        terms = max(scaled.term_count(), c.term_count())
-        if terms > _reduction.MAX_TERMS:
-            raise _reduction.TermLimitExceeded(
-                f"reduction stopped at step {len(factors)}: it built a polynomial with {terms} "
-                f"terms, over the cap MAX_TERMS = {_reduction.MAX_TERMS}",
-                pairs,
-            )
     cert = ReductionCertificate(
         multiplier=multiplier, factors=tuple(factors), quotients=tuple(quotients), remainder=c
     )
@@ -382,7 +418,7 @@ class _ExprParser:
     terms.  Every product, of two DiffPolys or of two constants, is then
     refused when a coefficient it made has more than
     reduction.MAX_COEFF_BITS bits or a degree in t above
-    sysfile.MAX_T_DEGREE.  A product of polynomials is refused at its '(',
+    reduction.MAX_T_DEGREE.  A product of polynomials is refused at its '(',
     a power's at its exponent, one of two constants at its second factor,
     and the term's coefficient, and its product with the term's
     parenthesised polynomial, at the token after the term.
@@ -527,10 +563,10 @@ class _ExprParser:
                 e = 1
                 if self._accept_op("^"):
                     e = self._expect_int()
-                    if e > _sysfile.MAX_T_DEGREE:
+                    if e > _reduction.MAX_T_DEGREE:
                         raise self._error(
                             f"power t^{e} makes a coefficient of degree {e} in t, over the cap of "
-                            f"{_sysfile.MAX_T_DEGREE} (MAX_T_DEGREE)",
+                            f"{_reduction.MAX_T_DEGREE} (MAX_T_DEGREE)",
                             self.i - 1,
                         )
                 return negate, RatFunc.t_power(e) if e else RF_ONE
@@ -635,10 +671,10 @@ class _ExprParser:
                 at,
             )
         degree = max(0 if type(c) is int else max(len(c.num), len(c.den)) - 1 for c in coeffs)
-        if degree > _sysfile.MAX_T_DEGREE:
+        if degree > _reduction.MAX_T_DEGREE:
             raise self._error(
                 f"{what} makes a coefficient of degree {degree} in t, over the cap of "
-                f"{_sysfile.MAX_T_DEGREE} (MAX_T_DEGREE)",
+                f"{_reduction.MAX_T_DEGREE} (MAX_T_DEGREE)",
                 at,
             )
         return p

@@ -12,8 +12,8 @@ import pytest
 import diffalg
 from diffalg.cli import main
 import diffalg.cli
-from diffalg.reduction import MAX_COEFF_BITS, MAX_TERMS
-from diffalg.sysfile import MAX_NESTING, MAX_T_DEGREE
+from diffalg.reduction import MAX_COEFF_BITS, MAX_T_DEGREE, MAX_TERMS
+from diffalg.sysfile import MAX_NESTING
 
 from strategies import FLAGSHIP, FLAGSHIP_COMPONENT_2
 
@@ -192,7 +192,54 @@ class TestReduce:
         assert main(["reduce", str(p), "--target", "f"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "over the cap MAX_TERMS = 10000" in captured.err
+        assert captured.err == (
+            "diffalg: reduction stopped at step 31: the step passes the cap of 10000 terms (MAX_TERMS)\n"
+        )
+
+
+    def test_a_step_past_the_term_cap_stops_at_a_row(self, tmp_path, capsys, monkeypatch):
+        # a 37 KB file: the cofactor of y'' has 990 terms and a' has 1,001,
+        # so the one step of b's division would make some 990,000 terms in
+        # 990,990 term pairs, within MAX_WORK.  It stops at the first row
+        # (a term of the cofactor times a') that takes the map past
+        # MAX_TERMS, and the map never holds more than that plus one row.
+        terms = " + ".join(f"{k + 2}*x^({50 + k % 10})^{1 + k // 10}" for k in range(1000))
+        pairs = [(i, j) for i in range(45) for j in range(i, 45)][:990]
+        b = " + ".join(f"{i + j + 1}*x^({i})*x^({j})*y''" for i, j in pairs)
+        p = tmp_path / "wide.sys"
+        p.write_text(f"field: Q\nvars: y, x\nranking: elim y > x\neq a = y' + {terms}\neq b = {b}\n")
+        sizes = []
+        add = diffalg.reduction._add_product
+
+        def row(acc, a, b):
+            add(acc, a, b)
+            sizes.append((len(acc), len(b)))
+            return acc
+
+        monkeypatch.setattr(diffalg.reduction, "_add_product", row)
+        assert main(["reduce", str(p), "--target", "b"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            f"diffalg: reduction stopped at step 1: the step passes the cap of {MAX_TERMS} terms (MAX_TERMS)\n",
+        )
+        # the reader makes no product of this file; each row has the 1,001 terms of a'
+        held, width = sizes[-1]
+        assert width == 1001 and MAX_TERMS < held <= MAX_TERMS + width
+        assert all(n <= MAX_TERMS for n, _ in sizes[:-1])
+
+    def test_a_division_over_q_t_stops_at_the_degree_cap(self, tmp_path, capsys):
+        # each step scales by the initial t^10 + 1: by step 101 the map's
+        # coefficients have degree 1,010 in t, their integers still far
+        # under MAX_COEFF_BITS
+        xs = " + ".join(f"x^({i})*x^({j})" for i, j in [(i, j) for i in range(30) for j in range(i, 30)][:200])
+        p = tmp_path / "tdeg.sys"
+        p.write_text(f"field: Q(t)\nvars: y, x\nranking: elim y > x\neq a = (t^10 + 1)*y^2 + x\neq b = y^1000 + {xs}\n")
+        assert main(["reduce", str(p), "--target", "b"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "diffalg: reduction stopped at step 101: the step makes a coefficient of degree 1010 in t, "
+            f"over the cap of {MAX_T_DEGREE} (MAX_T_DEGREE)\n",
+        )
 
 
 class TestLinearize:
@@ -280,6 +327,28 @@ class TestDecompose:
         monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 2)
         assert main(["decompose", flagship]) == 1
         assert "# complete: no" in capsys.readouterr().out
+
+    def test_order_cap_in_the_tree_ends_incomplete(self, tmp_path, capsys):
+        # dividing y^(60) + x by y + x^(10) would derive x^(10) past
+        # DEFAULT_ORDER_CAP: the node is dropped, as at a size cap
+        p = tmp_path / "order.sys"
+        p.write_text("field: Q\nvars: y, x\nranking: elim y > x\neq a = y + x^(10)\neq b = y^(60) + x\n")
+        assert main(["decompose", str(p)]) == 1
+        assert capsys.readouterr() == ("# no components found\n# complete: no\n", "")
+        assert main(["jbc-check", str(p)]) == 1
+        out = capsys.readouterr().out
+        assert "(INCOMPLETE)" in out and "verdict: INCONCLUSIVE" in out
+
+    def test_an_empty_zero_set_only_when_complete(self, tmp_path, capsys, monkeypatch):
+        # x' + y and x' + y + 1 have no common zero; a tree out of work
+        # before it finds that says only that it found no component
+        p = tmp_path / "empty.sys"
+        p.write_text("field: Q\nvars: x, y\nranking: elim x > y\neq u1 = x' + y\neq u2 = x' + y + 1\n")
+        assert main(["decompose", str(p)]) == 0
+        assert capsys.readouterr().out == "# no components (empty zero set)\n# complete: yes\n"
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 1)
+        assert main(["decompose", str(p)]) == 1
+        assert capsys.readouterr().out == "# no components found\n# complete: no\n"
 
     def test_budget_flags_are_usage_errors(self, flagship, capsys):
         # the budget is a constant, not an option
@@ -630,17 +699,20 @@ class TestErrorChannel:
         assert err == "diffalg: coefficient 199999...999998 has 4301 digits, more than the 4300 that can be written as text\n"
 
     def test_reduce_prints_nothing_before_a_coefficient_too_long_to_print(self, tmp_path, capsys):
-        # the dividend and divisors print, but a quotient's coefficient has
-        # 6,000 digits: stdout is held back, so none of it is written
+        # the dividend and divisors print, but the multiplier, the fifth
+        # power of the 1,000-digit initial, has 4,998 digits: stdout is held
+        # back, so none of it is written.  Every step leaves x'^k with
+        # coefficient 1, so the division's own coefficients stay far under
+        # MAX_COEFF_BITS; only the certificate's products grow.
         p = tmp_path / "red.sys"
         p.write_text(
             "field: Q\nvars: x, z\nranking: elim x > z\n"
-            f"eq b = {'7' * 3000}*z + x''\neq a = {'3' * 3000}*x' - 1\n"
+            f"eq b = x'^5\neq a = {'3' * 1000}*x' - 1\n"
         )
         assert main(["reduce", str(p), "--target", "b"]) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "diffalg: coefficient 259259...740741 has 6000 digits, more than the 4300 that can be written as text\n"
+        assert err == "diffalg: coefficient 411522...781893 has 4998 digits, more than the 4300 that can be written as text\n"
 
     def test_point_variable_assigned_twice(self, tmp_path, capsys):
         p = tmp_path / "twice.sys"
@@ -745,7 +817,7 @@ class TestNamedCaps:
             "reduction.MAX_TERMS",
             "reduction.MAX_COEFF_BITS",
             "sysfile.MAX_NESTING",
-            "sysfile.MAX_T_DEGREE",
+            "reduction.MAX_T_DEGREE",
             "oracle.MAX_CANDIDATES",
             "decompose.MAX_COMPONENTS",
             "diffpoly.DEFAULT_ORDER_CAP",

@@ -35,7 +35,7 @@ from diffalg import (
 )
 from diffalg.decompose import VanishingInequationError, _basic_set, _fork, _fork_shape
 from diffalg.linearize import extended_context, tangent_dervar
-from diffalg.reduction import PreparedSeq
+from diffalg.reduction import PreparedSeq, TermLimitExceeded
 from diffalg.sysfile import SysFileError, parse_components, parse_poly
 
 from strategies import contexts, diffpolys, rankings, splitting_nodes
@@ -402,6 +402,23 @@ class TestSplitDecompose:
         assert diffalg.decompose._split_tree(hard_block, ELIM_XYZW).out_of_work
         dec = split_decompose(us, ELIM_XYZW)
         assert summary(dec) == summary(single_tree(us, ELIM_XYZW)) == ([], True)
+
+    def test_order_cap_drops_its_node(self):
+        # dividing y^(60) + x by y + x^(10) derives the divisor 60 times,
+        # to x^(70): past DEFAULT_ORDER_CAP the division stops as a size cap
+        # stops it, the node is dropped and the decomposition is incomplete
+        ctx = Context(("y", "x"), QQ)
+        rk = Ranking.elimination(2, [0, 1])  # y > x
+        us = [parse_poly("y + x^(10)", ctx), parse_poly("y^(60) + x", ctx)]
+        dec = split_decompose(us, rk)
+        assert summary(dec) == ([], False) and not dec.out_of_work
+        assert jbc_check(us, rk).verdict is JbcVerdict.INCONCLUSIVE
+        # building a component reduces its inequations by the same division
+        with pytest.raises(TermLimitExceeded) as err:
+            CharSetComponent(rk, (us[0],), (parse_poly("y^(60) + 1", ctx),))
+        assert str(err.value) == (
+            "reduction stopped at step 1: derivation would create order 65 > cap 64 (DEFAULT_ORDER_CAP)"
+        )
 
     def test_many_blocks_join_at_most_max_components(self, monkeypatch):
         # seven independent x_i'^2 - x_i: 2^7 = 128 combinations, of which

@@ -19,10 +19,9 @@ from diffalg import (
     Ranking,
     RatFunc,
 )
-from diffalg.reduction import MAX_COEFF_BITS, MAX_TERMS, MAX_WORK
+from diffalg.reduction import MAX_COEFF_BITS, MAX_T_DEGREE, MAX_TERMS, MAX_WORK
 from diffalg.sysfile import (
     MAX_NESTING,
-    MAX_T_DEGREE,
     ParseError,
     SysFileError,
     format_components,
@@ -97,7 +96,7 @@ class TestExpressions:
         # further set bit, none with 1, and the file's work count holds
         # exactly the term pairs that those products make
         made = {"products": 0, "pairs": 0}
-        add = diffalg.sysfile._add_product
+        add = diffalg.reduction._add_product
         times = diffalg.sysfile._times
 
         def count_pairs(acc, a, b):
@@ -108,7 +107,7 @@ class TestExpressions:
             made["products"] += 1
             return times(*args)
 
-        monkeypatch.setattr(diffalg.sysfile, "_add_product", count_pairs)
+        monkeypatch.setattr(diffalg.reduction, "_add_product", count_pairs)
         monkeypatch.setattr(diffalg.sysfile, "_times", count_products)
         jets = ("x", "y", "x'", "y'")
         for k, products in enumerate((0, 0, 1, 2, 2, 3, 3, 4, 3)):
@@ -512,14 +511,14 @@ class TestReaderWork:
         ctx = Context(tuple(f"x{i}" for i in range(100)), QQ)
         s = "(" + " + ".join(ctx.names) + ")"
         sizes = []
-        add = diffalg.sysfile._add_product
+        add = diffalg.reduction._add_product
 
         def count(acc, a, b):
             add(acc, a, b)
             sizes.append((len(acc), len(b)))
             return acc
 
-        monkeypatch.setattr(diffalg.sysfile, "_add_product", count)
+        monkeypatch.setattr(diffalg.reduction, "_add_product", count)
         start = time.perf_counter()
         with pytest.raises(ParseError) as exc:
             parse_poly(f"{s}*{s}*{s}", ctx)
@@ -536,7 +535,7 @@ class TestReaderWork:
 class TestReaderSizes:
     """Every coefficient a product makes, of polynomials or of two
     constants, is held to reduction.MAX_COEFF_BITS bits and, over Q(t), to
-    sysfile.MAX_T_DEGREE in t; both readers refuse it at the same token
+    reduction.MAX_T_DEGREE in t; both readers refuse it at the same token
     with the same message."""
 
     @staticmethod
@@ -592,11 +591,11 @@ class TestReaderSizes:
     )
     def test_a_chain_of_t_meets_the_degree_cap(self, monkeypatch, src, what, at):
         ctx = Context(("x", "y"), QT)
-        monkeypatch.setattr(diffalg.sysfile, "MAX_T_DEGREE", 5)
+        monkeypatch.setattr(diffalg.reduction, "MAX_T_DEGREE", 5)
         assert self._both(src, ctx) == (
             f"{what} makes a coefficient of degree 6 in t, over the cap of 5 (MAX_T_DEGREE) (at position {at})"
         )
-        monkeypatch.setattr(diffalg.sysfile, "MAX_T_DEGREE", 6)
+        monkeypatch.setattr(diffalg.reduction, "MAX_T_DEGREE", 6)
         assert not isinstance(self._both(src, ctx), str)
 
     def test_a_long_chain_stops_at_the_product_that_passes(self):

@@ -33,7 +33,7 @@ from diffalg import (
     verify_certificate,
 )
 from diffalg.reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded
-from diffalg.sysfile import parse_poly
+from diffalg.sysfile import ParseError, parse_poly
 
 from reference_engines import forward_certificate
 from strategies import contexts, diffpolys, rankings
@@ -236,21 +236,26 @@ def qt_polys(draw, ctx, **kw):
 
 
 def caps():
-    """(MAX_TERMS, MAX_COEFF_BITS, MAX_WORK): each size cap at its
-    value, or small enough to stop a few divisions part way; a budget that
-    no division drawn here has reached, or one small enough to stop a
-    division at its first step or part way."""
+    """(MAX_TERMS, MAX_COEFF_BITS, MAX_T_DEGREE, MAX_WORK): each size cap
+    at its value, or small enough to stop a few divisions part way; a
+    budget that no division drawn here has reached, or one small enough to
+    stop a division at its first step or part way."""
     return st.tuples(
-        st.sampled_from((10_000, 3, 6)), st.sampled_from((4096, 3)), st.sampled_from((50_000, 4, 40))
+        st.sampled_from((10_000, 3, 6)),
+        st.sampled_from((4096, 3)),
+        st.sampled_from((1000, 1)),
+        st.sampled_from((50_000, 4, 40)),
     )
 
 
 class TestCertificateOnRead:
     @staticmethod
     def _check_against_forward(b, seq, rk, caps):
-        terms, bits, work = caps
+        terms, bits, degree, work = caps
         outcomes = []
-        with patch.multiple(diffalg.reduction, MAX_TERMS=terms, MAX_COEFF_BITS=bits, MAX_WORK=work):
+        with patch.multiple(
+            diffalg.reduction, MAX_TERMS=terms, MAX_COEFF_BITS=bits, MAX_T_DEGREE=degree, MAX_WORK=work
+        ):
             for engine in (lambda: divide(b, seq, rk), lambda: forward_certificate(b, seq, rk)):
                 try:
                     outcomes.append(engine())
@@ -413,20 +418,98 @@ class TestPreparedSeq:
 class TestTermCap:
     def test_cap_is_a_named_step_limit(self, monkeypatch):
         monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 3)
-        with pytest.raises(TermLimitExceeded, match="MAX_TERMS = 3") as err:
+        with pytest.raises(TermLimitExceeded) as err:
             divide(P("x''*y + x'*y^2 + x"), [P("x'^2 + y*x' + y")])
         assert isinstance(err.value, StepLimitExceeded)
+        assert str(err.value) == "reduction stopped at step 1: the step passes the cap of 3 terms (MAX_TERMS)"
+        assert err.value.pairs == 10
 
     def test_coefficient_cap_stops_a_division(self, monkeypatch):
-        # the third step's cofactor of x''' by x'^2 + 3*y has a coefficient
-        # past a 2-bit cap; the first two steps made 8 term pairs
+        # the second step scales -2*x''^2 - 3*y'' by the separant 2*x' and
+        # subtracts -2*x'' times x'^2 + 3*y derived once, which leaves
+        # -6*x'*y'' + 6*x''*y': a coefficient past a 2-bit cap, made after
+        # the first two steps' 8 term pairs
         monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 2)
         with pytest.raises(TermLimitExceeded) as err:
             divide(P("x^(3)"), [P("x'^2 + 3*y")])
         assert str(err.value) == (
-            "reduction stopped at step 3: a cofactor coefficient has more than MAX_COEFF_BITS = 2 bits"
+            "reduction stopped at step 2: the step makes a coefficient of 3 bits, "
+            "over the cap of 2 bits (MAX_COEFF_BITS)"
         )
         assert err.value.pairs == 8
+
+    def test_degree_cap_stops_a_division_over_q_t(self, monkeypatch):
+        # each step scales the working map by the initial t^10 + 1, so its
+        # coefficients gain 10 in t-degree a step while their integers stay
+        # small: MAX_T_DEGREE, not MAX_COEFF_BITS, stops the division
+        ctx = Context(("y", "x"), QT)
+        rk = Ranking.elimination(2, [0, 1])
+        a = parse_poly("(t^10 + 1)*y^2 + x", ctx)
+        b = parse_poly("y^40 + x*x' + x''*x'''", ctx)
+        assert divide(b, [a], rk).steps == 20
+        monkeypatch.setattr(diffalg.reduction, "MAX_T_DEGREE", 50)
+        for engine in (divide, forward_certificate):
+            with pytest.raises(TermLimitExceeded) as err:
+                engine(b, [a], rk)
+            assert str(err.value) == (
+                "reduction stopped at step 6: the step makes a coefficient of degree 60 in t, "
+                "over the cap of 50 (MAX_T_DEGREE)"
+            )
+            assert err.value.pairs == 30
+
+    def test_a_subtraction_stops_at_the_row_that_passes_the_term_cap(self, monkeypatch):
+        # the cofactor y^(10) + ... + y^(14) of x' by the 6-term divisor: each
+        # row cancels one term of the map and adds five, 5 -> 9 -> 13 -> ...
+        # -> 25 terms; under a cap of 10 the second row passes it, and the
+        # last three rows' 18 term pairs are never made
+        work = Counter()
+        merge = diffalg.diffpoly._merge_factors
+        a = P("x' + y + y' + y'' + y''' + y^(4)")
+        b = P(" + ".join(f"x'*y^({10 + i})" for i in range(5)))
+        prep = PreparedSeq([a], ELIM_XY)
+        monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 30)
+        assert ritt_reduce_seq(b, prep).remainder.term_count() == 25
+        monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 10)
+        monkeypatch.setattr(
+            diffalg.diffpoly, "_merge_factors", lambda a, b: work.update(["monomials"]) or merge(a, b)
+        )
+        with pytest.raises(TermLimitExceeded) as err:
+            ritt_reduce_seq(b, prep)
+        assert str(err.value) == "reduction stopped at step 1: the step passes the cap of 10 terms (MAX_TERMS)"
+        assert err.value.pairs == 30  # charged before the step's products
+        assert work == {"monomials": 12}
+
+    def test_the_reader_and_the_reducer_word_each_cap_alike(self, monkeypatch):
+        # one rule per cap: the reader names its product, the reducer its
+        # step, and the rest of the refusal is the same text
+        qt = Context(("y", "x"), QT)
+        rk = Ranking.elimination(2, [0, 1])
+        cases = [
+            (
+                "MAX_TERMS", 3, "passes the cap of 3 terms (MAX_TERMS)",
+                lambda: parse_poly("(x + y)*(x' + y')", XY),
+                lambda: divide(P("x''*y + x'*y^2 + x"), [P("x'^2 + y*x' + y")]),
+            ),
+            (
+                "MAX_COEFF_BITS", 2, "makes a coefficient of 3 bits, over the cap of 2 bits (MAX_COEFF_BITS)",
+                lambda: parse_poly("2*3*x", XY),
+                lambda: divide(P("x^(3)"), [P("x'^2 + 3*y")]),
+            ),
+            (
+                "MAX_T_DEGREE", 5, "makes a coefficient of degree 6 in t, over the cap of 5 (MAX_T_DEGREE)",
+                lambda: parse_poly("(t^3*x + 1)*(t^3*y + 1)", qt),
+                lambda: divide(parse_poly("y^6 + x", qt), [parse_poly("(t^2 + 1)*y^2 + x'", qt)], rk),
+            ),
+        ]
+        for cap, value, wording, read, reduce in cases:
+            with monkeypatch.context() as m:
+                m.setattr(diffalg.reduction, cap, value)
+                with pytest.raises(ParseError) as parsed:
+                    read()
+                with pytest.raises(TermLimitExceeded) as divided:
+                    reduce()
+            assert str(parsed.value).split(" (at position")[0].endswith(f" {wording}")
+            assert str(divided.value).endswith(f": the step {wording}")
 
     def test_pair_cap_is_checked_before_any_product(self, monkeypatch):
         # the first step would multiply the 2-term initial y^2 + y by the
