@@ -53,9 +53,10 @@ properties that everything else leans on:
     give ritt_reduce_seq (one working map, a step log) the certificate of
     the forward division of tests/reference_engines.py (whole polynomials,
     eager quotients), factors, multiplier, quotients, remainder and step
-    count and work count, or the same cap exception, with its work count,
-    at the same step (draws stopped at a cap are counted).  This stream runs
-    last, so the others draw as they did before it was added.
+    count, or the same cap exception and text at the same step (draws
+    stopped at a cap are counted), and the division's meter the reference's
+    work count, at a cap stop too.  This stream runs last, so the others draw as they did
+    before it was added.
 
     python3 scripts/random_audit.py --cases 500 --seed 7
 
@@ -95,6 +96,7 @@ from diffalg import (
     TermLimitExceeded,
     TruncationBounds,
     ParseError,
+    Work,
     analyze,
     is_reduced,
     jacobi_assign,
@@ -617,15 +619,17 @@ DIVISION_CAPS = (
 )
 
 
-def _division(b: DiffPoly, seq: list, rk: Ranking, caps: tuple, engine):
-    """The certificate's parts, or the cap exception's type, text and work count."""
+def _division(b: DiffPoly, seq: list, rk: Ranking, caps: tuple, engine, spent):
+    """The certificate's parts, or the cap exception's type and text, each
+    with the work count that spent reads off the outcome (a certificate's
+    before any part is built)."""
     terms, bits, work = caps
     try:
         with patch.multiple(diffalg.reduction, MAX_TERMS=terms, MAX_COEFF_BITS=bits, MAX_WORK=work):
             cert = engine(b, seq, rk)
     except StepLimitExceeded as exc:
-        return type(exc).__name__, str(exc), getattr(exc, "pairs", None)
-    return cert.steps, cert.pairs, cert.factors, cert.multiplier, cert.quotients, cert.remainder
+        return type(exc).__name__, str(exc), spent(exc)
+    return cert.steps, spent(cert), cert.factors, cert.multiplier, cert.quotients, cert.remainder
 
 
 def audit_division(rng: random.Random, cases: int, max_vars: int) -> tuple[int, int]:
@@ -653,8 +657,11 @@ def audit_division(rng: random.Random, cases: int, max_vars: int) -> tuple[int, 
                 continue
         b = draw()
         caps = rng.choice(DIVISION_CAPS)
-        got = _division(b, seq, rk, caps, lambda b, seq, rk: ritt_reduce_seq(b, PreparedSeq(seq, rk)))
-        want = _division(b, seq, rk, caps, forward_certificate)
+        meter = Work()
+        got = _division(
+            b, seq, rk, caps, lambda b, seq, rk: ritt_reduce_seq(b, PreparedSeq(seq, rk), meter), lambda _: meter.spent
+        )
+        want = _division(b, seq, rk, caps, forward_certificate, lambda out: out.pairs)
         if got != want:
             print("division disagreement:", file=sys.stderr)
             print(f"  dividend: {b.to_text()}", file=sys.stderr)

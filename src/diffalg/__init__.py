@@ -31,6 +31,7 @@ from .reduction import (
     StepLimitExceeded,
     TermLimitExceeded,
     Verdict,
+    Work,
     ritt_reduce_seq,
     verify_certificate,
 )

@@ -13,13 +13,17 @@ SYSTEM is a system file (see `sysfile`).  Components reach jbc-check only
 through --components, a component file such as decompose prints, and then
 count as incomplete (never HOLDS); without it jbc-check decomposes the
 system itself.  The budgets are fixed: decompose.MAX_COMPONENTS;
-reduction.MAX_WORK, counted by each splitting tree in nodes and term pairs
-and by the reader in the term pairs of the polynomial products, powers'
-among them, that it makes for a file (or EXPR); and the size caps
-reduction.MAX_TERMS, MAX_COEFF_BITS and MAX_T_DEGREE on what a division step
-or a reader's product builds.  Output is deterministic: the same input
-always produces byte-identical output, and a run that ends in an error
-(exit 2 or 3) prints nothing on stdout.
+reduction.MAX_WORK, for each work meter: the reader's for a file (or EXPR),
+charged the term pairs of its polynomial products, powers' among them; each
+splitting tree's, charged its nodes and the term pairs of its divisions; and
+each other division's, charged the term pairs of its steps and then of every
+product that builds or checks its certificate (reduce past it exits 3, and so
+does jbc-check's text, which prints each membership's multiplier, where
+--json builds none and prints the verdict); and
+the size caps reduction.MAX_TERMS, MAX_COEFF_BITS and MAX_T_DEGREE on what a
+division step or a reader's product builds.  Output is deterministic: the
+same input always produces byte-identical output, and a run that ends in an
+error (exit 2 or 3) prints nothing on stdout.
 
 Exit codes:
 

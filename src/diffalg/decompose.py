@@ -345,14 +345,14 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
     each equation at most once, and lists its separants and initials and
     builds its component once, when a node first emits it.  Emitted
     components are not re-checked: jbc_check re-verifies
-    each against the inputs.  The run charges reduction.MAX_WORK one unit
-    per node taken from the queue and the term pairs of its node divisions,
-    each getting what is left (a component's inequation checks are
-    divisions of their own); a spent budget stops it, out of work.  A
-    division stopped by a size cap or DEFAULT_ORDER_CAP (its pairs charged
-    too; nothing is kept for it), or a new remainder, made monic, past the
-    reducer's coefficient rule drops its node and clears the completeness
-    flag, as do a spent budget and a full MAX_COMPONENTS.
+    each against the inputs.  The run keeps one Work meter: it charges one
+    unit per node taken from the queue, and its node divisions charge their
+    term pairs to it (a component's inequation checks are divisions with
+    meters of their own); past MAX_WORK it stops, out of work.  A division
+    stopped by a size cap or DEFAULT_ORDER_CAP (what it charged stays
+    charged; nothing is kept for it), or a new remainder, made monic, past
+    the reducer's coefficient rule drops its node and clears the
+    completeness flag, as do a spent budget and a full MAX_COMPONENTS.
     """
     analyzed: dict = {}
     shapes: dict = {}  # polynomial -> its _fork_shape
@@ -376,7 +376,7 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
     queue = [start]
     seen: set = set()  # nodes already taken from the queue
     found: dict[tuple, CharSetComponent] = {}  # basic set -> its component
-    work = 0  # nodes taken and node division pairs
+    work = reduction.Work()  # nodes taken and node division pairs
     complete, out_of_work = True, False
 
     while queue:
@@ -384,8 +384,7 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
         if node in seen:
             continue
         seen.add(node)
-        work += 1
-        if work > reduction.MAX_WORK:
+        if work.charge(1) is not None:
             complete, out_of_work = False, True
             break
 
@@ -406,11 +405,9 @@ def _split_tree(start: frozenset, ranking: Ranking) -> DecompositionResult:
         try:
             for p in others:
                 if p not in known:
-                    cert = ritt_reduce_seq(p, prep, work)
-                    work += cert.pairs
-                    known[p] = cert.remainder.monic()
-        except TermLimitExceeded as exc:
-            work, complete = work + exc.pairs, False
+                    known[p] = ritt_reduce_seq(p, prep, work).remainder.monic()
+        except TermLimitExceeded:
+            complete = False
             continue
         except StepLimitExceeded:
             complete, out_of_work = False, True

@@ -28,7 +28,8 @@ uses too, with no intermediate polynomial built and one coefficient pass
 per step.  A reduction logs its steps.  The certificate's multiplier is
 the product of the logged factors, built the first time it is read; its
 quotients are assembled from the log, reusing those products, the first
-time they are read.  Its term pairs are bounded by MAX_WORK.
+time they are read.  A Work meter, the one place a count meets MAX_WORK,
+is charged every product of a division, and of its certificate, first.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .ranking import (
     is_reduced,
 )
 
-# The work budget of one run: a division's term pairs (scaling by a separant or initial
-# other than 1, and subtracting), checked before each step, and a splitting tree's nodes;
-# the reader (sysfile) keeps one count per file, of the term pairs of its polynomial products.
+# The work budget of one Work meter, in units: a term pair of a product (a division step's
+# scaling and subtraction, a certificate's products, a reader's product) or a splitting
+# tree's node.
 MAX_WORK = 1_000_000
 # Size caps, shared with the reader and the splitting tree: the most terms of a map that
 # _checked_product builds, and the most bits in an integer and the highest degree in t of a
@@ -96,17 +97,36 @@ def _coefficient_defect(coeffs, degree: int = 0) -> Optional[str]:
     return None
 
 
+class Work:
+    """One scope's count of work units, each charged before the work is done."""
+
+    __slots__ = ("spent",)
+
+    def __init__(self):
+        self.spent = 0
+
+    def charge(self, units: int) -> Optional[str]:
+        """Add units to the count: None, or once it passes MAX_WORK (read at
+        each call) the budget's one wording, prefixed by the caller."""
+        self.spent += units
+        if self.spent > MAX_WORK:
+            return f"would bring the work to {self.spent}, over the budget MAX_WORK = {MAX_WORK}"
+        return None
+
+    def spend(self, units: int, what: str) -> None:
+        """charge, raising StepLimitExceeded, its wording prefixed by what."""
+        defect = self.charge(units)
+        if defect is not None:
+            raise StepLimitExceeded(f"{what} {defect}")
+
+
 class StepLimitExceeded(Exception):
-    """A reduction would have spent more than its MAX_WORK budget, or hit
-    another of its caps (distinct from nontermination)."""
+    """A reduction or its certificate would pass MAX_WORK, or another of its
+    caps (distinct from nontermination)."""
 
 
 class TermLimitExceeded(StepLimitExceeded):
-    """A division step passed a size cap or DEFAULT_ORDER_CAP, after `pairs` of work."""
-
-    def __init__(self, message: str, pairs: int = 0):
-        super().__init__(message)
-        self.pairs = pairs
+    """A division step passed a size cap or DEFAULT_ORDER_CAP."""
 
 
 class NotAutoreducedError(ValueError):
@@ -162,9 +182,6 @@ class DiffOperator:
             and self._terms == other._terms
         )
 
-    def __hash__(self):
-        return hash((self.context, frozenset(self._terms.items())))
-
     def to_text(self) -> str:
         if not self._terms:
             return "0"
@@ -218,57 +235,45 @@ class PreparedSeq:
 
 class ReductionCertificate:
     """All parts of the division identity, with the multiplier kept as an
-    audited factor list (each factor is a separant or initial of a divisor).
+    audited factor list (each factor is a separant or initial of a divisor),
+    made from a division's step log: log holds (factor, divisor index,
+    cofactor, derivation power) per step, each step having multiplied the
+    working polynomial by the factor and subtracted cofactor * d^power of
+    the divisor, of which there are `divisors`.
 
-    A reduction hands over its step log instead of the multiplier and
-    quotients.  The multiplier is built the first time it is read, as the
-    product of the log's factors alone, so a caller that prints it and never
-    reads a quotient (jbc-check's text) builds no quotient; the quotients
-    are built from the log the first time they are read, reusing the
-    products of factors the multiplier went through.  A caller that needs
-    only the remainder or the step count pays for neither.  pairs, its term
-    pairs (0 when built from parts), is not compared."""
+    The multiplier is built the first time it is read, as the product of
+    the log's factors alone, so a caller that prints it and never reads a
+    quotient (jbc-check's text) builds no quotient; the quotients are built
+    from the log the first time they are read, reusing the products of
+    factors the multiplier went through, which are then released.  A caller
+    that needs only the remainder or the step count pays for neither.  Each
+    product is charged first to work, the division's meter.  Certificates
+    compare by identity."""
 
-    __slots__ = ("factors", "remainder", "pairs", "_multiplier", "_quotients", "_log", "_suffixes")
+    __slots__ = ("factors", "remainder", "work", "_multiplier", "_quotients", "_log", "_suffixes")
 
-    def __init__(self, multiplier: DiffPoly, factors: tuple, quotients: tuple, remainder: DiffPoly):
-        self.factors = tuple(factors)  # tuple[DiffPoly, ...]
+    def __init__(self, log: list, divisors: int, remainder: DiffPoly, work: Work):
+        self.factors = tuple(step[0] for step in log)
         self.remainder = remainder
-        self.pairs = 0
-        self._multiplier = multiplier
-        self._quotients = tuple(quotients)  # tuple[DiffOperator, ...], one per divisor
-        self._log = self._suffixes = None
+        self.work = work
+        self._multiplier = self._quotients = self._suffixes = None
+        self._log = (log, divisors)
 
-    @classmethod
-    def _from_log(cls, log: list, divisors: int, remainder: DiffPoly, pairs: int) -> "ReductionCertificate":
-        """log holds (factor, divisor index, cofactor, derivation power) per
-        step: the step multiplied the working polynomial by the factor and
-        subtracted cofactor * d^power(divisor)."""
-        cert = cls.__new__(cls)
-        cert.factors = tuple(step[0] for step in log)
-        cert.remainder = remainder
-        cert.pairs = pairs
-        cert._multiplier = cert._quotients = cert._suffixes = None
-        cert._log = (tuple(log), divisors)
-        return cert
-
-    def _suffix_products(self) -> list:
-        """Entry k is the product of the factors of step k and of every later
-        step, built once, from the last step back."""
-        if self._suffixes is None:
-            out, suffix = [], None
-            for mult in reversed(self.factors):
-                suffix = mult if suffix is None else mult * suffix
-                out.append(suffix)
-            out.reverse()
-            self._suffixes = out
-        return self._suffixes
+    def _product(self, a: DiffPoly, b: DiffPoly) -> DiffPoly:
+        self.work.spend(a.term_count() * b.term_count(), "building the certificate")
+        return a * b
 
     @property
     def multiplier(self) -> DiffPoly:
         if self._multiplier is None:
-            suffixes = self._suffix_products()
-            self._multiplier = suffixes[0] if suffixes else DiffPoly.one(self.remainder.context)
+            # suffix products, from the last step back: entry k is the
+            # product of the factors of step k and of every later step
+            out, suffix = [], None
+            for mult in reversed(self.factors):
+                suffix = mult if suffix is None else self._product(mult, suffix)
+                out.append(suffix)
+            self._suffixes = out[::-1]
+            self._multiplier = DiffPoly.one(self.remainder.context) if suffix is None else suffix
         return self._multiplier
 
     @property
@@ -277,46 +282,35 @@ class ReductionCertificate:
             # a step's cofactor ends up multiplied by the factors of every
             # later step: its quotient coefficient is cofactor * suffix[k + 1]
             log, divisors = self._log
-            suffixes = self._suffix_products()
+            self.multiplier  # builds the suffix products, released below
+            suffixes = self._suffixes
             quotients = [DiffOperator.zero(self.remainder.context) for _ in range(divisors)]
             for k in range(len(log) - 1, -1, -1):
                 _, i, cofactor, j = log[k]
-                coeff = cofactor * suffixes[k + 1] if k + 1 < len(log) else cofactor
+                coeff = self._product(cofactor, suffixes[k + 1]) if k + 1 < len(log) else cofactor
                 quotients[i] = quotients[i] + DiffOperator.of(coeff, j)
             self._quotients = tuple(quotients)
-            self._log = None
+            self._log = self._suffixes = None
         return self._quotients
 
     @property
     def steps(self) -> int:
         return len(self.factors)
 
-    def _parts(self) -> tuple:
-        return (self.multiplier, self.factors, self.quotients, self.remainder)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ReductionCertificate) and self._parts() == other._parts()
-
-    def __hash__(self):
-        return hash(self._parts())
-
-    def __repr__(self) -> str:
-        m, f, q, r = self._parts()
-        return f"ReductionCertificate(multiplier={m!r}, factors={f!r}, quotients={q!r}, remainder={r!r})"
-
-
-def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> ReductionCertificate:
-    """Divide b by a prepared autoreduced sequence, under its ranking, within
-    MAX_WORK, of which the run dividing (a splitting tree) has already spent
-    `spent`; the certificate's pairs are this division's own.  A division
-    with no step has b itself as its remainder; past a size cap or
-    DEFAULT_ORDER_CAP a step raises TermLimitExceeded."""
+def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, work: Optional[Work] = None) -> ReductionCertificate:
+    """Divide b by a prepared autoreduced sequence, under its ranking.  Each
+    step's two products are charged to work, a fresh meter unless the run
+    dividing (a splitting tree) passes its own, before either is made; the
+    certificate keeps the meter.  A division with no step has b itself as
+    its remainder; past the budget a step raises StepLimitExceeded, and past
+    a size cap or DEFAULT_ORDER_CAP TermLimitExceeded."""
+    work = work or Work()
     ctx = b.context
     key, ranked, leaders, unit_factors = prep.ranking.key, prep.ranked, prep.leaders, prep.unit_factors
-    work = b._terms  # b's own map until the first step changes it
+    terms = b._terms  # b's own map until the first step changes it
     deg = b.degrees()
     log = []
-    pairs = 0
     while True:
         # the highest-ranked jet that a divisor's leader forbids: a proper
         # derivative of the leader, or the leader at its degree or above
@@ -335,7 +329,7 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
             try:
                 divisor = rp.poly.derive(j)
             except OrderCapExceeded as exc:
-                raise TermLimitExceeded(f"reduction stopped at step {len(log) + 1}: {exc}", pairs) from None
+                raise TermLimitExceeded(f"reduction stopped at step {len(log) + 1}: {exc}") from None
             # the prolongation has leader v, degree 1 and initial = separant
             mult, degree, unit = rp.separant, 1, unit_factors[i][0]
         else:
@@ -346,7 +340,7 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
         # its negation, which the step subtracts
         cof, neg = {}, {}
         shift = ((v, d - degree),) if d > degree else ()
-        for m, a in work.items():
+        for m, a in terms.items():
             fs = m.factors
             for k, (w, e) in enumerate(fs):
                 if w >= v:
@@ -355,27 +349,24 @@ def ritt_reduce_seq(b: DiffPoly, prep: PreparedSeq, spent: int = 0) -> Reduction
                         cof[c] = a
                         neg[c] = -a
                     break
-        pairs += (0 if unit else mult.term_count() * len(work)) + len(cof) * divisor.term_count()
-        if spent + pairs > MAX_WORK:
-            raise StepLimitExceeded(
-                f"reduction stopped at step {len(log) + 1}: its work would reach {spent + pairs}, "
-                f"over the budget MAX_WORK = {MAX_WORK}"
-            )
-        if unit:
-            work, defect = dict(work) if work is b._terms else work, None
-        else:  # the subtraction's coefficient pass reads what the scaling made
-            work, unscaled = {}, work
-            defect = _checked_product(work, mult._terms, unscaled, coefficients=False)
-        defect = defect or _checked_product(work, neg, divisor._terms)
+        defect = work.charge((0 if unit else mult.term_count() * len(terms)) + len(cof) * divisor.term_count())
         if defect is not None:
-            raise TermLimitExceeded(f"reduction stopped at step {len(log) + 1}: the step {defect}", pairs)
+            raise StepLimitExceeded(f"reduction stopped at step {len(log) + 1}: the step {defect}")
+        if unit:
+            terms, defect = dict(terms) if terms is b._terms else terms, None
+        else:  # the subtraction's coefficient pass reads what the scaling made
+            terms, unscaled = {}, terms
+            defect = _checked_product(terms, mult._terms, unscaled, coefficients=False)
+        defect = defect or _checked_product(terms, neg, divisor._terms)
+        if defect is not None:
+            raise TermLimitExceeded(f"reduction stopped at step {len(log) + 1}: the step {defect}")
         log.append((mult, i, DiffPoly(ctx, cof), j))
-        deg = _degree_profile(work)
+        deg = _degree_profile(terms)
     remainder = b
     if log:
-        remainder = DiffPoly(ctx, work)
+        remainder = DiffPoly(ctx, terms)
         remainder._degrees = deg  # the profile the last step read
-    return ReductionCertificate._from_log(log, len(ranked), remainder, pairs)
+    return ReductionCertificate(log, len(ranked), remainder, work)
 
 
 def verify_certificate(
@@ -385,29 +376,29 @@ def verify_certificate(
     ranking: Ranking,
 ) -> bool:
     """Re-check the whole certificate by plain arithmetic: the division
-    identity, reducedness of the remainder, the audited multiplier
-    factorization, and that every factor is a separant or initial of a
-    divisor.  Each side of the identity multiplier * b = remainder + sum
+    identity, reducedness of the remainder, and that every factor (whose
+    product the multiplier is, by construction) is a separant or initial of
+    a divisor.  Each side of the identity multiplier * b = remainder + sum
     of q_i(a_i) is summed term pair by term pair into one map, with no
-    polynomial built, and the two maps are compared."""
+    polynomial built, and the two maps are compared.  Each product is
+    charged to the certificate's meter first."""
     if len(cert.quotients) != len(seq):
         return False
     ranked = [analyze(a, ranking) for a in seq]
     for p in (cert.multiplier, cert.remainder, *seq):
         _check_same_context(p, b)
+    spend, what = cert.work.spend, "checking the certificate"
     rhs = dict(cert.remainder._terms)
     for q, a in zip(cert.quotients, seq):
         for k, c in q._terms.items():
             _check_same_context(c, a)
-            _add_product(rhs, c._terms, a.derive(k)._terms)
+            ak = a.derive(k)
+            spend(c.term_count() * ak.term_count(), what)
+            _add_product(rhs, c._terms, ak._terms)
+    spend(cert.multiplier.term_count() * b.term_count(), what)
     if _add_product({}, cert.multiplier._terms, b._terms) != rhs:
         return False
     if not all(is_reduced(cert.remainder, rp) for rp in ranked):
-        return False
-    prod = DiffPoly.one(b.context)
-    for f in cert.factors:
-        prod = f * prod
-    if prod != cert.multiplier:
         return False
     allowed = set()
     for rp in ranked:

@@ -19,17 +19,17 @@ their spelling in a table; any other match is one factor with its power and
 the operator before it.  Each term's monomial and coefficient are built
 once.  ``parse_system`` keeps one table for the whole file, equations and
 point values alike, so a jet or coefficient that repeats in the file is
-built once; nothing outlives one file.  The table also keeps the file's
-work count.
+built once; nothing outlives one file.
 
 The reader multiplies in one way only, ``_times``: a product of two
 parenthesised polynomials, each squaring and product of a power ``p^e``, a
 term's constant and jets times its parenthesised polynomial, and every
 product of two constants (two numbers in one term, a division by a
-constant).  A product of polynomials is charged its term pairs, then made
-by ``reduction._checked_product``, as a division step's are; a product of
-constants meets its coefficient rule.  The budget and the size caps are read
-from ``reduction`` at each use: patching ``diffalg.reduction`` governs both.
+constant).  A product of polynomials is charged its term pairs to the
+file's ``reduction.Work`` meter, then made by ``reduction._checked_product``,
+as a division step's are; a product of constants meets its coefficient
+rule.  The budget and the size caps are read from ``reduction`` at each
+use: patching ``diffalg.reduction`` governs both.
 
 A *system file* declares the field, the variables, a ranking, named
 equations, and optionally named points.  A point's values are expressions
@@ -195,10 +195,7 @@ def _rational(negate: bool, num: int, den: int) -> RatFunc:
     return RF_ONE if num == 1 else RatFunc((num,), _ONE)
 
 
-_WORK = "work"  # the key of a file's work count in its table; the other keys are tuples
-
-
-def _scan(src: str, ctx: Context, table: dict) -> dict:
+def _scan(src: str, ctx: Context, table: dict, work: reduction.Work) -> dict:
     """The terms of the expression src, a map from monomials to nonzero
     coefficients in the order the terms first appear.
 
@@ -213,7 +210,8 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
     coefficient looked up in table by their spelling: (name, primes,
     exponent) -> Monomial and (negative, numerator, divisor) -> RatFunc.
     The caller keeps one table for a whole file, so a jet or coefficient
-    that repeats in the file is built once; nothing outlives one file.
+    that repeats in the file is built once, and one Work meter, which every
+    product of polynomials is charged to; nothing outlives one file.
     Every other term is read a factor at a time, straight into one
     coefficient and one list of jets: numbers, t and jets never become
     polynomials of their own, and integer literals stay Python integers
@@ -265,7 +263,7 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
             if num and (coeff is RF_ONE or coeff):
                 q = _rational(negate, num, den)
                 if coeff is not RF_ONE:
-                    q = coeff if q is RF_ONE else _times(coeff, q, table, m.start("op" if sign is None else "sign"))
+                    q = coeff if q is RF_ONE else _times(coeff, q, work, m.start("op" if sign is None else "sign"))
                 if len(jets) == 1:
                     mono = Monomial(tuple(jets))
                 else:
@@ -277,7 +275,7 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
                         acc[mono] = q
                 else:
                     if q is not RF_ONE or mono is not MON_ONE:
-                        poly = _times(poly, DiffPoly(ctx, {mono: q}), table, m.start("op" if sign is None else "sign"))
+                        poly = _times(poly, DiffPoly(ctx, {mono: q}), work, m.start("op" if sign is None else "sign"))
                     for pm, c in poly.items():
                         _accumulate(acc, pm, c)
             if op:
@@ -302,8 +300,8 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
                     f = DiffPoly(ctx, acc)
                 at, acc, negate, num, den, coeff, jets, poly, slash = frames.pop()
                 if exp is not None:
-                    f = _power(f, _int(src, m, "exp"), table, m.start("exp"))
-                coeff, poly = _apply(f, slash, coeff, poly, table, at)
+                    f = _power(f, _int(src, m, "exp"), work, m.start("exp"))
+                coeff, poly = _apply(f, slash, coeff, poly, work, at)
                 continue
         # -- a plain term, whole
         if sign is not None:
@@ -384,13 +382,13 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
             if exp is None:
                 negate ^= neg
                 if slash is None:
-                    num = f if num == 1 else _times(num, f, table, at)
+                    num = f if num == 1 else _times(num, f, work, at)
                 elif not f:
                     raise ParseError("division by zero", slash)
                 else:
-                    den = f if den == 1 else _times(den, f, table, at)
+                    den = f if den == 1 else _times(den, f, work, at)
                 continue
-            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, "exp"), table, m.start("exp"))
+            f = _power(RF_ONE if f == 1 else RatFunc.from_int(f), _int(src, m, "exp"), work, m.start("exp"))
         elif opened is not None:
             if len(frames) == MAX_NESTING:
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING} (MAX_NESTING)", m.start("open"))
@@ -402,10 +400,10 @@ def _scan(src: str, ctx: Context, table: dict) -> dict:
             tok, at = _token_at(src, m.end("minus"))
             raise ParseError(f"unexpected {tok or 'end of input'!r}", at)
         negate ^= neg
-        coeff, poly = _apply(f, slash, coeff, poly, table, at)
+        coeff, poly = _apply(f, slash, coeff, poly, work, at)
 
 
-def _apply(f, slash, coeff, poly, table: dict, at: int) -> tuple:
+def _apply(f, slash, coeff, poly, work: reduction.Work, at: int) -> tuple:
     """(coeff, poly) of the open term times a factor at position at that is
     neither a jet nor a plain integer literal: a field element (t, a power
     of a number, or a constant parenthesised expression) or a DiffPoly;
@@ -418,30 +416,26 @@ def _apply(f, slash, coeff, poly, table: dict, at: int) -> tuple:
         f = RF_ONE / f
     if type(f) is RatFunc:
         if f is not RF_ONE:
-            coeff = f if coeff is RF_ONE else _times(coeff, f, table, at)
+            coeff = f if coeff is RF_ONE else _times(coeff, f, work, at)
     elif poly is None:
         poly = f
     else:
-        poly = _times(poly, f, table, at)
+        poly = _times(poly, f, work, at)
     return coeff, poly
 
 
-def _times(a, b, table: dict, at: int, what: str = None):
+def _times(a, b, work: reduction.Work, at: int, what: str = None):
     """a * b for two DiffPolys, two field elements or two integers: the one
     way the reader multiplies, refused at position at past a cap.  A product
     of an n-term and a k-term polynomial is charged its n * k term pairs to
-    the file's work count in table, refused past MAX_WORK, and then made by
-    reduction's checked product; a product of constants meets its coefficient
-    rule.  what names the product in a refusal; a power names its own."""
+    work, the file's meter, and then made by reduction's checked product; a
+    product of constants meets its coefficient rule.  what names the
+    product in a refusal; a power names its own."""
     if type(a) is DiffPoly:
         n, k = a.term_count(), b.term_count()
         what = what or f"product of a {n}-term and a {k}-term polynomial"
-        work = table[_WORK] = table.get(_WORK, 0) + n * k
-        if work > reduction.MAX_WORK:
-            raise ParseError(f"{what} would bring the reader's work to {work} term pairs, "
-                             f"over the budget MAX_WORK = {reduction.MAX_WORK}", at)
         acc: dict = {}
-        defect = reduction._checked_product(acc, a._terms, b._terms)
+        defect = work.charge(n * k) or reduction._checked_product(acc, a._terms, b._terms)
         p = DiffPoly(a.context, acc)
     else:
         p = a * b  # an integer product is held to the rule as the field element it stands for
@@ -452,7 +446,7 @@ def _times(a, b, table: dict, at: int, what: str = None):
     return p
 
 
-def _power(p, e: int, table: dict, at: int):
+def _power(p, e: int, work: reduction.Work, at: int):
     """p ^ e for a DiffPoly or a field element p, by repeated squaring from
     the power of e's lowest set bit, each product made by _times and refused
     at the exponent's position at.  A jet's power never gets here."""
@@ -462,16 +456,17 @@ def _power(p, e: int, table: dict, at: int):
     out = None
     while True:
         if e & 1:
-            out = p if out is None else _times(out, p, table, at, what)
+            out = p if out is None else _times(out, p, work, at, what)
         e >>= 1
         if not e:
             return out
-        p = _times(p, p, table, at, what)
+        p = _times(p, p, work, at, what)
 
 
 def parse_poly(src: str, ctx: Context) -> DiffPoly:
-    """Parse one differential polynomial in the variables of ``ctx``."""
-    return DiffPoly(ctx, _scan(src, ctx, {}))
+    """Parse one differential polynomial in the variables of ``ctx``, with a
+    table and a Work meter of its own."""
+    return DiffPoly(ctx, _scan(src, ctx, {}, reduction.Work()))
 
 
 # ---------------------------------------------------------------------------
@@ -597,9 +592,9 @@ def _parse_field(text: str) -> Field:
     raise ValueError(f"unknown field {text!r}; expected 'Q' or 'Q(t)'")
 
 
-def _parse_assignments(text: str, ctx: Context, table: dict) -> ConcretePoint:
+def _parse_assignments(text: str, ctx: Context, table: dict, work: reduction.Work) -> ConcretePoint:
     """The point of ``x = c, y = d, ...``, each value read by one scan with
-    the file's table."""
+    the file's table and meter."""
     named = {}
     for piece in text.split(","):
         nm, eq, val = piece.partition("=")
@@ -608,7 +603,7 @@ def _parse_assignments(text: str, ctx: Context, table: dict) -> ConcretePoint:
         nm = nm.strip()
         if nm in named:
             raise ValueError(f"variable {nm!r} is assigned twice")
-        terms = _scan(val.strip(), ctx, table)
+        terms = _scan(val.strip(), ctx, table, work)
         c = terms.pop(MON_ONE, RF_ZERO)
         if terms:  # not rendered: its text can pass 4,300 digits
             raise ValueError(f"the value of {nm!r} is not a constant")
@@ -624,9 +619,10 @@ def parse_system(text: str) -> SystemFile:
     """Parse a system file.  Its header lines ``field:``, ``vars:`` and
     ``ranking:`` come once each and in that order, and ``vars:`` before
     every ``eq`` and ``point`` line.  Every expression of the file is read
-    with one table of the jets and coefficients read so far (see _scan)."""
+    with one table of the jets and coefficients read so far and one Work
+    meter (see _scan)."""
     header: dict = {}  # header key -> its value
-    table: dict = {}  # spelling -> Monomial or RatFunc, and _WORK, for this file only
+    table, work = {}, reduction.Work()  # spelling -> Monomial or RatFunc, and a meter, for this file only
     equations: dict = {}  # name -> DiffPoly, in file order
     points: dict = {}  # name -> ConcretePoint, in file order
 
@@ -651,12 +647,12 @@ def parse_system(text: str) -> SystemFile:
                     raise ValueError(f"duplicate {noun} name {name!r}")
                 ctx = header["vars"]
                 if is_eq:
-                    terms = _scan(body.strip(), ctx, table)
+                    terms = _scan(body.strip(), ctx, table, work)
                     if not terms:
                         raise ValueError(f"equation {name!r} is identically zero")
                     named[name] = DiffPoly(ctx, terms)
                 else:
-                    named[name] = _parse_assignments(body, ctx, table)
+                    named[name] = _parse_assignments(body, ctx, table, work)
                 continue
             keyed = _keyed(line, header)
             if keyed is None or keyed[0] not in _HEADERS:
@@ -691,8 +687,9 @@ def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
     """Parse a component file: blank-line-separated blocks of a
     ``charset:`` line and optional ``ranking:`` (default: ranking, the
     system's), ``ineqs:`` (default none) and ``prime:`` lines, each key at
-    most once per block, all read with one table.  ``prime:`` may only say
-    ``no``: nothing tests primality, so ``prime: yes`` is refused."""
+    most once per block, all read with one table and one Work meter.
+    ``prime:`` may only say ``no``: nothing tests primality, so
+    ``prime: yes`` is refused."""
     blocks: list = [[]]
     for lineno, line in _lines(text):
         if not line:
@@ -703,7 +700,7 @@ def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
     if not blocks[-1]:
         blocks.pop()
 
-    table: dict = {}
+    table, work = {}, reduction.Work()
     components = []
     for block in blocks:
         values: dict = {}  # key -> its value
@@ -717,7 +714,7 @@ def parse_components(text: str, ctx: Context, ranking: Ranking) -> tuple:
                     values[key] = parse_ranking(value.strip(), ctx)
                 elif key in ("charset", "ineqs"):
                     pieces = () if value.strip() == "(none)" else value.split(";")
-                    values[key] = tuple(DiffPoly(ctx, _scan(p.strip(), ctx, table)) for p in pieces if p.strip())
+                    values[key] = tuple(DiffPoly(ctx, _scan(p.strip(), ctx, table, work)) for p in pieces if p.strip())
                     if key == "charset" and not values[key]:
                         raise ValueError("empty charset")
                 elif key == "prime":

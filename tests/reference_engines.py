@@ -17,8 +17,8 @@ check the library against; none of them is on a path the library takes.
   same ParseError, text and position;
 * forward_certificate is Ritt division by whole-polynomial arithmetic, with
   the multiplier and every quotient rescaled at each step, the reference
-  for ritt_reduce_seq's working map and step log: the same certificate and
-  work count, or the same cap exception at the same step;
+  for ritt_reduce_seq's working map and step log: the same certificate
+  parts and work count, or the same cap exception at the same step;
 * Echelon is the oracle's row-echelon basis keyed by Monomial objects, each
   pivot picked by Monomial.sort_key, the reference for oracle._Echelon,
   which keys every entry by the sort key itself.
@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import re
 from math import gcd
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import diffalg.reduction as _reduction
@@ -42,7 +43,6 @@ from diffalg import (
     LinearizedPoly,
     Monomial,
     OrderMatrix,
-    ReductionCertificate,
     analyze,
     extended_context,
     is_reduced,
@@ -206,7 +206,7 @@ def _forward_offense(c: DiffPoly, ranked: list, ranking):
     return max(hits)[1:] if hits else None
 
 
-def _forward_rows(acc: dict, a: DiffPoly, b: DiffPoly, step: int, pairs: int) -> None:
+def _forward_rows(acc: dict, a: DiffPoly, b: DiffPoly, step: int) -> None:
     """acc += a * b, one row (a term of a times all of b) at a time, in the
     order of a's terms, the term count read after each row: refused past
     reduction.MAX_TERMS as the library refuses a division step."""
@@ -216,12 +216,11 @@ def _forward_rows(acc: dict, a: DiffPoly, b: DiffPoly, step: int, pairs: int) ->
         if len(acc) > _reduction.MAX_TERMS:
             raise _reduction.TermLimitExceeded(
                 f"reduction stopped at step {step}: the step passes the cap of "
-                f"{_reduction.MAX_TERMS} terms (MAX_TERMS)",
-                pairs,
+                f"{_reduction.MAX_TERMS} terms (MAX_TERMS)"
             )
 
 
-def _forward_sizes(c: DiffPoly, step: int, pairs: int) -> None:
+def _forward_sizes(c: DiffPoly, step: int) -> None:
     """Refuse the polynomial a step made when one of its coefficients has
     an integer, in its numerator or denominator, of more than
     MAX_COEFF_BITS bits, or then a degree in t above MAX_T_DEGREE."""
@@ -230,19 +229,17 @@ def _forward_sizes(c: DiffPoly, step: int, pairs: int) -> None:
     if bits > _reduction.MAX_COEFF_BITS:
         raise _reduction.TermLimitExceeded(
             f"reduction stopped at step {step}: the step makes a coefficient of {bits} bits, "
-            f"over the cap of {_reduction.MAX_COEFF_BITS} bits (MAX_COEFF_BITS)",
-            pairs,
+            f"over the cap of {_reduction.MAX_COEFF_BITS} bits (MAX_COEFF_BITS)"
         )
     degree = max((max(len(a.num), len(a.den)) - 1 for a in coeffs), default=0)
     if degree > _reduction.MAX_T_DEGREE:
         raise _reduction.TermLimitExceeded(
             f"reduction stopped at step {step}: the step makes a coefficient of degree {degree} "
-            f"in t, over the cap of {_reduction.MAX_T_DEGREE} (MAX_T_DEGREE)",
-            pairs,
+            f"in t, over the cap of {_reduction.MAX_T_DEGREE} (MAX_T_DEGREE)"
         )
 
 
-def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
+def forward_certificate(b: DiffPoly, seq, ranking) -> SimpleNamespace:
     """Ritt division with the multiplier and every quotient rescaled eagerly
     at each step, as the certificate used to be built, each step made as
     mult * c - cofactor * d^j(divisor).  The caps of diffalg.reduction,
@@ -255,7 +252,9 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
     the subtraction, a term of the cofactor at a time, into the scaled
     one); and, once the step is made, every coefficient against
     MAX_COEFF_BITS and MAX_T_DEGREE.  A derivative past DEFAULT_ORDER_CAP
-    stops the step as a cap does.  The certificate's pairs is that count."""
+    stops the step as a cap does.  Returns the parts as a plain record:
+    multiplier, factors, quotients, remainder, steps, and pairs, that
+    count; a cap exception carries the count as its pairs."""
     ctx = b.context
     ranked = [analyze(a, ranking) for a in seq]
     one = DiffPoly.one(ctx)
@@ -264,54 +263,61 @@ def forward_certificate(b: DiffPoly, seq, ranking) -> ReductionCertificate:
     factors = []
     quotients = [DiffOperator.zero(ctx) for _ in ranked]
     pairs = 0
-    while True:
-        off = _forward_offense(c, ranked, ranking)
-        if off is None:
-            break
-        v, i, kind = off
-        rp = ranked[i]
-        step = len(factors) + 1
-        if kind == "d":
-            j = v.order - rp.leader.order
-            try:
-                divisor = rp.poly.derive(j)
-            except OrderCapExceeded as exc:
-                raise _reduction.TermLimitExceeded(f"reduction stopped at step {step}: {exc}", pairs) from None
-            mult, degree = rp.separant, 1
-        else:
-            j = 0
-            divisor, mult, degree = rp.poly, rp.initial, rp.degree
-        d = c.degree_in(v)
-        cofactor = c.coeff_of_power(v, d) * DiffPoly.from_terms(
-            ctx, [(Monomial.of(v, d - degree), ctx.field.one)]
-        )
-        if mult != one:
-            pairs += mult.term_count() * c.term_count()
-        pairs += cofactor.term_count() * divisor.term_count()
-        if pairs > _reduction.MAX_WORK:
-            raise _reduction.StepLimitExceeded(
-                f"reduction stopped at step {step}: its work would reach {pairs}, "
-                f"over the budget MAX_WORK = {_reduction.MAX_WORK}"
+    try:
+        while True:
+            off = _forward_offense(c, ranked, ranking)
+            if off is None:
+                break
+            v, i, kind = off
+            rp = ranked[i]
+            step = len(factors) + 1
+            if kind == "d":
+                j = v.order - rp.leader.order
+                try:
+                    divisor = rp.poly.derive(j)
+                except OrderCapExceeded as exc:
+                    raise _reduction.TermLimitExceeded(f"reduction stopped at step {step}: {exc}") from None
+                mult, degree = rp.separant, 1
+            else:
+                j = 0
+                divisor, mult, degree = rp.poly, rp.initial, rp.degree
+            d = c.degree_in(v)
+            cofactor = c.coeff_of_power(v, d) * DiffPoly.from_terms(
+                ctx, [(Monomial.of(v, d - degree), ctx.field.one)]
             )
-        acc = dict(c._terms)
-        if mult != one:
-            acc = {}
-            _forward_rows(acc, mult, c, step, pairs)
-        _forward_rows(acc, -cofactor, divisor, step, pairs)
-        c = DiffPoly(ctx, acc)
-        _forward_sizes(c, step, pairs)
-        multiplier = mult * multiplier
-        factors.append(mult)
-        quotients = [
-            sum((DiffOperator.of(mult * coeff, k) for coeff, k in q.terms()), DiffOperator.zero(ctx))
-            for q in quotients
-        ]
-        quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
-    cert = ReductionCertificate(
-        multiplier=multiplier, factors=tuple(factors), quotients=tuple(quotients), remainder=c
+            if mult != one:
+                pairs += mult.term_count() * c.term_count()
+            pairs += cofactor.term_count() * divisor.term_count()
+            if pairs > _reduction.MAX_WORK:
+                raise _reduction.StepLimitExceeded(
+                    f"reduction stopped at step {step}: the step would bring the work to {pairs}, "
+                    f"over the budget MAX_WORK = {_reduction.MAX_WORK}"
+                )
+            acc = dict(c._terms)
+            if mult != one:
+                acc = {}
+                _forward_rows(acc, mult, c, step)
+            _forward_rows(acc, -cofactor, divisor, step)
+            c = DiffPoly(ctx, acc)
+            _forward_sizes(c, step)
+            multiplier = mult * multiplier
+            factors.append(mult)
+            quotients = [
+                sum((DiffOperator.of(mult * coeff, k) for coeff, k in q.terms()), DiffOperator.zero(ctx))
+                for q in quotients
+            ]
+            quotients[i] = quotients[i] + DiffOperator.of(cofactor, j)
+    except _reduction.StepLimitExceeded as exc:
+        exc.pairs = pairs  # the count charged when the cap stopped the division
+        raise
+    return SimpleNamespace(
+        multiplier=multiplier,
+        factors=tuple(factors),
+        quotients=tuple(quotients),
+        remainder=c,
+        pairs=pairs,
+        steps=len(factors),
     )
-    cert.pairs = pairs
-    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +689,7 @@ class _ExprParser:
         self.work += pairs
         if self.work > _reduction.MAX_WORK:
             raise self._error(
-                f"{what} would bring the reader's work to {self.work} term pairs, "
+                f"{what} would bring the work to {self.work}, "
                 f"over the budget MAX_WORK = {_reduction.MAX_WORK}",
                 at,
             )

@@ -241,6 +241,44 @@ class TestReduce:
             f"over the cap of {MAX_T_DEGREE} (MAX_T_DEGREE)\n",
         )
 
+    @staticmethod
+    def _power_of_y(tmp_path, e: int) -> str:
+        # dividing y'^e by (x + z + w + v + s)*y' - 1 takes e steps of 11
+        # term pairs, but its multiplier, the e-th power of the 5-term
+        # initial, is C(e + 4, 4) terms
+        p = tmp_path / "power.sys"
+        p.write_text(
+            "field: Q\nvars: y, x, z, w, v, s\nranking: elim y > x > z > w > v > s\n"
+            f"eq a = (x + z + w + v + s)*y' - 1\neq b = y'^{e}\n"
+        )
+        assert len(p.read_text()) == 113 + len(str(e))
+        return str(p)
+
+    def test_a_certificate_past_the_budget_ends_at_exit_3(self, tmp_path, capsys):
+        # the division makes 330 term pairs; its multiplier alone would make
+        # 1,391,275, which once ran for 30.7 s at 315 MB before printing
+        assert main(["reduce", self._power_of_y(tmp_path, 30), "--target", "b"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "diffalg: building the certificate would bring the work to 1007205, "
+            "over the budget MAX_WORK = 1000000\n",
+        )
+
+    def test_a_certificate_is_built_and_checked_within_the_budget(self, tmp_path, capsys, monkeypatch):
+        # at y'^10, 25,129 units: 110 for the division, 10,005 for the
+        # multiplier, 2,001 for the quotients and 13,013 for the check
+        path = self._power_of_y(tmp_path, 10)
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 25_129)
+        assert main(["reduce", path, "--target", "b"]) == 0
+        assert capsys.readouterr().out.endswith("verified: yes\n")
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 25_128)
+        assert main(["reduce", path, "--target", "b"]) == 3
+        assert capsys.readouterr() == (
+            "",
+            "diffalg: checking the certificate would bring the work to 25129, "
+            "over the budget MAX_WORK = 25128\n",
+        )
+
 
 class TestLinearize:
     def test_symbolic(self, flagship, capsys):
@@ -450,6 +488,26 @@ class TestJbcCheck:
         out = capsys.readouterr().out
         assert "(INCOMPLETE)" in out and "verdict: INCONCLUSIVE" in out
 
+    def test_the_text_builds_the_multipliers_it_prints(self, tmp_path, capsys, monkeypatch):
+        # dividing eq b by the component takes 171 units, and the multiplier
+        # (x + 1)^10 that the text prints 110 more on the same meter; the
+        # JSON prints no multiplier, so it builds none
+        p, comp = tmp_path / "power.sys", tmp_path / "component.txt"
+        p.write_text("field: Q\nvars: y, x\nranking: elim y > x\neq a = (x + 1)*y' - 1\neq b = y'^10 + x'\n")
+        comp.write_text("charset: x'; (x + 1)*y' - 1\nineqs: (none)\nprime: no\n")
+        args = ["jbc-check", str(p), "--components", str(comp)]
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 281)
+        assert main(args) == 1
+        assert "  cert-2: multiplier = x^10 + 10*x^9 + " in capsys.readouterr().out
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 280)
+        assert main(args) == 3
+        assert capsys.readouterr() == (
+            "",
+            "diffalg: building the certificate would bring the work to 281, over the budget MAX_WORK = 280\n",
+        )
+        assert main(args + ["--json"]) == 1
+        assert json.loads(capsys.readouterr().out)["verdict"] == "INCONCLUSIVE"
+
     def test_non_square_is_domain_error(self, tmp_path, capsys):
         p = tmp_path / "rect.sys"
         p.write_text("field: Q\nvars: x, y\nranking: elim x > y\neq u = x\n")
@@ -584,8 +642,8 @@ class TestErrorChannel:
         assert main(["member", cusp, "(x + y + 1)^100000"]) == 2
         err = capsys.readouterr().err
         assert err == (
-            "diffalg: expression: power ^100000 of a 3-term polynomial would bring the reader's work to "
-            "4941450 term pairs, over the budget MAX_WORK = 1000000 (at position 12)\n"
+            "diffalg: expression: power ^100000 of a 3-term polynomial would bring the work to "
+            "4941450, over the budget MAX_WORK = 1000000 (at position 12)\n"
         )
 
     def test_long_product_of_sums_ends_at_the_term_cap(self, cusp, capsys):

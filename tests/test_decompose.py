@@ -35,7 +35,7 @@ from diffalg import (
 )
 from diffalg.decompose import VanishingInequationError, _basic_set, _fork, _fork_shape
 from diffalg.linearize import extended_context, tangent_dervar
-from diffalg.reduction import PreparedSeq, TermLimitExceeded
+from diffalg.reduction import DiffOperator, PreparedSeq, TermLimitExceeded, Verdict, Work
 from diffalg.sysfile import SysFileError, parse_components, parse_poly
 
 from strategies import contexts, diffpolys, rankings, splitting_nodes
@@ -61,7 +61,7 @@ def seq_texts(c):
 
 def wrap_divisions(mp, wrapper):
     """Patch the one way a decomposition divides, ritt_reduce_seq, for the
-    tree's node divisions (given the work spent) and the divisions of
+    tree's node divisions (given the tree's meter) and the divisions of
     components, with wrapper(real, p, prep, *rest); returns the original
     to restore."""
     real = diffalg.decompose.ritt_reduce_seq
@@ -249,6 +249,17 @@ class TestSplitDecompose:
         dec = split_decompose([P("x"), P("3")], ELIM_XY)
         assert dec.complete
         assert dec.components == ()
+
+    def test_the_flagship_takes_108_units_of_work(self, monkeypatch):
+        # the tree's 14 nodes and the term pairs of its node divisions: the
+        # run completes with exactly that budget and runs out of work below it
+        us = [P("x'' + y"), P("x'^2 + y")]
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 108)
+        dec = split_decompose(us, ELIM_XY)
+        assert dec.complete and len(dec.components) == 2
+        monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 107)
+        dec = split_decompose(us, ELIM_XY)
+        assert not dec.complete and dec.out_of_work
 
     def test_budget_exhaustion_is_reported(self, monkeypatch):
         # the first node spends the whole budget, and its first division
@@ -587,6 +598,24 @@ class TestJbcCheck:
         assert any(r.equality for r in rep.records)
         assert rep.heuristic  # separant conditions were never proven prime
 
+    def test_comparing_records_builds_no_certificate_part(self, monkeypatch):
+        # a Verdict, and so a ComponentRecord, holds its certificate, which
+        # compares and hashes by identity: no multiplier or quotient is
+        # built (or charged) to compare two of them
+        us = [P("x'' + y"), P("x'^2 + y")]
+        records, again = jbc_check(us, ELIM_XY).records, jbc_check(us, ELIM_XY).records
+        built = Counter()
+        mul, init = DiffPoly.__mul__, DiffOperator.__init__
+        monkeypatch.setattr(DiffPoly, "__mul__", lambda a, b: built.update(["products"]) or mul(a, b))
+        monkeypatch.setattr(DiffOperator, "__init__", lambda op, *args: built.update(["operators"]) or init(op, *args))
+        verdicts = [v for rec in records for v in rec.memberships]
+        assert any(v.certificate.steps > 1 for v in verdicts)
+        assert records == records and records != again
+        assert len({*records, *again}) == 4 and len({*verdicts}) == len(verdicts)
+        assert verdicts[0] == Verdict(verdicts[0].member, verdicts[0].heuristic, verdicts[0].certificate)
+        assert built == {}
+        assert all(v.certificate._multiplier is None and v.certificate._log is not None for v in verdicts)
+
     def test_characteristic_sequence_reports_equality(self):
         us = [P("y'^2 + 4*y^3"), P("2*y*x' - y'")]
         rep = jbc_check(us, ELIM_XY)
@@ -622,28 +651,32 @@ class TestJbcCheck:
         # equations) and the inequation check of the one component with
         # nonconstant separants and initials (2); then 4 for the two
         # records, two inputs per component (the inequations were checked
-        # when the component was built).
-        calls = Counter()
+        # when the component was built).  The tree's divisions share its
+        # meter; each component division has a meter of its own.
+        meters = Counter()
 
-        def counted(real, p, prep, *spent):
-            calls["tree" if spent else "component"] += 1
-            return real(p, prep, *spent)
+        def counted(real, *args):
+            cert = real(*args)
+            meters[cert.work] += 1
+            return cert
 
         wrap_divisions(monkeypatch, counted)
         rep = jbc_check([P("x'' + y"), P("x'^2 + y")], ELIM_XY)
         assert rep.verdict is JbcVerdict.HOLDS
-        assert calls == {"tree": 23, "component": 6}
+        assert sorted(meters.values()) == [1] * 6 + [23]
 
     @staticmethod
     def _count_division_work(monkeypatch, counts):
-        """Count the division's own work into counts, as its certificates
-        report it: its steps, and the term pairs of the products its steps
-        make in the working map."""
+        """Count the division's own work into counts: its steps, and the term
+        pairs of the products its steps make in the working map, which it
+        charges to its meter."""
 
-        def reduce(real, *args):
-            cert = real(*args)
+        def reduce(real, p, prep, work=None):
+            work = work or Work()
+            before = work.spent
+            cert = real(p, prep, work)
             counts["steps"] += cert.steps
-            counts["pairs"] += cert.pairs
+            counts["pairs"] += work.spent - before
             return cert
 
         wrap_divisions(monkeypatch, reduce)

@@ -19,7 +19,7 @@ from diffalg import (
     Ranking,
     RatFunc,
 )
-from diffalg.reduction import MAX_COEFF_BITS, MAX_T_DEGREE, MAX_TERMS, MAX_WORK
+from diffalg.reduction import MAX_COEFF_BITS, MAX_T_DEGREE, MAX_TERMS, MAX_WORK, Work
 from diffalg.sysfile import (
     MAX_NESTING,
     ParseError,
@@ -86,15 +86,15 @@ class TestExpressions:
                 parse_poly(f"(x + y)^{e}", XY)
             assert time.perf_counter() - start < 1.0
             assert str(exc.value) == (
-                f"power ^{e} of a 2-term polynomial would bring the reader's work to "
-                f"{pairs} term pairs, over the budget MAX_WORK = 50000 (at position 8)"
+                f"power ^{e} of a 2-term polynomial would bring the work to "
+                f"{pairs}, over the budget MAX_WORK = 50000 (at position 8)"
             )
 
     def test_a_power_is_charged_the_pairs_it_makes(self, monkeypatch):
         # binary powering starts the running product at the power of the
         # lowest set bit: p^k makes one product per squaring and one per
-        # further set bit, none with 1, and the file's work count holds
-        # exactly the term pairs that those products make
+        # further set bit, none with 1, and the file's meter holds exactly
+        # the term pairs that those products make
         made = {"products": 0, "pairs": 0}
         add = diffalg.reduction._add_product
         times = diffalg.sysfile._times
@@ -113,10 +113,10 @@ class TestExpressions:
         for k, products in enumerate((0, 0, 1, 2, 2, 3, 3, 4, 3)):
             for n in range(1, len(jets) + 1):
                 made.update(products=0, pairs=0)
-                table = {}
-                terms = diffalg.sysfile._scan(f"({' + '.join(jets[:n])})^{k}", XY, table)
+                work = Work()
+                terms = diffalg.sysfile._scan(f"({' + '.join(jets[:n])})^{k}", XY, {}, work)
                 assert made["products"] == products
-                assert table.get("work", 0) == made["pairs"]
+                assert work.spent == made["pairs"]
                 assert len(terms) == comb(n + k - 1, k)
 
     def test_over_long_integer_literal(self):
@@ -431,8 +431,8 @@ class TestReaderWork:
         with pytest.raises(ParseError) as exc:
             P(src)
         assert str(exc.value) == (
-            "product of a 20-term and a 4-term polynomial would bring the reader's work to "
-            "136 term pairs, over the budget MAX_WORK = 100 (at position 51)"
+            "product of a 20-term and a 4-term polynomial would bring the work to "
+            "136, over the budget MAX_WORK = 100 (at position 51)"
         )
         assert exc.value.pos == src.index("(x + y + x' + 4)")
         assert _reading(reference_parse_poly, src, XY) == str(exc.value)
@@ -440,8 +440,8 @@ class TestReaderWork:
         with pytest.raises(ParseError) as exc:
             P(src)
         assert str(exc.value) == (
-            "product of a 35-term and a 4-term polynomial would bring the reader's work to "
-            "276 term pairs, over the budget MAX_WORK = 136 (at position 68)"
+            "product of a 35-term and a 4-term polynomial would bring the work to "
+            "276, over the budget MAX_WORK = 136 (at position 68)"
         )
         monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 276)
         assert P(_chain(5)).term_count() == comb(5 + 3, 3)
@@ -451,12 +451,12 @@ class TestReaderWork:
         # term pairs, and its product with (x + 1) 4 * 2 = 8 more
         src = "(x + y)^3*(x + 1)"
         monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 17)
-        with pytest.raises(ParseError, match=r"^product of a 4-term and a 2-term .* 18 term pairs, .* = 17 \(at position 10\)$"):
+        with pytest.raises(ParseError, match=r"^product of a 4-term and a 2-term .* to 18, .* = 17 \(at position 10\)$"):
             P(src)
         monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 18)
         assert P(src).term_count() == 8
         monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 9)
-        with pytest.raises(ParseError, match=r"^power \^3 of a 2-term .* 10 term pairs, .* = 9 \(at position 8\)$"):
+        with pytest.raises(ParseError, match=r"^power \^3 of a 2-term .* to 10, .* = 9 \(at position 8\)$"):
             P(src)
 
     def test_a_file_keeps_one_count_for_all_its_expressions(self, monkeypatch):
@@ -471,11 +471,11 @@ class TestReaderWork:
         with pytest.raises(SysFileError) as exc:
             parse_system(f"{head}eq u1 = {eq}\neq u2 = y\neq u3 = {eq}\n")
         assert str(exc.value) == (
-            "line 6: product of a 10-term and a 4-term polynomial would bring the reader's "
-            "work to 112 term pairs, over the budget MAX_WORK = 100 (at position 34)"
+            "line 6: product of a 10-term and a 4-term polynomial would bring the "
+            "work to 112, over the budget MAX_WORK = 100 (at position 34)"
         )
         # a component file keeps one count too, across its blocks
-        with pytest.raises(SysFileError, match=r"^line 3: product .* 112 term pairs"):
+        with pytest.raises(SysFileError, match=r"^line 3: product .* work to 112, "):
             parse_components(f"charset: {eq}\n\ncharset: {eq}\n", XY, ELIM_XY)
 
     def test_a_product_over_the_term_cap_is_refused_as_a_power_is(self, monkeypatch):
@@ -658,7 +658,7 @@ class TestTermParser:
         times, scan = diffalg.sysfile._times, diffalg.sysfile._scan
         mono_init, coeff_init = Monomial.__init__, RatFunc.__init__
         monkeypatch.setattr(diffalg.sysfile, "_times", lambda *args: products.append(1) or times(*args))
-        monkeypatch.setattr(diffalg.sysfile, "_scan", lambda src, ctx, t: scans.append(src) or scan(src, ctx, t))
+        monkeypatch.setattr(diffalg.sysfile, "_scan", lambda src, *rest: scans.append(src) or scan(src, *rest))
         monkeypatch.setattr(Monomial, "__init__", lambda m, fs: monomials.append(fs) or mono_init(m, fs))
         monkeypatch.setattr(RatFunc, "__init__", lambda q, a, b: coefficients.append((a, b)) or coeff_init(q, a, b))
         text = "\n".join(lines) + "\n"

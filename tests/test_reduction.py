@@ -32,7 +32,7 @@ from diffalg import (
     ritt_reduce_seq,
     verify_certificate,
 )
-from diffalg.reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded
+from diffalg.reduction import PreparedSeq, StepLimitExceeded, TermLimitExceeded, Work
 from diffalg.sysfile import ParseError, parse_poly
 
 from reference_engines import forward_certificate
@@ -46,8 +46,13 @@ def P(src, ctx=XY):
     return parse_poly(src, ctx)
 
 
-def divide(b, seq, ranking=ELIM_XY):
-    return ritt_reduce_seq(b, PreparedSeq(seq, ranking))
+def divide(b, seq, ranking=ELIM_XY, work=None):
+    return ritt_reduce_seq(b, PreparedSeq(seq, ranking), work)
+
+
+def parts(cert):
+    """Every part of a certificate's identity, built."""
+    return cert.steps, cert.factors, cert.multiplier, cert.quotients, cert.remainder
 
 
 class TestDiffOperator:
@@ -162,17 +167,12 @@ class TestCertificates:
         assert lhs == rhs
 
     def test_tampered_certificate_rejected(self):
+        # the division's own step log with a remainder off by one
         g = P("x'^2 + y")
         f = P("x''")
         cert = divide(f, [g])
-        from diffalg import ReductionCertificate
-
-        bad = ReductionCertificate(
-            multiplier=cert.multiplier,
-            factors=cert.factors,
-            quotients=cert.quotients,
-            remainder=cert.remainder + DiffPoly.one(XY),
-        )
+        log, divisors = cert._log
+        bad = ReductionCertificate(log, divisors, cert.remainder + DiffPoly.one(XY), Work())
         assert not verify_certificate(bad, f, [g], ELIM_XY)
 
     def test_mixed_contexts_are_refused(self):
@@ -192,16 +192,11 @@ class TestCertificates:
         f = P("x^(3)")
         cert = divide(f, [g])
         assert cert.factors == (P("y"), P("y"))
-        from diffalg import ReductionCertificate
-
-        # same product, but the factor list claims things that are neither
-        # the separant nor the initial
-        bad = ReductionCertificate(
-            multiplier=cert.multiplier,
-            factors=(P("y^2"), P("1")),
-            quotients=cert.quotients,
-            remainder=cert.remainder,
-        )
+        (_, i, c, j), (_, k, d, h) = cert._log[0]
+        # the same multiplier and quotients, so the identity holds, but the
+        # factors y^2 and 1 are neither the separant nor the initial
+        bad = ReductionCertificate([(P("y^2"), i, c * P("y"), j), (P("1"), k, d, h)], 1, cert.remainder, Work())
+        assert parts(bad)[2:] == parts(cert)[2:]
         assert not verify_certificate(bad, f, [g], ELIM_XY)
 
 
@@ -218,12 +213,12 @@ class TestGuards:
                     divide(b, seq)
             assert type(err.value) is StepLimitExceeded
             assert str(err.value) == (
-                f"reduction stopped at step {step}: its work would reach {reach}, "
+                f"reduction stopped at step {step}: the step would bring the work to {reach}, "
                 f"over the budget MAX_WORK = {budget}"
             )
         with patch.object(diffalg.reduction, "MAX_WORK", 14):
             cert = divide(b, seq)
-        assert (cert.steps, cert.pairs) == (4, 14)
+        assert (cert.steps, cert.work.spent) == (4, 14)
 
 
 @st.composite
@@ -252,32 +247,28 @@ class TestCertificateOnRead:
     @staticmethod
     def _check_against_forward(b, seq, rk, caps):
         terms, bits, degree, work = caps
-        outcomes = []
+        outcomes, meter = [], Work()
         with patch.multiple(
             diffalg.reduction, MAX_TERMS=terms, MAX_COEFF_BITS=bits, MAX_T_DEGREE=degree, MAX_WORK=work
         ):
-            for engine in (lambda: divide(b, seq, rk), lambda: forward_certificate(b, seq, rk)):
+            for engine in (lambda: divide(b, seq, rk, work=meter), lambda: forward_certificate(b, seq, rk)):
                 try:
                     outcomes.append(engine())
                 except StepLimitExceeded as exc:
                     outcomes.append(exc)
         cert, ref = outcomes
+        # the same work charged, also when a cap stopped the division
+        assert meter.spent == ref.pairs
         if isinstance(cert, StepLimitExceeded) or isinstance(ref, StepLimitExceeded):
             # the same cap at the same step: the messages name both
             assert type(cert) is type(ref)
             assert str(cert) == str(ref)
-            assert getattr(cert, "pairs", None) == getattr(ref, "pairs", None)
             return
         # reading the remainder and the step count builds nothing
         cert.remainder, cert.steps
         assert cert._log is not None
-        assert cert.steps == ref.steps
-        assert cert.pairs == ref.pairs <= work
-        assert cert.remainder == ref.remainder
-        assert cert.factors == ref.factors
-        assert cert.multiplier == ref.multiplier
-        assert cert.quotients == ref.quotients
-        assert cert == ref
+        assert cert.work is meter and meter.spent <= work
+        assert parts(cert) == (ref.steps, ref.factors, ref.multiplier, ref.quotients, ref.remainder)
         assert verify_certificate(cert, b, seq, rk)
 
     @given(st.data())
@@ -367,7 +358,7 @@ class TestCertificateOnRead:
         prep = PreparedSeq([P("y'^2 + 4*y^3"), P("2*y*x' - y'")], ELIM_XY)
         for src in ("x''*y' + x^2", "x'' + y", "y''", "x''*y' + x^2"):
             fresh = PreparedSeq([P("y'^2 + 4*y^3"), P("2*y*x' - y'")], ELIM_XY)
-            assert ritt_reduce_seq(P(src), prep) == ritt_reduce_seq(P(src), fresh)
+            assert parts(ritt_reduce_seq(P(src), prep)) == parts(ritt_reduce_seq(P(src), fresh))
 
 
 class TestPreparedSeq:
@@ -418,11 +409,12 @@ class TestPreparedSeq:
 class TestTermCap:
     def test_cap_is_a_named_step_limit(self, monkeypatch):
         monkeypatch.setattr(diffalg.reduction, "MAX_TERMS", 3)
+        work = Work()
         with pytest.raises(TermLimitExceeded) as err:
-            divide(P("x''*y + x'*y^2 + x"), [P("x'^2 + y*x' + y")])
+            divide(P("x''*y + x'*y^2 + x"), [P("x'^2 + y*x' + y")], work=work)
         assert isinstance(err.value, StepLimitExceeded)
         assert str(err.value) == "reduction stopped at step 1: the step passes the cap of 3 terms (MAX_TERMS)"
-        assert err.value.pairs == 10
+        assert work.spent == 10
 
     def test_coefficient_cap_stops_a_division(self, monkeypatch):
         # the second step scales -2*x''^2 - 3*y'' by the separant 2*x' and
@@ -430,13 +422,14 @@ class TestTermCap:
         # -6*x'*y'' + 6*x''*y': a coefficient past a 2-bit cap, made after
         # the first two steps' 8 term pairs
         monkeypatch.setattr(diffalg.reduction, "MAX_COEFF_BITS", 2)
+        work = Work()
         with pytest.raises(TermLimitExceeded) as err:
-            divide(P("x^(3)"), [P("x'^2 + 3*y")])
+            divide(P("x^(3)"), [P("x'^2 + 3*y")], work=work)
         assert str(err.value) == (
             "reduction stopped at step 2: the step makes a coefficient of 3 bits, "
             "over the cap of 2 bits (MAX_COEFF_BITS)"
         )
-        assert err.value.pairs == 8
+        assert work.spent == 8
 
     def test_degree_cap_stops_a_division_over_q_t(self, monkeypatch):
         # each step scales the working map by the initial t^10 + 1, so its
@@ -448,14 +441,15 @@ class TestTermCap:
         b = parse_poly("y^40 + x*x' + x''*x'''", ctx)
         assert divide(b, [a], rk).steps == 20
         monkeypatch.setattr(diffalg.reduction, "MAX_T_DEGREE", 50)
-        for engine in (divide, forward_certificate):
+        work = Work()
+        for engine in (lambda *args: divide(*args, work=work), forward_certificate):
             with pytest.raises(TermLimitExceeded) as err:
                 engine(b, [a], rk)
             assert str(err.value) == (
                 "reduction stopped at step 6: the step makes a coefficient of degree 60 in t, "
                 "over the cap of 50 (MAX_T_DEGREE)"
             )
-            assert err.value.pairs == 30
+        assert work.spent == 30
 
     def test_a_subtraction_stops_at_the_row_that_passes_the_term_cap(self, monkeypatch):
         # the cofactor y^(10) + ... + y^(14) of x' by the 6-term divisor: each
@@ -473,10 +467,11 @@ class TestTermCap:
         monkeypatch.setattr(
             diffalg.diffpoly, "_merge_factors", lambda a, b: work.update(["monomials"]) or merge(a, b)
         )
+        meter = Work()
         with pytest.raises(TermLimitExceeded) as err:
-            ritt_reduce_seq(b, prep)
+            ritt_reduce_seq(b, prep, meter)
         assert str(err.value) == "reduction stopped at step 1: the step passes the cap of 10 terms (MAX_TERMS)"
-        assert err.value.pairs == 30  # charged before the step's products
+        assert meter.spent == 30  # charged before the step's products
         assert work == {"monomials": 12}
 
     def test_the_reader_and_the_reducer_word_each_cap_alike(self, monkeypatch):
@@ -525,12 +520,12 @@ class TestTermCap:
         b, a = P("x'*y^2 + x'*y + x'"), P("x'*y^2 + x'*y + 1")
         prep = PreparedSeq([a], ELIM_XY)
         monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 14)
-        with pytest.raises(StepLimitExceeded, match="step 1: its work would reach 15, over the budget MAX_WORK = 14$"):
+        with pytest.raises(StepLimitExceeded, match="step 1: the step would bring the work to 15, over the budget MAX_WORK = 14$"):
             ritt_reduce_seq(b, prep)
         assert work == {}
         monkeypatch.setattr(diffalg.reduction, "MAX_WORK", 15)
         cert = ritt_reduce_seq(b, prep)
-        assert (cert.steps, cert.pairs) == (1, 15)
+        assert (cert.steps, cert.work.spent) == (1, 15)
         # the two products, 6 and 9 term pairs, and nothing else
         assert work == {"monomials": 15, "coefficients": 15}
 
@@ -553,7 +548,7 @@ class TestTermCap:
         us = [P("3*x*y'' + 2*x'' - 2"), P("x''*y' + 3*x*x' - y")]
         assert jbc_check(us, ELIM_XY).verdict is JbcVerdict.INCONCLUSIVE
         assert messages == [
-            "reduction stopped at step 1: its work would reach 3038524, "
+            "reduction stopped at step 1: the step would bring the work to 3038524, "
             "over the budget MAX_WORK = 1000000"
         ]
         assert diffalg.decompose.split_decompose(us, ELIM_XY).out_of_work
